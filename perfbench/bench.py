@@ -3,7 +3,9 @@
 Every workload is a closed loop: one client, one instance at a time, the
 next one started only after the previous returned.  Instances come from
 the generator below, seeded per cell from the ``--seed`` argument, so the
-program sees nothing but generated inputs.
+program sees nothing but generated inputs.  An untraced run measures whole
+blocks of ``block`` instances; a traced run cycles over the first
+``trace_set`` instances, a fixed set, so its counts repeat exactly.
 
 The oracle does not trust the program's numbers: it rebuilds S(A, B, C)
 from the returned factors with its own einsum and compares it with the
@@ -160,9 +162,10 @@ class Grid:
 
     Cells are (r, d) x {exact |T|=1, noise 1e-2, exact |T|=1e-2, exact
     |T|=1e2}.  A block is one sweep over all twelve cells, so every run
-    measures whole sweeps and the same mix of cells; within a sweep every
-    four consecutive cells hold each kind once and every three hold each
-    (r, d) once.  Later sweeps draw fresh instances.
+    measures the same mix of cells; every four consecutive cells hold each
+    kind once and every three hold each (r, d) once.  A traced run covers
+    the first eight cells, which hold every kind twice and both
+    |T|=1e-2 cells at (4, 24) and (2, 8).
     """
     name = "grid"
     kind = "solve"
@@ -170,22 +173,21 @@ class Grid:
     CELLS = (("exact", 1.0, 0.0), ("noise", 1.0, 1e-2),
              ("small", 1e-2, 0.0), ("large", 1e2, 0.0))
     block = len(SHAPES) * len(CELLS)
-    SWEEPS = 2
+    trace_set = 8
 
     def setup(self, pkg, seed: int, work: Path) -> list[Instance]:
         out = []
-        for sweep in range(self.SWEEPS):
-            for i in range(self.block):
-                r, d = self.SHAPES[i % len(self.SHAPES)]
-                cell, scale, noise = self.CELLS[i % len(self.CELLS)]
-                rng = np.random.default_rng([seed, sweep, i])
-                T = tucker_tensor(rng, r, d, noise=noise, scale=scale)
-                path = work / f"g{sweep}-{i}-r{r}d{d}-{cell}.json"
-                pkg.tensor_core.save_tensor_json(
-                    str(path), T, {"r": r, "d": d, "cell": cell,
-                                   "noise": noise, "scale": scale})
-                out.append(Instance(id=f"r{r}d{d}-{cell}-s{sweep}", r=r,
-                                    d=d, T=T, noise=noise, path=str(path)))
+        for i in range(self.block):
+            r, d = self.SHAPES[i % len(self.SHAPES)]
+            cell, scale, noise = self.CELLS[i % len(self.CELLS)]
+            rng = np.random.default_rng([seed, i])
+            T = tucker_tensor(rng, r, d, noise=noise, scale=scale)
+            path = work / f"g{i}-r{r}d{d}-{cell}.json"
+            pkg.tensor_core.save_tensor_json(
+                str(path), T, {"r": r, "d": d, "cell": cell, "noise": noise,
+                               "scale": scale})
+            out.append(Instance(id=f"r{r}d{d}-{cell}", r=r, d=d, T=T,
+                                noise=noise, path=str(path)))
         return out
 
     def solve(self, pkg, inst: Instance, prefix: Path, tracer=None,
@@ -221,12 +223,14 @@ class Grid:
 class Rank1Overfit:
     """Exact multilinear-rank-1 targets solved at r = 2, 3, 4 (d = 8, 16,
     24) through search.run.  Descent is short; the time goes to the
-    origin-saddle escape and the curvature probes."""
+    origin-saddle escape and the curvature probes.  The pool holds about
+    one run's worth of instances; a longer run starts over."""
     name = "rank1-overfit"
     kind = "solve"
     block = 3
+    trace_set = 12
     SHAPES = ((2, 8), (3, 16), (4, 24))
-    POOL = 240
+    POOL = 60
 
     def setup(self, pkg, seed: int, work: Path) -> list[Instance]:
         out = []
@@ -267,7 +271,8 @@ class VerifySuite:
     name = "verify-suite"
     kind = "suite"
     block = 1
-    POOL = 60
+    trace_set = 2
+    POOL = 16
 
     def setup(self, pkg, seed: int, work: Path) -> list[Instance]:
         return [Instance(id=f"suite-{seed * self.POOL + k}",

@@ -4,9 +4,10 @@ Layers are the package modules.  Each metric is listed in LAYER_METRICS
 with its unit and the end-to-end metric and workload it should move; the
 per_layer list of BENCHMARK.json carries the same names and units.
 
-Counts and self times are means per traced instance; per-call times and
-shares pool every call or span of the run.  A layer a workload never
-reaches reads 0.
+Counts and self times are means per traced instance, and the two
+failure counts are per pass over the trace set; per-call times and shares
+pool every call or span of the run.  A layer a workload never reaches
+reads 0.
 """
 from __future__ import annotations
 
@@ -102,14 +103,17 @@ def _mean_time(outcomes) -> float:
     return statistics.fmean(good or [o.seconds for o in outcomes])
 
 
-def layer_metrics(tracer, traced: list, untraced: list) -> dict[str, float]:
+def layer_metrics(tracer, traced: list, untraced: list,
+                  set_size: int) -> dict[str, float]:
     """Every LAYER_METRICS value from a traced run.
 
     ``traced`` and ``untraced`` are the outcomes of the same instances run
-    with and without the tracer.
+    with and without the tracer: whole passes over a trace set of
+    ``set_size`` instances.
     """
     spans = tracer.spans
     n = max(len(traced), 1)
+    passes = n / set_size
     count = Counter()
     busy = Counter()
     for s in spans:
@@ -186,11 +190,12 @@ def layer_metrics(tracer, traced: list, untraced: list) -> dict[str, float]:
         "search.objective_tally_gap": sum(
             o.objective_evals - objective_per_instance[o.instance]
             for o in solves) / n,
-        "search.false_converged_n": float(sum(o.false_converged
-                                              for o in traced)),
+        "search.false_converged_n": sum(o.false_converged
+                                        for o in traced) / passes,
         "cli.load_tensor_ms": busy["cli.load_tensor"] / n * 1e3,
         "cli.write_outputs_ms": busy["cli.write_outputs"] / n * 1e3,
-        "verify.checks_failed": float(sum(o.checks_failed for o in traced)),
+        "verify.checks_failed": sum(o.checks_failed
+                                    for o in traced) / passes,
         "trace.overhead_s": _mean_time(traced) - _mean_time(untraced),
         "trace.unattributed_share": stage_self["instance"] / total,
     }

@@ -9,9 +9,10 @@ is imported from ``src/`` next to this directory, never from an installed
 copy; without it the benchmark exits with code 2 and prints no result.
 
 ``--trace 0`` measures the end-to-end metrics with nothing wrapped.
-``--trace 1`` runs every instance twice, once plain and once with the
-outside-in tracer installed, in alternating order, and reports the
-per-layer metrics of layers.py together with the tracing overhead.
+``--trace 1`` cycles over the workload's fixed trace set and runs every
+instance twice, once plain and once with the outside-in tracer installed,
+in alternating order, and reports the per-layer metrics of layers.py
+together with the tracing overhead.
 
 The last line of standard output is the result:
 {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
@@ -27,6 +28,7 @@ for _var in THREAD_VARS:
 
 import argparse  # noqa: E402
 import importlib  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
@@ -41,12 +43,12 @@ from pathlib import Path  # noqa: E402
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SETUP_REPEATS = 5
-IMPORT_REPEATS = 3
-# an untraced run stops mid-block once this many times --seconds have gone
-HARD_STOP = 4
+IMPORT_REPEATS = 7
 # Iterations per second of reference_rate's loop on the machine the bounds
 # were tuned on (2-core x86-64 container, OpenBLAS pinned to one thread).
 REFERENCE_RATE = 3.5e4
+# The same for interpreter_rate's loop.
+INTERPRETER_RATE = 1.5e4
 UNITS = {"solved_frac": "frac", "status_ok_frac": "frac",
          "solve_s_mean": "s", "instances_per_s": "1/s", "evals_mean": "count",
          "setup_s": "s", "peak_rss_mb": "MB"}
@@ -68,11 +70,42 @@ def import_program():
     return pkg
 
 
+def interpreter_rate(seconds: float) -> float:
+    """Iterations per second, over `seconds`, of a fixed pure-Python loop.
+    Set-up is interpreter work (module loading, file writes), which this
+    loop tracks where reference_rate's numpy loop does not."""
+    t0 = time.perf_counter()
+    n = 0
+    while True:
+        sum(i * i for i in range(1000))
+        n += 1
+        elapsed = time.perf_counter() - t0
+        if elapsed >= seconds:
+            return n / elapsed
+
+
+def interpreter_scaled(call, probe_s: float = 0.03):
+    """(value of call(), its seconds at INTERPRETER_RATE): the time scaled
+    by the interpreter speed sampled just before and just after it."""
+    before = interpreter_rate(probe_s)
+    t0 = time.perf_counter()
+    value = call()
+    seconds = time.perf_counter() - t0
+    speed = (before + interpreter_rate(probe_s)) / 2 / INTERPRETER_RATE
+    return value, seconds * speed
+
+
 def import_seconds() -> float:
     """Time of a first import of the package (numpy included) in a fresh
-    interpreter, as the child measures it."""
-    code = ("import time; t = time.perf_counter(); import tuckersearch.cli; "
-            "print(time.perf_counter() - t)")
+    interpreter, scaled there to INTERPRETER_RATE."""
+    code = "\n".join([
+        "import importlib, time",
+        inspect.getsource(interpreter_rate),
+        inspect.getsource(interpreter_scaled),
+        f"INTERPRETER_RATE = {INTERPRETER_RATE!r}",
+        "_, s = interpreter_scaled(lambda: importlib.import_module("
+        "'tuckersearch.cli'))",
+        "print(s)"])
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     child = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                            capture_output=True, text=True, timeout=120,
@@ -130,10 +163,23 @@ def reference_rate(seconds: float) -> float:
             return n / elapsed
 
 
-def measure(workload, pkg, instances, seconds, work, traced=None):
+def setup_times(workload, pkg, seed, work):
+    """(instances, fresh import seconds, set-up seconds), each timed
+    several times and scaled to INTERPRETER_RATE."""
+    imports = [import_seconds() for _ in range(IMPORT_REPEATS)]
+    setups = []
+    for _ in range(SETUP_REPEATS):
+        instances, seconds = interpreter_scaled(
+            lambda: workload.setup(pkg, seed, work))
+        setups.append(seconds)
+    return instances, imports, setups
+
+
+def measure(workload, pkg, instances, block, seconds, work, traced=None):
     """Closed loop over the instances until `seconds` have passed, stopping
-    at a block boundary.  With a tracer every instance runs plain and
-    traced, alternating which goes first, and any instance ends a block.
+    only at a boundary of `block` instances, so a run measures whole blocks
+    whatever the machine's speed.  With a tracer every instance runs plain
+    and traced, alternating which goes first.
 
     Before each instance a short reference loop samples how fast the
     machine runs just then.  Returns (plain, traced, busy seconds without
@@ -143,16 +189,10 @@ def measure(workload, pkg, instances, seconds, work, traced=None):
     """
     plain, with_tracer, rates = [], [], []
     probe_s, probe_total = 0.02, 0.0
-    # a traced run does every instance twice; it may stop at any instance
-    block = workload.block if traced is None else 1
     probe_iters = 0.0
     t0 = time.perf_counter()
     k = 0
-    while True:
-        elapsed = time.perf_counter() - t0
-        if elapsed >= seconds and (k % block == 0
-                                   or elapsed >= HARD_STOP * seconds):
-            break
+    while k % block or time.perf_counter() - t0 < seconds:
         inst = instances[k % len(instances)]
         prefix = work / f"{k:04d}-{inst.id}"
         t_probe = time.perf_counter()
@@ -178,8 +218,9 @@ def measure(workload, pkg, instances, seconds, work, traced=None):
 
 
 def end_to_end(outcomes, busy, setup_s, speed=1.0) -> dict:
-    """End-to-end metrics; times are scaled by the machine speed measured
-    in the same run, i.e. given at REFERENCE_RATE."""
+    """End-to-end metrics; solve times are scaled by the machine speed
+    measured in the same run, i.e. given at REFERENCE_RATE; setup_s comes
+    scaled to INTERPRETER_RATE."""
     good = [o for o in outcomes if not o.failed]
     sample = good or outcomes
     n = len(outcomes)
@@ -189,7 +230,7 @@ def end_to_end(outcomes, busy, setup_s, speed=1.0) -> dict:
         "solve_s_mean": statistics.fmean(o.seconds for o in sample) * speed,
         "instances_per_s": len(good) / (busy * speed),
         "evals_mean": statistics.fmean(o.evals for o in sample),
-        "setup_s": setup_s * speed,
+        "setup_s": setup_s,
         "peak_rss_mb": resource.getrusage(
             resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
@@ -227,20 +268,15 @@ def main(argv=None) -> int:
     work = out_dir / f"work-{os.getpid()}"
     work.mkdir(parents=True, exist_ok=True)
     try:
-        setup_times = []
-        for _ in range(SETUP_REPEATS):
-            t0 = time.perf_counter()
-            instances = workload.setup(pkg, args.seed, work)
-            setup_times.append(time.perf_counter() - t0)
-        import_times = [import_seconds() for _ in range(IMPORT_REPEATS)]
-        setup_s = statistics.median(import_times) + statistics.median(
-            setup_times)
+        instances, import_times, set_times = setup_times(
+            workload, pkg, args.seed, work)
 
         problems = []
         if args.trace:
             tracer = tracing.Tracer()
+            trace_set = instances[:workload.trace_set]
             plain, traced, busy, speed, rates = measure(
-                workload, pkg, instances, args.seconds, work,
+                workload, pkg, trace_set, len(trace_set), args.seconds, work,
                 traced=(tracer, lambda tr: tracing.install(tr, pkg)))
             outcomes = traced
             for p, t in zip(plain, traced):
@@ -249,11 +285,14 @@ def main(argv=None) -> int:
                                     "outputs")
                 if t.kind == "solve":
                     problems += layers.reconcile(tracer, t)
-            metrics = layers.layer_metrics(tracer, traced, plain)
+            metrics = layers.layer_metrics(tracer, traced, plain,
+                                           len(trace_set))
             units = {k: v[0] for k, v in layers.LAYER_METRICS.items()}
         else:
             outcomes, _, busy, speed, rates = measure(
-                workload, pkg, instances, args.seconds, work)
+                workload, pkg, instances, workload.block, args.seconds, work)
+            setup_s = statistics.median(import_times) + statistics.median(
+                set_times)
             metrics = end_to_end(outcomes, busy, setup_s, speed)
             units = UNITS
             # outside the timed phase: the first instance again, same bytes
@@ -267,7 +306,7 @@ def main(argv=None) -> int:
         tag = f"{args.workload}-seed{args.seed}-trace{args.trace}"
         record = {"environment": env, "busy_s": busy, "speed": speed,
                   "reference_rates": rates,
-                  "setup_times_s": setup_times, "import_s": import_s,
+                  "setup_times_s": set_times, "import_s": import_s,
                   "fresh_import_s": import_times,
                   "problems": problems, "metrics": metrics,
                   "outcomes": [o.record() for o in outcomes]}

@@ -58,35 +58,46 @@ def test_end_to_end_scales_times_by_machine_speed():
     slow = run.end_to_end(outs, busy=6.0, setup_s=1.0, speed=0.5)
     assert slow["solve_s_mean"] == pytest.approx(1.5)
     assert slow["instances_per_s"] == pytest.approx(2 / 3.0)
-    assert slow["setup_s"] == pytest.approx(0.5)
+    # set-up is not scaled
+    assert slow["setup_s"] == 1.0
     assert slow["evals_mean"] == 10.0
 
 
-def test_reference_rate_is_positive_and_finite():
-    rate = run.reference_rate(0.01)
-    assert 0 < rate < float("inf")
+def test_reference_rates_are_positive_and_finite():
+    assert 0 < run.reference_rate(0.01) < float("inf")
+    assert 0 < run.interpreter_rate(0.01) < float("inf")
+    value, seconds = run.interpreter_scaled(lambda: 7, 0.01)
+    assert value == 7 and 0 <= seconds < 1.0
 
 
 class _Quick:
     """Workload stand-in whose instances take no time."""
     kind = "solve"
 
-    def __init__(self, block):
-        self.block = block
-
     def solve(self, pkg, inst, prefix, tracer=None, install=None):
         return bench.Outcome(prefix.name, self.kind, 0.0, solved=True)
 
 
-def test_measure_stops_at_a_block_boundary_or_the_hard_stop(tmp_path):
+def test_measure_stops_only_at_a_block_boundary(tmp_path):
     insts = [bench.Instance(f"i{k}") for k in range(5)]
-    plain, _, _, speed, rates = run.measure(_Quick(3), None, insts, 0.05,
+    plain, _, _, speed, rates = run.measure(_Quick(), None, insts, 3, 0.05,
                                             tmp_path)
     assert len(plain) % 3 == 0 and len(plain) >= 3
     assert speed > 0 and len(rates) == len(plain)
-    plain, *_ = run.measure(_Quick(10 ** 6), None, insts, 0.05, tmp_path)
-    # each sample takes at least 20 ms, so the hard stop ends the block
-    assert 0 < len(plain) <= run.HARD_STOP * 0.05 / 0.02 + 1
+    # each speed sample takes at least 20 ms, so 0.05 s pass after three
+    # instances; the run still completes its block of seven
+    plain, *_ = run.measure(_Quick(), None, insts, 7, 0.05, tmp_path)
+    assert len(plain) == 7
+    assert [o.instance[5:] for o in plain] == [f"i{k % 5}" for k in range(7)]
+
+
+def test_traced_measure_runs_whole_passes_plain_and_traced(tmp_path):
+    insts = [bench.Instance(f"i{k}") for k in range(4)]
+    tr = tracing.Tracer()
+    plain, traced, *_ = run.measure(_Quick(), None, insts, len(insts), 0.05,
+                                    tmp_path, traced=(tr, lambda t: None))
+    assert len(plain) == len(traced) and len(traced) % len(insts) == 0
+    assert [o.instance for o in plain] == [o.instance for o in traced]
 
 
 def test_problem_makes_an_instance_fail():
@@ -176,7 +187,7 @@ def test_wrappers_reconcile_a_real_run_and_restore_bindings(pkg):
     assert all(s[tracing.END] is not None for s in tr.spans)
     plain = bench.Outcome("tiny", "solve", 0.0, evals=result.grad_evals)
     out.seconds = plain.seconds = 1.0
-    m = layers.layer_metrics(tr, [out], [plain])
+    m = layers.layer_metrics(tr, [out], [plain], 1)
     assert set(m) == set(layers.LAYER_METRICS)
     shares = sum(m[f"search.{s}.share"] for s in layers.SEARCH_STAGES)
     assert shares + m["trace.unattributed_share"] == pytest.approx(1.0)
@@ -215,3 +226,14 @@ def test_grid_order_mixes_cells_in_every_block():
         assert sorted(kinds[b:b + 4]) == sorted(c[0] for c in g.CELLS)
     assert Counter(zip(shapes, kinds)) == Counter(
         {(s, c[0]): 1 for s in g.SHAPES for c in g.CELLS})
+    # the traced cells hold every kind, the |T|=1e-2 cells among them
+    traced = Counter(kinds[:g.trace_set])
+    assert set(traced) == {c[0] for c in g.CELLS} and traced["small"] == 2
+
+
+def test_failure_counts_are_per_pass_over_the_trace_set():
+    tr = tracing.Tracer()
+    outs = [_outcome(1.0, 0, solved=False, false_converged=True),
+            _outcome(1.0, 0)] * 3
+    m = layers.layer_metrics(tr, outs, outs, 2)
+    assert m["search.false_converged_n"] == 1.0
