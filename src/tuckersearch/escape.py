@@ -163,6 +163,7 @@ class SignSearchResult:
     improvement: float
     f_before: float
     f_after: float
+    evals: int
 
     def apply(self, p: FactorPoint) -> FactorPoint:
         return p + self.step * self.direction.delta
@@ -175,13 +176,15 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray,
     step grid and keep the best objective value.
 
     Never returns a step that makes f worse: if nothing improves, the
-    result has step 0 and improvement 0.
+    result has step 0 and improvement 0.  `evals` counts the objective
+    evaluations made, the baseline at p included.
     """
-    f0 = objective(p, T, lam).f
     blocks = direction.delta.blocks()
     active = [i for i, blk in enumerate(blocks) if np.any(blk != 0.0)]
     if not active:
         raise NoDirection("direction is identically zero")
+    f0 = objective(p, T, lam).f
+    evals = 1
     best = (f0, 0.0, None, direction.delta)
     for bits in range(2 ** len(active)):
         signs = [1.0] * 4
@@ -191,13 +194,14 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray,
         signed = FactorPoint(*(s * blk for s, blk in zip(signs, blocks)))
         for step in grid:
             f = objective(p + float(step) * signed, T, lam).f
+            evals += 1
             if f < best[0]:
                 best = (f, float(step), tuple(int(s) for s in signs), signed)
     f_after, step, pattern, signed = best
     out_dir = replace(direction, delta=signed, sign_pattern=pattern)
     return SignSearchResult(direction=out_dir, step=step,
                             improvement=f0 - f_after, f_before=f0,
-                            f_after=f_after)
+                            f_after=f_after, evals=evals)
 
 
 def remove_extraneous_direction(p: FactorPoint, splits: SubspaceSplit,

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import (FactorPoint, flatten, inner, multilinear_transform,
-                          norm_f)
+from .tensor_core import FactorPoint, _transform, flatten
 
 
 def default_lambda(r: int) -> float:
@@ -41,24 +40,35 @@ def _check_target(p: FactorPoint, T: np.ndarray) -> np.ndarray:
     return T
 
 
+def _fit(p: FactorPoint, T: np.ndarray):
+    """S x3 C, S(I, B, C) and the residual D = S(A, B, C) - T."""
+    SC, SBC, X = _transform(p.S, p.A, p.B, p.C)
+    return SC, SBC, X - T
+
+
 def loss(p: FactorPoint, T: np.ndarray) -> float:
     """Fitting term || S(A, B, C) - T ||_F^2."""
-    T = _check_target(p, T)
-    return norm_f(p.apply() - T) ** 2
+    D = _fit(p, _check_target(p, T))[2].ravel()
+    return float(D @ D)
 
 
-def _gram_gaps(p: FactorPoint) -> list[np.ndarray]:
-    """M M^T - S_(m) S_(m)^T for each mode, all r x r symmetric."""
-    gaps = []
-    for mode, M in ((1, p.A), (2, p.B), (3, p.C)):
-        F = flatten(p.S, mode)
-        gaps.append(M @ M.T - F @ F.T)
-    return gaps
+def _gram_gaps(p: FactorPoint) -> np.ndarray:
+    """M M^T - S_(m) S_(m)^T for each mode, stacked into a (3, r, r) array
+    of symmetric matrices."""
+    S, r, M = p.S, p.r, p.factors
+    F = np.concatenate((S, S.transpose(1, 0, 2), S.transpose(2, 0, 1))
+                       ).reshape(3, r, r * r)
+    return M @ M.transpose(0, 2, 1) - F @ F.transpose(0, 2, 1)
+
+
+def _phi(gaps: np.ndarray) -> float:
+    G = gaps.ravel()
+    return float(G @ G)
 
 
 def reg_phi(p: FactorPoint) -> float:
     """Balance defect sum_m || M M^T - S_(m) S_(m)^T ||_F^2."""
-    return float(sum(np.sum(G * G) for G in _gram_gaps(p)))
+    return _phi(_gram_gaps(p))
 
 
 def reg(p: FactorPoint) -> float:
@@ -88,49 +98,65 @@ def objective(p: FactorPoint, T: np.ndarray, lam: float | None = None) -> Object
 
 # ---------------------------------------------------------------------------
 # gradients
+#
+# Every contraction below is a matrix product on an unfolding, or one
+# batched over the leading axis.  The gradient of the fitting term reuses
+# the stages of S(A, B, C): with the residual D,
+#
+#   dL/dS = 2 D(A^T, B^T, C^T)     from D x1 A, then x2 B, then x3 C
+#   dL/dA = 2 S(I, B, C)_(1) D_(1)^T
+#   dL/dB = 2 sum_xk (S x3 C)_xyk (D x1 A)_xjk
+#   dL/dC = 2 S_(3) [D(A^T, B^T, I)]_(3)^T
+
+
+def _grad_loss_flat(p: FactorPoint, T: np.ndarray) -> np.ndarray:
+    """Half the gradient of the fitting term, as a flat vector."""
+    r, d = p.r, p.d
+    SC, SBC, D = _fit(p, T)
+    D1 = D.reshape(d, d * d)
+    DA = (p.A @ D1).reshape(r, d, d)
+    DAB = np.matmul(p.B, DA).reshape(r * r, d)
+    gS = DAB @ p.C.T
+    gA = SBC.reshape(r, d * d) @ D1.T
+    gB = (SC.transpose(1, 0, 2).reshape(r, r * d)
+          @ DA.transpose(1, 0, 2).reshape(d, r * d).T)
+    gC = p.S.reshape(r * r, r).T @ DAB
+    return np.concatenate((gS.ravel(), gA.ravel(), gB.ravel(), gC.ravel()))
+
+
+def _grad_phi_flat(p: FactorPoint, gaps: np.ndarray) -> np.ndarray:
+    """Gradient of phi from its Gram gaps, as a flat vector."""
+    G1, G2, G3 = gaps
+    S, r = p.S, p.r
+    # S x1 G1 + S x2 G2 + S x3 G3, each G_m symmetric
+    SG = ((G1.T @ S.reshape(r, r * r)).ravel() + np.matmul(G2.T, S).ravel()
+          + (S.reshape(r * r, r) @ G3).ravel())
+    return 4.0 * np.concatenate((-SG, (gaps @ p.factors).ravel()))
 
 
 def grad_loss(p: FactorPoint, T: np.ndarray) -> FactorPoint:
     """Gradient of the fitting term, block by block."""
-    T = _check_target(p, T)
-    r = p.r
-    I = np.eye(r)
-    D = p.apply() - T
-    gS = 2.0 * multilinear_transform(D, p.A.T, p.B.T, p.C.T)
-    # each factor gradient contracts the residual with the transform that
-    # leaves that factor's mode untouched
-    gA = 2.0 * np.tensordot(multilinear_transform(p.S, I, p.B, p.C), D,
-                            axes=([1, 2], [1, 2]))
-    gB = 2.0 * np.tensordot(multilinear_transform(p.S, p.A, I, p.C), D,
-                            axes=([0, 2], [0, 2]))
-    gC = 2.0 * np.tensordot(multilinear_transform(p.S, p.A, p.B, I), D,
-                            axes=([0, 1], [0, 1]))
-    return FactorPoint(gS, gA, gB, gC)
+    return p._like(2.0 * _grad_loss_flat(p, _check_target(p, T)))
 
 
 def grad_phi(p: FactorPoint) -> FactorPoint:
     """Gradient of the balance defect phi."""
-    G1, G2, G3 = _gram_gaps(p)
-    I = np.eye(p.r)
-    gA = 4.0 * G1 @ p.A
-    gB = 4.0 * G2 @ p.B
-    gC = 4.0 * G3 @ p.C
-    gS = -4.0 * (multilinear_transform(p.S, G1, I, I)
-                 + multilinear_transform(p.S, I, G2, I)
-                 + multilinear_transform(p.S, I, I, G3))
-    return FactorPoint(gS, gA, gB, gC)
+    return p._like(_grad_phi_flat(p, _gram_gaps(p)))
 
 
 def grad_reg(p: FactorPoint) -> FactorPoint:
     """Gradient of R = phi^2, which is 2 phi grad(phi)."""
-    return (2.0 * reg_phi(p)) * grad_phi(p)
+    gaps = _gram_gaps(p)
+    return p._like((2.0 * _phi(gaps)) * _grad_phi_flat(p, gaps))
 
 
 def grad(p: FactorPoint, T: np.ndarray, lam: float | None = None) -> FactorPoint:
-    """Gradient of f = L + lam * R."""
+    """Gradient of f = L + lam * R; the Gram gaps are formed once."""
     if lam is None:
         lam = default_lambda(p.r)
-    return grad_loss(p, T) + lam * grad_reg(p)
+    gaps = _gram_gaps(p)
+    return p._like(2.0 * _grad_loss_flat(p, _check_target(p, T))
+                   + (2.0 * lam * _phi(gaps)) * _grad_phi_flat(p, gaps))
 
 
 def hvp(p: FactorPoint, direction: FactorPoint, T: np.ndarray,

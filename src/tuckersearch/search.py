@@ -38,9 +38,8 @@ from .tensor_core import (FactorPoint, hosvd, multilinear_transform,
 SAMPLED_BLOCKS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (2, 1, 2),
                   (2, 2, 1), (2, 2, 2))
 
-# trace vocabulary: init | gradient | negative-curvature | sampled(i,j,k)
-# | core-fix | remove-extraneous; "perturbation" is reserved but the
-# current driver never emits it (the sampler subsumes random restarts)
+# trace vocabulary: init | gradient | negative-curvature | rebalance
+# | sampled(i,j,k) | core-fix | remove-extraneous
 _KIND_LABELS = {"core_fix": "core-fix",
                 "remove_extraneous": "remove-extraneous"}
 
@@ -185,6 +184,8 @@ class SearchConfig:
             raise ValueError(f"rank must be positive, got {self.r}")
         if self.mode not in ("practical", "theory"):
             raise ValueError(f"mode must be practical or theory, got {self.mode}")
+        if self.lam is not None and self.lam < 0:
+            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         for name in ("budget", "sosp_eval_cap", "max_rounds", "delta_points"):
@@ -306,7 +307,7 @@ class GradBudget:
 
 
 def _apply_balance(p: FactorPoint, eta: float,
-                   gaps: list[np.ndarray]) -> FactorPoint:
+                   gaps: np.ndarray) -> FactorPoint:
     """Move along the loss-preserving symmetry orbit: each factor shrinks by
     exp(-eta G_m) where its Gram matrix exceeds the core's, and the core
     absorbs the inverse, so the reconstructed tensor is unchanged while the
@@ -323,7 +324,7 @@ def _apply_balance(p: FactorPoint, eta: float,
 
 def _rebalance_once(p: FactorPoint, T: np.ndarray, lam: float, f0: float,
                     budget: GradBudget):
-    """One line-searched orbit move; returns (point, f, eta) or None.
+    """One line-searched orbit move; returns (point, report, eta) or None.
     Charged as a gradient evaluation: the gap matrices are the content of
     the regularizer gradient."""
     gaps = _gram_gaps(p)
@@ -335,9 +336,9 @@ def _rebalance_once(p: FactorPoint, T: np.ndarray, lam: float, f0: float,
     for _ in range(12):
         cand = _apply_balance(p, eta, gaps)
         budget.note_objective()
-        fc = objective(cand, T, lam).f
-        if math.isfinite(fc) and fc < f0 - 1e-12 * (1.0 + abs(f0)):
-            return cand, fc, eta
+        rep = objective(cand, T, lam)
+        if math.isfinite(rep.f) and rep.f < f0 - 1e-12 * (1.0 + abs(f0)):
+            return cand, rep, eta
         eta *= 0.5
     return None
 
@@ -426,19 +427,20 @@ def negative_curvature_direction(p: FactorPoint, T: np.ndarray,
 def _line_search(p, T, lam, direction, f0, budget, init_step=1.0,
                  slope: float | None = None, shrink=0.5, max_backtracks=40):
     """Backtrack from init_step until sufficient decrease; returns
-    (point, f, step) or None.  With a slope (for gradient steps) the Armijo
-    rule applies; otherwise any strict decrease wins."""
+    (point, report, step) or None.  With a slope (for gradient steps) the
+    Armijo rule applies; otherwise any strict decrease wins."""
     step = init_step
     for _ in range(max_backtracks):
         cand = p + step * direction
         budget.note_objective()
-        fc = objective(cand, T, lam).f
+        rep = objective(cand, T, lam)
+        fc = rep.f
         if math.isfinite(fc):
             if slope is not None:
                 if fc <= f0 - 1e-4 * step * slope:
-                    return cand, fc, step
+                    return cand, rep, step
             elif fc < f0 - 1e-12 * (1.0 + abs(f0)):
-                return cand, fc, step
+                return cand, rep, step
         step *= shrink
     return None
 
@@ -470,9 +472,8 @@ def _find_sosp(p: FactorPoint, T: np.ndarray, lam: float, tau1: float,
             hit = _rebalance_once(p, T, lam, f0, budget)
             if hit is not None:
                 prev_f = f0
-                p, f0, eta = hit
-                rep = objective(p, T, lam)
-                budget.note_objective()
+                p, rep, eta = hit
+                f0 = rep.f
                 if trace is not None:
                     trace.append(f=rep.f, L=rep.L, R=rep.R,
                                  step_kind="rebalance", step_size=eta,
@@ -487,10 +488,9 @@ def _find_sosp(p: FactorPoint, T: np.ndarray, lam: float, tau1: float,
                               init_step=2.0 * step_hint, slope=gn * gn)
             if hit is not None:
                 prev_f = f0
-                p, f0, step = hit
+                p, rep, step = hit
+                f0 = rep.f
                 step_hint = step
-                rep = objective(p, T, lam)
-                budget.note_objective()
                 if trace is not None:
                     trace.append(f=rep.f, L=rep.L, R=rep.R,
                                  step_kind="gradient", step_size=step,
@@ -512,16 +512,15 @@ def _find_sosp(p: FactorPoint, T: np.ndarray, lam: float, tau1: float,
         for signed in (direction, -1.0 * direction):
             hit = _line_search(p, T, lam, signed, f0, budget,
                               init_step=scale, max_backtracks=25)
-            if hit is not None and (best is None or hit[1] < best[1]):
+            if hit is not None and (best is None or hit[1].f < best[1].f):
                 best = hit
         if best is None:
             # curvature below -tau2/2 that no step can realize at this
             # floating-point scale: accept the point as stationary
             return p, FindSospInfo(True, f0, gn, rho, local_evals())
         prev_f = f0
-        p, f0, step = best
-        rep = objective(p, T, lam)
-        budget.note_objective()
+        p, rep, step = best
+        f0 = rep.f
         if trace is not None:
             trace.append(f=rep.f, L=rep.L, R=rep.R,
                          step_kind="negative-curvature", step_size=step,
@@ -650,7 +649,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
         splits = subspace_split(p, T, sigma)
         best = None
         for cand in _deterministic_candidates(p, T, lam, splits):
-            budget.note_objective(35)
+            budget.note_objective(cand.evals)
             if best is None or cand.improvement > best.improvement:
                 best = cand
         for ijk in SAMPLED_BLOCKS:
@@ -664,7 +663,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
                     break
                 direction = build_sampled_direction(vec, sigma)
                 cand = sign_flip_search(p, T, direction, grid, lam)
-                budget.note_objective(len(grid) * 2 ** (1 + n_missing))
+                budget.note_objective(cand.evals)
                 if best is None or cand.improvement > best.improvement:
                     best = cand
 

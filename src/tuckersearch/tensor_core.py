@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +27,7 @@ MAGIC = b"TKR1"
 
 def multilinear_transform(S: np.ndarray, A: np.ndarray, B: np.ndarray,
                           C: np.ndarray) -> np.ndarray:
-    """Apply A, B, C to modes 1, 2, 3 of S; mode-by-mode contraction."""
+    """Apply A, B, C to modes 1, 2, 3 of S, one matrix product per mode."""
     S = np.asarray(S, dtype=float)
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -41,12 +41,24 @@ def multilinear_transform(S: np.ndarray, A: np.ndarray, B: np.ndarray,
             raise ValueError(
                 f"{name} has {M.shape[0]} rows but core mode {mode + 1} "
                 f"has size {S.shape[mode]}")
-    # Each tensordot consumes the current leading axis, so the surviving
-    # axes cycle back into (i, j, k) order after three contractions.
-    out = np.tensordot(S, A, axes=([0], [0]))
-    out = np.tensordot(out, B, axes=([0], [0]))
-    out = np.tensordot(out, C, axes=([0], [0]))
-    return out
+    return _transform(S, A, B, C)[2]
+
+
+def _transform(S: np.ndarray, A: np.ndarray, B: np.ndarray,
+               C: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stages of S(A, B, C), one mode at a time: S x3 C of shape
+    (r1, r2, d3), S(I, B, C) of shape (r1, d2, d3) and S(A, B, C).
+
+    Mode 3 and mode 1 are single matrix products on unfoldings; mode 2 is
+    a matrix product batched over the leading axis.  Inputs are float
+    arrays of matching shapes and are not checked.
+    """
+    r1, r2, r3 = S.shape
+    d1, d2, d3 = A.shape[1], B.shape[1], C.shape[1]
+    SC = (S.reshape(r1 * r2, r3) @ C).reshape(r1, r2, d3)
+    SBC = np.matmul(B.T, SC)
+    X = (A.T @ SBC.reshape(r1, d2 * d3)).reshape(d1, d2, d3)
+    return SC, SBC, X
 
 
 def flatten(X: np.ndarray, mode: int) -> np.ndarray:
@@ -212,30 +224,54 @@ def _sign_fix(x: np.ndarray) -> tuple[np.ndarray, float]:
 @dataclass(frozen=True, eq=False)
 class FactorPoint:
     """A point (S, A, B, C) of the factored parameter space: an r x r x r
-    core plus three r x d factor matrices.  Instances are immutable and
-    support vector-space arithmetic."""
+    core plus three r x d factor matrices.
+
+    The point lives in one contiguous read-only vector, `flat`: the core
+    and then A, B and C, each in C order.  S, A, B and C are views into
+    it, and so is `factors`, the (3, r, d) stack of A, B and C.  The
+    constructor checks and copies its blocks; the vector-space operations
+    act on `flat` in one numpy operation and build their result without
+    checking it again.  Instances are immutable.
+    """
     S: np.ndarray
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
+    flat: np.ndarray = field(init=False, repr=False)
+    factors: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        S = np.ascontiguousarray(self.S, dtype=float)
+        S = np.asarray(self.S, dtype=float)
         if S.ndim != 3 or len(set(S.shape)) != 1:
             raise ValueError(f"core must be an r x r x r cube, got {S.shape}")
         r = S.shape[0]
         mats = []
         for name, M in (("A", self.A), ("B", self.B), ("C", self.C)):
-            M = np.ascontiguousarray(M, dtype=float)
+            M = np.asarray(M, dtype=float)
             if M.ndim != 2 or M.shape[0] != r:
                 raise ValueError(
                     f"{name} must have shape (r, d) with r={r}, got {M.shape}")
             mats.append(M)
         if len({M.shape for M in mats}) != 1:
             raise ValueError("A, B, C must share one shape")
-        for arr, field in zip([S] + mats, ("S", "A", "B", "C")):
-            arr.flags.writeable = False
-            object.__setattr__(self, field, arr)
+        flat = np.concatenate([S.ravel()] + [M.ravel() for M in mats])
+        self._bind(flat, r, mats[0].shape[1])
+
+    def _bind(self, flat: np.ndarray, r: int, d: int) -> None:
+        # read-only before the views are taken, so that they inherit it;
+        # the instance dict is written directly because the class is frozen
+        flat.setflags(write=False)
+        n = r**3
+        M = flat[n:].reshape(3, r, d)
+        vars(self).update(flat=flat, factors=M, S=flat[:n].reshape(r, r, r),
+                          A=M[0], B=M[1], C=M[2])
+
+    def _like(self, flat: np.ndarray) -> "FactorPoint":
+        """A point of this shape around a fresh float vector, unchecked; for
+        results computed inside the package."""
+        p = object.__new__(FactorPoint)
+        p._bind(flat, self.S.shape[0], self.A.shape[1])
+        return p
 
     @property
     def r(self) -> int:
@@ -254,32 +290,28 @@ class FactorPoint:
                            np.zeros((r, d)), np.zeros((r, d)))
 
     def __add__(self, other: "FactorPoint") -> "FactorPoint":
-        return FactorPoint(self.S + other.S, self.A + other.A,
-                           self.B + other.B, self.C + other.C)
+        return self._like(self.flat + other.flat)
 
     def __sub__(self, other: "FactorPoint") -> "FactorPoint":
-        return FactorPoint(self.S - other.S, self.A - other.A,
-                           self.B - other.B, self.C - other.C)
+        return self._like(self.flat - other.flat)
 
     def __neg__(self) -> "FactorPoint":
-        return self * -1.0
+        return self._like(-self.flat)
 
     def __mul__(self, c: float) -> "FactorPoint":
-        c = float(c)
-        return FactorPoint(c * self.S, c * self.A, c * self.B, c * self.C)
+        return self._like(float(c) * self.flat)
 
     __rmul__ = __mul__
 
     def inner(self, other: "FactorPoint") -> float:
-        return (inner(self.S, other.S) + inner(self.A, other.A)
-                + inner(self.B, other.B) + inner(self.C, other.C))
+        return float(self.flat @ other.flat)
 
     def norm(self) -> float:
-        return float(np.sqrt(max(self.inner(self), 0.0)))
+        return float(np.sqrt(self.flat @ self.flat))
 
     def apply(self) -> np.ndarray:
         """The represented tensor S(A, B, C)."""
-        return multilinear_transform(self.S, self.A, self.B, self.C)
+        return _transform(self.S, self.A, self.B, self.C)[2]
 
 
 def random_point(r: int, d: int, rng: np.random.Generator,

@@ -218,13 +218,27 @@ def test_sign_search_explores_flips():
     assert res.f_after <= raw + 1e-12
 
 
-def test_sign_search_rejects_zero_direction():
+def test_sign_search_rejects_zero_direction(monkeypatch):
+    import tuckersearch.escape as escape_module
     from tuckersearch.escape import ImprovementDirection
+    calls = []
+    monkeypatch.setattr(escape_module, "objective",
+                        lambda *args: calls.append(args))
     p = FactorPoint.zeros(1, 2)
     direction = ImprovementDirection(delta=FactorPoint.zeros(1, 2),
                                      kind="sampled")
     with pytest.raises(NoDirection):
         sign_flip_search(p, np.zeros((2, 2, 2)), direction, [0.1])
+    assert calls == []
+
+
+def test_sign_search_counts_its_evaluations():
+    p, T, splits, rng = _generic_setup()
+    vec = sample_missing_directions(splits, (1, 2, 2), rng)
+    grid = delta_grid(0.1, 2, points=5)
+    res = sign_flip_search(p, T, build_sampled_direction(vec, 0.1), grid)
+    # the baseline at p, then every sign of core, B and C at every step
+    assert res.evals == 1 + len(grid) * 2 ** 3
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,73 @@ def brute_force_reg_phi(p):
     return total
 
 
+# The objective kernels contract on unfoldings with matrix products.  The
+# references below contract mode by mode with tensordot and assemble the
+# Gram gaps with einsum, sharing no code with the kernels.
+
+REFERENCE_SHAPES = ((1, 1), (1, 4), (2, 2), (2, 8), (3, 16), (4, 24))
+
+
+def tensordot_transform(S, A, B, C):
+    out = np.tensordot(S, A, axes=([0], [0]))
+    out = np.tensordot(out, B, axes=([0], [0]))
+    return np.tensordot(out, C, axes=([0], [0]))
+
+
+def reference_loss(p, T):
+    D = tensordot_transform(p.S, p.A, p.B, p.C) - T
+    return float(np.sum(D * D))
+
+
+def reference_gram_gaps(p):
+    S = p.S
+    return [np.einsum("xi,yi->xy", p.A, p.A) - np.einsum("xuv,yuv->xy", S, S),
+            np.einsum("xi,yi->xy", p.B, p.B) - np.einsum("uxv,uyv->xy", S, S),
+            np.einsum("xi,yi->xy", p.C, p.C) - np.einsum("uvx,uvy->xy", S, S)]
+
+
+def reference_phi(p):
+    return float(sum(np.sum(G * G) for G in reference_gram_gaps(p)))
+
+
+def reference_grad_loss(p, T):
+    """Blocks (gS, gA, gB, gC) of the fitting-term gradient."""
+    I = np.eye(p.r)
+    D = tensordot_transform(p.S, p.A, p.B, p.C) - T
+    gS = 2.0 * tensordot_transform(D, p.A.T, p.B.T, p.C.T)
+    gA = 2.0 * np.tensordot(tensordot_transform(p.S, I, p.B, p.C), D,
+                            axes=([1, 2], [1, 2]))
+    gB = 2.0 * np.tensordot(tensordot_transform(p.S, p.A, I, p.C), D,
+                            axes=([0, 2], [0, 2]))
+    gC = 2.0 * np.tensordot(tensordot_transform(p.S, p.A, p.B, I), D,
+                            axes=([0, 1], [0, 1]))
+    return gS, gA, gB, gC
+
+
+def reference_grad_phi(p):
+    G1, G2, G3 = reference_gram_gaps(p)
+    I = np.eye(p.r)
+    gS = -4.0 * (tensordot_transform(p.S, G1, I, I)
+                 + tensordot_transform(p.S, I, G2, I)
+                 + tensordot_transform(p.S, I, I, G3))
+    return gS, 4.0 * G1 @ p.A, 4.0 * G2 @ p.B, 4.0 * G3 @ p.C
+
+
+def reference_grad(p, T, lam):
+    c = 2.0 * lam * reference_phi(p)
+    return tuple(gl + c * gp for gl, gp in zip(reference_grad_loss(p, T),
+                                               reference_grad_phi(p)))
+
+
+def assert_relative(got, want, rel=1e-12):
+    """Largest entrywise error at most rel times the largest reference
+    entry, over all blocks together."""
+    got = np.concatenate([np.ravel(x) for x in got])
+    want = np.concatenate([np.ravel(x) for x in want])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
 def finite_difference_grad(p, T, lam, h):
     """Central differences through the block structure, one coordinate at a
     time, using the same flattened layout as FactorPoint arithmetic."""
@@ -86,6 +153,23 @@ def test_loss_matches_brute_force_small_dims():
         p = random_point(r, d, rng)
         T = rng.standard_normal((d, d, d))
         assert loss(p, T) == pytest.approx(brute_force_loss(p, T), abs=1e-11)
+
+
+@pytest.mark.parametrize("r,d", REFERENCE_SHAPES)
+def test_kernels_match_tensordot_reference(r, d):
+    rng = np.random.default_rng([107, r, d])
+    T = rng.standard_normal((d, d, d))
+    for p in (random_point(r, d, rng), random_point(r, d, rng, scale=0.3)):
+        assert_relative([loss(p, T)], [reference_loss(p, T)])
+        assert_relative([reg_phi(p)], [reference_phi(p)])
+        assert_relative(grad_loss(p, T).blocks(), reference_grad_loss(p, T))
+        assert_relative(grad_phi(p).blocks(), reference_grad_phi(p))
+        for lam in (0.0, default_lambda(r)):
+            assert_relative(grad(p, T, lam).blocks(),
+                            reference_grad(p, T, lam))
+            rep = objective(p, T, lam)
+            assert_relative([rep.f], [reference_loss(p, T)
+                                      + lam * reference_phi(p) ** 2])
 
 
 def test_loss_zero_at_exact_fit_and_norm_at_origin():

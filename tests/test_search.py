@@ -321,6 +321,26 @@ def test_run_validates_inputs():
         run(np.zeros((3, 3, 3)), SearchConfig(r=2, mode="nope"))
     with pytest.raises(ValueError):
         run(np.zeros((3, 3, 3)), SearchConfig(r=2, init="random:-1"))
+    # a negative weight rewards imbalance, so f runs off to -inf
+    with pytest.raises(ValueError, match="lambda"):
+        run(exact_instance(2, 4, 0), SearchConfig(r=2, lam=-1.0, budget=2000))
+
+
+def test_run_counts_every_objective_evaluation(monkeypatch):
+    import tuckersearch.escape as escape_module
+    import tuckersearch.search as search_module
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(search_module, "objective", counting)
+    monkeypatch.setattr(escape_module, "objective", counting)
+    # a rank-1 target at r=2 needs descent, curvature probes and escapes
+    res = run(exact_instance(1, 4, 0), SearchConfig(r=2, seed=0))
+    assert res.status == "converged" and res.rounds >= 2
+    assert res.objective_evals == len(calls)
 
 
 def test_run_raises_on_non_finite_objective():

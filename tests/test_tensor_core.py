@@ -254,12 +254,30 @@ def test_factor_point_validates_shapes():
 
 
 def test_factor_point_vector_space_ops():
-    rng = np.random.default_rng(43)
-    p = random_point(2, 3, rng)
-    q = random_point(2, 3, rng)
+    for r, d in ((1, 1), (1, 4), (2, 2), (2, 8), (3, 16), (4, 24)):
+        _check_vector_space_ops(r, d)
+
+
+def _check_vector_space_ops(r, d):
+    rng = np.random.default_rng([43, r, d])
+    p = random_point(r, d, rng)
+    q = random_point(r, d, rng)
+    c = -2.5
+    cases = [(p + q, [x + y for x, y in zip(p.blocks(), q.blocks())]),
+             (p - q, [x - y for x, y in zip(p.blocks(), q.blocks())]),
+             (c * p, [c * x for x in p.blocks()]),
+             (p * c, [c * x for x in p.blocks()]),
+             (-p, [-x for x in p.blocks()])]
+    for got, want in cases:
+        assert [b.shape for b in got.blocks()] == [b.shape for b in want]
+        for b, w in zip(got.blocks(), want):
+            np.testing.assert_array_equal(b, w)
+            assert not b.flags.writeable
+        assert not got.flat.flags.writeable
+        for operand in (p, q):
+            assert not np.shares_memory(got.flat, operand.flat)
     s = p + 2.0 * q - q
     np.testing.assert_allclose(s.S, p.S + q.S, atol=ATOL)
-    np.testing.assert_allclose((-p).A, -p.A, atol=0)
     assert (p - p).norm() == 0.0
     assert p.inner(q) == pytest.approx(
         inner(p.S, q.S) + inner(p.A, q.A) + inner(p.B, q.B) + inner(p.C, q.C),
@@ -271,6 +289,19 @@ def test_factor_point_is_immutable():
     p = FactorPoint.zeros(2, 3)
     with pytest.raises(ValueError):
         p.A[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        p.flat[0] = 1.0
+
+
+def test_factor_point_copies_its_blocks():
+    rng = np.random.default_rng(44)
+    blocks = [rng.standard_normal((2, 2, 2))] + [
+        rng.standard_normal((2, 3)) for _ in range(3)]
+    p = FactorPoint(*blocks)
+    for b, given in zip(p.blocks(), blocks):
+        np.testing.assert_array_equal(b, given)
+        assert not np.shares_memory(p.flat, given)
+        assert given.flags.writeable
 
 
 # ---------------------------------------------------------------------------
