@@ -2,20 +2,19 @@
 from .objective import (ObjectiveReport, default_lambda, eval_along, grad,
                         hvp, loss, objective, reg, reg_phi)
 from .search import (RunResult, ScheduleError, SearchConfig, Thresholds,
-                     find_sosp, negative_curvature_direction, run, schedule)
-from .tensor_core import (FactorPoint, SpectralTriple, flatten, hosvd, inner,
-                          kron, multilinear_transform, norm_f, random_point,
-                          spectral_norm, trilinear)
+                     find_sosp, run, schedule)
+from .tensor_core import (FactorPoint, flatten, hosvd, inner,
+                          multilinear_transform, norm_f, random_point,
+                          trilinear)
 from .verify import LemmaReport, run_suite, saddle_gallery
 
 __all__ = [
     "FactorPoint", "LemmaReport", "ObjectiveReport", "RunResult",
-    "ScheduleError", "SearchConfig", "SpectralTriple", "Thresholds",
-    "default_lambda", "eval_along", "find_sosp", "flatten", "grad", "hosvd",
-    "hvp", "inner", "kron", "loss", "multilinear_transform",
-    "negative_curvature_direction", "norm_f", "objective", "random_point",
+    "ScheduleError", "SearchConfig", "Thresholds", "default_lambda",
+    "eval_along", "find_sosp", "flatten", "grad", "hosvd", "hvp", "inner",
+    "loss", "multilinear_transform", "norm_f", "objective", "random_point",
     "reg", "reg_phi", "run", "run_suite", "saddle_gallery", "schedule",
-    "spectral_norm", "trilinear",
+    "trilinear",
 ]
 
 __version__ = "0.1.0"

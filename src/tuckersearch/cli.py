@@ -15,7 +15,6 @@ import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,62 +32,6 @@ EXIT_INPUT = 4
 
 _STATUS_EXIT = {"converged": EXIT_OK, "budget": EXIT_BUDGET,
                 "no_direction": EXIT_NO_DIRECTION}
-
-
-@dataclass
-class RunConfig:
-    """Decomposition settings as they arrive from flags or a config file.
-
-    Mode-specific defaults (the theory-mode threshold cascade) are not
-    resolved here; search.run applies them exactly once.
-    """
-    r: int | None = None
-    d: int | None = None
-    mode: str = "practical"
-    lam: float | None = None
-    epsilon: float = 1e-4
-    seed: int = 0
-    budget: int = 50_000
-    samples_per_block: int | None = None
-    delta_span: float = 100.0
-    delta_points: int = 13
-    init: str = "zero"
-    out: str = "run"
-
-    def validate(self) -> None:
-        for name in ("r", "d"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be positive, got {v}")
-        if self.mode not in ("practical", "theory"):
-            raise ValueError(f"mode must be practical or theory, "
-                             f"got {self.mode}")
-        for name in ("epsilon", "delta_span"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("budget", "delta_points"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.lam is not None and self.lam < 0:
-            raise ValueError(f"lambda must be nonnegative, got {self.lam}")
-
-    def to_json_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "RunConfig":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(doc) - fields)
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}")
-        return cls(**doc)
-
-    def search_config(self) -> SearchConfig:
-        return SearchConfig(r=self.r, mode=self.mode, epsilon=self.epsilon,
-                            lam=self.lam, seed=self.seed, budget=self.budget,
-                            samples_per_block=self.samples_per_block,
-                            delta_span=self.delta_span,
-                            delta_points=self.delta_points, init=self.init)
 
 
 def _fail(msg: str) -> int:
@@ -140,13 +83,21 @@ def cmd_generate(args) -> int:
 # decompose
 
 
-def _load_config(args) -> RunConfig:
+def _load_config(args) -> dict:
+    """Config keys from the --config file, overridden by explicit flags:
+    SearchConfig fields plus the CLI's own d (checked against the tensor)
+    and out (the output prefix)."""
+    doc = {}
     if args.config is not None:
         with open(args.config) as fh:
-            cfg = RunConfig.from_json_dict(json.load(fh))
-    else:
-        cfg = RunConfig()
-    overrides = {"rank": "r", "dim": "d", "mode": "mode", "lam": "lam",
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config}: expected a JSON object")
+    known = {f.name for f in dataclasses.fields(SearchConfig)}
+    unknown = sorted(set(doc) - known - {"d", "out"})
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
+    overrides = {"rank": "r", "dim": "d", "lam": "lam",
                  "epsilon": "epsilon", "seed": "seed", "budget": "budget",
                  "samples_per_block": "samples_per_block",
                  "delta_span": "delta_span", "delta_points": "delta_points",
@@ -154,8 +105,8 @@ def _load_config(args) -> RunConfig:
     for flag, field in overrides.items():
         v = getattr(args, flag, None)
         if v is not None:
-            setattr(cfg, field, v)
-    return cfg
+            doc[field] = v
+    return doc
 
 
 def _tensor_meta(path) -> dict:
@@ -171,26 +122,29 @@ def _tensor_meta(path) -> dict:
 
 def cmd_decompose(args) -> int:
     try:
-        cfg = _load_config(args)
-        cfg.validate()
-    except (OSError, ValueError, TypeError) as exc:
-        return _fail(str(exc))
-    try:
+        doc = _load_config(args)
         T = load_tensor(args.tensor)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     if T.shape[0] != T.shape[1] or T.shape[0] != T.shape[2]:
         return _fail(f"tensor must be cubical, got shape {T.shape}")
     d = T.shape[0]
-    if cfg.d is not None and cfg.d != d:
-        return _fail(f"config dimension {cfg.d} does not match tensor "
+    d_given = doc.pop("d", None)
+    if d_given is not None and d_given != d:
+        return _fail(f"config dimension {d_given} does not match tensor "
                      f"dimension {d}")
-    if cfg.r is None:
+    out = doc.pop("out", "run")
+    if doc.get("r") is None:
         meta_r = _tensor_meta(args.tensor).get("r")
         if meta_r is None:
             return _fail("rank not given and tensor metadata has none; "
                          "pass --rank")
-        cfg.r = int(meta_r)
+        doc["r"] = int(meta_r)
+    try:
+        cfg = SearchConfig(**doc)
+        cfg.validate()
+    except (ValueError, TypeError) as exc:
+        return _fail(str(exc))
     if cfg.r > d:
         return _fail(f"rank {cfg.r} exceeds tensor dimension {d}")
 
@@ -198,9 +152,9 @@ def cmd_decompose(args) -> int:
     results = []
     for i in range(restarts):
         sub = dataclasses.replace(cfg, seed=cfg.seed + i)
-        prefix = cfg.out if restarts == 1 else f"{cfg.out}-{i}"
+        prefix = out if restarts == 1 else f"{out}-{i}"
         try:
-            result = run(T, sub.search_config())
+            result = run(T, sub)
         except ValueError as exc:
             return _fail(str(exc))
         save_point(prefix + ".factors.json", result.point)
@@ -214,7 +168,7 @@ def cmd_decompose(args) -> int:
             "grad_evals": result.grad_evals,
             "objective_evals": result.objective_evals,
             "rounds": result.rounds,
-            "config": sub.to_json_dict(),
+            "config": dataclasses.asdict(sub),
         })
         _write_json(prefix + ".meta.json", {
             "wall_time": result.wall_time,
@@ -279,11 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     dp = sub.add_parser("decompose", help="run the search on a tensor file")
     dp.add_argument("tensor")
-    dp.add_argument("--config", help="JSON file with RunConfig fields; "
-                    "explicit flags take precedence")
+    dp.add_argument("--config", help="JSON file with SearchConfig fields "
+                    "plus d and out; explicit flags take precedence")
     dp.add_argument("--rank", type=int)
     dp.add_argument("--dim", type=int)
-    dp.add_argument("--mode", choices=("practical", "theory"))
     dp.add_argument("--lambda", dest="lam", type=float)
     dp.add_argument("--epsilon", type=float)
     dp.add_argument("--seed", type=int)

@@ -16,6 +16,11 @@ fourth order ones that gradient information cannot see.
 Budget accounting: one gradient evaluation costs 1, one Hessian-vector
 product costs 2 (it is a gradient difference).  Plain objective values are
 not charged against the budget but are counted separately.
+
+`run` uses the fixed thresholds of SearchConfig.  `schedule` gives the
+paper's threshold cascade, which ties every tolerance to a norm bound; it
+is kept as a statement of the theory, not used by `run`, because it is
+infeasible at every realistic size.
 """
 from __future__ import annotations
 
@@ -30,7 +35,8 @@ from .escape import (NoDirection, NoMissingDirection, build_sampled_direction,
                      core_fix_direction, delta_grid,
                      remove_extraneous_direction, sample_missing_directions,
                      sign_flip_search)
-from .objective import _gram_gaps, default_lambda, grad, hvp, objective
+from .objective import (ObjectiveReport, _gram_gaps, default_lambda, grad,
+                        hvp, objective)
 from .subspace import subspace_split
 from .tensor_core import (FactorPoint, hosvd, multilinear_transform,
                           random_point)
@@ -115,7 +121,8 @@ def schedule(epsilon: float, r: int, d: int,
     cascade keeps every residual block below sqrt(epsilon)/4.
 
     Raises ScheduleError when no tau above the floating-point floor works;
-    the practical-mode overrides are the intended fallback in that case.
+    `run` uses the fixed practical thresholds of SearchConfig in any
+    case.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
@@ -149,7 +156,8 @@ def schedule(epsilon: float, r: int, d: int,
     raise ScheduleError(
         "no feasible tau above the floating-point floor for "
         f"epsilon={epsilon}, r={r}, d={d}, k_bound={k_bound}; "
-        "run in practical mode with override tolerances instead")
+        "use the fixed practical thresholds tau1, tau2 and sigma of "
+        "SearchConfig instead")
 
 
 # ---------------------------------------------------------------------------
@@ -158,11 +166,10 @@ def schedule(epsilon: float, r: int, d: int,
 
 @dataclass
 class SearchConfig:
-    """Knobs for one run.  Defaults are the practical mode; theory mode
-    replaces sigma, tau1, tau2, min_improvement and samples_per_block with
-    the schedule cascade."""
+    """Knobs for one run, with fixed practical thresholds.  No round
+    limit is needed: every round charges at least one gradient evaluation,
+    so the budget bounds the rounds."""
     r: int
-    mode: str = "practical"
     epsilon: float = 1e-4
     lam: float | None = None
     seed: int = 0
@@ -176,19 +183,15 @@ class SearchConfig:
     delta_points: int = 13
     init: str = "zero"
     sosp_eval_cap: int = 3000
-    max_rounds: int = 100_000
-    k_bound: float = 1.0
 
     def validate(self) -> None:
         if self.r < 1:
             raise ValueError(f"rank must be positive, got {self.r}")
-        if self.mode not in ("practical", "theory"):
-            raise ValueError(f"mode must be practical or theory, got {self.mode}")
         if self.lam is not None and self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        for name in ("budget", "sosp_eval_cap", "max_rounds", "delta_points"):
+        for name in ("budget", "sosp_eval_cap", "delta_points"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         for name in ("sigma", "tau1", "tau2", "min_improvement", "delta_span"):
@@ -201,10 +204,7 @@ class SearchConfig:
     def resolved_samples_per_block(self) -> int:
         if self.samples_per_block is not None:
             return int(self.samples_per_block)
-        by_eps = math.ceil(8.0 * math.log(1.0 / self.epsilon))
-        if self.mode == "theory":
-            return by_eps
-        return min(by_eps, 6)
+        return min(math.ceil(8.0 * math.log(1.0 / self.epsilon)), 6)
 
 
 def _parse_init(spec: str):
@@ -346,10 +346,14 @@ def _rebalance_once(p: FactorPoint, T: np.ndarray, lam: float, f0: float,
 @dataclass(frozen=True)
 class FindSospInfo:
     converged: bool
-    f: float
+    report: ObjectiveReport
     grad_norm: float
     min_curvature: float | None
     grad_evals: int
+
+    @property
+    def f(self) -> float:
+        return self.report.f
 
 
 def _require_finite(value: float, what: str, trace=None) -> None:
@@ -408,22 +412,6 @@ def _negative_curvature(p: FactorPoint, T: np.ndarray, lam: float,
     return None, best_rho, budget.used - used0
 
 
-def negative_curvature_direction(p: FactorPoint, T: np.ndarray,
-                                 lam: float | None = None, tau2: float = 1e-4,
-                                 iters: int = 25,
-                                 rng: np.random.Generator | None = None,
-                                 restarts: int = 2) -> FactorPoint | None:
-    """Unit direction with Rayleigh quotient at most -tau2/2, or None."""
-    if lam is None:
-        lam = default_lambda(p.r)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    budget = GradBudget(10**9)
-    direction, _, _ = _negative_curvature(p, T, lam, tau2, iters, restarts,
-                                          rng, budget)
-    return direction
-
-
 def _line_search(p, T, lam, direction, f0, budget, init_step=1.0,
                  slope: float | None = None, shrink=0.5, max_backtracks=40):
     """Backtrack from init_step until sufficient decrease; returns
@@ -447,11 +435,11 @@ def _line_search(p, T, lam, direction, f0, budget, init_step=1.0,
 
 def _find_sosp(p: FactorPoint, T: np.ndarray, lam: float, tau1: float,
                tau2: float, budget: GradBudget, rng: np.random.Generator,
-               trace: SearchTrace | None = None, eval_cap: int | None = None,
-               nc_iters: int = 25, nc_restarts: int = 2):
-    rep = objective(p, T, lam)
-    budget.note_objective()
-    _require_finite(rep.f, "objective", trace)
+               rep: ObjectiveReport, trace: SearchTrace | None = None,
+               eval_cap: int | None = None, nc_iters: int = 25,
+               nc_restarts: int = 2):
+    """Descend from p, whose finite objective report the caller passes as
+    rep.  Returns (point, FindSospInfo) with the final point's report."""
     f0 = rep.f
     start_used = budget.used
     step_hint = 1.0
@@ -464,7 +452,7 @@ def _find_sosp(p: FactorPoint, T: np.ndarray, lam: float, tau1: float,
     while True:
         if budget.exhausted or (eval_cap is not None
                                 and local_evals() >= eval_cap):
-            return p, FindSospInfo(False, f0, gn, min_curv, local_evals())
+            return p, FindSospInfo(False, rep, gn, min_curv, local_evals())
         # orbit moves only pay off once the regularizer carries a real
         # share of the objective; while the loss dominates, plain descent
         # handles both components
@@ -505,8 +493,8 @@ def _find_sosp(p: FactorPoint, T: np.ndarray, lam: float, tau1: float,
         if direction is None:
             if not math.isfinite(rho):
                 # the budget died before any Rayleigh quotient came back
-                return p, FindSospInfo(False, f0, gn, None, local_evals())
-            return p, FindSospInfo(True, f0, gn, rho, local_evals())
+                return p, FindSospInfo(False, rep, gn, None, local_evals())
+            return p, FindSospInfo(True, rep, gn, rho, local_evals())
         scale = max(2.0 * abs(rho), 1e-3)
         best = None
         for signed in (direction, -1.0 * direction):
@@ -517,7 +505,7 @@ def _find_sosp(p: FactorPoint, T: np.ndarray, lam: float, tau1: float,
         if best is None:
             # curvature below -tau2/2 that no step can realize at this
             # floating-point scale: accept the point as stationary
-            return p, FindSospInfo(True, f0, gn, rho, local_evals())
+            return p, FindSospInfo(True, rep, gn, rho, local_evals())
         prev_f = f0
         p, rep, step = best
         f0 = rep.f
@@ -539,9 +527,11 @@ def find_sosp(p0: FactorPoint, T: np.ndarray, lam: float | None = None,
     """
     if lam is None:
         lam = default_lambda(p0.r)
+    rep = objective(p0, T, lam)
+    _require_finite(rep.f, "objective")
     counter = GradBudget(budget)
     rng = np.random.default_rng(seed)
-    return _find_sosp(p0, T, lam, tau1, tau2, counter, rng)
+    return _find_sosp(p0, T, lam, tau1, tau2, counter, rng, rep)
 
 
 # ---------------------------------------------------------------------------
@@ -599,12 +589,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
         raise ValueError(f"rank {r} exceeds dimension {d}")
     lam = config.lam if config.lam is not None else default_lambda(r)
 
-    if config.mode == "theory":
-        th = schedule(config.epsilon, r, d, config.k_bound)
-        tau1, tau2, sigma = th.tau1, th.tau2, th.sigma
-    else:
-        tau1, tau2, sigma = config.tau1, config.tau2, config.sigma
-    min_improvement = config.min_improvement
+    sigma = config.sigma
     samples = config.resolved_samples_per_block()
 
     seeds = np.random.SeedSequence(config.seed).spawn(3)
@@ -632,13 +617,10 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     rounds = 0
     while status is None:
         rounds += 1
-        if rounds > config.max_rounds:
-            status = "budget"
-            break
-        p, info = _find_sosp(p, T, lam, tau1, tau2, budget, rng_sosp,
-                             trace=trace, eval_cap=config.sosp_eval_cap)
-        rep = objective(p, T, lam)
-        budget.note_objective()
+        p, info = _find_sosp(p, T, lam, config.tau1, config.tau2, budget,
+                             rng_sosp, rep, trace=trace,
+                             eval_cap=config.sosp_eval_cap)
+        rep = info.report
         if rep.f <= config.epsilon:
             status = "converged"
             break
@@ -667,7 +649,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
                 if best is None or cand.improvement > best.improvement:
                     best = cand
 
-        if best is not None and best.improvement >= min_improvement:
+        if best is not None and best.improvement >= config.min_improvement:
             p = best.apply(p)
             rep = objective(p, T, lam)
             budget.note_objective()

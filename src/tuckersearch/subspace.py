@@ -1,4 +1,4 @@
-"""Singular-value splits of factor matrices and block decompositions.
+"""Singular-value splits of factor matrices against the target's spans.
 
 Each r x d factor matrix M is split at a threshold sigma into a large part
 M1 (singular values strictly above sigma) and a small part M2.  The split
@@ -10,10 +10,9 @@ carries four orthonormal bases:
 where u2 and v2 are the full orthogonal complements of u1 and v1, including
 any nullspace, so [u1 u2] and [v1 v2] are always square orthogonal.
 
-Projecting the target tensor and the current point onto products of these
-subspaces decomposes the fitting residual into 8 blocks indexed by
-(i, j, k) in {1, 2}^3 whose squared norms sum to the loss; large off-(1,1,1)
-blocks point at directions the factors are missing.
+The escape stage draws its sampled directions from these bases, fixes
+the core on the large parts, and deletes the part of each factor that
+points outside the span of the target's mode slices (SubspaceSplit.m3).
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import FactorPoint, flatten, multilinear_transform, norm_f
+from .tensor_core import FactorPoint, flatten
 
 
 @dataclass(frozen=True)
@@ -123,47 +122,6 @@ def subspace_split(p: FactorPoint, T: np.ndarray, sigma: float,
     return SubspaceSplit(modes=modes, p_true=p_true, m3=m3, sigma=float(sigma))
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Projections of T, the core and the factors onto split subspaces.
-
-    Keys are (i, j, k) in {1, 2}^3.  t_blocks are tensors in ambient
-    coordinates, residuals[ijk] = || S_ijk(A_i, B_j, C_k) - T_ijk ||_F^2."""
-    t_blocks: dict
-    s_blocks: dict
-    residuals: dict
-
-    def total_residual(self) -> float:
-        return float(sum(self.residuals.values()))
-
-
-def block_decompose(p: FactorPoint, T: np.ndarray,
-                    splits: SubspaceSplit) -> BlockDecomposition:
-    T = np.asarray(T, dtype=float)
-    pu = []
-    pv = []
-    for ms in splits.modes:
-        pu.append({1: ms.u1 @ ms.u1.T, 2: ms.u2 @ ms.u2.T})
-        pv.append({1: ms.v1 @ ms.v1.T, 2: ms.v2 @ ms.v2.T})
-    factors = (p.A, p.B, p.C)
-    t_blocks, s_blocks, residuals = {}, {}, {}
-    for i in (1, 2):
-        for j in (1, 2):
-            for k in (1, 2):
-                key = (i, j, k)
-                t_blocks[key] = multilinear_transform(T, pu[0][i], pu[1][j],
-                                                      pu[2][k])
-                s_blocks[key] = multilinear_transform(p.S, pv[0][i], pv[1][j],
-                                                      pv[2][k])
-                fit = multilinear_transform(s_blocks[key],
-                                            pv[0][i] @ factors[0],
-                                            pv[1][j] @ factors[1],
-                                            pv[2][k] @ factors[2])
-                residuals[key] = norm_f(fit - t_blocks[key]) ** 2
-    return BlockDecomposition(t_blocks=t_blocks, s_blocks=s_blocks,
-                              residuals=residuals)
-
-
 def projection_distance_bound(M: np.ndarray, M1: np.ndarray,
                               M2: np.ndarray) -> tuple[float, float]:
     """Row-space projection distance against its perturbation bound.
@@ -197,22 +155,3 @@ def projection_distance_bound(M: np.ndarray, M1: np.ndarray,
     lhs = float(np.linalg.norm(P - P1))
     rhs = 2.0 * float(np.linalg.norm(M2)) / smin if smin > 0 else float("inf")
     return lhs, rhs
-
-
-def rank_deficient_modes(splits: SubspaceSplit) -> tuple[bool, bool, bool]:
-    """True for each mode whose large part has fewer than r directions.
-
-    A mode that is not deficient and has a small off-target part pins the
-    target to the large part's row span, so no sampled escape direction can
-    hide outside it."""
-    r = splits.modes[0].m.shape[0]
-    return tuple(ms.rank1 < r for ms in splits.modes)
-
-
-def span_leak(T: np.ndarray, split_m: ModeSplit, mode: int) -> float:
-    """|| T projected off the row span of M1 in the given mode ||_F."""
-    d = split_m.m.shape[1]
-    P = split_m.u1 @ split_m.u1.T
-    mats = [np.eye(d)] * 3
-    mats[mode - 1] = np.eye(d) - P
-    return norm_f(multilinear_transform(np.asarray(T, dtype=float), *mats))

@@ -76,11 +76,6 @@ def flatten(X: np.ndarray, mode: int) -> np.ndarray:
     raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
 
 
-def kron(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Kronecker product ordered to match the flattening identities."""
-    return np.kron(np.asarray(P, dtype=float), np.asarray(Q, dtype=float))
-
-
 def inner(X: np.ndarray, Y: np.ndarray) -> float:
     """Entrywise inner product <X, Y>."""
     X = np.asarray(X, dtype=float)
@@ -95,126 +90,18 @@ def norm_f(X: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(X, dtype=float).ravel()))
 
 
-# ---------------------------------------------------------------------------
-# spectral norm by alternating rank-one power iteration
-
-
-@dataclass(frozen=True)
-class SpectralTriple:
-    """Best rank-one triple found for a tensor: sigma ~ max X(a,b,c) over
-    unit vectors.  sigma is a lower bound on the true spectral norm; with
-    enough restarts it matches it.  residual is the largest stationarity
-    defect max_m ||X(., v, w) - sigma u|| relative to sigma."""
-    sigma: float
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    residual: float
-    tol: float
-    converged: bool
-
-
-def _contract_1(X: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,j,k->i", X, v, w)
-
-
-def _contract_2(X: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,i,k->j", X, u, w)
-
-
-def _contract_3(X: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.einsum("ijk,i,j->k", X, u, v)
-
-
 def trilinear(X: np.ndarray, u: np.ndarray, v: np.ndarray,
               w: np.ndarray) -> float:
     """Trilinear form X(u, v, w) = sum_ijk X_ijk u_i v_j w_k."""
     return float(np.einsum("ijk,i,j,k->", X, u, v, w))
 
 
-def _unit(x: np.ndarray) -> np.ndarray:
-    n = np.linalg.norm(x)
-    if n == 0.0:
-        raise ZeroDivisionError("cannot normalize a zero vector")
-    return x / n
-
-
-def spectral_norm(X: np.ndarray, restarts: int = 20, tol: float = 1e-10,
-                  max_iters: int = 500, seed: int = 0) -> SpectralTriple:
-    """Spectral norm max_{|u|=|v|=|w|=1} X(u, v, w) by alternating power
-    iteration with random restarts.
-
-    The first start uses the leading singular vectors of the flattenings,
-    the rest are seeded Gaussian draws, so the result is deterministic for
-    fixed (restarts, seed).
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 3:
-        raise ValueError(f"expected a third-order tensor, got ndim={X.ndim}")
-    d1, d2, d3 = X.shape
-    scale = norm_f(X)
-    if scale == 0.0:
-        e = lambda d: np.eye(d)[:, 0]
-        return SpectralTriple(0.0, e(d1), e(d2), e(d3), 0.0, tol, True)
-
-    rng = np.random.default_rng(seed)
-    starts = [(np.linalg.svd(flatten(X, 1))[0][:, 0],
-               np.linalg.svd(flatten(X, 2))[0][:, 0],
-               np.linalg.svd(flatten(X, 3))[0][:, 0])]
-    for _ in range(max(0, restarts - 1)):
-        starts.append((_unit(rng.standard_normal(d1)),
-                       _unit(rng.standard_normal(d2)),
-                       _unit(rng.standard_normal(d3))))
-
-    best = None
-    for u, v, w in starts:
-        sigma = trilinear(X, u, v, w)
-        ok = False
-        for _ in range(max_iters):
-            cu = _contract_1(X, v, w)
-            if np.linalg.norm(cu) > 0:
-                u = _unit(cu)
-            cv = _contract_2(X, u, w)
-            if np.linalg.norm(cv) > 0:
-                v = _unit(cv)
-            cw = _contract_3(X, u, v)
-            sigma = float(np.linalg.norm(cw))
-            if sigma > 0:
-                w = cw / sigma
-            res = _residual(X, sigma, u, v, w)
-            if res <= tol * max(sigma, 1e-300):
-                ok = True
-                break
-        cand = (sigma, u, v, w, res, ok)
-        if best is None or cand[0] > best[0]:
-            best = cand
-
-    sigma, u, v, w, res, ok = best
-    # sign convention: make the value nonnegative and pin the first nonzero
-    # coordinate of u to be positive so repeated calls agree exactly
-    if trilinear(X, u, v, w) < 0:
-        w = -w
-    u, su = _sign_fix(u)
-    v, sv = _sign_fix(v)
-    w = w * su * sv
-    return SpectralTriple(sigma, u, v, w, res / max(sigma, 1e-300), tol, ok)
-
-
-def _residual(X: np.ndarray, sigma: float, u: np.ndarray, v: np.ndarray,
-              w: np.ndarray) -> float:
-    r1 = np.linalg.norm(_contract_1(X, v, w) - sigma * u)
-    r2 = np.linalg.norm(_contract_2(X, u, w) - sigma * v)
-    r3 = np.linalg.norm(_contract_3(X, u, v) - sigma * w)
-    return float(max(r1, r2, r3))
-
-
-def _sign_fix(x: np.ndarray) -> tuple[np.ndarray, float]:
+def _sign_fix(x: np.ndarray) -> np.ndarray:
     """Flip x so its first coordinate of magnitude > 1e-12 is positive."""
     for xi in x:
         if abs(xi) > 1e-12:
-            s = 1.0 if xi > 0 else -1.0
-            return x * s, s
-    return x, 1.0
+            return x if xi > 0 else -x
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +227,7 @@ def hosvd(T: np.ndarray, r: int) -> FactorPoint:
     factors = []
     for mode in (1, 2, 3):
         U = np.linalg.svd(flatten(T, mode), full_matrices=False)[0][:, :r]
-        U = np.column_stack([_sign_fix(U[:, j])[0] for j in range(r)])
+        U = np.column_stack([_sign_fix(U[:, j]) for j in range(r)])
         factors.append(U.T)
     A, B, C = factors
     S = multilinear_transform(T, A.T, B.T, C.T)

@@ -130,7 +130,7 @@ def test_criterion_05_desk_scale_convergence():
         truth = random_point(r, d, rng)
         T = multilinear_transform(truth.S, truth.A, truth.B, truth.C)
         T = T / norm_f(T)
-        result = run(T, SearchConfig(r=r, mode="practical", epsilon=1e-4,
+        result = run(T, SearchConfig(r=r, epsilon=1e-4,
                                      seed=seed, budget=50_000, init="zero"))
         assert result.grad_evals <= 50_000
         hits_tight += result.f <= 1e-3

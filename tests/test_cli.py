@@ -1,11 +1,10 @@
 import json
 
 import numpy as np
-import pytest
 
 from tuckersearch import verify as verify_mod
 from tuckersearch.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT,
-                              EXIT_NO_DIRECTION, EXIT_OK, RunConfig, main)
+                              EXIT_NO_DIRECTION, EXIT_OK, main)
 from tuckersearch.objective import grad_loss, grad_reg, load_point, objective
 from tuckersearch.tensor_core import (hosvd, load_tensor,
                                       multilinear_transform, norm_f,
@@ -18,27 +17,6 @@ def gen(tmp_path, name="T.json", r=2, d=4, seed=3, extra=()):
                "--seed", str(seed), "--out", str(path), *extra])
     assert rc == EXIT_OK
     return path
-
-
-# ---------------------------------------------------------------------------
-# config plumbing
-
-
-def test_runconfig_round_trips_through_json():
-    cfg = RunConfig(r=3, d=7, mode="theory", lam=0.5, epsilon=0.3, seed=9,
-                    budget=123, samples_per_block=4, delta_span=10.0,
-                    delta_points=5, init="hosvd", out="x")
-    doc = json.loads(json.dumps(cfg.to_json_dict()))
-    assert RunConfig.from_json_dict(doc) == cfg
-
-
-def test_runconfig_rejects_unknown_keys_and_bad_values():
-    with pytest.raises(ValueError, match="unknown config keys"):
-        RunConfig.from_json_dict({"r": 2, "bogus": 1})
-    with pytest.raises(ValueError, match="mode"):
-        RunConfig(mode="fast").validate()
-    with pytest.raises(ValueError, match="budget"):
-        RunConfig(budget=0).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -181,10 +159,27 @@ def test_decompose_config_file_with_cli_precedence(tmp_path):
 def test_decompose_rejects_bad_config_file(tmp_path, capsys):
     T_path = gen(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"r": 2, "typo_field": 1}))
-    rc = main(["decompose", str(T_path), "--config", str(cfg_path)])
-    assert rc == EXIT_INPUT
-    assert "unknown config keys" in capsys.readouterr().err
+    for doc in ({"r": 2, "typo_field": 1}, {"r": 2, "mode": "theory"}):
+        cfg_path.write_text(json.dumps(doc))
+        rc = main(["decompose", str(T_path), "--config", str(cfg_path)])
+        assert rc == EXIT_INPUT
+        assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_decompose_config_round_trips_through_summary(tmp_path):
+    # the summary's config object is a config file that reruns the search
+    T_path = gen(tmp_path, d=4, seed=5)
+    assert main(["decompose", str(T_path), "--rank", "2", "--seed", "3",
+                 "--samples-per-block", "4", "--delta-points", "9",
+                 "--out", str(tmp_path / "a")]) == EXIT_OK
+    config = json.loads((tmp_path / "a.summary.json").read_text())["config"]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["decompose", str(T_path), "--config", str(cfg_path),
+                 "--out", str(tmp_path / "b")]) == EXIT_OK
+    for name in ("factors.json", "trace.jsonl", "summary.json"):
+        assert ((tmp_path / f"a.{name}").read_bytes()
+                == (tmp_path / f"b.{name}").read_bytes())
 
 
 def test_decompose_budget_exit_code(tmp_path):

@@ -12,7 +12,7 @@ from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     eval_along, grad, hvp, objective)
 from tuckersearch.search import (GradBudget, NonFiniteError, ScheduleError,
                                  SearchConfig, SearchTrace, Thresholds,
-                                 find_sosp, negative_curvature_direction, run,
+                                 _negative_curvature, find_sosp, run,
                                  schedule)
 from tuckersearch.subspace import subspace_split
 from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
@@ -169,15 +169,21 @@ def test_find_sosp_escapes_constructed_strict_saddle():
     assert info.f < f0
 
 
+def curvature_direction(p, T, lam, tau2, iters, rng):
+    """Unit direction with Rayleigh quotient at most -tau2/2, or None."""
+    direction, _, _ = _negative_curvature(p, T, lam, tau2, iters, 2, rng,
+                                          GradBudget(10**9))
+    return direction
+
+
 def test_negative_curvature_on_hand_solved_instance():
     # r = d = 1 with lam = 0: f = (s*a*b*c - t)^2; at s = a = 0, b = c = 1
     # the Hessian eigenvalues are {-2t, 2t, 0, 0}
     p = FactorPoint(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.ones((1, 1)),
                     np.ones((1, 1)))
     T = np.ones((1, 1, 1))
-    direction = negative_curvature_direction(p, T, lam=0.0, tau2=1e-4,
-                                             iters=50,
-                                             rng=np.random.default_rng(0))
+    direction = curvature_direction(p, T, lam=0.0, tau2=1e-4, iters=50,
+                                    rng=np.random.default_rng(0))
     assert direction is not None
     assert math.isclose(direction.norm(), 1.0, rel_tol=1e-9)
     rho = direction.inner(hvp(p, direction, T, 0.0))
@@ -189,8 +195,8 @@ def test_negative_curvature_none_at_global_minimum():
     rng = np.random.default_rng(1)
     truth = balanced_random_point(2, 3, rng)
     T = multilinear_transform(truth.S, truth.A, truth.B, truth.C)
-    direction = negative_curvature_direction(truth, T, tau2=1e-4, iters=30,
-                                             rng=np.random.default_rng(2))
+    direction = curvature_direction(truth, T, default_lambda(2), tau2=1e-4,
+                                    iters=30, rng=np.random.default_rng(2))
     assert direction is None
 
 
@@ -296,15 +302,8 @@ def test_run_budget_status():
     res = run(T, SearchConfig(r=2, epsilon=1e-12, seed=0, budget=50))
     assert res.status == "budget"
     assert res.grad_evals >= 50
-
-
-def test_run_theory_mode_smoke():
-    T = exact_instance(1, 2, 4)
-    cfg = SearchConfig(r=1, mode="theory", epsilon=0.5, seed=0,
-                       k_bound=FEASIBLE_K, budget=5_000)
-    res = run(T, cfg)
-    assert res.status in ("converged", "no_direction", "budget")
-    assert res.f <= res.trace.records[0].f
+    # every round charges a gradient evaluation, so the budget bounds them
+    assert res.rounds <= res.grad_evals
 
 
 def test_run_validates_inputs():
@@ -318,7 +317,7 @@ def test_run_validates_inputs():
     with pytest.raises(ValueError):
         run(np.zeros((3, 3, 3)), SearchConfig(r=4))
     with pytest.raises(ValueError):
-        run(np.zeros((3, 3, 3)), SearchConfig(r=2, mode="nope"))
+        run(np.zeros((3, 3, 3)), SearchConfig(r=2, budget=0))
     with pytest.raises(ValueError):
         run(np.zeros((3, 3, 3)), SearchConfig(r=2, init="random:-1"))
     # a negative weight rewards imbalance, so f runs off to -inf
@@ -330,17 +329,27 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
     import tuckersearch.escape as escape_module
     import tuckersearch.search as search_module
     calls = []
+    search_points = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return objective(*args, **kwargs)
 
-    monkeypatch.setattr(search_module, "objective", counting)
+    def recording(p, *args, **kwargs):
+        search_points.append(p.flat.tobytes())
+        return counting(p, *args, **kwargs)
+
+    monkeypatch.setattr(search_module, "objective", recording)
     monkeypatch.setattr(escape_module, "objective", counting)
     # a rank-1 target at r=2 needs descent, curvature probes and escapes
     res = run(exact_instance(1, 4, 0), SearchConfig(r=2, seed=0))
     assert res.status == "converged" and res.rounds >= 2
     assert res.objective_evals == len(calls)
+    assert res.rounds <= res.grad_evals
+    # run hands each evaluated point's report on instead of
+    # evaluating it again
+    repeats = sum(a == b for a, b in zip(search_points, search_points[1:]))
+    assert repeats == 0
 
 
 def test_run_raises_on_non_finite_objective():
@@ -361,8 +370,8 @@ def test_config_sample_count_resolution():
     assert SearchConfig(r=2, samples_per_block=3).resolved_samples_per_block() == 3
     practical = SearchConfig(r=2, epsilon=1e-4)
     assert practical.resolved_samples_per_block() == 6
-    theory = SearchConfig(r=2, mode="theory", epsilon=1e-4)
-    assert theory.resolved_samples_per_block() == math.ceil(8 * math.log(1e4))
+    # below the cap of 6 the count is ceil(8 log(1/epsilon))
+    assert SearchConfig(r=2, epsilon=0.9).resolved_samples_per_block() == 1
 
 
 def test_budget_counts_hvp_double():

@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from tuckersearch.objective import loss
-from tuckersearch.subspace import (BlockDecomposition, block_decompose,
-                                   projection_distance_bound,
-                                   rank_deficient_modes, span_leak, split,
+from tuckersearch.subspace import (projection_distance_bound, split,
                                    subspace_split, true_projection)
 from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
-                                      norm_f, random_point)
+                                      random_point)
 
 
 def outer3(a, b, c):
@@ -145,68 +142,6 @@ def test_subspace_split_detects_off_span_factor_part():
     np.testing.assert_allclose(splits.m3[0], np.array([e[0] * 0, e[4]]),
                                atol=1e-12)
     assert np.linalg.norm(splits.m3[1]) <= 1e-12
-    flags = rank_deficient_modes(splits)
-    assert flags == (False, False, False)
-
-
-def test_rank_deficient_modes_flags_collapsed_factor():
-    rng = np.random.default_rng(179)
-    T = random_point(2, 4, rng).apply()
-    A = np.vstack([np.eye(4)[0], np.zeros(4)])
-    p = FactorPoint(np.zeros((2, 2, 2)), A, A.copy(), np.eye(4)[:2].copy())
-    splits = subspace_split(p, T, sigma=0.5)
-    assert rank_deficient_modes(splits) == (True, True, False)
-
-
-# ---------------------------------------------------------------------------
-# block decomposition
-
-
-def _random_setup(seed, r=2, d=4, sigma=0.2):
-    rng = np.random.default_rng(seed)
-    p = random_point(r, d, rng)
-    T = rng.standard_normal((d, d, d))
-    splits = subspace_split(p, T, sigma)
-    return p, T, splits
-
-
-def test_blocks_sum_back_to_the_target():
-    p, T, splits = _random_setup(181)
-    bd = block_decompose(p, T, splits)
-    np.testing.assert_allclose(sum(bd.t_blocks.values()), T, atol=1e-10)
-    np.testing.assert_allclose(sum(bd.s_blocks.values()), p.S, atol=1e-10)
-
-
-def test_block_residuals_sum_to_the_loss():
-    for seed in (191, 193, 197):
-        p, T, splits = _random_setup(seed)
-        bd = block_decompose(p, T, splits)
-        assert bd.total_residual() == pytest.approx(loss(p, T), rel=1e-9)
-
-
-def test_blocks_vanish_at_exact_fit():
-    rng = np.random.default_rng(199)
-    p = random_point(2, 4, rng)
-    T = p.apply()
-    bd = block_decompose(p, T, subspace_split(p, T, sigma=0.05))
-    assert bd.total_residual() <= 1e-18
-    for key in bd.residuals:
-        assert bd.residuals[key] <= 1e-18
-
-
-def test_block_content_for_a_planted_missing_direction():
-    e = np.eye(3)
-    T = outer3(e[1], e[0], e[0])
-    A = np.array([e[0], 0 * e[0]])
-    B = np.array([e[0], e[1]])
-    C = np.array([e[0], e[1]])
-    p = FactorPoint(np.zeros((2, 2, 2)), A, B, C)
-    splits = subspace_split(p, T, sigma=0.5)
-    bd = block_decompose(p, T, splits)
-    np.testing.assert_allclose(bd.t_blocks[(2, 1, 1)], T, atol=1e-12)
-    for key, val in bd.residuals.items():
-        expect = 1.0 if key == (2, 1, 1) else 0.0
-        assert val == pytest.approx(expect, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -249,26 +184,3 @@ def test_projection_bound_shape_check():
     with pytest.raises(ValueError):
         projection_distance_bound(np.zeros((2, 3)), np.zeros((2, 3)),
                                   np.zeros((2, 2)))
-
-
-# ---------------------------------------------------------------------------
-# span leak
-
-
-def test_span_leak_zero_when_target_inside_large_span():
-    rng = np.random.default_rng(227)
-    truth = random_point(2, 4, rng)
-    T = truth.apply()
-    splits = subspace_split(truth, T, sigma=1e-6)
-    for mode in (1, 2, 3):
-        ms = splits.modes[mode - 1]
-        if ms.rank1 == 2:
-            assert span_leak(T, ms, mode) <= 1e-8
-
-
-def test_span_leak_measures_escaping_mass():
-    e = np.eye(4)
-    T = outer3(e[0], e[0], e[0]) + 0.3 * outer3(e[2], e[1], e[1])
-    A = np.array([e[0], e[1]])
-    ms = split(A, 0.5)
-    assert span_leak(T, ms, 1) == pytest.approx(0.3, abs=1e-12)

@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuckersearch.tensor_core import (FactorPoint, flatten, hosvd, inner,
-                                      kron, load_tensor, load_tensor_binary,
+                                      load_tensor, load_tensor_binary,
                                       load_tensor_json, multilinear_transform,
                                       norm_f, random_point, save_tensor_binary,
-                                      save_tensor_json, spectral_norm,
-                                      trilinear)
+                                      save_tensor_json)
 
 ATOL = 1e-12
 
@@ -101,11 +100,11 @@ def test_flatten_of_transform_factors_through_kron():
     B = rng.standard_normal((3, 3))
     C = rng.standard_normal((2, 5))
     X = multilinear_transform(S, A, B, C)
-    np.testing.assert_allclose(flatten(X, 1), A.T @ flatten(S, 1) @ kron(B, C),
+    np.testing.assert_allclose(flatten(X, 1), A.T @ flatten(S, 1) @ np.kron(B, C),
                                atol=1e-11)
-    np.testing.assert_allclose(flatten(X, 2), B.T @ flatten(S, 2) @ kron(A, C),
+    np.testing.assert_allclose(flatten(X, 2), B.T @ flatten(S, 2) @ np.kron(A, C),
                                atol=1e-11)
-    np.testing.assert_allclose(flatten(X, 3), C.T @ flatten(S, 3) @ kron(A, B),
+    np.testing.assert_allclose(flatten(X, 3), C.T @ flatten(S, 3) @ np.kron(A, B),
                                atol=1e-11)
 
 
@@ -116,13 +115,6 @@ def test_flatten_rejects_bad_mode():
         flatten(np.zeros((2, 2, 2)), 4)
 
 
-def test_kron_small_case():
-    P = np.array([[1.0, 2.0]])
-    Q = np.array([[1.0, 0.0], [0.0, 3.0]])
-    expected = np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 3.0, 0.0, 6.0]])
-    np.testing.assert_allclose(kron(P, Q), expected, atol=0)
-
-
 def test_inner_and_norm_agree_with_raveled_dot():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((3, 2, 4))
@@ -131,66 +123,6 @@ def test_inner_and_norm_agree_with_raveled_dot():
     assert norm_f(X) == pytest.approx(np.sqrt(inner(X, X)), abs=ATOL)
     with pytest.raises(ValueError):
         inner(X, np.zeros((2, 2, 2)))
-
-
-# ---------------------------------------------------------------------------
-# spectral norm
-
-
-def test_spectral_norm_zero_tensor():
-    t = spectral_norm(np.zeros((3, 4, 2)))
-    assert t.sigma == 0.0
-    assert t.converged
-
-
-def test_spectral_norm_rank_one_is_product_of_lengths():
-    rng = np.random.default_rng(11)
-    a, b, c = rng.standard_normal(4), rng.standard_normal(3), rng.standard_normal(5)
-    X = np.einsum("i,j,k->ijk", a, b, c)
-    t = spectral_norm(X)
-    expect = np.linalg.norm(a) * np.linalg.norm(b) * np.linalg.norm(c)
-    assert t.sigma == pytest.approx(expect, rel=1e-9)
-    assert abs(trilinear(X, t.u, t.v, t.w)) == pytest.approx(t.sigma, rel=1e-9)
-
-
-def test_spectral_norm_matches_heavy_restart_oracle():
-    rng = np.random.default_rng(13)
-    for trial in range(5):
-        X = rng.standard_normal((3, 3, 3))
-        ref = spectral_norm(X, restarts=200, tol=1e-10, seed=1234 + trial)
-        got = spectral_norm(X)
-        assert got.sigma == pytest.approx(ref.sigma, abs=1e-6)
-
-
-def test_spectral_triple_residual_and_value_are_consistent():
-    rng = np.random.default_rng(17)
-    X = rng.standard_normal((4, 3, 5))
-    t = spectral_norm(X)
-    assert t.converged
-    assert t.residual <= t.tol
-    assert trilinear(X, t.u, t.v, t.w) == pytest.approx(t.sigma, rel=1e-8)
-    for vec in (t.u, t.v, t.w):
-        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_spectral_norm_bounds_frobenius_for_cubes():
-    # |X|_2 <= |X|_F <= d |X|_2 for d x d x d tensors
-    rng = np.random.default_rng(19)
-    for d in (2, 3, 4):
-        X = rng.standard_normal((d, d, d))
-        sigma = spectral_norm(X).sigma
-        fro = norm_f(X)
-        assert sigma <= fro + 1e-9
-        assert fro <= d * sigma + 1e-9
-
-
-def test_spectral_norm_is_deterministic():
-    rng = np.random.default_rng(23)
-    X = rng.standard_normal((3, 3, 3))
-    t1 = spectral_norm(X)
-    t2 = spectral_norm(X)
-    assert t1.sigma == t2.sigma
-    np.testing.assert_array_equal(t1.u, t2.u)
 
 
 # ---------------------------------------------------------------------------
