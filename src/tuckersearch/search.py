@@ -38,8 +38,7 @@ from .escape import (NoDirection, NoMissingDirection, build_sampled_direction,
 from .objective import (ObjectiveReport, _gram_gaps, default_lambda, grad,
                         hvp, objective)
 from .subspace import subspace_split
-from .tensor_core import (FactorPoint, hosvd, multilinear_transform,
-                          random_point)
+from .tensor_core import FactorPoint, _transform, hosvd, random_point
 
 SAMPLED_BLOCKS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (2, 1, 2),
                   (2, 2, 1), (2, 2, 2))
@@ -306,19 +305,18 @@ class GradBudget:
 # stationary point finding
 
 
-def _apply_balance(p: FactorPoint, eta: float,
-                   gaps: np.ndarray) -> FactorPoint:
+def _apply_balance(p: FactorPoint, eta: float, eigs) -> FactorPoint:
     """Move along the loss-preserving symmetry orbit: each factor shrinks by
     exp(-eta G_m) where its Gram matrix exceeds the core's, and the core
     absorbs the inverse, so the reconstructed tensor is unchanged while the
-    balance defect decreases."""
+    balance defect decreases.  `eigs` holds the (w, V) eigendecomposition
+    of each Gram gap G_m."""
     shrink = []
     grow = []
-    for G in gaps:
-        w, V = np.linalg.eigh(G)
+    for w, V in eigs:
         shrink.append((V * np.exp(-eta * w)) @ V.T)
         grow.append((V * np.exp(eta * w)) @ V.T)
-    S = multilinear_transform(p.S, grow[0], grow[1], grow[2])
+    S = _transform(p.S, grow[0], grow[1], grow[2])[2]
     return FactorPoint(S, shrink[0] @ p.A, shrink[1] @ p.B, shrink[2] @ p.C)
 
 
@@ -333,8 +331,9 @@ def _rebalance_once(p: FactorPoint, T: np.ndarray, lam: float, f0: float,
     if scale <= 1e-15 * (1.0 + p.norm() ** 2):
         return None
     eta = 1.0 / (1.0 + scale)
+    eigs = [np.linalg.eigh(G) for G in gaps]
     for _ in range(12):
-        cand = _apply_balance(p, eta, gaps)
+        cand = _apply_balance(p, eta, eigs)
         budget.note_objective()
         rep = objective(cand, T, lam)
         if math.isfinite(rep.f) and rep.f < f0 - 1e-12 * (1.0 + abs(f0)):
