@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from tuckersearch.escape import (NoDirection, NoMissingDirection,
-                                 build_sampled_direction, core_fix_direction,
-                                 delta_grid, remove_extraneous_direction,
-                                 sample_missing_directions, sign_flip_search)
+from tuckersearch.escape import (ImprovementDirection, NoDirection,
+                                 NoMissingDirection, build_sampled_direction,
+                                 core_fix_direction, delta_grid,
+                                 remove_extraneous_direction,
+                                 sample_missing_directions, sign_flip_search,
+                                 sign_step_values)
 from tuckersearch.objective import eval_along, objective
+from tuckersearch.search import SAMPLED_BLOCKS
 from tuckersearch.subspace import subspace_split
 from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
                                       norm_f, random_point, trilinear)
@@ -239,6 +242,195 @@ def test_sign_search_counts_its_evaluations():
     res = sign_flip_search(p, T, build_sampled_direction(vec, 0.1), grid)
     # the baseline at p, then every sign of core, B and C at every step
     assert res.evals == 1 + len(grid) * 2 ** 3
+    empty = sign_flip_search(p, T, build_sampled_direction(vec, 0.1), [])
+    assert (empty.evals, empty.step, empty.improvement) == (1, 0.0, 0.0)
+
+
+def _loop_patterns(direction):
+    """The sign patterns in the per-candidate loop's order: the k-th
+    nonzero block of the direction flipped when bit k is set."""
+    blocks = direction.delta.blocks()
+    active = [i for i, blk in enumerate(blocks) if np.any(blk != 0.0)]
+    out = []
+    for bits in range(2 ** len(active)):
+        signs = [1] * 4
+        for pos, i in enumerate(active):
+            if bits >> pos & 1:
+                signs[i] = -1
+        out.append(signs)
+    return out
+
+
+def _reference_sign_search(p, T, direction, grid, lam=None):
+    """The per-candidate loop: one objective call per (pattern, step), in
+    pattern-major order, keeping the first strictly smaller value.
+    Returns (step, sign pattern, evals, f_after, every candidate's f)."""
+    blocks = direction.delta.blocks()
+    f0 = objective(p, T, lam).f
+    best = (f0, 0.0, None)
+    values = []
+    for signs in _loop_patterns(direction):
+        signed = FactorPoint(*(s * blk for s, blk in zip(signs, blocks)))
+        row = []
+        for step in grid:
+            f = objective(p + float(step) * signed, T, lam).f
+            row.append(f)
+            if f < best[0]:
+                best = (f, float(step), tuple(signs))
+        values.append(row)
+    return best[1], best[2], 1 + len(values) * len(grid), best[0], values
+
+
+def _escape_instance(r, d, norm, seed):
+    """A point whose factors have r - r // 2 singular values 2, 1.5, ...
+    and the rest 0.01, and a target of multilinear rank d - 1 (so factors
+    have off-span mass), both scaled so that ||T|| = norm."""
+    rng = np.random.default_rng(seed)
+    s = norm ** 0.25
+    spectrum = np.array([2.0 - 0.5 * i if i < r - r // 2 else 0.01
+                         for i in range(r)])
+    mats = []
+    for _ in range(3):
+        V = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        U = np.linalg.qr(rng.standard_normal((d, r)))[0]
+        mats.append(s * (V * spectrum) @ U.T)
+    p = FactorPoint(s * rng.standard_normal((r, r, r)), *mats)
+    m = max(1, d - 1)
+    Qs = [np.linalg.qr(rng.standard_normal((d, m)))[0].T for _ in range(3)]
+    T = multilinear_transform(rng.standard_normal((m, m, m)), *Qs)
+    T *= norm / norm_f(T)
+    sigma = 0.1 * s
+    return p, T, subspace_split(p, T, sigma), sigma, rng
+
+
+def _escape_directions(p, T, splits, sigma, rng):
+    """(label, direction, grid) for the core fix, each remove-extraneous
+    mode, one draw of every sampled block and one direction moving all
+    four blocks, skipping those the instance does not admit."""
+    fixed_grid = np.geomspace(1e-4, 1.0, 17)
+    out = []
+    try:
+        out.append(("core_fix", core_fix_direction(p, T, splits), fixed_grid))
+    except NoDirection:
+        pass
+    for mode in (1, 2, 3):
+        try:
+            out.append(("remove_extraneous",
+                        remove_extraneous_direction(p, splits, mode),
+                        fixed_grid))
+        except NoDirection:
+            pass
+    for ijk in SAMPLED_BLOCKS:
+        n_missing = sum(1 for x in ijk if x == 2)
+        try:
+            vec = sample_missing_directions(splits, ijk, rng)
+        except NoMissingDirection:
+            continue
+        out.append((f"missing{n_missing}",
+                    build_sampled_direction(vec, sigma),
+                    delta_grid(sigma, n_missing)))
+    full = random_point(p.r, p.d, rng, scale=float(np.abs(p.flat).max()))
+    out.append(("all_blocks", ImprovementDirection(delta=full, kind="sampled"),
+                delta_grid(sigma, 3)))
+    return out
+
+
+def _term_scale(p, T, delta, patterns, grid):
+    """(|D| + sum_U |c_U| |X_U|)^2 at every candidate: the square of the
+    largest sum the expansion of the fitting term can form."""
+    pairs = list(zip(p.blocks(), delta.blocks()))
+    norms = np.array([norm_f(multilinear_transform(
+        *(pair[u >> (3 - b) & 1] for b, pair in enumerate(pairs))))
+        for u in range(1, 16)])
+    a = np.array(patterns, dtype=float)[:, None, :] * np.asarray(grid)[:, None]
+    c = np.array([[np.prod([ab[b] for b in range(4) if u >> (3 - b) & 1])
+                   for u in range(1, 16)] for ab in a.reshape(-1, 4)])
+    total = norm_f(p.apply() - T) + np.abs(c) @ norms
+    return (total ** 2).reshape(len(patterns), len(grid))
+
+
+@pytest.mark.parametrize("r,d", [(1, 1), (2, 4), (2, 8), (3, 16), (4, 24)])
+def test_sign_search_matches_the_per_candidate_loop(r, d):
+    kinds = set()
+    for norm in (1e-2, 1.0, 1e2):
+        for lam in (0.0, None):
+            p, T, splits, sigma, rng = _escape_instance(r, d, norm, 10 * r + d)
+            for label, direction, grid in _escape_directions(p, T, splits,
+                                                             sigma, rng):
+                kinds.add(label)
+                step, pattern, evals, f_after, ref = _reference_sign_search(
+                    p, T, direction, grid, lam)
+                patterns = _loop_patterns(direction)
+                got = sign_step_values(p, T, direction.delta, patterns, grid,
+                                       lam)
+                assert got.shape == (len(patterns), len(grid))
+                # the expansion adds terms of the size of f(p), so its error
+                # is relative to the larger of f(p) and f at the candidate:
+                # the (1, 1) core fix fits exactly, 0.0 here, 3e-36 there
+                scale = np.maximum(np.array(ref), objective(p, T, lam).f)
+                if label == "all_blocks":
+                    # its terms can cancel: at (1, 1) they reach 2e5 times
+                    # f, so the bound is the size of the largest sum
+                    scale = np.maximum(scale, _term_scale(
+                        p, T, direction.delta, patterns, grid))
+                assert np.all(np.abs(got - ref) <= 1e-12 * scale), label
+                res = sign_flip_search(p, T, direction, grid, lam)
+                assert res.step == step, label
+                assert res.direction.sign_pattern == pattern, label
+                assert res.evals == evals
+                assert abs(res.f_after - f_after) <= 1e-12 * max(
+                    f_after, res.f_before), label
+    want = {"core_fix", "all_blocks"}
+    if d > 1:
+        want.add("remove_extraneous")
+    if r > 1:
+        want |= {"missing1", "missing2", "missing3"}
+    assert want <= kinds
+
+
+def test_sign_search_skips_overflowing_candidates():
+    p, T, splits, rng = _generic_setup()
+    vec = sample_missing_directions(splits, (2, 2, 2), rng)
+    direction = build_sampled_direction(vec, splits.sigma)
+    grid = [1e90, 0.05, 0.1, 0.2, 1e150]
+    with np.errstate(all="ignore"):
+        values = sign_step_values(p, T, direction.delta,
+                                  _loop_patterns(direction), grid)
+        step, pattern, evals, f_after, _ = _reference_sign_search(
+            p, T, direction, grid)
+        res = sign_flip_search(p, T, direction, grid)
+    # a bare argmin would land on the first NaN
+    assert np.isnan(values).any()
+    assert np.isnan(values.ravel()[np.argmin(values)])
+    assert step in (0.05, 0.1, 0.2)
+    assert res.step == step and res.direction.sign_pattern == pattern
+    assert np.isfinite(res.f_after) and res.improvement > 0
+    assert res.f_after == np.nanmin(np.where(np.isinf(values), np.nan,
+                                             values))
+
+
+def test_sign_search_keeps_the_first_of_exact_ties():
+    # at the origin only the all-blocks term of the expansion survives, so
+    # f depends on the signs through their product alone: eight patterns
+    # tie exactly for the best value
+    rng = np.random.default_rng(241)
+    d = 4
+    T = rng.standard_normal((d, d, d))
+    T /= norm_f(T)
+    p = FactorPoint.zeros(2, d)
+    splits = subspace_split(p, T, sigma=0.05)
+    vec = sample_missing_directions(splits, (2, 2, 2), rng)
+    direction = build_sampled_direction(vec, sigma=splits.sigma)
+    grid = delta_grid(splits.sigma, 3)
+    patterns = _loop_patterns(direction)
+    values = sign_step_values(p, T, direction.delta, patterns, grid)
+    best = values.min()
+    rows = [i for i in range(len(patterns)) if values[i].min() == best]
+    assert len(rows) == 8
+    res = sign_flip_search(p, T, direction, grid)
+    assert res.direction.sign_pattern == tuple(patterns[rows[0]])
+    step, pattern, _, _, _ = _reference_sign_search(p, T, direction, grid)
+    assert (res.step, res.direction.sign_pattern) == (step, pattern)
 
 
 # ---------------------------------------------------------------------------

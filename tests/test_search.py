@@ -330,6 +330,7 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
     import tuckersearch.search as search_module
     calls = []
     search_points = []
+    deterministic = []
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -339,17 +340,39 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
         search_points.append(p.flat.tobytes())
         return counting(p, *args, **kwargs)
 
+    def expanded(*args, **kwargs):
+        values = sign_step_values(*args, **kwargs)
+        calls.extend([1] * values.size)
+        return values
+
+    def noting(*args, **kwargs):
+        out = deterministic_candidates(*args, **kwargs)
+        deterministic.extend(out)
+        return out
+
     monkeypatch.setattr(search_module, "objective", recording)
     monkeypatch.setattr(escape_module, "objective", counting)
-    # a rank-1 target at r=2 needs descent, curvature probes and escapes
-    res = run(exact_instance(1, 4, 0), SearchConfig(r=2, seed=0))
-    assert res.status == "converged" and res.rounds >= 2
-    assert res.objective_evals == len(calls)
-    assert res.rounds <= res.grad_evals
-    # run hands each evaluated point's report on instead of
-    # evaluating it again
-    repeats = sum(a == b for a, b in zip(search_points, search_points[1:]))
-    assert repeats == 0
+    # the sign search scores its candidates from one expansion of f; each
+    # value it returns is an objective value and counts as one
+    sign_step_values = escape_module.sign_step_values
+    monkeypatch.setattr(escape_module, "sign_step_values", expanded)
+    deterministic_candidates = search_module._deterministic_candidates
+    monkeypatch.setattr(search_module, "_deterministic_candidates", noting)
+    # a rank-1 target at r=2 needs descent, curvature probes and sampled
+    # escapes; a rank-2 one also reaches the deterministic directions
+    for rank in (1, 2):
+        calls.clear()
+        search_points.clear()
+        res = run(exact_instance(rank, 4, 0), SearchConfig(r=2, seed=0))
+        assert res.status == "converged" and res.rounds >= 2
+        assert res.objective_evals == len(calls)
+        assert res.rounds <= res.grad_evals
+        # run hands each evaluated point's report on instead of
+        # evaluating it again
+        repeats = sum(a == b
+                      for a, b in zip(search_points, search_points[1:]))
+        assert repeats == 0
+    assert deterministic
 
 
 def test_run_raises_on_non_finite_objective():
