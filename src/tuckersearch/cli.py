@@ -139,7 +139,7 @@ def cmd_decompose(args) -> int:
         if meta_r is None:
             return _fail("rank not given and tensor metadata has none; "
                          "pass --rank")
-        doc["r"] = int(meta_r)
+        doc["r"] = meta_r
     try:
         cfg = SearchConfig(**doc)
         cfg.validate()

@@ -68,7 +68,7 @@ class SampledVectors:
 @dataclass(frozen=True)
 class ImprovementDirection:
     delta: FactorPoint
-    kind: str
+    kind: str    # the step kind a trace records when the search takes it
     ijk: tuple[int, int, int] | None = None
     mode: int | None = None
     vectors: SampledVectors | None = None
@@ -145,7 +145,8 @@ def build_sampled_direction(vectors: SampledVectors,
             mats.append(scale * np.outer(cvec, avec))
         else:
             mats.append(np.zeros((r, d)))
-    return ImprovementDirection(delta=FactorPoint(dS, *mats), kind="sampled",
+    return ImprovementDirection(delta=FactorPoint(dS, *mats),
+                                kind="sampled({},{},{})".format(*ijk),
                                 ijk=ijk, vectors=vectors)
 
 
@@ -318,7 +319,7 @@ def remove_extraneous_direction(p: FactorPoint, splits: SubspaceSplit,
     mats = [zero.copy(), zero.copy(), zero.copy()]
     mats[mode - 1] = -m3
     return ImprovementDirection(delta=FactorPoint(np.zeros_like(p.S), *mats),
-                                kind="remove_extraneous", mode=mode)
+                                kind="remove-extraneous", mode=mode)
 
 
 def core_fix_direction(p: FactorPoint, T: np.ndarray,
@@ -339,4 +340,4 @@ def core_fix_direction(p: FactorPoint, T: np.ndarray,
     zero = np.zeros_like(p.A)
     return ImprovementDirection(delta=FactorPoint(dS, zero, zero.copy(),
                                                   zero.copy()),
-                                kind="core_fix")
+                                kind="core-fix")

@@ -13,9 +13,13 @@ no direction helps, or the gradient-evaluation budget runs out:
 Stage 1 handles first and second order saddles, stage 2 the flat third and
 fourth order ones that gradient information cannot see.
 
-Budget accounting: one gradient evaluation costs 1, one Hessian-vector
-product costs 2 (it is a gradient difference).  Plain objective values are
-not charged against the budget but are counted separately.
+Budget accounting: one `Evaluator` holds the target, lambda and the
+counters, and each of its methods charges its own cost: a gradient 1, a
+Hessian-vector product 2 (a gradient difference), the Gram gaps of a
+rebalance move 1 (the content of the regularizer gradient).  Objective
+values, the sign search's included, are counted but not charged.  No
+curvature probe starts that the budget cannot pay for, so a run never
+spends past its budget.
 
 `run` uses the fixed thresholds of SearchConfig.  `schedule` gives the
 paper's threshold cascade, which ties every tolerance to a norm bound; it
@@ -26,8 +30,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,11 +47,6 @@ from .tensor_core import FactorPoint, _transform, hosvd, random_point
 
 SAMPLED_BLOCKS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (2, 1, 2),
                   (2, 2, 1), (2, 2, 2))
-
-# trace vocabulary: init | gradient | negative-curvature | rebalance
-# | sampled(i,j,k) | core-fix | remove-extraneous
-_KIND_LABELS = {"core_fix": "core-fix",
-                "remove_extraneous": "remove-extraneous"}
 
 
 class ScheduleError(Exception):
@@ -184,20 +184,32 @@ class SearchConfig:
     sosp_eval_cap: int = 3000
 
     def validate(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"rank must be positive, got {self.r}")
+        """Reject what a run cannot use: a count that is not an integer, a
+        number that is not finite, a value out of range, a bad init."""
+        for name, low in (("r", 1), ("seed", 0), ("budget", 1),
+                          ("sosp_eval_cap", 1), ("delta_points", 1),
+                          ("samples_per_block", 1)):
+            v = getattr(self, name)
+            if v is None and name == "samples_per_block":
+                continue
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            if v < low:
+                raise ValueError(f"{name} must be at least {low}, got {v}")
+        for name in ("lam", "epsilon", "sigma", "tau1", "tau2",
+                     "min_improvement", "delta_span"):
+            v = getattr(self, name)
+            if v is None and name == "lam":
+                continue
+            if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                    or not math.isfinite(v)):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
+            if v <= 0 and name != "lam":
+                raise ValueError(f"{name} must be positive, got {v}")
         if self.lam is not None and self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
-        if not 0.0 < self.epsilon < 1.0:
+        if self.epsilon >= 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        for name in ("budget", "sosp_eval_cap", "delta_points"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        for name in ("sigma", "tau1", "tau2", "min_improvement", "delta_span"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.samples_per_block is not None and self.samples_per_block < 1:
-            raise ValueError("samples_per_block must be positive")
         _parse_init(self.init)
 
     def resolved_samples_per_block(self) -> int:
@@ -209,19 +221,22 @@ class SearchConfig:
 def _parse_init(spec: str):
     if spec in ("zero", "hosvd"):
         return spec, None
-    if spec.startswith("random:"):
+    if isinstance(spec, str) and spec.startswith("random:"):
         try:
             scale = float(spec.split(":", 1)[1])
         except ValueError:
             raise ValueError(f"bad init spec {spec!r}") from None
-        if scale <= 0:
-            raise ValueError(f"init scale must be positive, got {scale}")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"init scale must be positive and finite, "
+                             f"got {scale}")
         return "random", scale
     raise ValueError(f"init must be zero, hosvd or random:<scale>, got {spec!r}")
 
 
 @dataclass
 class TraceRecord:
+    """One accepted step.  step_kind is init, gradient, negative-curvature,
+    rebalance, sampled(i,j,k), core-fix or remove-extraneous."""
     iteration: int
     f: float
     L: float
@@ -237,18 +252,9 @@ class TraceRecord:
     def to_json_dict(self) -> dict:
         # wall time stays out of the serialized record so that traces from
         # identical (config, seed) runs are byte-identical
-        return {
-            "iteration": self.iteration,
-            "f": self.f,
-            "L": self.L,
-            "R": self.R,
-            "grad_norm": self.grad_norm,
-            "min_curvature": self.min_curvature,
-            "step_kind": self.step_kind,
-            "step_size": self.step_size,
-            "improvement": self.improvement,
-            "seed": self.seed,
-        }
+        out = asdict(self)
+        del out["wall_time"]
+        return out
 
 
 @dataclass
@@ -282,23 +288,44 @@ class SearchTrace:
                 fh.write("\n")
 
 
-class GradBudget:
-    """Counts gradient evaluations; a Hessian-vector product costs two."""
+class Evaluator:
+    """The target, lambda and counters of one search; each method charges
+    its own cost (see the module docstring)."""
 
-    def __init__(self, limit: int):
+    def __init__(self, T: np.ndarray, lam: float, limit: int):
+        self.T = T
+        self.lam = lam
         self.limit = int(limit)
         self.used = 0
         self.objective_evals = 0
 
-    def charge(self, n: int = 1) -> None:
-        self.used += n
-
-    def note_objective(self, n: int = 1) -> None:
-        self.objective_evals += n
-
     @property
     def exhausted(self) -> bool:
         return self.used >= self.limit
+
+    def affords(self, cost: int) -> bool:
+        return self.used + cost <= self.limit
+
+    def objective(self, p: FactorPoint) -> ObjectiveReport:
+        self.objective_evals += 1
+        return objective(p, self.T, self.lam)
+
+    def grad(self, p: FactorPoint) -> FactorPoint:
+        self.used += 1
+        return grad(p, self.T, self.lam)
+
+    def hvp(self, p: FactorPoint, v: FactorPoint) -> FactorPoint:
+        self.used += 2
+        return hvp(p, v, self.T, self.lam)
+
+    def gram_gaps(self, p: FactorPoint) -> np.ndarray:
+        self.used += 1
+        return _gram_gaps(p)
+
+    def sign_search(self, p: FactorPoint, direction, grid):
+        cand = sign_flip_search(p, self.T, direction, grid, self.lam)
+        self.objective_evals += cand.evals
+        return cand
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +347,9 @@ def _apply_balance(p: FactorPoint, eta: float, eigs) -> FactorPoint:
     return FactorPoint(S, shrink[0] @ p.A, shrink[1] @ p.B, shrink[2] @ p.C)
 
 
-def _rebalance_once(p: FactorPoint, T: np.ndarray, lam: float, f0: float,
-                    budget: GradBudget):
-    """One line-searched orbit move; returns (point, report, eta) or None.
-    Charged as a gradient evaluation: the gap matrices are the content of
-    the regularizer gradient."""
-    gaps = _gram_gaps(p)
-    budget.charge(1)
+def _rebalance_once(p: FactorPoint, f0: float, ev: Evaluator):
+    """One line-searched orbit move; returns (point, report, eta) or None."""
+    gaps = ev.gram_gaps(p)
     scale = max(float(np.abs(G).max()) for G in gaps)
     if scale <= 1e-15 * (1.0 + p.norm() ** 2):
         return None
@@ -334,8 +357,7 @@ def _rebalance_once(p: FactorPoint, T: np.ndarray, lam: float, f0: float,
     eigs = [np.linalg.eigh(G) for G in gaps]
     for _ in range(12):
         cand = _apply_balance(p, eta, eigs)
-        budget.note_objective()
-        rep = objective(cand, T, lam)
+        rep = ev.objective(cand)
         if math.isfinite(rep.f) and rep.f < f0 - 1e-12 * (1.0 + abs(f0)):
             return cand, rep, eta
         eta *= 0.5
@@ -346,9 +368,8 @@ def _rebalance_once(p: FactorPoint, T: np.ndarray, lam: float, f0: float,
 class FindSospInfo:
     converged: bool
     report: ObjectiveReport
-    grad_norm: float
+    grad_norm: float | None
     min_curvature: float | None
-    grad_evals: int
 
     @property
     def f(self) -> float:
@@ -360,24 +381,21 @@ def _require_finite(value: float, what: str, trace=None) -> None:
         raise NonFiniteError(f"{what} became non-finite", trace=trace)
 
 
-def _negative_curvature(p: FactorPoint, T: np.ndarray, lam: float,
-                        tau2: float, iters: int, restarts: int,
-                        rng: np.random.Generator, budget: GradBudget):
-    """Power iteration on (c I - H); returns (direction or None, rayleigh,
-    evals used).  c is a conservative shift above ||H|| estimated from a
-    few product probes."""
-    used0 = budget.used
+def _negative_curvature(p: FactorPoint, tau2: float, iters: int,
+                        restarts: int, rng: np.random.Generator,
+                        ev: Evaluator):
+    """Power iteration on (c I - H); returns (direction or None, rayleigh).
+    c is a conservative shift above ||H|| estimated from a few product
+    probes.  A probe the budget cannot pay for ends the search with an
+    infinite Rayleigh quotient: nothing was measured."""
     r, d = p.r, p.d
-
-    def probe(v):
-        budget.charge(2)
-        return hvp(p, v, T, lam)
-
     hnorm = 0.0
     q = random_point(r, d, rng)
     q = (1.0 / q.norm()) * q
     for _ in range(3):
-        Hq = probe(q)
+        if not ev.affords(2):
+            return None, math.inf
+        Hq = ev.hvp(p, q)
         n = Hq.norm()
         hnorm = max(hnorm, n)
         if n <= 1e-14:
@@ -390,28 +408,28 @@ def _negative_curvature(p: FactorPoint, T: np.ndarray, lam: float,
         v = random_point(r, d, rng)
         v = (1.0 / v.norm()) * v
         for _ in range(iters):
-            if budget.exhausted:
-                break
-            Hv = probe(v)
+            if not ev.affords(2):
+                return None, math.inf
+            Hv = ev.hvp(p, v)
             w = c * v - Hv
             nw = w.norm()
             if nw <= 1e-300:
                 break
             v = (1.0 / nw) * w
-        Hv = probe(v)
+        if not ev.affords(2):
+            return None, math.inf
+        Hv = ev.hvp(p, v)
         rho = v.inner(Hv)
         _require_finite(rho, "curvature estimate")
         if rho < best_rho:
             best_rho = rho
             best_dir = v
-        if best_rho <= -tau2 / 2.0 or budget.exhausted:
-            break
-    if best_rho <= -tau2 / 2.0:
-        return best_dir, best_rho, budget.used - used0
-    return None, best_rho, budget.used - used0
+        if best_rho <= -tau2 / 2.0:
+            return best_dir, best_rho
+    return None, best_rho
 
 
-def _line_search(p, T, lam, direction, f0, budget, init_step=1.0,
+def _line_search(p, direction, f0, ev, init_step=1.0,
                  slope: float | None = None, shrink=0.5, max_backtracks=40):
     """Backtrack from init_step until sufficient decrease; returns
     (point, report, step) or None.  With a slope (for gradient steps) the
@@ -419,8 +437,7 @@ def _line_search(p, T, lam, direction, f0, budget, init_step=1.0,
     step = init_step
     for _ in range(max_backtracks):
         cand = p + step * direction
-        budget.note_objective()
-        rep = objective(cand, T, lam)
+        rep = ev.objective(cand)
         fc = rep.f
         if math.isfinite(fc):
             if slope is not None:
@@ -432,87 +449,67 @@ def _line_search(p, T, lam, direction, f0, budget, init_step=1.0,
     return None
 
 
-def _find_sosp(p: FactorPoint, T: np.ndarray, lam: float, tau1: float,
-               tau2: float, budget: GradBudget, rng: np.random.Generator,
-               rep: ObjectiveReport, trace: SearchTrace | None = None,
-               eval_cap: int | None = None, nc_iters: int = 25,
-               nc_restarts: int = 2):
+def _find_sosp(p: FactorPoint, budget: Evaluator, tau1: float, tau2: float,
+               rng: np.random.Generator, rep: ObjectiveReport,
+               trace: SearchTrace, eval_cap: float = math.inf,
+               nc_iters: int = 25, nc_restarts: int = 2):
     """Descend from p, whose finite objective report the caller passes as
-    rep.  Returns (point, FindSospInfo) with the final point's report."""
-    f0 = rep.f
+    rep, recording each accepted step in trace.  Returns (point,
+    FindSospInfo) with the final point's report.  (`budget` keeps its name:
+    the benchmark's tracer reads `budget.exhausted` to classify the stop.)"""
     start_used = budget.used
     step_hint = 1.0
-    gn = math.inf
+    gn = None
     min_curv = None
-
-    def local_evals():
-        return budget.used - start_used
-
     while True:
-        if budget.exhausted or (eval_cap is not None
-                                and local_evals() >= eval_cap):
-            return p, FindSospInfo(False, rep, gn, min_curv, local_evals())
+        if budget.exhausted or budget.used - start_used >= eval_cap:
+            return p, FindSospInfo(False, rep, gn, min_curv)
+        kind, hit, seen = "rebalance", None, {}
         # orbit moves only pay off once the regularizer carries a real
         # share of the objective; while the loss dominates, plain descent
         # handles both components
-        if f0 > 0.0 and lam * rep.R >= 0.25 * rep.f:
-            hit = _rebalance_once(p, T, lam, f0, budget)
+        if rep.f > 0.0 and budget.lam * rep.R >= 0.25 * rep.f:
+            hit = _rebalance_once(p, rep.f, budget)
+            if hit is None and budget.exhausted:
+                return p, FindSospInfo(False, rep, gn, min_curv)
+        if hit is None:
+            g = budget.grad(p)
+            gn = g.norm()
+            _require_finite(gn, "gradient", trace)
+            kind, seen = "gradient", {"grad_norm": gn}
+            if gn > tau1:
+                hit = _line_search(p, -1.0 * g, rep.f, budget,
+                                   init_step=2.0 * step_hint, slope=gn * gn)
             if hit is not None:
-                prev_f = f0
-                p, rep, eta = hit
-                f0 = rep.f
-                if trace is not None:
-                    trace.append(f=rep.f, L=rep.L, R=rep.R,
-                                 step_kind="rebalance", step_size=eta,
-                                 improvement=prev_f - f0)
-                continue
-        g = grad(p, T, lam)
-        budget.charge(1)
-        gn = g.norm()
-        _require_finite(gn, "gradient", trace)
-        if gn > tau1:
-            hit = _line_search(p, T, lam, -1.0 * g, f0, budget,
-                              init_step=2.0 * step_hint, slope=gn * gn)
-            if hit is not None:
-                prev_f = f0
-                p, rep, step = hit
-                f0 = rep.f
-                step_hint = step
-                if trace is not None:
-                    trace.append(f=rep.f, L=rep.L, R=rep.R,
-                                 step_kind="gradient", step_size=step,
-                                 improvement=prev_f - f0,
-                                 grad_norm=gn)
-                continue
-            # the line search cannot realize the descent the gradient
-            # promises; fall through to the curvature probe
-        direction, rho, _ = _negative_curvature(p, T, lam, tau2, nc_iters,
-                                                nc_restarts, rng, budget)
-        min_curv = rho if min_curv is None else min(min_curv, rho)
-        if direction is None:
-            if not math.isfinite(rho):
-                # the budget died before any Rayleigh quotient came back
-                return p, FindSospInfo(False, rep, gn, None, local_evals())
-            return p, FindSospInfo(True, rep, gn, rho, local_evals())
-        scale = max(2.0 * abs(rho), 1e-3)
-        best = None
-        for signed in (direction, -1.0 * direction):
-            hit = _line_search(p, T, lam, signed, f0, budget,
-                              init_step=scale, max_backtracks=25)
-            if hit is not None and (best is None or hit[1].f < best[1].f):
-                best = hit
-        if best is None:
-            # curvature below -tau2/2 that no step can realize at this
-            # floating-point scale: accept the point as stationary
-            return p, FindSospInfo(True, rep, gn, rho, local_evals())
-        prev_f = f0
-        p, rep, step = best
-        f0 = rep.f
-        if trace is not None:
-            trace.append(f=rep.f, L=rep.L, R=rep.R,
-                         step_kind="negative-curvature", step_size=step,
-                         improvement=prev_f - f0, grad_norm=gn,
-                         min_curvature=rho)
+                step_hint = hit[2]
+        if hit is None:
+            # the gradient is small, or the line search cannot realize the
+            # descent it promises: probe the curvature
+            direction, rho = _negative_curvature(p, tau2, nc_iters,
+                                                 nc_restarts, rng, budget)
+            if direction is None:
+                if not math.isfinite(rho):
+                    # the budget died before a Rayleigh quotient came back
+                    return p, FindSospInfo(False, rep, gn, None)
+                return p, FindSospInfo(True, rep, gn, rho)
+            min_curv = rho if min_curv is None else min(min_curv, rho)
+            kind = "negative-curvature"
+            seen = {"grad_norm": gn, "min_curvature": rho}
+            scale = max(2.0 * abs(rho), 1e-3)
+            for signed in (direction, -1.0 * direction):
+                cand = _line_search(p, signed, rep.f, budget,
+                                    init_step=scale, max_backtracks=25)
+                if cand is not None and (hit is None
+                                         or cand[1].f < hit[1].f):
+                    hit = cand
+            if hit is None:
+                # curvature below -tau2/2 that no step can realize at this
+                # floating-point scale: accept the point as stationary
+                return p, FindSospInfo(True, rep, gn, rho)
+        prev_f = rep.f
+        p, rep, step = hit
+        trace.append(f=rep.f, L=rep.L, R=rep.R, step_kind=kind,
+                     step_size=step, improvement=prev_f - rep.f, **seen)
 
 
 def find_sosp(p0: FactorPoint, T: np.ndarray, lam: float | None = None,
@@ -526,11 +523,11 @@ def find_sosp(p0: FactorPoint, T: np.ndarray, lam: float | None = None,
     """
     if lam is None:
         lam = default_lambda(p0.r)
-    rep = objective(p0, T, lam)
+    ev = Evaluator(T, lam, budget)
+    rep = ev.objective(p0)
     _require_finite(rep.f, "objective")
-    counter = GradBudget(budget)
-    rng = np.random.default_rng(seed)
-    return _find_sosp(p0, T, lam, tau1, tau2, counter, rng, rep)
+    return _find_sosp(p0, ev, tau1, tau2, np.random.default_rng(seed), rep,
+                      SearchTrace(seed=seed))
 
 
 # ---------------------------------------------------------------------------
@@ -551,21 +548,21 @@ class RunResult:
     wall_time: float
 
 
-def _deterministic_candidates(p, T, lam, splits):
+def _deterministic_candidates(p, splits, ev):
     """Core-fix and remove-extraneous directions with their own step grid;
     a unit step is always included because both are exact at step 1 in the
     clean regime."""
     grid = np.geomspace(1e-4, 1.0, 17)
     out = []
     try:
-        out.append(sign_flip_search(p, T, core_fix_direction(p, T, splits),
-                                    grid, lam))
+        out.append(ev.sign_search(p, core_fix_direction(p, ev.T, splits),
+                                  grid))
     except NoDirection:
         pass
     for mode in (1, 2, 3):
         try:
             direction = remove_extraneous_direction(p, splits, mode)
-            out.append(sign_flip_search(p, T, direction, grid, lam))
+            out.append(ev.sign_search(p, direction, grid))
         except NoDirection:
             pass
     return out
@@ -604,10 +601,9 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     else:
         p = random_point(r, d, rng_init, scale=scale)
 
-    budget = GradBudget(config.budget)
+    ev = Evaluator(T, lam, config.budget)
     trace = SearchTrace(seed=config.seed)
-    rep = objective(p, T, lam)
-    budget.note_objective()
+    rep = ev.objective(p)
     _require_finite(rep.f, "objective", trace)
     trace.append(f=rep.f, L=rep.L, R=rep.R, step_kind="init", step_size=0.0,
                  improvement=0.0)
@@ -616,21 +612,19 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     rounds = 0
     while status is None:
         rounds += 1
-        p, info = _find_sosp(p, T, lam, config.tau1, config.tau2, budget,
-                             rng_sosp, rep, trace=trace,
-                             eval_cap=config.sosp_eval_cap)
+        p, info = _find_sosp(p, ev, config.tau1, config.tau2, rng_sosp, rep,
+                             trace, eval_cap=config.sosp_eval_cap)
         rep = info.report
         if rep.f <= config.epsilon:
             status = "converged"
             break
-        if budget.exhausted:
+        if ev.exhausted:
             status = "budget"
             break
 
         splits = subspace_split(p, T, sigma)
         best = None
-        for cand in _deterministic_candidates(p, T, lam, splits):
-            budget.note_objective(cand.evals)
+        for cand in _deterministic_candidates(p, splits, ev):
             if best is None or cand.improvement > best.improvement:
                 best = cand
         for ijk in SAMPLED_BLOCKS:
@@ -642,37 +636,29 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
                     vec = sample_missing_directions(splits, ijk, rng_sampler)
                 except NoMissingDirection:
                     break
-                direction = build_sampled_direction(vec, sigma)
-                cand = sign_flip_search(p, T, direction, grid, lam)
-                budget.note_objective(cand.evals)
+                cand = ev.sign_search(p, build_sampled_direction(vec, sigma),
+                                      grid)
                 if best is None or cand.improvement > best.improvement:
                     best = cand
 
         if best is not None and best.improvement >= config.min_improvement:
             p = best.apply(p)
-            rep = objective(p, T, lam)
-            budget.note_objective()
+            rep = ev.objective(p)
             _require_finite(rep.f, "objective", trace)
-            kind_label = _KIND_LABELS.get(best.direction.kind,
-                                          best.direction.kind)
-            if best.direction.kind == "sampled":
-                kind_label = "sampled" + str(best.direction.ijk).replace(" ", "")
-            gn_out = info.grad_norm if math.isfinite(info.grad_norm) else None
-            curv = info.min_curvature
-            if curv is not None and not math.isfinite(curv):
-                curv = None
-            trace.append(f=rep.f, L=rep.L, R=rep.R, step_kind=kind_label,
-                         step_size=best.step, improvement=best.improvement,
-                         grad_norm=gn_out, min_curvature=curv)
+            trace.append(f=rep.f, L=rep.L, R=rep.R,
+                         step_kind=best.direction.kind, step_size=best.step,
+                         improvement=best.improvement,
+                         grad_norm=info.grad_norm,
+                         min_curvature=info.min_curvature)
             if rep.f <= config.epsilon:
                 status = "converged"
         elif info.converged:
             status = "no_direction"
-        elif budget.exhausted:
+        elif ev.exhausted:
             status = "budget"
         # otherwise: descent had not finished, go around again
 
     return RunResult(point=p, trace=trace, status=status, f=rep.f, L=rep.L,
-                     R=rep.R, grad_evals=budget.used,
-                     objective_evals=budget.objective_evals, rounds=rounds,
+                     R=rep.R, grad_evals=ev.used,
+                     objective_evals=ev.objective_evals, rounds=rounds,
                      wall_time=time.perf_counter() - t_start)

@@ -242,11 +242,18 @@ def hosvd(T: np.ndarray, r: int) -> FactorPoint:
 
 
 def _validate_payload(dims, data) -> np.ndarray:
-    if len(dims) != 3 or any(int(d) != d or d < 1 for d in dims):
+    try:
+        ok = len(dims) == 3 and all(int(d) == d and d >= 1 for d in dims)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
         raise ValueError(f"dims must be three positive integers, got {dims}")
     dims = tuple(int(d) for d in dims)
     n = dims[0] * dims[1] * dims[2]
-    arr = np.asarray(data, dtype=float).ravel()
+    try:
+        arr = np.asarray(data, dtype=float).ravel()
+    except (TypeError, ValueError):
+        raise ValueError("tensor data must be a list of numbers") from None
     if arr.size != n:
         raise ValueError(
             f"data length {arr.size} does not match dims {dims} (need {n})")

@@ -166,6 +166,38 @@ def test_decompose_rejects_bad_config_file(tmp_path, capsys):
         assert "unknown config keys" in capsys.readouterr().err
 
 
+def test_decompose_rejects_bad_config_values(tmp_path, capsys):
+    # a run cannot use any of these: each is an input error, not a
+    # misleading status, a burned budget or a traceback
+    T_path = gen(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    for text in ('{"sigma": NaN}', '{"lam": NaN}', '{"tau1": Infinity}',
+                 '{"epsilon": -Infinity}', '{"r": 2.5}', '{"budget": 10.5}',
+                 '{"init": "random:inf"}', '{"init": "random:nan"}',
+                 '{"init": 5}'):
+        cfg_path.write_text(text)
+        rc = main(["decompose", str(T_path), "--config", str(cfg_path),
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_INPUT, text
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "x.summary.json").exists()
+
+
+def test_decompose_rejects_malformed_tensor_files(tmp_path, capsys):
+    docs = ({"dims": 3, "data": [0.0, 0.0, 0.0]},
+            {"dims": [1, 1, None], "data": [0.0]},
+            {"dims": [1, 1, float("inf")], "data": [0.0]},
+            {"dims": [1, 1, 1], "data": {"x": 0.0}},
+            {"dims": [1, 1, 1], "data": ["x"]},
+            {"dims": [2, 2, 2], "data": [0.5] * 8, "meta": {"r": "two"}})
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(json.dumps(doc))
+        rc = main(["decompose", str(path), "--out", str(tmp_path / "x")])
+        assert rc == EXIT_INPUT, doc
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_decompose_config_round_trips_through_summary(tmp_path):
     # the summary's config object is a config file that reruns the search
     T_path = gen(tmp_path, d=4, seed=5)

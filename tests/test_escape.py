@@ -452,7 +452,7 @@ def _planted_extraneous():
 def test_remove_extraneous_deletes_off_span_mass():
     p, T, splits = _planted_extraneous()
     direction = remove_extraneous_direction(p, splits, mode=1)
-    assert direction.kind == "remove_extraneous"
+    assert direction.kind == "remove-extraneous"
     assert direction.mode == 1
     np.testing.assert_allclose(direction.delta.A,
                                -np.vstack([np.zeros(5), np.eye(5)[4]]),

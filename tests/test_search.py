@@ -10,7 +10,7 @@ from tuckersearch.escape import (build_sampled_direction, delta_grid,
                                  sample_missing_directions, sign_flip_search)
 from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     eval_along, grad, hvp, objective)
-from tuckersearch.search import (GradBudget, NonFiniteError, ScheduleError,
+from tuckersearch.search import (Evaluator, NonFiniteError, ScheduleError,
                                  SearchConfig, SearchTrace, Thresholds,
                                  _negative_curvature, find_sosp, run,
                                  schedule)
@@ -169,10 +169,20 @@ def test_find_sosp_escapes_constructed_strict_saddle():
     assert info.f < f0
 
 
+def test_find_sosp_curvature_probe_cut_short_is_not_converged():
+    # the saddle has curvature at most -2 theta, but 30 evaluations cannot
+    # pay for a whole power iteration: the descent must not claim a
+    # stationary point
+    p, T = make_flat_saddle(0.3)
+    _, info = find_sosp(p, T, budget=30, seed=0)
+    assert not info.converged
+    assert info.min_curvature is None
+
+
 def curvature_direction(p, T, lam, tau2, iters, rng):
     """Unit direction with Rayleigh quotient at most -tau2/2, or None."""
-    direction, _, _ = _negative_curvature(p, T, lam, tau2, iters, 2, rng,
-                                          GradBudget(10**9))
+    direction, _ = _negative_curvature(p, tau2, iters, 2, rng,
+                                       Evaluator(T, lam, 10**9))
     return direction
 
 
@@ -302,8 +312,19 @@ def test_run_budget_status():
     res = run(T, SearchConfig(r=2, epsilon=1e-12, seed=0, budget=50))
     assert res.status == "budget"
     assert res.grad_evals >= 50
+    assert res.grad_evals <= 50
     # every round charges a gradient evaluation, so the budget bounds them
     assert res.rounds <= res.grad_evals
+
+
+def test_run_never_spends_past_its_budget():
+    # the curvature probes cost two evaluations each and start only when
+    # the budget can pay for them
+    T = exact_instance(2, 8, 0)
+    for budget in (1, 2, 3, 5, 10, 50, 100, 333):
+        res = run(T, SearchConfig(r=2, seed=0, budget=budget))
+        assert res.status == "budget"
+        assert res.grad_evals <= budget
 
 
 def test_run_validates_inputs():
@@ -323,6 +344,17 @@ def test_run_validates_inputs():
     # a negative weight rewards imbalance, so f runs off to -inf
     with pytest.raises(ValueError, match="lambda"):
         run(exact_instance(2, 4, 0), SearchConfig(r=2, lam=-1.0, budget=2000))
+    T = exact_instance(2, 4, 0)
+    for bad in ({"lam": math.nan}, {"epsilon": math.nan},
+                {"sigma": math.nan}, {"tau1": math.inf}, {"tau2": math.nan},
+                {"min_improvement": math.inf}, {"delta_span": math.inf},
+                {"r": 2.5}, {"r": True}, {"budget": 10.0},
+                {"delta_points": 13.0}, {"sosp_eval_cap": "3000"},
+                {"samples_per_block": 1.5}, {"seed": 0.5}, {"seed": -1},
+                {"init": "random:inf"}, {"init": "random:nan"},
+                {"init": 5}):
+        with pytest.raises(ValueError):
+            run(T, SearchConfig(**{"r": 2, **bad}))
 
 
 def test_run_counts_every_objective_evaluation(monkeypatch):
@@ -331,6 +363,7 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
     calls = []
     search_points = []
     deterministic = []
+    grad_calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -350,6 +383,12 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
         deterministic.extend(out)
         return out
 
+    def charging(fn, cost):
+        def wrapped(*args, **kwargs):
+            grad_calls.append(cost)
+            return fn(*args, **kwargs)
+        return wrapped
+
     monkeypatch.setattr(search_module, "objective", recording)
     monkeypatch.setattr(escape_module, "objective", counting)
     # the sign search scores its candidates from one expansion of f; each
@@ -358,14 +397,22 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
     monkeypatch.setattr(escape_module, "sign_step_values", expanded)
     deterministic_candidates = search_module._deterministic_candidates
     monkeypatch.setattr(search_module, "_deterministic_candidates", noting)
+    # a gradient costs 1, a Hessian-vector product 2, a rebalance move 1
+    monkeypatch.setattr(search_module, "grad", charging(grad, 1))
+    monkeypatch.setattr(search_module, "hvp", charging(hvp, 2))
+    monkeypatch.setattr(search_module, "_rebalance_once",
+                        charging(search_module._rebalance_once, 1))
     # a rank-1 target at r=2 needs descent, curvature probes and sampled
     # escapes; a rank-2 one also reaches the deterministic directions
     for rank in (1, 2):
         calls.clear()
         search_points.clear()
+        grad_calls.clear()
         res = run(exact_instance(rank, 4, 0), SearchConfig(r=2, seed=0))
         assert res.status == "converged" and res.rounds >= 2
         assert res.objective_evals == len(calls)
+        assert res.grad_evals == sum(grad_calls)
+        assert 2 in grad_calls
         assert res.rounds <= res.grad_evals
         # run hands each evaluated point's report on instead of
         # evaluating it again
@@ -376,7 +423,8 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
 
 
 def test_run_raises_on_non_finite_objective():
-    with pytest.raises(NonFiniteError):
+    with pytest.raises(NonFiniteError), pytest.warns(RuntimeWarning,
+                                                     match="overflow"):
         run(np.full((2, 2, 2), 1e200), SearchConfig(r=1))
 
 
@@ -398,10 +446,17 @@ def test_config_sample_count_resolution():
 
 
 def test_budget_counts_hvp_double():
-    b = GradBudget(10)
-    b.charge(1)
-    b.charge(2)
-    assert b.used == 3
-    assert not b.exhausted
-    b.charge(7)
-    assert b.exhausted
+    T = exact_instance(2, 4, 0)
+    p = random_point(2, 4, np.random.default_rng(0))
+    ev = Evaluator(T, default_lambda(2), 5)
+    ev.grad(p)
+    ev.hvp(p, p)
+    assert ev.used == 3
+    assert not ev.exhausted
+    assert ev.affords(2) and not ev.affords(3)
+    ev.objective(p)
+    assert ev.used == 3 and ev.objective_evals == 1
+    ev.gram_gaps(p)
+    ev.gram_gaps(p)
+    assert ev.used == 5
+    assert ev.exhausted
