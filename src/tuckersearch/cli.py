@@ -6,7 +6,8 @@ anything time-dependent goes to a separate metadata file so the main
 artifacts can be compared directly.
 
 Exit codes: 0 converged or success, 1 verification failure, 2 budget
-exhausted, 3 no improving direction above the target, 4 input error.
+exhausted, 3 no improving direction above the target, 4 input error or a
+run whose objective became non-finite.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ import time
 import numpy as np
 
 from .objective import objective, save_point
-from .search import SearchConfig, run
+from .search import NonFiniteError, SearchConfig, run
 from .tensor_core import (load_tensor, multilinear_transform, norm_f,
                           random_point, save_tensor_binary, save_tensor_json)
 from .verify import run_suite, suite_to_json
@@ -155,7 +156,7 @@ def cmd_decompose(args) -> int:
         prefix = out if restarts == 1 else f"{out}-{i}"
         try:
             result = run(T, sub)
-        except ValueError as exc:
+        except (ValueError, NonFiniteError) as exc:
             return _fail(str(exc))
         save_point(prefix + ".factors.json", result.point)
         result.trace.to_jsonl(prefix + ".trace.jsonl")

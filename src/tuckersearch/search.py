@@ -4,8 +4,13 @@ The driver alternates two stages until the objective reaches the target,
 no direction helps, or the gradient-evaluation budget runs out:
 
   1. descend to an approximate second-order stationary point with
-     backtracking gradient descent, exploiting negative curvature found by
-     power iteration on a shifted Hessian-vector product;
+     backtracking gradient descent whose first trial step is the
+     Barzilai-Borwein step, exploiting negative curvature found by power
+     iteration on a shifted Hessian-vector product.  A small gradient,
+     or f falling by no more than 1e-6 f over the last 50 accepted
+     steps, sends the descent to the curvature probe; no negative
+     curvature there makes the point stationary.  The descent also ends
+     as soon as f reaches the target;
   2. at the stationary point, propose escape directions: the sampled
      rank-one block updates, the deterministic core fix, and removal of
      off-span factor mass; accept the best if it improves enough.
@@ -32,6 +37,7 @@ import json
 import math
 import numbers
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -47,6 +53,10 @@ from .tensor_core import FactorPoint, _transform, hosvd, random_point
 
 SAMPLED_BLOCKS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (2, 1, 2),
                   (2, 2, 1), (2, 2, 2))
+# a descent whose f falls by no more than STALL_TOL * f over STALL_WINDOW
+# accepted steps is treated as stationary and probes the curvature
+STALL_WINDOW = 50
+STALL_TOL = 1e-6
 
 
 class ScheduleError(Exception):
@@ -181,14 +191,12 @@ class SearchConfig:
     delta_span: float = 100.0
     delta_points: int = 13
     init: str = "zero"
-    sosp_eval_cap: int = 3000
 
     def validate(self) -> None:
         """Reject what a run cannot use: a count that is not an integer, a
         number that is not finite, a value out of range, a bad init."""
         for name, low in (("r", 1), ("seed", 0), ("budget", 1),
-                          ("sosp_eval_cap", 1), ("delta_points", 1),
-                          ("samples_per_block", 1)):
+                          ("delta_points", 1), ("samples_per_block", 1)):
             v = getattr(self, name)
             if v is None and name == "samples_per_block":
                 continue
@@ -396,11 +404,18 @@ def _negative_curvature(p: FactorPoint, tau2: float, iters: int,
         if not ev.affords(2):
             return None, math.inf
         Hq = ev.hvp(p, q)
+        rho = q.inner(Hq)
         n = Hq.norm()
         hnorm = max(hnorm, n)
         if n <= 1e-14:
             break
         q = (1.0 / n) * Hq
+    _require_finite(rho, "curvature estimate")
+    if 4.0 * hnorm < tau2:
+        # the shift below trusts 2 hnorm as a bound on the spectrum; under
+        # it no eigenvalue lies below -tau2/2, so power iteration would
+        # find nothing
+        return None, rho
     c = 2.0 * hnorm + tau2
     best_rho = math.inf
     best_dir = None
@@ -429,6 +444,18 @@ def _negative_curvature(p: FactorPoint, tau2: float, iters: int,
     return None, best_rho
 
 
+def _bb_step(last_grad, p: FactorPoint, g: FactorPoint,
+             fallback: float) -> float:
+    """Barzilai-Borwein step s.s / s.y from the point change s and the
+    gradient change y since the last gradient; `fallback` without a
+    previous gradient or where s.y <= 0 (no positive curvature along s)."""
+    if last_grad is None:
+        return fallback
+    s = p.flat - last_grad[0].flat
+    sy = float(s @ (g.flat - last_grad[1].flat))
+    return float(s @ s) / sy if sy > 0.0 else fallback
+
+
 def _line_search(p, direction, f0, ev, init_step=1.0,
                  slope: float | None = None, shrink=0.5, max_backtracks=40):
     """Backtrack from init_step until sufficient decrease; returns
@@ -451,18 +478,20 @@ def _line_search(p, direction, f0, ev, init_step=1.0,
 
 def _find_sosp(p: FactorPoint, budget: Evaluator, tau1: float, tau2: float,
                rng: np.random.Generator, rep: ObjectiveReport,
-               trace: SearchTrace, eval_cap: float = math.inf,
+               trace: SearchTrace, epsilon: float = -math.inf,
                nc_iters: int = 25, nc_restarts: int = 2):
     """Descend from p, whose finite objective report the caller passes as
-    rep, recording each accepted step in trace.  Returns (point,
+    rep, recording each accepted step in trace, until f <= epsilon, the
+    point is stationary or the budget runs out.  Returns (point,
     FindSospInfo) with the final point's report.  (`budget` keeps its name:
     the benchmark's tracer reads `budget.exhausted` to classify the stop.)"""
-    start_used = budget.used
     step_hint = 1.0
     gn = None
     min_curv = None
+    last_grad = None  # (point, gradient) where the last gradient was taken
+    recent = deque([rep.f], maxlen=STALL_WINDOW + 1)
     while True:
-        if budget.exhausted or budget.used - start_used >= eval_cap:
+        if rep.f <= epsilon or budget.exhausted:
             return p, FindSospInfo(False, rep, gn, min_curv)
         kind, hit, seen = "rebalance", None, {}
         # orbit moves only pay off once the regularizer carries a real
@@ -477,14 +506,21 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, tau1: float, tau2: float,
             gn = g.norm()
             _require_finite(gn, "gradient", trace)
             kind, seen = "gradient", {"grad_norm": gn}
-            if gn > tau1:
+            # no progress over a whole window counts as a small gradient
+            stalled = (len(recent) > STALL_WINDOW
+                       and recent[0] - recent[-1] <= STALL_TOL * recent[-1])
+            if gn > tau1 and not stalled:
                 hit = _line_search(p, -1.0 * g, rep.f, budget,
-                                   init_step=2.0 * step_hint, slope=gn * gn)
+                                   init_step=_bb_step(last_grad, p, g,
+                                                      2.0 * step_hint),
+                                   slope=gn * gn)
+            last_grad = (p, g)
             if hit is not None:
                 step_hint = hit[2]
         if hit is None:
-            # the gradient is small, or the line search cannot realize the
-            # descent it promises: probe the curvature
+            # the gradient is small, descent has stalled, or the line
+            # search cannot realize the descent it promises: probe the
+            # curvature
             direction, rho = _negative_curvature(p, tau2, nc_iters,
                                                  nc_restarts, rng, budget)
             if direction is None:
@@ -506,8 +542,10 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, tau1: float, tau2: float,
                 # curvature below -tau2/2 that no step can realize at this
                 # floating-point scale: accept the point as stationary
                 return p, FindSospInfo(True, rep, gn, rho)
+            recent.clear()
         prev_f = rep.f
         p, rep, step = hit
+        recent.append(rep.f)
         trace.append(f=rep.f, L=rep.L, R=rep.R, step_kind=kind,
                      step_size=step, improvement=prev_f - rep.f, **seen)
 
@@ -613,7 +651,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     while status is None:
         rounds += 1
         p, info = _find_sosp(p, ev, config.tau1, config.tau2, rng_sosp, rep,
-                             trace, eval_cap=config.sosp_eval_cap)
+                             trace, epsilon=config.epsilon)
         rep = info.report
         if rep.f <= config.epsilon:
             status = "converged"

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from tuckersearch import verify as verify_mod
 from tuckersearch.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT,
@@ -159,11 +160,14 @@ def test_decompose_config_file_with_cli_precedence(tmp_path):
 def test_decompose_rejects_bad_config_file(tmp_path, capsys):
     T_path = gen(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    for doc in ({"r": 2, "typo_field": 1}, {"r": 2, "mode": "theory"}):
+    for doc in ({"r": 2, "typo_field": 1}, {"r": 2, "mode": "theory"},
+                {"r": 2, "sosp_eval_cap": 3000}):
         cfg_path.write_text(json.dumps(doc))
-        rc = main(["decompose", str(T_path), "--config", str(cfg_path)])
+        rc = main(["decompose", str(T_path), "--config", str(cfg_path),
+                   "--out", str(tmp_path / "x")])
         assert rc == EXIT_INPUT
         assert "unknown config keys" in capsys.readouterr().err
+    assert not (tmp_path / "x.summary.json").exists()
 
 
 def test_decompose_rejects_bad_config_values(tmp_path, capsys):
@@ -233,6 +237,19 @@ def test_decompose_no_direction_exit_code(tmp_path):
     summary = json.loads((tmp_path / "n.summary.json").read_text())
     assert summary["status"] == "no-direction"
     assert summary["f"] <= 1e-8
+
+
+def test_decompose_non_finite_run_is_an_input_error(tmp_path, capsys):
+    # entries of 1e200 overflow the objective: the run ends with an
+    # explicit status, not a traceback and the exit code of a failed check
+    T_path = tmp_path / "huge.json"
+    save_tensor_json(T_path, np.full((2, 2, 2), 1e200), {"r": 1})
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        rc = main(["decompose", str(T_path), "--out", str(tmp_path / "x")])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: objective became "
+                                              "non-finite")
+    assert not (tmp_path / "x.summary.json").exists()
 
 
 def test_decompose_hosvd_init(tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import tuckersearch.search as search_module
 from tuckersearch.escape import (build_sampled_direction, delta_grid,
                                  sample_missing_directions, sign_flip_search)
 from tuckersearch.objective import (balanced_random_point, default_lambda,
@@ -22,11 +23,16 @@ from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
 FEASIBLE_K = 0.02
 
 
-def exact_instance(r, d, seed):
-    rng = np.random.default_rng(np.random.SeedSequence([11, seed]))
+def exact_instance(r, d, seed, entropy=11):
+    rng = np.random.default_rng(np.random.SeedSequence([entropy, seed]))
     p = random_point(r, d, rng)
     T = multilinear_transform(p.S, p.A, p.B, p.C)
     return T / norm_f(T)
+
+
+def desk_instance(r, d, seed):
+    """The exact targets of acceptance criterion 05."""
+    return exact_instance(r, d, seed, entropy=505)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +185,101 @@ def test_find_sosp_curvature_probe_cut_short_is_not_converged():
     assert info.min_curvature is None
 
 
+def record_gradient_line_searches(monkeypatch):
+    """Wrap search._line_search; for each gradient line search record the
+    point, the gradient, the first trial step and the accepted step."""
+    calls = []
+    line_search = search_module._line_search
+
+    def recording(p, direction, f0, ev, init_step=1.0, slope=None, **kw):
+        hit = line_search(p, direction, f0, ev, init_step=init_step,
+                          slope=slope, **kw)
+        if slope is not None:
+            calls.append((p, -1.0 * direction, init_step,
+                          None if hit is None else hit[2]))
+        return hit
+
+    monkeypatch.setattr(search_module, "_line_search", recording)
+    return calls
+
+
+def test_gradient_line_search_starts_at_the_barzilai_borwein_step(
+        monkeypatch):
+    calls = record_gradient_line_searches(monkeypatch)
+    T = exact_instance(2, 4, 0)
+    p0 = random_point(2, 4, np.random.default_rng(0), scale=0.5)
+    # lambda = 0 keeps rebalance moves out of the way
+    find_sosp(p0, T, lam=0.0, budget=3)
+    assert len(calls) == 3
+    # no gradient history yet: twice the initial hint of 1
+    assert calls[0][2] == 2.0
+    for (p_prev, g_prev, _, _), (p, g, first, _) in zip(calls, calls[1:]):
+        s = p.flat - p_prev.flat
+        sy = float(s @ (g.flat - g_prev.flat))
+        assert sy > 0.0
+        assert math.isclose(first, float(s @ s) / sy, rel_tol=1e-12)
+
+
+def test_gradient_line_search_falls_back_where_curvature_is_negative(
+        monkeypatch):
+    # r = d = 1, lambda = 0: f = (s a b c - 1)^2.  Along s = a = eps,
+    # b = c = 1 the gradient grows while f falls (curvature -2 at eps = 0),
+    # so s.y < 0 after the first step and the hint rule applies
+    calls = record_gradient_line_searches(monkeypatch)
+    eps = 0.01
+    p0 = FactorPoint(np.full((1, 1, 1), eps), np.full((1, 1), eps),
+                     np.ones((1, 1)), np.ones((1, 1)))
+    find_sosp(p0, np.ones((1, 1, 1)), lam=0.0, budget=2)
+    assert len(calls) == 2
+    (p_prev, g_prev, first0, step0), (p, g, first1, _) = calls
+    assert first0 == 2.0 and step0 is not None
+    s = p.flat - p_prev.flat
+    assert float(s @ (g.flat - g_prev.flat)) < 0.0
+    assert first1 == 2.0 * step0
+
+
+def test_plateau_descent_hands_off_to_escape(monkeypatch):
+    # criterion 05's r=2, d=8, seed-0 target: after the first escape step
+    # the descent sits on a plateau where f moves in its sixth digit and
+    # the gradient norm stays between 1e-5 and 1e-4 (above tau1 = 1e-6),
+    # so only the progress window can end it
+    descents = []
+    find = search_module._find_sosp
+
+    def recording(p, budget, *args, **kwargs):
+        start = budget.used
+        out = find(p, budget, *args, **kwargs)
+        descents.append((budget.used - start, out[1]))
+        return out
+
+    monkeypatch.setattr(search_module, "_find_sosp", recording)
+    line_searches = record_gradient_line_searches(monkeypatch)
+    config = SearchConfig(r=2, seed=0)
+    res = run(desk_instance(2, 8, 0), config)
+    assert res.status == "converged"
+    # with every gradient line search succeeding, a stationary verdict
+    # above tau1 is the progress hand-off
+    assert all(step is not None for *_, step in line_searches)
+    handed_off = [spent for spent, info in descents
+                  if info.converged and info.grad_norm > config.tau1]
+    assert handed_off
+    assert max(spent for spent, _ in descents) <= 1_000
+
+
+def test_negative_curvature_exits_at_a_flat_hessian():
+    # every term of f is quartic or higher at the origin, so H = 0 there:
+    # the norm probes alone show that no eigenvalue lies below -tau2/2
+    u, v, w = np.random.default_rng(4).standard_normal((3, 8))
+    T = np.einsum("i,j,k->ijk", u, v, w)
+    T /= norm_f(T)
+    ev = Evaluator(T, default_lambda(2), 10**9)
+    direction, rho = _negative_curvature(FactorPoint.zeros(2, 8), 1e-4, 25,
+                                         2, np.random.default_rng(0), ev)
+    assert direction is None
+    assert math.isfinite(rho)
+    assert ev.used <= 6
+
+
 def curvature_direction(p, T, lam, tau2, iters, rng):
     """Unit direction with Rayleigh quotient at most -tau2/2, or None."""
     direction, _ = _negative_curvature(p, tau2, iters, 2, rng,
@@ -229,6 +330,32 @@ def test_run_exact_rank_instance_converges():
     assert res.status == "converged"
     assert res.f <= 1e-4
     assert res.grad_evals <= 50_000
+
+
+def test_run_stops_descending_at_epsilon():
+    # the descent returns as soon as f <= epsilon: the first record at the
+    # target is the last
+    for T in (exact_instance(2, 5, 0), desk_instance(2, 8, 1)):
+        res = run(T, SearchConfig(r=2, epsilon=1e-4, seed=0))
+        assert res.status == "converged"
+        at_target = [rec.iteration for rec in res.trace.records
+                     if rec.f <= 1e-4]
+        assert at_target == [len(res.trace.records) - 1]
+
+
+def test_desk_grid_gradient_evaluation_count():
+    # a guard on the descent policy: the desk grid, (r, d) in (2, 8),
+    # (3, 16), (4, 24) x seeds 0-2, takes about 5,000 gradient evaluations
+    # (4,965 with BLAS at one thread), and a descent that ends only on a
+    # small gradient or a fixed cap of 3,000 takes 38,844.  For a given
+    # BLAS build and thread count the count repeats exactly
+    total = 0
+    for r, d in ((2, 8), (3, 16), (4, 24)):
+        for seed in range(3):
+            res = run(desk_instance(r, d, seed), SearchConfig(r=r, seed=seed))
+            assert res.status == "converged"
+            total += res.grad_evals
+    assert total <= 12_000
 
 
 def test_run_hosvd_start_keeps_fit_while_balancing():
@@ -349,7 +476,7 @@ def test_run_validates_inputs():
                 {"sigma": math.nan}, {"tau1": math.inf}, {"tau2": math.nan},
                 {"min_improvement": math.inf}, {"delta_span": math.inf},
                 {"r": 2.5}, {"r": True}, {"budget": 10.0},
-                {"delta_points": 13.0}, {"sosp_eval_cap": "3000"},
+                {"delta_points": 13.0},
                 {"samples_per_block": 1.5}, {"seed": 0.5}, {"seed": -1},
                 {"init": "random:inf"}, {"init": "random:nan"},
                 {"init": 5}):
