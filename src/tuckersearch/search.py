@@ -609,7 +609,9 @@ def _deterministic_candidates(p, splits, ev):
 def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     """Full local search on target T.  Returns the final point, the trace
     and the termination status: converged (f <= epsilon), no_direction
-    (stationary and nothing improves), or budget."""
+    (stationary and nothing improves), or budget.  A target of zero norm
+    is a ValueError: the zero start fits it, so a run would report
+    converged after no work."""
     t_start = time.perf_counter()
     config.validate()
     T = np.asarray(T, dtype=float)
@@ -617,6 +619,8 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
         raise ValueError(f"target must be a d x d x d tensor, got {T.shape}")
     if not np.all(np.isfinite(T)):
         raise ValueError("target contains non-finite entries")
+    if np.linalg.norm(T) == 0.0:
+        raise ValueError("target has zero norm; there is nothing to fit")
     d = T.shape[0]
     r = config.r
     if r > d:

@@ -145,31 +145,34 @@ def check_euler(trials: int = 100, rng=None) -> LemmaReport:
     return _report("defect-euler-identity", n, failures, worst, tol)
 
 
-def _scale_point(p, s):
-    return FactorPoint(s * p.S, s * p.A, s * p.B, s * p.C)
-
-
 def _max_block_norm(p):
     return max(float(np.linalg.norm(b)) for b in p.blocks())
 
 
 def _boundary_scale(q, T, gamma):
-    """Largest multiplier keeping f(s*q) within the sublevel set, found
-    by doubling then bisection; f grows like s^8 once s is large."""
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        if objective(_scale_point(q, hi), T).f > gamma:
-            break
-        lo, hi = hi, 2.0 * hi
+    """Largest multiplier s keeping f(s*q) within the sublevel set f <= gamma.
+
+    The transform of s*q is s^4 X and its regularizer s^8 R(q), so along
+    the ray f(s*q) = a u^2 - 2 b u + c with u = s^4, a = |X|^2 + lam R(q),
+    b = <X, T> and c = |T|^2, all from one transform of q.  The boundary
+    is the largest root of a u^2 - 2 b u + (c - gamma), taken in the form
+    that does not cancel.  With no positive root (gamma = |T|^2 and
+    b <= 0, or no real root) the answer is 0; the caller's membership
+    test decides whether that point counts.  q must be nonzero.
+    """
+    X = q.apply().ravel()
+    t = T.ravel()
+    a = float(X @ X) + default_lambda(q.r) * reg(q)
+    b = float(X @ t)
+    k = float(t @ t) - gamma
+    disc = b * b - a * k
+    if disc < 0.0:
+        return 0.0
+    if b >= 0.0:
+        u = (b + math.sqrt(disc)) / a
     else:
-        return hi
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if objective(_scale_point(q, mid), T).f <= gamma:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        u = k / (b - math.sqrt(disc))
+    return max(u, 0.0) ** 0.25
 
 
 def check_sublevel_bound(gammas=(0.0, 1.0, 10.0, 100.0, 1000.0),
@@ -183,7 +186,9 @@ def check_sublevel_bound(gammas=(0.0, 1.0, 10.0, 100.0, 1000.0),
     sublevel boundary, where the bound is tightest.  Reusing one pool
     across levels pairs the extremes, so the growth exponent fitted over
     the positive levels is not order-statistic noise; it must stay at or
-    below 0.25, twice the predicted 1/8.
+    below 0.25, twice the predicted 1/8.  The boundary point comes from
+    the closed form of f along the ray (`_boundary_scale`), one objective
+    call per trial then tests that it lies in the set.
     """
     if rng is None:
         rng = np.random.default_rng(2)
@@ -199,7 +204,7 @@ def check_sublevel_bound(gammas=(0.0, 1.0, 10.0, 100.0, 1000.0),
     pool = []
     for _ in range(trials):
         q = random_point(r, d, rng)
-        pool.append(_scale_point(q, 1.0 / max(1e-12, _max_block_norm(q))))
+        pool.append(q * (1.0 / max(1e-12, _max_block_norm(q))))
     for gamma in gammas:
         bound = c * (gamma + 1.0) ** 0.125
         best = 0.0
@@ -210,11 +215,11 @@ def check_sublevel_bound(gammas=(0.0, 1.0, 10.0, 100.0, 1000.0),
                 nq = norm_f(Tq)
                 if nq < 1e-12:
                     continue
-                p = _scale_point(q, nq ** -0.25)
+                p = q * nq ** -0.25
                 f = objective(p, Tq / nq).f
             else:
                 s = _boundary_scale(pool[i], T, gamma)
-                p = _scale_point(pool[i], s)
+                p = pool[i] * s
                 f = objective(p, T).f
             if f > gamma + 1e-9:
                 continue
@@ -345,6 +350,16 @@ def _unit_rows(rng, n, d):
     return M / np.linalg.norm(M, axis=1, keepdims=True)
 
 
+def _evaluate_at_rows(X, A, B, C):
+    """X(a_s, b_s, c_s) for every row s of A, B and C, one mode-1 slice of X
+    at a time: sum_i A[s, i] <B[s] X[i], C[s]>.  Its temporaries are
+    (samples, d), never (samples, d, d)."""
+    vals = np.zeros(A.shape[0])
+    for i in range(X.shape[0]):
+        vals += A[:, i] * np.einsum("sk,sk->s", B @ X[i], C)
+    return vals
+
+
 def check_anti_concentration(dims=(3, 4, 5, 6), trials: int = 5,
                              rng=None, samples: int = 10_000) -> LemmaReport:
     """A tensor evaluated at random unit vectors lands above a tenth of
@@ -352,7 +367,8 @@ def check_anti_concentration(dims=(3, 4, 5, 6), trials: int = 5,
 
     Rank-one tensors, the most concentrated case, are cross-checked
     against the exact product-of-betas law for squared inner products of
-    random unit vectors.
+    random unit vectors.  The samples are evaluated one mode-1 slice of
+    the tensor at a time, as matrix products (`_evaluate_at_rows`).
     """
     if rng is None:
         rng = np.random.default_rng(6)
@@ -371,7 +387,7 @@ def check_anti_concentration(dims=(3, 4, 5, 6), trials: int = 5,
                 X = rng.standard_normal((d, d, d))
                 X /= norm_f(X)
             A, B, C = (_unit_rows(rng, samples, d) for _ in range(3))
-            vals = np.abs(np.einsum("ijk,si,sj,sk->s", X, A, B, C))
+            vals = np.abs(_evaluate_at_rows(X, A, B, C))
             phat = float(np.mean(vals >= thresh))
             worst = min(worst, phat)
             if phat < ANTI_CONCENTRATION_FLOOR:
@@ -623,13 +639,19 @@ CHECKS = {
 
 def run_suite(seed: int = 0, names=None) -> list[LemmaReport]:
     """Run the named checks (all by default), each on its own seeded
-    stream so single-check runs reproduce the full-suite results."""
+    stream so single-check runs reproduce the full-suite results.  An
+    empty selection, a repeated name or an unknown one is a ValueError."""
     if names is None:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks {unknown}; "
                          f"available: {sorted(CHECKS)}")
+    if not names:
+        raise ValueError(f"no checks selected; available: {sorted(CHECKS)}")
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise ValueError(f"checks selected more than once: {repeated}")
     root = np.random.SeedSequence(seed)
     streams = {name: np.random.default_rng(s)
                for name, s in zip(CHECKS, root.spawn(len(CHECKS)))}

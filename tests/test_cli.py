@@ -131,6 +131,16 @@ def test_decompose_requires_rank_when_metadata_lacks_it(tmp_path, capsys):
     assert "rank" in capsys.readouterr().err
 
 
+def test_decompose_zero_tensor_is_input_error(tmp_path, capsys):
+    path = tmp_path / "zero.json"
+    save_tensor_json(path, np.zeros((3, 3, 3)))
+    rc = main(["decompose", str(path), "--rank", "2",
+               "--out", str(tmp_path / "z")])
+    assert rc == EXIT_INPUT
+    assert "zero norm" in capsys.readouterr().err
+    assert not (tmp_path / "z.summary.json").exists()
+
+
 def test_decompose_input_errors(tmp_path, capsys):
     assert main(["decompose", str(tmp_path / "missing.json"),
                  "--rank", "2"]) == EXIT_INPUT
@@ -300,6 +310,18 @@ def test_verify_unknown_check_is_input_error(capsys):
     rc = main(["verify", "--checks", "nope"])
     assert rc == EXIT_INPUT
     assert "unknown checks" in capsys.readouterr().err
+
+
+def test_verify_empty_or_repeated_selection_is_input_error(tmp_path,
+                                                          capsys):
+    report = tmp_path / "report.json"
+    for checks, message in ((",", "no checks"), ("", "no checks"),
+                            ("euler,euler", "more than once")):
+        rc = main(["verify", "--checks", checks, "--out", str(report)])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not report.exists()
 
 
 def test_verify_corrupted_gradient_fails_suite(tmp_path, monkeypatch,

@@ -315,13 +315,12 @@ def test_negative_curvature_none_at_global_minimum():
 # the run loop
 
 
-def test_run_zero_target_terminates_immediately():
-    res = run(np.zeros((3, 3, 3)), SearchConfig(r=2, seed=0))
-    assert res.status == "converged"
-    assert res.f == 0.0
-    assert res.rounds == 0
-    assert res.grad_evals == 0
-    assert len(res.trace.records) == 1
+def test_run_rejects_a_zero_target():
+    # the zero start fits such a target exactly, so a run would report
+    # converged after no work; a norm that underflows counts as zero
+    for T in (np.zeros((4, 4, 4)), np.full((3, 3, 3), 1e-200)):
+        with pytest.raises(ValueError, match="zero norm"):
+            run(T, SearchConfig(r=2, seed=0))
 
 
 def test_run_exact_rank_instance_converges():

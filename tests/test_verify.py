@@ -1,12 +1,16 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from tuckersearch.objective import grad_loss, grad_reg
-from tuckersearch.tensor_core import FactorPoint, random_point
+import tuckersearch.verify as verify_module
+from tuckersearch.objective import grad_loss, grad_reg, objective
+from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
+                                      norm_f, random_point)
 from tuckersearch.verify import (ANTI_CONCENTRATION_FLOOR, CHECKS,
                                  LemmaReport, SUBLEVEL_NORM_CONSTANT,
+                                 _boundary_scale, _evaluate_at_rows,
                                  check_anti_concentration,
                                  check_core_lower_bound, check_euler,
                                  check_orthogonality, check_sublevel_bound,
@@ -83,6 +87,117 @@ def test_sublevel_norms_stay_under_frozen_constant():
     # boundary points at higher levels really are bigger
     ex = rep.details["extremes"]
     assert ex["100.0"] > ex["1.0"]
+
+
+def _bisect_boundary_scale(q, T, gamma):
+    """Reference: the largest s with f(s*q) <= gamma by doubling then
+    bisection on the package's objective."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        if objective(q * hi, T).f > gamma:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        return hi
+    for _ in range(50):
+        mid = 0.5 * (lo + hi)
+        if objective(q * mid, T).f <= gamma:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _sublevel_instance(seed, trials=40):
+    """The target and the direction pool check_sublevel_bound draws."""
+    rng = np.random.default_rng(seed)
+    truth = random_point(2, 4, rng)
+    T = multilinear_transform(truth.S, truth.A, truth.B, truth.C)
+    T = T / norm_f(T)
+    pool = []
+    for _ in range(trials):
+        q = random_point(2, 4, rng)
+        pool.append(q * (1.0 / max(float(np.linalg.norm(b))
+                                   for b in q.blocks())))
+    return T, pool
+
+
+@pytest.mark.parametrize("seed", [2, 11])
+def test_boundary_scale_matches_bisection_reference(seed):
+    T, pool = _sublevel_instance(seed)
+    c = float(T.ravel() @ T.ravel())
+    gammas = inspect.signature(check_sublevel_bound).parameters["gammas"]
+    levels = [g for g in gammas.default if g > 0]
+    for gamma in levels:
+        for q in pool:
+            s = _boundary_scale(q, T, gamma)
+            ref = _bisect_boundary_scale(q, T, gamma)
+            if abs(gamma - c) > 1e-9:
+                assert abs(s - ref) <= 1e-12 * ref
+            else:
+                # at gamma = |T|^2 the boundary root is set by rounding: f
+                # is within an ulp of gamma over a whole stretch of the ray
+                # near s = 0.  Both answers lie on the boundary to rounding
+                for t in (s, ref):
+                    assert abs(objective(q * t, T).f - gamma) <= 4e-16 * gamma
+
+
+def test_boundary_scale_is_zero_when_the_ray_leaves_the_target_level():
+    T, pool = _sublevel_instance(2)
+    c = float(T.ravel() @ T.ravel())
+    for q in pool[:10]:
+        if float(q.apply().ravel() @ T.ravel()) > 0.0:
+            # X is linear in the core, and R sees it only through S S^T
+            q = FactorPoint(-q.S, q.A, q.B, q.C)
+        assert float(q.apply().ravel() @ T.ravel()) <= 0.0
+        assert _boundary_scale(q, T, c) == 0.0
+        # the bisection stops inside the stretch of the ray where f
+        # rounds to c
+        ref = _bisect_boundary_scale(q, T, c)
+        assert objective(q * ref, T).f == c
+        # just below |T|^2 both roots are negative and the set is empty
+        below = (1.0 - 1e-6) * c
+        assert _boundary_scale(q, T, below) == 0.0
+        assert _bisect_boundary_scale(q, T, below) == 0.0
+    # a zero core gives X = 0 and <X, T> = 0 exactly
+    q = pool[0]
+    q = FactorPoint(0.0 * q.S, q.A, q.B, q.C)
+    assert _boundary_scale(q, T, c) == 0.0
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sublevel_boundary_points_stay_in_their_sublevel_set(seed):
+    # every point the closed form returns passes the check's own
+    # membership test, so no trial is skipped
+    rep = check_sublevel_bound(rng=np.random.default_rng(seed))
+    assert rep.trials == 200
+    assert rep.passed
+
+
+def test_sublevel_check_calls_objective_at_most_twice_per_trial(monkeypatch):
+    # a guard on the boundary search: the closed form needs one objective
+    # call per trial, for the membership test, where the doubling and
+    # bisection made about 8,600 over the check.  The count repeats exactly
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return objective(*args, **kwargs)
+
+    monkeypatch.setattr(verify_module, "objective", counting)
+    rep = check_sublevel_bound()
+    assert rep.trials == 200
+    assert 0 < len(calls) <= 2 * rep.trials
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_per_mode_contraction_matches_four_operand_einsum(d):
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((d, d, d))
+    A, B, C = (rng.standard_normal((500, d)) for _ in range(3))
+    ref = np.einsum("ijk,si,sj,sk->s", X, A, B, C)
+    assert np.allclose(_evaluate_at_rows(X, A, B, C), ref, rtol=0.0,
+                       atol=1e-12)
 
 
 def test_core_lower_bound_holds():
@@ -186,6 +301,13 @@ def test_suite_selector_runs_named_check_on_matching_stream():
 def test_suite_rejects_unknown_selector_and_reports_choices():
     with pytest.raises(ValueError, match="unknown checks"):
         run_suite(names=["euler", "bogus"])
+
+
+def test_suite_rejects_empty_and_repeated_selections():
+    with pytest.raises(ValueError, match="no checks"):
+        run_suite(names=[])
+    with pytest.raises(ValueError, match="more than once"):
+        run_suite(names=["euler", "wedin", "euler"])
 
 
 def test_suite_json_reports_aggregate_flag():
