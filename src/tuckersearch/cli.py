@@ -110,21 +110,10 @@ def _load_config(args) -> dict:
     return doc
 
 
-def _tensor_meta(path) -> dict:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if isinstance(doc, dict) and isinstance(doc.get("meta"), dict):
-            return doc["meta"]
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        pass
-    return {}
-
-
 def cmd_decompose(args) -> int:
     try:
         doc = _load_config(args)
-        T = load_tensor(args.tensor)
+        T, meta = load_tensor(args.tensor, with_meta=True)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     if T.shape[0] != T.shape[1] or T.shape[0] != T.shape[2]:
@@ -136,7 +125,7 @@ def cmd_decompose(args) -> int:
                      f"dimension {d}")
     out = doc.pop("out", "run")
     if doc.get("r") is None:
-        meta_r = _tensor_meta(args.tensor).get("r")
+        meta_r = meta.get("r")
         if meta_r is None:
             return _fail("rank not given and tensor metadata has none; "
                          "pass --rank")

@@ -4,13 +4,14 @@ The driver alternates two stages until the objective reaches the target,
 no direction helps, or the gradient-evaluation budget runs out:
 
   1. descend to an approximate second-order stationary point with
-     backtracking gradient descent whose first trial step is the
-     Barzilai-Borwein step, exploiting negative curvature found by power
-     iteration on a shifted Hessian-vector product.  A small gradient,
-     or f falling by no more than 1e-6 f over the last 50 accepted
-     steps, sends the descent to the curvature probe; no negative
-     curvature there makes the point stationary.  The descent also ends
-     as soon as f reaches the target;
+     backtracking line searches along L-BFGS directions, built from the
+     last LBFGS_MEMORY (s, y) pairs between gradient points, exploiting
+     negative curvature found by a Lanczos probe of at most
+     LANCZOS_STEPS Hessian-vector products.  A small gradient, or f
+     falling by no more than 1e-6 f over the last 50 accepted steps,
+     sends the descent to the curvature probe; no negative curvature
+     there makes the point stationary.  The descent also ends as soon
+     as f reaches the target;
   2. at the stationary point, propose escape directions: the sampled
      rank-one block updates, the deterministic core fix, and removal of
      off-span factor mass; accept the best if it improves enough.
@@ -38,7 +39,7 @@ import math
 import numbers
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,6 +58,10 @@ SAMPLED_BLOCKS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (2, 1, 2),
 # accepted steps is treated as stationary and probes the curvature
 STALL_WINDOW = 50
 STALL_TOL = 1e-6
+# (s, y) pairs the L-BFGS direction keeps, and Hessian-vector products a
+# Lanczos curvature probe may take
+LBFGS_MEMORY = 5
+LANCZOS_STEPS = 12
 
 
 class ScheduleError(Exception):
@@ -259,8 +264,9 @@ class TraceRecord:
 
     def to_json_dict(self) -> dict:
         # wall time stays out of the serialized record so that traces from
-        # identical (config, seed) runs are byte-identical
-        out = asdict(self)
+        # identical (config, seed) runs are byte-identical; every field is a
+        # scalar, so a shallow copy of the fields serializes as asdict would
+        out = dict(vars(self))
         del out["wall_time"]
         return out
 
@@ -389,71 +395,74 @@ def _require_finite(value: float, what: str, trace=None) -> None:
         raise NonFiniteError(f"{what} became non-finite", trace=trace)
 
 
-def _negative_curvature(p: FactorPoint, tau2: float, iters: int,
-                        restarts: int, rng: np.random.Generator,
-                        ev: Evaluator):
-    """Power iteration on (c I - H); returns (direction or None, rayleigh).
-    c is a conservative shift above ||H|| estimated from a few product
-    probes.  A probe the budget cannot pay for ends the search with an
-    infinite Rayleigh quotient: nothing was measured."""
-    r, d = p.r, p.d
+def _negative_curvature(p: FactorPoint, tau2: float,
+                        rng: np.random.Generator, ev: Evaluator):
+    """Lanczos on the Hessian from one random unit start, with full
+    reorthogonalization; returns (unit Ritz direction or None, smallest
+    Ritz value).
+
+    The first product is also the flat-Hessian probe: with 4 |Hq| < tau2
+    the search returns its Rayleigh quotient and no direction.  The
+    iteration stops once the smallest Ritz value theta is at most -tau2/2
+    with residual beta |e_k.y| <= 0.1 |theta|, or once beta vanishes and
+    the Ritz values are exact, and otherwise after LANCZOS_STEPS products;
+    a direction comes back whenever theta <= -tau2/2.  A product the
+    budget cannot pay for ends the search with an infinite value: nothing
+    was measured."""
+    q = rng.standard_normal(p.flat.size)
+    basis = [q / np.linalg.norm(q)]
+    alphas, betas = [], []
     hnorm = 0.0
-    q = random_point(r, d, rng)
-    q = (1.0 / q.norm()) * q
-    for _ in range(3):
+    for _ in range(LANCZOS_STEPS):
         if not ev.affords(2):
             return None, math.inf
-        Hq = ev.hvp(p, q)
-        rho = q.inner(Hq)
-        n = Hq.norm()
-        hnorm = max(hnorm, n)
-        if n <= 1e-14:
+        q = basis[-1]
+        w = ev.hvp(p, p._like(q)).flat
+        alpha = float(q @ w)
+        _require_finite(alpha, "curvature estimate")
+        hnorm = max(hnorm, float(np.linalg.norm(w)))
+        if len(basis) == 1 and 4.0 * hnorm < tau2:
+            return None, alpha
+        alphas.append(alpha)
+        # full reorthogonalization, in two passes; it also takes out the
+        # alpha q and beta q_prev terms of the three-term recurrence
+        Q = np.array(basis)
+        for _ in range(2):
+            w = w - Q.T @ (Q @ w)
+        beta = float(np.linalg.norm(w))
+        ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1)
+                                    + np.diag(betas, -1))
+        theta, y = float(ritz[0]), vecs[:, 0]
+        if beta <= 1e-10 * hnorm or (theta <= -tau2 / 2.0 and
+                                     beta * abs(y[-1]) <= 0.1 * abs(theta)):
             break
-        q = (1.0 / n) * Hq
-    _require_finite(rho, "curvature estimate")
-    if 4.0 * hnorm < tau2:
-        # the shift below trusts 2 hnorm as a bound on the spectrum; under
-        # it no eigenvalue lies below -tau2/2, so power iteration would
-        # find nothing
-        return None, rho
-    c = 2.0 * hnorm + tau2
-    best_rho = math.inf
-    best_dir = None
-    for _ in range(restarts):
-        v = random_point(r, d, rng)
-        v = (1.0 / v.norm()) * v
-        for _ in range(iters):
-            if not ev.affords(2):
-                return None, math.inf
-            Hv = ev.hvp(p, v)
-            w = c * v - Hv
-            nw = w.norm()
-            if nw <= 1e-300:
-                break
-            v = (1.0 / nw) * w
-        if not ev.affords(2):
-            return None, math.inf
-        Hv = ev.hvp(p, v)
-        rho = v.inner(Hv)
-        _require_finite(rho, "curvature estimate")
-        if rho < best_rho:
-            best_rho = rho
-            best_dir = v
-        if best_rho <= -tau2 / 2.0:
-            return best_dir, best_rho
-    return None, best_rho
+        betas.append(beta)
+        basis.append(w / beta)
+    if theta > -tau2 / 2.0:
+        return None, theta
+    v = y @ Q
+    return p._like(v / np.linalg.norm(v)), theta
 
 
-def _bb_step(last_grad, p: FactorPoint, g: FactorPoint,
-             fallback: float) -> float:
-    """Barzilai-Borwein step s.s / s.y from the point change s and the
-    gradient change y since the last gradient; `fallback` without a
-    previous gradient or where s.y <= 0 (no positive curvature along s)."""
-    if last_grad is None:
-        return fallback
-    s = p.flat - last_grad[0].flat
-    sy = float(s @ (g.flat - last_grad[1].flat))
-    return float(s @ s) / sy if sy > 0.0 else fallback
+def _lbfgs_direction(pairs, g: FactorPoint):
+    """The L-BFGS direction -H g by the two-loop recursion over the
+    (s, y, s.y) pairs, oldest first, from H0 = (s.y / y.y) I of the newest
+    pair; None without a pair or where -H g is not a descent direction."""
+    if not pairs:
+        return None
+    q = g.flat.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        a = float(s @ q) / sy
+        q -= a * y
+        alphas.append(a)
+    s, y, sy = pairs[-1]
+    q *= sy / float(y @ y)
+    for (s, y, sy), a in zip(pairs, reversed(alphas)):
+        q += (a - float(y @ q) / sy) * s
+    if not float(g.flat @ q) > 0.0:
+        return None
+    return g._like(-q)
 
 
 def _line_search(p, direction, f0, ev, init_step=1.0,
@@ -478,17 +487,24 @@ def _line_search(p, direction, f0, ev, init_step=1.0,
 
 def _find_sosp(p: FactorPoint, budget: Evaluator, tau1: float, tau2: float,
                rng: np.random.Generator, rep: ObjectiveReport,
-               trace: SearchTrace, epsilon: float = -math.inf,
-               nc_iters: int = 25, nc_restarts: int = 2):
+               trace: SearchTrace, epsilon: float = -math.inf):
     """Descend from p, whose finite objective report the caller passes as
     rep, recording each accepted step in trace, until f <= epsilon, the
     point is stationary or the budget runs out.  Returns (point,
     FindSospInfo) with the final point's report.  (`budget` keeps its name:
-    the benchmark's tracer reads `budget.exhausted` to classify the stop.)"""
+    the benchmark's tracer reads `budget.exhausted` to classify the stop.)
+
+    Each descent step line-searches the L-BFGS direction from a first
+    trial step of 1.  Without a pair, or where that direction does not
+    descend, the memory is cleared and the step goes along -g from twice
+    the last such step.  A small gradient, a stalled descent or a failed
+    line search probes the curvature; a negative-curvature direction is
+    line-searched both ways, and none makes the point stationary."""
     step_hint = 1.0
     gn = None
     min_curv = None
     last_grad = None  # (point, gradient) where the last gradient was taken
+    pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, s.y), oldest first
     recent = deque([rep.f], maxlen=STALL_WINDOW + 1)
     while True:
         if rep.f <= epsilon or budget.exhausted:
@@ -506,23 +522,33 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, tau1: float, tau2: float,
             gn = g.norm()
             _require_finite(gn, "gradient", trace)
             kind, seen = "gradient", {"grad_norm": gn}
+            if last_grad is not None:
+                s = p.flat - last_grad[0].flat
+                y = g.flat - last_grad[1].flat
+                sy = float(s @ y)
+                if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+                    pairs.append((s, y, sy))
+            last_grad = (p, g)
             # no progress over a whole window counts as a small gradient
             stalled = (len(recent) > STALL_WINDOW
                        and recent[0] - recent[-1] <= STALL_TOL * recent[-1])
             if gn > tau1 and not stalled:
-                hit = _line_search(p, -1.0 * g, rep.f, budget,
-                                   init_step=_bb_step(last_grad, p, g,
-                                                      2.0 * step_hint),
-                                   slope=gn * gn)
-            last_grad = (p, g)
-            if hit is not None:
-                step_hint = hit[2]
+                direction = _lbfgs_direction(pairs, g)
+                if direction is not None:
+                    hit = _line_search(p, direction, rep.f, budget,
+                                       slope=-g.inner(direction))
+                else:
+                    pairs.clear()
+                    hit = _line_search(p, -1.0 * g, rep.f, budget,
+                                       init_step=2.0 * step_hint,
+                                       slope=gn * gn)
+                    if hit is not None:
+                        step_hint = hit[2]
         if hit is None:
             # the gradient is small, descent has stalled, or the line
             # search cannot realize the descent it promises: probe the
             # curvature
-            direction, rho = _negative_curvature(p, tau2, nc_iters,
-                                                 nc_restarts, rng, budget)
+            direction, rho = _negative_curvature(p, tau2, rng, budget)
             if direction is None:
                 if not math.isfinite(rho):
                     # the budget died before a Rayleigh quotient came back

@@ -272,12 +272,24 @@ def save_tensor_json(path, X: np.ndarray, meta: dict | None = None) -> None:
         fh.write("\n")
 
 
-def load_tensor_json(path) -> np.ndarray:
-    with open(path) as fh:
-        doc = json.load(fh)
+def _parse_json(blob: bytes, path) -> tuple[np.ndarray, dict]:
+    """Tensor and `meta` object ({} when absent or not an object) of the
+    bytes of a JSON tensor file."""
+    doc = json.loads(blob)
     if not isinstance(doc, dict) or "dims" not in doc or "data" not in doc:
         raise ValueError(f"{path}: expected an object with dims and data")
-    return _validate_payload(doc["dims"], doc["data"])
+    meta = doc.get("meta")
+    return (_validate_payload(doc["dims"], doc["data"]),
+            meta if isinstance(meta, dict) else {})
+
+
+def _read(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def load_tensor_json(path) -> np.ndarray:
+    return _parse_json(_read(path), path)[0]
 
 
 def save_tensor_binary(path, X: np.ndarray) -> None:
@@ -288,9 +300,7 @@ def save_tensor_binary(path, X: np.ndarray) -> None:
         fh.write(X.astype("<f8").tobytes())
 
 
-def load_tensor_binary(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def _parse_binary(blob: bytes, path) -> np.ndarray:
     if blob[:4] != MAGIC:
         raise ValueError(f"{path}: bad magic, not a binary tensor file")
     if len(blob) < 28:
@@ -305,10 +315,18 @@ def load_tensor_binary(path) -> np.ndarray:
     return _validate_payload(dims, data)
 
 
-def load_tensor(path) -> np.ndarray:
-    """Load a tensor file, sniffing the binary magic, else JSON."""
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if head == MAGIC:
-        return load_tensor_binary(path)
-    return load_tensor_json(path)
+def load_tensor_binary(path) -> np.ndarray:
+    return _parse_binary(_read(path), path)
+
+
+def load_tensor(path, with_meta: bool = False):
+    """Load a tensor file from one read, sniffing the binary magic, else
+    JSON.  With `with_meta`, return (tensor, meta): the JSON file's `meta`
+    object, or {} for a binary file or where it is absent or not an
+    object."""
+    blob = _read(path)
+    if blob[:4] == MAGIC:
+        T, meta = _parse_binary(blob, path), {}
+    else:
+        T, meta = _parse_json(blob, path)
+    return (T, meta) if with_meta else T

@@ -125,6 +125,7 @@ def test_criterion_05_desk_scale_convergence():
     start = time.perf_counter()
     r, d = 2, 8
     hits_loose, hits_tight = 0, 0
+    total_evals = 0
     for seed in range(20):
         rng = np.random.default_rng(np.random.SeedSequence([505, seed]))
         truth = random_point(r, d, rng)
@@ -133,13 +134,18 @@ def test_criterion_05_desk_scale_convergence():
         result = run(T, SearchConfig(r=r, epsilon=1e-4,
                                      seed=seed, budget=50_000, init="zero"))
         assert result.grad_evals <= 50_000
+        total_evals += result.grad_evals
         hits_tight += result.f <= 1e-3
         hits_loose += result.f <= 1e-2
     elapsed = time.perf_counter() - start
+    # the evaluation total guards the descent policy: L-BFGS directions
+    # and the Lanczos curvature probe take about 3,300 here, steepest
+    # descent from Barzilai-Borwein steps with a power-iteration probe 9,195
     _verdict("desk-scale exact recovery",
-             hits_tight >= 18 and hits_loose == 20 and elapsed < 600.0,
+             hits_tight >= 18 and hits_loose == 20 and total_evals <= 5_000
+             and elapsed < 600.0,
              f"{hits_tight}/20 at 1e-3, {hits_loose}/20 at 1e-2, "
-             f"{elapsed:.0f}s")
+             f"{total_evals} gradient evaluations, {elapsed:.0f}s")
 
 
 def test_criterion_06_origin_saddle_escape():

@@ -131,6 +131,46 @@ def test_decompose_requires_rank_when_metadata_lacks_it(tmp_path, capsys):
     assert "rank" in capsys.readouterr().err
 
 
+def test_decompose_reads_the_tensor_file_once(tmp_path, monkeypatch):
+    # without --rank the rank comes from the metadata of the same parse
+    import builtins
+    T_path = gen(tmp_path, r=2, d=4, seed=7)
+    opened, parsed = [], []
+    real_open, real_loads = builtins.open, json.loads
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    def recording_loads(s, *args, **kwargs):
+        parsed.append(len(s))
+        return real_loads(s, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(json, "loads", recording_loads)
+    rc = main(["decompose", str(T_path), "--out", str(tmp_path / "once")])
+    monkeypatch.undo()
+    assert rc == EXIT_OK
+    assert opened.count(str(T_path)) == 1
+    assert parsed == [T_path.stat().st_size]
+    summary = json.loads((tmp_path / "once.summary.json").read_text())
+    assert summary["config"]["r"] == 2
+
+
+def test_decompose_takes_no_rank_from_binary_or_malformed_metadata(
+        tmp_path, capsys):
+    binary = gen(tmp_path, "T.bin", extra=("--binary",))
+    malformed = tmp_path / "malformed.json"
+    save_tensor_json(malformed, load_tensor(binary), meta=None)
+    doc = json.loads(malformed.read_text())
+    doc["meta"] = [2]
+    malformed.write_text(json.dumps(doc))
+    for path in (binary, malformed):
+        rc = main(["decompose", str(path), "--out", str(tmp_path / "x")])
+        assert rc == EXIT_INPUT
+        assert "rank" in capsys.readouterr().err
+
+
 def test_decompose_zero_tensor_is_input_error(tmp_path, capsys):
     path = tmp_path / "zero.json"
     save_tensor_json(path, np.zeros((3, 3, 3)))

@@ -1,5 +1,6 @@
 """Tests for the local search driver: schedule, stationary-point finding,
 negative curvature, and the full run loop."""
+import dataclasses
 import json
 import math
 
@@ -176,18 +177,19 @@ def test_find_sosp_escapes_constructed_strict_saddle():
 
 
 def test_find_sosp_curvature_probe_cut_short_is_not_converged():
-    # the saddle has curvature at most -2 theta, but 30 evaluations cannot
-    # pay for a whole power iteration: the descent must not claim a
-    # stationary point
+    # the saddle has curvature at most -2 theta; the Lanczos probe needs 8
+    # products (16 evaluations) after the first gradient, and a budget of 12
+    # stops it after 5: the descent must not claim a stationary point
     p, T = make_flat_saddle(0.3)
-    _, info = find_sosp(p, T, budget=30, seed=0)
+    _, info = find_sosp(p, T, budget=12, seed=0)
     assert not info.converged
     assert info.min_curvature is None
 
 
 def record_gradient_line_searches(monkeypatch):
     """Wrap search._line_search; for each gradient line search record the
-    point, the gradient, the first trial step and the accepted step."""
+    point, the direction, the first trial step, the Armijo slope and the
+    accepted step."""
     calls = []
     line_search = search_module._line_search
 
@@ -195,7 +197,7 @@ def record_gradient_line_searches(monkeypatch):
         hit = line_search(p, direction, f0, ev, init_step=init_step,
                           slope=slope, **kw)
         if slope is not None:
-            calls.append((p, -1.0 * direction, init_step,
+            calls.append((p, direction, init_step, slope,
                           None if hit is None else hit[2]))
         return hit
 
@@ -203,21 +205,63 @@ def record_gradient_line_searches(monkeypatch):
     return calls
 
 
-def test_gradient_line_search_starts_at_the_barzilai_borwein_step(
-        monkeypatch):
+def dense_inverse_bfgs(pairs, n):
+    """The inverse-Hessian estimate of BFGS as a dense matrix: from
+    (s.y / y.y) I of the newest pair, one update per pair, oldest first."""
+    s, y = pairs[-1]
+    H = (float(s @ y) / float(y @ y)) * np.eye(n)
+    for s, y in pairs:
+        rho = 1.0 / float(s @ y)
+        V = np.eye(n) - rho * np.outer(y, s)
+        H = V.T @ H @ V + rho * np.outer(s, s)
+    return H
+
+
+def test_lbfgs_direction_matches_dense_inverse_bfgs():
+    rng = np.random.default_rng(3)
+    p = random_point(2, 3, rng)
+    n = p.flat.size
+    M = rng.standard_normal((n, n))
+    curvature = M @ M.T + 0.1 * np.eye(n)
+    g = random_point(2, 3, rng)
+    pairs = []
+    for _ in range(search_module.LBFGS_MEMORY):
+        s = rng.standard_normal(n)
+        y = curvature @ s
+        pairs.append((s, y))
+        direction = search_module._lbfgs_direction(
+            [(s, y, float(s @ y)) for s, y in pairs], g)
+        want = -dense_inverse_bfgs(pairs, n) @ g.flat
+        assert np.linalg.norm(direction.flat - want) <= (
+            1e-10 * np.linalg.norm(want))
+    assert search_module._lbfgs_direction([], g) is None
+
+
+def test_gradient_line_search_follows_the_lbfgs_direction(monkeypatch):
     calls = record_gradient_line_searches(monkeypatch)
     T = exact_instance(2, 4, 0)
     p0 = random_point(2, 4, np.random.default_rng(0), scale=0.5)
     # lambda = 0 keeps rebalance moves out of the way
-    find_sosp(p0, T, lam=0.0, budget=3)
-    assert len(calls) == 3
-    # no gradient history yet: twice the initial hint of 1
-    assert calls[0][2] == 2.0
-    for (p_prev, g_prev, _, _), (p, g, first, _) in zip(calls, calls[1:]):
-        s = p.flat - p_prev.flat
-        sy = float(s @ (g.flat - g_prev.flat))
-        assert sy > 0.0
-        assert math.isclose(first, float(s @ s) / sy, rel_tol=1e-12)
+    find_sosp(p0, T, lam=0.0, budget=12)
+    assert len(calls) == 12
+    # no pair yet: along -g from twice the initial hint of 1
+    p, direction, first, slope, _ = calls[0]
+    g = grad(p, T, 0.0)
+    assert np.array_equal(direction.flat, -g.flat)
+    assert first == 2.0
+    assert math.isclose(slope, g.inner(g), rel_tol=1e-12)
+    pairs = []
+    for (p_prev, *_), (p, direction, first, slope, _) in zip(calls,
+                                                             calls[1:]):
+        g_prev, g = grad(p_prev, T, 0.0), grad(p, T, 0.0)
+        s, y = p.flat - p_prev.flat, g.flat - g_prev.flat
+        assert float(s @ y) > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y)
+        pairs = (pairs + [(s, y)])[-search_module.LBFGS_MEMORY:]
+        want = -dense_inverse_bfgs(pairs, s.size) @ g.flat
+        assert np.linalg.norm(direction.flat - want) <= (
+            1e-10 * np.linalg.norm(want))
+        assert first == 1.0
+        assert math.isclose(slope, -g.inner(direction), rel_tol=1e-12)
 
 
 def test_gradient_line_search_falls_back_where_curvature_is_negative(
@@ -229,20 +273,25 @@ def test_gradient_line_search_falls_back_where_curvature_is_negative(
     eps = 0.01
     p0 = FactorPoint(np.full((1, 1, 1), eps), np.full((1, 1), eps),
                      np.ones((1, 1)), np.ones((1, 1)))
-    find_sosp(p0, np.ones((1, 1, 1)), lam=0.0, budget=2)
+    T = np.ones((1, 1, 1))
+    find_sosp(p0, T, lam=0.0, budget=2)
     assert len(calls) == 2
-    (p_prev, g_prev, first0, step0), (p, g, first1, _) = calls
+    (p_prev, d_prev, first0, _, step0), (p, d, first1, _, _) = calls
     assert first0 == 2.0 and step0 is not None
+    g_prev, g = grad(p_prev, T, 0.0), grad(p, T, 0.0)
+    # with no pair kept, both steps go along -g
+    assert np.array_equal(d_prev.flat, -g_prev.flat)
+    assert np.array_equal(d.flat, -g.flat)
     s = p.flat - p_prev.flat
     assert float(s @ (g.flat - g_prev.flat)) < 0.0
     assert first1 == 2.0 * step0
 
 
 def test_plateau_descent_hands_off_to_escape(monkeypatch):
-    # criterion 05's r=2, d=8, seed-0 target: after the first escape step
-    # the descent sits on a plateau where f moves in its sixth digit and
-    # the gradient norm stays between 1e-5 and 1e-4 (above tau1 = 1e-6),
-    # so only the progress window can end it
+    # criterion 05's r=2, d=8, seed-1 target: after the first escape step
+    # the descent sits on a plateau near f = 0.0386 where f moves in its
+    # seventh digit and the gradient norm stays above 1e-6 = tau1, so only
+    # the progress window can end it
     descents = []
     find = search_module._find_sosp
 
@@ -254,8 +303,8 @@ def test_plateau_descent_hands_off_to_escape(monkeypatch):
 
     monkeypatch.setattr(search_module, "_find_sosp", recording)
     line_searches = record_gradient_line_searches(monkeypatch)
-    config = SearchConfig(r=2, seed=0)
-    res = run(desk_instance(2, 8, 0), config)
+    config = SearchConfig(r=2, seed=1)
+    res = run(desk_instance(2, 8, 1), config)
     assert res.status == "converged"
     # with every gradient line search succeeding, a stationary verdict
     # above tau1 is the progress hand-off
@@ -273,16 +322,16 @@ def test_negative_curvature_exits_at_a_flat_hessian():
     T = np.einsum("i,j,k->ijk", u, v, w)
     T /= norm_f(T)
     ev = Evaluator(T, default_lambda(2), 10**9)
-    direction, rho = _negative_curvature(FactorPoint.zeros(2, 8), 1e-4, 25,
-                                         2, np.random.default_rng(0), ev)
+    direction, rho = _negative_curvature(FactorPoint.zeros(2, 8), 1e-4,
+                                         np.random.default_rng(0), ev)
     assert direction is None
     assert math.isfinite(rho)
     assert ev.used <= 6
 
 
-def curvature_direction(p, T, lam, tau2, iters, rng):
+def curvature_direction(p, T, lam, tau2, rng):
     """Unit direction with Rayleigh quotient at most -tau2/2, or None."""
-    direction, _ = _negative_curvature(p, tau2, iters, 2, rng,
+    direction, _ = _negative_curvature(p, tau2, rng,
                                        Evaluator(T, lam, 10**9))
     return direction
 
@@ -293,7 +342,7 @@ def test_negative_curvature_on_hand_solved_instance():
     p = FactorPoint(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.ones((1, 1)),
                     np.ones((1, 1)))
     T = np.ones((1, 1, 1))
-    direction = curvature_direction(p, T, lam=0.0, tau2=1e-4, iters=50,
+    direction = curvature_direction(p, T, lam=0.0, tau2=1e-4,
                                     rng=np.random.default_rng(0))
     assert direction is not None
     assert math.isclose(direction.norm(), 1.0, rel_tol=1e-9)
@@ -307,8 +356,56 @@ def test_negative_curvature_none_at_global_minimum():
     truth = balanced_random_point(2, 3, rng)
     T = multilinear_transform(truth.S, truth.A, truth.B, truth.C)
     direction = curvature_direction(truth, T, default_lambda(2), tau2=1e-4,
-                                    iters=30, rng=np.random.default_rng(2))
+                                    rng=np.random.default_rng(2))
     assert direction is None
+
+
+def dense_hessian(p, T, lam):
+    """The Hessian at p assembled column by column from hvp, symmetrized."""
+    n = p.flat.size
+    H = np.empty((n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = 1.0
+        H[:, j] = hvp(p, p._like(e), T, lam).flat
+    return 0.5 * (H + H.T)
+
+
+def test_lanczos_ritz_value_matches_dense_hessian_spectrum():
+    # exact saddles with r = 3, d = 3 (their smallest eigenvalue is -2
+    # theta) and r = d = 1 (eigenvalues {-2, 2, 0, 0}); the probe's Ritz
+    # value lies above the smallest eigenvalue and within its own
+    # residual bound, 0.1 |rho|, of it, and it is the Rayleigh quotient of
+    # the direction returned
+    saddles = [make_flat_saddle(theta) + (lam,)
+               for theta in (0.1, 0.3, 1.0) for lam in (0.0, 1e-3)]
+    saddles.append((FactorPoint(np.zeros((1, 1, 1)), np.zeros((1, 1)),
+                                np.ones((1, 1)), np.ones((1, 1))),
+                    np.ones((1, 1, 1)), 0.0))
+    for p, T, lam in saddles:
+        H = dense_hessian(p, T, lam)
+        lowest = np.linalg.eigvalsh(H)[0]
+        assert lowest < -0.1
+        for seed in range(3):
+            ev = Evaluator(T, lam, 10**9)
+            direction, rho = _negative_curvature(
+                p, 1e-4, np.random.default_rng(seed), ev)
+            assert ev.used <= 2 * search_module.LANCZOS_STEPS
+            assert direction is not None
+            assert math.isclose(direction.norm(), 1.0, rel_tol=1e-9)
+            assert lowest - 1e-8 <= rho <= lowest + 0.1 * abs(rho)
+            assert abs(direction.flat @ H @ direction.flat - rho) <= 1e-6
+    # at a global minimum the spectrum is nonnegative and no direction
+    # comes back
+    rng = np.random.default_rng(1)
+    truth = balanced_random_point(2, 3, rng)
+    T = multilinear_transform(truth.S, truth.A, truth.B, truth.C)
+    lowest = np.linalg.eigvalsh(dense_hessian(truth, T, 1e-3))[0]
+    direction, rho = _negative_curvature(truth, 1e-4,
+                                         np.random.default_rng(2),
+                                         Evaluator(T, 1e-3, 10**9))
+    assert direction is None
+    assert lowest - 1e-8 <= rho
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +441,10 @@ def test_run_stops_descending_at_epsilon():
 
 def test_desk_grid_gradient_evaluation_count():
     # a guard on the descent policy: the desk grid, (r, d) in (2, 8),
-    # (3, 16), (4, 24) x seeds 0-2, takes about 5,000 gradient evaluations
-    # (4,965 with BLAS at one thread), and a descent that ends only on a
-    # small gradient or a fixed cap of 3,000 takes 38,844.  For a given
-    # BLAS build and thread count the count repeats exactly
+    # (3, 16), (4, 24) x seeds 0-2, takes about 2,100 gradient evaluations
+    # (2,132 with BLAS at one thread, 2,123 at two), and a descent that
+    # ends only on a small gradient or a fixed cap of 3,000 takes 38,844.
+    # For a given BLAS build and thread count the count repeats exactly
     total = 0
     for r, d in ((2, 8), (3, 16), (4, 24)):
         for seed in range(3):
@@ -392,6 +489,19 @@ def test_trace_lines_exclude_wall_time(tmp_path):
     for line in path.read_text().splitlines():
         assert set(json.loads(line)) == expected
     assert all(rec.wall_time >= 0.0 for rec in res.trace.records)
+
+
+def test_trace_lines_match_the_asdict_serialization(tmp_path):
+    res = run(desk_instance(2, 8, 1), SearchConfig(r=2, seed=1))
+    path = tmp_path / "trace.jsonl"
+    res.trace.to_jsonl(path)
+    reference = []
+    for rec in res.trace.records:
+        fields = dataclasses.asdict(rec)
+        del fields["wall_time"]
+        reference.append(json.dumps(fields, sort_keys=True) + "\n")
+    assert len(reference) > 100
+    assert path.read_bytes() == "".join(reference).encode()
 
 
 def test_accepted_sampled_step_matches_prediction():
@@ -447,7 +557,9 @@ def test_run_never_spends_past_its_budget():
     # the curvature probes cost two evaluations each and start only when
     # the budget can pay for them
     T = exact_instance(2, 8, 0)
-    for budget in (1, 2, 3, 5, 10, 50, 100, 333):
+    # the run converges after 159 evaluations; at 62 and 70 the budget
+    # stops a curvature probe that starts at 61
+    for budget in (1, 2, 3, 5, 10, 50, 62, 70, 100, 150):
         res = run(T, SearchConfig(r=2, seed=0, budget=budget))
         assert res.status == "budget"
         assert res.grad_evals <= budget

@@ -247,6 +247,9 @@ def test_tensor_json_round_trip(tmp_path):
     save_tensor_json(path, X, meta={"note": "test"})
     np.testing.assert_array_equal(load_tensor_json(path), X)
     np.testing.assert_array_equal(load_tensor(path), X)
+    T, meta = load_tensor(path, with_meta=True)
+    np.testing.assert_array_equal(T, X)
+    assert meta == {"note": "test"}
     with open(path) as fh:
         doc = json.load(fh)
     assert doc["dims"] == [2, 3, 4]
@@ -277,6 +280,7 @@ def test_tensor_binary_round_trip(tmp_path):
     save_tensor_binary(path, X)
     np.testing.assert_array_equal(load_tensor_binary(path), X)
     np.testing.assert_array_equal(load_tensor(path), X)
+    assert load_tensor(path, with_meta=True)[1] == {}
     with open(path, "rb") as fh:
         blob = fh.read()
     assert blob[:4] == b"TKR1"
