@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 
@@ -38,6 +39,10 @@ _STATUS_EXIT = {"converged": EXIT_OK, "budget": EXIT_BUDGET,
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return EXIT_INPUT
+
+
+def _write_failed(exc: OSError) -> int:
+    return _fail(f"cannot write output: {exc}")
 
 
 def _write_json(path, doc) -> None:
@@ -70,11 +75,14 @@ def cmd_generate(args) -> int:
         T = T + (args.noise / norm_f(G)) * G
     meta = {"r": r, "d": d, "seed": args.seed, "noise": args.noise,
             "exact": args.noise == 0.0}
-    if args.binary:
-        save_tensor_binary(args.out, T)
-        _write_json(args.out + ".meta.json", meta)
-    else:
-        save_tensor_json(args.out, T, meta)
+    try:
+        if args.binary:
+            save_tensor_binary(args.out, T)
+            _write_json(args.out + ".meta.json", meta)
+        else:
+            save_tensor_json(args.out, T, meta)
+    except OSError as exc:
+        return _write_failed(exc)
     print(f"wrote {args.out}: d={d} rank {r} norm {norm_f(T):.6f} "
           f"exact={meta['exact']}")
     return EXIT_OK
@@ -137,6 +145,12 @@ def cmd_decompose(args) -> int:
         return _fail(str(exc))
     if cfg.r > d:
         return _fail(f"rank {cfg.r} exceeds tensor dimension {d}")
+    if not isinstance(out, str):
+        return _fail(f"out must be a path prefix, got {out!r}")
+    # a missing output directory is found before the search, not after it
+    out_dir = os.path.dirname(out) or "."
+    if not os.path.isdir(out_dir):
+        return _fail(f"output directory {out_dir} does not exist")
 
     restarts = args.restarts
     results = []
@@ -147,23 +161,26 @@ def cmd_decompose(args) -> int:
             result = run(T, sub)
         except (ValueError, NonFiniteError) as exc:
             return _fail(str(exc))
-        save_point(prefix + ".factors.json", result.point)
-        result.trace.to_jsonl(prefix + ".trace.jsonl")
         status = result.status.replace("_", "-")
-        _write_json(prefix + ".summary.json", {
-            "status": status,
-            "f": result.f,
-            "L": result.L,
-            "R": result.R,
-            "grad_evals": result.grad_evals,
-            "objective_evals": result.objective_evals,
-            "rounds": result.rounds,
-            "config": dataclasses.asdict(sub),
-        })
-        _write_json(prefix + ".meta.json", {
-            "wall_time": result.wall_time,
-            "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        })
+        try:
+            save_point(prefix + ".factors.json", result.point)
+            result.trace.to_jsonl(prefix + ".trace.jsonl")
+            _write_json(prefix + ".summary.json", {
+                "status": status,
+                "f": result.f,
+                "L": result.L,
+                "R": result.R,
+                "grad_evals": result.grad_evals,
+                "objective_evals": result.objective_evals,
+                "rounds": result.rounds,
+                "config": dataclasses.asdict(sub),
+            })
+            _write_json(prefix + ".meta.json", {
+                "wall_time": result.wall_time,
+                "written_at": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+            })
+        except OSError as exc:
+            return _write_failed(exc)
         results.append((result, prefix))
         print(f"restart {i}: status={status} f={result.f:.6e} "
               f"grad_evals={result.grad_evals} -> {prefix}.*")
@@ -188,9 +205,12 @@ def cmd_verify(args) -> int:
         return _fail(str(exc))
     payload = suite_to_json(reports)
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
-            fh.write("\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload)
+                fh.write("\n")
+        except OSError as exc:
+            return _write_failed(exc)
     for rep in reports:
         flag = "pass" if rep.passed else "FAIL"
         print(f"[{flag}] {rep.lemma}: trials={rep.trials} "

@@ -30,9 +30,10 @@ S(A, B, C) is multilinear, so its residual is D + sum_U c_U X_U over the
 nonempty subsets U of the blocks, with c_U the product of a_b over U and
 X_U the transform that takes the direction's block for b in U.  The Gram
 matrix <X_U, X_V>, the products <D, X_U> and the pieces of the Gram gaps
-(quadratic in a_m and a_S) are r x r or r^3 sized and formed once per
-direction; every (sign pattern, step) candidate is then a few small
-array products.
+(quadratic in a_m and a_S) are r x r or r^3 sized.  They are formed for
+a whole stack of directions at once, the directions on a leading axis,
+and every (sign pattern, step) candidate is then a few small array
+products; the driver scores all draws of one block label as one stack.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .objective import _check_target, _fit, default_lambda, objective
 from .subspace import SubspaceSplit
-from .tensor_core import FactorPoint, _transform, multilinear_transform
+from .tensor_core import FactorPoint, multilinear_transform
 
 
 class NoMissingDirection(Exception):
@@ -180,66 +181,82 @@ class SignSearchResult:
         return p + self.step * self.direction.delta
 
 
-def _expansion(p: FactorPoint, delta: FactorPoint, D: np.ndarray):
-    """Coefficients of f along the moves (a_S dS, a_A dA, a_B dB, a_C dC).
+def _expansion(p: FactorPoint, deltas, D: np.ndarray):
+    """Coefficients of f along the moves (a_S dS, a_A dA, a_B dB, a_C dC),
+    for each of the n directions `deltas` on a leading axis.
 
     The reconstruction is the sum over subsets U of {S, A, B, C} of
     c_U X_U, with c_U the product of a_b over b in U and X_U the transform
     that takes the delta's block for b in U and the point's otherwise.
-    Indexing U as 8 uS + 4 uA + 2 uB + uC, returns the Gram matrix
-    <X_U, X_V> and the products <D, X_U> with the residual D at p, both
-    over the 15 nonempty U, and the (3, 5, r^2) basis whose combination
-    with (1, a_m, a_m^2, a_S, a_S^2) is the Gram gap of mode m.
+    Indexing U as 8 uS + 4 uA + 2 uB + uC, returns per direction the Gram
+    matrix <X_U, X_V> and the products <D, X_U> with the residual D at p,
+    both over the 15 nonempty U, and the (3, 5, r^2) basis whose
+    combination with (1, a_m, a_m^2, a_S, a_S^2) is the Gram gap of mode m.
     """
-    r = p.r
-    K = np.stack((p.S, delta.S))
-    Kf = K.reshape(2, r**3)
-    W = np.concatenate((p.factors, delta.factors), axis=1)
-    P = (W @ W.transpose(0, 2, 1)).reshape(3, 2, r, 2, r)
+    r, d, n = p.r, p.d, len(deltas)
+    flats = np.stack([q.flat for q in deltas])
+    K = np.empty((n, 2, r, r, r))
+    K[:, 0] = p.S
+    K[:, 1] = flats[:, :r**3].reshape(n, r, r, r)
+    Kf = K.reshape(n, 2, r**3)
+    W = np.empty((n, 3, 2 * r, d))
+    W[:, :, :r] = p.factors
+    W[:, :, r:] = flats[:, r**3:].reshape(n, 3, r, d)
+    P = (W @ W.transpose(0, 1, 3, 2)).reshape(n, 3, 2, r, 2, r)
     # <X_U, X_V> = sum K[uS]_xyz K[vS]_x'y'z' P1[uA x, vA x'] P2[uB y, vB y']
     # P3[uC z, vC z'], contracted over z', y', then x'
-    Pm = P.transpose(0, 4, 3, 1, 2).reshape(3, r, 4 * r)
-    Y = K.reshape(2 * r * r, r) @ Pm[2]
-    Y = Y.reshape(2, r, r, 4 * r).transpose(0, 1, 3, 2).reshape(-1, r) @ Pm[1]
-    Y = Y.reshape(2, r, -1).transpose(0, 2, 1).reshape(-1, r) @ Pm[0]
-    # axes: vS, (vC, uC, z), (vB, uB, y), (vA, uA, x)
-    Y = Y.reshape(2, 2, 2, r, 2, 2, r, 2, 2, r).transpose(
-        0, 7, 4, 1, 8, 5, 2, 9, 6, 3).reshape(16, 8, r**3)
-    gram = (Y @ Kf.T).transpose(2, 1, 0).reshape(16, 16)
-    # D projected onto [M; dM] in every mode, then against S and dS
-    E = _transform(D, *W.transpose(0, 2, 1))[2]
-    E = E.reshape(2, r, 2, r, 2, r).transpose(0, 2, 4, 1, 3, 5)
-    proj = (E.reshape(8, r**3) @ Kf.T).T.ravel()
+    Pm = P.transpose(0, 1, 5, 4, 2, 3).reshape(n, 3, r, 4 * r)
+    Y = K.reshape(n, 2 * r * r, r) @ Pm[:, 2]
+    Y = Y.reshape(n, 2, r, r, 4 * r).transpose(0, 1, 2, 4, 3).reshape(
+        n, -1, r) @ Pm[:, 1]
+    Y = Y.reshape(n, 2, r, -1).transpose(0, 1, 3, 2).reshape(
+        n, -1, r) @ Pm[:, 0]
+    # axes: direction, vS, (vC, uC, z), (vB, uB, y), (vA, uA, x)
+    Y = Y.reshape(n, 2, 2, 2, r, 2, 2, r, 2, 2, r).transpose(
+        0, 1, 8, 5, 2, 9, 6, 3, 10, 7, 4).reshape(n, 16, 8, r**3)
+    KfT = Kf.transpose(0, 2, 1)
+    gram = (Y @ KfT[:, None]).transpose(0, 3, 2, 1).reshape(n, 16, 16)
+    # D projected onto [M; dM] in every mode, then against S and dS; the
+    # mode-3 product takes every direction's factors in one (d^2, d) @
+    # (d, n 2r) product
+    E = (D.reshape(d * d, d) @ W[:, 2].transpose(2, 0, 1).reshape(
+        d, n * 2 * r)).reshape(d, d, n, 2 * r).transpose(2, 0, 1, 3)
+    E = W[:, 1, None] @ E
+    E = W[:, 0] @ E.reshape(n, d, 4 * r * r)
+    E = E.reshape(n, 2, r, 2, r, 2, r).transpose(0, 1, 3, 5, 2, 4, 6)
+    proj = (E.reshape(n, 8, r**3) @ KfT).transpose(0, 2, 1).reshape(n, 16)
     # Gram gaps: M M^T from P, S_(m) S_(m)^T from the stacked unfoldings
-    F = np.stack((K.reshape(2 * r, r * r),
-                  K.transpose(0, 2, 1, 3).reshape(2 * r, r * r),
-                  K.transpose(0, 3, 1, 2).reshape(2 * r, r * r)))
-    Q = (F @ F.transpose(0, 2, 1)).reshape(3, 2, r, 2, r)
-    basis = np.stack((P[:, 0, :, 0] - Q[:, 0, :, 0],
-                      P[:, 0, :, 1] + P[:, 1, :, 0], P[:, 1, :, 1],
-                      -(Q[:, 0, :, 1] + Q[:, 1, :, 0]), -Q[:, 1, :, 1]),
-                     axis=1).reshape(3, 5, r * r)
-    return gram[1:, 1:], proj[1:], basis
+    F = np.stack((K.reshape(n, 2 * r, r * r),
+                  K.transpose(0, 1, 3, 2, 4).reshape(n, 2 * r, r * r),
+                  K.transpose(0, 1, 4, 2, 3).reshape(n, 2 * r, r * r)),
+                 axis=1)
+    Q = (F @ F.transpose(0, 1, 3, 2)).reshape(n, 3, 2, r, 2, r)
+    basis = np.stack((P[:, :, 0, :, 0] - Q[:, :, 0, :, 0],
+                      P[:, :, 0, :, 1] + P[:, :, 1, :, 0], P[:, :, 1, :, 1],
+                      -(Q[:, :, 0, :, 1] + Q[:, :, 1, :, 0]),
+                      -Q[:, :, 1, :, 1]), axis=2).reshape(n, 3, 5, r * r)
+    return gram[:, 1:, 1:], proj[:, 1:], basis
 
 
-def sign_step_values(p: FactorPoint, T: np.ndarray, delta: FactorPoint,
-                     patterns, grid, lam: float | None = None) -> np.ndarray:
-    """f(p + t * (s o delta)) for every sign row s of `patterns` (one sign
-    per block S, A, B, C) and every step t of `grid`, as a
-    (len(patterns), len(grid)) array.
+def sign_step_values(p: FactorPoint, T: np.ndarray, deltas, patterns, grid,
+                     lam: float | None = None) -> np.ndarray:
+    """f(p + t * (s o delta)) for every delta of the sequence `deltas`,
+    every sign row s of `patterns` (one sign per block S, A, B, C) and
+    every step t of `grid`, as a (len(deltas), len(patterns), len(grid))
+    array.
 
     With a_b = t s_b the residual is D + sum_U c_U X_U, so
     L = L(p) + 2 sum_U c_U <D, X_U> + sum_UV c_U c_V <X_U, X_V>, and each
-    Gram gap is quadratic in (a_m, a_S); both come from `_expansion` once,
-    and every candidate is then a few small array products.  The sum adds
-    terms as large as L(p) and the c_U X_U, so a value is accurate to a few
-    ulps of the largest of these, not of itself: an exact fit can read 0.0
-    or a rounding-sized value of either sign.
+    Gram gap is quadratic in (a_m, a_S); both come from one `_expansion`
+    of all the deltas, and every candidate is then a few small array
+    products.  The sum adds terms as large as L(p) and the c_U X_U, so a
+    value is accurate to a few ulps of the largest of these, not of itself:
+    an exact fit can read 0.0 or a rounding-sized value of either sign.
     """
     if lam is None:
         lam = default_lambda(p.r)
     D = _fit(p, _check_target(p, T))[2]
-    gram, proj, basis = _expansion(p, delta, D)
+    gram, proj, basis = _expansion(p, deltas, D)
     patterns = np.asarray(patterns, dtype=float)
     grid = np.asarray(grid, dtype=float)
     a = (patterns[:, None, :] * grid[:, None]).reshape(-1, 4)
@@ -250,7 +267,8 @@ def sign_step_values(p: FactorPoint, T: np.ndarray, delta: FactorPoint,
         c = np.concatenate((c, c * col[:, None]), axis=1)
     c = c[:, 1:]
     Dv = D.ravel()
-    L = Dv @ Dv + 2.0 * (c @ proj) + np.einsum("nu,nu->n", c @ gram, c)
+    L = (Dv @ Dv + 2.0 * (c @ proj[:, :, None])[:, :, 0]
+         + np.einsum("knu,nu->kn", c @ gram, c))
     coef = np.empty((3, len(a), 5))
     coef[:, :, 0] = 1.0
     coef[:, :, 1] = a[:, 1:].T
@@ -258,28 +276,42 @@ def sign_step_values(p: FactorPoint, T: np.ndarray, delta: FactorPoint,
     coef[:, :, 3] = a[:, 0]
     coef[:, :, 4] = a[:, 0] ** 2
     gaps = coef @ basis
-    phi = np.einsum("mnj,mnj->n", gaps, gaps)
-    return (L + lam * (phi * phi)).reshape(len(patterns), len(grid))
+    phi = np.einsum("kmnj,kmnj->kn", gaps, gaps)
+    return (L + lam * (phi * phi)).reshape(len(deltas), len(patterns),
+                                           len(grid))
 
 
-def sign_flip_search(p: FactorPoint, T: np.ndarray,
-                     direction: ImprovementDirection, grid,
-                     lam: float | None = None) -> SignSearchResult:
-    """Try every sign pattern of the direction's nonzero blocks over the
-    step grid and keep the best objective value.
+def _active_blocks(direction: ImprovementDirection) -> tuple[int, ...]:
+    return tuple(i for i, blk in enumerate(direction.delta.blocks())
+                 if np.any(blk != 0.0))
 
-    The candidates are scored together by `sign_step_values`, which
-    expands f along the direction once instead of evaluating f at each
-    candidate.  They are ranked in the order of a loop over the patterns
-    (the k-th active block flipped when bit k of the pattern number is
-    set), then over the grid: the first smallest value wins, NaN never,
-    and it must be strictly below f at p, which is one `objective` call.
-    Never returns a step that makes f worse: if nothing improves, the
-    result has step 0 and improvement 0.  `evals` counts the objective
-    values computed, the baseline at p included.
+
+def sign_flip_search(p: FactorPoint, T: np.ndarray, directions, grid,
+                     lam: float | None = None) -> list[SignSearchResult]:
+    """For each of `directions`, try every sign pattern of its nonzero
+    blocks over the step grid and keep the best objective value; returns
+    one result per direction, in order.
+
+    The directions must share their nonzero blocks (a ValueError
+    otherwise), so that they share the sign patterns.  All candidates of
+    all directions are scored together by `sign_step_values`, which
+    expands f along the directions once instead of evaluating f at each
+    candidate, and f and the residual at p are computed once for the
+    call.  A direction's candidates are ranked in the order of a loop over
+    the patterns (the k-th active block flipped when bit k of the pattern
+    number is set), then over the grid: the first smallest value wins,
+    NaN never, and it must be strictly below f at p, which is one
+    `objective` call.  Never returns a step that makes f worse: if nothing
+    improves, the result has step 0 and improvement 0.  `evals` counts the
+    objective values computed for the direction, and the first result also
+    counts the baseline at p, so the results' evals add up to the call's.
     """
-    blocks = direction.delta.blocks()
-    active = [i for i, blk in enumerate(blocks) if np.any(blk != 0.0)]
+    directions = list(directions)
+    if not directions:
+        raise ValueError("no directions to score")
+    active = _active_blocks(directions[0])
+    if any(_active_blocks(q) != active for q in directions[1:]):
+        raise ValueError("the directions' nonzero blocks differ")
     if not active:
         raise NoDirection("direction is identically zero")
     f0 = objective(p, T, lam).f
@@ -288,21 +320,28 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray,
     for pos, i in enumerate(active):
         patterns[bits >> pos & 1 == 1, i] = -1.0
     grid = np.asarray(grid, dtype=float)
-    values = sign_step_values(p, T, direction.delta, patterns, grid, lam)
+    values = sign_step_values(p, T, [q.delta for q in directions], patterns,
+                              grid, lam)
     # NaN never wins, as it never compares smaller
-    ranked = np.where(np.isnan(values), np.inf, values).ravel()
-    best = int(np.argmin(ranked)) if ranked.size else 0
-    out_dir = replace(direction, sign_pattern=None)
-    step, f_after = 0.0, f0
-    if ranked.size and ranked[best] < f0:
-        row, col = divmod(best, len(grid))
-        pattern = tuple(int(s) for s in patterns[row])
-        signed = FactorPoint(*(s * blk for s, blk in zip(pattern, blocks)))
-        out_dir = replace(direction, delta=signed, sign_pattern=pattern)
-        step, f_after = float(grid[col]), float(ranked[best])
-    return SignSearchResult(direction=out_dir, step=step,
-                            improvement=f0 - f_after, f_before=f0,
-                            f_after=f_after, evals=1 + values.size)
+    ranked = np.where(np.isnan(values), np.inf, values).reshape(
+        len(directions), -1)
+    out = []
+    for k, direction in enumerate(directions):
+        best = int(np.argmin(ranked[k])) if grid.size else 0
+        out_dir = replace(direction, sign_pattern=None)
+        step, f_after = 0.0, f0
+        if grid.size and ranked[k, best] < f0:
+            row, col = divmod(best, len(grid))
+            pattern = tuple(int(s) for s in patterns[row])
+            signed = FactorPoint(*(s * blk for s, blk in
+                                   zip(pattern, direction.delta.blocks())))
+            out_dir = replace(direction, delta=signed, sign_pattern=pattern)
+            step, f_after = float(grid[col]), float(ranked[k, best])
+        out.append(SignSearchResult(
+            direction=out_dir, step=step, improvement=f0 - f_after,
+            f_before=f0, f_after=f_after,
+            evals=values[k].size + (k == 0)))
+    return out
 
 
 def remove_extraneous_direction(p: FactorPoint, splits: SubspaceSplit,

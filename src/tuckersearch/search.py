@@ -62,6 +62,11 @@ STALL_TOL = 1e-6
 # Lanczos curvature probe may take
 LBFGS_MEMORY = 5
 LANCZOS_STEPS = 12
+# steps of the deterministic escape directions; a unit step is included
+# because the core fix and the off-span removal are exact at step 1 in the
+# clean regime
+DETERMINISTIC_GRID = np.geomspace(1e-4, 1.0, 17)
+DETERMINISTIC_GRID.setflags(write=False)
 
 
 class ScheduleError(Exception):
@@ -336,10 +341,10 @@ class Evaluator:
         self.used += 1
         return _gram_gaps(p)
 
-    def sign_search(self, p: FactorPoint, direction, grid):
-        cand = sign_flip_search(p, self.T, direction, grid, self.lam)
-        self.objective_evals += cand.evals
-        return cand
+    def sign_search(self, p: FactorPoint, directions, grid):
+        cands = sign_flip_search(p, self.T, directions, grid, self.lam)
+        self.objective_evals += sum(c.evals for c in cands)
+        return cands
 
 
 # ---------------------------------------------------------------------------
@@ -613,20 +618,18 @@ class RunResult:
 
 
 def _deterministic_candidates(p, splits, ev):
-    """Core-fix and remove-extraneous directions with their own step grid;
-    a unit step is always included because both are exact at step 1 in the
-    clean regime."""
-    grid = np.geomspace(1e-4, 1.0, 17)
+    """Core-fix and remove-extraneous directions on DETERMINISTIC_GRID.
+    Each moves different blocks, so each is its own sign search."""
     out = []
     try:
-        out.append(ev.sign_search(p, core_fix_direction(p, ev.T, splits),
-                                  grid))
+        out += ev.sign_search(p, [core_fix_direction(p, ev.T, splits)],
+                              DETERMINISTIC_GRID)
     except NoDirection:
         pass
     for mode in (1, 2, 3):
         try:
             direction = remove_extraneous_direction(p, splits, mode)
-            out.append(ev.sign_search(p, direction, grid))
+            out += ev.sign_search(p, [direction], DETERMINISTIC_GRID)
         except NoDirection:
             pass
     return out
@@ -696,16 +699,21 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
             if best is None or cand.improvement > best.improvement:
                 best = cand
         for ijk in SAMPLED_BLOCKS:
-            n_missing = sum(1 for x in ijk if x == 2)
-            grid = delta_grid(sigma, n_missing, config.delta_span,
-                              config.delta_points)
+            # draw the block's samples, then score them in one sign search;
+            # scoring draws no random numbers, so the sampler's stream is
+            # the same as when each draw was scored before the next
+            drawn = []
             for _ in range(samples):
                 try:
                     vec = sample_missing_directions(splits, ijk, rng_sampler)
                 except NoMissingDirection:
                     break
-                cand = ev.sign_search(p, build_sampled_direction(vec, sigma),
-                                      grid)
+                drawn.append(build_sampled_direction(vec, sigma))
+            if not drawn:
+                continue
+            grid = delta_grid(sigma, sum(1 for x in ijk if x == 2),
+                              config.delta_span, config.delta_points)
+            for cand in ev.sign_search(p, drawn, grid):
                 if best is None or cand.improvement > best.improvement:
                     best = cand
 

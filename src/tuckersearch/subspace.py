@@ -89,9 +89,15 @@ def split(M: np.ndarray, sigma: float) -> ModeSplit:
 def true_projection(T: np.ndarray, mode: int, rank_tol: float = 1e-10) -> np.ndarray:
     """Orthogonal projection in R^d onto the span of mode-`mode` slices of
     T, i.e. the column space of its mode flattening.  Directions with
-    singular value at most rank_tol times the largest are treated as zero."""
+    singular value at most rank_tol times the largest are treated as zero.
+
+    The flattening F is d x d^2.  With F^T = QR, F = R^T Q^T and Q has
+    orthonormal columns, so F's left singular vectors and values are those
+    of the small triangular factor's transpose: one QR of F^T and an SVD
+    of a d x d matrix in place of an SVD of F."""
     F = flatten(T, mode)
-    U, s, _ = np.linalg.svd(F, full_matrices=False)
+    R = np.linalg.qr(F.T, mode="r")
+    U, s, _ = np.linalg.svd(R.T, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((F.shape[0], F.shape[0]))
     keep = s > rank_tol * s[0]

@@ -453,19 +453,15 @@ def gallery_origin(rng=None, attempts: int = 100) -> LemmaReport:
     splits = subspace_split(p, T, 0.05)
     grid = delta_grid(0.05, 3)
     lam = default_lambda(r)
-    improved = 0
-    reg_drift = 0.0
-    for k in range(attempts):
-        vec = sample_missing_directions(splits, (2, 2, 2), rng)
-        direction = build_sampled_direction(vec, 0.05)
-        res = sign_flip_search(p, T, direction, grid, lam)
-        if res.improvement > 0.0:
-            improved += 1
-        if k < 5:
-            # core and factor moves share the same unit vectors, so the
-            # fully sampled step keeps the point exactly balanced
-            for t in (0.1, 1.0):
-                reg_drift = max(reg_drift, reg(p + t * direction.delta))
+    directions = [build_sampled_direction(
+        sample_missing_directions(splits, (2, 2, 2), rng), 0.05)
+        for _ in range(attempts)]
+    improved = sum(res.improvement > 0.0 for res in
+                   sign_flip_search(p, T, directions, grid, lam))
+    # core and factor moves share the same unit vectors, so the fully
+    # sampled step keeps the point exactly balanced
+    reg_drift = max(reg(p + t * direction.delta)
+                    for direction in directions[:5] for t in (0.1, 1.0))
     if reg_drift > 1e-20:
         failures += 1
     if improved < 0.3 * attempts:

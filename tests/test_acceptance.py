@@ -169,7 +169,7 @@ def test_criterion_06_origin_saddle_escape():
     for _ in range(100):
         vec = sample_missing_directions(splits, (2, 2, 2), rng)
         direction = build_sampled_direction(vec, sigma)
-        res = sign_flip_search(p, T, direction, grid, lam)
+        res = sign_flip_search(p, T, [direction], grid, lam)[0]
         wins += res.f_after < res.f_before
     _verdict("origin flat saddle escape",
              gn <= 1e-10 and hcurv <= 1e-8 and wins >= 30,

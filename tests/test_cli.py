@@ -76,6 +76,15 @@ def test_generate_binary_writes_sidecar_meta(tmp_path):
     assert meta["r"] == 2 and meta["exact"] is True
 
 
+def test_generate_into_a_missing_directory_is_input_error(tmp_path, capsys):
+    for extra in ((), ("--binary",)):
+        rc = main(["generate", "--rank", "2", "--dim", "3",
+                   "--out", str(tmp_path / "missing" / "T.json"), *extra])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "No such file" in err
+
+
 # ---------------------------------------------------------------------------
 # decompose
 
@@ -192,6 +201,25 @@ def test_decompose_input_errors(tmp_path, capsys):
     assert main(["decompose", str(T_path), "--rank", "9"]) == EXIT_INPUT
     assert main(["decompose", str(T_path), "--rank", "2",
                  "--dim", "7"]) == EXIT_INPUT
+
+
+def test_decompose_into_a_missing_directory_fails_before_the_search(
+        tmp_path, monkeypatch, capsys):
+    import tuckersearch.cli as cli_module
+    T_path = gen(tmp_path)
+    calls = []
+    monkeypatch.setattr(cli_module, "run", lambda *a: calls.append(a))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"out": 5}))
+    for extra, message in (
+            (["--out", str(tmp_path / "missing" / "run")], "does not exist"),
+            (["--config", str(config)], "path prefix")):
+        rc = main(["decompose", str(T_path), "--rank", "2", *extra])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+    assert calls == []
+    assert not (tmp_path / "missing").exists()
 
 
 def test_decompose_config_file_with_cli_precedence(tmp_path):
@@ -362,6 +390,14 @@ def test_verify_empty_or_repeated_selection_is_input_error(tmp_path,
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not report.exists()
+
+
+def test_verify_into_a_missing_directory_is_input_error(tmp_path, capsys):
+    rc = main(["verify", "--checks", "euler",
+               "--out", str(tmp_path / "missing" / "report.json")])
+    assert rc == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "No such file" in err
 
 
 def test_verify_corrupted_gradient_fails_suite(tmp_path, monkeypatch,

@@ -174,7 +174,7 @@ def test_sign_search_at_origin_matches_closed_form():
     vec = sample_missing_directions(splits, (2, 2, 2), rng)
     direction = build_sampled_direction(vec, sigma=splits.sigma)
     grid = delta_grid(splits.sigma, 3)
-    res = sign_flip_search(p, T, direction, grid)
+    res = sign_flip_search(p, T, [direction], grid)[0]
     tval = abs(trilinear(T, vec.a, vec.b, vec.c))
     expect = max(2.0 * s**4 * tval - s**8 for s in grid)
     assert res.improvement == pytest.approx(expect, rel=1e-9, abs=1e-12)
@@ -194,7 +194,7 @@ def test_sign_search_never_returns_a_worse_point():
     from tuckersearch.escape import ImprovementDirection
     direction = ImprovementDirection(delta=delta, kind="sampled",
                                      ijk=(2, 2, 2))
-    res = sign_flip_search(p, T, direction, [10.0, 20.0])
+    res = sign_flip_search(p, T, [direction], [10.0, 20.0])[0]
     assert res.step == 0.0
     assert res.improvement == 0.0
     assert res.apply(p) is not None
@@ -211,7 +211,7 @@ def test_sign_search_explores_flips():
     vec = sample_missing_directions(splits, (2, 2, 2), rng)
     direction = build_sampled_direction(vec, sigma=splits.sigma)
     grid = delta_grid(splits.sigma, 3)
-    res = sign_flip_search(p, T, direction, grid)
+    res = sign_flip_search(p, T, [direction], grid)[0]
     assert res.improvement > 0
     assert len(res.direction.sign_pattern) == 4
     # flipping all active signs is the same as negating the step, so the
@@ -231,7 +231,7 @@ def test_sign_search_rejects_zero_direction(monkeypatch):
     direction = ImprovementDirection(delta=FactorPoint.zeros(1, 2),
                                      kind="sampled")
     with pytest.raises(NoDirection):
-        sign_flip_search(p, np.zeros((2, 2, 2)), direction, [0.1])
+        sign_flip_search(p, np.zeros((2, 2, 2)), [direction], [0.1])
     assert calls == []
 
 
@@ -239,10 +239,11 @@ def test_sign_search_counts_its_evaluations():
     p, T, splits, rng = _generic_setup()
     vec = sample_missing_directions(splits, (1, 2, 2), rng)
     grid = delta_grid(0.1, 2, points=5)
-    res = sign_flip_search(p, T, build_sampled_direction(vec, 0.1), grid)
+    direction = build_sampled_direction(vec, 0.1)
+    res = sign_flip_search(p, T, [direction], grid)[0]
     # the baseline at p, then every sign of core, B and C at every step
     assert res.evals == 1 + len(grid) * 2 ** 3
-    empty = sign_flip_search(p, T, build_sampled_direction(vec, 0.1), [])
+    empty = sign_flip_search(p, T, [direction], [])[0]
     assert (empty.evals, empty.step, empty.improvement) == (1, 0.0, 0.0)
 
 
@@ -361,8 +362,8 @@ def test_sign_search_matches_the_per_candidate_loop(r, d):
                 step, pattern, evals, f_after, ref = _reference_sign_search(
                     p, T, direction, grid, lam)
                 patterns = _loop_patterns(direction)
-                got = sign_step_values(p, T, direction.delta, patterns, grid,
-                                       lam)
+                got = sign_step_values(p, T, [direction.delta], patterns,
+                                       grid, lam)[0]
                 assert got.shape == (len(patterns), len(grid))
                 # the expansion adds terms of the size of f(p), so its error
                 # is relative to the larger of f(p) and f at the candidate:
@@ -374,7 +375,7 @@ def test_sign_search_matches_the_per_candidate_loop(r, d):
                     scale = np.maximum(scale, _term_scale(
                         p, T, direction.delta, patterns, grid))
                 assert np.all(np.abs(got - ref) <= 1e-12 * scale), label
-                res = sign_flip_search(p, T, direction, grid, lam)
+                res = sign_flip_search(p, T, [direction], grid, lam)[0]
                 assert res.step == step, label
                 assert res.direction.sign_pattern == pattern, label
                 assert res.evals == evals
@@ -394,11 +395,11 @@ def test_sign_search_skips_overflowing_candidates():
     direction = build_sampled_direction(vec, splits.sigma)
     grid = [1e90, 0.05, 0.1, 0.2, 1e150]
     with np.errstate(all="ignore"):
-        values = sign_step_values(p, T, direction.delta,
-                                  _loop_patterns(direction), grid)
+        values = sign_step_values(p, T, [direction.delta],
+                                  _loop_patterns(direction), grid)[0]
         step, pattern, evals, f_after, _ = _reference_sign_search(
             p, T, direction, grid)
-        res = sign_flip_search(p, T, direction, grid)
+        res = sign_flip_search(p, T, [direction], grid)[0]
     # a bare argmin would land on the first NaN
     assert np.isnan(values).any()
     assert np.isnan(values.ravel()[np.argmin(values)])
@@ -423,14 +424,57 @@ def test_sign_search_keeps_the_first_of_exact_ties():
     direction = build_sampled_direction(vec, sigma=splits.sigma)
     grid = delta_grid(splits.sigma, 3)
     patterns = _loop_patterns(direction)
-    values = sign_step_values(p, T, direction.delta, patterns, grid)
+    values = sign_step_values(p, T, [direction.delta], patterns, grid)[0]
     best = values.min()
     rows = [i for i in range(len(patterns)) if values[i].min() == best]
     assert len(rows) == 8
-    res = sign_flip_search(p, T, direction, grid)
+    res = sign_flip_search(p, T, [direction], grid)[0]
     assert res.direction.sign_pattern == tuple(patterns[rows[0]])
     step, pattern, _, _, _ = _reference_sign_search(p, T, direction, grid)
     assert (res.step, res.direction.sign_pattern) == (step, pattern)
+
+
+@pytest.mark.parametrize("r,d", [(2, 5), (3, 7)])
+def test_stacked_sign_search_matches_one_direction_at_a_time(r, d):
+    # a stack of n directions is scored from one expansion; each of its
+    # values must match a stack of one and a direct objective call, to
+    # rounding of the largest term the expansion adds
+    p, T, splits, sigma, rng = _escape_instance(r, d, 1.0, 7 * r + d)
+    stacks = {}
+    # (1, 2, 2) leaves factor A out of the direction
+    for ijk in ((2, 2, 2), (1, 2, 2)):
+        directions = [build_sampled_direction(
+            sample_missing_directions(splits, ijk, rng), sigma)
+            for _ in range(4)]
+        stacks[ijk] = directions
+        grid = delta_grid(sigma, sum(x == 2 for x in ijk))
+        patterns = _loop_patterns(directions[0])
+        stacked = sign_step_values(p, T, [q.delta for q in directions],
+                                   patterns, grid)
+        assert stacked.shape == (4, len(patterns), len(grid))
+        for k, q in enumerate(directions):
+            scale = _term_scale(p, T, q.delta, patterns, grid)
+            single = sign_step_values(p, T, [q.delta], patterns, grid)[0]
+            assert np.all(np.abs(stacked[k] - single) <= 1e-10 * scale)
+            for row, col in zip(rng.integers(len(patterns), size=12),
+                                rng.integers(len(grid), size=12)):
+                signed = FactorPoint(*(s * blk for s, blk in
+                                       zip(patterns[row], q.delta.blocks())))
+                f = objective(p + float(grid[col]) * signed, T).f
+                assert abs(stacked[k, row, col] - f) <= 1e-10 * max(
+                    scale[row, col], f), (ijk, k, row, col)
+        results = sign_flip_search(p, T, directions, grid)
+        singles = [sign_flip_search(p, T, [q], grid)[0] for q in directions]
+        assert [(res.step, res.direction.sign_pattern) for res in results] \
+            == [(res.step, res.direction.sign_pattern) for res in singles]
+        assert any(res.improvement > 0 for res in results)
+        # f at p is computed, and counted, once for the whole stack
+        assert sum(res.evals for res in results) == 1 + stacked.size
+    with pytest.raises(ValueError, match="nonzero blocks"):
+        sign_flip_search(p, T, stacks[2, 2, 2][:1] + stacks[1, 2, 2][:1],
+                         delta_grid(sigma, 3))
+    with pytest.raises(ValueError):
+        sign_flip_search(p, T, [], delta_grid(sigma, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ import pytest
 
 from tuckersearch.subspace import (projection_distance_bound, split,
                                    subspace_split, true_projection)
-from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
-                                      random_point)
+from tuckersearch.tensor_core import (FactorPoint, flatten,
+                                      multilinear_transform, random_point)
 
 
 def outer3(a, b, c):
@@ -105,6 +105,24 @@ def test_true_projection_is_an_orthogonal_projection():
 def test_true_projection_zero_tensor():
     np.testing.assert_array_equal(true_projection(np.zeros((3, 3, 3)), 2),
                                   np.zeros((3, 3)))
+
+
+def test_true_projection_matches_the_full_svd_of_the_flattening():
+    # the projector comes from a QR of the flattening's transpose and an
+    # SVD of its triangular factor; the reference is the full SVD
+    rng = np.random.default_rng(173)
+    d = 7
+    targets = [random_point(k, d, rng).apply() for k in range(1, 5)]
+    targets.append(targets[-1] + 1e-2 * rng.standard_normal((d, d, d)))
+    for T in targets:
+        for mode in (1, 2, 3):
+            U, s, _ = np.linalg.svd(flatten(T, mode), full_matrices=False)
+            Uk = U[:, s > 1e-10 * s[0]]
+            P = true_projection(T, mode)
+            assert round(np.trace(P)) == Uk.shape[1]
+            assert np.abs(P - Uk @ Uk.T).max() <= 1e-12
+    assert [round(np.trace(true_projection(T, 2))) for T in targets] \
+        == [1, 2, 3, 4, d]
 
 
 def test_true_projection_ignores_other_mode_rotations():
