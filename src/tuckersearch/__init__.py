@@ -1,8 +1,7 @@
 """Tucker decomposition of third-order tensors by regularized local search."""
 from .objective import (ObjectiveReport, default_lambda, eval_along, grad,
                         hvp, loss, objective, reg, reg_phi)
-from .search import (RunResult, ScheduleError, SearchConfig, Thresholds,
-                     find_sosp, run, schedule)
+from .search import RunResult, SearchConfig, run
 from .tensor_core import (FactorPoint, flatten, hosvd, inner,
                           multilinear_transform, norm_f, random_point,
                           trilinear)
@@ -10,11 +9,10 @@ from .verify import LemmaReport, run_suite, saddle_gallery
 
 __all__ = [
     "FactorPoint", "LemmaReport", "ObjectiveReport", "RunResult",
-    "ScheduleError", "SearchConfig", "Thresholds", "default_lambda",
-    "eval_along", "find_sosp", "flatten", "grad", "hosvd", "hvp", "inner",
-    "loss", "multilinear_transform", "norm_f", "objective", "random_point",
-    "reg", "reg_phi", "run", "run_suite", "saddle_gallery", "schedule",
-    "trilinear",
+    "SearchConfig", "default_lambda", "eval_along", "flatten", "grad",
+    "hosvd", "hvp", "inner", "loss", "multilinear_transform", "norm_f",
+    "objective", "random_point", "reg", "reg_phi", "run", "run_suite",
+    "saddle_gallery", "trilinear",
 ]
 
 __version__ = "0.1.0"

@@ -70,9 +70,7 @@ class SampledVectors:
 class ImprovementDirection:
     delta: FactorPoint
     kind: str    # the step kind a trace records when the search takes it
-    ijk: tuple[int, int, int] | None = None
     mode: int | None = None
-    vectors: SampledVectors | None = None
     sign_pattern: tuple[int, ...] | None = None
 
 
@@ -147,8 +145,7 @@ def build_sampled_direction(vectors: SampledVectors,
         else:
             mats.append(np.zeros((r, d)))
     return ImprovementDirection(delta=FactorPoint(dS, *mats),
-                                kind="sampled({},{},{})".format(*ijk),
-                                ijk=ijk, vectors=vectors)
+                                kind="sampled({},{},{})".format(*ijk))
 
 
 def delta_grid(sigma: float, n_missing: int, span: float = 100.0,

@@ -26,11 +26,6 @@ rebalance move 1 (the content of the regularizer gradient).  Objective
 values, the sign search's included, are counted but not charged.  No
 curvature probe starts that the budget cannot pay for, so a run never
 spends past its budget.
-
-`run` uses the fixed thresholds of SearchConfig.  `schedule` gives the
-paper's threshold cascade, which ties every tolerance to a norm bound; it
-is kept as a statement of the theory, not used by `run`, because it is
-infeasible at every realistic size.
 """
 from __future__ import annotations
 
@@ -69,114 +64,12 @@ DETERMINISTIC_GRID = np.geomspace(1e-4, 1.0, 17)
 DETERMINISTIC_GRID.setflags(write=False)
 
 
-class ScheduleError(Exception):
-    """No feasible schedule parameter exists in floating point."""
-
-
 class NonFiniteError(Exception):
     """The objective or gradient became non-finite; carries the trace."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
-
-
-# ---------------------------------------------------------------------------
-# parameter schedule
-
-
-@dataclass(frozen=True)
-class Thresholds:
-    """Scale cascade tying every tolerance to the regularizer bound tau.
-
-    gamma grows like tau^(1/48); sigma = kappa0 = sqrt(gamma) is the
-    singular-value split threshold; kappa1..3 bound residual blocks with
-    one, two and three missing modes; tau1 and tau2 are the stationarity
-    tolerances; epsilon is the target objective value.
-    """
-    epsilon: float
-    r: int
-    d: int
-    k_bound: float
-    lam: float
-    tau: float
-    gamma: float
-    sigma: float
-    kappa0: float
-    kappa1: float
-    kappa2: float
-    kappa3: float
-    tau1: float
-    tau2: float
-
-    def __post_init__(self):
-        vals = (self.epsilon, self.k_bound, self.lam, self.tau, self.gamma,
-                self.sigma, self.kappa0, self.kappa1, self.kappa2,
-                self.kappa3, self.tau1, self.tau2)
-        if not all(v > 0 for v in vals):
-            raise ValueError("all thresholds must be positive")
-        K = self.k_bound
-        checks = {
-            "lam": (self.lam, 1.0 / (16.0 * self.r**4)),
-            "sigma": (self.sigma, math.sqrt(self.gamma)),
-            "kappa0": (self.kappa0, math.sqrt(self.gamma)),
-            "kappa1": (self.kappa1, 2.0 * K * self.sigma**0.75),
-            "kappa2": (self.kappa2, 2.0 * K * self.sigma**0.125),
-            "kappa3": (self.kappa3, 2.0 * K * self.sigma**0.5),
-        }
-        for name, (got, want) in checks.items():
-            if not math.isclose(got, want, rel_tol=1e-12):
-                raise ValueError(f"schedule inconsistency: {name}={got} "
-                                 f"but the formulas give {want}")
-        if not (self.kappa2 > self.kappa3 > self.kappa1):
-            raise ValueError(
-                "schedule inconsistency: the block bounds must be ordered "
-                "kappa2 > kappa3 > kappa1, which requires sigma < 1")
-
-
-def schedule(epsilon: float, r: int, d: int,
-             k_bound: float = 1.0) -> Thresholds:
-    """Largest regularizer bound tau on a geometric grid whose induced
-    cascade keeps every residual block below sqrt(epsilon)/4.
-
-    Raises ScheduleError when no tau above the floating-point floor works;
-    `run` uses the fixed practical thresholds of SearchConfig in any
-    case.
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    if r < 1 or d < r:
-        raise ValueError(f"need 1 <= r <= d, got r={r} d={d}")
-    K = float(k_bound)
-    lam = default_lambda(r)
-    target = math.sqrt(epsilon) / 4.0
-    for k in range(2, 1200):
-        tau = 10.0 ** (-k / 4.0)
-        g2 = max(r * (tau ** (1 / 24) + tau ** 0.25),
-                 r**4 * (4.0 * K**6 * tau ** 0.125 + K**4 * tau ** 0.375))
-        gamma = math.sqrt(g2)
-        if gamma >= 1.0:
-            continue
-        sigma = math.sqrt(gamma)
-        kappa1 = 2.0 * K * sigma**0.75
-        kappa2 = 2.0 * K * sigma**0.125
-        kappa3 = 2.0 * K * sigma**0.5
-        feasible = (sigma < target
-                    and d * kappa1 + K**3 * sigma < target
-                    and d * kappa2 + K**2 * sigma**2 < target
-                    and d * kappa3 + K * sigma**3 < target
-                    and tau < epsilon / 2.0)
-        if feasible:
-            return Thresholds(epsilon=epsilon, r=r, d=d, k_bound=K, lam=lam,
-                              tau=tau, gamma=gamma, sigma=sigma, kappa0=sigma,
-                              kappa1=kappa1, kappa2=kappa2, kappa3=kappa3,
-                              tau1=4.0 * lam * tau / K,
-                              tau2=sigma ** 3.75)
-    raise ScheduleError(
-        "no feasible tau above the floating-point floor for "
-        f"epsilon={epsilon}, r={r}, d={d}, k_bound={k_bound}; "
-        "use the fixed practical thresholds tau1, tau2 and sigma of "
-        "SearchConfig instead")
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +97,11 @@ class SearchConfig:
 
     def validate(self) -> None:
         """Reject what a run cannot use: a count that is not an integer, a
-        number that is not finite, a value out of range, a bad init."""
+        number that is not finite, a value out of range (the sampled
+        escape's step grid needs delta_span > 1 and delta_points >= 3), a
+        bad init."""
         for name, low in (("r", 1), ("seed", 0), ("budget", 1),
-                          ("delta_points", 1), ("samples_per_block", 1)):
+                          ("delta_points", 3), ("samples_per_block", 1)):
             v = getattr(self, name)
             if v is None and name == "samples_per_block":
                 continue
@@ -228,6 +123,8 @@ class SearchConfig:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
         if self.epsilon >= 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        if self.delta_span <= 1.0:
+            raise ValueError(f"delta_span must exceed 1, got {self.delta_span}")
         _parse_init(self.init)
 
     def resolved_samples_per_block(self) -> int:
@@ -579,24 +476,6 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, tau1: float, tau2: float,
         recent.append(rep.f)
         trace.append(f=rep.f, L=rep.L, R=rep.R, step_kind=kind,
                      step_size=step, improvement=prev_f - rep.f, **seen)
-
-
-def find_sosp(p0: FactorPoint, T: np.ndarray, lam: float | None = None,
-              tau1: float = 1e-6, tau2: float = 1e-4, budget: int = 10_000,
-              seed: int = 0):
-    """Descend from p0 to a point with gradient norm <= tau1 and estimated
-    smallest Hessian eigenvalue >= -tau2.
-
-    Returns (point, FindSospInfo); info.converged is False when the budget
-    ran out first.
-    """
-    if lam is None:
-        lam = default_lambda(p0.r)
-    ev = Evaluator(T, lam, budget)
-    rep = ev.objective(p0)
-    _require_finite(rep.f, "objective")
-    return _find_sosp(p0, ev, tau1, tau2, np.random.default_rng(seed), rep,
-                      SearchTrace(seed=seed))
 
 
 # ---------------------------------------------------------------------------

@@ -275,21 +275,16 @@ def save_tensor_json(path, X: np.ndarray, meta: dict | None = None) -> None:
 def _parse_json(blob: bytes, path) -> tuple[np.ndarray, dict]:
     """Tensor and `meta` object ({} when absent or not an object) of the
     bytes of a JSON tensor file."""
-    doc = json.loads(blob)
+    try:
+        doc = json.loads(blob)
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a TKR1 binary or JSON tensor file "
+                         f"({exc})") from None
     if not isinstance(doc, dict) or "dims" not in doc or "data" not in doc:
         raise ValueError(f"{path}: expected an object with dims and data")
     meta = doc.get("meta")
     return (_validate_payload(doc["dims"], doc["data"]),
             meta if isinstance(meta, dict) else {})
-
-
-def _read(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def load_tensor_json(path) -> np.ndarray:
-    return _parse_json(_read(path), path)[0]
 
 
 def save_tensor_binary(path, X: np.ndarray) -> None:
@@ -301,8 +296,8 @@ def save_tensor_binary(path, X: np.ndarray) -> None:
 
 
 def _parse_binary(blob: bytes, path) -> np.ndarray:
-    if blob[:4] != MAGIC:
-        raise ValueError(f"{path}: bad magic, not a binary tensor file")
+    """Tensor of the bytes of a binary tensor file; the caller has matched
+    the magic."""
     if len(blob) < 28:
         raise ValueError(f"{path}: truncated header")
     dims = struct.unpack("<3Q", blob[4:28])
@@ -315,16 +310,13 @@ def _parse_binary(blob: bytes, path) -> np.ndarray:
     return _validate_payload(dims, data)
 
 
-def load_tensor_binary(path) -> np.ndarray:
-    return _parse_binary(_read(path), path)
-
-
 def load_tensor(path, with_meta: bool = False):
     """Load a tensor file from one read, sniffing the binary magic, else
     JSON.  With `with_meta`, return (tensor, meta): the JSON file's `meta`
     object, or {} for a binary file or where it is absent or not an
     object."""
-    blob = _read(path)
+    with open(path, "rb") as fh:
+        blob = fh.read()
     if blob[:4] == MAGIC:
         T, meta = _parse_binary(blob, path), {}
     else:

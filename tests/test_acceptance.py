@@ -30,18 +30,6 @@ def _verdict(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
-def _point_from_flat(x, r, d):
-    nS = r ** 3
-    S = x[:nS].reshape(r, r, r)
-    mats = [x[nS + i * r * d: nS + (i + 1) * r * d].reshape(r, d)
-            for i in range(3)]
-    return FactorPoint(S, *mats)
-
-
-def _flat(p):
-    return np.concatenate([b.ravel() for b in p.blocks()])
-
-
 def test_criterion_01_gradient_matches_finite_differences():
     start = time.perf_counter()
     r, d = 2, 5
@@ -51,14 +39,14 @@ def test_criterion_01_gradient_matches_finite_differences():
         rng = np.random.default_rng(np.random.SeedSequence([501, seed]))
         T = rng.standard_normal((d, d, d))
         p = random_point(r, d, rng)
-        g = _flat(grad(p, T, lam))
-        x = _flat(p)
+        g = grad(p, T, lam).flat
+        x = p.flat
         for i in range(x.size):
             h = 1e-5 * (1.0 + abs(x[i]))
             xp = x.copy(); xp[i] += h
             xm = x.copy(); xm[i] -= h
-            fd = (objective(_point_from_flat(xp, r, d), T, lam).f
-                  - objective(_point_from_flat(xm, r, d), T, lam).f) / (2 * h)
+            fd = (objective(p._like(xp), T, lam).f
+                  - objective(p._like(xm), T, lam).f) / (2 * h)
             rel = abs(fd - g[i]) / max(1.0, abs(g[i]))
             worst = max(worst, rel)
     elapsed = time.perf_counter() - start

@@ -248,20 +248,26 @@ def test_decompose_rejects_bad_config_file(tmp_path, capsys):
     assert not (tmp_path / "x.summary.json").exists()
 
 
-def test_decompose_rejects_bad_config_values(tmp_path, capsys):
-    # a run cannot use any of these: each is an input error, not a
-    # misleading status, a burned budget or a traceback
+def test_decompose_rejects_bad_config_values(tmp_path, monkeypatch, capsys):
+    # a run cannot use any of these: each is an input error before the
+    # search starts, not a misleading status, a burned budget or a
+    # traceback.  The sampled escape's step grid needs a span above 1 and
+    # at least 3 points
+    import tuckersearch.cli as cli_module
+    calls = []
+    monkeypatch.setattr(cli_module, "run", lambda *a: calls.append(a))
     T_path = gen(tmp_path)
     cfg_path = tmp_path / "cfg.json"
     for text in ('{"sigma": NaN}', '{"lam": NaN}', '{"tau1": Infinity}',
                  '{"epsilon": -Infinity}', '{"r": 2.5}', '{"budget": 10.5}',
                  '{"init": "random:inf"}', '{"init": "random:nan"}',
-                 '{"init": 5}'):
+                 '{"init": 5}', '{"delta_points": 2}', '{"delta_span": 0.5}'):
         cfg_path.write_text(text)
         rc = main(["decompose", str(T_path), "--config", str(cfg_path),
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_INPUT, text
         assert capsys.readouterr().err.startswith("error: ")
+    assert calls == []
     assert not (tmp_path / "x.summary.json").exists()
 
 
@@ -278,6 +284,20 @@ def test_decompose_rejects_malformed_tensor_files(tmp_path, capsys):
         rc = main(["decompose", str(path), "--out", str(tmp_path / "x")])
         assert rc == EXIT_INPUT, doc
         assert capsys.readouterr().err.startswith("error: ")
+    # neither format, an empty file, and a binary file cut inside its
+    # 28-byte header: the error line names the file
+    for name, blob, message in (
+            ("nope.bin", b"NOPE" + b"\0" * 60, "not a TKR1 binary or JSON"),
+            ("empty.json", b"", "not a TKR1 binary or JSON"),
+            ("short.bin", b"TKR1" + b"\0" * 16, "truncated header")):
+        path = tmp_path / name
+        path.write_bytes(blob)
+        rc = main(["decompose", str(path), "--rank", "2",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_INPUT, name
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err, err
+    assert not (tmp_path / "x.summary.json").exists()
 
 
 def test_decompose_config_round_trips_through_summary(tmp_path):

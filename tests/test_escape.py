@@ -192,8 +192,7 @@ def test_sign_search_never_returns_a_worse_point():
     delta = FactorPoint(np.ones((1, 1, 1)), e[2][None, :], e[2][None, :],
                         e[2][None, :])
     from tuckersearch.escape import ImprovementDirection
-    direction = ImprovementDirection(delta=delta, kind="sampled",
-                                     ijk=(2, 2, 2))
+    direction = ImprovementDirection(delta=delta, kind="sampled")
     res = sign_flip_search(p, T, [direction], [10.0, 20.0])[0]
     assert res.step == 0.0
     assert res.improvement == 0.0

@@ -1,5 +1,5 @@
-"""Tests for the local search driver: schedule, stationary-point finding,
-negative curvature, and the full run loop."""
+"""Tests for the local search driver: stationary-point finding, negative
+curvature, and the full run loop."""
 import dataclasses
 import json
 import math
@@ -13,16 +13,11 @@ from tuckersearch.escape import (build_sampled_direction, delta_grid,
 from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     eval_along, grad, hvp, objective)
 from tuckersearch.search import (SAMPLED_BLOCKS, Evaluator, NonFiniteError,
-                                 ScheduleError, SearchConfig, SearchTrace,
-                                 Thresholds, _negative_curvature, find_sosp,
-                                 run, schedule)
+                                 SearchConfig, SearchTrace,
+                                 _negative_curvature, run)
 from tuckersearch.subspace import subspace_split
 from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
                                       norm_f, random_point)
-
-# a small running-norm bound makes the theory cascade feasible at desk scale
-FEASIBLE_K = 0.02
-
 
 def exact_instance(r, d, seed, entropy=11):
     rng = np.random.default_rng(np.random.SeedSequence([entropy, seed]))
@@ -37,78 +32,17 @@ def desk_instance(r, d, seed):
 
 
 # ---------------------------------------------------------------------------
-# schedule
+# stationary-point finding
 
 
-def test_schedule_formulas():
-    th = schedule(0.5, 1, 2, k_bound=FEASIBLE_K)
-    K = FEASIBLE_K
-    assert th.lam == 1.0 / 16.0
-    assert math.isclose(th.sigma, math.sqrt(th.gamma), rel_tol=1e-12)
-    assert th.kappa0 == th.sigma
-    assert math.isclose(th.kappa1, 2 * K * th.sigma ** 0.75, rel_tol=1e-12)
-    assert math.isclose(th.kappa2, 2 * K * th.sigma ** 0.125, rel_tol=1e-12)
-    assert math.isclose(th.kappa3, 2 * K * th.sigma ** 0.5, rel_tol=1e-12)
-    assert math.isclose(th.tau1, 4 * th.lam * th.tau / K, rel_tol=1e-12)
-    assert math.isclose(th.tau2, th.sigma ** 3.75, rel_tol=1e-12)
-
-
-def test_schedule_satisfies_cascade_inequalities():
-    epsilon, d = 0.5, 2
-    th = schedule(epsilon, 1, d, k_bound=FEASIBLE_K)
-    K = FEASIBLE_K
-    target = math.sqrt(epsilon) / 4.0
-    assert th.gamma < 1.0
-    assert th.kappa0 < target
-    assert d * th.kappa1 + K**3 * th.sigma < target
-    assert d * th.kappa2 + K**2 * th.sigma**2 < target
-    assert d * th.kappa3 + K * th.sigma**3 < target
-    assert th.tau < epsilon / 2.0
-
-
-def test_schedule_monotone_in_epsilon():
-    ths = [schedule(e, 1, 2, k_bound=FEASIBLE_K) for e in (0.5, 0.3, 0.2)]
-    for a, b in zip(ths, ths[1:]):
-        assert b.tau < a.tau
-        assert b.tau1 < a.tau1
-        assert b.tau2 < a.tau2
-
-
-def test_schedule_infeasible_for_realistic_norm_bound():
-    with pytest.raises(ScheduleError, match="practical"):
-        schedule(1e-4, 2, 8, k_bound=1.0)
-
-
-def test_schedule_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        schedule(0.0, 1, 2)
-    with pytest.raises(ValueError):
-        schedule(1.5, 1, 2)
-    with pytest.raises(ValueError):
-        schedule(0.5, 3, 2)
-
-
-def test_thresholds_flags_breached_ordering():
-    # sigma = 1 makes all three block bounds equal, so the strict ordering
-    # kappa2 > kappa3 > kappa1 fails even though each formula is satisfied
-    with pytest.raises(ValueError, match="ordered"):
-        Thresholds(epsilon=0.5, r=1, d=2, k_bound=1.0, lam=1.0 / 16.0,
-                   tau=1e-4, gamma=1.0, sigma=1.0, kappa0=1.0, kappa1=2.0,
-                   kappa2=2.0, kappa3=2.0, tau1=1e-5, tau2=1e-5)
-
-
-def test_thresholds_flags_formula_mismatch():
-    th = schedule(0.5, 1, 2, k_bound=FEASIBLE_K)
-    with pytest.raises(ValueError, match="kappa1"):
-        Thresholds(epsilon=th.epsilon, r=th.r, d=th.d, k_bound=th.k_bound,
-                   lam=th.lam, tau=th.tau, gamma=th.gamma, sigma=th.sigma,
-                   kappa0=th.kappa0, kappa1=2.0 * th.kappa1,
-                   kappa2=th.kappa2, kappa3=th.kappa3, tau1=th.tau1,
-                   tau2=th.tau2)
-
-
-# ---------------------------------------------------------------------------
-# find_sosp
+def find_sosp(p0, T, lam=None, budget=10_000, seed=0):
+    """One descent of search._find_sosp from p0 with the default tolerances
+    and an Evaluator of the given budget; returns (point, FindSospInfo)."""
+    config = SearchConfig(r=p0.r)
+    ev = Evaluator(T, default_lambda(p0.r) if lam is None else lam, budget)
+    return search_module._find_sosp(p0, ev, config.tau1, config.tau2,
+                                    np.random.default_rng(seed),
+                                    ev.objective(p0), SearchTrace(seed=seed))
 
 
 def test_find_sosp_descends_to_tolerance_near_optimum():
@@ -270,12 +204,25 @@ def test_gradient_line_search_falls_back_where_curvature_is_negative(
     # b = c = 1 the gradient grows while f falls (curvature -2 at eps = 0),
     # so s.y < 0 after the first step and the hint rule applies
     calls = record_gradient_line_searches(monkeypatch)
+    received = []
+    lbfgs_direction = search_module._lbfgs_direction
+
+    def recording(pairs, g):
+        received.append(list(pairs))
+        return lbfgs_direction(pairs, g)
+
+    monkeypatch.setattr(search_module, "_lbfgs_direction", recording)
     eps = 0.01
     p0 = FactorPoint(np.full((1, 1, 1), eps), np.full((1, 1), eps),
                      np.ones((1, 1)), np.ones((1, 1)))
     T = np.ones((1, 1, 1))
     find_sosp(p0, T, lam=0.0, budget=2)
     assert len(calls) == 2
+    # the (s, y) pair of the first step has s.y < 0, and no such pair may
+    # reach the two-loop recursion
+    assert len(received) == 2
+    for s, y, sy in (pair for pairs in received for pair in pairs):
+        assert sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y)
     (p_prev, d_prev, first0, _, step0), (p, d, first1, _, _) = calls
     assert first0 == 2.0 and step0 is not None
     g_prev, g = grad(p_prev, T, 0.0), grad(p, T, 0.0)
@@ -586,6 +533,16 @@ def test_run_validates_inputs():
     with pytest.raises(ValueError, match="lambda"):
         run(exact_instance(2, 4, 0), SearchConfig(r=2, lam=-1.0, budget=2000))
     T = exact_instance(2, 4, 0)
+    # the sampled escape's step grid needs a span above 1 and at least 3
+    # points; a hosvd start converges before any escape, so only the
+    # config check can reject these
+    for bad in ({"delta_points": 2}, {"delta_points": 1},
+                {"delta_span": 1.0}, {"delta_span": 0.5}):
+        cfg = SearchConfig(r=2, init="hosvd", **bad)
+        with pytest.raises(ValueError, match="delta_"):
+            cfg.validate()
+        with pytest.raises(ValueError, match="delta_"):
+            run(T, cfg)
     for bad in ({"lam": math.nan}, {"epsilon": math.nan},
                 {"sigma": math.nan}, {"tau1": math.inf}, {"tau2": math.nan},
                 {"min_improvement": math.inf}, {"delta_span": math.inf},

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuckersearch.tensor_core import (FactorPoint, flatten, hosvd, inner,
-                                      load_tensor, load_tensor_binary,
-                                      load_tensor_json, multilinear_transform,
+                                      load_tensor, multilinear_transform,
                                       norm_f, random_point, save_tensor_binary,
                                       save_tensor_json)
 
@@ -245,7 +244,6 @@ def test_tensor_json_round_trip(tmp_path):
     X = rng.standard_normal((2, 3, 4))
     path = tmp_path / "t.json"
     save_tensor_json(path, X, meta={"note": "test"})
-    np.testing.assert_array_equal(load_tensor_json(path), X)
     np.testing.assert_array_equal(load_tensor(path), X)
     T, meta = load_tensor(path, with_meta=True)
     np.testing.assert_array_equal(T, X)
@@ -262,7 +260,7 @@ def test_tensor_json_rejects_wrong_length(tmp_path):
     with open(path, "w") as fh:
         json.dump({"dims": [2, 2, 2], "data": [0.0] * 7}, fh)
     with pytest.raises(ValueError, match="does not match dims"):
-        load_tensor_json(path)
+        load_tensor(path)
 
 
 def test_tensor_json_rejects_non_finite(tmp_path):
@@ -270,7 +268,7 @@ def test_tensor_json_rejects_non_finite(tmp_path):
     with open(path, "w") as fh:
         fh.write('{"dims": [1, 1, 2], "data": [0.0, NaN]}')
     with pytest.raises(ValueError, match="non-finite"):
-        load_tensor_json(path)
+        load_tensor(path)
 
 
 def test_tensor_binary_round_trip(tmp_path):
@@ -278,7 +276,6 @@ def test_tensor_binary_round_trip(tmp_path):
     X = rng.standard_normal((4, 1, 3))
     path = tmp_path / "t.bin"
     save_tensor_binary(path, X)
-    np.testing.assert_array_equal(load_tensor_binary(path), X)
     np.testing.assert_array_equal(load_tensor(path), X)
     assert load_tensor(path, with_meta=True)[1] == {}
     with open(path, "rb") as fh:
@@ -288,12 +285,16 @@ def test_tensor_binary_round_trip(tmp_path):
 
 
 def test_tensor_binary_rejects_bad_payload(tmp_path):
-    path = tmp_path / "bad.bin"
-    with open(path, "wb") as fh:
-        fh.write(b"TKR1" + struct.pack("<3Q", 2, 2, 2) + b"\0" * 63)
-    with pytest.raises(ValueError, match="payload"):
-        load_tensor_binary(path)
-    with open(path, "wb") as fh:
-        fh.write(b"NOPE" + b"\0" * 60)
-    with pytest.raises(ValueError, match="magic"):
-        load_tensor_binary(path)
+    # a payload one byte short, neither format, an empty file, and a
+    # binary file cut inside its 28-byte header; each error names the file
+    for i, (blob, message) in enumerate((
+            (b"TKR1" + struct.pack("<3Q", 2, 2, 2) + b"\0" * 63, "payload"),
+            (b"NOPE" + b"\0" * 60, "not a TKR1 binary or JSON tensor file"),
+            (b"", "not a TKR1 binary or JSON tensor file"),
+            (b"TKR1" + struct.pack("<2Q", 2, 2), "truncated header"))):
+        path = tmp_path / f"bad{i}.bin"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError) as info:
+            load_tensor(path)
+        assert str(info.value).startswith(f"{path}: ")
+        assert message in str(info.value)
