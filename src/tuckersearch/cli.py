@@ -6,8 +6,8 @@ anything time-dependent goes to a separate metadata file so the main
 artifacts can be compared directly.
 
 Exit codes: 0 converged or success, 1 verification failure, 2 budget
-exhausted, 3 no improving direction above the target, 4 input error or a
-run whose objective became non-finite.
+exhausted, 3 no improving direction above the target, 4 input error (a
+usage error included) or a run whose objective became non-finite.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from .objective import objective, save_point
+from .objective import save_point
 from .search import NonFiniteError, SearchConfig, run
 from .tensor_core import (load_tensor, multilinear_transform, norm_f,
                           random_point, save_tensor_binary, save_tensor_json)
@@ -102,19 +102,15 @@ def _load_config(args) -> dict:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: expected a JSON object")
-    known = {f.name for f in dataclasses.fields(SearchConfig)}
-    unknown = sorted(set(doc) - known - {"d", "out"})
+    known = {f.name for f in dataclasses.fields(SearchConfig)} | {"d", "out"}
+    unknown = sorted(set(doc) - known)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
-    overrides = {"rank": "r", "dim": "d", "lam": "lam",
-                 "epsilon": "epsilon", "seed": "seed", "budget": "budget",
-                 "samples_per_block": "samples_per_block",
-                 "delta_span": "delta_span", "delta_points": "delta_points",
-                 "init": "init", "out": "out"}
-    for flag, field in overrides.items():
-        v = getattr(args, flag, None)
+    # each flag's dest is the key it sets
+    for key in known:
+        v = getattr(args, key, None)
         if v is not None:
-            doc[field] = v
+            doc[key] = v
     return doc
 
 
@@ -224,8 +220,16 @@ def cmd_verify(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_INPUT: argparse's 2 means budget here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tuckersearch",
         description="Tucker decomposition by regularized local search")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -245,15 +249,12 @@ def build_parser() -> argparse.ArgumentParser:
     dp.add_argument("tensor")
     dp.add_argument("--config", help="JSON file with SearchConfig fields "
                     "plus d and out; explicit flags take precedence")
-    dp.add_argument("--rank", type=int)
-    dp.add_argument("--dim", type=int)
+    dp.add_argument("--rank", dest="r", type=int, metavar="RANK")
+    dp.add_argument("--dim", dest="d", type=int, metavar="DIM")
     dp.add_argument("--lambda", dest="lam", type=float)
     dp.add_argument("--epsilon", type=float)
     dp.add_argument("--seed", type=int)
     dp.add_argument("--budget", type=int)
-    dp.add_argument("--samples-per-block", dest="samples_per_block", type=int)
-    dp.add_argument("--delta-span", dest="delta_span", type=float)
-    dp.add_argument("--delta-points", dest="delta_points", type=int)
     dp.add_argument("--init", help="zero | hosvd | random:<scale>")
     dp.add_argument("--out", help="output path prefix")
     dp.add_argument("--restarts", type=int, default=1,

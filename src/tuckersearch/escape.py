@@ -70,7 +70,6 @@ class SampledVectors:
 class ImprovementDirection:
     delta: FactorPoint
     kind: str    # the step kind a trace records when the search takes it
-    mode: int | None = None
     sign_pattern: tuple[int, ...] | None = None
 
 
@@ -148,9 +147,8 @@ def build_sampled_direction(vectors: SampledVectors,
                                 kind="sampled({},{},{})".format(*ijk))
 
 
-def delta_grid(sigma: float, n_missing: int, span: float = 100.0,
-               points: int = 13) -> np.ndarray:
-    """Log-spaced step sizes covering [center/span, center*span].
+def delta_grid(sigma: float, n_missing: int) -> np.ndarray:
+    """13 log-spaced step sizes covering [center/100, center*100].
 
     The center is sigma^(1/4) for one or two missing modes and sigma^(1/8)
     for three, matching where the leading improvement term dominates.
@@ -159,10 +157,8 @@ def delta_grid(sigma: float, n_missing: int, span: float = 100.0,
         raise ValueError(f"sigma must be positive, got {sigma}")
     if n_missing not in (1, 2, 3):
         raise ValueError(f"n_missing must be 1, 2 or 3, got {n_missing}")
-    if span <= 1.0 or points < 3:
-        raise ValueError("need span > 1 and at least 3 grid points")
     center = sigma ** 0.25 if n_missing <= 2 else sigma ** 0.125
-    return np.geomspace(center / span, center * span, points)
+    return np.geomspace(center / 100.0, center * 100.0, 13)
 
 
 @dataclass(frozen=True)
@@ -355,7 +351,7 @@ def remove_extraneous_direction(p: FactorPoint, splits: SubspaceSplit,
     mats = [zero.copy(), zero.copy(), zero.copy()]
     mats[mode - 1] = -m3
     return ImprovementDirection(delta=FactorPoint(np.zeros_like(p.S), *mats),
-                                kind="remove-extraneous", mode=mode)
+                                kind="remove-extraneous")
 
 
 def core_fix_direction(p: FactorPoint, T: np.ndarray,

@@ -62,6 +62,13 @@ LANCZOS_STEPS = 12
 # clean regime
 DETERMINISTIC_GRID = np.geomspace(1e-4, 1.0, 17)
 DETERMINISTIC_GRID.setflags(write=False)
+# fixed thresholds in place of the paper's cascade: the escape's singular
+# value split, the gradient and curvature tolerances of a stationary
+# point, and the least gain an escape step must make
+SIGMA = 0.05
+TAU1 = 1e-6
+TAU2 = 1e-4
+MIN_IMPROVEMENT = 1e-10
 
 
 class NonFiniteError(Exception):
@@ -78,59 +85,42 @@ class NonFiniteError(Exception):
 
 @dataclass
 class SearchConfig:
-    """Knobs for one run, with fixed practical thresholds.  No round
-    limit is needed: every round charges at least one gradient evaluation,
-    so the budget bounds the rounds."""
+    """Knobs for one run; the thresholds are the module's constants.  No
+    round limit is needed: every round charges at least one gradient
+    evaluation, so the budget bounds the rounds."""
     r: int
     epsilon: float = 1e-4
     lam: float | None = None
     seed: int = 0
     budget: int = 50_000
-    samples_per_block: int | None = None
-    sigma: float = 0.05
-    tau1: float = 1e-6
-    tau2: float = 1e-4
-    min_improvement: float = 1e-10
-    delta_span: float = 100.0
-    delta_points: int = 13
     init: str = "zero"
 
     def validate(self) -> None:
         """Reject what a run cannot use: a count that is not an integer, a
-        number that is not finite, a value out of range (the sampled
-        escape's step grid needs delta_span > 1 and delta_points >= 3), a
-        bad init."""
-        for name, low in (("r", 1), ("seed", 0), ("budget", 1),
-                          ("delta_points", 3), ("samples_per_block", 1)):
+        number that is not finite, a value out of range, a bad init."""
+        for name, low in (("r", 1), ("seed", 0), ("budget", 1)):
             v = getattr(self, name)
-            if v is None and name == "samples_per_block":
-                continue
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
             if v < low:
                 raise ValueError(f"{name} must be at least {low}, got {v}")
-        for name in ("lam", "epsilon", "sigma", "tau1", "tau2",
-                     "min_improvement", "delta_span"):
+        for name in ("lam", "epsilon"):
             v = getattr(self, name)
             if v is None and name == "lam":
                 continue
             if (isinstance(v, bool) or not isinstance(v, numbers.Real)
                     or not math.isfinite(v)):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
-            if v <= 0 and name != "lam":
-                raise ValueError(f"{name} must be positive, got {v}")
         if self.lam is not None and self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
-        if self.epsilon >= 1.0:
+        if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.delta_span <= 1.0:
-            raise ValueError(f"delta_span must exceed 1, got {self.delta_span}")
         _parse_init(self.init)
 
-    def resolved_samples_per_block(self) -> int:
-        if self.samples_per_block is not None:
-            return int(self.samples_per_block)
-        return min(math.ceil(8.0 * math.log(1.0 / self.epsilon)), 6)
+
+def samples_per_block(epsilon: float) -> int:
+    """Draws per sampled block label: min(ceil(8 ln(1/epsilon)), 6)."""
+    return min(math.ceil(8.0 * math.log(1.0 / epsilon)), 6)
 
 
 def _parse_init(spec: str):
@@ -297,18 +287,18 @@ def _require_finite(value: float, what: str, trace=None) -> None:
         raise NonFiniteError(f"{what} became non-finite", trace=trace)
 
 
-def _negative_curvature(p: FactorPoint, tau2: float,
-                        rng: np.random.Generator, ev: Evaluator):
+def _negative_curvature(p: FactorPoint, rng: np.random.Generator,
+                        ev: Evaluator):
     """Lanczos on the Hessian from one random unit start, with full
     reorthogonalization; returns (unit Ritz direction or None, smallest
     Ritz value).
 
-    The first product is also the flat-Hessian probe: with 4 |Hq| < tau2
+    The first product is also the flat-Hessian probe: with 4 |Hq| < TAU2
     the search returns its Rayleigh quotient and no direction.  The
-    iteration stops once the smallest Ritz value theta is at most -tau2/2
+    iteration stops once the smallest Ritz value theta is at most -TAU2/2
     with residual beta |e_k.y| <= 0.1 |theta|, or once beta vanishes and
     the Ritz values are exact, and otherwise after LANCZOS_STEPS products;
-    a direction comes back whenever theta <= -tau2/2.  A product the
+    a direction comes back whenever theta <= -TAU2/2.  A product the
     budget cannot pay for ends the search with an infinite value: nothing
     was measured."""
     q = rng.standard_normal(p.flat.size)
@@ -323,7 +313,7 @@ def _negative_curvature(p: FactorPoint, tau2: float,
         alpha = float(q @ w)
         _require_finite(alpha, "curvature estimate")
         hnorm = max(hnorm, float(np.linalg.norm(w)))
-        if len(basis) == 1 and 4.0 * hnorm < tau2:
+        if len(basis) == 1 and 4.0 * hnorm < TAU2:
             return None, alpha
         alphas.append(alpha)
         # full reorthogonalization, in two passes; it also takes out the
@@ -335,12 +325,12 @@ def _negative_curvature(p: FactorPoint, tau2: float,
         ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1)
                                     + np.diag(betas, -1))
         theta, y = float(ritz[0]), vecs[:, 0]
-        if beta <= 1e-10 * hnorm or (theta <= -tau2 / 2.0 and
+        if beta <= 1e-10 * hnorm or (theta <= -TAU2 / 2.0 and
                                      beta * abs(y[-1]) <= 0.1 * abs(theta)):
             break
         betas.append(beta)
         basis.append(w / beta)
-    if theta > -tau2 / 2.0:
+    if theta > -TAU2 / 2.0:
         return None, theta
     v = y @ Q
     return p._like(v / np.linalg.norm(v)), theta
@@ -368,8 +358,8 @@ def _lbfgs_direction(pairs, g: FactorPoint):
 
 
 def _line_search(p, direction, f0, ev, init_step=1.0,
-                 slope: float | None = None, shrink=0.5, max_backtracks=40):
-    """Backtrack from init_step until sufficient decrease; returns
+                 slope: float | None = None, max_backtracks=40):
+    """Halve the step from init_step until sufficient decrease; returns
     (point, report, step) or None.  With a slope (for gradient steps) the
     Armijo rule applies; otherwise any strict decrease wins."""
     step = init_step
@@ -383,13 +373,13 @@ def _line_search(p, direction, f0, ev, init_step=1.0,
                     return cand, rep, step
             elif fc < f0 - 1e-12 * (1.0 + abs(f0)):
                 return cand, rep, step
-        step *= shrink
+        step *= 0.5
     return None
 
 
-def _find_sosp(p: FactorPoint, budget: Evaluator, tau1: float, tau2: float,
-               rng: np.random.Generator, rep: ObjectiveReport,
-               trace: SearchTrace, epsilon: float = -math.inf):
+def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
+               rep: ObjectiveReport, trace: SearchTrace,
+               epsilon: float = -math.inf):
     """Descend from p, whose finite objective report the caller passes as
     rep, recording each accepted step in trace, until f <= epsilon, the
     point is stationary or the budget runs out.  Returns (point,
@@ -434,7 +424,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, tau1: float, tau2: float,
             # no progress over a whole window counts as a small gradient
             stalled = (len(recent) > STALL_WINDOW
                        and recent[0] - recent[-1] <= STALL_TOL * recent[-1])
-            if gn > tau1 and not stalled:
+            if gn > TAU1 and not stalled:
                 direction = _lbfgs_direction(pairs, g)
                 if direction is not None:
                     hit = _line_search(p, direction, rep.f, budget,
@@ -450,7 +440,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, tau1: float, tau2: float,
             # the gradient is small, descent has stalled, or the line
             # search cannot realize the descent it promises: probe the
             # curvature
-            direction, rho = _negative_curvature(p, tau2, rng, budget)
+            direction, rho = _negative_curvature(p, rng, budget)
             if direction is None:
                 if not math.isfinite(rho):
                     # the budget died before a Rayleigh quotient came back
@@ -467,7 +457,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, tau1: float, tau2: float,
                                          or cand[1].f < hit[1].f):
                     hit = cand
             if hit is None:
-                # curvature below -tau2/2 that no step can realize at this
+                # curvature below -TAU2/2 that no step can realize at this
                 # floating-point scale: accept the point as stationary
                 return p, FindSospInfo(True, rep, gn, rho)
             recent.clear()
@@ -535,8 +525,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
         raise ValueError(f"rank {r} exceeds dimension {d}")
     lam = config.lam if config.lam is not None else default_lambda(r)
 
-    sigma = config.sigma
-    samples = config.resolved_samples_per_block()
+    samples = samples_per_block(config.epsilon)
 
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     rng_init = np.random.default_rng(seeds[0])
@@ -562,8 +551,8 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     rounds = 0
     while status is None:
         rounds += 1
-        p, info = _find_sosp(p, ev, config.tau1, config.tau2, rng_sosp, rep,
-                             trace, epsilon=config.epsilon)
+        p, info = _find_sosp(p, ev, rng_sosp, rep, trace,
+                             epsilon=config.epsilon)
         rep = info.report
         if rep.f <= config.epsilon:
             status = "converged"
@@ -572,7 +561,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
             status = "budget"
             break
 
-        splits = subspace_split(p, T, sigma)
+        splits = subspace_split(p, T, SIGMA)
         best = None
         for cand in _deterministic_candidates(p, splits, ev):
             if best is None or cand.improvement > best.improvement:
@@ -587,16 +576,15 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
                     vec = sample_missing_directions(splits, ijk, rng_sampler)
                 except NoMissingDirection:
                     break
-                drawn.append(build_sampled_direction(vec, sigma))
+                drawn.append(build_sampled_direction(vec, SIGMA))
             if not drawn:
                 continue
-            grid = delta_grid(sigma, sum(1 for x in ijk if x == 2),
-                              config.delta_span, config.delta_points)
+            grid = delta_grid(SIGMA, sum(1 for x in ijk if x == 2))
             for cand in ev.sign_search(p, drawn, grid):
                 if best is None or cand.improvement > best.improvement:
                     best = cand
 
-        if best is not None and best.improvement >= config.min_improvement:
+        if best is not None and best.improvement >= MIN_IMPROVEMENT:
             p = best.apply(p)
             rep = ev.objective(p)
             _require_finite(rep.f, "objective", trace)

@@ -86,10 +86,10 @@ def split(M: np.ndarray, sigma: float) -> ModeSplit:
                      sigma=float(sigma))
 
 
-def true_projection(T: np.ndarray, mode: int, rank_tol: float = 1e-10) -> np.ndarray:
+def true_projection(T: np.ndarray, mode: int) -> np.ndarray:
     """Orthogonal projection in R^d onto the span of mode-`mode` slices of
     T, i.e. the column space of its mode flattening.  Directions with
-    singular value at most rank_tol times the largest are treated as zero.
+    singular value at most 1e-10 times the largest are treated as zero.
 
     The flattening F is d x d^2.  With F^T = QR, F = R^T Q^T and Q has
     orthonormal columns, so F's left singular vectors and values are those
@@ -100,7 +100,7 @@ def true_projection(T: np.ndarray, mode: int, rank_tol: float = 1e-10) -> np.nda
     U, s, _ = np.linalg.svd(R.T, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((F.shape[0], F.shape[0]))
-    keep = s > rank_tol * s[0]
+    keep = s > 1e-10 * s[0]
     Uk = U[:, keep]
     return Uk @ Uk.T
 
@@ -117,12 +117,12 @@ class SubspaceSplit:
     sigma: float
 
 
-def subspace_split(p: FactorPoint, T: np.ndarray, sigma: float,
-                   rank_tol: float = 1e-10) -> SubspaceSplit:
+def subspace_split(p: FactorPoint, T: np.ndarray,
+                   sigma: float) -> SubspaceSplit:
     """Build all per-mode splits of (A, B, C) against target T."""
     T = np.asarray(T, dtype=float)
     modes = tuple(split(M, sigma) for M in (p.A, p.B, p.C))
-    p_true = tuple(true_projection(T, m, rank_tol) for m in (1, 2, 3))
+    p_true = tuple(true_projection(T, m) for m in (1, 2, 3))
     eye = np.eye(p.d)
     m3 = tuple(M @ (eye - P) for M, P in zip((p.A, p.B, p.C), p_true))
     return SubspaceSplit(modes=modes, p_true=p_true, m3=m3, sigma=float(sigma))

@@ -238,8 +238,10 @@ def test_decompose_config_file_with_cli_precedence(tmp_path):
 def test_decompose_rejects_bad_config_file(tmp_path, capsys):
     T_path = gen(tmp_path)
     cfg_path = tmp_path / "cfg.json"
+    # sigma and delta_points were fields once and are fixed constants now
     for doc in ({"r": 2, "typo_field": 1}, {"r": 2, "mode": "theory"},
-                {"r": 2, "sosp_eval_cap": 3000}):
+                {"r": 2, "sosp_eval_cap": 3000}, {"r": 2, "sigma": 0.05},
+                {"r": 2, "delta_points": 13}):
         cfg_path.write_text(json.dumps(doc))
         rc = main(["decompose", str(T_path), "--config", str(cfg_path),
                    "--out", str(tmp_path / "x")])
@@ -251,17 +253,15 @@ def test_decompose_rejects_bad_config_file(tmp_path, capsys):
 def test_decompose_rejects_bad_config_values(tmp_path, monkeypatch, capsys):
     # a run cannot use any of these: each is an input error before the
     # search starts, not a misleading status, a burned budget or a
-    # traceback.  The sampled escape's step grid needs a span above 1 and
-    # at least 3 points
+    # traceback
     import tuckersearch.cli as cli_module
     calls = []
     monkeypatch.setattr(cli_module, "run", lambda *a: calls.append(a))
     T_path = gen(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    for text in ('{"sigma": NaN}', '{"lam": NaN}', '{"tau1": Infinity}',
-                 '{"epsilon": -Infinity}', '{"r": 2.5}', '{"budget": 10.5}',
-                 '{"init": "random:inf"}', '{"init": "random:nan"}',
-                 '{"init": 5}', '{"delta_points": 2}', '{"delta_span": 0.5}'):
+    for text in ('{"lam": NaN}', '{"epsilon": -Infinity}', '{"r": 2.5}',
+                 '{"budget": 10.5}', '{"init": "random:inf"}',
+                 '{"init": "random:nan"}', '{"init": 5}'):
         cfg_path.write_text(text)
         rc = main(["decompose", str(T_path), "--config", str(cfg_path),
                    "--out", str(tmp_path / "x")])
@@ -304,7 +304,6 @@ def test_decompose_config_round_trips_through_summary(tmp_path):
     # the summary's config object is a config file that reruns the search
     T_path = gen(tmp_path, d=4, seed=5)
     assert main(["decompose", str(T_path), "--rank", "2", "--seed", "3",
-                 "--samples-per-block", "4", "--delta-points", "9",
                  "--out", str(tmp_path / "a")]) == EXIT_OK
     config = json.loads((tmp_path / "a.summary.json").read_text())["config"]
     cfg_path = tmp_path / "cfg.json"
@@ -314,6 +313,26 @@ def test_decompose_config_round_trips_through_summary(tmp_path):
     for name in ("factors.json", "trace.jsonl", "summary.json"):
         assert ((tmp_path / f"a.{name}").read_bytes()
                 == (tmp_path / f"b.{name}").read_bytes())
+
+
+def test_decompose_usage_errors_are_input_errors(tmp_path, capsys):
+    # argparse's own exit code, 2, would read as an exhausted budget; a
+    # removed flag or a non-integer rank is an input error
+    T_path = gen(tmp_path)
+    for extra in (["--delta-points", "9"], ["--rank", "two"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", str(T_path), *extra,
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == EXIT_INPUT, extra
+        err = capsys.readouterr().err
+        assert "error: " in err and extra[0] in err, err
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--help"])
+    assert exc.value.code == EXIT_OK
+    help_text = capsys.readouterr().out
+    for flag in ("--samples-per-block", "--delta-span", "--delta-points"):
+        assert flag not in help_text
+    assert not (tmp_path / "x.summary.json").exists()
 
 
 def test_decompose_budget_exit_code(tmp_path):

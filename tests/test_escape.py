@@ -237,7 +237,7 @@ def test_sign_search_rejects_zero_direction(monkeypatch):
 def test_sign_search_counts_its_evaluations():
     p, T, splits, rng = _generic_setup()
     vec = sample_missing_directions(splits, (1, 2, 2), rng)
-    grid = delta_grid(0.1, 2, points=5)
+    grid = delta_grid(0.1, 2)
     direction = build_sampled_direction(vec, 0.1)
     res = sign_flip_search(p, T, [direction], grid)[0]
     # the baseline at p, then every sign of core, B and C at every step
@@ -496,7 +496,9 @@ def test_remove_extraneous_deletes_off_span_mass():
     p, T, splits = _planted_extraneous()
     direction = remove_extraneous_direction(p, splits, mode=1)
     assert direction.kind == "remove-extraneous"
-    assert direction.mode == 1
+    # only the mode-1 factor moves
+    assert [np.any(blk != 0.0) for blk in direction.delta.blocks()] \
+        == [False, True, False, False]
     np.testing.assert_allclose(direction.delta.A,
                                -np.vstack([np.zeros(5), np.eye(5)[4]]),
                                atol=1e-12)

@@ -12,9 +12,9 @@ from tuckersearch.escape import (build_sampled_direction, delta_grid,
                                  sample_missing_directions, sign_flip_search)
 from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     eval_along, grad, hvp, objective)
-from tuckersearch.search import (SAMPLED_BLOCKS, Evaluator, NonFiniteError,
-                                 SearchConfig, SearchTrace,
-                                 _negative_curvature, run)
+from tuckersearch.search import (SAMPLED_BLOCKS, TAU1, TAU2, Evaluator,
+                                 NonFiniteError, SearchConfig, SearchTrace,
+                                 _negative_curvature, run, samples_per_block)
 from tuckersearch.subspace import subspace_split
 from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
                                       norm_f, random_point)
@@ -36,12 +36,10 @@ def desk_instance(r, d, seed):
 
 
 def find_sosp(p0, T, lam=None, budget=10_000, seed=0):
-    """One descent of search._find_sosp from p0 with the default tolerances
-    and an Evaluator of the given budget; returns (point, FindSospInfo)."""
-    config = SearchConfig(r=p0.r)
+    """One descent of search._find_sosp from p0 with an Evaluator of the
+    given budget; returns (point, FindSospInfo)."""
     ev = Evaluator(T, default_lambda(p0.r) if lam is None else lam, budget)
-    return search_module._find_sosp(p0, ev, config.tau1, config.tau2,
-                                    np.random.default_rng(seed),
+    return search_module._find_sosp(p0, ev, np.random.default_rng(seed),
                                     ev.objective(p0), SearchTrace(seed=seed))
 
 
@@ -237,7 +235,7 @@ def test_gradient_line_search_falls_back_where_curvature_is_negative(
 def test_plateau_descent_hands_off_to_escape(monkeypatch):
     # criterion 05's r=2, d=8, seed-1 target: after the first escape step
     # the descent sits on a plateau near f = 0.0386 where f moves in its
-    # seventh digit and the gradient norm stays above 1e-6 = tau1, so only
+    # seventh digit and the gradient norm stays above TAU1 = 1e-6, so only
     # the progress window can end it
     descents = []
     find = search_module._find_sosp
@@ -250,36 +248,34 @@ def test_plateau_descent_hands_off_to_escape(monkeypatch):
 
     monkeypatch.setattr(search_module, "_find_sosp", recording)
     line_searches = record_gradient_line_searches(monkeypatch)
-    config = SearchConfig(r=2, seed=1)
-    res = run(desk_instance(2, 8, 1), config)
+    res = run(desk_instance(2, 8, 1), SearchConfig(r=2, seed=1))
     assert res.status == "converged"
     # with every gradient line search succeeding, a stationary verdict
-    # above tau1 is the progress hand-off
+    # above TAU1 is the progress hand-off
     assert all(step is not None for *_, step in line_searches)
     handed_off = [spent for spent, info in descents
-                  if info.converged and info.grad_norm > config.tau1]
+                  if info.converged and info.grad_norm > TAU1]
     assert handed_off
     assert max(spent for spent, _ in descents) <= 1_000
 
 
 def test_negative_curvature_exits_at_a_flat_hessian():
     # every term of f is quartic or higher at the origin, so H = 0 there:
-    # the norm probes alone show that no eigenvalue lies below -tau2/2
+    # the norm probes alone show that no eigenvalue lies below -TAU2/2
     u, v, w = np.random.default_rng(4).standard_normal((3, 8))
     T = np.einsum("i,j,k->ijk", u, v, w)
     T /= norm_f(T)
     ev = Evaluator(T, default_lambda(2), 10**9)
-    direction, rho = _negative_curvature(FactorPoint.zeros(2, 8), 1e-4,
+    direction, rho = _negative_curvature(FactorPoint.zeros(2, 8),
                                          np.random.default_rng(0), ev)
     assert direction is None
     assert math.isfinite(rho)
     assert ev.used <= 6
 
 
-def curvature_direction(p, T, lam, tau2, rng):
-    """Unit direction with Rayleigh quotient at most -tau2/2, or None."""
-    direction, _ = _negative_curvature(p, tau2, rng,
-                                       Evaluator(T, lam, 10**9))
+def curvature_direction(p, T, lam, rng):
+    """Unit direction with Rayleigh quotient at most -TAU2/2, or None."""
+    direction, _ = _negative_curvature(p, rng, Evaluator(T, lam, 10**9))
     return direction
 
 
@@ -289,12 +285,12 @@ def test_negative_curvature_on_hand_solved_instance():
     p = FactorPoint(np.zeros((1, 1, 1)), np.zeros((1, 1)), np.ones((1, 1)),
                     np.ones((1, 1)))
     T = np.ones((1, 1, 1))
-    direction = curvature_direction(p, T, lam=0.0, tau2=1e-4,
+    direction = curvature_direction(p, T, lam=0.0,
                                     rng=np.random.default_rng(0))
     assert direction is not None
     assert math.isclose(direction.norm(), 1.0, rel_tol=1e-9)
     rho = direction.inner(hvp(p, direction, T, 0.0))
-    assert rho <= -5e-5
+    assert rho <= -TAU2 / 2
     assert abs(rho - (-2.0)) <= 0.2
 
 
@@ -302,7 +298,7 @@ def test_negative_curvature_none_at_global_minimum():
     rng = np.random.default_rng(1)
     truth = balanced_random_point(2, 3, rng)
     T = multilinear_transform(truth.S, truth.A, truth.B, truth.C)
-    direction = curvature_direction(truth, T, default_lambda(2), tau2=1e-4,
+    direction = curvature_direction(truth, T, default_lambda(2),
                                     rng=np.random.default_rng(2))
     assert direction is None
 
@@ -336,7 +332,7 @@ def test_lanczos_ritz_value_matches_dense_hessian_spectrum():
         for seed in range(3):
             ev = Evaluator(T, lam, 10**9)
             direction, rho = _negative_curvature(
-                p, 1e-4, np.random.default_rng(seed), ev)
+                p, np.random.default_rng(seed), ev)
             assert ev.used <= 2 * search_module.LANCZOS_STEPS
             assert direction is not None
             assert math.isclose(direction.norm(), 1.0, rel_tol=1e-9)
@@ -348,8 +344,7 @@ def test_lanczos_ritz_value_matches_dense_hessian_spectrum():
     truth = balanced_random_point(2, 3, rng)
     T = multilinear_transform(truth.S, truth.A, truth.B, truth.C)
     lowest = np.linalg.eigvalsh(dense_hessian(truth, T, 1e-3))[0]
-    direction, rho = _negative_curvature(truth, 1e-4,
-                                         np.random.default_rng(2),
+    direction, rho = _negative_curvature(truth, np.random.default_rng(2),
                                          Evaluator(T, 1e-3, 10**9))
     assert direction is None
     assert lowest - 1e-8 <= rho
@@ -533,22 +528,9 @@ def test_run_validates_inputs():
     with pytest.raises(ValueError, match="lambda"):
         run(exact_instance(2, 4, 0), SearchConfig(r=2, lam=-1.0, budget=2000))
     T = exact_instance(2, 4, 0)
-    # the sampled escape's step grid needs a span above 1 and at least 3
-    # points; a hosvd start converges before any escape, so only the
-    # config check can reject these
-    for bad in ({"delta_points": 2}, {"delta_points": 1},
-                {"delta_span": 1.0}, {"delta_span": 0.5}):
-        cfg = SearchConfig(r=2, init="hosvd", **bad)
-        with pytest.raises(ValueError, match="delta_"):
-            cfg.validate()
-        with pytest.raises(ValueError, match="delta_"):
-            run(T, cfg)
     for bad in ({"lam": math.nan}, {"epsilon": math.nan},
-                {"sigma": math.nan}, {"tau1": math.inf}, {"tau2": math.nan},
-                {"min_improvement": math.inf}, {"delta_span": math.inf},
                 {"r": 2.5}, {"r": True}, {"budget": 10.0},
-                {"delta_points": 13.0},
-                {"samples_per_block": 1.5}, {"seed": 0.5}, {"seed": -1},
+                {"seed": 0.5}, {"seed": -1},
                 {"init": "random:inf"}, {"init": "random:nan"},
                 {"init": 5}):
         with pytest.raises(ValueError):
@@ -636,7 +618,7 @@ def test_escape_round_scores_each_block_label_in_one_sign_search(
 
     monkeypatch.setattr(search_module, "subspace_split", splitting)
     monkeypatch.setattr(search_module, "sign_flip_search", searching)
-    samples = SearchConfig(r=2).resolved_samples_per_block()
+    samples = samples_per_block(SearchConfig(r=2).epsilon)
     stacked = 0
     for rank in (1, 2):
         rounds.clear()
@@ -669,11 +651,12 @@ def test_trace_append_rejects_increase():
 
 
 def test_config_sample_count_resolution():
-    assert SearchConfig(r=2, samples_per_block=3).resolved_samples_per_block() == 3
-    practical = SearchConfig(r=2, epsilon=1e-4)
-    assert practical.resolved_samples_per_block() == 6
+    assert samples_per_block(SearchConfig(r=2).epsilon) == 6
+    assert samples_per_block(1e-4) == 6
     # below the cap of 6 the count is ceil(8 log(1/epsilon))
-    assert SearchConfig(r=2, epsilon=0.9).resolved_samples_per_block() == 1
+    assert samples_per_block(0.9) == 1
+    assert samples_per_block(0.5) == 6
+    assert samples_per_block(0.7) == 3
 
 
 def test_budget_counts_hvp_double():
