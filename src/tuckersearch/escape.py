@@ -56,7 +56,8 @@ class NoDirection(Exception):
 
 @dataclass(frozen=True)
 class SampledVectors:
-    """One draw of ambient (a, b, c) and coefficient (u, v, w) vectors."""
+    """Draws of ambient (a, b, c) and coefficient (u, v, w) vectors: one
+    vector each, or a (draws, dim) stack of them."""
     ijk: tuple[int, int, int]
     a: np.ndarray
     b: np.ndarray
@@ -73,56 +74,93 @@ class ImprovementDirection:
     sign_pattern: tuple[int, ...] | None = None
 
 
-def _unit_in_span(basis: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Uniform unit vector in the column span of an orthonormal basis."""
-    while True:
-        g = rng.standard_normal(basis.shape[1])
-        n = np.linalg.norm(g)
-        if n > 1e-12:
-            return basis @ (g / n)
+def _unit_rows(X: np.ndarray, rng: np.random.Generator | None = None
+               ) -> np.ndarray:
+    """Each row of X over its norm; with rng, a row of norm at most 1e-12
+    is first drawn again from it, in place.  The squared norms are one
+    stacked product of length-1 matrices, a dot product per row, so each
+    row comes out bit for bit as X[i] / np.linalg.norm(X[i])."""
+    norms = np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0]
+    if rng is not None and not (norms > 1e-12).all():
+        for i in np.flatnonzero(norms[:, 0] <= 1e-12):
+            while np.linalg.norm(X[i]) <= 1e-12:
+                X[i] = rng.standard_normal(X.shape[1])
+        norms = np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0]
+    return X / norms
+
+
+def _span_rows(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """basis @ X[i] for each row of X, one matrix-vector product per row
+    (a stacked product with a trailing axis of 1), so each row matches
+    the product of basis and that row alone bit for bit."""
+    return np.matmul(basis, X[:, :, None])[:, :, 0]
 
 
 def sample_missing_directions(splits: SubspaceSplit, ijk,
-                              rng: np.random.Generator) -> SampledVectors:
-    """Draw (a, b, c, u, v, w) for the block label ijk.
+                              rng: np.random.Generator,
+                              size: int | None = None) -> SampledVectors:
+    """Draw (a, b, c, u, v, w) for the block label ijk, or with `size`
+    that many draws, each vector then a (size, dim) stack.
+
+    Each draw takes, mode by mode, one standard normal vector per unit
+    vector it needs (the ambient vector, then for index 2 the coefficient
+    vector), each the size of the orthonormal basis it is mapped by; all
+    draws come from one rng.standard_normal((size, k)) call, whose rows
+    hold the same numbers as drawing one after another.  A normal vector
+    of norm at most 1e-12 is drawn again.
 
     Raises NoMissingDirection when any requested subspace is empty, e.g.
     asking for a complement direction of a factor that already uses all r
-    of its rows.
+    of its rows.  The normals of the modes before the empty one are drawn
+    first, as one draw that stops there takes them, so the generator
+    moves on as it does when the draws are made one at a time.
     """
     ijk = tuple(int(x) for x in ijk)
     if len(ijk) != 3 or any(x not in (1, 2) for x in ijk):
         raise ValueError(f"block label must be in {{1,2}}^3, got {ijk}")
-    ambient, coeff = [], []
+    bases = []
     for m, idx in enumerate(ijk):
         ms = splits.modes[m]
+        if idx == 1 and ms.rank1 == 0:
+            reason = f"no singular values above {ms.sigma}"
+        elif idx == 2 and ms.v2.shape[1] == 0:
+            reason = "no unused coefficient rows (rank1 = r)"
+        elif idx == 2 and ms.u2.shape[1] == 0:
+            reason = "no unused ambient directions"
+        else:
+            bases += [ms.u1] if idx == 1 else [ms.u2, ms.v2]
+            continue
+        rng.standard_normal(sum(basis.shape[1] for basis in bases))
+        raise NoMissingDirection(f"mode {m + 1}: {reason}")
+    n = 1 if size is None else int(size)
+    Z = rng.standard_normal((n, sum(basis.shape[1] for basis in bases)))
+    units, lo = [], 0
+    for basis in bases:
+        X = Z[:, lo:lo + basis.shape[1]]
+        lo += basis.shape[1]
+        units.append(_span_rows(basis, _unit_rows(X, rng)))
+    units = iter(units)
+    ambient, coeff = [], []
+    for ms, idx in zip(splits.modes, ijk):
+        a = next(units)
+        ambient.append(a)
         if idx == 1:
-            if ms.rank1 == 0:
-                raise NoMissingDirection(
-                    f"mode {m + 1}: no singular values above {ms.sigma}")
-            a = _unit_in_span(ms.u1, rng)
             # preimage under the large part: m1^T u is a positive multiple
             # of a, with multiplier at least sigma
-            u = np.linalg.pinv(ms.m1.T, rcond=1e-12) @ a
-            u = u / np.linalg.norm(u)
+            coeff.append(_unit_rows(_span_rows(
+                np.linalg.pinv(ms.m1.T, rcond=1e-12), a)))
         else:
-            if ms.v2.shape[1] == 0:
-                raise NoMissingDirection(
-                    f"mode {m + 1}: no unused coefficient rows (rank1 = r)")
-            if ms.u2.shape[1] == 0:
-                raise NoMissingDirection(
-                    f"mode {m + 1}: no unused ambient directions")
-            a = _unit_in_span(ms.u2, rng)
-            u = _unit_in_span(ms.v2, rng)
-        ambient.append(a)
-        coeff.append(u)
+            coeff.append(next(units))
+    if size is None:
+        ambient, coeff = [x[0] for x in ambient], [x[0] for x in coeff]
     return SampledVectors(ijk=ijk, a=ambient[0], b=ambient[1], c=ambient[2],
                           u=coeff[0], v=coeff[1], w=coeff[2])
 
 
-def build_sampled_direction(vectors: SampledVectors,
-                            sigma: float) -> ImprovementDirection:
-    """Assemble the rank-one update for a sampled block.
+def build_sampled_direction(vectors: SampledVectors, sigma: float):
+    """Assemble the rank-one update for a sampled block: one
+    ImprovementDirection for one draw, or a list of them, built as one
+    stack, for stacked draws.
 
     The core moves by u x v x w.  Each index-2 factor moves by the outer
     product of its coefficient and ambient vectors; when only one mode is
@@ -134,17 +172,20 @@ def build_sampled_direction(vectors: SampledVectors,
     if n_missing == 0:
         raise ValueError("block (1,1,1) has no direction to build")
     scale = float(sigma) if n_missing == 1 else 1.0
-    dS = np.einsum("x,y,z->xyz", vectors.u, vectors.v, vectors.w)
-    r, d = vectors.u.shape[0], vectors.a.shape[0]
-    mats = []
-    for idx, cvec, avec in zip(ijk, (vectors.u, vectors.v, vectors.w),
-                               (vectors.a, vectors.b, vectors.c)):
+    U, V, W, A, B, C = (np.atleast_2d(x) for x in (
+        vectors.u, vectors.v, vectors.w, vectors.a, vectors.b, vectors.c))
+    n, r, d = U.shape[0], U.shape[1], A.shape[1]
+    flats = np.zeros((n, r**3 + 3 * r * d))
+    flats[:, :r**3] = np.einsum("nx,ny,nz->nxyz", U, V, W).reshape(n, r**3)
+    mats = flats[:, r**3:].reshape(n, 3, r, d)
+    for m, (idx, cvec, avec) in enumerate(zip(ijk, (U, V, W), (A, B, C))):
         if idx == 2:
-            mats.append(scale * np.outer(cvec, avec))
-        else:
-            mats.append(np.zeros((r, d)))
-    return ImprovementDirection(delta=FactorPoint(dS, *mats),
-                                kind="sampled({},{},{})".format(*ijk))
+            mats[:, m] = scale * (cvec[:, :, None] * avec[:, None, :])
+    template = FactorPoint.zeros(r, d)
+    kind = "sampled({},{},{})".format(*ijk)
+    out = [ImprovementDirection(delta=template._like(flat), kind=kind)
+           for flat in flats]
+    return out[0] if vectors.u.ndim == 1 else out
 
 
 def delta_grid(sigma: float, n_missing: int) -> np.ndarray:

@@ -19,6 +19,28 @@ no direction helps, or the gradient-evaluation budget runs out:
 Stage 1 handles first and second order saddles, stage 2 the flat third and
 fourth order ones that gradient information cannot see.
 
+The L-BFGS recursion starts from H0 = gamma P^-1, after scaled gradient
+descent for Tucker (Tong, Ma and Chi, arXiv:2104.14526).  P is the
+block-diagonal Gauss-Newton matrix of the fitting term at the current
+point: with the Gram matrices G_m = M M^T, factor m's block is
+W_m = S_(m) (G_k kron G_l) S_(m)^T, multiplying its r x d gradient block
+from the left, and the core's is G_A kron G_B kron G_C, applied as three
+mode products.  Each of the six r x r blocks is damped by GN_DAMPING
+times its trace / r, and gamma = s.y / (y.P^-1 y) of the newest pair.
+Each factor and the core thus take a step scaled to their own curvature
+rather than one scalar step for all.  The damping was chosen from this
+sweep (mean gradient evaluations over the 36 perfbench `grid` cells of
+seeds 51-53, and the totals of the desk grid and of acceptance criterion
+05; BLAS at one thread):
+
+    GN_DAMPING   1e-3    1e-2   2e-2   3e-2   4e-2   5e-2   0.1    0.3
+    grid mean     902     183    112     95     86     84     97    129
+    desk grid  11,840   2,082  1,273    991    923    974  1,097  1,365
+    crit. 05    7,584   2,202  1,817  1,687  1,733  1,956  2,165  2,420
+
+against 197, 2,132 and 3,294 from the scalar H0 = (s.y / y.y) I.  Below
+about 2e-2 the count rises steeply; the cause of that cliff is not known.
+
 Budget accounting: one `Evaluator` holds the target, lambda and the
 counters, and each of its methods charges its own cost: a gradient 1, a
 Hessian-vector product 2 (a gradient difference), the Gram gaps of a
@@ -53,9 +75,11 @@ SAMPLED_BLOCKS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (2, 1, 2),
 # accepted steps is treated as stationary and probes the curvature
 STALL_WINDOW = 50
 STALL_TOL = 1e-6
-# (s, y) pairs the L-BFGS direction keeps, and Hessian-vector products a
-# Lanczos curvature probe may take
+# (s, y) pairs the L-BFGS direction keeps, the relative damping of its
+# Gauss-Newton preconditioner, and Hessian-vector products a Lanczos
+# curvature probe may take
 LBFGS_MEMORY = 5
+GN_DAMPING = 4e-2
 LANCZOS_STEPS = 12
 # steps of the deterministic escape directions; a unit step is included
 # because the core fix and the off-span removal are exact at step 1 in the
@@ -336,11 +360,72 @@ def _negative_curvature(p: FactorPoint, rng: np.random.Generator,
     return p._like(v / np.linalg.norm(v)), theta
 
 
-def _lbfgs_direction(pairs, g: FactorPoint):
-    """The L-BFGS direction -H g by the two-loop recursion over the
-    (s, y, s.y) pairs, oldest first, from H0 = (s.y / y.y) I of the newest
-    pair; None without a pair or where -H g is not a descent direction."""
+def _gn_inverse(p: FactorPoint):
+    """Inverses of the damped Gauss-Newton blocks of the fitting term at p,
+    as a (6, r, r) stack: W_A, W_B, W_C, then G_A, G_B, G_C.
+
+    G_m = M M^T is a factor's Gram matrix and W_m = S_(m) (G_k kron G_l)
+    S_(m)^T, with k and l the other two modes, is the Gram matrix of the
+    transform's mode-m unfolding without M.  The fitting term's
+    Gauss-Newton matrix is 2 (W_m kron I_d) on factor m and
+    2 G_A kron G_B kron G_C on the core.  Each block gets GN_DAMPING times
+    its mean eigenvalue, tr / r, on its diagonal, plus 1e-12 of the
+    largest such mean, which keeps a zero block invertible.  None when
+    every block is zero, as at a point whose factors are all zero."""
+    S, r = p.S, p.r
+    blocks = np.empty((6, r, r))
+    G = np.matmul(p.factors, p.factors.transpose(0, 2, 1), out=blocks[3:])
+    GA, GB, GC = G
+    # Z_(m) is the mode-m unfolding of S times the other two Grams, so
+    # W_m = S_(m) Z_(m)^T; the core and its unfoldings are r x r^2
+    SC = (S.reshape(r * r, r) @ GC).reshape(r, r, r)
+    SAB = np.matmul(GB, (GA @ S.reshape(r, r * r)).reshape(r, r, r))
+    Z = np.concatenate((np.matmul(GB, SC),
+                        (GA @ SC.reshape(r, r * r)).reshape(r, r, r)
+                        .transpose(1, 0, 2),
+                        SAB.transpose(2, 0, 1))).reshape(3, r, r * r)
+    F = np.concatenate((S, S.transpose(1, 0, 2), S.transpose(2, 0, 1))
+                       ).reshape(3, r, r * r)
+    np.matmul(F, Z.transpose(0, 2, 1), out=blocks[:3])
+    diag = blocks.reshape(6, r * r)[:, ::r + 1]
+    trace = diag.sum(axis=1)
+    top = trace.max()
+    if not top > 0.0:
+        return None
+    diag += (GN_DAMPING / r) * trace[:, None] + (1e-12 / r) * top
+    return np.linalg.inv(blocks)
+
+
+def _gn_apply(inv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """P^-1 v for each row of the (k, n) array v, with the block inverses
+    of `_gn_inverse`: the core block as mode products by the Gram
+    inverses, each factor block from the left."""
+    k, r = v.shape[0], inv.shape[1]
+    n = r**3
+    core = v[:, :n].reshape(k * r * r, r) @ inv[5].T
+    core = np.matmul(inv[4], core.reshape(k * r, r, r))
+    core = np.matmul(inv[3], core.reshape(k, r, r * r))
+    mats = np.matmul(inv[:3], v[:, n:].reshape(k, 3, r, -1))
+    return np.concatenate((core.reshape(k, n), mats.reshape(k, -1)), axis=1)
+
+
+def _lbfgs_direction(p: FactorPoint, g: FactorPoint, pairs):
+    """The L-BFGS direction -H g at p by the two-loop recursion over the
+    (s, y, s.y) pairs, oldest first, from H0 = gamma P^-1.
+
+    P is the damped block-diagonal Gauss-Newton matrix of the fitting term
+    at p (see `_gn_inverse`; the regularizer's curvature is left out), so
+    each factor and the core get a step scaled to their own curvature;
+    gamma = s.y / (y.P^-1 y) of the newest pair sets the overall length.
+    The blocks are built and inverted once per call and applied to y and
+    to the recursion's vector together.  GN_DAMPING = 4e-2 sits in the
+    flat part of the module docstring's sweep, from 3e-2 to 0.1, above
+    the cliff below 2e-2.  None without a pair, where every block of P is
+    zero, or where -H g is not a descent direction."""
     if not pairs:
+        return None
+    inv = _gn_inverse(p)
+    if inv is None:
         return None
     q = g.flat.copy()
     alphas = []
@@ -349,7 +434,8 @@ def _lbfgs_direction(pairs, g: FactorPoint):
         q -= a * y
         alphas.append(a)
     s, y, sy = pairs[-1]
-    q *= sy / float(y @ y)
+    Py, q = _gn_apply(inv, np.array((y, q)))
+    q *= sy / float(y @ Py)
     for (s, y, sy), a in zip(pairs, reversed(alphas)):
         q += (a - float(y @ q) / sy) * s
     if not float(g.flat @ q) > 0.0:
@@ -425,7 +511,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
             stalled = (len(recent) > STALL_WINDOW
                        and recent[0] - recent[-1] <= STALL_TOL * recent[-1])
             if gn > TAU1 and not stalled:
-                direction = _lbfgs_direction(pairs, g)
+                direction = _lbfgs_direction(p, g, pairs)
                 if direction is not None:
                     hit = _line_search(p, direction, rep.f, budget,
                                        slope=-g.inner(direction))
@@ -567,17 +653,13 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
             if best is None or cand.improvement > best.improvement:
                 best = cand
         for ijk in SAMPLED_BLOCKS:
-            # draw the block's samples, then score them in one sign search;
-            # scoring draws no random numbers, so the sampler's stream is
-            # the same as when each draw was scored before the next
-            drawn = []
-            for _ in range(samples):
-                try:
-                    vec = sample_missing_directions(splits, ijk, rng_sampler)
-                except NoMissingDirection:
-                    break
-                drawn.append(build_sampled_direction(vec, SIGMA))
-            if not drawn:
+            # draw the block's samples at once, then score them in one sign
+            # search; scoring draws no random numbers, so the sampler's
+            # stream is the same as when each draw was scored before the next
+            try:
+                drawn = build_sampled_direction(sample_missing_directions(
+                    splits, ijk, rng_sampler, samples), SIGMA)
+            except NoMissingDirection:
                 continue
             grid = delta_grid(SIGMA, sum(1 for x in ijk if x == 2))
             for cand in ev.sign_search(p, drawn, grid):

@@ -453,9 +453,8 @@ def gallery_origin(rng=None, attempts: int = 100) -> LemmaReport:
     splits = subspace_split(p, T, 0.05)
     grid = delta_grid(0.05, 3)
     lam = default_lambda(r)
-    directions = [build_sampled_direction(
-        sample_missing_directions(splits, (2, 2, 2), rng), 0.05)
-        for _ in range(attempts)]
+    directions = build_sampled_direction(
+        sample_missing_directions(splits, (2, 2, 2), rng, attempts), 0.05)
     improved = sum(res.improvement > 0.0 for res in
                    sign_flip_search(p, T, directions, grid, lam))
     # core and factor moves share the same unit vectors, so the fully

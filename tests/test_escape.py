@@ -104,6 +104,104 @@ def test_sampler_draws_are_centered():
     assert np.linalg.norm(acc / n) <= 0.05
 
 
+def sequential_draw(splits, ijk, rng, sigma):
+    """The sampler one draw at a time, each unit vector from its own
+    normal draw, and its direction built block by block: the reference
+    the stacked sampler must match bit for bit."""
+    def unit_in_span(basis):
+        while True:
+            g = rng.standard_normal(basis.shape[1])
+            n = np.linalg.norm(g)
+            if n > 1e-12:
+                return basis @ (g / n)
+
+    ambient, coeff = [], []
+    for m, (ms, idx) in enumerate(zip(splits.modes, ijk)):
+        if idx == 1:
+            if ms.rank1 == 0:
+                raise NoMissingDirection(f"mode {m + 1}")
+            a = unit_in_span(ms.u1)
+            u = np.linalg.pinv(ms.m1.T, rcond=1e-12) @ a
+            u = u / np.linalg.norm(u)
+        else:
+            if ms.v2.shape[1] == 0 or ms.u2.shape[1] == 0:
+                raise NoMissingDirection(f"mode {m + 1}")
+            a = unit_in_span(ms.u2)
+            u = unit_in_span(ms.v2)
+        ambient.append(a)
+        coeff.append(u)
+    scale = sigma if sum(x == 2 for x in ijk) == 1 else 1.0
+    r, d = coeff[0].size, ambient[0].size
+    mats = [scale * np.outer(u, a) if idx == 2 else np.zeros((r, d))
+            for idx, u, a in zip(ijk, coeff, ambient)]
+    return FactorPoint(outer3(*coeff), *mats)
+
+
+def test_stacked_draws_match_one_draw_at_a_time():
+    # modes 1 and 2 split (2.0, 0.01), mode 3 (2.0, 1.0): at sigma 0.1
+    # mode 3 has no unused coefficient row, so a label with a 2 there
+    # fails after the normals of modes 1 and 2, which it must still take
+    rng = np.random.default_rng(17)
+    r, d = 2, 5
+    mats = []
+    for spectrum in ((2.0, 0.01), (2.0, 0.01), (2.0, 1.0)):
+        V = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        U = np.linalg.qr(rng.standard_normal((d, r)))[0]
+        mats.append((V * np.array(spectrum)) @ U.T)
+    p = FactorPoint(rng.standard_normal((r, r, r)), *mats)
+    splits = subspace_split(p, rng.standard_normal((d, d, d)), 0.1)
+    stacked, sequential = np.random.default_rng(5), np.random.default_rng(5)
+    failed = 0
+    for ijk in SAMPLED_BLOCKS:
+        try:
+            want = [sequential_draw(splits, ijk, sequential, 0.1)
+                    for _ in range(6)]
+        except NoMissingDirection:
+            with pytest.raises(NoMissingDirection):
+                sample_missing_directions(splits, ijk, stacked, 6)
+            assert ijk[2] == 2
+            failed += 1
+            continue
+        got = build_sampled_direction(
+            sample_missing_directions(splits, ijk, stacked, 6), 0.1)
+        assert len(got) == 6
+        for direction, point in zip(got, want):
+            assert direction.kind == "sampled({},{},{})".format(*ijk)
+            assert np.array_equal(direction.delta.flat, point.flat)
+        one = build_sampled_direction(sample_missing_directions(
+            splits, ijk, stacked, None), 0.1)
+        assert isinstance(one, ImprovementDirection)
+        assert np.array_equal(
+            one.delta.flat, sequential_draw(splits, ijk, sequential, 0.1).flat)
+    assert 0 < failed < len(SAMPLED_BLOCKS)
+    # the generators have taken the same numbers
+    assert stacked.standard_normal() == sequential.standard_normal()
+
+
+class ZerosFirst:
+    """A generator whose first batch of normals is all zeros."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(0)
+        self.first = True
+
+    def standard_normal(self, size):
+        if self.first:
+            self.first = False
+            return np.zeros(size)
+        return self.rng.standard_normal(size)
+
+
+def test_sampler_draws_again_where_a_normal_vector_vanishes():
+    p, T, splits, _ = _generic_setup()
+    vec = sample_missing_directions(splits, (2, 2, 2), ZerosFirst(), 3)
+    for avec, cvec in ((vec.a, vec.u), (vec.b, vec.v), (vec.c, vec.w)):
+        np.testing.assert_allclose(np.linalg.norm(avec, axis=1), 1.0,
+                                   atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(cvec, axis=1), 1.0,
+                                   atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # building directions
 
