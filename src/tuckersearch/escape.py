@@ -41,7 +41,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .objective import _check_target, _fit, default_lambda, objective
+from .objective import (ObjectiveReport, _evaluation, default_lambda,
+                        objective)
 from .subspace import SubspaceSplit
 from .tensor_core import FactorPoint, multilinear_transform
 
@@ -273,7 +274,8 @@ def _expansion(p: FactorPoint, deltas, D: np.ndarray):
 
 
 def sign_step_values(p: FactorPoint, T: np.ndarray, deltas, patterns, grid,
-                     lam: float | None = None) -> np.ndarray:
+                     lam: float | None = None,
+                     at: ObjectiveReport | None = None) -> np.ndarray:
     """f(p + t * (s o delta)) for every delta of the sequence `deltas`,
     every sign row s of `patterns` (one sign per block S, A, B, C) and
     every step t of `grid`, as a (len(deltas), len(patterns), len(grid))
@@ -286,10 +288,11 @@ def sign_step_values(p: FactorPoint, T: np.ndarray, deltas, patterns, grid,
     products.  The sum adds terms as large as L(p) and the c_U X_U, so a
     value is accurate to a few ulps of the largest of these, not of itself:
     an exact fit can read 0.0 or a rounding-sized value of either sign.
+    The residual at p comes from `at` when it is a report of p.
     """
     if lam is None:
         lam = default_lambda(p.r)
-    D = _fit(p, _check_target(p, T))[2]
+    D = _evaluation(p, T, at)[0][2]
     gram, proj, basis = _expansion(p, deltas, D)
     patterns = np.asarray(patterns, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -321,7 +324,9 @@ def _active_blocks(direction: ImprovementDirection) -> tuple[int, ...]:
 
 
 def sign_flip_search(p: FactorPoint, T: np.ndarray, directions, grid,
-                     lam: float | None = None) -> list[SignSearchResult]:
+                     lam: float | None = None,
+                     at: ObjectiveReport | None = None
+                     ) -> list[SignSearchResult]:
     """For each of `directions`, try every sign pattern of its nonzero
     blocks over the step grid and keep the best objective value; returns
     one result per direction, in order.
@@ -330,15 +335,17 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, directions, grid,
     otherwise), so that they share the sign patterns.  All candidates of
     all directions are scored together by `sign_step_values`, which
     expands f along the directions once instead of evaluating f at each
-    candidate, and f and the residual at p are computed once for the
-    call.  A direction's candidates are ranked in the order of a loop over
-    the patterns (the k-th active block flipped when bit k of the pattern
-    number is set), then over the grid: the first smallest value wins,
-    NaN never, and it must be strictly below f at p, which is one
-    `objective` call.  Never returns a step that makes f worse: if nothing
-    improves, the result has step 0 and improvement 0.  `evals` counts the
-    objective values computed for the direction, and the first result also
-    counts the baseline at p, so the results' evals add up to the call's.
+    candidate.  f and the residual at p come from `at` when it is a report
+    of p (taken with the same T and lam), and otherwise from one
+    `objective` call.  A direction's candidates are ranked in the order
+    of a loop over the patterns (the k-th active block flipped when bit k
+    of the pattern number is set), then over the grid: the first smallest
+    value wins, NaN never, and it must be strictly below f at p.  Never
+    returns a step that makes f worse: if nothing improves, the result
+    has step 0 and improvement 0.  `evals` counts the objective values
+    computed for the direction, and where the call made the `objective`
+    call at p the first result also counts it, so the results' evals add
+    up to the call's.
     """
     directions = list(directions)
     if not directions:
@@ -348,14 +355,17 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, directions, grid,
         raise ValueError("the directions' nonzero blocks differ")
     if not active:
         raise NoDirection("direction is identically zero")
-    f0 = objective(p, T, lam).f
+    baseline = at is None or at.point is not p
+    if baseline:
+        at = objective(p, T, lam)
+    f0 = at.f
     patterns = np.ones((2 ** len(active), 4))
     bits = np.arange(len(patterns))
     for pos, i in enumerate(active):
         patterns[bits >> pos & 1 == 1, i] = -1.0
     grid = np.asarray(grid, dtype=float)
     values = sign_step_values(p, T, [q.delta for q in directions], patterns,
-                              grid, lam)
+                              grid, lam, at)
     # NaN never wins, as it never compares smaller
     ranked = np.where(np.isnan(values), np.inf, values).reshape(
         len(directions), -1)
@@ -374,7 +384,7 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, directions, grid,
         out.append(SignSearchResult(
             direction=out_dir, step=step, improvement=f0 - f_after,
             f_before=f0, f_after=f_after,
-            evals=values[k].size + (k == 0)))
+            evals=values[k].size + (k == 0 and baseline)))
     return out
 
 

@@ -19,7 +19,7 @@ fitting term at the scales the search operates in.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -78,22 +78,49 @@ def reg(p: FactorPoint) -> float:
 
 @dataclass(frozen=True)
 class ObjectiveReport:
-    """One objective evaluation: f = L + lam * R with R = phi^2."""
+    """One objective evaluation: f = L + lam * R with R = phi^2.
+
+    It also keeps what the evaluation formed, so that a later call at the
+    same point starts from it: the point, the fit stages (S x3 C,
+    S(I, B, C) and the residual D, as `_fit` returns them) and the Gram
+    gaps.  These take no part in comparison or repr."""
     f: float
     L: float
     R: float
     phi: float
     lam: float
+    point: FactorPoint | None = field(default=None, compare=False,
+                                      repr=False)
+    stages: tuple | None = field(default=None, compare=False, repr=False)
+    gaps: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def objective(p: FactorPoint, T: np.ndarray, lam: float | None = None) -> ObjectiveReport:
     """Evaluate f = L + lam * R; lam defaults to 1 / (16 r^4)."""
     if lam is None:
         lam = default_lambda(p.r)
-    L = loss(p, T)
-    phi = reg_phi(p)
+    stages = _fit(p, _check_target(p, T))
+    D = stages[2].ravel()
+    L = float(D @ D)
+    gaps = _gram_gaps(p)
+    phi = _phi(gaps)
     R = phi * phi
-    return ObjectiveReport(f=L + lam * R, L=L, R=R, phi=phi, lam=lam)
+    # the instance dict is filled directly: the frozen dataclass's
+    # __init__ sets each of its eight fields through object.__setattr__,
+    # which costs more than the rest of a small evaluation's bookkeeping
+    rep = object.__new__(ObjectiveReport)
+    vars(rep).update(f=L + lam * R, L=L, R=R, phi=phi, lam=lam, point=p,
+                     stages=stages, gaps=gaps)
+    return rep
+
+
+def _evaluation(p: FactorPoint, T: np.ndarray, at: ObjectiveReport | None):
+    """The fit stages and Gram gaps at p: those `at` holds when it is a
+    report of p (the same object), otherwise computed afresh.  `at` must
+    have been taken against the same T."""
+    if at is not None and at.point is p:
+        return at.stages, at.gaps
+    return _fit(p, _check_target(p, T)), _gram_gaps(p)
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +136,11 @@ def objective(p: FactorPoint, T: np.ndarray, lam: float | None = None) -> Object
 #   dL/dC = 2 S_(3) [D(A^T, B^T, I)]_(3)^T
 
 
-def _grad_loss_flat(p: FactorPoint, T: np.ndarray) -> np.ndarray:
-    """Half the gradient of the fitting term, as a flat vector."""
+def _grad_loss_flat(p: FactorPoint, stages) -> np.ndarray:
+    """Half the gradient of the fitting term, as a flat vector, from the
+    fit stages (S x3 C, S(I, B, C), D) at p."""
     r, d = p.r, p.d
-    SC, SBC, D = _fit(p, T)
+    SC, SBC, D = stages
     D1 = D.reshape(d, d * d)
     DA = (p.A @ D1).reshape(r, d, d)
     DAB = np.matmul(p.B, DA).reshape(r * r, d)
@@ -136,7 +164,7 @@ def _grad_phi_flat(p: FactorPoint, gaps: np.ndarray) -> np.ndarray:
 
 def grad_loss(p: FactorPoint, T: np.ndarray) -> FactorPoint:
     """Gradient of the fitting term, block by block."""
-    return p._like(2.0 * _grad_loss_flat(p, _check_target(p, T)))
+    return p._like(2.0 * _grad_loss_flat(p, _fit(p, _check_target(p, T))))
 
 
 def grad_phi(p: FactorPoint) -> FactorPoint:
@@ -150,12 +178,16 @@ def grad_reg(p: FactorPoint) -> FactorPoint:
     return p._like((2.0 * _phi(gaps)) * _grad_phi_flat(p, gaps))
 
 
-def grad(p: FactorPoint, T: np.ndarray, lam: float | None = None) -> FactorPoint:
-    """Gradient of f = L + lam * R; the Gram gaps are formed once."""
+def grad(p: FactorPoint, T: np.ndarray, lam: float | None = None,
+         at: ObjectiveReport | None = None) -> FactorPoint:
+    """Gradient of f = L + lam * R; the Gram gaps are formed once.  With
+    `at`, a report of `objective(p, T)`, the fit stages and Gram gaps come
+    from it and are not formed again; a report of any other point is
+    ignored."""
     if lam is None:
         lam = default_lambda(p.r)
-    gaps = _gram_gaps(p)
-    return p._like(2.0 * _grad_loss_flat(p, _check_target(p, T))
+    stages, gaps = _evaluation(p, T, at)
+    return p._like(2.0 * _grad_loss_flat(p, stages)
                    + (2.0 * lam * _phi(gaps)) * _grad_phi_flat(p, gaps))
 
 

@@ -45,9 +45,18 @@ Budget accounting: one `Evaluator` holds the target, lambda and the
 counters, and each of its methods charges its own cost: a gradient 1, a
 Hessian-vector product 2 (a gradient difference), the Gram gaps of a
 rebalance move 1 (the content of the regularizer gradient).  Objective
-values, the sign search's included, are counted but not charged.  No
+values, the sign search's included, are counted but not charged.  Each
+point is evaluated once: its `ObjectiveReport` keeps the fit stages and
+Gram gaps, and the gradient at the point and every sign search of the
+escape round at it are handed that report (`at`), so they form neither
+again and a sign search adds no baseline value to the count.  No
 curvature probe starts that the budget cannot pay for, so a run never
 spends past its budget.
+
+An escape step is taken on the sign search's predicted gain only if the
+evaluated f does not rise by more than the trace allows; the expansion's
+rounding can exceed a gain near MIN_IMPROVEMENT, and a refused step ends
+the round as if nothing had gained enough.
 """
 from __future__ import annotations
 
@@ -187,6 +196,11 @@ class TraceRecord:
         return out
 
 
+def _rises(prev: float, f: float) -> bool:
+    """f exceeds prev by more than the rounding a trace allows."""
+    return f > prev + 1e-12 * (1.0 + abs(prev))
+
+
 @dataclass
 class SearchTrace:
     seed: int
@@ -197,11 +211,9 @@ class SearchTrace:
                step_size: float, improvement: float,
                grad_norm: float | None = None,
                min_curvature: float | None = None) -> TraceRecord:
-        if self.records:
-            prev = self.records[-1].f
-            if f > prev + 1e-12 * (1.0 + abs(prev)):
-                raise AssertionError(
-                    f"objective increased along accepted steps: {prev} -> {f}")
+        if self.records and _rises(self.records[-1].f, f):
+            raise AssertionError("objective increased along accepted "
+                                 f"steps: {self.records[-1].f} -> {f}")
         rec = TraceRecord(iteration=len(self.records), f=float(f), L=float(L),
                           R=float(R), grad_norm=grad_norm,
                           min_curvature=min_curvature, step_kind=step_kind,
@@ -240,9 +252,10 @@ class Evaluator:
         self.objective_evals += 1
         return objective(p, self.T, self.lam)
 
-    def grad(self, p: FactorPoint) -> FactorPoint:
+    def grad(self, p: FactorPoint,
+             at: ObjectiveReport | None = None) -> FactorPoint:
         self.used += 1
-        return grad(p, self.T, self.lam)
+        return grad(p, self.T, self.lam, at=at)
 
     def hvp(self, p: FactorPoint, v: FactorPoint) -> FactorPoint:
         self.used += 2
@@ -252,8 +265,10 @@ class Evaluator:
         self.used += 1
         return _gram_gaps(p)
 
-    def sign_search(self, p: FactorPoint, directions, grid):
-        cands = sign_flip_search(p, self.T, directions, grid, self.lam)
+    def sign_search(self, p: FactorPoint, directions, grid,
+                    at: ObjectiveReport | None = None):
+        cands = sign_flip_search(p, self.T, directions, grid, self.lam,
+                                 at=at)
         self.objective_evals += sum(c.evals for c in cands)
         return cands
 
@@ -450,7 +465,7 @@ def _line_search(p, direction, f0, ev, init_step=1.0,
     Armijo rule applies; otherwise any strict decrease wins."""
     step = init_step
     for _ in range(max_backtracks):
-        cand = p + step * direction
+        cand = p._like(p.flat + step * direction.flat)
         rep = ev.objective(cand)
         fc = rep.f
         if math.isfinite(fc):
@@ -496,7 +511,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
             if hit is None and budget.exhausted:
                 return p, FindSospInfo(False, rep, gn, min_curv)
         if hit is None:
-            g = budget.grad(p)
+            g = budget.grad(p, at=rep)
             gn = g.norm()
             _require_finite(gn, "gradient", trace)
             kind, seen = "gradient", {"grad_norm": gn}
@@ -572,19 +587,21 @@ class RunResult:
     wall_time: float
 
 
-def _deterministic_candidates(p, splits, ev):
-    """Core-fix and remove-extraneous directions on DETERMINISTIC_GRID.
-    Each moves different blocks, so each is its own sign search."""
+def _deterministic_candidates(p, splits, ev, rep):
+    """Core-fix and remove-extraneous directions on DETERMINISTIC_GRID,
+    scored from p's report rep.  Each moves different blocks, so each is
+    its own sign search."""
     out = []
     try:
         out += ev.sign_search(p, [core_fix_direction(p, ev.T, splits)],
-                              DETERMINISTIC_GRID)
+                              DETERMINISTIC_GRID, at=rep)
     except NoDirection:
         pass
     for mode in (1, 2, 3):
         try:
             direction = remove_extraneous_direction(p, splits, mode)
-            out += ev.sign_search(p, [direction], DETERMINISTIC_GRID)
+            out += ev.sign_search(p, [direction], DETERMINISTIC_GRID,
+                                  at=rep)
         except NoDirection:
             pass
     return out
@@ -635,6 +652,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
 
     status = "converged" if rep.f <= config.epsilon else None
     rounds = 0
+    p_true = None  # the target's span projectors, from the first round
     while status is None:
         rounds += 1
         p, info = _find_sosp(p, ev, rng_sosp, rep, trace,
@@ -647,9 +665,10 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
             status = "budget"
             break
 
-        splits = subspace_split(p, T, SIGMA)
+        splits = subspace_split(p, T, SIGMA, p_true)
+        p_true = splits.p_true
         best = None
-        for cand in _deterministic_candidates(p, splits, ev):
+        for cand in _deterministic_candidates(p, splits, ev, rep):
             if best is None or cand.improvement > best.improvement:
                 best = cand
         for ijk in SAMPLED_BLOCKS:
@@ -662,14 +681,21 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
             except NoMissingDirection:
                 continue
             grid = delta_grid(SIGMA, sum(1 for x in ijk if x == 2))
-            for cand in ev.sign_search(p, drawn, grid):
+            for cand in ev.sign_search(p, drawn, grid, at=rep):
                 if best is None or cand.improvement > best.improvement:
                     best = cand
 
+        # a predicted gain is taken only if f does not rise (see the
+        # module docstring)
+        taken = None
         if best is not None and best.improvement >= MIN_IMPROVEMENT:
-            p = best.apply(p)
-            rep = ev.objective(p)
-            _require_finite(rep.f, "objective", trace)
+            cand = best.apply(p)
+            cand_rep = ev.objective(cand)
+            _require_finite(cand_rep.f, "objective", trace)
+            if not _rises(rep.f, cand_rep.f):
+                taken = cand, cand_rep
+        if taken is not None:
+            p, rep = taken
             trace.append(f=rep.f, L=rep.L, R=rep.R,
                          step_kind=best.direction.kind, step_size=best.step,
                          improvement=best.improvement,

@@ -117,12 +117,16 @@ class SubspaceSplit:
     sigma: float
 
 
-def subspace_split(p: FactorPoint, T: np.ndarray,
-                   sigma: float) -> SubspaceSplit:
-    """Build all per-mode splits of (A, B, C) against target T."""
-    T = np.asarray(T, dtype=float)
+def subspace_split(p: FactorPoint, T: np.ndarray, sigma: float,
+                   p_true=None) -> SubspaceSplit:
+    """Build all per-mode splits of (A, B, C) against target T.  The
+    target's span projectors depend on T alone: a caller that splits
+    often against one T passes those of an earlier split as p_true, and
+    without them they are computed here."""
     modes = tuple(split(M, sigma) for M in (p.A, p.B, p.C))
-    p_true = tuple(true_projection(T, m) for m in (1, 2, 3))
+    if p_true is None:
+        T = np.asarray(T, dtype=float)
+        p_true = tuple(true_projection(T, m) for m in (1, 2, 3))
     eye = np.eye(p.d)
     m3 = tuple(M @ (eye - P) for M, P in zip((p.A, p.B, p.C), p_true))
     return SubspaceSplit(modes=modes, p_true=p_true, m3=m3, sigma=float(sigma))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tuckersearch.escape import (ImprovementDirection, NoDirection,
                                  NoMissingDirection, build_sampled_direction,
@@ -572,6 +574,53 @@ def test_stacked_sign_search_matches_one_direction_at_a_time(r, d):
                          delta_grid(sigma, 3))
     with pytest.raises(ValueError):
         sign_flip_search(p, T, [], delta_grid(sigma, 3))
+
+
+def _result_fields(res):
+    """Every field of a SignSearchResult but evals, the delta as bytes."""
+    q = res.direction
+    return (q.delta.flat.tobytes(), q.kind, q.sign_pattern, res.step,
+            res.improvement, res.f_before, res.f_after)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from(((2, 5), (3, 6), (2, 4))),
+       st.sampled_from((1.0, 1e-2, 1e2)), st.sampled_from((None, 0.0, 0.2)))
+def test_sign_search_from_a_report_matches_a_fresh_baseline(
+        seed, shape, norm, lam):
+    # f and the residual at p taken from p's report give every field of
+    # the results bit for bit, and only the baseline's count goes; a
+    # report of another point is ignored
+    import tuckersearch.escape as escape_module
+    r, d = shape
+    p, T, splits, sigma, rng = _escape_instance(r, d, norm, seed)
+    rep = objective(p, T, lam)
+    other = objective(p._like(p.flat.copy()), T, lam)
+    baselines = []
+
+    def counting(*args, **kwargs):
+        baselines.append(1)
+        return objective(*args, **kwargs)
+
+    for _, direction, grid in _escape_directions(p, T, splits, sigma, rng):
+        fresh = sign_flip_search(p, T, [direction, direction], grid, lam)
+        escape_module.objective, saved = counting, escape_module.objective
+        try:
+            cached = sign_flip_search(p, T, [direction, direction], grid,
+                                      lam, at=rep)
+            assert baselines == []
+            ignored = sign_flip_search(p, T, [direction, direction], grid,
+                                       lam, at=other)
+            assert baselines == [1]
+            baselines.clear()
+        finally:
+            escape_module.objective = saved
+        assert [_result_fields(x) for x in cached] == \
+            [_result_fields(x) for x in fresh]
+        assert [x.evals for x in cached] == \
+            [fresh[0].evals - 1, fresh[1].evals]
+        assert [(_result_fields(x), x.evals) for x in ignored] == \
+            [(_result_fields(x), x.evals) for x in fresh]
 
 
 # ---------------------------------------------------------------------------

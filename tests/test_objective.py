@@ -233,6 +233,35 @@ def test_grad_matches_finite_differences():
             np.testing.assert_allclose(gb, fb, atol=1e-7, rtol=1e-6)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from((None, 0.0, 0.3)))
+def test_grad_from_a_report_of_the_point_is_bit_equal(seed, lam):
+    # the report keeps the fit stages and Gram gaps objective formed;
+    # starting the gradient from them must not change a bit of it
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, 4))
+    d = int(rng.integers(r, 6))
+    p = random_point(r, d, rng, scale=float(rng.uniform(0.1, 3.0)))
+    T = rng.standard_normal((d, d, d))
+    rep = objective(p, T, lam)
+    assert rep.point is p
+    assert grad(p, T, lam, at=rep).flat.tobytes() == \
+        grad(p, T, lam).flat.tobytes()
+
+
+def test_grad_ignores_a_report_of_another_point():
+    rng = np.random.default_rng(101)
+    p = random_point(2, 4, rng)
+    T = rng.standard_normal((4, 4, 4))
+    full = grad(p, T).flat.tobytes()
+    # a different point, and an equal point that is not the same object
+    for other in (random_point(2, 4, rng), p._like(p.flat.copy())):
+        assert grad(p, T, at=objective(other, T)).flat.tobytes() == full
+    # the report's extra fields take no part in comparison or repr
+    assert objective(p, T) == objective(p._like(p.flat.copy()), T)
+    assert "stages" not in repr(objective(p, T))
+
+
 def test_grad_vanishes_at_balanced_exact_fit():
     rng = np.random.default_rng(89)
     p = balanced_random_point(2, 4, rng)

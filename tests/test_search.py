@@ -11,7 +11,8 @@ import tuckersearch.search as search_module
 from tuckersearch.escape import (build_sampled_direction, delta_grid,
                                  sample_missing_directions, sign_flip_search)
 from tuckersearch.objective import (balanced_random_point, default_lambda,
-                                    eval_along, grad, hvp, objective)
+                                    eval_along, grad, hvp, objective,
+                                    save_point)
 from tuckersearch.search import (SAMPLED_BLOCKS, TAU1, TAU2, Evaluator,
                                  NonFiniteError, SearchConfig, SearchTrace,
                                  _negative_curvature, run, samples_per_block)
@@ -519,6 +520,111 @@ def test_desk_grid_gradient_evaluation_count():
     assert total <= 1_300
 
 
+def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
+                                                          tmp_path):
+    # the reports the search hands to `grad` and the sign searches (`at`)
+    # only save work: with every `at` dropped, the desk grid, exact and
+    # with noise 5e-2, writes the same factor and trace bytes after the
+    # same gradient evaluations, and each sign search then evaluates its
+    # own baseline
+    def outputs():
+        out = []
+        for noise in (0.0, 5e-2):
+            for r, d in ((2, 8), (3, 16), (4, 24)):
+                for seed in range(3):
+                    T = desk_instance(r, d, seed)
+                    if noise:
+                        G = np.random.default_rng(seed).standard_normal(
+                            T.shape)
+                        T = T + noise * G / norm_f(G)
+                    res = run(T, SearchConfig(r=r, seed=seed))
+                    save_point(tmp_path / "factors.json", res.point)
+                    res.trace.to_jsonl(tmp_path / "trace.jsonl")
+                    out.append(((tmp_path / "factors.json").read_bytes(),
+                                (tmp_path / "trace.jsonl").read_bytes(),
+                                res.grad_evals, res.status,
+                                res.objective_evals))
+        return out
+
+    searches = []
+
+    def dropping(fn, log):
+        def wrapped(*args, at=None, **kwargs):
+            log.append(at is not None)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    handed = outputs()
+    monkeypatch.setattr(search_module, "grad", dropping(grad, []))
+    monkeypatch.setattr(search_module, "sign_flip_search",
+                        dropping(sign_flip_search, searches))
+    fresh = outputs()
+    assert [x[:4] for x in handed] == [x[:4] for x in fresh]
+    assert {x[3] for x in handed} == {"converged", "no_direction"}
+    assert searches and all(searches)
+    assert (sum(x[4] for x in fresh) - sum(x[4] for x in handed)
+            == len(searches))
+
+
+def test_run_computes_the_target_projectors_once(monkeypatch):
+    # the projectors depend on T alone: the first escape round's split
+    # computes them, and later rounds' splits reuse them
+    import tuckersearch.subspace as subspace_module
+    calls, splits = [], []
+
+    def projecting(*args, **kwargs):
+        calls.append(args[1])
+        return true_projection(*args, **kwargs)
+
+    def splitting(*args, **kwargs):
+        splits.append(subspace_split(*args, **kwargs))
+        return splits[-1]
+
+    true_projection = subspace_module.true_projection
+    monkeypatch.setattr(subspace_module, "true_projection", projecting)
+    monkeypatch.setattr(search_module, "subspace_split", splitting)
+    T = exact_instance(2, 4, 1)
+    res = run(T, SearchConfig(r=3, seed=0))
+    assert res.status == "converged" and len(splits) == 2
+    assert calls == [1, 2, 3]
+    assert splits[1].p_true is splits[0].p_true
+    fresh = subspace_split(res.point, T, search_module.SIGMA)
+    for P, Q in zip(fresh.p_true, splits[0].p_true):
+        assert np.array_equal(P, Q)
+
+
+def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
+    # the sign search predicts a gain of 1e-9 for a step that raises f:
+    # the run keeps its point and ends the round as if nothing had gained
+    # enough, here at the stationary origin with status no_direction
+    from tuckersearch.escape import SignSearchResult
+    rng = np.random.default_rng(5)
+    worse = random_point(2, 4, rng, scale=2.0)
+    evaluated = []
+
+    def predicting(p, T, directions, grid, lam=None, at=None):
+        f0 = objective(p, T, lam).f
+        return [SignSearchResult(
+            direction=dataclasses.replace(q, delta=worse), step=1.0,
+            improvement=1e-9, f_before=f0, f_after=f0 - 1e-9, evals=0)
+            for q in directions]
+
+    def recording(p, *args, **kwargs):
+        rep = objective(p, *args, **kwargs)
+        evaluated.append(rep.f)
+        return rep
+
+    monkeypatch.setattr(search_module, "sign_flip_search", predicting)
+    monkeypatch.setattr(search_module, "objective", recording)
+    T = exact_instance(1, 4, 0)
+    res = run(T, SearchConfig(r=2, seed=0))
+    assert res.status == "no_direction" and res.rounds == 1
+    assert [rec.step_kind for rec in res.trace.records] == ["init"]
+    assert res.point.norm() == 0.0 and res.f == evaluated[0]
+    # the refused step was evaluated, and it would have raised f
+    assert evaluated[-1] > res.f
+
+
 def test_scale_table_gradient_evaluation_count():
     # the desk shapes' seed-0 targets at norms 1 to 1e3 all converge, in
     # 1,439 gradient evaluations together (3,129 from the scalar H0); the
@@ -680,10 +786,15 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
     search_points = []
     deterministic = []
     grad_calls = []
+    baselines = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return objective(*args, **kwargs)
+
+    def baseline(*args, **kwargs):
+        baselines.append(1)
+        return counting(*args, **kwargs)
 
     def recording(p, *args, **kwargs):
         search_points.append(p.flat.tobytes())
@@ -706,7 +817,7 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(search_module, "objective", recording)
-    monkeypatch.setattr(escape_module, "objective", counting)
+    monkeypatch.setattr(escape_module, "objective", baseline)
     # the sign search scores its candidates from one expansion of f; each
     # value it returns is an objective value and counts as one
     sign_step_values = escape_module.sign_step_values
@@ -724,9 +835,13 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
         calls.clear()
         search_points.clear()
         grad_calls.clear()
+        baselines.clear()
         res = run(exact_instance(rank, 4, 0), SearchConfig(r=2, seed=0))
         assert res.status == "converged" and res.rounds >= 2
         assert res.objective_evals == len(calls)
+        # every sign search takes f at the round's point from its report,
+        # so none evaluates a baseline of its own
+        assert baselines == []
         assert res.grad_evals == sum(grad_calls)
         assert 2 in grad_calls
         assert res.rounds <= res.grad_evals
@@ -748,9 +863,9 @@ def test_escape_round_scores_each_block_label_in_one_sign_search(
         rounds.append([])
         return subspace_split(*args, **kwargs)
 
-    def searching(p, T, directions, grid, lam=None):
+    def searching(p, T, directions, grid, lam=None, at=None):
         rounds[-1].append([q.kind for q in directions])
-        return sign_flip_search(p, T, directions, grid, lam)
+        return sign_flip_search(p, T, directions, grid, lam, at=at)
 
     monkeypatch.setattr(search_module, "subspace_split", splitting)
     monkeypatch.setattr(search_module, "sign_flip_search", searching)
