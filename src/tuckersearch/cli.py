@@ -94,15 +94,14 @@ def cmd_generate(args) -> int:
 
 def _load_config(args) -> dict:
     """Config keys from the --config file, overridden by explicit flags:
-    SearchConfig fields plus the CLI's own d (checked against the tensor)
-    and out (the output prefix)."""
+    SearchConfig fields plus the CLI's own out (the output prefix)."""
     doc = {}
     if args.config is not None:
         with open(args.config) as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: expected a JSON object")
-    known = {f.name for f in dataclasses.fields(SearchConfig)} | {"d", "out"}
+    known = {f.name for f in dataclasses.fields(SearchConfig)} | {"out"}
     unknown = sorted(set(doc) - known)
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
@@ -123,10 +122,6 @@ def cmd_decompose(args) -> int:
     if T.shape[0] != T.shape[1] or T.shape[0] != T.shape[2]:
         return _fail(f"tensor must be cubical, got shape {T.shape}")
     d = T.shape[0]
-    d_given = doc.pop("d", None)
-    if d_given is not None and d_given != d:
-        return _fail(f"config dimension {d_given} does not match tensor "
-                     f"dimension {d}")
     out = doc.pop("out", "run")
     if doc.get("r") is None:
         meta_r = meta.get("r")
@@ -248,9 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
     dp = sub.add_parser("decompose", help="run the search on a tensor file")
     dp.add_argument("tensor")
     dp.add_argument("--config", help="JSON file with SearchConfig fields "
-                    "plus d and out; explicit flags take precedence")
+                    "plus out; explicit flags take precedence")
     dp.add_argument("--rank", dest="r", type=int, metavar="RANK")
-    dp.add_argument("--dim", dest="d", type=int, metavar="DIM")
     dp.add_argument("--lambda", dest="lam", type=float)
     dp.add_argument("--epsilon", type=float)
     dp.add_argument("--seed", type=int)

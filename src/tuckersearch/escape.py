@@ -56,23 +56,9 @@ class NoDirection(Exception):
 
 
 @dataclass(frozen=True)
-class SampledVectors:
-    """Draws of ambient (a, b, c) and coefficient (u, v, w) vectors: one
-    vector each, or a (draws, dim) stack of them."""
-    ijk: tuple[int, int, int]
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-
-
-@dataclass(frozen=True)
 class ImprovementDirection:
     delta: FactorPoint
     kind: str    # the step kind a trace records when the search takes it
-    sign_pattern: tuple[int, ...] | None = None
 
 
 def _unit_rows(X: np.ndarray, rng: np.random.Generator | None = None
@@ -99,9 +85,9 @@ def _span_rows(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def sample_missing_directions(splits: SubspaceSplit, ijk,
                               rng: np.random.Generator,
-                              size: int | None = None) -> SampledVectors:
-    """Draw (a, b, c, u, v, w) for the block label ijk, or with `size`
-    that many draws, each vector then a (size, dim) stack.
+                              size: int) -> list[ImprovementDirection]:
+    """Draw `size` rank-one updates for the block label ijk, built as one
+    stack; returns their ImprovementDirections in draw order.
 
     Each draw takes, mode by mode, one standard normal vector per unit
     vector it needs (the ambient vector, then for index 2 the coefficient
@@ -110,6 +96,11 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
     hold the same numbers as drawing one after another.  A normal vector
     of norm at most 1e-12 is drawn again.
 
+    The core moves by u x v x w.  Each index-2 factor moves by the outer
+    product of its coefficient and ambient vectors; when only one mode is
+    missing that single factor block is scaled by the split's sigma to
+    match the size of the preimage multipliers in the present modes.
+
     Raises NoMissingDirection when any requested subspace is empty, e.g.
     asking for a complement direction of a factor that already uses all r
     of its rows.  The normals of the modes before the empty one are drawn
@@ -117,8 +108,9 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
     moves on as it does when the draws are made one at a time.
     """
     ijk = tuple(int(x) for x in ijk)
-    if len(ijk) != 3 or any(x not in (1, 2) for x in ijk):
-        raise ValueError(f"block label must be in {{1,2}}^3, got {ijk}")
+    if len(ijk) != 3 or any(x not in (1, 2) for x in ijk) or 2 not in ijk:
+        raise ValueError(f"block label must be in {{1,2}}^3 and have a 2, "
+                         f"got {ijk}")
     bases = []
     for m, idx in enumerate(ijk):
         ms = splits.modes[m]
@@ -133,7 +125,7 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
             continue
         rng.standard_normal(sum(basis.shape[1] for basis in bases))
         raise NoMissingDirection(f"mode {m + 1}: {reason}")
-    n = 1 if size is None else int(size)
+    n = int(size)
     Z = rng.standard_normal((n, sum(basis.shape[1] for basis in bases)))
     units, lo = [], 0
     for basis in bases:
@@ -152,41 +144,18 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
                 np.linalg.pinv(ms.m1.T, rcond=1e-12), a)))
         else:
             coeff.append(next(units))
-    if size is None:
-        ambient, coeff = [x[0] for x in ambient], [x[0] for x in coeff]
-    return SampledVectors(ijk=ijk, a=ambient[0], b=ambient[1], c=ambient[2],
-                          u=coeff[0], v=coeff[1], w=coeff[2])
-
-
-def build_sampled_direction(vectors: SampledVectors, sigma: float):
-    """Assemble the rank-one update for a sampled block: one
-    ImprovementDirection for one draw, or a list of them, built as one
-    stack, for stacked draws.
-
-    The core moves by u x v x w.  Each index-2 factor moves by the outer
-    product of its coefficient and ambient vectors; when only one mode is
-    missing that single factor block is scaled by sigma to match the size
-    of the preimage multipliers in the present modes.
-    """
-    ijk = vectors.ijk
-    n_missing = sum(1 for x in ijk if x == 2)
-    if n_missing == 0:
-        raise ValueError("block (1,1,1) has no direction to build")
-    scale = float(sigma) if n_missing == 1 else 1.0
-    U, V, W, A, B, C = (np.atleast_2d(x) for x in (
-        vectors.u, vectors.v, vectors.w, vectors.a, vectors.b, vectors.c))
-    n, r, d = U.shape[0], U.shape[1], A.shape[1]
+    scale = splits.sigma if ijk.count(2) == 1 else 1.0
+    r, d = coeff[0].shape[1], ambient[0].shape[1]
     flats = np.zeros((n, r**3 + 3 * r * d))
-    flats[:, :r**3] = np.einsum("nx,ny,nz->nxyz", U, V, W).reshape(n, r**3)
+    flats[:, :r**3] = np.einsum("nx,ny,nz->nxyz", *coeff).reshape(n, r**3)
     mats = flats[:, r**3:].reshape(n, 3, r, d)
-    for m, (idx, cvec, avec) in enumerate(zip(ijk, (U, V, W), (A, B, C))):
+    for m, (idx, cvec, avec) in enumerate(zip(ijk, coeff, ambient)):
         if idx == 2:
             mats[:, m] = scale * (cvec[:, :, None] * avec[:, None, :])
     template = FactorPoint.zeros(r, d)
     kind = "sampled({},{},{})".format(*ijk)
-    out = [ImprovementDirection(delta=template._like(flat), kind=kind)
-           for flat in flats]
-    return out[0] if vectors.u.ndim == 1 else out
+    return [ImprovementDirection(delta=template._like(flat), kind=kind)
+            for flat in flats]
 
 
 def delta_grid(sigma: float, n_missing: int) -> np.ndarray:
@@ -208,8 +177,6 @@ class SignSearchResult:
     direction: ImprovementDirection
     step: float
     improvement: float
-    f_before: float
-    f_after: float
     evals: int
 
     def apply(self, p: FactorPoint) -> FactorPoint:
@@ -372,18 +339,16 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, directions, grid,
     out = []
     for k, direction in enumerate(directions):
         best = int(np.argmin(ranked[k])) if grid.size else 0
-        out_dir = replace(direction, sign_pattern=None)
         step, f_after = 0.0, f0
         if grid.size and ranked[k, best] < f0:
             row, col = divmod(best, len(grid))
-            pattern = tuple(int(s) for s in patterns[row])
             signed = FactorPoint(*(s * blk for s, blk in
-                                   zip(pattern, direction.delta.blocks())))
-            out_dir = replace(direction, delta=signed, sign_pattern=pattern)
+                                   zip(patterns[row].tolist(),
+                                       direction.delta.blocks())))
+            direction = replace(direction, delta=signed)
             step, f_after = float(grid[col]), float(ranked[k, best])
         out.append(SignSearchResult(
-            direction=out_dir, step=step, improvement=f0 - f_after,
-            f_before=f0, f_after=f_after,
+            direction=direction, step=step, improvement=f0 - f_after,
             evals=values[k].size + (k == 0 and baseline)))
     return out
 

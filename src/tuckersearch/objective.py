@@ -46,12 +46,6 @@ def _fit(p: FactorPoint, T: np.ndarray):
     return SC, SBC, X - T
 
 
-def loss(p: FactorPoint, T: np.ndarray) -> float:
-    """Fitting term || S(A, B, C) - T ||_F^2."""
-    D = _fit(p, _check_target(p, T))[2].ravel()
-    return float(D @ D)
-
-
 def _gram_gaps(p: FactorPoint) -> np.ndarray:
     """M M^T - S_(m) S_(m)^T for each mode, stacked into a (3, r, r) array
     of symmetric matrices."""

@@ -69,10 +69,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .escape import (NoDirection, NoMissingDirection, build_sampled_direction,
-                     core_fix_direction, delta_grid,
-                     remove_extraneous_direction, sample_missing_directions,
-                     sign_flip_search)
+from .escape import (NoDirection, NoMissingDirection, core_fix_direction,
+                     delta_grid, remove_extraneous_direction,
+                     sample_missing_directions, sign_flip_search)
 from .objective import (ObjectiveReport, _gram_gaps, default_lambda, grad,
                         hvp, objective)
 from .subspace import subspace_split
@@ -105,11 +104,7 @@ MIN_IMPROVEMENT = 1e-10
 
 
 class NonFiniteError(Exception):
-    """The objective or gradient became non-finite; carries the trace."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """The objective or gradient became non-finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +316,9 @@ class FindSospInfo:
         return self.report.f
 
 
-def _require_finite(value: float, what: str, trace=None) -> None:
+def _require_finite(value: float, what: str) -> None:
     if not math.isfinite(value):
-        raise NonFiniteError(f"{what} became non-finite", trace=trace)
+        raise NonFiniteError(f"{what} became non-finite")
 
 
 def _negative_curvature(p: FactorPoint, rng: np.random.Generator,
@@ -513,7 +508,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
         if hit is None:
             g = budget.grad(p, at=rep)
             gn = g.norm()
-            _require_finite(gn, "gradient", trace)
+            _require_finite(gn, "gradient")
             kind, seen = "gradient", {"grad_norm": gn}
             if last_grad is not None:
                 s = p.flat - last_grad[0].flat
@@ -646,7 +641,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     ev = Evaluator(T, lam, config.budget)
     trace = SearchTrace(seed=config.seed)
     rep = ev.objective(p)
-    _require_finite(rep.f, "objective", trace)
+    _require_finite(rep.f, "objective")
     trace.append(f=rep.f, L=rep.L, R=rep.R, step_kind="init", step_size=0.0,
                  improvement=0.0)
 
@@ -676,8 +671,8 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
             # search; scoring draws no random numbers, so the sampler's
             # stream is the same as when each draw was scored before the next
             try:
-                drawn = build_sampled_direction(sample_missing_directions(
-                    splits, ijk, rng_sampler, samples), SIGMA)
+                drawn = sample_missing_directions(splits, ijk, rng_sampler,
+                                                  samples)
             except NoMissingDirection:
                 continue
             grid = delta_grid(SIGMA, sum(1 for x in ijk if x == 2))
@@ -691,7 +686,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
         if best is not None and best.improvement >= MIN_IMPROVEMENT:
             cand = best.apply(p)
             cand_rep = ev.objective(cand)
-            _require_finite(cand_rep.f, "objective", trace)
+            _require_finite(cand_rep.f, "objective")
             if not _rises(rep.f, cand_rep.f):
                 taken = cand, cand_rep
         if taken is not None:

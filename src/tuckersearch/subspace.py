@@ -1,8 +1,8 @@
 """Singular-value splits of factor matrices against the target's spans.
 
 Each r x d factor matrix M is split at a threshold sigma into a large part
-M1 (singular values strictly above sigma) and a small part M2.  The split
-carries four orthonormal bases:
+M1 (singular values strictly above sigma) and a small part M - M1.  The
+split keeps M1 and four orthonormal bases:
 
     v1, v2: left singular directions in R^r (coefficient space),
     u1, u2: right singular directions in R^d (ambient space),
@@ -20,20 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import FactorPoint, flatten
+from .tensor_core import FactorPoint, _column_signs, flatten
 
 
 @dataclass(frozen=True)
 class ModeSplit:
-    """Threshold split of one factor matrix at singular value sigma."""
-    m: np.ndarray
+    """Threshold split of one factor matrix at singular value sigma: its
+    large part m1 and the bases v1, v2 (R^r) and u1, u2 (R^d)."""
     m1: np.ndarray
-    m2: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-    singular_values: np.ndarray
     sigma: float
 
     @property
@@ -42,48 +40,28 @@ class ModeSplit:
         return self.u1.shape[1]
 
 
-def _sign_fix_columns(U: np.ndarray) -> np.ndarray:
-    """Make the first coordinate of magnitude > 1e-12 in each column
-    positive, for reproducible bases."""
-    U = U.copy()
-    for j in range(U.shape[1]):
-        col = U[:, j]
-        for x in col:
-            if abs(x) > 1e-12:
-                if x < 0:
-                    U[:, j] = -col
-                break
-    return U
-
-
 def split(M: np.ndarray, sigma: float) -> ModeSplit:
-    """Split M at threshold sigma; ties (values equal to sigma) go to M2."""
+    """Split M at threshold sigma; ties (values equal to sigma) go to the
+    small part M - m1."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={M.ndim}")
     if sigma < 0:
         raise ValueError(f"threshold must be nonnegative, got {sigma}")
-    r, d = M.shape
     V, s, Ut = np.linalg.svd(M, full_matrices=True)
     U = Ut.T
-    nmin = min(r, d)
-    # paired singular directions must flip together so m1 + m2 = M exactly;
-    # trailing complement-only columns can be fixed independently
-    for j in range(nmin):
-        for x in V[:, j]:
-            if abs(x) > 1e-12:
-                if x < 0:
-                    V[:, j] = -V[:, j]
-                    U[:, j] = -U[:, j]
-                break
-    V[:, nmin:] = _sign_fix_columns(V[:, nmin:])
-    U[:, nmin:] = _sign_fix_columns(U[:, nmin:])
+    nmin = min(M.shape)
+    # paired singular directions flip together, by the sign of their V
+    # column, so they still factor M; trailing complement-only columns
+    # take their own signs
+    sv, su = _column_signs(V), _column_signs(U)
+    su[:nmin] = sv[:nmin]
+    V *= sv
+    U *= su
     k = int(np.sum(s > sigma))
     m1 = (V[:, :k] * s[:k]) @ U[:, :k].T
-    m2 = (V[:, k:nmin] * s[k:nmin]) @ U[:, k:nmin].T
-    return ModeSplit(m=M, m1=m1, m2=m2, v1=V[:, :k], v2=V[:, k:],
-                     u1=U[:, :k], u2=U[:, k:], singular_values=s,
-                     sigma=float(sigma))
+    return ModeSplit(m1=m1, v1=V[:, :k], v2=V[:, k:], u1=U[:, :k],
+                     u2=U[:, k:], sigma=float(sigma))
 
 
 def true_projection(T: np.ndarray, mode: int) -> np.ndarray:

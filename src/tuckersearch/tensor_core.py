@@ -76,15 +76,6 @@ def flatten(X: np.ndarray, mode: int) -> np.ndarray:
     raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
 
 
-def inner(X: np.ndarray, Y: np.ndarray) -> float:
-    """Entrywise inner product <X, Y>."""
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if X.shape != Y.shape:
-        raise ValueError(f"shape mismatch {X.shape} vs {Y.shape}")
-    return float(np.vdot(X, Y))
-
-
 def norm_f(X: np.ndarray) -> float:
     """Frobenius norm."""
     return float(np.linalg.norm(np.asarray(X, dtype=float).ravel()))
@@ -96,12 +87,14 @@ def trilinear(X: np.ndarray, u: np.ndarray, v: np.ndarray,
     return float(np.einsum("ijk,i,j,k->", X, u, v, w))
 
 
-def _sign_fix(x: np.ndarray) -> np.ndarray:
-    """Flip x so its first coordinate of magnitude > 1e-12 is positive."""
-    for xi in x:
-        if abs(xi) > 1e-12:
-            return x if xi > 0 else -x
-    return x
+def _column_signs(U: np.ndarray) -> np.ndarray:
+    """+1.0 or -1.0 for each column of U, so that multiplying the column by
+    it makes its first entry of magnitude > 1e-12 positive (+1.0 for a
+    column with no such entry).  Multiplying by +-1.0 is exact, so the
+    signed columns are bit for bit the negated or unchanged ones."""
+    big = np.abs(U) > 1e-12
+    first = U[big.argmax(axis=0), np.arange(U.shape[1])]
+    return np.where(big.any(axis=0) & (first < 0.0), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +220,7 @@ def hosvd(T: np.ndarray, r: int) -> FactorPoint:
     factors = []
     for mode in (1, 2, 3):
         U = np.linalg.svd(flatten(T, mode), full_matrices=False)[0][:, :r]
-        U = np.column_stack([_sign_fix(U[:, j]) for j in range(r)])
+        U = U * _column_signs(U)
         factors.append(U.T)
     A, B, C = factors
     S = multilinear_transform(T, A.T, B.T, C.T)

@@ -199,8 +199,17 @@ def test_decompose_input_errors(tmp_path, capsys):
     assert "cubical" in capsys.readouterr().err
     T_path = gen(tmp_path)
     assert main(["decompose", str(T_path), "--rank", "9"]) == EXIT_INPUT
-    assert main(["decompose", str(T_path), "--rank", "2",
-                 "--dim", "7"]) == EXIT_INPUT
+    # the dimension comes from the tensor file alone: a config naming it
+    # is an unknown key, and --dim a usage error
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"r": 2, "d": 4}))
+    capsys.readouterr()
+    assert main(["decompose", str(T_path), "--config", str(config)]) \
+        == EXIT_INPUT
+    assert "unknown config keys ['d']" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", str(T_path), "--rank", "2", "--dim", "4"])
+    assert exc.value.code == EXIT_INPUT
 
 
 def test_decompose_into_a_missing_directory_fails_before_the_search(
@@ -330,7 +339,8 @@ def test_decompose_usage_errors_are_input_errors(tmp_path, capsys):
         main(["decompose", "--help"])
     assert exc.value.code == EXIT_OK
     help_text = capsys.readouterr().out
-    for flag in ("--samples-per-block", "--delta-span", "--delta-points"):
+    for flag in ("--samples-per-block", "--delta-span", "--delta-points",
+                 "--dim"):
         assert flag not in help_text
     assert not (tmp_path / "x.summary.json").exists()
 

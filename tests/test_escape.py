@@ -1,12 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuckersearch.escape import (ImprovementDirection, NoDirection,
-                                 NoMissingDirection, build_sampled_direction,
-                                 core_fix_direction, delta_grid,
-                                 remove_extraneous_direction,
+                                 NoMissingDirection, core_fix_direction,
+                                 delta_grid, remove_extraneous_direction,
                                  sample_missing_directions, sign_flip_search,
                                  sign_step_values)
 from tuckersearch.objective import eval_along, objective
@@ -39,26 +40,29 @@ def _generic_setup(seed=229, r=2, d=4, sigma=0.1):
 
 
 def test_sampled_vectors_live_in_their_subspaces():
+    # the core moves by u x v x w and an index-2 factor by the outer
+    # product of its coefficient and ambient vectors: unit vectors, in the
+    # complements for index 2; for index 1 the coefficient is the
+    # preimage of an ambient draw in the large span, so m1^T maps it back
+    # with multiplier at least sigma
     p, T, splits, rng = _generic_setup()
     for ijk in [(1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 1, 1)]:
-        vec = sample_missing_directions(splits, ijk, rng)
-        for m, (idx, avec, cvec) in enumerate(zip(ijk, (vec.a, vec.b, vec.c),
-                                                  (vec.u, vec.v, vec.w))):
-            ms = splits.modes[m]
-            assert np.linalg.norm(avec) == pytest.approx(1.0, abs=1e-12)
-            assert np.linalg.norm(cvec) == pytest.approx(1.0, abs=1e-12)
-            if idx == 1:
-                # ambient draw inside the large span; coefficient preimage
-                # maps back onto it with multiplier at least sigma
-                proj = ms.u1 @ (ms.u1.T @ avec)
-                np.testing.assert_allclose(proj, avec, atol=1e-10)
-                back = ms.m1.T @ cvec
-                alpha = float(back @ avec)
-                assert alpha >= ms.sigma
-                np.testing.assert_allclose(back, alpha * avec, atol=1e-10)
-            else:
-                assert np.linalg.norm(ms.u1.T @ avec) <= 1e-10
-                assert np.linalg.norm(ms.v1.T @ cvec) <= 1e-10
+        scale = splits.sigma if ijk.count(2) == 1 else 1.0
+        for direction in sample_missing_directions(splits, ijk, rng, 3):
+            delta = direction.delta
+            assert norm_f(delta.S) == pytest.approx(1.0, abs=1e-12)
+            for m, (idx, M) in enumerate(zip(ijk, delta.factors)):
+                ms = splits.modes[m]
+                Sm = np.moveaxis(delta.S, m, 0).reshape(p.r, -1)
+                if idx == 1:
+                    assert not M.any()
+                    assert np.linalg.norm(ms.v2.T @ Sm) <= 1e-10
+                    assert np.linalg.norm(ms.m1.T @ Sm) >= ms.sigma
+                else:
+                    assert norm_f(M) == pytest.approx(scale, abs=1e-12)
+                    assert np.linalg.norm(ms.v1.T @ Sm) <= 1e-10
+                    assert np.linalg.norm(ms.v1.T @ M) <= 1e-10
+                    assert np.linalg.norm(M @ ms.u1) <= 1e-10
 
 
 def test_sampler_raises_when_no_rows_left():
@@ -68,7 +72,8 @@ def test_sampler_raises_when_no_rows_left():
     T = np.zeros((2, 2, 2))
     splits = subspace_split(p, T, sigma=0.5)
     with pytest.raises(NoMissingDirection, match="mode 1"):
-        sample_missing_directions(splits, (2, 2, 2), np.random.default_rng(0))
+        sample_missing_directions(splits, (2, 2, 2),
+                                  np.random.default_rng(0), 1)
 
 
 def test_sampler_raises_when_large_part_empty():
@@ -76,40 +81,43 @@ def test_sampler_raises_when_large_part_empty():
     T = np.zeros((3, 3, 3))
     splits = subspace_split(p, T, sigma=0.1)
     with pytest.raises(NoMissingDirection, match="no singular values"):
-        sample_missing_directions(splits, (1, 2, 2), np.random.default_rng(0))
+        sample_missing_directions(splits, (1, 2, 2),
+                                  np.random.default_rng(0), 1)
 
 
 def test_sampler_rejects_bad_labels():
     p, T, splits, rng = _generic_setup()
     with pytest.raises(ValueError):
-        sample_missing_directions(splits, (0, 1, 2), rng)
+        sample_missing_directions(splits, (0, 1, 2), rng, 1)
     with pytest.raises(ValueError):
-        sample_missing_directions(splits, (2, 2), rng)
+        sample_missing_directions(splits, (2, 2), rng, 1)
 
 
 def test_sampler_is_deterministic_given_seed():
     p, T, splits, _ = _generic_setup()
     v1 = sample_missing_directions(splits, (2, 2, 1),
-                                   np.random.default_rng(42))
+                                   np.random.default_rng(42), 3)
     v2 = sample_missing_directions(splits, (2, 2, 1),
-                                   np.random.default_rng(42))
-    np.testing.assert_array_equal(v1.a, v2.a)
-    np.testing.assert_array_equal(v1.w, v2.w)
+                                   np.random.default_rng(42), 3)
+    assert [q.delta.flat.tobytes() for q in v1] == \
+        [q.delta.flat.tobytes() for q in v2]
 
 
 def test_sampler_draws_are_centered():
+    # the sampled rank-one update's transform a x b x c and its factor
+    # blocks average to zero over many draws
     p, T, splits, rng = _generic_setup(233)
-    acc = np.zeros(4)
     n = 10_000
-    for _ in range(n):
-        acc += sample_missing_directions(splits, (2, 2, 2), rng).a
-    assert np.linalg.norm(acc / n) <= 0.05
+    deltas = [q.delta for q in
+              sample_missing_directions(splits, (2, 2, 2), rng, n)]
+    assert norm_f(sum(q.apply() for q in deltas) / n) <= 0.05
+    for m in range(3):
+        assert norm_f(sum(q.factors[m] for q in deltas) / n) <= 0.05
 
 
-def sequential_draw(splits, ijk, rng, sigma):
-    """The sampler one draw at a time, each unit vector from its own
-    normal draw, and its direction built block by block: the reference
-    the stacked sampler must match bit for bit."""
+def sequential_vectors(splits, ijk, rng):
+    """The sampler's ambient and coefficient unit vectors of one draw,
+    each from its own normal draw."""
     def unit_in_span(basis):
         while True:
             g = rng.standard_normal(basis.shape[1])
@@ -132,11 +140,29 @@ def sequential_draw(splits, ijk, rng, sigma):
             u = unit_in_span(ms.v2)
         ambient.append(a)
         coeff.append(u)
-    scale = sigma if sum(x == 2 for x in ijk) == 1 else 1.0
+    return ambient, coeff
+
+
+def sequential_draw(splits, ijk, rng):
+    """The sampler one draw at a time and its direction built block by
+    block: the reference the stacked sampler must match bit for bit."""
+    ambient, coeff = sequential_vectors(splits, ijk, rng)
+    scale = splits.sigma if sum(x == 2 for x in ijk) == 1 else 1.0
     r, d = coeff[0].size, ambient[0].size
     mats = [scale * np.outer(u, a) if idx == 2 else np.zeros((r, d))
             for idx, u, a in zip(ijk, coeff, ambient)]
     return FactorPoint(outer3(*coeff), *mats)
+
+
+def draw_with_vectors(splits, ijk, rng):
+    """One sampled direction and the unit vectors it was built from, read
+    by the reference from a copy of rng; the direction must be the
+    reference's bit for bit."""
+    ambient, coeff = sequential_vectors(splits, ijk, copy.deepcopy(rng))
+    want = sequential_draw(splits, ijk, copy.deepcopy(rng))
+    [direction] = sample_missing_directions(splits, ijk, rng, 1)
+    assert np.array_equal(direction.delta.flat, want.flat)
+    return direction, ambient, coeff
 
 
 def test_stacked_draws_match_one_draw_at_a_time():
@@ -156,7 +182,7 @@ def test_stacked_draws_match_one_draw_at_a_time():
     failed = 0
     for ijk in SAMPLED_BLOCKS:
         try:
-            want = [sequential_draw(splits, ijk, sequential, 0.1)
+            want = [sequential_draw(splits, ijk, sequential)
                     for _ in range(6)]
         except NoMissingDirection:
             with pytest.raises(NoMissingDirection):
@@ -164,17 +190,15 @@ def test_stacked_draws_match_one_draw_at_a_time():
             assert ijk[2] == 2
             failed += 1
             continue
-        got = build_sampled_direction(
-            sample_missing_directions(splits, ijk, stacked, 6), 0.1)
+        got = sample_missing_directions(splits, ijk, stacked, 6)
         assert len(got) == 6
         for direction, point in zip(got, want):
+            assert isinstance(direction, ImprovementDirection)
             assert direction.kind == "sampled({},{},{})".format(*ijk)
             assert np.array_equal(direction.delta.flat, point.flat)
-        one = build_sampled_direction(sample_missing_directions(
-            splits, ijk, stacked, None), 0.1)
-        assert isinstance(one, ImprovementDirection)
-        assert np.array_equal(
-            one.delta.flat, sequential_draw(splits, ijk, sequential, 0.1).flat)
+        [one] = sample_missing_directions(splits, ijk, stacked, 1)
+        assert np.array_equal(one.delta.flat,
+                              sequential_draw(splits, ijk, sequential).flat)
     assert 0 < failed < len(SAMPLED_BLOCKS)
     # the generators have taken the same numbers
     assert stacked.standard_normal() == sequential.standard_normal()
@@ -195,13 +219,13 @@ class ZerosFirst:
 
 
 def test_sampler_draws_again_where_a_normal_vector_vanishes():
+    # every unit vector is drawn again, so the core and each factor block
+    # of every draw still has norm 1
     p, T, splits, _ = _generic_setup()
-    vec = sample_missing_directions(splits, (2, 2, 2), ZerosFirst(), 3)
-    for avec, cvec in ((vec.a, vec.u), (vec.b, vec.v), (vec.c, vec.w)):
-        np.testing.assert_allclose(np.linalg.norm(avec, axis=1), 1.0,
-                                   atol=1e-12)
-        np.testing.assert_allclose(np.linalg.norm(cvec, axis=1), 1.0,
-                                   atol=1e-12)
+    for direction in sample_missing_directions(splits, (2, 2, 2),
+                                               ZerosFirst(), 3):
+        for blk in direction.delta.blocks():
+            assert norm_f(blk) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -210,38 +234,40 @@ def test_sampler_draws_again_where_a_normal_vector_vanishes():
 
 def test_build_direction_blocks_and_scaling():
     p, T, splits, rng = _generic_setup()
-    vec = sample_missing_directions(splits, (2, 1, 1), rng)
-    direction = build_sampled_direction(vec, sigma=splits.sigma)
+    direction, (a, _, _), (u, v, w) = draw_with_vectors(splits, (2, 1, 1),
+                                                        rng)
     d = direction.delta
-    np.testing.assert_allclose(d.S, outer3(vec.u, vec.v, vec.w), atol=1e-12)
-    np.testing.assert_allclose(d.A, splits.sigma * np.outer(vec.u, vec.a),
+    np.testing.assert_allclose(d.S, outer3(u, v, w), atol=1e-12)
+    np.testing.assert_allclose(d.A, splits.sigma * np.outer(u, a),
                                atol=1e-12)
     assert np.linalg.norm(d.B) == 0.0
     assert np.linalg.norm(d.C) == 0.0
 
-    vec2 = sample_missing_directions(splits, (2, 2, 2), rng)
-    d2 = build_sampled_direction(vec2, sigma=splits.sigma).delta
+    direction, (a, _, c), (u, _, w) = draw_with_vectors(splits, (2, 2, 2),
+                                                        rng)
     # no sigma scaling when more than one mode is missing
-    np.testing.assert_allclose(d2.A, np.outer(vec2.u, vec2.a), atol=1e-12)
-    np.testing.assert_allclose(d2.C, np.outer(vec2.w, vec2.c), atol=1e-12)
+    np.testing.assert_allclose(direction.delta.A, np.outer(u, a), atol=1e-12)
+    np.testing.assert_allclose(direction.delta.C, np.outer(w, c), atol=1e-12)
 
 
 def test_one_missing_core_times_factor_delta_identity():
     # the core delta applied to (factor delta, B, C) collapses to
     # sigma a x (B^T v) x (C^T w)
     p, T, splits, rng = _generic_setup(239)
-    vec = sample_missing_directions(splits, (2, 1, 1), rng)
-    direction = build_sampled_direction(vec, sigma=splits.sigma)
+    direction, (a, _, _), (_, v, w) = draw_with_vectors(splits, (2, 1, 1),
+                                                        rng)
     got = multilinear_transform(direction.delta.S, direction.delta.A, p.B, p.C)
-    want = splits.sigma * outer3(vec.a, p.B.T @ vec.v, p.C.T @ vec.w)
+    want = splits.sigma * outer3(a, p.B.T @ v, p.C.T @ w)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_build_direction_rejects_full_block():
+    # the sampler builds no direction for (1, 1, 1), and draws nothing
     p, T, splits, rng = _generic_setup()
-    vec = sample_missing_directions(splits, (1, 1, 1), rng)
+    state = copy.deepcopy(rng.bit_generator.state)
     with pytest.raises(ValueError):
-        build_sampled_direction(vec, sigma=splits.sigma)
+        sample_missing_directions(splits, (1, 1, 1), rng, 1)
+    assert rng.bit_generator.state == state
 
 
 def test_delta_grid_shape_and_centers():
@@ -271,15 +297,14 @@ def test_sign_search_at_origin_matches_closed_form():
     T /= norm_f(T)
     p = FactorPoint.zeros(2, d)
     splits = subspace_split(p, T, sigma=0.05)
-    vec = sample_missing_directions(splits, (2, 2, 2), rng)
-    direction = build_sampled_direction(vec, sigma=splits.sigma)
+    direction, (a, b, c), _ = draw_with_vectors(splits, (2, 2, 2), rng)
     grid = delta_grid(splits.sigma, 3)
     res = sign_flip_search(p, T, [direction], grid)[0]
-    tval = abs(trilinear(T, vec.a, vec.b, vec.c))
+    tval = abs(trilinear(T, a, b, c))
     expect = max(2.0 * s**4 * tval - s**8 for s in grid)
     assert res.improvement == pytest.approx(expect, rel=1e-9, abs=1e-12)
-    assert res.f_before == pytest.approx(1.0, rel=1e-12)
-    assert res.f_after == pytest.approx(
+    assert objective(p, T).f == pytest.approx(1.0, rel=1e-12)
+    assert 1.0 - res.improvement == pytest.approx(
         objective(res.apply(p), T).f, rel=1e-12)
     assert res.improvement > 0
 
@@ -297,7 +322,7 @@ def test_sign_search_never_returns_a_worse_point():
     assert res.step == 0.0
     assert res.improvement == 0.0
     assert res.apply(p) is not None
-    assert objective(res.apply(p), T).f == pytest.approx(res.f_before)
+    assert objective(res.apply(p), T).f == objective(p, T).f
 
 
 def test_sign_search_explores_flips():
@@ -307,17 +332,16 @@ def test_sign_search_explores_flips():
     T = rng.standard_normal((d, d, d))
     p = FactorPoint.zeros(2, d)
     splits = subspace_split(p, T, sigma=0.05)
-    vec = sample_missing_directions(splits, (2, 2, 2), rng)
-    direction = build_sampled_direction(vec, sigma=splits.sigma)
+    [direction] = sample_missing_directions(splits, (2, 2, 2), rng, 1)
     grid = delta_grid(splits.sigma, 3)
     res = sign_flip_search(p, T, [direction], grid)[0]
     assert res.improvement > 0
-    assert len(res.direction.sign_pattern) == 4
+    assert _pattern(res, direction) is not None
     # flipping all active signs is the same as negating the step, so the
     # search must do at least as well as either orientation of the raw delta
     raw = min(r.f for _, r in eval_along(p, direction.delta, T,
                                          list(grid) + [-s for s in grid]))
-    assert res.f_after <= raw + 1e-12
+    assert objective(p, T).f - res.improvement <= raw + 1e-12
 
 
 def test_sign_search_rejects_zero_direction(monkeypatch):
@@ -336,9 +360,8 @@ def test_sign_search_rejects_zero_direction(monkeypatch):
 
 def test_sign_search_counts_its_evaluations():
     p, T, splits, rng = _generic_setup()
-    vec = sample_missing_directions(splits, (1, 2, 2), rng)
+    [direction] = sample_missing_directions(splits, (1, 2, 2), rng, 1)
     grid = delta_grid(0.1, 2)
-    direction = build_sampled_direction(vec, 0.1)
     res = sign_flip_search(p, T, [direction], grid)[0]
     # the baseline at p, then every sign of core, B and C at every step
     assert res.evals == 1 + len(grid) * 2 ** 3
@@ -359,6 +382,16 @@ def _loop_patterns(direction):
                 signs[i] = -1
         out.append(signs)
     return out
+
+
+def _pattern(res, direction):
+    """The sign pattern a search result applied to direction, one sign per
+    block (S, A, B, C), or None where it took no step."""
+    if res.step == 0.0:
+        return None
+    return tuple(-1 if blk.any() and np.array_equal(got, -blk) else 1
+                 for got, blk in zip(res.direction.delta.blocks(),
+                                     direction.delta.blocks()))
 
 
 def _reference_sign_search(p, T, direction, grid, lam=None):
@@ -423,11 +456,10 @@ def _escape_directions(p, T, splits, sigma, rng):
     for ijk in SAMPLED_BLOCKS:
         n_missing = sum(1 for x in ijk if x == 2)
         try:
-            vec = sample_missing_directions(splits, ijk, rng)
+            [direction] = sample_missing_directions(splits, ijk, rng, 1)
         except NoMissingDirection:
             continue
-        out.append((f"missing{n_missing}",
-                    build_sampled_direction(vec, sigma),
+        out.append((f"missing{n_missing}", direction,
                     delta_grid(sigma, n_missing)))
     full = random_point(p.r, p.d, rng, scale=float(np.abs(p.flat).max()))
     out.append(("all_blocks", ImprovementDirection(delta=full, kind="sampled"),
@@ -476,10 +508,11 @@ def test_sign_search_matches_the_per_candidate_loop(r, d):
                 assert np.all(np.abs(got - ref) <= 1e-12 * scale), label
                 res = sign_flip_search(p, T, [direction], grid, lam)[0]
                 assert res.step == step, label
-                assert res.direction.sign_pattern == pattern, label
+                assert _pattern(res, direction) == pattern, label
                 assert res.evals == evals
-                assert abs(res.f_after - f_after) <= 1e-12 * max(
-                    f_after, res.f_before), label
+                f0 = objective(p, T, lam).f
+                assert abs(res.improvement - (f0 - f_after)) <= 1e-12 * max(
+                    f_after, f0), label
     want = {"core_fix", "all_blocks"}
     if d > 1:
         want.add("remove_extraneous")
@@ -490,8 +523,7 @@ def test_sign_search_matches_the_per_candidate_loop(r, d):
 
 def test_sign_search_skips_overflowing_candidates():
     p, T, splits, rng = _generic_setup()
-    vec = sample_missing_directions(splits, (2, 2, 2), rng)
-    direction = build_sampled_direction(vec, splits.sigma)
+    [direction] = sample_missing_directions(splits, (2, 2, 2), rng, 1)
     grid = [1e90, 0.05, 0.1, 0.2, 1e150]
     with np.errstate(all="ignore"):
         values = sign_step_values(p, T, [direction.delta],
@@ -503,10 +535,10 @@ def test_sign_search_skips_overflowing_candidates():
     assert np.isnan(values).any()
     assert np.isnan(values.ravel()[np.argmin(values)])
     assert step in (0.05, 0.1, 0.2)
-    assert res.step == step and res.direction.sign_pattern == pattern
-    assert np.isfinite(res.f_after) and res.improvement > 0
-    assert res.f_after == np.nanmin(np.where(np.isinf(values), np.nan,
-                                             values))
+    assert res.step == step and _pattern(res, direction) == pattern
+    assert np.isfinite(res.improvement) and res.improvement > 0
+    assert res.improvement == objective(p, T).f - np.nanmin(
+        np.where(np.isinf(values), np.nan, values))
 
 
 def test_sign_search_keeps_the_first_of_exact_ties():
@@ -519,8 +551,7 @@ def test_sign_search_keeps_the_first_of_exact_ties():
     T /= norm_f(T)
     p = FactorPoint.zeros(2, d)
     splits = subspace_split(p, T, sigma=0.05)
-    vec = sample_missing_directions(splits, (2, 2, 2), rng)
-    direction = build_sampled_direction(vec, sigma=splits.sigma)
+    [direction] = sample_missing_directions(splits, (2, 2, 2), rng, 1)
     grid = delta_grid(splits.sigma, 3)
     patterns = _loop_patterns(direction)
     values = sign_step_values(p, T, [direction.delta], patterns, grid)[0]
@@ -528,9 +559,9 @@ def test_sign_search_keeps_the_first_of_exact_ties():
     rows = [i for i in range(len(patterns)) if values[i].min() == best]
     assert len(rows) == 8
     res = sign_flip_search(p, T, [direction], grid)[0]
-    assert res.direction.sign_pattern == tuple(patterns[rows[0]])
+    assert _pattern(res, direction) == tuple(patterns[rows[0]])
     step, pattern, _, _, _ = _reference_sign_search(p, T, direction, grid)
-    assert (res.step, res.direction.sign_pattern) == (step, pattern)
+    assert (res.step, _pattern(res, direction)) == (step, pattern)
 
 
 @pytest.mark.parametrize("r,d", [(2, 5), (3, 7)])
@@ -542,9 +573,8 @@ def test_stacked_sign_search_matches_one_direction_at_a_time(r, d):
     stacks = {}
     # (1, 2, 2) leaves factor A out of the direction
     for ijk in ((2, 2, 2), (1, 2, 2)):
-        directions = [build_sampled_direction(
-            sample_missing_directions(splits, ijk, rng), sigma)
-            for _ in range(4)]
+        directions = [sample_missing_directions(splits, ijk, rng, 1)[0]
+                      for _ in range(4)]
         stacks[ijk] = directions
         grid = delta_grid(sigma, sum(x == 2 for x in ijk))
         patterns = _loop_patterns(directions[0])
@@ -564,8 +594,10 @@ def test_stacked_sign_search_matches_one_direction_at_a_time(r, d):
                     scale[row, col], f), (ijk, k, row, col)
         results = sign_flip_search(p, T, directions, grid)
         singles = [sign_flip_search(p, T, [q], grid)[0] for q in directions]
-        assert [(res.step, res.direction.sign_pattern) for res in results] \
-            == [(res.step, res.direction.sign_pattern) for res in singles]
+        assert [(res.step, res.direction.delta.flat.tobytes())
+                for res in results] == \
+            [(res.step, res.direction.delta.flat.tobytes())
+             for res in singles]
         assert any(res.improvement > 0 for res in results)
         # f at p is computed, and counted, once for the whole stack
         assert sum(res.evals for res in results) == 1 + stacked.size
@@ -579,8 +611,7 @@ def test_stacked_sign_search_matches_one_direction_at_a_time(r, d):
 def _result_fields(res):
     """Every field of a SignSearchResult but evals, the delta as bytes."""
     q = res.direction
-    return (q.delta.flat.tobytes(), q.kind, q.sign_pattern, res.step,
-            res.improvement, res.f_before, res.f_after)
+    return q.delta.flat.tobytes(), q.kind, res.step, res.improvement
 
 
 @settings(max_examples=25, deadline=None)

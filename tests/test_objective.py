@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     eval_along, grad, grad_loss, grad_phi,
-                                    grad_reg, hvp, load_point, loss,
-                                    objective, point_from_dict, point_to_dict,
-                                    reg, reg_phi, save_point)
+                                    grad_reg, hvp, load_point, objective,
+                                    point_from_dict, point_to_dict, reg,
+                                    reg_phi, save_point)
 from tuckersearch.tensor_core import FactorPoint, random_point
 
 
@@ -152,7 +152,8 @@ def test_loss_matches_brute_force_small_dims():
         r, d = rng.integers(1, 4, size=2)
         p = random_point(r, d, rng)
         T = rng.standard_normal((d, d, d))
-        assert loss(p, T) == pytest.approx(brute_force_loss(p, T), abs=1e-11)
+        assert objective(p, T).L == pytest.approx(brute_force_loss(p, T),
+                                                  abs=1e-11)
 
 
 @pytest.mark.parametrize("r,d", REFERENCE_SHAPES)
@@ -160,7 +161,7 @@ def test_kernels_match_tensordot_reference(r, d):
     rng = np.random.default_rng([107, r, d])
     T = rng.standard_normal((d, d, d))
     for p in (random_point(r, d, rng), random_point(r, d, rng, scale=0.3)):
-        assert_relative([loss(p, T)], [reference_loss(p, T)])
+        assert_relative([objective(p, T).L], [reference_loss(p, T)])
         assert_relative([reg_phi(p)], [reference_phi(p)])
         assert_relative(grad_loss(p, T).blocks(), reference_grad_loss(p, T))
         assert_relative(grad_phi(p).blocks(), reference_grad_phi(p))
@@ -175,10 +176,10 @@ def test_kernels_match_tensordot_reference(r, d):
 def test_loss_zero_at_exact_fit_and_norm_at_origin():
     rng = np.random.default_rng(67)
     p = random_point(2, 4, rng)
-    assert loss(p, p.apply()) == pytest.approx(0.0, abs=1e-20)
+    assert objective(p, p.apply()).L == pytest.approx(0.0, abs=1e-20)
     T = rng.standard_normal((4, 4, 4))
     origin = FactorPoint.zeros(2, 4)
-    assert loss(origin, T) == pytest.approx(np.sum(T * T), abs=1e-12)
+    assert objective(origin, T).L == pytest.approx(np.sum(T * T), abs=1e-12)
 
 
 def test_reg_phi_matches_brute_force_small_dims():
@@ -205,7 +206,7 @@ def test_objective_report_is_consistent():
     assert rep.lam == pytest.approx(default_lambda(2))
     assert rep.R == pytest.approx(rep.phi**2, rel=1e-12)
     assert rep.f == pytest.approx(rep.L + rep.lam * rep.R, rel=1e-12)
-    assert rep.L == pytest.approx(loss(p, T), rel=1e-12)
+    assert rep.L == pytest.approx(brute_force_loss(p, T), abs=1e-11)
     rep2 = objective(p, T, lam=0.5)
     assert rep2.f == pytest.approx(rep.L + 0.5 * rep.R, rel=1e-12)
 
@@ -320,7 +321,7 @@ def test_loss_is_gauge_invariant():
     Qs = [np.linalg.qr(rng.standard_normal((2, 2)))[0] for _ in range(3)]
     q = FactorPoint(multilinear_transform(p.S, *Qs), Qs[0].T @ p.A,
                     Qs[1].T @ p.B, Qs[2].T @ p.C)
-    assert loss(q, T) == pytest.approx(loss(p, T), rel=1e-10)
+    assert objective(q, T).L == pytest.approx(objective(p, T).L, rel=1e-10)
     assert reg_phi(q) == pytest.approx(reg_phi(p), rel=1e-9, abs=1e-12)
 
 
@@ -330,7 +331,7 @@ def test_loss_is_scaling_invariant():
     T = rng.standard_normal((4, 4, 4))
     for c in (0.5, 2.0):
         q = FactorPoint(p.S / c**3, c * p.A, c * p.B, c * p.C)
-        assert loss(q, T) == pytest.approx(loss(p, T), rel=1e-10)
+        assert objective(q, T).L == pytest.approx(objective(p, T).L, rel=1e-10)
 
 
 def test_reg_grows_quartically_off_the_balanced_set():

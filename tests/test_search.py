@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import tuckersearch.search as search_module
-from tuckersearch.escape import (build_sampled_direction, delta_grid,
-                                 sample_missing_directions, sign_flip_search)
+from tuckersearch.escape import (delta_grid, sample_missing_directions,
+                                 sign_flip_search)
 from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     eval_along, grad, hvp, objective,
                                     save_point)
@@ -603,11 +603,9 @@ def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
     evaluated = []
 
     def predicting(p, T, directions, grid, lam=None, at=None):
-        f0 = objective(p, T, lam).f
         return [SignSearchResult(
             direction=dataclasses.replace(q, delta=worse), step=1.0,
-            improvement=1e-9, f_before=f0, f_after=f0 - 1e-9, evals=0)
-            for q in directions]
+            improvement=1e-9, evals=0) for q in directions]
 
     def recording(p, *args, **kwargs):
         rep = objective(p, *args, **kwargs)
@@ -699,9 +697,8 @@ def test_accepted_sampled_step_matches_prediction():
     splits = subspace_split(p, T, 0.05)
     rng = np.random.default_rng(9)
     found = 0
-    for _ in range(20):
-        vectors = sample_missing_directions(splits, (2, 2, 2), rng)
-        direction = build_sampled_direction(vectors, 0.05)
+    f0 = objective(p, T, lam).f
+    for direction in sample_missing_directions(splits, (2, 2, 2), rng, 20):
         res = sign_flip_search(p, T, [direction], delta_grid(0.05, 3),
                                lam)[0]
         if res.improvement <= 0.0:
@@ -709,10 +706,9 @@ def test_accepted_sampled_step_matches_prediction():
         found += 1
         _, report = eval_along(p, res.direction.delta, T, [res.step], lam)[0]
         predicted = report.f
-        assert abs(res.f_after - predicted) <= 1e-10
-        assert abs((res.f_before - predicted) - res.improvement) <= 1e-10
+        assert abs((f0 - predicted) - res.improvement) <= 1e-10
         realized = objective(res.apply(p), T, lam).f
-        assert abs(realized - res.f_after) <= 1e-10
+        assert abs(realized - (f0 - res.improvement)) <= 1e-10
     assert found >= 5
 
 

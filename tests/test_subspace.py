@@ -20,19 +20,20 @@ def test_split_diagonal_example():
     ms = split(M, 1.0)
     assert ms.rank1 == 1
     np.testing.assert_allclose(ms.m1, [[3, 0, 0], [0, 0, 0]], atol=1e-12)
-    np.testing.assert_allclose(ms.m2, [[0, 0, 0], [0, 0.5, 0]], atol=1e-12)
     np.testing.assert_allclose(ms.u1[:, 0], [1, 0, 0], atol=1e-12)
     assert ms.u2.shape == (3, 2)
     assert ms.v1.shape == (2, 1)
     assert ms.v2.shape == (2, 1)
-    np.testing.assert_allclose(ms.singular_values, [3.0, 0.5], atol=1e-12)
+    # the small part M - m1 is the second singular pair, 0.5 v2 u2[:, 0]^T
+    np.testing.assert_allclose(0.5 * ms.v2 @ ms.u2[:, :1].T, M - ms.m1,
+                               atol=1e-12)
 
 
 def test_split_tie_goes_to_small_part():
     M = np.diag([2.0, 1.0])
     ms = split(M, 1.0)
     assert ms.rank1 == 1
-    np.testing.assert_allclose(ms.m2, np.diag([0.0, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(M - ms.m1, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_split_reconstructs_and_bases_are_orthonormal():
@@ -42,7 +43,11 @@ def test_split_reconstructs_and_bases_are_orthonormal():
         M = rng.standard_normal((r, d))
         sigma = float(rng.uniform(0, 1.5))
         ms = split(M, sigma)
-        np.testing.assert_allclose(ms.m1 + ms.m2, M, atol=1e-12)
+        # m1 lives on the large bases and M - m1 on their complements
+        small = M - ms.m1
+        for X in (ms.v2.T @ ms.m1, ms.m1 @ ms.u2, ms.v1.T @ small,
+                  small @ ms.u1):
+            np.testing.assert_allclose(X, 0.0, atol=1e-12)
         for basis, dim in ((np.hstack([ms.u1, ms.u2]), d),
                            (np.hstack([ms.v1, ms.v2]), r)):
             assert basis.shape == (dim, dim)
@@ -51,14 +56,14 @@ def test_split_reconstructs_and_bases_are_orthonormal():
         # the large part keeps only singular values above the threshold
         kept = np.linalg.svd(ms.m1, compute_uv=False)
         assert np.all(kept[:ms.rank1] > sigma)
-        assert np.all(np.linalg.svd(ms.m2, compute_uv=False) <= sigma + 1e-12)
+        assert np.all(np.linalg.svd(small, compute_uv=False) <= sigma + 1e-12)
 
 
 def test_split_zero_threshold_keeps_all_nonzero_directions():
     M = np.array([[1.0, 0.0], [0.0, 0.0]])
     ms = split(M, 0.0)
     assert ms.rank1 == 1
-    np.testing.assert_allclose(ms.m2, np.zeros((2, 2)), atol=1e-12)
+    np.testing.assert_array_equal(ms.m1, M)
     # the zero singular direction still lands in the complement bases
     assert ms.u2.shape == (2, 1)
     assert ms.v2.shape == (2, 1)
@@ -70,6 +75,28 @@ def test_split_is_deterministic():
     a, b = split(M, 0.3), split(M, 0.3)
     np.testing.assert_array_equal(a.u1, b.u1)
     np.testing.assert_array_equal(a.v2, b.v2)
+
+
+def _first_entries(basis):
+    """Each column's first entry of magnitude > 1e-12."""
+    return [col[np.abs(col) > 1e-12][0] for col in basis.T]
+
+
+def test_split_bases_have_positive_first_entries():
+    # each v column's first entry above 1e-12 is positive, and its paired
+    # u column flips with it; u columns past min(r, d) pair with nothing
+    # and take their own sign
+    rng = np.random.default_rng(163)
+    for r, d in ((2, 5), (3, 3), (3, 2)):
+        M = rng.standard_normal((r, d))
+        ms = split(M, 0.5)
+        V, U = np.hstack([ms.v1, ms.v2]), np.hstack([ms.u1, ms.u2])
+        assert all(x > 0 for x in _first_entries(V))
+        assert all(x > 0 for x in _first_entries(U[:, min(r, d):]))
+        s = np.linalg.svd(M, compute_uv=False)
+        k = min(r, d)
+        np.testing.assert_allclose((V[:, :k] * s) @ U[:, :k].T, M,
+                                   atol=1e-12)
 
 
 def test_split_rejects_bad_input():

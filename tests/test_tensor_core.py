@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuckersearch.tensor_core import (FactorPoint, flatten, hosvd, inner,
+from tuckersearch.tensor_core import (FactorPoint, flatten, hosvd,
                                       load_tensor, multilinear_transform,
                                       norm_f, random_point, save_tensor_binary,
                                       save_tensor_json)
@@ -117,11 +117,12 @@ def test_flatten_rejects_bad_mode():
 def test_inner_and_norm_agree_with_raveled_dot():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((3, 2, 4))
-    Y = rng.standard_normal((3, 2, 4))
-    assert inner(X, Y) == pytest.approx(float(X.ravel() @ Y.ravel()), abs=ATOL)
-    assert norm_f(X) == pytest.approx(np.sqrt(inner(X, X)), abs=ATOL)
-    with pytest.raises(ValueError):
-        inner(X, np.zeros((2, 2, 2)))
+    assert norm_f(X) == pytest.approx(np.sqrt(float(X.ravel() @ X.ravel())),
+                                      abs=ATOL)
+    p, q = random_point(2, 3, rng), random_point(2, 3, rng)
+    assert p.inner(q) == pytest.approx(
+        sum(float(a.ravel() @ b.ravel())
+            for a, b in zip(p.blocks(), q.blocks())), abs=ATOL)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +159,19 @@ def test_hosvd_rejects_bad_rank():
         hosvd(T, 0)
     with pytest.raises(ValueError):
         hosvd(T, 4)
+
+
+def test_hosvd_rows_have_positive_first_entries():
+    # each factor row's first entry of magnitude above 1e-12 is positive,
+    # also where the leading entries vanish
+    rng = np.random.default_rng(43)
+    e = np.eye(4)
+    T = (np.einsum("i,j,k->ijk", e[1], e[2], e[3])
+         - 2.0 * np.einsum("i,j,k->ijk", e[3], e[1], e[2]))
+    for T in (random_point(2, 4, rng).apply(), T):
+        p = hosvd(T, 2)
+        for row in np.concatenate((p.A, p.B, p.C)):
+            assert row[np.abs(row) > 1e-12][0] > 0.0
 
 
 def test_hosvd_is_deterministic():
@@ -211,7 +225,7 @@ def _check_vector_space_ops(r, d):
     np.testing.assert_allclose(s.S, p.S + q.S, atol=ATOL)
     assert (p - p).norm() == 0.0
     assert p.inner(q) == pytest.approx(
-        inner(p.S, q.S) + inner(p.A, q.A) + inner(p.B, q.B) + inner(p.C, q.C),
+        sum(np.vdot(a, b) for a, b in zip(p.blocks(), q.blocks())),
         abs=ATOL)
     assert p.norm() == pytest.approx(np.sqrt(p.inner(p)), abs=ATOL)
 

@@ -168,9 +168,9 @@ def test_boundary_scale_is_zero_when_the_ray_leaves_the_target_level():
 @pytest.mark.parametrize("seed", range(5))
 def test_sublevel_boundary_points_stay_in_their_sublevel_set(seed):
     # every point the closed form returns passes the check's own
-    # membership test, so no trial is skipped
+    # membership test, so no trial is skipped but the vacuous ones
     rep = check_sublevel_bound(rng=np.random.default_rng(seed))
-    assert rep.trials == 200
+    assert rep.trials + rep.details["vacuous_trials"] == 200
     assert rep.passed
 
 
@@ -186,8 +186,36 @@ def test_sublevel_check_calls_objective_at_most_twice_per_trial(monkeypatch):
 
     monkeypatch.setattr(verify_module, "objective", counting)
     rep = check_sublevel_bound()
-    assert rep.trials == 200
+    assert rep.trials + rep.details["vacuous_trials"] == 200
     assert 0 < len(calls) <= 2 * rep.trials
+
+
+def test_sublevel_counts_no_trial_that_cannot_fail(monkeypatch):
+    # along a ray with <X, T> <= 0, f >= |T|^2, so at a level gamma <=
+    # |T|^2 the boundary point is all but zero and cannot fail the bound;
+    # every counted trial (a point that passed the membership test) must
+    # have <X, T> > 0 at such a level.  Each positive level's objective
+    # call follows the _boundary_scale call that names its level
+    levels, trials = [0.0], []
+
+    def scaling(q, T, gamma):
+        levels.append(gamma)
+        return _boundary_scale(q, T, gamma)
+
+    def recording(p, T, *args):
+        rep = objective(p, T, *args)
+        trials.append((p, T, levels[-1], rep.f))
+        return rep
+
+    monkeypatch.setattr(verify_module, "_boundary_scale", scaling)
+    monkeypatch.setattr(verify_module, "objective", recording)
+    [rep] = run_suite(0, ["sublevel"])
+    counted = [(p, T, gamma) for p, T, gamma, f in trials if f <= gamma + 1e-9]
+    assert len(counted) == rep.trials
+    flat = [float(p.apply().ravel() @ T.ravel()) for p, T, gamma in counted
+            if gamma <= float(T.ravel() @ T.ravel()) + 1e-9]
+    assert flat and min(flat) > 0.0
+    assert rep.details["vacuous_trials"] > 0
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
