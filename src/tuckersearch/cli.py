@@ -61,8 +61,8 @@ def cmd_generate(args) -> int:
         return _fail(f"rank and dim must be positive, got {r}, {d}")
     if r > d:
         return _fail(f"rank {r} exceeds dimension {d}")
-    if args.noise < 0:
-        return _fail(f"noise must be nonnegative, got {args.noise}")
+    if not (np.isfinite(args.noise) and args.noise >= 0):
+        return _fail(f"noise must be finite and nonnegative, got {args.noise}")
     rng = np.random.default_rng(args.seed)
     truth = random_point(r, d, rng)
     T = multilinear_transform(truth.S, truth.A, truth.B, truth.C)

@@ -186,7 +186,7 @@ def grad(p: FactorPoint, T: np.ndarray, lam: float | None = None,
 
 
 def hvp(p: FactorPoint, direction: FactorPoint, T: np.ndarray,
-        lam: float | None = None, h: float | None = None) -> FactorPoint:
+        lam: float | None = None) -> FactorPoint:
     """Hessian-vector product by a central difference of the gradient.
 
     The step is scaled to the point, h = 1e-5 (1 + |p|) / |direction|, so
@@ -195,8 +195,7 @@ def hvp(p: FactorPoint, direction: FactorPoint, T: np.ndarray,
     dn = direction.norm()
     if dn == 0.0:
         raise ValueError("hvp direction must be nonzero")
-    if h is None:
-        h = 1e-5 * (1.0 + p.norm()) / dn
+    h = 1e-5 * (1.0 + p.norm()) / dn
     gp = grad(p + h * direction, T, lam)
     gm = grad(p - h * direction, T, lam)
     return (1.0 / (2.0 * h)) * (gp - gm)

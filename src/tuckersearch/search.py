@@ -180,15 +180,11 @@ class TraceRecord:
     step_size: float
     improvement: float
     seed: int
-    wall_time: float
 
     def to_json_dict(self) -> dict:
-        # wall time stays out of the serialized record so that traces from
-        # identical (config, seed) runs are byte-identical; every field is a
-        # scalar, so a shallow copy of the fields serializes as asdict would
-        out = dict(vars(self))
-        del out["wall_time"]
-        return out
+        # every field is a scalar, so a shallow copy of the fields
+        # serializes as asdict would
+        return dict(vars(self))
 
 
 def _rises(prev: float, f: float) -> bool:
@@ -200,7 +196,6 @@ def _rises(prev: float, f: float) -> bool:
 class SearchTrace:
     seed: int
     records: list[TraceRecord] = field(default_factory=list)
-    started_at: float = field(default_factory=time.perf_counter)
 
     def append(self, f: float, L: float, R: float, step_kind: str,
                step_size: float, improvement: float,
@@ -213,8 +208,7 @@ class SearchTrace:
                           R=float(R), grad_norm=grad_norm,
                           min_curvature=min_curvature, step_kind=step_kind,
                           step_size=float(step_size),
-                          improvement=float(improvement), seed=self.seed,
-                          wall_time=time.perf_counter() - self.started_at)
+                          improvement=float(improvement), seed=self.seed)
         self.records.append(rec)
         return rec
 
@@ -310,10 +304,6 @@ class FindSospInfo:
     report: ObjectiveReport
     grad_norm: float | None
     min_curvature: float | None
-
-    @property
-    def f(self) -> float:
-        return self.report.f
 
 
 def _require_finite(value: float, what: str) -> None:

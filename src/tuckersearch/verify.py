@@ -1,10 +1,12 @@
 """Numerical verification of the landscape facts the search relies on.
 
-Each check draws seeded random instances, tests one identity, inequality,
-or saddle construction, and returns a LemmaReport with a failure count and
+Each check draws random instances from the generator it is handed (the
+suite gives each its own stream), tests one identity, inequality, or
+saddle construction, and returns a LemmaReport with a failure count and
 the worst margin observed.  A margin is normalized so that positive means
-violation; the worst margin of a healthy check is therefore negative or
-zero, with its distance from zero showing how much slack the data had.
+violation, and a NaN margin fails too; the worst margin of a healthy check
+is therefore negative or zero, with its distance from zero showing how
+much slack the data had.
 
 Empirical constants (the sublevel norm constant and the
 anti-concentration floor) were calibrated once on a pilot run and are
@@ -43,29 +45,28 @@ class LemmaReport:
     failures: int
     worst_margin: float
     tolerance: float
-    passed: bool
     details: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.passed != (self.failures == 0):
-            raise ValueError("pass flag must mirror the failure count")
+    @property
+    def passed(self) -> bool:
+        return self.failures == 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "lemma": self.lemma,
-            "trials": self.trials,
-            "failures": self.failures,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return dict(vars(self), passed=self.passed)
 
 
 def _report(lemma, trials, failures, worst_margin, tolerance, **details):
-    return LemmaReport(lemma=lemma, trials=trials, failures=failures,
-                       worst_margin=float(worst_margin), tolerance=tolerance,
-                       passed=failures == 0, details=details)
+    return LemmaReport(lemma, trials, failures, float(worst_margin),
+                       tolerance, details)
+
+
+def _margin_report(lemma, margins, tolerance, failures=0, **details):
+    """One trial per margin.  A margin that is not <= 0, NaN included, is
+    a failure on top of the caller's `failures`; the worst margin is the
+    largest, NaN if any is."""
+    failures += sum(not m <= 0 for m in margins)
+    return _report(lemma, len(margins), failures,
+                   np.max(margins, initial=-np.inf), tolerance, **details)
 
 
 def _random_shapes(rng, trials, r_max=3, d_max=6):
@@ -86,7 +87,7 @@ def _gauge(p, rng):
     return FactorPoint(S, qs[0].T @ p.A, qs[1].T @ p.B, qs[2].T @ p.C)
 
 
-def check_orthogonality(trials: int = 100, rng=None, grad_loss_fn=grad_loss,
+def check_orthogonality(rng, trials: int = 100, grad_loss_fn=grad_loss,
                         grad_reg_fn=grad_reg) -> LemmaReport:
     """The fit gradient and the regularizer gradient are perpendicular at
     every point, not just at stationary ones.
@@ -94,12 +95,8 @@ def check_orthogonality(trials: int = 100, rng=None, grad_loss_fn=grad_loss,
     The gradient functions are injectable so a corrupted gradient can be
     shown to fail the check (negative control).
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     tol = 1e-8
-    failures = 0
-    worst = -math.inf
-    n = 0
+    margins = []
     for i, (r, d) in enumerate(_random_shapes(rng, trials)):
         T = rng.standard_normal((d, d, d))
         if i == 0:
@@ -110,23 +107,15 @@ def check_orthogonality(trials: int = 100, rng=None, grad_loss_fn=grad_loss,
                 p = _gauge(p, rng)
         gl = grad_loss_fn(p, T)
         gr = grad_reg_fn(p)
-        margin = abs(gl.inner(gr)) - tol * (1.0 + gl.norm() * gr.norm())
-        worst = max(worst, margin)
-        if margin > 0:
-            failures += 1
-        n += 1
-    return _report("gradient-orthogonality", n, failures, worst, tol)
+        margins.append(abs(gl.inner(gr)) - tol * (1.0 + gl.norm() * gr.norm()))
+    return _margin_report("gradient-orthogonality", margins, tol)
 
 
-def check_euler(trials: int = 100, rng=None) -> LemmaReport:
+def check_euler(rng, trials: int = 100) -> LemmaReport:
     """The balance defect is homogeneous of degree four: its gradient
     paired with the point itself returns four times its value."""
-    if rng is None:
-        rng = np.random.default_rng(1)
     tol = 1e-8
-    failures = 0
-    worst = -math.inf
-    n = 0
+    margins = []
     for i, (r, d) in enumerate(_random_shapes(rng, trials)):
         if i == 0:
             p = FactorPoint.zeros(r, d)
@@ -135,13 +124,9 @@ def check_euler(trials: int = 100, rng=None) -> LemmaReport:
         else:
             p = random_point(r, d, rng)
         phi = reg_phi(p)
-        margin = (abs(4.0 * phi - grad_phi(p).inner(p))
-                  - tol * (1.0 + 4.0 * phi))
-        worst = max(worst, margin)
-        if margin > 0:
-            failures += 1
-        n += 1
-    return _report("defect-euler-identity", n, failures, worst, tol)
+        margins.append(abs(4.0 * phi - grad_phi(p).inner(p))
+                       - tol * (1.0 + 4.0 * phi))
+    return _margin_report("defect-euler-identity", margins, tol)
 
 
 def _max_block_norm(p):
@@ -174,8 +159,8 @@ def _boundary_scale(q, T, gamma):
     return max(u, 0.0) ** 0.25
 
 
-def check_sublevel_bound(gammas=(0.0, 1.0, 10.0, 100.0, 1000.0),
-                         trials: int = 40, rng=None) -> LemmaReport:
+def check_sublevel_bound(rng, gammas=(0.0, 1.0, 10.0, 100.0, 1000.0),
+                         trials: int = 40) -> LemmaReport:
     """Points inside an objective sublevel set have bounded factor norms:
     every accepted point must satisfy
     max block norm <= SUBLEVEL_NORM_CONSTANT * (gamma+1)^{1/8}.
@@ -195,13 +180,9 @@ def check_sublevel_bound(gammas=(0.0, 1.0, 10.0, 100.0, 1000.0),
     cannot fail the bound.  Such trials are left out of `trials` and
     counted in the details as `vacuous_trials`.
     """
-    if rng is None:
-        rng = np.random.default_rng(2)
     r, d = 2, 4
     c = SUBLEVEL_NORM_CONSTANT
-    failures = 0
-    worst = -math.inf
-    n = 0
+    margins = []
     extremes = {}
     truth = random_point(r, d, rng)
     T = multilinear_transform(truth.S, truth.A, truth.B, truth.C)
@@ -235,35 +216,25 @@ def check_sublevel_bound(gammas=(0.0, 1.0, 10.0, 100.0, 1000.0),
                 continue
             norm = _max_block_norm(p)
             best = max(best, norm)
-            margin = norm - bound
-            worst = max(worst, margin)
-            if margin > 0:
-                failures += 1
-            n += 1
+            margins.append(norm - bound)
         extremes[gamma] = best
     xs = [math.log(g + 1.0) for g in gammas if g > 0 and extremes[g] > 0]
     ys = [math.log(extremes[g]) for g in gammas if g > 0 and extremes[g] > 0]
     exponent = float(np.polyfit(xs, ys, 1)[0])
-    if exponent > 0.25:
-        failures += 1
     fitted = max(extremes[g] / (g + 1.0) ** 0.125
                  for g in gammas if extremes[g] > 0)
-    return _report("sublevel-norm-bound", n, failures, worst, 0.0,
-                   frozen_constant=c, fitted_constant=fitted,
-                   exponent=exponent,
-                   extremes={str(g): v for g, v in extremes.items()},
-                   vacuous_trials=vacuous)
+    return _margin_report("sublevel-norm-bound", margins, 0.0,
+                          int(exponent > 0.25), frozen_constant=c,
+                          fitted_constant=fitted, exponent=exponent,
+                          extremes={str(g): v for g, v in extremes.items()},
+                          vacuous_trials=vacuous)
 
 
-def check_core_lower_bound(trials: int = 100, rng=None) -> LemmaReport:
+def check_core_lower_bound(rng, trials: int = 100) -> LemmaReport:
     """Transforming a core by its own three flattenings cannot lose more
     than an r^4 factor of the fourth power of its norm."""
-    if rng is None:
-        rng = np.random.default_rng(3)
     tol = 1e-10
-    failures = 0
-    worst = -math.inf
-    n = 0
+    margins = []
     for i in range(trials):
         r = int(rng.integers(1, 4))
         if i == 0:
@@ -279,25 +250,17 @@ def check_core_lower_bound(trials: int = 100, rng=None) -> LemmaReport:
         lhs = norm_f(multilinear_transform(S, flatten(S, 1), flatten(S, 2),
                                            flatten(S, 3)))
         rhs = norm_f(S) ** 4 / r_eff ** 4
-        margin = rhs - lhs - tol * (1.0 + rhs)
-        worst = max(worst, margin)
-        if margin > 0:
-            failures += 1
-        n += 1
-    return _report("core-self-transform-lower-bound", n, failures, worst, tol)
+        margins.append(rhs - lhs - tol * (1.0 + rhs))
+    return _margin_report("core-self-transform-lower-bound", margins, tol)
 
 
-def check_submultiplicativity(trials: int = 100, rng=None) -> LemmaReport:
+def check_submultiplicativity(rng, trials: int = 100) -> LemmaReport:
     """The transformed core norm is at most the core norm times the three
     factor operator norms; rank-one cores built from top singular vectors
     meet the bound with equality."""
-    if rng is None:
-        rng = np.random.default_rng(4)
     tol = 1e-10
-    failures = 0
-    worst = -math.inf
+    margins = []
     tight_gap = math.inf
-    n = 0
     for i, (r, d) in enumerate(_random_shapes(rng, trials)):
         A = rng.standard_normal((r, d))
         B = rng.standard_normal((r, d))
@@ -317,26 +280,18 @@ def check_submultiplicativity(trials: int = 100, rng=None) -> LemmaReport:
             S = rng.standard_normal((r, r, r))
         lhs = norm_f(multilinear_transform(S, A, B, C))
         rhs = norm_f(S) * bound_factor
-        margin = lhs - rhs - tol * (1.0 + rhs)
-        worst = max(worst, margin)
-        if margin > 0:
-            failures += 1
+        margins.append(lhs - rhs - tol * (1.0 + rhs))
         if i % 10 == 0:
             tight_gap = min(tight_gap, float(rhs - lhs))
-        n += 1
-    return _report("transform-submultiplicativity", n, failures, worst, tol,
-                   tight_case_gap=tight_gap)
+    return _margin_report("transform-submultiplicativity", margins, tol,
+                          tight_case_gap=tight_gap)
 
 
-def check_wedin(trials: int = 100, rng=None) -> LemmaReport:
+def check_wedin(rng, trials: int = 100) -> LemmaReport:
     """Perturbing a rank-k matrix moves its top-k right-singular projector
     by at most twice the perturbation norm over the k-th singular value."""
-    if rng is None:
-        rng = np.random.default_rng(5)
     tol = 1e-12
-    failures = 0
-    worst = -math.inf
-    n = 0
+    margins = []
     for _ in range(trials):
         rows = int(rng.integers(3, 8))
         cols = int(rng.integers(3, 8))
@@ -348,12 +303,8 @@ def check_wedin(trials: int = 100, rng=None) -> LemmaReport:
         M2 = rng.standard_normal((rows, cols))
         M2 *= 0.3 * sigma_k / max(norm_f(M2), 1e-12)
         lhs, rhs = projection_distance_bound(M1 + M2, M1, M2)
-        margin = lhs - rhs - tol * (1.0 + rhs)
-        worst = max(worst, margin)
-        if margin > 0:
-            failures += 1
-        n += 1
-    return _report("projector-perturbation-bound", n, failures, worst, tol)
+        margins.append(lhs - rhs - tol * (1.0 + rhs))
+    return _margin_report("projector-perturbation-bound", margins, tol)
 
 
 def _unit_rows(rng, n, d):
@@ -371,8 +322,8 @@ def _evaluate_at_rows(X, A, B, C):
     return vals
 
 
-def check_anti_concentration(dims=(3, 4, 5, 6), trials: int = 5,
-                             rng=None, samples: int = 10_000) -> LemmaReport:
+def check_anti_concentration(rng, dims=(3, 4, 5, 6), trials: int = 5,
+                             samples: int = 10_000) -> LemmaReport:
     """A tensor evaluated at random unit vectors lands above a tenth of
     its root-mean-square value with probability at least the frozen floor.
 
@@ -381,12 +332,9 @@ def check_anti_concentration(dims=(3, 4, 5, 6), trials: int = 5,
     random unit vectors.  The samples are evaluated one mode-1 slice of
     the tensor at a time, as matrix products (`_evaluate_at_rows`).
     """
-    if rng is None:
-        rng = np.random.default_rng(6)
+    phats = []
     failures = 0
-    worst = math.inf
     oracle_gap = 0.0
-    n = 0
     for d in dims:
         thresh = ANTI_CONCENTRATION_CUTOFF / d ** 1.5
         for t in range(trials + 1):
@@ -400,9 +348,7 @@ def check_anti_concentration(dims=(3, 4, 5, 6), trials: int = 5,
             A, B, C = (_unit_rows(rng, samples, d) for _ in range(3))
             vals = np.abs(_evaluate_at_rows(X, A, B, C))
             phat = float(np.mean(vals >= thresh))
-            worst = min(worst, phat)
-            if phat < ANTI_CONCENTRATION_FLOOR:
-                failures += 1
+            phats.append(phat)
             if rank_one:
                 # squared cosines of random unit vectors follow
                 # Beta(1/2, (d-1)/2) independently per mode
@@ -413,11 +359,11 @@ def check_anti_concentration(dims=(3, 4, 5, 6), trials: int = 5,
                 oracle_gap = max(oracle_gap, gap)
                 if gap > 0.03:
                     failures += 1
-            n += 1
-    return _report("evaluation-anti-concentration", n, failures,
-                   ANTI_CONCENTRATION_FLOOR - worst, 0.03,
-                   floor=ANTI_CONCENTRATION_FLOOR, worst_probability=worst,
-                   rank_one_oracle_gap=oracle_gap)
+    return _margin_report("evaluation-anti-concentration",
+                          [ANTI_CONCENTRATION_FLOOR - p for p in phats], 0.03,
+                          failures, floor=ANTI_CONCENTRATION_FLOOR,
+                          worst_probability=min(phats, default=math.inf),
+                          rank_one_oracle_gap=oracle_gap)
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +387,9 @@ def _improvements(p, direction, T, eps):
     return [f0 - rep.f for _, rep in eval_along(p, direction, T, eps)]
 
 
-def gallery_origin(rng=None, attempts: int = 100) -> LemmaReport:
+def gallery_origin(rng, attempts: int = 100) -> LemmaReport:
     """The all-zero point against a unit target: an exact critical point
     with vanishing curvature that only the fully-sampled block escapes."""
-    if rng is None:
-        rng = np.random.default_rng(7)
     d, r = 4, 2
     T = rng.standard_normal((d, d, d))
     T /= norm_f(T)
@@ -481,16 +425,13 @@ def gallery_origin(rng=None, attempts: int = 100) -> LemmaReport:
                    regularizer_drift=reg_drift)
 
 
-def gallery_unregularized_counterexample(rng=None,
-                                         directions: int = 1000
+def gallery_unregularized_counterexample(rng, directions: int = 1000
                                          ) -> LemmaReport:
     """Without the regularizer there is a spurious stationary point: zero
     core with factor rows orthogonal to a rank-one target.  The fit term
     alone cannot improve locally, while any positive weight on the
     regularizer certifies a gradient of size 4*lam*R over the point norm.
     """
-    if rng is None:
-        rng = np.random.default_rng(8)
     d = 3
     T = np.zeros((d, d, d))
     T[0, 0, 0] = 1.0
@@ -571,11 +512,9 @@ def gallery_two_missing() -> LemmaReport:
                                  expected=3.0)
 
 
-def gallery_three_missing(rng=None) -> LemmaReport:
+def gallery_three_missing(rng) -> LemmaReport:
     """All three modes missing: the origin against a unit target improves
     quartically along a fully sampled rank-one update."""
-    if rng is None:
-        rng = np.random.default_rng(9)
     d, r = 4, 2
     T = rng.standard_normal((d, d, d))
     T /= norm_f(T)
@@ -612,11 +551,9 @@ def _gallery_slope_report(name, p, T, direction, expected) -> LemmaReport:
                    regularizer=R0)
 
 
-def saddle_gallery(rng=None) -> list[LemmaReport]:
+def saddle_gallery(rng) -> list[LemmaReport]:
     """All canonical flat and spurious points with their expected escape
     behavior."""
-    if rng is None:
-        rng = np.random.default_rng(10)
     streams = rng.spawn(3)
     return [
         gallery_origin(streams[0]),
@@ -631,13 +568,13 @@ def saddle_gallery(rng=None) -> list[LemmaReport]:
 # the suite
 
 CHECKS = {
-    "orthogonality": lambda rng: [check_orthogonality(rng=rng)],
-    "euler": lambda rng: [check_euler(rng=rng)],
-    "sublevel": lambda rng: [check_sublevel_bound(rng=rng)],
-    "core-lower-bound": lambda rng: [check_core_lower_bound(rng=rng)],
-    "submultiplicativity": lambda rng: [check_submultiplicativity(rng=rng)],
-    "wedin": lambda rng: [check_wedin(rng=rng)],
-    "anti-concentration": lambda rng: [check_anti_concentration(rng=rng)],
+    "orthogonality": lambda rng: [check_orthogonality(rng)],
+    "euler": lambda rng: [check_euler(rng)],
+    "sublevel": lambda rng: [check_sublevel_bound(rng)],
+    "core-lower-bound": lambda rng: [check_core_lower_bound(rng)],
+    "submultiplicativity": lambda rng: [check_submultiplicativity(rng)],
+    "wedin": lambda rng: [check_wedin(rng)],
+    "anti-concentration": lambda rng: [check_anti_concentration(rng)],
     "saddle-gallery": saddle_gallery,
 }
 

@@ -59,6 +59,19 @@ def test_generate_noise_is_flagged_and_sized(tmp_path):
     assert abs(norm_f(noisy - clean) - 0.05) < 1e-12
 
 
+@pytest.mark.parametrize("noise", ["nan", "inf", "-0.5"])
+def test_generate_rejects_noise_that_is_not_finite_and_nonnegative(
+        tmp_path, capsys, noise):
+    # a NaN noise once wrote the clean tensor with "noise": NaN in its meta,
+    # and an infinite one wrote Infinity entries that decompose rejects
+    path = tmp_path / "x.json"
+    rc = main(["generate", "--rank", "2", "--dim", "3", "--noise", noise,
+               "--out", str(path)])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: noise must be")
+    assert not path.exists()
+
+
 def test_generate_rejects_rank_above_dim(tmp_path, capsys):
     rc = main(["generate", "--rank", "5", "--dim", "3",
                "--out", str(tmp_path / "x.json")])

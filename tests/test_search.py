@@ -52,7 +52,7 @@ def test_find_sosp_descends_to_tolerance_near_optimum():
     f0 = objective(p0, T).f
     p, info = find_sosp(p0, T, budget=20_000, seed=0)
     assert info.converged
-    assert info.f <= f0 + 1e-15
+    assert info.report.f <= f0 + 1e-15
     assert grad(p, T).norm() <= 1e-6
 
 
@@ -105,8 +105,8 @@ def test_find_sosp_escapes_constructed_strict_saddle():
     f0 = objective(p, T).f
     assert math.isclose(f0, theta**2, rel_tol=1e-12)
     q, info = find_sosp(p, T, budget=1_500, seed=0)
-    assert info.f < 1e-4
-    assert info.f < f0
+    assert info.report.f < 1e-4
+    assert info.report.f < f0
 
 
 def test_find_sosp_curvature_probe_cut_short_is_not_converged():
@@ -637,6 +637,30 @@ def test_scale_table_gradient_evaluation_count():
     assert total <= 2_000
 
 
+START_SHAPES = ((1, 3), (2, 4), (2, 6), (3, 5), (4, 6))
+START_INITS = ("zero", "hosvd", "random:1e-3", "random:0.5", "random:10")
+
+
+def test_start_set_gradient_evaluation_count():
+    # a guard beyond the zero start: five shapes x five inits x seeds 0-2
+    # of the exact targets, at the default lambda, all converge, in 3,677
+    # gradient evaluations together with BLAS at one thread (zero 1,315,
+    # hosvd 33, random:1e-3 746, random:0.5 548, random:10 1,035).  L-BFGS
+    # from the scalar H0 = (s.y / y.y) I takes 6,097, which the bound
+    # catches; dropping gamma from H0 = gamma P^-1 takes 3,863 (+5%),
+    # which it does not
+    total = 0
+    for r, d in START_SHAPES:
+        for init in START_INITS:
+            for seed in range(3):
+                res = run(exact_instance(r, d, seed),
+                          SearchConfig(r=r, seed=seed, budget=20_000,
+                                       init=init))
+                assert res.status == "converged", (r, d, init, seed)
+                total += res.grad_evals
+    assert total <= 4_400
+
+
 def test_run_hosvd_start_keeps_fit_while_balancing():
     T = exact_instance(2, 5, 0)
     res = run(T, SearchConfig(r=2, epsilon=1e-6, seed=0, init="hosvd"))
@@ -671,7 +695,6 @@ def test_trace_lines_exclude_wall_time(tmp_path):
                 "step_kind", "step_size", "improvement", "seed"}
     for line in path.read_text().splitlines():
         assert set(json.loads(line)) == expected
-    assert all(rec.wall_time >= 0.0 for rec in res.trace.records)
 
 
 def test_trace_lines_match_the_asdict_serialization(tmp_path):
@@ -682,7 +705,6 @@ def test_trace_lines_match_the_asdict_serialization(tmp_path):
     reference = []
     for rec in res.trace.records:
         fields = dataclasses.asdict(rec)
-        del fields["wall_time"]
         reference.append(json.dumps(fields, sort_keys=True) + "\n")
     assert len(reference) > 100
     assert path.read_bytes() == "".join(reference).encode()
