@@ -41,8 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .objective import (ObjectiveReport, _evaluation, default_lambda,
-                        objective)
+from .objective import ObjectiveReport, objective
 from .subspace import SubspaceSplit
 from .tensor_core import FactorPoint, multilinear_transform
 
@@ -115,7 +114,7 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
     for m, idx in enumerate(ijk):
         ms = splits.modes[m]
         if idx == 1 and ms.rank1 == 0:
-            reason = f"no singular values above {ms.sigma}"
+            reason = f"no singular values above {splits.sigma}"
         elif idx == 2 and ms.v2.shape[1] == 0:
             reason = "no unused coefficient rows (rank1 = r)"
         elif idx == 2 and ms.u2.shape[1] == 0:
@@ -240,13 +239,12 @@ def _expansion(p: FactorPoint, deltas, D: np.ndarray):
     return gram[:, 1:, 1:], proj[:, 1:], basis
 
 
-def sign_step_values(p: FactorPoint, T: np.ndarray, deltas, patterns, grid,
-                     lam: float | None = None,
-                     at: ObjectiveReport | None = None) -> np.ndarray:
-    """f(p + t * (s o delta)) for every delta of the sequence `deltas`,
-    every sign row s of `patterns` (one sign per block S, A, B, C) and
-    every step t of `grid`, as a (len(deltas), len(patterns), len(grid))
-    array.
+def sign_step_values(at: ObjectiveReport, deltas, patterns,
+                     grid) -> np.ndarray:
+    """f(p + t * (s o delta)) at the point p and weight lam of the report
+    `at`, for every delta of the sequence `deltas`, every sign row s of
+    `patterns` (one sign per block S, A, B, C) and every step t of `grid`,
+    as a (len(deltas), len(patterns), len(grid)) array.
 
     With a_b = t s_b the residual is D + sum_U c_U X_U, so
     L = L(p) + 2 sum_U c_U <D, X_U> + sum_UV c_U c_V <X_U, X_V>, and each
@@ -255,12 +253,9 @@ def sign_step_values(p: FactorPoint, T: np.ndarray, deltas, patterns, grid,
     products.  The sum adds terms as large as L(p) and the c_U X_U, so a
     value is accurate to a few ulps of the largest of these, not of itself:
     an exact fit can read 0.0 or a rounding-sized value of either sign.
-    The residual at p comes from `at` when it is a report of p.
     """
-    if lam is None:
-        lam = default_lambda(p.r)
-    D = _evaluation(p, T, at)[0][2]
-    gram, proj, basis = _expansion(p, deltas, D)
+    D = at.stages[2]
+    gram, proj, basis = _expansion(at.point, deltas, D)
     patterns = np.asarray(patterns, dtype=float)
     grid = np.asarray(grid, dtype=float)
     a = (patterns[:, None, :] * grid[:, None]).reshape(-1, 4)
@@ -281,8 +276,8 @@ def sign_step_values(p: FactorPoint, T: np.ndarray, deltas, patterns, grid,
     coef[:, :, 4] = a[:, 0] ** 2
     gaps = coef @ basis
     phi = np.einsum("kmnj,kmnj->kn", gaps, gaps)
-    return (L + lam * (phi * phi)).reshape(len(deltas), len(patterns),
-                                           len(grid))
+    return (L + at.lam * (phi * phi)).reshape(len(deltas), len(patterns),
+                                              len(grid))
 
 
 def _active_blocks(direction: ImprovementDirection) -> tuple[int, ...]:
@@ -331,8 +326,8 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, directions, grid,
     for pos, i in enumerate(active):
         patterns[bits >> pos & 1 == 1, i] = -1.0
     grid = np.asarray(grid, dtype=float)
-    values = sign_step_values(p, T, [q.delta for q in directions], patterns,
-                              grid, lam, at)
+    values = sign_step_values(at, [q.delta for q in directions], patterns,
+                              grid)
     # NaN never wins, as it never compares smaller
     ranked = np.where(np.isnan(values), np.inf, values).reshape(
         len(directions), -1)
@@ -353,14 +348,15 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, directions, grid,
     return out
 
 
-def remove_extraneous_direction(p: FactorPoint, splits: SubspaceSplit,
+def remove_extraneous_direction(p: FactorPoint, P: np.ndarray,
                                 mode: int) -> ImprovementDirection:
-    """Direction that deletes the part of factor `mode` lying outside the
-    span of the target's slices; a unit step removes it entirely."""
+    """Direction that deletes M (I - P), the part of factor `mode` outside
+    the span of the target's mode slices with projector P; that part adds
+    nothing to the fit, and a unit step removes it entirely."""
     if mode not in (1, 2, 3):
         raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    m3 = splits.m3[mode - 1]
     M = (p.A, p.B, p.C)[mode - 1]
+    m3 = M @ (np.eye(p.d) - P)
     if np.linalg.norm(m3) <= 1e-12 * max(1.0, np.linalg.norm(M)):
         raise NoDirection(f"mode {mode}: no off-span factor mass")
     zero = np.zeros_like(p.A)

@@ -74,19 +74,18 @@ def reg(p: FactorPoint) -> float:
 class ObjectiveReport:
     """One objective evaluation: f = L + lam * R with R = phi^2.
 
-    It also keeps what the evaluation formed, so that a later call at the
-    same point starts from it: the point, the fit stages (S x3 C,
-    S(I, B, C) and the residual D, as `_fit` returns them) and the Gram
-    gaps.  These take no part in comparison or repr."""
+    It also keeps what the evaluation formed, so that the gradient and the
+    sign search at the point start from it: the point, the fit stages
+    (S x3 C, S(I, B, C) and the residual D, as `_fit` returns them) and
+    the Gram gaps.  These take no part in comparison or repr."""
     f: float
     L: float
     R: float
     phi: float
     lam: float
-    point: FactorPoint | None = field(default=None, compare=False,
-                                      repr=False)
-    stages: tuple | None = field(default=None, compare=False, repr=False)
-    gaps: np.ndarray | None = field(default=None, compare=False, repr=False)
+    point: FactorPoint = field(compare=False, repr=False)
+    stages: tuple = field(compare=False, repr=False)
+    gaps: np.ndarray = field(compare=False, repr=False)
 
 
 def objective(p: FactorPoint, T: np.ndarray, lam: float | None = None) -> ObjectiveReport:
@@ -106,15 +105,6 @@ def objective(p: FactorPoint, T: np.ndarray, lam: float | None = None) -> Object
     vars(rep).update(f=L + lam * R, L=L, R=R, phi=phi, lam=lam, point=p,
                      stages=stages, gaps=gaps)
     return rep
-
-
-def _evaluation(p: FactorPoint, T: np.ndarray, at: ObjectiveReport | None):
-    """The fit stages and Gram gaps at p: those `at` holds when it is a
-    report of p (the same object), otherwise computed afresh.  `at` must
-    have been taken against the same T."""
-    if at is not None and at.point is p:
-        return at.stages, at.gaps
-    return _fit(p, _check_target(p, T)), _gram_gaps(p)
 
 
 # ---------------------------------------------------------------------------
@@ -172,17 +162,12 @@ def grad_reg(p: FactorPoint) -> FactorPoint:
     return p._like((2.0 * _phi(gaps)) * _grad_phi_flat(p, gaps))
 
 
-def grad(p: FactorPoint, T: np.ndarray, lam: float | None = None,
-         at: ObjectiveReport | None = None) -> FactorPoint:
-    """Gradient of f = L + lam * R; the Gram gaps are formed once.  With
-    `at`, a report of `objective(p, T)`, the fit stages and Gram gaps come
-    from it and are not formed again; a report of any other point is
-    ignored."""
-    if lam is None:
-        lam = default_lambda(p.r)
-    stages, gaps = _evaluation(p, T, at)
-    return p._like(2.0 * _grad_loss_flat(p, stages)
-                   + (2.0 * lam * _phi(gaps)) * _grad_phi_flat(p, gaps))
+def grad(rep: ObjectiveReport) -> FactorPoint:
+    """Gradient of f = L + lam * R at the point of the report `rep` of
+    `objective`, from the fit stages and Gram gaps it keeps."""
+    p = rep.point
+    return p._like(2.0 * _grad_loss_flat(p, rep.stages)
+                   + (2.0 * rep.lam * rep.phi) * _grad_phi_flat(p, rep.gaps))
 
 
 def hvp(p: FactorPoint, direction: FactorPoint, T: np.ndarray,
@@ -196,8 +181,8 @@ def hvp(p: FactorPoint, direction: FactorPoint, T: np.ndarray,
     if dn == 0.0:
         raise ValueError("hvp direction must be nonzero")
     h = 1e-5 * (1.0 + p.norm()) / dn
-    gp = grad(p + h * direction, T, lam)
-    gm = grad(p - h * direction, T, lam)
+    gp = grad(objective(p + h * direction, T, lam))
+    gm = grad(objective(p - h * direction, T, lam))
     return (1.0 / (2.0 * h)) * (gp - gm)
 
 

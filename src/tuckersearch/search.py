@@ -48,10 +48,10 @@ rebalance move 1 (the content of the regularizer gradient).  Objective
 values, the sign search's included, are counted but not charged.  Each
 point is evaluated once: its `ObjectiveReport` keeps the fit stages and
 Gram gaps, and the gradient at the point and every sign search of the
-escape round at it are handed that report (`at`), so they form neither
-again and a sign search adds no baseline value to the count.  No
-curvature probe starts that the budget cannot pay for, so a run never
-spends past its budget.
+escape round at it start from that report, so they form neither again
+and a sign search adds no baseline value to the count.  No curvature
+probe starts that the budget cannot pay for, so a run never spends past
+its budget.
 
 An escape step is taken on the sign search's predicted gain only if the
 evaluated f does not rise by more than the trace allows; the expansion's
@@ -74,7 +74,7 @@ from .escape import (NoDirection, NoMissingDirection, core_fix_direction,
                      sample_missing_directions, sign_flip_search)
 from .objective import (ObjectiveReport, _gram_gaps, default_lambda, grad,
                         hvp, objective)
-from .subspace import subspace_split
+from .subspace import subspace_split, true_projection
 from .tensor_core import FactorPoint, _transform, hosvd, random_point
 
 SAMPLED_BLOCKS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (2, 1, 2),
@@ -241,10 +241,9 @@ class Evaluator:
         self.objective_evals += 1
         return objective(p, self.T, self.lam)
 
-    def grad(self, p: FactorPoint,
-             at: ObjectiveReport | None = None) -> FactorPoint:
+    def grad(self, rep: ObjectiveReport) -> FactorPoint:
         self.used += 1
-        return grad(p, self.T, self.lam, at=at)
+        return grad(rep)
 
     def hvp(self, p: FactorPoint, v: FactorPoint) -> FactorPoint:
         self.used += 2
@@ -254,10 +253,9 @@ class Evaluator:
         self.used += 1
         return _gram_gaps(p)
 
-    def sign_search(self, p: FactorPoint, directions, grid,
-                    at: ObjectiveReport | None = None):
-        cands = sign_flip_search(p, self.T, directions, grid, self.lam,
-                                 at=at)
+    def sign_search(self, rep: ObjectiveReport, directions, grid):
+        cands = sign_flip_search(rep.point, self.T, directions, grid,
+                                 self.lam, at=rep)
         self.objective_evals += sum(c.evals for c in cands)
         return cands
 
@@ -496,7 +494,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
             if hit is None and budget.exhausted:
                 return p, FindSospInfo(False, rep, gn, min_curv)
         if hit is None:
-            g = budget.grad(p, at=rep)
+            g = budget.grad(rep)
             gn = g.norm()
             _require_finite(gn, "gradient")
             kind, seen = "gradient", {"grad_norm": gn}
@@ -572,21 +570,22 @@ class RunResult:
     wall_time: float
 
 
-def _deterministic_candidates(p, splits, ev, rep):
+def _deterministic_candidates(rep, splits, projectors, ev):
     """Core-fix and remove-extraneous directions on DETERMINISTIC_GRID,
-    scored from p's report rep.  Each moves different blocks, so each is
-    its own sign search."""
+    scored from the report rep of the point; one remove-extraneous
+    direction per target projector in `projectors`.  Each moves different
+    blocks, so each is its own sign search."""
+    p = rep.point
     out = []
     try:
-        out += ev.sign_search(p, [core_fix_direction(p, ev.T, splits)],
-                              DETERMINISTIC_GRID, at=rep)
+        out += ev.sign_search(rep, [core_fix_direction(p, ev.T, splits)],
+                              DETERMINISTIC_GRID)
     except NoDirection:
         pass
-    for mode in (1, 2, 3):
+    for mode, P in enumerate(projectors, start=1):
         try:
-            direction = remove_extraneous_direction(p, splits, mode)
-            out += ev.sign_search(p, [direction], DETERMINISTIC_GRID,
-                                  at=rep)
+            direction = remove_extraneous_direction(p, P, mode)
+            out += ev.sign_search(rep, [direction], DETERMINISTIC_GRID)
         except NoDirection:
             pass
     return out
@@ -637,7 +636,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
 
     status = "converged" if rep.f <= config.epsilon else None
     rounds = 0
-    p_true = None  # the target's span projectors, from the first round
+    projectors = ()  # the target's span projectors, once computed
     while status is None:
         rounds += 1
         p, info = _find_sosp(p, ev, rng_sosp, rep, trace,
@@ -650,10 +649,13 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
             status = "budget"
             break
 
-        splits = subspace_split(p, T, SIGMA, p_true)
-        p_true = splits.p_true
+        splits = subspace_split(p, SIGMA)
+        # the projectors depend on T alone; while every factor is zero none
+        # has mass off the target's span, so they wait for a nonzero one
+        if not projectors and p.factors.any():
+            projectors = tuple(true_projection(T, m) for m in (1, 2, 3))
         best = None
-        for cand in _deterministic_candidates(p, splits, ev, rep):
+        for cand in _deterministic_candidates(rep, splits, projectors, ev):
             if best is None or cand.improvement > best.improvement:
                 best = cand
         for ijk in SAMPLED_BLOCKS:
@@ -666,7 +668,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
             except NoMissingDirection:
                 continue
             grid = delta_grid(SIGMA, sum(1 for x in ijk if x == 2))
-            for cand in ev.sign_search(p, drawn, grid, at=rep):
+            for cand in ev.sign_search(rep, drawn, grid):
                 if best is None or cand.improvement > best.improvement:
                     best = cand
 

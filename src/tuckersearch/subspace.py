@@ -10,9 +10,10 @@ split keeps M1 and four orthonormal bases:
 where u2 and v2 are the full orthogonal complements of u1 and v1, including
 any nullspace, so [u1 u2] and [v1 v2] are always square orthogonal.
 
-The escape stage draws its sampled directions from these bases, fixes
-the core on the large parts, and deletes the part of each factor that
-points outside the span of the target's mode slices (SubspaceSplit.m3).
+The escape stage draws its sampled directions from these bases and fixes
+the core on the large parts.  `true_projection` gives the projector onto
+the span of the target's mode slices, against which the escape deletes
+the part of a factor that points outside it.
 """
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ class ModeSplit:
     v2: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-    sigma: float
 
     @property
     def rank1(self) -> int:
@@ -61,7 +61,7 @@ def split(M: np.ndarray, sigma: float) -> ModeSplit:
     k = int(np.sum(s > sigma))
     m1 = (V[:, :k] * s[:k]) @ U[:, :k].T
     return ModeSplit(m1=m1, v1=V[:, :k], v2=V[:, k:], u1=U[:, :k],
-                     u2=U[:, k:], sigma=float(sigma))
+                     u2=U[:, k:])
 
 
 def true_projection(T: np.ndarray, mode: int) -> np.ndarray:
@@ -85,29 +85,15 @@ def true_projection(T: np.ndarray, mode: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SubspaceSplit:
-    """Mode splits of the three factors plus target-span data.
-
-    m3[m] = M (I - P[m]) is the part of factor m pointing outside the span
-    of the target's mode-m slices; it contributes nothing to the fit."""
+    """Mode splits of the three factors at one threshold sigma."""
     modes: tuple[ModeSplit, ModeSplit, ModeSplit]
-    p_true: tuple[np.ndarray, np.ndarray, np.ndarray]
-    m3: tuple[np.ndarray, np.ndarray, np.ndarray]
     sigma: float
 
 
-def subspace_split(p: FactorPoint, T: np.ndarray, sigma: float,
-                   p_true=None) -> SubspaceSplit:
-    """Build all per-mode splits of (A, B, C) against target T.  The
-    target's span projectors depend on T alone: a caller that splits
-    often against one T passes those of an earlier split as p_true, and
-    without them they are computed here."""
+def subspace_split(p: FactorPoint, sigma: float) -> SubspaceSplit:
+    """Split each of (A, B, C) at threshold sigma."""
     modes = tuple(split(M, sigma) for M in (p.A, p.B, p.C))
-    if p_true is None:
-        T = np.asarray(T, dtype=float)
-        p_true = tuple(true_projection(T, m) for m in (1, 2, 3))
-    eye = np.eye(p.d)
-    m3 = tuple(M @ (eye - P) for M, P in zip((p.A, p.B, p.C), p_true))
-    return SubspaceSplit(modes=modes, p_true=p_true, m3=m3, sigma=float(sigma))
+    return SubspaceSplit(modes=modes, sigma=float(sigma))
 
 
 def projection_distance_bound(M: np.ndarray, M1: np.ndarray,

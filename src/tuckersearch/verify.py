@@ -60,13 +60,18 @@ def _report(lemma, trials, failures, worst_margin, tolerance, **details):
                        tolerance, details)
 
 
+def _nan_max(values, floor=-math.inf) -> float:
+    """The largest of values and floor, NaN if any value is NaN."""
+    return float(np.max(values, initial=floor))
+
+
 def _margin_report(lemma, margins, tolerance, failures=0, **details):
     """One trial per margin.  A margin that is not <= 0, NaN included, is
     a failure on top of the caller's `failures`; the worst margin is the
     largest, NaN if any is."""
     failures += sum(not m <= 0 for m in margins)
-    return _report(lemma, len(margins), failures,
-                   np.max(margins, initial=-np.inf), tolerance, **details)
+    return _report(lemma, len(margins), failures, _nan_max(margins),
+                   tolerance, **details)
 
 
 def _random_shapes(rng, trials, r_max=3, d_max=6):
@@ -382,6 +387,13 @@ def _slope_eps():
     return np.geomspace(10 ** -2.5, 10 ** -1, 9)
 
 
+def _random_units(r, d, rng, n):
+    """n random points of unit norm, each drawn as it is taken."""
+    for _ in range(n):
+        q = random_point(r, d, rng)
+        yield (1.0 / q.norm()) * q
+
+
 def _improvements(p, direction, T, eps):
     f0 = objective(p, T).f
     return [f0 - rep.f for _, rep in eval_along(p, direction, T, eps)]
@@ -395,17 +407,14 @@ def gallery_origin(rng, attempts: int = 100) -> LemmaReport:
     T /= norm_f(T)
     p = FactorPoint.zeros(r, d)
     failures = 0
-    gn = grad(p, T).norm()
-    if gn > 1e-10:
+    gn = grad(objective(p, T)).norm()
+    if not gn <= 1e-10:
         failures += 1
-    curv = 0.0
-    for _ in range(5):
-        v = random_point(r, d, rng)
-        v = (1.0 / v.norm()) * v
-        curv = max(curv, abs(v.inner(hvp(p, v, T))))
-    if curv > 1e-8:
+    curv = _nan_max([abs(v.inner(hvp(p, v, T)))
+                     for v in _random_units(r, d, rng, 5)], 0.0)
+    if not curv <= 1e-8:
         failures += 1
-    splits = subspace_split(p, T, 0.05)
+    splits = subspace_split(p, 0.05)
     grid = delta_grid(0.05, 3)
     lam = default_lambda(r)
     directions = sample_missing_directions(splits, (2, 2, 2), rng, attempts)
@@ -413,9 +422,9 @@ def gallery_origin(rng, attempts: int = 100) -> LemmaReport:
                    sign_flip_search(p, T, directions, grid, lam))
     # core and factor moves share the same unit vectors, so the fully
     # sampled step keeps the point exactly balanced
-    reg_drift = max(reg(p + t * direction.delta)
-                    for direction in directions[:5] for t in (0.1, 1.0))
-    if reg_drift > 1e-20:
+    reg_drift = _nan_max([reg(p + t * direction.delta)
+                          for direction in directions[:5] for t in (0.1, 1.0)])
+    if not reg_drift <= 1e-20:
         failures += 1
     if improved < 0.3 * attempts:
         failures += 1
@@ -440,27 +449,23 @@ def gallery_unregularized_counterexample(rng, directions: int = 1000
     p = FactorPoint(np.zeros((1, 1, 1)), row, row.copy(), row.copy())
     failures = 0
     gl_norm = grad_loss(p, T).norm()
-    if gl_norm > 1e-10:
+    if not gl_norm <= 1e-10:
         failures += 1
     f_loss = objective(p, T, 0.0).f
-    worst_dip = 0.0
-    for _ in range(directions):
-        delta = random_point(1, d, rng)
-        delta = (1.0 / delta.norm()) * delta
-        f_eps = objective(p + 1e-2 * delta, T, 0.0).f
-        worst_dip = max(worst_dip, f_loss - f_eps)
-    if worst_dip > 1e-12:
+    worst_dip = _nan_max([f_loss - objective(p + 1e-2 * q, T, 0.0).f
+                          for q in _random_units(1, d, rng, directions)], 0.0)
+    if not worst_dip <= 1e-12:
         failures += 1
     # independent regularizer value: zero core makes the defect the sum
     # of squared factor Gram norms
     R_direct = float(sum(np.sum((M @ M.T) ** 2) for M in (p.A, p.B, p.C))
                      ** 2)
-    if abs(reg(p) - R_direct) > 1e-12 * (1.0 + R_direct):
+    if not abs(reg(p) - R_direct) <= 1e-12 * (1.0 + R_direct):
         failures += 1
     lam = 1.0 / 16.0
     lower = 4.0 * lam * R_direct / p.norm()
-    gf_norm = grad(p, T, lam).norm()
-    if gf_norm < lower - 1e-10:
+    gf_norm = grad(objective(p, T, lam)).norm()
+    if not gf_norm >= lower - 1e-10:
         failures += 1
     return _report("unregularized-counterexample", directions + 3, failures,
                    worst_dip - 1e-12, 1e-12, loss_grad_norm=gl_norm,
@@ -533,15 +538,15 @@ def gallery_three_missing(rng) -> LemmaReport:
 
 def _gallery_slope_report(name, p, T, direction, expected) -> LemmaReport:
     failures = 0
-    gn = grad(p, T).norm()
-    if gn > 1e-10:
+    gn = grad(objective(p, T)).norm()
+    if not gn <= 1e-10:
         failures += 1
     R0 = reg(p)
-    if R0 > 1e-20:
+    if not R0 <= 1e-20:
         failures += 1
     eps = _slope_eps()
     gains = _improvements(p, direction, T, eps)
-    if any(g <= 0 for g in gains):
+    if not all(g > 0 for g in gains):
         failures += 1
     slope = _fit_slope(eps, gains)
     if not math.isfinite(slope) or abs(slope - expected) > 0.5:

@@ -39,7 +39,7 @@ def test_criterion_01_gradient_matches_finite_differences():
         rng = np.random.default_rng(np.random.SeedSequence([501, seed]))
         T = rng.standard_normal((d, d, d))
         p = random_point(r, d, rng)
-        g = grad(p, T, lam).flat
+        g = grad(objective(p, T, lam)).flat
         x = p.flat
         for i in range(x.size):
             h = 1e-5 * (1.0 + abs(x[i]))
@@ -143,7 +143,7 @@ def test_criterion_06_origin_saddle_escape():
     T = rng.standard_normal((d, d, d))
     T /= norm_f(T)
     p = FactorPoint.zeros(r, d)
-    gn = grad(p, T).norm()
+    gn = grad(objective(p, T)).norm()
     # every term of f is quartic or higher in the point, so the Hessian
     # quadratic form vanishes identically at the origin
     hcurv = 0.0
@@ -151,7 +151,7 @@ def test_criterion_06_origin_saddle_escape():
         v = random_point(r, d, rng)
         v = (1.0 / v.norm()) * v
         hcurv = max(hcurv, abs(v.inner(hvp(p, v, T))))
-    splits = subspace_split(p, T, sigma)
+    splits = subspace_split(p, sigma)
     grid = delta_grid(sigma, 3)
     lam = default_lambda(r)
     wins = 0
@@ -183,7 +183,7 @@ def test_criterion_07_unregularized_counterexample():
     R_direct = float(sum(np.sum((M @ M.T) ** 2)
                          for M in (p.A, p.B, p.C)) ** 2)
     lower = 4.0 * lam * R_direct / p.norm()
-    gf = grad(p, T, lam).norm()
+    gf = grad(objective(p, T, lam)).norm()
     _verdict("spurious point without regularizer",
              gl <= 1e-10 and worst_dip <= 1e-12
              and gf >= lower - 1e-10 and lower > 0,

@@ -12,7 +12,7 @@ from tuckersearch.escape import (ImprovementDirection, NoDirection,
                                  sign_step_values)
 from tuckersearch.objective import eval_along, objective
 from tuckersearch.search import SAMPLED_BLOCKS
-from tuckersearch.subspace import subspace_split
+from tuckersearch.subspace import subspace_split, true_projection
 from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
                                       norm_f, random_point, trilinear)
 
@@ -32,7 +32,7 @@ def _generic_setup(seed=229, r=2, d=4, sigma=0.1):
         mats.append((V * np.array([2.0, 0.01])) @ U.T)
     p = FactorPoint(rng.standard_normal((r, r, r)), *mats)
     T = rng.standard_normal((d, d, d))
-    return p, T, subspace_split(p, T, sigma), rng
+    return p, T, subspace_split(p, sigma), rng
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,7 @@ def test_sampled_vectors_live_in_their_subspaces():
                 if idx == 1:
                     assert not M.any()
                     assert np.linalg.norm(ms.v2.T @ Sm) <= 1e-10
-                    assert np.linalg.norm(ms.m1.T @ Sm) >= ms.sigma
+                    assert np.linalg.norm(ms.m1.T @ Sm) >= splits.sigma
                 else:
                     assert norm_f(M) == pytest.approx(scale, abs=1e-12)
                     assert np.linalg.norm(ms.v1.T @ Sm) <= 1e-10
@@ -69,8 +69,7 @@ def test_sampler_raises_when_no_rows_left():
     # factors already use their only coefficient row: nothing to add
     e = np.eye(2)
     p = FactorPoint(np.ones((1, 1, 1)), e[:1], e[:1], e[:1])
-    T = np.zeros((2, 2, 2))
-    splits = subspace_split(p, T, sigma=0.5)
+    splits = subspace_split(p, sigma=0.5)
     with pytest.raises(NoMissingDirection, match="mode 1"):
         sample_missing_directions(splits, (2, 2, 2),
                                   np.random.default_rng(0), 1)
@@ -78,8 +77,7 @@ def test_sampler_raises_when_no_rows_left():
 
 def test_sampler_raises_when_large_part_empty():
     p = FactorPoint.zeros(2, 3)
-    T = np.zeros((3, 3, 3))
-    splits = subspace_split(p, T, sigma=0.1)
+    splits = subspace_split(p, sigma=0.1)
     with pytest.raises(NoMissingDirection, match="no singular values"):
         sample_missing_directions(splits, (1, 2, 2),
                                   np.random.default_rng(0), 1)
@@ -177,7 +175,7 @@ def test_stacked_draws_match_one_draw_at_a_time():
         U = np.linalg.qr(rng.standard_normal((d, r)))[0]
         mats.append((V * np.array(spectrum)) @ U.T)
     p = FactorPoint(rng.standard_normal((r, r, r)), *mats)
-    splits = subspace_split(p, rng.standard_normal((d, d, d)), 0.1)
+    splits = subspace_split(p, 0.1)
     stacked, sequential = np.random.default_rng(5), np.random.default_rng(5)
     failed = 0
     for ijk in SAMPLED_BLOCKS:
@@ -296,7 +294,7 @@ def test_sign_search_at_origin_matches_closed_form():
     T = rng.standard_normal((d, d, d))
     T /= norm_f(T)
     p = FactorPoint.zeros(2, d)
-    splits = subspace_split(p, T, sigma=0.05)
+    splits = subspace_split(p, sigma=0.05)
     direction, (a, b, c), _ = draw_with_vectors(splits, (2, 2, 2), rng)
     grid = delta_grid(splits.sigma, 3)
     res = sign_flip_search(p, T, [direction], grid)[0]
@@ -331,7 +329,7 @@ def test_sign_search_explores_flips():
     d = 4
     T = rng.standard_normal((d, d, d))
     p = FactorPoint.zeros(2, d)
-    splits = subspace_split(p, T, sigma=0.05)
+    splits = subspace_split(p, sigma=0.05)
     [direction] = sample_missing_directions(splits, (2, 2, 2), rng, 1)
     grid = delta_grid(splits.sigma, 3)
     res = sign_flip_search(p, T, [direction], grid)[0]
@@ -433,7 +431,7 @@ def _escape_instance(r, d, norm, seed):
     T = multilinear_transform(rng.standard_normal((m, m, m)), *Qs)
     T *= norm / norm_f(T)
     sigma = 0.1 * s
-    return p, T, subspace_split(p, T, sigma), sigma, rng
+    return p, T, subspace_split(p, sigma), sigma, rng
 
 
 def _escape_directions(p, T, splits, sigma, rng):
@@ -449,7 +447,8 @@ def _escape_directions(p, T, splits, sigma, rng):
     for mode in (1, 2, 3):
         try:
             out.append(("remove_extraneous",
-                        remove_extraneous_direction(p, splits, mode),
+                        remove_extraneous_direction(
+                            p, true_projection(T, mode), mode),
                         fixed_grid))
         except NoDirection:
             pass
@@ -493,8 +492,8 @@ def test_sign_search_matches_the_per_candidate_loop(r, d):
                 step, pattern, evals, f_after, ref = _reference_sign_search(
                     p, T, direction, grid, lam)
                 patterns = _loop_patterns(direction)
-                got = sign_step_values(p, T, [direction.delta], patterns,
-                                       grid, lam)[0]
+                got = sign_step_values(objective(p, T, lam),
+                                       [direction.delta], patterns, grid)[0]
                 assert got.shape == (len(patterns), len(grid))
                 # the expansion adds terms of the size of f(p), so its error
                 # is relative to the larger of f(p) and f at the candidate:
@@ -526,7 +525,7 @@ def test_sign_search_skips_overflowing_candidates():
     [direction] = sample_missing_directions(splits, (2, 2, 2), rng, 1)
     grid = [1e90, 0.05, 0.1, 0.2, 1e150]
     with np.errstate(all="ignore"):
-        values = sign_step_values(p, T, [direction.delta],
+        values = sign_step_values(objective(p, T), [direction.delta],
                                   _loop_patterns(direction), grid)[0]
         step, pattern, evals, f_after, _ = _reference_sign_search(
             p, T, direction, grid)
@@ -550,11 +549,12 @@ def test_sign_search_keeps_the_first_of_exact_ties():
     T = rng.standard_normal((d, d, d))
     T /= norm_f(T)
     p = FactorPoint.zeros(2, d)
-    splits = subspace_split(p, T, sigma=0.05)
+    splits = subspace_split(p, sigma=0.05)
     [direction] = sample_missing_directions(splits, (2, 2, 2), rng, 1)
     grid = delta_grid(splits.sigma, 3)
     patterns = _loop_patterns(direction)
-    values = sign_step_values(p, T, [direction.delta], patterns, grid)[0]
+    values = sign_step_values(objective(p, T), [direction.delta], patterns,
+                              grid)[0]
     best = values.min()
     rows = [i for i in range(len(patterns)) if values[i].min() == best]
     assert len(rows) == 8
@@ -578,12 +578,14 @@ def test_stacked_sign_search_matches_one_direction_at_a_time(r, d):
         stacks[ijk] = directions
         grid = delta_grid(sigma, sum(x == 2 for x in ijk))
         patterns = _loop_patterns(directions[0])
-        stacked = sign_step_values(p, T, [q.delta for q in directions],
-                                   patterns, grid)
+        stacked = sign_step_values(objective(p, T),
+                                   [q.delta for q in directions], patterns,
+                                   grid)
         assert stacked.shape == (4, len(patterns), len(grid))
         for k, q in enumerate(directions):
             scale = _term_scale(p, T, q.delta, patterns, grid)
-            single = sign_step_values(p, T, [q.delta], patterns, grid)[0]
+            single = sign_step_values(objective(p, T), [q.delta], patterns,
+                                      grid)[0]
             assert np.all(np.abs(stacked[k] - single) <= 1e-10 * scale)
             for row, col in zip(rng.integers(len(patterns), size=12),
                                 rng.integers(len(grid), size=12)):
@@ -666,13 +668,12 @@ def _planted_extraneous():
     C = np.array([e[0], e[1]])
     S = np.zeros((2, 2, 2))
     S[1, 0, 0] = 1.0
-    p = FactorPoint(S, A, B, C)
-    return p, T, subspace_split(p, T, sigma=0.5)
+    return FactorPoint(S, A, B, C), T
 
 
 def test_remove_extraneous_deletes_off_span_mass():
-    p, T, splits = _planted_extraneous()
-    direction = remove_extraneous_direction(p, splits, mode=1)
+    p, T = _planted_extraneous()
+    direction = remove_extraneous_direction(p, true_projection(T, 1), mode=1)
     assert direction.kind == "remove-extraneous"
     # only the mode-1 factor moves
     assert [np.any(blk != 0.0) for blk in direction.delta.blocks()] \
@@ -693,12 +694,12 @@ def test_remove_extraneous_raises_when_clean():
     rng = np.random.default_rng(257)
     truth = random_point(2, 4, rng)
     T = truth.apply()
-    splits = subspace_split(truth, T, sigma=0.1)
     for mode in (1, 2, 3):
         with pytest.raises(NoDirection):
-            remove_extraneous_direction(truth, splits, mode)
+            remove_extraneous_direction(truth, true_projection(T, mode),
+                                        mode)
     with pytest.raises(ValueError):
-        remove_extraneous_direction(truth, splits, 0)
+        remove_extraneous_direction(truth, true_projection(T, 1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +722,7 @@ def test_core_fix_restores_exact_fit_in_one_step():
     rng = np.random.default_rng(269)
     p = FactorPoint(rng.standard_normal(truth.S.shape), truth.A, truth.B,
                     truth.C)
-    splits = subspace_split(p, T, sigma=0.1)
+    splits = subspace_split(p, sigma=0.1)
     assert all(ms.rank1 == 2 for ms in splits.modes)
     direction = core_fix_direction(p, T, splits)
     stepped = p + 1.0 * direction.delta
@@ -732,7 +733,7 @@ def test_core_fix_restores_exact_fit_in_one_step():
 def test_core_fix_is_zero_at_consistent_core():
     truth = _well_conditioned_truth(271)
     T = truth.apply()
-    splits = subspace_split(truth, T, sigma=0.1)
+    splits = subspace_split(truth, sigma=0.1)
     direction = core_fix_direction(truth, T, splits)
     assert direction.delta.norm() <= 1e-9
 
@@ -740,6 +741,6 @@ def test_core_fix_is_zero_at_consistent_core():
 def test_core_fix_requires_nonempty_large_parts():
     p = FactorPoint.zeros(2, 4)
     T = np.zeros((4, 4, 4))
-    splits = subspace_split(p, T, sigma=0.1)
+    splits = subspace_split(p, sigma=0.1)
     with pytest.raises(NoDirection):
         core_fix_direction(p, T, splits)

@@ -166,7 +166,7 @@ def test_kernels_match_tensordot_reference(r, d):
         assert_relative(grad_loss(p, T).blocks(), reference_grad_loss(p, T))
         assert_relative(grad_phi(p).blocks(), reference_grad_phi(p))
         for lam in (0.0, default_lambda(r)):
-            assert_relative(grad(p, T, lam).blocks(),
+            assert_relative(grad(objective(p, T, lam)).blocks(),
                             reference_grad(p, T, lam))
             rep = objective(p, T, lam)
             assert_relative([rep.f], [reference_loss(p, T)
@@ -227,37 +227,17 @@ def test_grad_matches_finite_differences():
         p = random_point(2, 3, rng, scale=0.7)
         T = rng.standard_normal((3, 3, 3))
         lam = default_lambda(2)
-        g = grad(p, T, lam)
+        g = grad(objective(p, T, lam))
         h = 1e-5 * (1.0 + p.norm())
         fd = finite_difference_grad(p, T, lam, h)
         for gb, fb in zip(g.blocks(), fd.blocks()):
             np.testing.assert_allclose(gb, fb, atol=1e-7, rtol=1e-6)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from((None, 0.0, 0.3)))
-def test_grad_from_a_report_of_the_point_is_bit_equal(seed, lam):
-    # the report keeps the fit stages and Gram gaps objective formed;
-    # starting the gradient from them must not change a bit of it
-    rng = np.random.default_rng(seed)
-    r = int(rng.integers(1, 4))
-    d = int(rng.integers(r, 6))
-    p = random_point(r, d, rng, scale=float(rng.uniform(0.1, 3.0)))
-    T = rng.standard_normal((d, d, d))
-    rep = objective(p, T, lam)
-    assert rep.point is p
-    assert grad(p, T, lam, at=rep).flat.tobytes() == \
-        grad(p, T, lam).flat.tobytes()
-
-
 def test_grad_ignores_a_report_of_another_point():
     rng = np.random.default_rng(101)
     p = random_point(2, 4, rng)
     T = rng.standard_normal((4, 4, 4))
-    full = grad(p, T).flat.tobytes()
-    # a different point, and an equal point that is not the same object
-    for other in (random_point(2, 4, rng), p._like(p.flat.copy())):
-        assert grad(p, T, at=objective(other, T)).flat.tobytes() == full
     # the report's extra fields take no part in comparison or repr
     assert objective(p, T) == objective(p._like(p.flat.copy()), T)
     assert "stages" not in repr(objective(p, T))
@@ -267,13 +247,13 @@ def test_grad_vanishes_at_balanced_exact_fit():
     rng = np.random.default_rng(89)
     p = balanced_random_point(2, 4, rng)
     T = p.apply()
-    assert grad(p, T).norm() <= 1e-10
+    assert grad(objective(p, T)).norm() <= 1e-10
 
 
 def test_grad_vanishes_at_origin():
     rng = np.random.default_rng(97)
     T = rng.standard_normal((4, 4, 4))
-    g = grad(FactorPoint.zeros(2, 4), T)
+    g = grad(objective(FactorPoint.zeros(2, 4), T))
     assert g.norm() == 0.0
 
 
@@ -299,7 +279,7 @@ def test_gradient_norm_splits_by_pythagoras():
         p = random_point(2, 4, rng)
         T = rng.standard_normal((4, 4, 4))
         lam = default_lambda(2)
-        total = grad(p, T, lam).norm() ** 2
+        total = grad(objective(p, T, lam)).norm() ** 2
         parts = grad_loss(p, T).norm() ** 2 + lam**2 * grad_reg(p).norm() ** 2
         assert total == pytest.approx(parts, rel=1e-9)
 

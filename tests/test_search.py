@@ -53,7 +53,7 @@ def test_find_sosp_descends_to_tolerance_near_optimum():
     p, info = find_sosp(p0, T, budget=20_000, seed=0)
     assert info.converged
     assert info.report.f <= f0 + 1e-15
-    assert grad(p, T).norm() <= 1e-6
+    assert grad(objective(p, T)).norm() <= 1e-6
 
 
 def test_find_sosp_returns_origin_unchanged():
@@ -101,7 +101,7 @@ def make_flat_saddle(theta):
 def test_find_sosp_escapes_constructed_strict_saddle():
     theta = 0.3
     p, T = make_flat_saddle(theta)
-    assert grad(p, T).norm() <= 1e-12
+    assert grad(objective(p, T)).norm() <= 1e-12
     f0 = objective(p, T).f
     assert math.isclose(f0, theta**2, rel_tol=1e-12)
     q, info = find_sosp(p, T, budget=1_500, seed=0)
@@ -257,14 +257,15 @@ def test_gradient_line_search_follows_the_lbfgs_direction(monkeypatch):
     assert len(calls) == 12
     # no pair yet: along -g from twice the initial hint of 1
     p, direction, first, slope, _ = calls[0]
-    g = grad(p, T, 0.0)
+    g = grad(objective(p, T, 0.0))
     assert np.array_equal(direction.flat, -g.flat)
     assert first == 2.0
     assert math.isclose(slope, g.inner(g), rel_tol=1e-12)
     pairs = []
     for (p_prev, *_), (p, direction, first, slope, _) in zip(calls,
                                                              calls[1:]):
-        g_prev, g = grad(p_prev, T, 0.0), grad(p, T, 0.0)
+        g_prev = grad(objective(p_prev, T, 0.0))
+        g = grad(objective(p, T, 0.0))
         s, y = p.flat - p_prev.flat, g.flat - g_prev.flat
         assert float(s @ y) > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y)
         pairs = (pairs + [(s, y)])[-search_module.LBFGS_MEMORY:]
@@ -303,7 +304,8 @@ def test_gradient_line_search_falls_back_where_curvature_is_negative(
         assert sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y)
     (p_prev, d_prev, first0, _, step0), (p, d, first1, _, _) = calls
     assert first0 == 2.0 and step0 is not None
-    g_prev, g = grad(p_prev, T, 0.0), grad(p, T, 0.0)
+    g_prev = grad(objective(p_prev, T, 0.0))
+    g = grad(objective(p, T, 0.0))
     # with no pair kept, both steps go along -g
     assert np.array_equal(d_prev.flat, -g_prev.flat)
     assert np.array_equal(d.flat, -g.flat)
@@ -523,10 +525,13 @@ def test_desk_grid_gradient_evaluation_count():
 def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
                                                           tmp_path):
     # the reports the search hands to `grad` and the sign searches (`at`)
-    # only save work: with every `at` dropped, the desk grid, exact and
-    # with noise 5e-2, writes the same factor and trace bytes after the
-    # same gradient evaluations, and each sign search then evaluates its
-    # own baseline
+    # only save work: with each gradient taken from a fresh evaluation of
+    # its point and every `at` dropped, the desk grid, exact and with
+    # noise 5e-2, writes the same factor and trace bytes after the same
+    # gradient evaluations, and each sign search then evaluates its own
+    # baseline
+    targets = []
+
     def outputs():
         out = []
         for noise in (0.0, 5e-2):
@@ -537,6 +542,7 @@ def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
                         G = np.random.default_rng(seed).standard_normal(
                             T.shape)
                         T = T + noise * G / norm_f(G)
+                    targets.append(T)
                     res = run(T, SearchConfig(r=r, seed=seed))
                     save_point(tmp_path / "factors.json", res.point)
                     res.trace.to_jsonl(tmp_path / "trace.jsonl")
@@ -548,6 +554,9 @@ def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
 
     searches = []
 
+    def fresh_grad(rep):
+        return grad(objective(rep.point, targets[-1], rep.lam))
+
     def dropping(fn, log):
         def wrapped(*args, at=None, **kwargs):
             log.append(at is not None)
@@ -555,7 +564,7 @@ def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
         return wrapped
 
     handed = outputs()
-    monkeypatch.setattr(search_module, "grad", dropping(grad, []))
+    monkeypatch.setattr(search_module, "grad", fresh_grad)
     monkeypatch.setattr(search_module, "sign_flip_search",
                         dropping(sign_flip_search, searches))
     fresh = outputs()
@@ -566,31 +575,34 @@ def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
             == len(searches))
 
 
-def test_run_computes_the_target_projectors_once(monkeypatch):
-    # the projectors depend on T alone: the first escape round's split
-    # computes them, and later rounds' splits reuse them
-    import tuckersearch.subspace as subspace_module
-    calls, splits = [], []
+def test_run_computes_the_target_projectors_once_a_factor_is_nonzero(
+        monkeypatch):
+    # the projectors depend on T alone: the first escape round whose point
+    # has a nonzero factor computes them, and later rounds reuse them.
+    # While every factor is zero no factor has off-span mass, so a
+    # zero-start rank-1 solve, whose one escape round is at the origin,
+    # computes none
+    calls, points = [], []
 
     def projecting(*args, **kwargs):
         calls.append(args[1])
         return true_projection(*args, **kwargs)
 
-    def splitting(*args, **kwargs):
-        splits.append(subspace_split(*args, **kwargs))
-        return splits[-1]
+    def splitting(p, *args, **kwargs):
+        points.append(p)
+        return subspace_split(p, *args, **kwargs)
 
-    true_projection = subspace_module.true_projection
-    monkeypatch.setattr(subspace_module, "true_projection", projecting)
+    true_projection = search_module.true_projection
+    monkeypatch.setattr(search_module, "true_projection", projecting)
     monkeypatch.setattr(search_module, "subspace_split", splitting)
-    T = exact_instance(2, 4, 1)
-    res = run(T, SearchConfig(r=3, seed=0))
-    assert res.status == "converged" and len(splits) == 2
+    res = run(exact_instance(1, 8, 0), SearchConfig(r=2, seed=0))
+    assert res.status == "converged" and len(points) == 1
+    assert not points[0].flat.any() and calls == []
+    points.clear()
+    res = run(exact_instance(2, 4, 1), SearchConfig(r=3, seed=0))
+    assert res.status == "converged" and len(points) == 2
+    assert not points[0].flat.any() and points[1].factors.any()
     assert calls == [1, 2, 3]
-    assert splits[1].p_true is splits[0].p_true
-    fresh = subspace_split(res.point, T, search_module.SIGMA)
-    for P, Q in zip(fresh.p_true, splits[0].p_true):
-        assert np.array_equal(P, Q)
 
 
 def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
@@ -716,7 +728,7 @@ def test_accepted_sampled_step_matches_prediction():
     T = exact_instance(2, 4, 5)
     p = FactorPoint.zeros(2, 4)
     lam = default_lambda(2)
-    splits = subspace_split(p, T, 0.05)
+    splits = subspace_split(p, 0.05)
     rng = np.random.default_rng(9)
     found = 0
     f0 = objective(p, T, lam).f
@@ -932,7 +944,7 @@ def test_budget_counts_hvp_double():
     T = exact_instance(2, 4, 0)
     p = random_point(2, 4, np.random.default_rng(0))
     ev = Evaluator(T, default_lambda(2), 5)
-    ev.grad(p)
+    ev.grad(objective(p, T, ev.lam))
     ev.hvp(p, p)
     assert ev.used == 3
     assert not ev.exhausted

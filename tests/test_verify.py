@@ -315,6 +315,24 @@ def test_saddle_gallery_returns_all_five():
     assert all(r.passed for r in reports)
 
 
+def test_saddle_gallery_fails_on_nan_gradients_and_curvature(monkeypatch):
+    # a NaN gradient or curvature must fail every gallery point whose
+    # report reads it, not slip past a comparison that NaN makes false
+    def nan_valued(fn):
+        def wrapped(*args, **kwargs):
+            return np.nan * fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(verify_module, "grad", nan_valued(verify_module.grad))
+    monkeypatch.setattr(verify_module, "hvp", nan_valued(verify_module.hvp))
+    reports = saddle_gallery(np.random.default_rng(11))
+    assert [r.passed for r in reports] == [False] * 5
+    origin, counterexample, *slopes = reports
+    assert np.isnan(origin.details["curvature"])
+    assert np.isnan(counterexample.details["full_grad_norm"])
+    assert all(np.isnan(r.details["grad_norm"]) for r in slopes)
+
+
 # ---------------------------------------------------------------------------
 # the suite
 
