@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -223,7 +224,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing leaves it unchanged, so it is
+    built once."""
     parser = _Parser(
         prog="tuckersearch",
         description="Tucker decomposition by regularized local search")

@@ -37,7 +37,7 @@ products; the driver scores all draws of one block label as one stack.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -182,9 +182,17 @@ class SignSearchResult:
         return p + self.step * self.direction.delta
 
 
-def _expansion(p: FactorPoint, deltas, D: np.ndarray):
+# `_expansion` forms the Gram matrix with its sign bits in the order
+# (vS, vC, uC, vB, uB, uS, vA, uA); this takes them to (uS, uA, uB, uC, vS,
+# vA, vB, vC), the order of U = 8 uS + 4 uA + 2 uB + uC and then of V
+_GRAM_BITS = np.arange(256).reshape((2,) * 8).transpose(
+    5, 7, 4, 2, 0, 6, 3, 1).ravel()
+
+
+def _expansion(p: FactorPoint, flats: np.ndarray, D: np.ndarray):
     """Coefficients of f along the moves (a_S dS, a_A dA, a_B dB, a_C dC),
-    for each of the n directions `deltas` on a leading axis.
+    for each of the n directions whose flat vectors are the rows of
+    `flats`, the directions on a leading axis.
 
     The reconstruction is the sum over subsets U of {S, A, B, C} of
     c_U X_U, with c_U the product of a_b over b in U and X_U the transform
@@ -193,9 +201,15 @@ def _expansion(p: FactorPoint, deltas, D: np.ndarray):
     matrix <X_U, X_V> and the products <D, X_U> with the residual D at p,
     both over the 15 nonempty U, and the (3, 5, r^2) basis whose
     combination with (1, a_m, a_m^2, a_S, a_S^2) is the Gram gap of mode m.
+
+    With K = (S, dS) and P_m the Gram of the stacked [M_m; dM_m], the Gram
+    matrix is contracted over z' with P_3, over y' with P_2, over (y, z)
+    with K in one batched product and over (x', x) with P_1 in another;
+    its largest intermediate, the one before the (y, z) product, has
+    n 32 r^3 entries.  The result's eight sign bits are then permuted
+    into (U, V) order.
     """
-    r, d, n = p.r, p.d, len(deltas)
-    flats = np.stack([q.flat for q in deltas])
+    r, d, n = p.r, p.d, len(flats)
     K = np.empty((n, 2, r, r, r))
     K[:, 0] = p.S
     K[:, 1] = flats[:, :r**3].reshape(n, r, r, r)
@@ -205,18 +219,19 @@ def _expansion(p: FactorPoint, deltas, D: np.ndarray):
     W[:, :, r:] = flats[:, r**3:].reshape(n, 3, r, d)
     P = (W @ W.transpose(0, 1, 3, 2)).reshape(n, 3, 2, r, 2, r)
     # <X_U, X_V> = sum K[uS]_xyz K[vS]_x'y'z' P1[uA x, vA x'] P2[uB y, vB y']
-    # P3[uC z, vC z'], contracted over z', y', then x'
+    # P3[uC z, vC z'], contracted over z', y', then (y, z), then (x', x)
     Pm = P.transpose(0, 1, 5, 4, 2, 3).reshape(n, 3, r, 4 * r)
     Y = K.reshape(n, 2 * r * r, r) @ Pm[:, 2]
     Y = Y.reshape(n, 2, r, r, 4 * r).transpose(0, 1, 2, 4, 3).reshape(
         n, -1, r) @ Pm[:, 1]
-    Y = Y.reshape(n, 2, r, -1).transpose(0, 1, 3, 2).reshape(
-        n, -1, r) @ Pm[:, 0]
-    # axes: direction, vS, (vC, uC, z), (vB, uB, y), (vA, uA, x)
-    Y = Y.reshape(n, 2, 2, 2, r, 2, 2, r, 2, 2, r).transpose(
-        0, 1, 8, 5, 2, 9, 6, 3, 10, 7, 4).reshape(n, 16, 8, r**3)
-    KfT = Kf.transpose(0, 2, 1)
-    gram = (Y @ KfT[:, None]).transpose(0, 3, 2, 1).reshape(n, 16, 16)
+    # axes: direction, (vS, x', vC, uC), (vB, uB, y), z
+    Y = Y.reshape(n, 8 * r, r, 4 * r).transpose(0, 1, 3, 2).reshape(
+        n, 32 * r, r * r)
+    # axes: direction, vS, (vC, uC, vB, uB), uS, (x', x)
+    Y = (Y @ K.reshape(n, 2 * r, r * r).transpose(0, 2, 1)).reshape(
+        n, 2, r, 16, 2, r).transpose(0, 1, 3, 4, 2, 5).reshape(n, 64, r * r)
+    Y = Y @ P[:, 0].transpose(0, 4, 2, 3, 1).reshape(n, r * r, 4)
+    gram = Y.reshape(n, 256)[:, _GRAM_BITS].reshape(n, 16, 16)
     # D projected onto [M; dM] in every mode, then against S and dS; the
     # mode-3 product takes every direction's factors in one (d^2, d) @
     # (d, n 2r) product
@@ -225,7 +240,8 @@ def _expansion(p: FactorPoint, deltas, D: np.ndarray):
     E = W[:, 1, None] @ E
     E = W[:, 0] @ E.reshape(n, d, 4 * r * r)
     E = E.reshape(n, 2, r, 2, r, 2, r).transpose(0, 1, 3, 5, 2, 4, 6)
-    proj = (E.reshape(n, 8, r**3) @ KfT).transpose(0, 2, 1).reshape(n, 16)
+    proj = (E.reshape(n, 8, r**3) @ Kf.transpose(0, 2, 1)).transpose(
+        0, 2, 1).reshape(n, 16)
     # Gram gaps: M M^T from P, S_(m) S_(m)^T from the stacked unfoldings
     F = np.stack((K.reshape(n, 2 * r, r * r),
                   K.transpose(0, 1, 3, 2, 4).reshape(n, 2 * r, r * r),
@@ -242,9 +258,10 @@ def _expansion(p: FactorPoint, deltas, D: np.ndarray):
 def sign_step_values(at: ObjectiveReport, deltas, patterns,
                      grid) -> np.ndarray:
     """f(p + t * (s o delta)) at the point p and weight lam of the report
-    `at`, for every delta of the sequence `deltas`, every sign row s of
-    `patterns` (one sign per block S, A, B, C) and every step t of `grid`,
-    as a (len(deltas), len(patterns), len(grid)) array.
+    `at`, for every delta of `deltas`, every sign row s of `patterns` (one
+    sign per block S, A, B, C) and every step t of `grid`, as a
+    (len(deltas), len(patterns), len(grid)) array.  `deltas` is a sequence
+    of FactorPoints or the stack of their flat vectors, one per row.
 
     With a_b = t s_b the residual is D + sum_U c_U X_U, so
     L = L(p) + 2 sum_U c_U <D, X_U> + sum_UV c_U c_V <X_U, X_V>, and each
@@ -254,19 +271,20 @@ def sign_step_values(at: ObjectiveReport, deltas, patterns,
     value is accurate to a few ulps of the largest of these, not of itself:
     an exact fit can read 0.0 or a rounding-sized value of either sign.
     """
-    D = at.stages[2]
-    gram, proj, basis = _expansion(at.point, deltas, D)
+    if not isinstance(deltas, np.ndarray):
+        deltas = np.stack([q.flat for q in deltas])
+    gram, proj, basis = _expansion(at.point, deltas, at.stages[2])
     patterns = np.asarray(patterns, dtype=float)
     grid = np.asarray(grid, dtype=float)
     a = (patterns[:, None, :] * grid[:, None]).reshape(-1, 4)
     # c_U for U = 8 uS + 4 uA + 2 uB + uC: each block, from C to S, doubles
     # the subsets with a new leading bit
-    c = np.ones((len(a), 1))
-    for col in a.T[::-1]:
-        c = np.concatenate((c, c * col[:, None]), axis=1)
+    c = np.empty((len(a), 16))
+    c[:, 0] = 1.0
+    for k, col in enumerate(a.T[::-1]):
+        c[:, 2**k:2**(k + 1)] = c[:, :2**k] * col[:, None]
     c = c[:, 1:]
-    Dv = D.ravel()
-    L = (Dv @ Dv + 2.0 * (c @ proj[:, :, None])[:, :, 0]
+    L = (at.L + 2.0 * (c @ proj[:, :, None])[:, :, 0]
          + np.einsum("knu,nu->kn", c @ gram, c))
     coef = np.empty((3, len(a), 5))
     coef[:, :, 0] = 1.0
@@ -278,11 +296,6 @@ def sign_step_values(at: ObjectiveReport, deltas, patterns,
     phi = np.einsum("kmnj,kmnj->kn", gaps, gaps)
     return (L + at.lam * (phi * phi)).reshape(len(deltas), len(patterns),
                                               len(grid))
-
-
-def _active_blocks(direction: ImprovementDirection) -> tuple[int, ...]:
-    return tuple(i for i, blk in enumerate(direction.delta.blocks())
-                 if np.any(blk != 0.0))
 
 
 def sign_flip_search(p: FactorPoint, T: np.ndarray, directions, grid,
@@ -312,36 +325,42 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, directions, grid,
     directions = list(directions)
     if not directions:
         raise ValueError("no directions to score")
-    active = _active_blocks(directions[0])
-    if any(_active_blocks(q) != active for q in directions[1:]):
+    flats = np.stack([q.delta.flat for q in directions])
+    sizes = (p.r**3,) + (p.r * p.d,) * 3
+    # one row per direction, one column per block: is any entry nonzero?
+    nonzero = np.logical_or.reduceat(flats != 0.0, np.cumsum((0,) + sizes[:3]),
+                                     axis=1)
+    if (nonzero != nonzero[0]).any():
         raise ValueError("the directions' nonzero blocks differ")
-    if not active:
+    active = np.flatnonzero(nonzero[0])
+    if not active.size:
         raise NoDirection("direction is identically zero")
     baseline = at is None or at.point is not p
     if baseline:
         at = objective(p, T, lam)
     f0 = at.f
-    patterns = np.ones((2 ** len(active), 4))
-    bits = np.arange(len(patterns))
-    for pos, i in enumerate(active):
-        patterns[bits >> pos & 1 == 1, i] = -1.0
+    patterns = np.ones((2 ** active.size, 4))
+    bits = np.arange(len(patterns))[:, None] >> np.arange(active.size) & 1
+    patterns[:, active] = 1.0 - 2.0 * bits
     grid = np.asarray(grid, dtype=float)
-    values = sign_step_values(at, [q.delta for q in directions], patterns,
-                              grid)
+    values = sign_step_values(at, flats, patterns, grid)
     # NaN never wins, as it never compares smaller
     ranked = np.where(np.isnan(values), np.inf, values).reshape(
         len(directions), -1)
+    won = np.zeros(len(directions), dtype=bool)
+    if grid.size:
+        best = ranked.argmin(axis=1)
+        f_best = ranked[np.arange(len(directions)), best]
+        won = f_best < f0
+        signed = np.repeat(patterns[best // len(grid)], sizes, axis=1) * flats
     out = []
     for k, direction in enumerate(directions):
-        best = int(np.argmin(ranked[k])) if grid.size else 0
         step, f_after = 0.0, f0
-        if grid.size and ranked[k, best] < f0:
-            row, col = divmod(best, len(grid))
-            signed = FactorPoint(*(s * blk for s, blk in
-                                   zip(patterns[row].tolist(),
-                                       direction.delta.blocks())))
-            direction = replace(direction, delta=signed)
-            step, f_after = float(grid[col]), float(ranked[k, best])
+        if won[k]:
+            direction = ImprovementDirection(delta=p._like(signed[k]),
+                                             kind=direction.kind)
+            step = float(grid[best[k] % len(grid)])
+            f_after = float(f_best[k])
         out.append(SignSearchResult(
             direction=direction, step=step, improvement=f0 - f_after,
             evals=values[k].size + (k == 0 and baseline)))

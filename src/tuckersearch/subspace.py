@@ -48,6 +48,14 @@ def split(M: np.ndarray, sigma: float) -> ModeSplit:
         raise ValueError(f"expected a matrix, got ndim={M.ndim}")
     if sigma < 0:
         raise ValueError(f"threshold must be nonnegative, got {sigma}")
+    if not M.any():
+        # every factor of a zero-start point is zero: every direction is
+        # singular with value 0, and the identities are the bases the SVD
+        # gives it, so they are taken without one
+        r, d = M.shape
+        Ir, Id = np.eye(r), np.eye(d)
+        return ModeSplit(m1=np.zeros((r, d)), v1=Ir[:, :0], v2=Ir,
+                         u1=Id[:, :0], u2=Id)
     V, s, Ut = np.linalg.svd(M, full_matrices=True)
     U = Ut.T
     nmin = min(M.shape)

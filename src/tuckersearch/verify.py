@@ -524,8 +524,18 @@ def gallery_three_missing(rng) -> LemmaReport:
     T = rng.standard_normal((d, d, d))
     T /= norm_f(T)
     p = FactorPoint.zeros(r, d)
-    a, b, c = (_unit_rows(rng, 1, d)[0] for _ in range(3))
-    if trilinear(T, a, b, c) < 0:
+    # along the direction R stays 0 and f falls by 2 t^4 T(a, b, c) - t^8,
+    # so every step gains only if |T(a, b, c)| > t^4 / 2 at the largest
+    # step t; (a, b, c) is drawn again until |T(a, b, c)| >= t^4 there,
+    # where the octic term is at most half the quartic one and the fitted
+    # slope is at least 3.88, inside the check's bound of 4 +- 0.5
+    floor = _slope_eps()[-1] ** 4
+    while True:
+        a, b, c = (_unit_rows(rng, 1, d)[0] for _ in range(3))
+        tau = trilinear(T, a, b, c)
+        if abs(tau) >= floor:
+            break
+    if tau < 0:
         a = -a
     dS = np.zeros((r, r, r))
     dS[0, 0, 0] = 1.0

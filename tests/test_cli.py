@@ -479,3 +479,20 @@ def test_verify_corrupted_gradient_fails_suite(tmp_path, monkeypatch,
     assert "FAIL" in out
     doc = json.loads(report.read_text())
     assert doc["all_passed"] is False
+
+
+def test_main_builds_the_parser_once(capsys):
+    # the parser costs about a millisecond to build, inside every timed
+    # decompose; parsing leaves it unchanged, so one serves every call,
+    # a rejected one included
+    from tuckersearch.cli import build_parser
+
+    assert build_parser() is build_parser()
+    outs = []
+    for argv in (["--seed", "2"], ["--seed", "x"], ["--seed", "2"]):
+        try:
+            assert main(["verify", "--checks", "euler", *argv]) == EXIT_OK
+        except SystemExit as exc:
+            assert exc.code == EXIT_INPUT
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[2] and "all checks passed" in outs[0]

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuckersearch.escape import (ImprovementDirection, NoDirection,
-                                 NoMissingDirection, core_fix_direction,
+                                 NoMissingDirection, _expansion,
+                                 core_fix_direction,
                                  delta_grid, remove_extraneous_direction,
                                  sample_missing_directions, sign_flip_search,
                                  sign_step_values)
@@ -478,6 +479,51 @@ def _term_scale(p, T, delta, patterns, grid):
                    for u in range(1, 16)] for ab in a.reshape(-1, 4)])
     total = norm_f(p.apply() - T) + np.abs(c) @ norms
     return (total ** 2).reshape(len(patterns), len(grid))
+
+
+def _subset_transforms(p, delta):
+    """X_U for U = 8 uS + 4 uA + 2 uB + uC from 1 to 15, one raveled row
+    each: the transform that takes delta's block for b in U and p's
+    otherwise."""
+    rows = []
+    for U in range(1, 16):
+        blocks = [db if U >> (3 - b) & 1 else pb for b, (pb, db) in
+                  enumerate(zip(p.blocks(), delta.blocks()))]
+        rows.append(multilinear_transform(*blocks).ravel())
+    return np.array(rows)
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("origin", [False, True])
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_expansion_matches_explicit_subset_transforms(r, n, origin):
+    # the Gram matrix, the residual products and the Gram-gap basis of
+    # the stacked expansion against <X_U, X_V>, <D, X_U> and the Gram gaps
+    # of the moved point, each formed on its own
+    d = r + 2
+    rng = np.random.default_rng(100 * r + 10 * n + origin)
+    p = FactorPoint.zeros(r, d) if origin else random_point(r, d, rng)
+    deltas = [random_point(r, d, rng) for _ in range(n)]
+    D = rng.standard_normal((d, d, d))
+    gram, proj, basis = _expansion(p, np.stack([q.flat for q in deltas]), D)
+    assert basis.shape == (n, 3, 5, r * r)
+    for k, delta in enumerate(deltas):
+        X = _subset_transforms(p, delta)
+        _assert_close(gram[k], X @ X.T)
+        _assert_close(proj[k], X @ D.ravel())
+        for a_S, a_m in ((0.0, (0.0, 0.0, 0.0)), (0.7, (-1.3, 0.4, 2.0)),
+                         (-2.0, (1.1, 0.0, -0.6))):
+            moved = FactorPoint(p.S + a_S * delta.S, *(
+                M + a * dM for M, a, dM in zip(p.factors, a_m,
+                                               delta.factors)))
+            coef = np.array([[1.0, a, a * a, a_S, a_S * a_S] for a in a_m])
+            got = np.einsum("mj,mjx->mx", coef, basis[k])
+            _assert_close(got.reshape(3, r, r), objective(moved, D).gaps)
 
 
 @pytest.mark.parametrize("r,d", [(1, 1), (2, 4), (2, 8), (3, 16), (4, 24)])

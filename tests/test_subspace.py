@@ -99,6 +99,18 @@ def test_split_bases_have_positive_first_entries():
                                    atol=1e-12)
 
 
+@pytest.mark.parametrize("r,d", [(1, 1), (1, 3), (2, 8), (3, 5), (4, 24)])
+def test_split_of_a_zero_factor_takes_the_bases_the_svd_gives(r, d):
+    # the zero start's factors skip the SVD; its bases are the identities,
+    # exactly what the SVD returns for a zero matrix
+    V, _, Ut = np.linalg.svd(np.zeros((r, d)), full_matrices=True)
+    ms = split(np.zeros((r, d)), 0.05)
+    assert ms.rank1 == 0 and ms.v1.shape == (r, 0) and ms.u1.shape == (d, 0)
+    assert np.array_equal(ms.v2, V) and np.array_equal(ms.u2, Ut.T)
+    assert not np.signbit(ms.v2).any() and not np.signbit(ms.u2).any()
+    assert np.array_equal(ms.m1, np.zeros((r, d)))
+
+
 def test_split_rejects_bad_input():
     with pytest.raises(ValueError):
         split(np.zeros(3), 0.1)
