@@ -54,12 +54,6 @@ class NoDirection(Exception):
     """The requested deterministic direction degenerates to zero."""
 
 
-@dataclass(frozen=True)
-class ImprovementDirection:
-    delta: FactorPoint
-    kind: str    # the step kind a trace records when the search takes it
-
-
 def _unit_rows(X: np.ndarray, rng: np.random.Generator | None = None
                ) -> np.ndarray:
     """Each row of X over its norm; with rng, a row of norm at most 1e-12
@@ -84,9 +78,9 @@ def _span_rows(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def sample_missing_directions(splits: SubspaceSplit, ijk,
                               rng: np.random.Generator,
-                              size: int) -> list[ImprovementDirection]:
-    """Draw `size` rank-one updates for the block label ijk, built as one
-    stack; returns their ImprovementDirections in draw order.
+                              size: int) -> np.ndarray:
+    """Draw `size` rank-one updates for the block label ijk; returns the
+    (size, r^3 + 3 r d) stack of their flat vectors, in draw order.
 
     Each draw takes, mode by mode, one standard normal vector per unit
     vector it needs (the ambient vector, then for index 2 the coefficient
@@ -151,10 +145,7 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
     for m, (idx, cvec, avec) in enumerate(zip(ijk, coeff, ambient)):
         if idx == 2:
             mats[:, m] = scale * (cvec[:, :, None] * avec[:, None, :])
-    template = FactorPoint.zeros(r, d)
-    kind = "sampled({},{},{})".format(*ijk)
-    return [ImprovementDirection(delta=template._like(flat), kind=kind)
-            for flat in flats]
+    return flats
 
 
 def delta_grid(sigma: float, n_missing: int) -> np.ndarray:
@@ -173,13 +164,13 @@ def delta_grid(sigma: float, n_missing: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SignSearchResult:
-    direction: ImprovementDirection
+    delta: FactorPoint    # the direction, signed as the step takes it
     step: float
     improvement: float
     evals: int
 
     def apply(self, p: FactorPoint) -> FactorPoint:
-        return p + self.step * self.direction.delta
+        return p + self.step * self.delta
 
 
 # `_expansion` forms the Gram matrix with its sign bits in the order
@@ -260,8 +251,8 @@ def sign_step_values(at: ObjectiveReport, deltas, patterns,
     """f(p + t * (s o delta)) at the point p and weight lam of the report
     `at`, for every delta of `deltas`, every sign row s of `patterns` (one
     sign per block S, A, B, C) and every step t of `grid`, as a
-    (len(deltas), len(patterns), len(grid)) array.  `deltas` is a sequence
-    of FactorPoints or the stack of their flat vectors, one per row.
+    (len(deltas), len(patterns), len(grid)) array.  `deltas` is the stack
+    of the directions' flat vectors, one per row.
 
     With a_b = t s_b the residual is D + sum_U c_U X_U, so
     L = L(p) + 2 sum_U c_U <D, X_U> + sum_UV c_U c_V <X_U, X_V>, and each
@@ -271,8 +262,6 @@ def sign_step_values(at: ObjectiveReport, deltas, patterns,
     value is accurate to a few ulps of the largest of these, not of itself:
     an exact fit can read 0.0 or a rounding-sized value of either sign.
     """
-    if not isinstance(deltas, np.ndarray):
-        deltas = np.stack([q.flat for q in deltas])
     gram, proj, basis = _expansion(at.point, deltas, at.stages[2])
     patterns = np.asarray(patterns, dtype=float)
     grid = np.asarray(grid, dtype=float)
@@ -298,13 +287,14 @@ def sign_step_values(at: ObjectiveReport, deltas, patterns,
                                               len(grid))
 
 
-def sign_flip_search(p: FactorPoint, T: np.ndarray, directions, grid,
-                     lam: float | None = None,
+def sign_flip_search(p: FactorPoint, T: np.ndarray, deltas: np.ndarray,
+                     grid, lam: float | None = None,
                      at: ObjectiveReport | None = None
                      ) -> list[SignSearchResult]:
-    """For each of `directions`, try every sign pattern of its nonzero
-    blocks over the step grid and keep the best objective value; returns
-    one result per direction, in order.
+    """For each direction, a row of the stack `deltas` of flat vectors,
+    try every sign pattern of its nonzero blocks over the step grid and
+    keep the best objective value; returns one result per direction, in
+    order.
 
     The directions must share their nonzero blocks (a ValueError
     otherwise), so that they share the sign patterns.  All candidates of
@@ -317,19 +307,17 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, directions, grid,
     of the pattern number is set), then over the grid: the first smallest
     value wins, NaN never, and it must be strictly below f at p.  Never
     returns a step that makes f worse: if nothing improves, the result
-    has step 0 and improvement 0.  `evals` counts the objective values
+    has step 0, improvement 0 and the unsigned direction.  `evals` counts the objective values
     computed for the direction, and where the call made the `objective`
     call at p the first result also counts it, so the results' evals add
     up to the call's.
     """
-    directions = list(directions)
-    if not directions:
+    if not len(deltas):
         raise ValueError("no directions to score")
-    flats = np.stack([q.delta.flat for q in directions])
     sizes = (p.r**3,) + (p.r * p.d,) * 3
     # one row per direction, one column per block: is any entry nonzero?
-    nonzero = np.logical_or.reduceat(flats != 0.0, np.cumsum((0,) + sizes[:3]),
-                                     axis=1)
+    nonzero = np.logical_or.reduceat(deltas != 0.0,
+                                     np.cumsum((0,) + sizes[:3]), axis=1)
     if (nonzero != nonzero[0]).any():
         raise ValueError("the directions' nonzero blocks differ")
     active = np.flatnonzero(nonzero[0])
@@ -343,32 +331,31 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, directions, grid,
     bits = np.arange(len(patterns))[:, None] >> np.arange(active.size) & 1
     patterns[:, active] = 1.0 - 2.0 * bits
     grid = np.asarray(grid, dtype=float)
-    values = sign_step_values(at, flats, patterns, grid)
+    values = sign_step_values(at, deltas, patterns, grid)
     # NaN never wins, as it never compares smaller
     ranked = np.where(np.isnan(values), np.inf, values).reshape(
-        len(directions), -1)
-    won = np.zeros(len(directions), dtype=bool)
+        len(deltas), -1)
+    won = np.zeros(len(deltas), dtype=bool)
     if grid.size:
         best = ranked.argmin(axis=1)
-        f_best = ranked[np.arange(len(directions)), best]
+        f_best = ranked[np.arange(len(deltas)), best]
         won = f_best < f0
-        signed = np.repeat(patterns[best // len(grid)], sizes, axis=1) * flats
+        signed = np.repeat(patterns[best // len(grid)], sizes, axis=1) * deltas
     out = []
-    for k, direction in enumerate(directions):
+    for k, flat in enumerate(deltas):
         step, f_after = 0.0, f0
         if won[k]:
-            direction = ImprovementDirection(delta=p._like(signed[k]),
-                                             kind=direction.kind)
+            flat = signed[k]
             step = float(grid[best[k] % len(grid)])
             f_after = float(f_best[k])
         out.append(SignSearchResult(
-            direction=direction, step=step, improvement=f0 - f_after,
+            delta=p._like(flat), step=step, improvement=f0 - f_after,
             evals=values[k].size + (k == 0 and baseline)))
     return out
 
 
 def remove_extraneous_direction(p: FactorPoint, P: np.ndarray,
-                                mode: int) -> ImprovementDirection:
+                                mode: int) -> FactorPoint:
     """Direction that deletes M (I - P), the part of factor `mode` outside
     the span of the target's mode slices with projector P; that part adds
     nothing to the fit, and a unit step removes it entirely."""
@@ -381,12 +368,11 @@ def remove_extraneous_direction(p: FactorPoint, P: np.ndarray,
     zero = np.zeros_like(p.A)
     mats = [zero.copy(), zero.copy(), zero.copy()]
     mats[mode - 1] = -m3
-    return ImprovementDirection(delta=FactorPoint(np.zeros_like(p.S), *mats),
-                                kind="remove-extraneous")
+    return FactorPoint(np.zeros_like(p.S), *mats)
 
 
 def core_fix_direction(p: FactorPoint, T: np.ndarray,
-                       splits: SubspaceSplit) -> ImprovementDirection:
+                       splits: SubspaceSplit) -> FactorPoint:
     """Direction that replaces the core's large-subspace block with the
     target compressed by the pseudoinverses of the large factor parts.
 
@@ -401,6 +387,4 @@ def core_fix_direction(p: FactorPoint, T: np.ndarray,
     s_large = multilinear_transform(p.S, *pv1)
     dS = s_star - s_large
     zero = np.zeros_like(p.A)
-    return ImprovementDirection(delta=FactorPoint(dS, zero, zero.copy(),
-                                                  zero.copy()),
-                                kind="core-fix")
+    return FactorPoint(dS, zero, zero.copy(), zero.copy())

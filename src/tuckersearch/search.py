@@ -72,8 +72,7 @@ import numpy as np
 from .escape import (NoDirection, NoMissingDirection, core_fix_direction,
                      delta_grid, remove_extraneous_direction,
                      sample_missing_directions, sign_flip_search)
-from .objective import (ObjectiveReport, _gram_gaps, default_lambda, grad,
-                        hvp, objective)
+from .objective import ObjectiveReport, default_lambda, grad, hvp, objective
 from .subspace import subspace_split, true_projection
 from .tensor_core import FactorPoint, _transform, hosvd, random_point
 
@@ -249,13 +248,13 @@ class Evaluator:
         self.used += 2
         return hvp(p, v, self.T, self.lam)
 
-    def gram_gaps(self, p: FactorPoint) -> np.ndarray:
+    def gram_gaps(self, rep: ObjectiveReport) -> np.ndarray:
         self.used += 1
-        return _gram_gaps(p)
+        return rep.gaps
 
-    def sign_search(self, rep: ObjectiveReport, directions, grid):
-        cands = sign_flip_search(rep.point, self.T, directions, grid,
-                                 self.lam, at=rep)
+    def sign_search(self, rep: ObjectiveReport, deltas: np.ndarray, grid):
+        cands = sign_flip_search(rep.point, self.T, deltas, grid, self.lam,
+                                 at=rep)
         self.objective_evals += sum(c.evals for c in cands)
         return cands
 
@@ -279,9 +278,11 @@ def _apply_balance(p: FactorPoint, eta: float, eigs) -> FactorPoint:
     return FactorPoint(S, shrink[0] @ p.A, shrink[1] @ p.B, shrink[2] @ p.C)
 
 
-def _rebalance_once(p: FactorPoint, f0: float, ev: Evaluator):
-    """One line-searched orbit move; returns (point, report, eta) or None."""
-    gaps = ev.gram_gaps(p)
+def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
+    """One line-searched orbit move from the point of the report rep;
+    returns (point, report, eta) or None."""
+    p, f0 = rep.point, rep.f
+    gaps = ev.gram_gaps(rep)
     scale = max(float(np.abs(G).max()) for G in gaps)
     if scale <= 1e-15 * (1.0 + p.norm() ** 2):
         return None
@@ -490,7 +491,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
         # share of the objective; while the loss dominates, plain descent
         # handles both components
         if rep.f > 0.0 and budget.lam * rep.R >= 0.25 * rep.f:
-            hit = _rebalance_once(p, rep.f, budget)
+            hit = _rebalance_once(rep, budget)
             if hit is None and budget.exhausted:
                 return p, FindSospInfo(False, rep, gn, min_curv)
         if hit is None:
@@ -571,21 +572,23 @@ class RunResult:
 
 
 def _deterministic_candidates(rep, splits, projectors, ev):
-    """Core-fix and remove-extraneous directions on DETERMINISTIC_GRID,
-    scored from the report rep of the point; one remove-extraneous
-    direction per target projector in `projectors`.  Each moves different
-    blocks, so each is its own sign search."""
+    """(step kind, result) of the core-fix and remove-extraneous directions
+    on DETERMINISTIC_GRID, scored from the report rep of the point; one
+    remove-extraneous direction per target projector in `projectors`.
+    Each moves different blocks, so each is its own sign search."""
     p = rep.point
     out = []
     try:
-        out += ev.sign_search(rep, [core_fix_direction(p, ev.T, splits)],
-                              DETERMINISTIC_GRID)
+        delta = core_fix_direction(p, ev.T, splits)
+        out += [("core-fix", res) for res in
+                ev.sign_search(rep, delta.flat[None], DETERMINISTIC_GRID)]
     except NoDirection:
         pass
     for mode, P in enumerate(projectors, start=1):
         try:
-            direction = remove_extraneous_direction(p, P, mode)
-            out += ev.sign_search(rep, [direction], DETERMINISTIC_GRID)
+            delta = remove_extraneous_direction(p, P, mode)
+            out += [("remove-extraneous", res) for res in
+                    ev.sign_search(rep, delta.flat[None], DETERMINISTIC_GRID)]
         except NoDirection:
             pass
     return out
@@ -654,23 +657,22 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
         # has mass off the target's span, so they wait for a nonzero one
         if not projectors and p.factors.any():
             projectors = tuple(true_projection(T, m) for m in (1, 2, 3))
-        best = None
-        for cand in _deterministic_candidates(rep, splits, projectors, ev):
-            if best is None or cand.improvement > best.improvement:
-                best = cand
+        cands = _deterministic_candidates(rep, splits, projectors, ev)
         for ijk in SAMPLED_BLOCKS:
-            # draw the block's samples at once, then score them in one sign
-            # search; scoring draws no random numbers, so the sampler's
-            # stream is the same as when each draw was scored before the next
+            # the block's samples are drawn at once and scored in one sign
+            # search
             try:
                 drawn = sample_missing_directions(splits, ijk, rng_sampler,
                                                   samples)
             except NoMissingDirection:
                 continue
-            grid = delta_grid(SIGMA, sum(1 for x in ijk if x == 2))
-            for cand in ev.sign_search(rep, drawn, grid):
-                if best is None or cand.improvement > best.improvement:
-                    best = cand
+            kind = "sampled({},{},{})".format(*ijk)
+            cands += [(kind, res) for res in
+                      ev.sign_search(rep, drawn, delta_grid(SIGMA,
+                                                            ijk.count(2)))]
+        # max keeps the first of equal gains
+        kind, best = max(cands, key=lambda c: c[1].improvement,
+                         default=(None, None))
 
         # a predicted gain is taken only if f does not rise (see the
         # module docstring)
@@ -684,7 +686,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
         if taken is not None:
             p, rep = taken
             trace.append(f=rep.f, L=rep.L, R=rep.R,
-                         step_kind=best.direction.kind, step_size=best.step,
+                         step_kind=kind, step_size=best.step,
                          improvement=best.improvement,
                          grad_norm=info.grad_norm,
                          min_curvature=info.min_curvature)

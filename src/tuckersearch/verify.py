@@ -417,13 +417,13 @@ def gallery_origin(rng, attempts: int = 100) -> LemmaReport:
     splits = subspace_split(p, 0.05)
     grid = delta_grid(0.05, 3)
     lam = default_lambda(r)
-    directions = sample_missing_directions(splits, (2, 2, 2), rng, attempts)
+    deltas = sample_missing_directions(splits, (2, 2, 2), rng, attempts)
     improved = sum(res.improvement > 0.0 for res in
-                   sign_flip_search(p, T, directions, grid, lam))
+                   sign_flip_search(p, T, deltas, grid, lam))
     # core and factor moves share the same unit vectors, so the fully
     # sampled step keeps the point exactly balanced
-    reg_drift = _nan_max([reg(p + t * direction.delta)
-                          for direction in directions[:5] for t in (0.1, 1.0)])
+    reg_drift = _nan_max([reg(p._like(p.flat + t * delta))
+                          for delta in deltas[:5] for t in (0.1, 1.0)])
     if not reg_drift <= 1e-20:
         failures += 1
     if improved < 0.3 * attempts:

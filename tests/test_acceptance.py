@@ -156,8 +156,8 @@ def test_criterion_06_origin_saddle_escape():
     lam = default_lambda(r)
     wins = 0
     for _ in range(100):
-        direction = sample_missing_directions(splits, (2, 2, 2), rng, 1)[0]
-        res = sign_flip_search(p, T, [direction], grid, lam)[0]
+        deltas = sample_missing_directions(splits, (2, 2, 2), rng, 1)
+        res = sign_flip_search(p, T, deltas, grid, lam)[0]
         wins += res.improvement > 0.0
     _verdict("origin flat saddle escape",
              gn <= 1e-10 and hcurv <= 1e-8 and wins >= 30,

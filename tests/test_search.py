@@ -614,10 +614,9 @@ def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
     worse = random_point(2, 4, rng, scale=2.0)
     evaluated = []
 
-    def predicting(p, T, directions, grid, lam=None, at=None):
-        return [SignSearchResult(
-            direction=dataclasses.replace(q, delta=worse), step=1.0,
-            improvement=1e-9, evals=0) for q in directions]
+    def predicting(p, T, deltas, grid, lam=None, at=None):
+        return [SignSearchResult(delta=worse, step=1.0, improvement=1e-9,
+                                 evals=0) for _ in deltas]
 
     def recording(p, *args, **kwargs):
         rep = objective(p, *args, **kwargs)
@@ -732,13 +731,13 @@ def test_accepted_sampled_step_matches_prediction():
     rng = np.random.default_rng(9)
     found = 0
     f0 = objective(p, T, lam).f
-    for direction in sample_missing_directions(splits, (2, 2, 2), rng, 20):
-        res = sign_flip_search(p, T, [direction], delta_grid(0.05, 3),
+    for delta in sample_missing_directions(splits, (2, 2, 2), rng, 20):
+        res = sign_flip_search(p, T, delta[None], delta_grid(0.05, 3),
                                lam)[0]
         if res.improvement <= 0.0:
             continue
         found += 1
-        _, report = eval_along(p, res.direction.delta, T, [res.step], lam)[0]
+        _, report = eval_along(p, res.delta, T, [res.step], lam)[0]
         predicted = report.f
         assert abs((f0 - predicted) - res.improvement) <= 1e-10
         realized = objective(res.apply(p), T, lam).f
@@ -893,9 +892,14 @@ def test_escape_round_scores_each_block_label_in_one_sign_search(
         rounds.append([])
         return subspace_split(*args, **kwargs)
 
-    def searching(p, T, directions, grid, lam=None, at=None):
-        rounds[-1].append([q.kind for q in directions])
-        return sign_flip_search(p, T, directions, grid, lam, at=at)
+    def searching(p, T, deltas, grid, lam=None, at=None):
+        # the blocks a direction moves name its kind: a sampled one moves
+        # the core and the factors of its index-2 modes, the core fix the
+        # core alone, an off-span removal one factor alone
+        rounds[-1].append([tuple(blk.any() for blk in
+                                 p._like(row.copy()).blocks())
+                           for row in deltas])
+        return sign_flip_search(p, T, deltas, grid, lam, at=at)
 
     monkeypatch.setattr(search_module, "subspace_split", splitting)
     monkeypatch.setattr(search_module, "sign_flip_search", searching)
@@ -906,7 +910,7 @@ def test_escape_round_scores_each_block_label_in_one_sign_search(
         res = run(exact_instance(rank, 4, 0), SearchConfig(r=2, seed=0))
         assert res.status == "converged" and rounds
         for calls in rounds:
-            sampled = [c[0] for c in calls if c[0].startswith("sampled")]
+            sampled = [c[0] for c in calls if c[0][0] and any(c[0][1:])]
             assert len(set(sampled)) == len(sampled) <= len(SAMPLED_BLOCKS)
             assert len(calls) - len(sampled) <= 4
             for c in calls:
@@ -949,9 +953,11 @@ def test_budget_counts_hvp_double():
     assert ev.used == 3
     assert not ev.exhausted
     assert ev.affords(2) and not ev.affords(3)
-    ev.objective(p)
+    rep = ev.objective(p)
     assert ev.used == 3 and ev.objective_evals == 1
-    ev.gram_gaps(p)
-    ev.gram_gaps(p)
+    # the gaps come from the report, but a rebalance move still pays for
+    # the regularizer gradient they stand for
+    assert ev.gram_gaps(rep) is rep.gaps
+    ev.gram_gaps(rep)
     assert ev.used == 5
     assert ev.exhausted
