@@ -9,7 +9,7 @@ label with at least one 2 the sampler draws
     a, b, c: unit ambient vectors, uniform in the chosen U subspaces,
     u, v, w: unit coefficient vectors; uniform in the V complement for
              index 2, or the normalized preimage of the ambient draw under
-             the large part's transpose for index 1,
+             the large part's transpose for index 1, from the split's SVD,
 
 and the direction updates the core by u x v x w plus each index-2 factor by
 the outer product of its coefficient and ambient vectors.  Because every
@@ -54,26 +54,9 @@ class NoDirection(Exception):
     """The requested deterministic direction degenerates to zero."""
 
 
-def _unit_rows(X: np.ndarray, rng: np.random.Generator | None = None
-               ) -> np.ndarray:
-    """Each row of X over its norm; with rng, a row of norm at most 1e-12
-    is first drawn again from it, in place.  The squared norms are one
-    stacked product of length-1 matrices, a dot product per row, so each
-    row comes out bit for bit as X[i] / np.linalg.norm(X[i])."""
-    norms = np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0]
-    if rng is not None and not (norms > 1e-12).all():
-        for i in np.flatnonzero(norms[:, 0] <= 1e-12):
-            while np.linalg.norm(X[i]) <= 1e-12:
-                X[i] = rng.standard_normal(X.shape[1])
-        norms = np.sqrt(X[:, None, :] @ X[:, :, None])[:, 0]
-    return X / norms
-
-
-def _span_rows(basis: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """basis @ X[i] for each row of X, one matrix-vector product per row
-    (a stacked product with a trailing axis of 1), so each row matches
-    the product of basis and that row alone bit for bit."""
-    return np.matmul(basis, X[:, :, None])[:, :, 0]
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """Each row of X over its norm."""
+    return X / np.linalg.norm(X, axis=1, keepdims=True)
 
 
 def sample_missing_directions(splits: SubspaceSplit, ijk,
@@ -82,31 +65,29 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
     """Draw `size` rank-one updates for the block label ijk; returns the
     (size, r^3 + 3 r d) stack of their flat vectors, in draw order.
 
-    Each draw takes, mode by mode, one standard normal vector per unit
-    vector it needs (the ambient vector, then for index 2 the coefficient
-    vector), each the size of the orthonormal basis it is mapped by; all
-    draws come from one rng.standard_normal((size, k)) call, whose rows
-    hold the same numbers as drawing one after another.  A normal vector
-    of norm at most 1e-12 is drawn again.
+    Each draw takes, mode by mode, a unit vector per orthonormal basis
+    the mode uses (u1 for index 1; u2, then v2 for index 2): a standard
+    normal vector of the basis's width over its norm.  All of them come
+    from one rng.standard_normal((size, k)) call, split by column.  For
+    index 1 the unit vector w gives the ambient draw a = w u1^T and the
+    coefficient is its preimage under the large part's transpose,
+    unit((w / s1) v1^T), for which m1^T u = c a with c >= min(s1) > sigma.
 
     The core moves by u x v x w.  Each index-2 factor moves by the outer
     product of its coefficient and ambient vectors; when only one mode is
     missing that single factor block is scaled by the split's sigma to
     match the size of the preimage multipliers in the present modes.
 
-    Raises NoMissingDirection when any requested subspace is empty, e.g.
-    asking for a complement direction of a factor that already uses all r
-    of its rows.  The normals of the modes before the empty one are drawn
-    first, as one draw that stops there takes them, so the generator
-    moves on as it does when the draws are made one at a time.
+    Raises NoMissingDirection, before drawing anything, when any requested
+    subspace is empty, e.g. asking for a complement direction of a factor
+    that already uses all r of its rows.
     """
     ijk = tuple(int(x) for x in ijk)
     if len(ijk) != 3 or any(x not in (1, 2) for x in ijk) or 2 not in ijk:
         raise ValueError(f"block label must be in {{1,2}}^3 and have a 2, "
                          f"got {ijk}")
-    bases = []
-    for m, idx in enumerate(ijk):
-        ms = splits.modes[m]
+    widths = []
+    for m, (ms, idx) in enumerate(zip(splits.modes, ijk)):
         if idx == 1 and ms.rank1 == 0:
             reason = f"no singular values above {splits.sigma}"
         elif idx == 2 and ms.v2.shape[1] == 0:
@@ -114,37 +95,27 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
         elif idx == 2 and ms.u2.shape[1] == 0:
             reason = "no unused ambient directions"
         else:
-            bases += [ms.u1] if idx == 1 else [ms.u2, ms.v2]
+            widths += ([ms.rank1] if idx == 1
+                       else [ms.u2.shape[1], ms.v2.shape[1]])
             continue
-        rng.standard_normal(sum(basis.shape[1] for basis in bases))
         raise NoMissingDirection(f"mode {m + 1}: {reason}")
     n = int(size)
-    Z = rng.standard_normal((n, sum(basis.shape[1] for basis in bases)))
-    units, lo = [], 0
-    for basis in bases:
-        X = Z[:, lo:lo + basis.shape[1]]
-        lo += basis.shape[1]
-        units.append(_span_rows(basis, _unit_rows(X, rng)))
-    units = iter(units)
-    ambient, coeff = [], []
-    for ms, idx in zip(splits.modes, ijk):
-        a = next(units)
-        ambient.append(a)
-        if idx == 1:
-            # preimage under the large part: m1^T u is a positive multiple
-            # of a, with multiplier at least sigma
-            coeff.append(_unit_rows(_span_rows(
-                np.linalg.pinv(ms.m1.T, rcond=1e-12), a)))
-        else:
-            coeff.append(next(units))
-    scale = splits.sigma if ijk.count(2) == 1 else 1.0
-    r, d = coeff[0].shape[1], ambient[0].shape[1]
+    Z = rng.standard_normal((n, sum(widths)))
+    units = (_unit_rows(X) for X in np.split(Z, np.cumsum(widths)[:-1],
+                                             axis=1))
+    r, d = splits.modes[0].v1.shape[0], splits.modes[0].u1.shape[0]
     flats = np.zeros((n, r**3 + 3 * r * d))
-    flats[:, :r**3] = np.einsum("nx,ny,nz->nxyz", *coeff).reshape(n, r**3)
     mats = flats[:, r**3:].reshape(n, 3, r, d)
-    for m, (idx, cvec, avec) in enumerate(zip(ijk, coeff, ambient)):
-        if idx == 2:
-            mats[:, m] = scale * (cvec[:, :, None] * avec[:, None, :])
+    scale = splits.sigma if ijk.count(2) == 1 else 1.0
+    coeff = []
+    for m, (ms, idx) in enumerate(zip(splits.modes, ijk)):
+        if idx == 1:
+            coeff.append(_unit_rows((next(units) / ms.s1) @ ms.v1.T))
+        else:
+            a = next(units) @ ms.u2.T
+            coeff.append(next(units) @ ms.v2.T)
+            mats[:, m] = scale * (coeff[m][:, :, None] * a[:, None, :])
+    flats[:, :r**3] = np.einsum("nx,ny,nz->nxyz", *coeff).reshape(n, r**3)
     return flats
 
 
@@ -307,10 +278,10 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, deltas: np.ndarray,
     of the pattern number is set), then over the grid: the first smallest
     value wins, NaN never, and it must be strictly below f at p.  Never
     returns a step that makes f worse: if nothing improves, the result
-    has step 0, improvement 0 and the unsigned direction.  `evals` counts the objective values
-    computed for the direction, and where the call made the `objective`
-    call at p the first result also counts it, so the results' evals add
-    up to the call's.
+    has step 0, improvement 0 and the unsigned direction.  `evals` counts
+    the objective values computed for the direction, and where the call
+    made the `objective` call at p the first result also counts it, so
+    the results' evals add up to the call's.
     """
     if not len(deltas):
         raise ValueError("no directions to score")
@@ -374,14 +345,15 @@ def remove_extraneous_direction(p: FactorPoint, P: np.ndarray,
 def core_fix_direction(p: FactorPoint, T: np.ndarray,
                        splits: SubspaceSplit) -> FactorPoint:
     """Direction that replaces the core's large-subspace block with the
-    target compressed by the pseudoinverses of the large factor parts.
+    target compressed by the pseudoinverses u1 diag(1/s1) v1^T of the
+    large factor parts.
 
     When the large parts already span the target, a unit step makes the
     fitting term vanish.
     """
     if any(ms.rank1 == 0 for ms in splits.modes):
         raise NoDirection("a mode has no singular values above the threshold")
-    pinvs = [np.linalg.pinv(ms.m1, rcond=1e-12) for ms in splits.modes]
+    pinvs = [(ms.u1 / ms.s1) @ ms.v1.T for ms in splits.modes]
     s_star = multilinear_transform(np.asarray(T, dtype=float), *pinvs)
     pv1 = [ms.v1 @ ms.v1.T for ms in splits.modes]
     s_large = multilinear_transform(p.S, *pv1)

@@ -659,17 +659,15 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
             projectors = tuple(true_projection(T, m) for m in (1, 2, 3))
         cands = _deterministic_candidates(rep, splits, projectors, ev)
         for ijk in SAMPLED_BLOCKS:
-            # the block's samples are drawn at once and scored in one sign
-            # search
+            # a block label's draws are scored in one sign search
             try:
                 drawn = sample_missing_directions(splits, ijk, rng_sampler,
                                                   samples)
             except NoMissingDirection:
                 continue
             kind = "sampled({},{},{})".format(*ijk)
-            cands += [(kind, res) for res in
-                      ev.sign_search(rep, drawn, delta_grid(SIGMA,
-                                                            ijk.count(2)))]
+            grid = delta_grid(SIGMA, ijk.count(2))
+            cands += [(kind, res) for res in ev.sign_search(rep, drawn, grid)]
         # max keeps the first of equal gains
         kind, best = max(cands, key=lambda c: c[1].improvement,
                          default=(None, None))

@@ -1,14 +1,16 @@
 """Singular-value splits of factor matrices against the target's spans.
 
 Each r x d factor matrix M is split at a threshold sigma into a large part
-M1 (singular values strictly above sigma) and a small part M - M1.  The
-split keeps M1 and four orthonormal bases:
+M1 = v1 diag(s1) u1^T (singular values s1 strictly above sigma) and a small
+part M - M1.  The split keeps s1 and four orthonormal bases:
 
     v1, v2: left singular directions in R^r (coefficient space),
     u1, u2: right singular directions in R^d (ambient space),
 
 where u2 and v2 are the full orthogonal complements of u1 and v1, including
-any nullspace, so [u1 u2] and [v1 v2] are always square orthogonal.
+any nullspace, so [u1 u2] and [v1 v2] are always square orthogonal.  The
+pseudoinverse of M1 is u1 diag(1/s1) v1^T, so the escape needs no SVD of
+its own.
 
 The escape stage draws its sampled directions from these bases and fixes
 the core on the large parts.  `true_projection` gives the projector onto
@@ -26,9 +28,10 @@ from .tensor_core import FactorPoint, _column_signs, flatten
 
 @dataclass(frozen=True)
 class ModeSplit:
-    """Threshold split of one factor matrix at singular value sigma: its
-    large part m1 and the bases v1, v2 (R^r) and u1, u2 (R^d)."""
-    m1: np.ndarray
+    """Threshold split of one factor matrix at singular value sigma: the
+    singular values s1 above sigma, and the bases v1, v2 (R^r) and u1, u2
+    (R^d); the large part is v1 diag(s1) u1^T."""
+    s1: np.ndarray
     v1: np.ndarray
     v2: np.ndarray
     u1: np.ndarray
@@ -42,7 +45,7 @@ class ModeSplit:
 
 def split(M: np.ndarray, sigma: float) -> ModeSplit:
     """Split M at threshold sigma; ties (values equal to sigma) go to the
-    small part M - m1."""
+    small part."""
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={M.ndim}")
@@ -54,8 +57,8 @@ def split(M: np.ndarray, sigma: float) -> ModeSplit:
         # gives it, so they are taken without one
         r, d = M.shape
         Ir, Id = np.eye(r), np.eye(d)
-        return ModeSplit(m1=np.zeros((r, d)), v1=Ir[:, :0], v2=Ir,
-                         u1=Id[:, :0], u2=Id)
+        return ModeSplit(s1=np.zeros(0), v1=Ir[:, :0], v2=Ir, u1=Id[:, :0],
+                         u2=Id)
     V, s, Ut = np.linalg.svd(M, full_matrices=True)
     U = Ut.T
     nmin = min(M.shape)
@@ -67,8 +70,7 @@ def split(M: np.ndarray, sigma: float) -> ModeSplit:
     V *= sv
     U *= su
     k = int(np.sum(s > sigma))
-    m1 = (V[:, :k] * s[:k]) @ U[:, :k].T
-    return ModeSplit(m1=m1, v1=V[:, :k], v2=V[:, k:], u1=U[:, :k],
+    return ModeSplit(s1=s[:k], v1=V[:, :k], v2=V[:, k:], u1=U[:, :k],
                      u2=U[:, k:])
 
 

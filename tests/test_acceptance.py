@@ -127,8 +127,8 @@ def test_criterion_05_desk_scale_convergence():
         hits_loose += result.f <= 1e-2
     elapsed = time.perf_counter() - start
     # the evaluation total guards the descent policy: preconditioned
-    # L-BFGS directions and the Lanczos curvature probe take 1,733 here,
-    # L-BFGS from a scalar H0 3,294, steepest descent from Barzilai-Borwein
+    # L-BFGS directions and the Lanczos curvature probe take 1,766 here,
+    # L-BFGS from a scalar H0 3,126, steepest descent from Barzilai-Borwein
     # steps with a power-iteration probe 9,195
     _verdict("desk-scale exact recovery",
              hits_tight >= 18 and hits_loose == 20 and total_evals <= 2_000

@@ -61,7 +61,8 @@ def test_sampled_vectors_live_in_their_subspaces():
     p, T, splits, rng = _generic_setup()
     for ijk in [(1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 1, 1)]:
         scale = splits.sigma if ijk.count(2) == 1 else 1.0
-        for delta in sampled(splits, ijk, rng, 3):
+        for _ in range(3):
+            delta, ambient, coeff = draw_with_vectors(splits, ijk, rng)
             assert norm_f(delta.S) == pytest.approx(1.0, abs=1e-12)
             for m, (idx, M) in enumerate(zip(ijk, delta.factors)):
                 ms = splits.modes[m]
@@ -69,7 +70,15 @@ def test_sampled_vectors_live_in_their_subspaces():
                 if idx == 1:
                     assert not M.any()
                     assert np.linalg.norm(ms.v2.T @ Sm) <= 1e-10
-                    assert np.linalg.norm(ms.m1.T @ Sm) >= splits.sigma
+                    # m1^T u = c a with c >= sigma, for the sampler's u:
+                    # the core's unfolding is u t^T, with t the other two
+                    # coefficient vectors' Kronecker product
+                    t = np.kron(*(coeff[k] for k in range(3) if k != m))
+                    y = large_part(ms).T @ (Sm @ t)
+                    c = float(y @ ambient[m])
+                    assert c >= splits.sigma
+                    np.testing.assert_allclose(y, c * ambient[m],
+                                               atol=1e-12)
                 else:
                     assert norm_f(M) == pytest.approx(scale, abs=1e-12)
                     assert np.linalg.norm(ms.v1.T @ Sm) <= 1e-10
@@ -85,6 +94,12 @@ def test_sampler_raises_when_no_rows_left():
     with pytest.raises(NoMissingDirection, match="mode 1"):
         sample_missing_directions(splits, (2, 2, 2),
                                   np.random.default_rng(0), 1)
+    # modes 1 and 2 admit index 1, mode 3 fails: nothing is drawn
+    rng = np.random.default_rng(0)
+    state = copy.deepcopy(rng.bit_generator.state)
+    with pytest.raises(NoMissingDirection, match="mode 3"):
+        sample_missing_directions(splits, (1, 1, 2), rng, 1)
+    assert rng.bit_generator.state == state
 
 
 def test_sampler_raises_when_large_part_empty():
@@ -124,27 +139,26 @@ def test_sampler_draws_are_centered():
         assert norm_f(sum(q.factors[m] for q in deltas) / n) <= 0.05
 
 
-def sequential_vectors(splits, ijk, rng):
-    """The sampler's ambient and coefficient unit vectors of one draw,
-    each from its own normal draw."""
+def large_part(ms):
+    """The split's large part, v1 diag(s1) u1^T."""
+    return (ms.v1 * ms.s1) @ ms.u1.T
+
+
+def reference_vectors(splits, ijk, rng):
+    """The ambient and coefficient unit vectors of one draw, each from its
+    own normal draw, with the index-1 coefficient the normalized
+    np.linalg.pinv preimage of its ambient vector under m1^T."""
     def unit_in_span(basis):
-        while True:
-            g = rng.standard_normal(basis.shape[1])
-            n = np.linalg.norm(g)
-            if n > 1e-12:
-                return basis @ (g / n)
+        g = rng.standard_normal(basis.shape[1])
+        return basis @ (g / np.linalg.norm(g))
 
     ambient, coeff = [], []
-    for m, (ms, idx) in enumerate(zip(splits.modes, ijk)):
+    for ms, idx in zip(splits.modes, ijk):
         if idx == 1:
-            if ms.rank1 == 0:
-                raise NoMissingDirection(f"mode {m + 1}")
             a = unit_in_span(ms.u1)
-            u = np.linalg.pinv(ms.m1.T, rcond=1e-12) @ a
+            u = np.linalg.pinv(large_part(ms).T) @ a
             u = u / np.linalg.norm(u)
         else:
-            if ms.v2.shape[1] == 0 or ms.u2.shape[1] == 0:
-                raise NoMissingDirection(f"mode {m + 1}")
             a = unit_in_span(ms.u2)
             u = unit_in_span(ms.v2)
         ambient.append(a)
@@ -152,84 +166,49 @@ def sequential_vectors(splits, ijk, rng):
     return ambient, coeff
 
 
-def sequential_draw(splits, ijk, rng):
-    """The sampler one draw at a time and its direction built block by
-    block: the reference the stacked sampler must match bit for bit."""
-    ambient, coeff = sequential_vectors(splits, ijk, rng)
+def draw_with_vectors(splits, ijk, rng):
+    """One sampled direction and the reference's unit vectors of it, read
+    from a copy of rng; the direction built from them block by block must
+    match the sampler's within 1e-12 of its largest entry."""
+    ambient, coeff = reference_vectors(splits, ijk, copy.deepcopy(rng))
     scale = splits.sigma if sum(x == 2 for x in ijk) == 1 else 1.0
     r, d = coeff[0].size, ambient[0].size
     mats = [scale * np.outer(u, a) if idx == 2 else np.zeros((r, d))
             for idx, u, a in zip(ijk, coeff, ambient)]
-    return FactorPoint(outer3(*coeff), *mats)
-
-
-def draw_with_vectors(splits, ijk, rng):
-    """One sampled direction and the unit vectors it was built from, read
-    by the reference from a copy of rng; the direction must be the
-    reference's bit for bit."""
-    ambient, coeff = sequential_vectors(splits, ijk, copy.deepcopy(rng))
-    want = sequential_draw(splits, ijk, copy.deepcopy(rng))
+    want = FactorPoint(outer3(*coeff), *mats)
     [direction] = sampled(splits, ijk, rng)
-    assert np.array_equal(direction.flat, want.flat)
+    _assert_close(direction.flat, want.flat)
     return direction, ambient, coeff
 
 
-def test_stacked_draws_match_one_draw_at_a_time():
-    # modes 1 and 2 split (2.0, 0.01), mode 3 (2.0, 1.0): at sigma 0.1
-    # mode 3 has no unused coefficient row, so a label with a 2 there
-    # fails after the normals of modes 1 and 2, which it must still take
-    rng = np.random.default_rng(17)
-    r, d = 2, 5
+@pytest.mark.parametrize("seed", range(8))
+def test_split_pseudoinverse_matches_numpy_pinv(seed):
+    # the sampler's index-1 preimage and the core fix take the
+    # pseudoinverse of each large part m1 = v1 diag(s1) u1^T from the
+    # split's own SVD; np.linalg.pinv of m1 is the reference, for the
+    # preimage inside draw_with_vectors
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(2, 5))
+    d = r + int(rng.integers(1, 5))
     mats = []
-    for spectrum in ((2.0, 0.01), (2.0, 0.01), (2.0, 1.0)):
+    for _ in range(3):
         V = np.linalg.qr(rng.standard_normal((r, r)))[0]
         U = np.linalg.qr(rng.standard_normal((d, r)))[0]
-        mats.append((V * np.array(spectrum)) @ U.T)
+        spectrum = rng.uniform(0.2, 3.0, r)
+        spectrum[rng.integers(1, r):] = 0.01
+        mats.append((V * spectrum) @ U.T)
     p = FactorPoint(rng.standard_normal((r, r, r)), *mats)
+    T = rng.standard_normal((d, d, d))
     splits = subspace_split(p, 0.1)
-    stacked, sequential = np.random.default_rng(5), np.random.default_rng(5)
-    failed = 0
+    assert all(0 < ms.rank1 < r for ms in splits.modes)
+    pinvs = [np.linalg.pinv(large_part(ms)) for ms in splits.modes]
+    pv1 = [ms.v1 @ ms.v1.T for ms in splits.modes]
+    want = (multilinear_transform(T, *pinvs)
+            - multilinear_transform(p.S, *pv1))
+    _assert_close(core_fix_direction(p, T, splits).S, want)
     for ijk in SAMPLED_BLOCKS:
-        try:
-            want = [sequential_draw(splits, ijk, sequential)
-                    for _ in range(6)]
-        except NoMissingDirection:
-            with pytest.raises(NoMissingDirection):
-                sample_missing_directions(splits, ijk, stacked, 6)
-            assert ijk[2] == 2
-            failed += 1
-            continue
-        got = sample_missing_directions(splits, ijk, stacked, 6)
-        assert np.array_equal(got, stack(*want))
-        [one] = sample_missing_directions(splits, ijk, stacked, 1)
-        assert np.array_equal(one,
-                              sequential_draw(splits, ijk, sequential).flat)
-    assert 0 < failed < len(SAMPLED_BLOCKS)
-    # the generators have taken the same numbers
-    assert stacked.standard_normal() == sequential.standard_normal()
-
-
-class ZerosFirst:
-    """A generator whose first batch of normals is all zeros."""
-
-    def __init__(self):
-        self.rng = np.random.default_rng(0)
-        self.first = True
-
-    def standard_normal(self, size):
-        if self.first:
-            self.first = False
-            return np.zeros(size)
-        return self.rng.standard_normal(size)
-
-
-def test_sampler_draws_again_where_a_normal_vector_vanishes():
-    # every unit vector is drawn again, so the core and each factor block
-    # of every draw still has norm 1
-    p, T, splits, _ = _generic_setup()
-    for direction in sampled(splits, (2, 2, 2), ZerosFirst(), 3):
-        for blk in direction.blocks():
-            assert norm_f(blk) == pytest.approx(1.0, abs=1e-12)
+        if 1 in ijk:
+            draw_with_vectors(splits, ijk, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -315,10 +315,10 @@ def test_gradient_line_search_falls_back_where_curvature_is_negative(
 
 
 def test_plateau_descent_hands_off_to_escape(monkeypatch):
-    # criterion 05's r=2, d=8, seed-0 target scaled to norm 10: after the
-    # first escape step the descent sits on a plateau near f = 6.654 where
-    # f moves in its eighth digit and the gradient norm stays near 1e-5,
-    # above TAU1 = 1e-6, so only the progress window can end it
+    # criterion 05's r=3, d=16, seed-2 target scaled to norm 3: after the
+    # first escape step the descent sits on a plateau near f = 3.736 where
+    # the gradient norm stays near 1.6e-6, above TAU1 = 1e-6, so only the
+    # progress window can end it
     descents = []
     find = search_module._find_sosp
 
@@ -330,7 +330,7 @@ def test_plateau_descent_hands_off_to_escape(monkeypatch):
 
     monkeypatch.setattr(search_module, "_find_sosp", recording)
     line_searches = record_gradient_line_searches(monkeypatch)
-    res = run(10.0 * desk_instance(2, 8, 0), SearchConfig(r=2, seed=0))
+    res = run(3.0 * desk_instance(3, 16, 2), SearchConfig(r=3, seed=2))
     assert res.status == "converged"
     # with every gradient line search succeeding, a stationary verdict
     # above TAU1 is the progress hand-off
@@ -506,9 +506,9 @@ def test_run_stops_descending_at_epsilon():
 
 def test_desk_grid_gradient_evaluation_count():
     # a guard on the descent policy: the desk grid, (r, d) in (2, 8),
-    # (3, 16), (4, 24) x seeds 0-2, takes 923 gradient evaluations with
-    # BLAS at one thread, 913 at two.  L-BFGS from the scalar
-    # H0 = (s.y / y.y) I takes 2,132, steepest descent with
+    # (3, 16), (4, 24) x seeds 0-2, takes 897 gradient evaluations with
+    # BLAS at one thread, 917 at two.  L-BFGS from the scalar
+    # H0 = (s.y / y.y) I takes 2,183, steepest descent with
     # Barzilai-Borwein steps 4,965, and a descent that ends only on a small
     # gradient or a fixed cap of 3,000 38,844, so the bound catches a
     # return to any of them.  For a given BLAS build and thread count the
@@ -636,7 +636,7 @@ def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
 
 def test_scale_table_gradient_evaluation_count():
     # the desk shapes' seed-0 targets at norms 1 to 1e3 all converge, in
-    # 1,439 gradient evaluations together (3,129 from the scalar H0); the
+    # 1,570 gradient evaluations together (3,270 from the scalar H0); the
     # preconditioner's damping is a fraction of each block's trace, so it
     # scales with the target
     total = 0
@@ -654,11 +654,11 @@ START_INITS = ("zero", "hosvd", "random:1e-3", "random:0.5", "random:10")
 
 def test_start_set_gradient_evaluation_count():
     # a guard beyond the zero start: five shapes x five inits x seeds 0-2
-    # of the exact targets, at the default lambda, all converge, in 3,677
-    # gradient evaluations together with BLAS at one thread (zero 1,315,
-    # hosvd 33, random:1e-3 746, random:0.5 548, random:10 1,035).  L-BFGS
-    # from the scalar H0 = (s.y / y.y) I takes 6,097, which the bound
-    # catches; dropping gamma from H0 = gamma P^-1 takes 3,863 (+5%),
+    # of the exact targets, at the default lambda, all converge, in 3,556
+    # gradient evaluations together with BLAS at one thread (zero 1,272,
+    # hosvd 33, random:1e-3 668, random:0.5 548, random:10 1,035).  L-BFGS
+    # from the scalar H0 = (s.y / y.y) I takes 6,191, which the bound
+    # catches; dropping gamma from H0 = gamma P^-1 takes 3,778 (+6%),
     # which it does not
     total = 0
     for r, d in START_SHAPES:
@@ -709,8 +709,8 @@ def test_trace_lines_exclude_wall_time(tmp_path):
 
 
 def test_trace_lines_match_the_asdict_serialization(tmp_path):
-    # the desk target with the longest trace, 151 records
-    res = run(desk_instance(4, 24, 1), SearchConfig(r=4, seed=1))
+    # the desk target with the longest trace, 126 records
+    res = run(desk_instance(4, 24, 0), SearchConfig(r=4, seed=0))
     path = tmp_path / "trace.jsonl"
     res.trace.to_jsonl(path)
     reference = []
@@ -773,9 +773,9 @@ def test_run_never_spends_past_its_budget():
     # the curvature probes cost two evaluations each and start only when
     # the budget can pay for them
     T = exact_instance(2, 8, 0)
-    # the run converges after 109 evaluations; at 62 and 70 the budget
-    # stops a curvature probe that starts at 60
-    for budget in (1, 2, 3, 5, 10, 50, 62, 70, 100, 108):
+    # the run converges after 88 evaluations; at 39, 47 and 50 the budget
+    # stops a curvature probe that starts at 37 and takes 24 in full
+    for budget in (1, 2, 3, 5, 10, 39, 47, 50, 80, 87):
         res = run(T, SearchConfig(r=2, seed=0, budget=budget))
         assert res.status == "budget"
         assert res.grad_evals <= budget

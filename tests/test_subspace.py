@@ -11,6 +11,11 @@ def outer3(a, b, c):
     return np.einsum("i,j,k->ijk", a, b, c)
 
 
+def large_part(ms):
+    """The split's large part, v1 diag(s1) u1^T."""
+    return (ms.v1 * ms.s1) @ ms.u1.T
+
+
 # ---------------------------------------------------------------------------
 # split
 
@@ -19,21 +24,24 @@ def test_split_diagonal_example():
     M = np.array([[3.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
     ms = split(M, 1.0)
     assert ms.rank1 == 1
-    np.testing.assert_allclose(ms.m1, [[3, 0, 0], [0, 0, 0]], atol=1e-12)
+    np.testing.assert_allclose(ms.s1, [3.0], atol=1e-12)
+    np.testing.assert_allclose(large_part(ms), [[3, 0, 0], [0, 0, 0]],
+                               atol=1e-12)
     np.testing.assert_allclose(ms.u1[:, 0], [1, 0, 0], atol=1e-12)
     assert ms.u2.shape == (3, 2)
     assert ms.v1.shape == (2, 1)
     assert ms.v2.shape == (2, 1)
     # the small part M - m1 is the second singular pair, 0.5 v2 u2[:, 0]^T
-    np.testing.assert_allclose(0.5 * ms.v2 @ ms.u2[:, :1].T, M - ms.m1,
-                               atol=1e-12)
+    np.testing.assert_allclose(0.5 * ms.v2 @ ms.u2[:, :1].T,
+                               M - large_part(ms), atol=1e-12)
 
 
 def test_split_tie_goes_to_small_part():
     M = np.diag([2.0, 1.0])
     ms = split(M, 1.0)
     assert ms.rank1 == 1
-    np.testing.assert_allclose(M - ms.m1, np.diag([0.0, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(M - large_part(ms), np.diag([0.0, 1.0]),
+                               atol=1e-12)
 
 
 def test_split_reconstructs_and_bases_are_orthonormal():
@@ -43,9 +51,17 @@ def test_split_reconstructs_and_bases_are_orthonormal():
         M = rng.standard_normal((r, d))
         sigma = float(rng.uniform(0, 1.5))
         ms = split(M, sigma)
+        # v1 diag(s1) u1^T is the rank-k truncation of M, with k the
+        # number of singular values above sigma
+        V, s, Ut = np.linalg.svd(M)
+        k = int(np.sum(s > sigma))
+        m1 = large_part(ms)
+        np.testing.assert_allclose(ms.s1, s[:k], rtol=1e-12)
+        np.testing.assert_allclose(m1, (V[:, :k] * s[:k]) @ Ut[:k],
+                                   atol=1e-12)
         # m1 lives on the large bases and M - m1 on their complements
-        small = M - ms.m1
-        for X in (ms.v2.T @ ms.m1, ms.m1 @ ms.u2, ms.v1.T @ small,
+        small = M - m1
+        for X in (ms.v2.T @ m1, m1 @ ms.u2, ms.v1.T @ small,
                   small @ ms.u1):
             np.testing.assert_allclose(X, 0.0, atol=1e-12)
         for basis, dim in ((np.hstack([ms.u1, ms.u2]), d),
@@ -54,7 +70,7 @@ def test_split_reconstructs_and_bases_are_orthonormal():
             np.testing.assert_allclose(basis.T @ basis, np.eye(dim),
                                        atol=1e-12)
         # the large part keeps only singular values above the threshold
-        kept = np.linalg.svd(ms.m1, compute_uv=False)
+        kept = np.linalg.svd(m1, compute_uv=False)
         assert np.all(kept[:ms.rank1] > sigma)
         assert np.all(np.linalg.svd(small, compute_uv=False) <= sigma + 1e-12)
 
@@ -63,7 +79,8 @@ def test_split_zero_threshold_keeps_all_nonzero_directions():
     M = np.array([[1.0, 0.0], [0.0, 0.0]])
     ms = split(M, 0.0)
     assert ms.rank1 == 1
-    np.testing.assert_array_equal(ms.m1, M)
+    np.testing.assert_array_equal(ms.s1, [1.0])
+    np.testing.assert_array_equal(large_part(ms), M)
     # the zero singular direction still lands in the complement bases
     assert ms.u2.shape == (2, 1)
     assert ms.v2.shape == (2, 1)
@@ -108,7 +125,8 @@ def test_split_of_a_zero_factor_takes_the_bases_the_svd_gives(r, d):
     assert ms.rank1 == 0 and ms.v1.shape == (r, 0) and ms.u1.shape == (d, 0)
     assert np.array_equal(ms.v2, V) and np.array_equal(ms.u2, Ut.T)
     assert not np.signbit(ms.v2).any() and not np.signbit(ms.u2).any()
-    assert np.array_equal(ms.m1, np.zeros((r, d)))
+    assert ms.s1.shape == (0,)
+    assert np.array_equal(large_part(ms), np.zeros((r, d)))
 
 
 def test_split_rejects_bad_input():
