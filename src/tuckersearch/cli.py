@@ -46,6 +46,14 @@ def _write_failed(exc: OSError) -> int:
     return _fail(f"cannot write output: {exc}")
 
 
+def _missing_directory(path) -> str | None:
+    """The error for an output path whose directory does not exist."""
+    out_dir = os.path.dirname(path) or "."
+    if not os.path.isdir(out_dir):
+        return f"output directory {out_dir} does not exist"
+    return None
+
+
 def _write_json(path, doc) -> None:
     with open(path, "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
@@ -140,9 +148,9 @@ def cmd_decompose(args) -> int:
     if not isinstance(out, str):
         return _fail(f"out must be a path prefix, got {out!r}")
     # a missing output directory is found before the search, not after it
-    out_dir = os.path.dirname(out) or "."
-    if not os.path.isdir(out_dir):
-        return _fail(f"output directory {out_dir} does not exist")
+    missing = _missing_directory(out)
+    if missing:
+        return _fail(missing)
 
     restarts = args.restarts
     results = []
@@ -191,6 +199,10 @@ def cmd_verify(args) -> int:
     names = None
     if args.checks is not None:
         names = [s for s in args.checks.split(",") if s]
+    # as in decompose, a missing output directory fails before any check
+    missing = args.out is not None and _missing_directory(args.out)
+    if missing:
+        return _fail(missing)
     try:
         reports = run_suite(seed=args.seed, names=names)
     except ValueError as exc:

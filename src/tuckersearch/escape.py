@@ -246,14 +246,26 @@ def sign_step_values(at: ObjectiveReport, deltas, patterns,
     c = c[:, 1:]
     L = (at.L + 2.0 * (c @ proj[:, :, None])[:, :, 0]
          + np.einsum("knu,nu->kn", c @ gram, c))
-    coef = np.empty((3, len(a), 5))
-    coef[:, :, 0] = 1.0
-    coef[:, :, 1] = a[:, 1:].T
-    coef[:, :, 2] = coef[:, :, 1] ** 2
-    coef[:, :, 3] = a[:, 0]
-    coef[:, :, 4] = a[:, 0] ** 2
+    # the Gram gap of mode m takes only (a_m, a_S), so it is formed for the
+    # four sign pairs (s_m, s_S) = (+, +), (+, -), (-, +), (-, -) at each
+    # step, and each pattern gathers its pair's squared norm per mode
+    pair = (np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+            [:, None, :] * grid[:, None]).reshape(-1, 2)
+    coef = np.empty((len(pair), 5))
+    coef[:, 0] = 1.0
+    coef[:, 1] = pair[:, 0]
+    coef[:, 2] = pair[:, 0] ** 2
+    coef[:, 3] = pair[:, 1]
+    coef[:, 4] = pair[:, 1] ** 2
     gaps = coef @ basis
-    phi = np.einsum("kmnj,kmnj->kn", gaps, gaps)
+    sq = np.einsum("kmnj,kmnj->kmn", gaps, gaps).reshape(
+        len(deltas), 12, len(grid))
+    # mode m's row of sq for a pattern is 4 m + 2 [s_m < 0] + [s_S < 0];
+    # summing the modes in order keeps phi bit-equal to one einsum over
+    # (m, j) of every pattern's gaps
+    neg = patterns < 0
+    rows = np.arange(0, 12, 4) + 2 * neg[:, 1:] + neg[:, :1]
+    phi = sq[:, rows].sum(axis=2).reshape(len(deltas), -1)
     return (L + at.lam * (phi * phi)).reshape(len(deltas), len(patterns),
                                               len(grid))
 

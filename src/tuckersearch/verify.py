@@ -334,12 +334,17 @@ def check_anti_concentration(rng, dims=(3, 4, 5, 6), trials: int = 5,
 
     Rank-one tensors, the most concentrated case, are cross-checked
     against the exact product-of-betas law for squared inner products of
-    random unit vectors.  The samples are evaluated one mode-1 slice of
-    the tensor at a time, as matrix products (`_evaluate_at_rows`).
+    random unit vectors.  The three sets of sample vectors are one
+    (3, samples, d) Gaussian draw into a reused buffer, tested unnormalized
+    and evaluated one mode-1 slice of the tensor at a time, as matrix
+    products (`_evaluate_at_rows`).
     """
     phats = []
     failures = 0
     oracle_gap = 0.0
+    # every trial's rows fill a prefix of one buffer, the size of the
+    # largest draw, so the draws do not churn the heap
+    buf = np.empty(3 * samples * max(dims, default=0))
     for d in dims:
         thresh = ANTI_CONCENTRATION_CUTOFF / d ** 1.5
         for t in range(trials + 1):
@@ -350,9 +355,15 @@ def check_anti_concentration(rng, dims=(3, 4, 5, 6), trials: int = 5,
             else:
                 X = rng.standard_normal((d, d, d))
                 X /= norm_f(X)
-            A, B, C = (_unit_rows(rng, samples, d) for _ in range(3))
-            vals = np.abs(_evaluate_at_rows(X, A, B, C))
-            phat = float(np.mean(vals >= thresh))
+            rows = buf[:3 * samples * d].reshape(3, samples, d)
+            rng.standard_normal(out=rows)
+            vals = np.abs(_evaluate_at_rows(X, *rows))
+            # X is trilinear, so the test at the unit rows is the raw rows'
+            # against thresh times their norms, taken once the evaluation
+            # has freed its temporaries
+            norms = np.sqrt(np.einsum("msk,msk->ms", rows, rows))
+            phat = float(np.mean(vals >= thresh * norms[0] * norms[1]
+                                 * norms[2]))
             phats.append(phat)
             if rank_one:
                 # squared cosines of random unit vectors follow
@@ -434,6 +445,24 @@ def gallery_origin(rng, attempts: int = 100) -> LemmaReport:
                    regularizer_drift=reg_drift)
 
 
+def _unit_step_losses(p, T, Z):
+    """The fitting loss |S(A, B, C) - T|^2 at p + 1e-2 z / |z| for each row
+    z of Z and a rank-1 point p, in one batched pass.  Each equals
+    objective(p + 1e-2 q, T, 0.0).f, q = z / |z| as `_random_units` builds
+    it, bit for bit: the dots are per-row `matmul`s, the kernel of the
+    point's and the objective's dots, and at r = 1 each transform entry is
+    the one product a_i (b_j (s c_k)) that `objective`'s mode products form.
+    """
+    n, d = len(Z), p.d
+    norms = np.sqrt(Z[:, None, :] @ Z[:, :, None]).ravel()
+    flats = p.flat + 1e-2 * ((1.0 / norms)[:, None] * Z)
+    s = flats[:, :1]
+    a, b, c = flats[:, 1:].reshape(n, 3, d).transpose(1, 0, 2)
+    X = a[:, :, None, None] * (b[:, :, None] * (s * c)[:, None, :])[:, None]
+    D = (X - T).reshape(n, d ** 3)
+    return (D[:, None, :] @ D[:, :, None]).ravel()
+
+
 def gallery_unregularized_counterexample(rng, directions: int = 1000
                                          ) -> LemmaReport:
     """Without the regularizer there is a spurious stationary point: zero
@@ -452,8 +481,10 @@ def gallery_unregularized_counterexample(rng, directions: int = 1000
     if not gl_norm <= 1e-10:
         failures += 1
     f_loss = objective(p, T, 0.0).f
-    worst_dip = _nan_max([f_loss - objective(p + 1e-2 * q, T, 0.0).f
-                          for q in _random_units(1, d, rng, directions)], 0.0)
+    # random_point(1, d) draws S, A, B and C in flat order, so one draw of
+    # all the directions is the stream of `_random_units(1, d, rng, ...)`
+    Z = rng.standard_normal((directions, 1 + 3 * d))
+    worst_dip = _nan_max(f_loss - _unit_step_losses(p, T, Z), 0.0)
     if not worst_dip <= 1e-12:
         failures += 1
     # independent regularizer value: zero core makes the defect the sum

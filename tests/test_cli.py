@@ -454,12 +454,21 @@ def test_verify_empty_or_repeated_selection_is_input_error(tmp_path,
         assert not report.exists()
 
 
-def test_verify_into_a_missing_directory_is_input_error(tmp_path, capsys):
-    rc = main(["verify", "--checks", "euler",
-               "--out", str(tmp_path / "missing" / "report.json")])
-    assert rc == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "No such file" in err
+def test_verify_into_a_missing_directory_is_input_error(tmp_path, monkeypatch,
+                                                       capsys):
+    # the missing directory is found before the suite, not by its write
+    ran = []
+    for name in verify_mod.CHECKS:
+        monkeypatch.setitem(verify_mod.CHECKS, name,
+                            lambda rng, name=name: ran.append(name) or [])
+    for argv in ([], ["--checks", "euler"]):
+        rc = main(["verify", *argv,
+                   "--out", str(tmp_path / "missing" / "report.json")])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "does not exist" in err
+    assert ran == []
+    assert not (tmp_path / "missing").exists()
 
 
 def test_verify_corrupted_gradient_fails_suite(tmp_path, monkeypatch,

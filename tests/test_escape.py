@@ -544,6 +544,50 @@ def test_sign_search_matches_the_per_candidate_loop(r, d):
     assert want <= kinds
 
 
+def _every_pattern_values(at, deltas, patterns, grid):
+    """sign_step_values with each mode's Gram gap formed for every
+    (pattern, step) candidate, as one einsum over (mode, entry): the
+    reference for the gaps formed once per sign pair (s_m, s_S)."""
+    gram, proj, basis = _expansion(at.point, deltas, at.stages[2])
+    a = (patterns[:, None, :] * grid[:, None]).reshape(-1, 4)
+    c = np.empty((len(a), 16))
+    c[:, 0] = 1.0
+    for k, col in enumerate(a.T[::-1]):
+        c[:, 2**k:2**(k + 1)] = c[:, :2**k] * col[:, None]
+    c = c[:, 1:]
+    L = (at.L + 2.0 * (c @ proj[:, :, None])[:, :, 0]
+         + np.einsum("knu,nu->kn", c @ gram, c))
+    coef = np.empty((3, len(a), 5))
+    coef[:, :, 0] = 1.0
+    coef[:, :, 1] = a[:, 1:].T
+    coef[:, :, 2] = coef[:, :, 1] ** 2
+    coef[:, :, 3] = a[:, 0]
+    coef[:, :, 4] = a[:, 0] ** 2
+    gaps = coef @ basis
+    phi = np.einsum("kmnj,kmnj->kn", gaps, gaps)
+    return (L + at.lam * (phi * phi)).reshape(len(deltas), len(patterns),
+                                              len(grid))
+
+
+@pytest.mark.parametrize("r,d", [(1, 1), (2, 4), (3, 16), (4, 24)])
+def test_sign_pair_gaps_equal_every_patterns_gaps_bit_for_bit(r, d):
+    # each Gram gap takes only (a_m, a_S), so the values may not move by a
+    # bit when the gaps are formed for the four sign pairs and gathered
+    checked = 0
+    for norm in (1e-2, 1.0, 1e2):
+        p, T, splits, sigma, rng = _escape_instance(r, d, norm, 3 * r + d)
+        at = objective(p, T)
+        for label, direction, grid in _escape_directions(p, T, splits,
+                                                         sigma, rng):
+            patterns = np.array(_loop_patterns(direction), dtype=float)
+            deltas = stack(direction, -1.5 * direction)
+            got = sign_step_values(at, deltas, patterns, grid)
+            want = _every_pattern_values(at, deltas, patterns, grid)
+            assert got.tobytes() == want.tobytes(), label
+            checked += got.size
+    assert checked > 0
+
+
 def test_sign_search_skips_overflowing_candidates():
     p, T, splits, rng = _generic_setup()
     [direction] = sampled(splits, (2, 2, 2), rng)

@@ -11,6 +11,8 @@ from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
 from tuckersearch.verify import (ANTI_CONCENTRATION_FLOOR, CHECKS,
                                  LemmaReport, SUBLEVEL_NORM_CONSTANT,
                                  _boundary_scale, _evaluate_at_rows,
+                                 _random_units, _unit_rows,
+                                 _unit_step_losses,
                                  check_anti_concentration,
                                  check_core_lower_bound, check_euler,
                                  check_orthogonality, check_sublevel_bound,
@@ -241,6 +243,51 @@ def test_per_mode_contraction_matches_four_operand_einsum(d):
                        atol=1e-12)
 
 
+def _unit_row_margins(rng, dims, trials, samples):
+    """check_anti_concentration's margins and oracle gap with its sample
+    rows drawn as three unit-row sets, one after the other: the
+    reference for the one unnormalized (3, samples, d) draw."""
+    margins, oracle_gap = [], 0.0
+    for d in dims:
+        thresh = verify_module.ANTI_CONCENTRATION_CUTOFF / d ** 1.5
+        for t in range(trials + 1):
+            if t == trials:
+                u, v, w = (_unit_rows(rng, 1, d)[0] for _ in range(3))
+                X = np.einsum("i,j,k->ijk", u, v, w)
+            else:
+                X = rng.standard_normal((d, d, d))
+                X /= norm_f(X)
+            A, B, C = (_unit_rows(rng, samples, d) for _ in range(3))
+            phat = float(np.mean(np.abs(_evaluate_at_rows(X, A, B, C))
+                                 >= thresh))
+            margins.append(ANTI_CONCENTRATION_FLOOR - phat)
+            if t == trials:
+                betas = rng.beta(0.5, (d - 1) / 2.0, size=(3, samples))
+                oracle_gap = max(oracle_gap, abs(phat - float(np.mean(
+                    np.sqrt(betas.prod(axis=0)) >= thresh))))
+    return margins, oracle_gap
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_anti_concentration_matches_the_unit_row_reference(seed,
+                                                           monkeypatch):
+    # the one (3, samples, d) draw into a prefix of the buffer is the
+    # stream of three successive row draws, and the unnormalized test
+    # counts as the unit rows do: every trial's margin and the oracle gap
+    # equal the reference's
+    seen = []
+    report = verify_module._margin_report
+    monkeypatch.setattr(verify_module, "_margin_report",
+                        lambda lemma, margins, *a, **kw: seen.append(
+                            margins) or report(lemma, margins, *a, **kw))
+    rep = check_anti_concentration(np.random.default_rng(seed), trials=2,
+                                   samples=3000)
+    margins, gap = _unit_row_margins(np.random.default_rng(seed),
+                                     (3, 4, 5, 6), 2, 3000)
+    assert seen == [margins]
+    assert rep.details["rank_one_oracle_gap"] == gap
+
+
 def test_core_lower_bound_holds():
     rep = check_core_lower_bound(trials=80, rng=np.random.default_rng(5))
     assert rep.passed
@@ -286,6 +333,46 @@ def test_unregularized_counterexample_report():
     assert rep.details["regularizer_value"] == 9.0
     assert (rep.details["full_grad_norm"]
             >= rep.details["gradient_lower_bound"] > 0.0)
+
+
+def _counterexample_point():
+    row = np.zeros((1, 3))
+    row[0, 1] = 1.0
+    return FactorPoint(np.zeros((1, 1, 1)), row, row.copy(), row.copy())
+
+
+@pytest.mark.parametrize("seed", [0, 10, 11])
+@pytest.mark.parametrize("instance", ["counterexample", "random"])
+def test_batched_counterexample_losses_equal_the_objective(seed, instance):
+    # the check's one draw is the stream of its per-direction points, and
+    # each batched loss is the objective at that point, bit for bit; at a
+    # random point and target, where the fit is not near |T|^2, every
+    # entry's rounding reaches the loss
+    if instance == "counterexample":
+        p = _counterexample_point()
+        T = np.zeros((3, 3, 3))
+        T[0, 0, 0] = 1.0
+    else:
+        rng = np.random.default_rng([99, seed])
+        p = random_point(1, 3, rng)
+        T = p.apply() + 0.1 * rng.standard_normal((3, 3, 3))
+    reference = [objective(p + 1e-2 * q, T, 0.0).f
+                 for q in _random_units(1, 3, np.random.default_rng(seed),
+                                        500)]
+    Z = np.random.default_rng(seed).standard_normal((500, 10))
+    assert _unit_step_losses(p, T, Z).tolist() == reference
+
+
+def test_batched_counterexample_losses_find_a_dip_where_the_core_can_grow():
+    # negative control: with the target along the point's own rows the
+    # zero core can grow, so about half of the directions improve the fit
+    p = _counterexample_point()
+    T = np.zeros((3, 3, 3))
+    T[1, 1, 1] = 1.0
+    Z = np.random.default_rng(10).standard_normal((300, 10))
+    dips = objective(p, T, 0.0).f - _unit_step_losses(p, T, Z)
+    assert dips.max() > 1e-3
+    assert 0.3 < np.mean(dips > 0.0) < 0.7
 
 
 @pytest.mark.parametrize("factory,expected", [
