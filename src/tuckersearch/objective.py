@@ -256,8 +256,10 @@ def point_from_dict(doc: dict) -> FactorPoint:
 
 
 def save_point(path, p: FactorPoint) -> None:
+    # json.dumps runs the C encoder; json.dump to a file runs the pure
+    # Python one, for the same bytes
     with open(path, "w") as fh:
-        json.dump(point_to_dict(p), fh, sort_keys=True)
+        fh.write(json.dumps(point_to_dict(p), sort_keys=True))
         fh.write("\n")
 
 

@@ -8,10 +8,10 @@ no direction helps, or the gradient-evaluation budget runs out:
      last LBFGS_MEMORY (s, y) pairs between gradient points, exploiting
      negative curvature found by a Lanczos probe of at most
      LANCZOS_STEPS Hessian-vector products.  A small gradient, or f
-     falling by no more than 1e-6 f over the last 50 accepted steps,
-     sends the descent to the curvature probe; no negative curvature
-     there makes the point stationary.  The descent also ends as soon
-     as f reaches the target;
+     falling by no more than STALL_TOL f over the last STALL_WINDOW
+     accepted steps, sends the descent to the curvature probe; no
+     negative curvature there makes the point stationary.  The descent
+     also ends as soon as f reaches the target;
   2. at the stationary point, propose escape directions: the sampled
      rank-one block updates, the deterministic core fix, and removal of
      off-span factor mass; accept the best if it improves enough.
@@ -41,11 +41,33 @@ seeds 51-53, and the totals of the desk grid and of acceptance criterion
 against 197, 2,132 and 3,294 from the scalar H0 = (s.y / y.y) I.  Below
 about 2e-2 the count rises steeply; the cause of that cliff is not known.
 
+The algorithm needs the descent only to reach an approximate second-order
+stationary point, and a saddle plateau where the gradient norm sits
+between 1e-7 and 1e-5, above TAU1, is one already: the curvature probe
+or the escape does better there than more descent.  STALL_WINDOW = 5
+(STALL_TOL = 1e-6) was chosen from this sweep (total gradient
+evaluations over the 36 perfbench `grid` cells of seeds 1-3, the desk
+grid exact and with noise of norm 5e-2, the 75-run start set, the scale
+table and acceptance criterion 05; BLAS at one thread; no status moved
+at any window):
+
+    STALL_WINDOW      1      3      5      8     10     50
+    grid cells    2,862  2,802  2,706  2,807  2,863  3,152
+    desk            967    925    796    828    842    897
+    desk + noise  1,635  1,688  1,704  1,850  1,973  2,158
+    start set     3,709  3,402  3,323  3,373  3,525  3,556
+    scale table   1,328  1,415  1,480  1,371  1,389  1,570
+    crit. 05      2,561  1,877  1,604  1,577  1,613  1,766
+
+The cost is at the noise floor: the noisy desk runs end no_direction at
+an f up to 1.6e-5 relative above that of a 50-step window.
+
 Budget accounting: one `Evaluator` holds the target, lambda and the
 counters, and each of its methods charges its own cost: a gradient 1, a
 Hessian-vector product 2 (a gradient difference), the Gram gaps of a
 rebalance move 1 (the content of the regularizer gradient).  Objective
-values, the sign search's included, are counted but not charged.  Each
+values, the sign search's included, are counted but not charged; a
+rebalance trial, scored from its Gram gaps alone, is not counted.  Each
 point is evaluated once: its `ObjectiveReport` keeps the fit stages and
 Gram gaps, and the gradient at the point and every sign search of the
 escape round at it start from that report, so they form neither again
@@ -72,15 +94,17 @@ import numpy as np
 from .escape import (NoDirection, NoMissingDirection, core_fix_direction,
                      delta_grid, remove_extraneous_direction,
                      sample_missing_directions, sign_flip_search)
-from .objective import ObjectiveReport, default_lambda, grad, hvp, objective
+from .objective import (ObjectiveReport, _gram_gaps, _phi, default_lambda,
+                        grad, hvp, objective)
 from .subspace import subspace_split, true_projection
 from .tensor_core import FactorPoint, _transform, hosvd, random_point
 
 SAMPLED_BLOCKS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (2, 1, 2),
                   (2, 2, 1), (2, 2, 2))
 # a descent whose f falls by no more than STALL_TOL * f over STALL_WINDOW
-# accepted steps is treated as stationary and probes the curvature
-STALL_WINDOW = 50
+# accepted steps is treated as stationary and probes the curvature (see
+# the module docstring's sweep)
+STALL_WINDOW = 5
 STALL_TOL = 1e-6
 # (s, y) pairs the L-BFGS direction keeps, the relative damping of its
 # Gauss-Newton preconditioner, and Hessian-vector products a Lanczos
@@ -186,6 +210,11 @@ class TraceRecord:
         return dict(vars(self))
 
 
+# json.dumps(..., sort_keys=True) builds an encoder per call; one shared
+# encoder writes the same bytes
+_RECORD_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def _rises(prev: float, f: float) -> bool:
     """f exceeds prev by more than the rounding a trace allows."""
     return f > prev + 1e-12 * (1.0 + abs(prev))
@@ -214,7 +243,7 @@ class SearchTrace:
     def to_jsonl(self, path) -> None:
         with open(path, "w") as fh:
             for rec in self.records:
-                fh.write(json.dumps(rec.to_json_dict(), sort_keys=True))
+                fh.write(_RECORD_ENCODER.encode(rec.to_json_dict()))
                 fh.write("\n")
 
 
@@ -280,7 +309,11 @@ def _apply_balance(p: FactorPoint, eta: float, eigs) -> FactorPoint:
 
 def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
     """One line-searched orbit move from the point of the report rep;
-    returns (point, report, eta) or None."""
+    returns (point, report, eta) or None.
+
+    An orbit move leaves S(A, B, C), and so L, unchanged: each trial is
+    scored as rep.L + lam R from its own Gram gaps, and only the accepted
+    point is evaluated in full."""
     p, f0 = rep.point, rep.f
     gaps = ev.gram_gaps(rep)
     scale = max(float(np.abs(G).max()) for G in gaps)
@@ -290,9 +323,10 @@ def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
     eigs = [np.linalg.eigh(G) for G in gaps]
     for _ in range(12):
         cand = _apply_balance(p, eta, eigs)
-        rep = ev.objective(cand)
-        if math.isfinite(rep.f) and rep.f < f0 - 1e-12 * (1.0 + abs(f0)):
-            return cand, rep, eta
+        phi = _phi(_gram_gaps(cand))
+        fc = rep.L + ev.lam * (phi * phi)
+        if math.isfinite(fc) and fc < f0 - 1e-12 * (1.0 + abs(f0)):
+            return cand, ev.objective(cand), eta
         eta *= 0.5
     return None
 

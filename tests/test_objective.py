@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -411,6 +413,22 @@ def test_point_round_trip(tmp_path):
     np.testing.assert_array_equal(q.A, p.A)
     np.testing.assert_array_equal(q.B, p.B)
     np.testing.assert_array_equal(q.C, p.C)
+
+
+def test_point_file_bytes_equal_the_file_encoders(tmp_path):
+    # save_point encodes with json.dumps; json.dump straight to the file
+    # writes the same bytes, for ordinary, tiny, huge and zero entries
+    rng = np.random.default_rng(151)
+    p = random_point(4, 24, rng)
+    S = p.S.copy()
+    S.flat[:4] = (5e-324, -1e300, 0.0, -0.0)
+    p = FactorPoint(S, p.A, p.B, p.C)
+    save_point(tmp_path / "new.json", p)
+    with open(tmp_path / "old.json", "w") as fh:
+        json.dump(point_to_dict(p), fh, sort_keys=True)
+        fh.write("\n")
+    assert ((tmp_path / "new.json").read_bytes()
+            == (tmp_path / "old.json").read_bytes())
 
 
 def test_point_dict_rejects_malformed_documents():
