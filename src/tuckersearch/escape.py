@@ -19,11 +19,6 @@ depending on how many modes are missing; a short sign-and-magnitude sweep
 then finds a strictly improving step whenever the relevant residual block
 is large enough.
 
-Two deterministic directions complete the menu: replacing the core's
-large-part block by the target compressed onto the large subspaces
-(core fix), and deleting the part of one factor that points outside the
-span of the target's slices (remove extraneous).
-
 The sign search scores a direction without evaluating f at each
 candidate.  A candidate moves block b of (S, A, B, C) by a_b = t s_b, and
 S(A, B, C) is multilinear, so its residual is D + sum_U c_U X_U over the
@@ -43,7 +38,7 @@ import numpy as np
 
 from .objective import ObjectiveReport, objective
 from .subspace import SubspaceSplit
-from .tensor_core import FactorPoint, multilinear_transform
+from .tensor_core import FactorPoint
 
 
 class NoMissingDirection(Exception):
@@ -51,7 +46,7 @@ class NoMissingDirection(Exception):
 
 
 class NoDirection(Exception):
-    """The requested deterministic direction degenerates to zero."""
+    """A direction handed to the sign search is identically zero."""
 
 
 def _unit_rows(X: np.ndarray) -> np.ndarray:
@@ -336,39 +331,3 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, deltas: np.ndarray,
             evals=values[k].size + (k == 0 and baseline)))
     return out
 
-
-def remove_extraneous_direction(p: FactorPoint, P: np.ndarray,
-                                mode: int) -> FactorPoint:
-    """Direction that deletes M (I - P), the part of factor `mode` outside
-    the span of the target's mode slices with projector P; that part adds
-    nothing to the fit, and a unit step removes it entirely."""
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1, 2 or 3, got {mode}")
-    M = (p.A, p.B, p.C)[mode - 1]
-    m3 = M @ (np.eye(p.d) - P)
-    if np.linalg.norm(m3) <= 1e-12 * max(1.0, np.linalg.norm(M)):
-        raise NoDirection(f"mode {mode}: no off-span factor mass")
-    zero = np.zeros_like(p.A)
-    mats = [zero.copy(), zero.copy(), zero.copy()]
-    mats[mode - 1] = -m3
-    return FactorPoint(np.zeros_like(p.S), *mats)
-
-
-def core_fix_direction(p: FactorPoint, T: np.ndarray,
-                       splits: SubspaceSplit) -> FactorPoint:
-    """Direction that replaces the core's large-subspace block with the
-    target compressed by the pseudoinverses u1 diag(1/s1) v1^T of the
-    large factor parts.
-
-    When the large parts already span the target, a unit step makes the
-    fitting term vanish.
-    """
-    if any(ms.rank1 == 0 for ms in splits.modes):
-        raise NoDirection("a mode has no singular values above the threshold")
-    pinvs = [(ms.u1 / ms.s1) @ ms.v1.T for ms in splits.modes]
-    s_star = multilinear_transform(np.asarray(T, dtype=float), *pinvs)
-    pv1 = [ms.v1 @ ms.v1.T for ms in splits.modes]
-    s_large = multilinear_transform(p.S, *pv1)
-    dS = s_star - s_large
-    zero = np.zeros_like(p.A)
-    return FactorPoint(dS, zero, zero.copy(), zero.copy())

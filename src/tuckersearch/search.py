@@ -12,9 +12,9 @@ no direction helps, or the gradient-evaluation budget runs out:
      accepted steps, sends the descent to the curvature probe; no
      negative curvature there makes the point stationary.  The descent
      also ends as soon as f reaches the target;
-  2. at the stationary point, propose escape directions: the sampled
-     rank-one block updates, the deterministic core fix, and removal of
-     off-span factor mass; accept the best if it improves enough.
+  2. at the stationary point, propose escape directions, the sampled
+     rank-one block updates of every label in SAMPLED_BLOCKS, and accept
+     the best if it improves enough.
 
 Stage 1 handles first and second order saddles, stage 2 the flat third and
 fourth order ones that gradient information cannot see.
@@ -91,12 +91,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .escape import (NoDirection, NoMissingDirection, core_fix_direction,
-                     delta_grid, remove_extraneous_direction,
+from .escape import (NoMissingDirection, delta_grid,
                      sample_missing_directions, sign_flip_search)
 from .objective import (ObjectiveReport, _gram_gaps, _phi, default_lambda,
                         grad, hvp, objective)
-from .subspace import subspace_split, true_projection
+from .subspace import subspace_split
 from .tensor_core import FactorPoint, _transform, hosvd, random_point
 
 SAMPLED_BLOCKS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (2, 1, 2),
@@ -112,11 +111,6 @@ STALL_TOL = 1e-6
 LBFGS_MEMORY = 5
 GN_DAMPING = 4e-2
 LANCZOS_STEPS = 12
-# steps of the deterministic escape directions; a unit step is included
-# because the core fix and the off-span removal are exact at step 1 in the
-# clean regime
-DETERMINISTIC_GRID = np.geomspace(1e-4, 1.0, 17)
-DETERMINISTIC_GRID.setflags(write=False)
 # fixed thresholds in place of the paper's cascade: the escape's singular
 # value split, the gradient and curvature tolerances of a stationary
 # point, and the least gain an escape step must make
@@ -192,7 +186,7 @@ def _parse_init(spec: str):
 @dataclass
 class TraceRecord:
     """One accepted step.  step_kind is init, gradient, negative-curvature,
-    rebalance, sampled(i,j,k), core-fix or remove-extraneous."""
+    rebalance or sampled(i,j,k), with ijk a label of SAMPLED_BLOCKS."""
     iteration: int
     f: float
     L: float
@@ -605,29 +599,6 @@ class RunResult:
     wall_time: float
 
 
-def _deterministic_candidates(rep, splits, projectors, ev):
-    """(step kind, result) of the core-fix and remove-extraneous directions
-    on DETERMINISTIC_GRID, scored from the report rep of the point; one
-    remove-extraneous direction per target projector in `projectors`.
-    Each moves different blocks, so each is its own sign search."""
-    p = rep.point
-    out = []
-    try:
-        delta = core_fix_direction(p, ev.T, splits)
-        out += [("core-fix", res) for res in
-                ev.sign_search(rep, delta.flat[None], DETERMINISTIC_GRID)]
-    except NoDirection:
-        pass
-    for mode, P in enumerate(projectors, start=1):
-        try:
-            delta = remove_extraneous_direction(p, P, mode)
-            out += [("remove-extraneous", res) for res in
-                    ev.sign_search(rep, delta.flat[None], DETERMINISTIC_GRID)]
-        except NoDirection:
-            pass
-    return out
-
-
 def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     """Full local search on target T.  Returns the final point, the trace
     and the termination status: converged (f <= epsilon), no_direction
@@ -673,7 +644,6 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
 
     status = "converged" if rep.f <= config.epsilon else None
     rounds = 0
-    projectors = ()  # the target's span projectors, once computed
     while status is None:
         rounds += 1
         p, info = _find_sosp(p, ev, rng_sosp, rep, trace,
@@ -687,11 +657,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
             break
 
         splits = subspace_split(p, SIGMA)
-        # the projectors depend on T alone; while every factor is zero none
-        # has mass off the target's span, so they wait for a nonzero one
-        if not projectors and p.factors.any():
-            projectors = tuple(true_projection(T, m) for m in (1, 2, 3))
-        cands = _deterministic_candidates(rep, splits, projectors, ev)
+        cands = []
         for ijk in SAMPLED_BLOCKS:
             # a block label's draws are scored in one sign search
             try:

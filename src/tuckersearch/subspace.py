@@ -1,4 +1,4 @@
-"""Singular-value splits of factor matrices against the target's spans.
+"""Singular-value splits of factor matrices.
 
 Each r x d factor matrix M is split at a threshold sigma into a large part
 M1 = v1 diag(s1) u1^T (singular values s1 strictly above sigma) and a small
@@ -12,10 +12,7 @@ any nullspace, so [u1 u2] and [v1 v2] are always square orthogonal.  The
 pseudoinverse of M1 is u1 diag(1/s1) v1^T, so the escape needs no SVD of
 its own.
 
-The escape stage draws its sampled directions from these bases and fixes
-the core on the large parts.  `true_projection` gives the projector onto
-the span of the target's mode slices, against which the escape deletes
-the part of a factor that points outside it.
+The escape stage draws its sampled directions from these bases.
 """
 from __future__ import annotations
 
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import FactorPoint, _column_signs, flatten
+from .tensor_core import FactorPoint, _column_signs
 
 
 @dataclass(frozen=True)
@@ -72,25 +69,6 @@ def split(M: np.ndarray, sigma: float) -> ModeSplit:
     k = int(np.sum(s > sigma))
     return ModeSplit(s1=s[:k], v1=V[:, :k], v2=V[:, k:], u1=U[:, :k],
                      u2=U[:, k:])
-
-
-def true_projection(T: np.ndarray, mode: int) -> np.ndarray:
-    """Orthogonal projection in R^d onto the span of mode-`mode` slices of
-    T, i.e. the column space of its mode flattening.  Directions with
-    singular value at most 1e-10 times the largest are treated as zero.
-
-    The flattening F is d x d^2.  With F^T = QR, F = R^T Q^T and Q has
-    orthonormal columns, so F's left singular vectors and values are those
-    of the small triangular factor's transpose: one QR of F^T and an SVD
-    of a d x d matrix in place of an SVD of F."""
-    F = flatten(T, mode)
-    R = np.linalg.qr(F.T, mode="r")
-    U, s, _ = np.linalg.svd(R.T, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((F.shape[0], F.shape[0]))
-    keep = s > 1e-10 * s[0]
-    Uk = U[:, keep]
-    return Uk @ Uk.T
 
 
 @dataclass(frozen=True)

@@ -6,13 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tuckersearch.escape import (NoDirection, NoMissingDirection, _expansion,
-                                 core_fix_direction,
-                                 delta_grid, remove_extraneous_direction,
-                                 sample_missing_directions, sign_flip_search,
-                                 sign_step_values)
+                                 delta_grid, sample_missing_directions,
+                                 sign_flip_search, sign_step_values)
 from tuckersearch.objective import eval_along, objective
 from tuckersearch.search import SAMPLED_BLOCKS
-from tuckersearch.subspace import subspace_split, true_projection
+from tuckersearch.subspace import subspace_split
 from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
                                       norm_f, random_point, trilinear)
 
@@ -183,10 +181,9 @@ def draw_with_vectors(splits, ijk, rng):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_split_pseudoinverse_matches_numpy_pinv(seed):
-    # the sampler's index-1 preimage and the core fix take the
-    # pseudoinverse of each large part m1 = v1 diag(s1) u1^T from the
-    # split's own SVD; np.linalg.pinv of m1 is the reference, for the
-    # preimage inside draw_with_vectors
+    # the sampler's index-1 preimage takes the pseudoinverse of each large
+    # part m1 = v1 diag(s1) u1^T from the split's own SVD; np.linalg.pinv
+    # of m1 is the reference inside draw_with_vectors
     rng = np.random.default_rng(seed)
     r = int(rng.integers(2, 5))
     d = r + int(rng.integers(1, 5))
@@ -198,14 +195,8 @@ def test_split_pseudoinverse_matches_numpy_pinv(seed):
         spectrum[rng.integers(1, r):] = 0.01
         mats.append((V * spectrum) @ U.T)
     p = FactorPoint(rng.standard_normal((r, r, r)), *mats)
-    T = rng.standard_normal((d, d, d))
     splits = subspace_split(p, 0.1)
     assert all(0 < ms.rank1 < r for ms in splits.modes)
-    pinvs = [np.linalg.pinv(large_part(ms)) for ms in splits.modes]
-    pv1 = [ms.v1 @ ms.v1.T for ms in splits.modes]
-    want = (multilinear_transform(T, *pinvs)
-            - multilinear_transform(p.S, *pv1))
-    _assert_close(core_fix_direction(p, T, splits).S, want)
     for ijk in SAMPLED_BLOCKS:
         if 1 in ijk:
             draw_with_vectors(splits, ijk, rng)
@@ -414,24 +405,10 @@ def _escape_instance(r, d, norm, seed):
 
 
 def _escape_directions(p, T, splits, sigma, rng):
-    """(label, direction, grid) for the core fix, each remove-extraneous
-    mode, one draw of every sampled block and one direction moving all
-    four blocks, skipping those the instance does not admit."""
-    fixed_grid = np.geomspace(1e-4, 1.0, 17)
+    """(label, direction, grid) for one draw of every sampled block and one
+    direction moving all four blocks, skipping the blocks the instance does
+    not admit."""
     out = []
-    try:
-        out.append(("core_fix", core_fix_direction(p, T, splits),
-                    fixed_grid))
-    except NoDirection:
-        pass
-    for mode in (1, 2, 3):
-        try:
-            out.append(("remove_extraneous",
-                        remove_extraneous_direction(
-                            p, true_projection(T, mode), mode),
-                        fixed_grid))
-        except NoDirection:
-            pass
     for ijk in SAMPLED_BLOCKS:
         n_missing = sum(1 for x in ijk if x == 2)
         try:
@@ -520,8 +497,7 @@ def test_sign_search_matches_the_per_candidate_loop(r, d):
                                        stack(direction), patterns, grid)[0]
                 assert got.shape == (len(patterns), len(grid))
                 # the expansion adds terms of the size of f(p), so its error
-                # is relative to the larger of f(p) and f at the candidate:
-                # the (1, 1) core fix fits exactly, 0.0 here, 3e-36 there
+                # is relative to the larger of f(p) and f at the candidate
                 scale = np.maximum(np.array(ref), objective(p, T, lam).f)
                 if label == "all_blocks":
                     # its terms can cancel: at (1, 1) they reach 2e5 times
@@ -536,9 +512,7 @@ def test_sign_search_matches_the_per_candidate_loop(r, d):
                 f0 = objective(p, T, lam).f
                 assert abs(res.improvement - (f0 - f_after)) <= 1e-12 * max(
                     f_after, f0), label
-    want = {"core_fix", "all_blocks"}
-    if d > 1:
-        want.add("remove_extraneous")
+    want = {"all_blocks"}
     if r > 1:
         want |= {"missing1", "missing2", "missing3"}
     assert want <= kinds
@@ -720,91 +694,3 @@ def test_sign_search_from_a_report_matches_a_fresh_baseline(
             [fresh[0].evals - 1, fresh[1].evals]
         assert [(_result_fields(x), x.evals) for x in ignored] == \
             [(_result_fields(x), x.evals) for x in fresh]
-
-
-# ---------------------------------------------------------------------------
-# remove extraneous
-
-
-def _planted_extraneous():
-    e = np.eye(5)
-    T = outer3(e[0], e[0], e[0]) + outer3(e[1], e[1], e[1])
-    A = np.array([e[0], e[4]])
-    B = np.array([e[0], e[1]])
-    C = np.array([e[0], e[1]])
-    S = np.zeros((2, 2, 2))
-    S[1, 0, 0] = 1.0
-    return FactorPoint(S, A, B, C), T
-
-
-def test_remove_extraneous_deletes_off_span_mass():
-    p, T = _planted_extraneous()
-    delta = remove_extraneous_direction(p, true_projection(T, 1), mode=1)
-    # only the mode-1 factor moves
-    assert [np.any(blk != 0.0) for blk in delta.blocks()] \
-        == [False, True, False, False]
-    np.testing.assert_allclose(delta.A,
-                               -np.vstack([np.zeros(5), np.eye(5)[4]]),
-                               atol=1e-12)
-    # a unit step removes the off-span contribution entirely
-    stepped = p + 1.0 * delta
-    assert objective(stepped, T, lam=0.0).L == pytest.approx(2.0, abs=1e-12)
-    # initial slope of L is -2 |S(A3, B, C)|^2
-    rows = eval_along(p, delta, T, [0.0, 1e-5], lam=0.0)
-    slope = (rows[1][1].L - rows[0][1].L) / 1e-5
-    assert slope == pytest.approx(-2.0, abs=1e-4)
-
-
-def test_remove_extraneous_raises_when_clean():
-    rng = np.random.default_rng(257)
-    truth = random_point(2, 4, rng)
-    T = truth.apply()
-    for mode in (1, 2, 3):
-        with pytest.raises(NoDirection):
-            remove_extraneous_direction(truth, true_projection(T, mode),
-                                        mode)
-    with pytest.raises(ValueError):
-        remove_extraneous_direction(truth, true_projection(T, 1), 0)
-
-
-# ---------------------------------------------------------------------------
-# core fix
-
-
-def _well_conditioned_truth(seed=263, r=2, d=5):
-    rng = np.random.default_rng(seed)
-    while True:
-        truth = random_point(r, d, rng)
-        spectra = [np.linalg.svd(M, compute_uv=False)
-                   for M in (truth.A, truth.B, truth.C)]
-        if min(s.min() for s in spectra) > 0.25:
-            return truth
-
-
-def test_core_fix_restores_exact_fit_in_one_step():
-    truth = _well_conditioned_truth()
-    T = truth.apply()
-    rng = np.random.default_rng(269)
-    p = FactorPoint(rng.standard_normal(truth.S.shape), truth.A, truth.B,
-                    truth.C)
-    splits = subspace_split(p, sigma=0.1)
-    assert all(ms.rank1 == 2 for ms in splits.modes)
-    delta = core_fix_direction(p, T, splits)
-    stepped = p + 1.0 * delta
-    assert objective(stepped, T).L <= 1e-10
-    assert objective(stepped, T).L < objective(p, T).L
-
-
-def test_core_fix_is_zero_at_consistent_core():
-    truth = _well_conditioned_truth(271)
-    T = truth.apply()
-    splits = subspace_split(truth, sigma=0.1)
-    assert core_fix_direction(truth, T, splits).norm() <= 1e-9
-
-
-def test_core_fix_requires_nonempty_large_parts():
-    p = FactorPoint.zeros(2, 4)
-    T = np.zeros((4, 4, 4))
-    splits = subspace_split(p, sigma=0.1)
-    with pytest.raises(NoDirection):
-        core_fix_direction(p, T, splits)

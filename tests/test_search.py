@@ -617,36 +617,6 @@ def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
             == len(searches))
 
 
-def test_run_computes_the_target_projectors_once_a_factor_is_nonzero(
-        monkeypatch):
-    # the projectors depend on T alone: the first escape round whose point
-    # has a nonzero factor computes them, and later rounds reuse them.
-    # While every factor is zero no factor has off-span mass, so a
-    # zero-start rank-1 solve, whose one escape round is at the origin,
-    # computes none
-    calls, points = [], []
-
-    def projecting(*args, **kwargs):
-        calls.append(args[1])
-        return true_projection(*args, **kwargs)
-
-    def splitting(p, *args, **kwargs):
-        points.append(p)
-        return subspace_split(p, *args, **kwargs)
-
-    true_projection = search_module.true_projection
-    monkeypatch.setattr(search_module, "true_projection", projecting)
-    monkeypatch.setattr(search_module, "subspace_split", splitting)
-    res = run(exact_instance(1, 8, 0), SearchConfig(r=2, seed=0))
-    assert res.status == "converged" and len(points) == 1
-    assert not points[0].flat.any() and calls == []
-    points.clear()
-    res = run(exact_instance(2, 4, 1), SearchConfig(r=3, seed=0))
-    assert res.status == "converged" and len(points) == 2
-    assert not points[0].flat.any() and points[1].factors.any()
-    assert calls == [1, 2, 3]
-
-
 def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
     # the sign search predicts a gain of 1e-9 for a step that raises f:
     # the run keeps its point and ends the round as if nothing had gained
@@ -859,7 +829,7 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
     import tuckersearch.search as search_module
     calls = []
     search_points = []
-    deterministic = []
+    labels = []
     grad_calls = []
     baselines = []
 
@@ -880,9 +850,9 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
         calls.extend([1] * values.size)
         return values
 
-    def noting(*args, **kwargs):
-        out = deterministic_candidates(*args, **kwargs)
-        deterministic.extend(out)
+    def noting(splits, ijk, *args, **kwargs):
+        out = sample_missing(splits, ijk, *args, **kwargs)
+        labels.append(ijk)
         return out
 
     def charging(fn, cost):
@@ -897,15 +867,16 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
     # value it returns is an objective value and counts as one
     sign_step_values = escape_module.sign_step_values
     monkeypatch.setattr(escape_module, "sign_step_values", expanded)
-    deterministic_candidates = search_module._deterministic_candidates
-    monkeypatch.setattr(search_module, "_deterministic_candidates", noting)
+    sample_missing = search_module.sample_missing_directions
+    monkeypatch.setattr(search_module, "sample_missing_directions", noting)
     # a gradient costs 1, a Hessian-vector product 2, a rebalance move 1
     monkeypatch.setattr(search_module, "grad", charging(grad, 1))
     monkeypatch.setattr(search_module, "hvp", charging(hvp, 2))
     monkeypatch.setattr(search_module, "_rebalance_once",
                         charging(search_module._rebalance_once, 1))
     # a rank-1 target at r=2 needs descent, curvature probes and sampled
-    # escapes; a rank-2 one also reaches the deterministic directions
+    # escapes from the origin; a rank-2 one also reaches a round with a
+    # large part, whose labels with an index 1 are drawn and scored
     for rank in (1, 2):
         calls.clear()
         search_points.clear()
@@ -925,13 +896,13 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
         repeats = sum(a == b
                       for a, b in zip(search_points, search_points[1:]))
         assert repeats == 0
-    assert deterministic
+    assert any(1 in ijk for ijk in labels)
 
 
 def test_escape_round_scores_each_block_label_in_one_sign_search(
         monkeypatch):
     # a round draws all of a block label's samples and scores them in one
-    # call; each deterministic direction is a call of its own
+    # call, and makes no other sign search
     rounds = []
 
     def splitting(*args, **kwargs):
@@ -940,8 +911,7 @@ def test_escape_round_scores_each_block_label_in_one_sign_search(
 
     def searching(p, T, deltas, grid, lam=None, at=None):
         # the blocks a direction moves name its kind: a sampled one moves
-        # the core and the factors of its index-2 modes, the core fix the
-        # core alone, an off-span removal one factor alone
+        # the core and the factors of its index-2 modes
         rounds[-1].append([tuple(blk.any() for blk in
                                  p._like(row.copy()).blocks())
                            for row in deltas])
@@ -958,7 +928,7 @@ def test_escape_round_scores_each_block_label_in_one_sign_search(
         for calls in rounds:
             sampled = [c[0] for c in calls if c[0][0] and any(c[0][1:])]
             assert len(set(sampled)) == len(sampled) <= len(SAMPLED_BLOCKS)
-            assert len(calls) - len(sampled) <= 4
+            assert len(calls) == len(sampled)
             for c in calls:
                 assert len(set(c)) == 1
                 assert len(c) == (samples if c[0] in sampled else 1)

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from tuckersearch.subspace import (projection_distance_bound, split,
-                                   true_projection)
-from tuckersearch.tensor_core import (FactorPoint, flatten,
-                                      multilinear_transform, random_point)
-
-
-def outer3(a, b, c):
-    return np.einsum("i,j,k->ijk", a, b, c)
+from tuckersearch.subspace import projection_distance_bound, split
 
 
 def large_part(ms):
@@ -134,95 +127,6 @@ def test_split_rejects_bad_input():
         split(np.zeros(3), 0.1)
     with pytest.raises(ValueError):
         split(np.zeros((2, 2)), -1.0)
-
-
-# ---------------------------------------------------------------------------
-# true span projections
-
-
-def test_true_projection_axis_aligned_example():
-    T = outer3(*[np.eye(4)[i] for i in (0, 0, 0)]) \
-        + outer3(*[np.eye(4)[i] for i in (1, 1, 1)])
-    P = true_projection(T, 1)
-    expect = np.diag([1.0, 1.0, 0.0, 0.0])
-    np.testing.assert_allclose(P, expect, atol=1e-12)
-    assert np.trace(P) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_true_projection_is_an_orthogonal_projection():
-    rng = np.random.default_rng(163)
-    T = random_point(2, 5, rng).apply()
-    for mode in (1, 2, 3):
-        P = true_projection(T, mode)
-        np.testing.assert_allclose(P, P.T, atol=1e-12)
-        np.testing.assert_allclose(P @ P, P, atol=1e-12)
-        assert np.trace(P) == pytest.approx(2.0, abs=1e-9)
-
-
-def test_true_projection_zero_tensor():
-    np.testing.assert_array_equal(true_projection(np.zeros((3, 3, 3)), 2),
-                                  np.zeros((3, 3)))
-
-
-def test_true_projection_matches_the_full_svd_of_the_flattening():
-    # the projector comes from a QR of the flattening's transpose and an
-    # SVD of its triangular factor; the reference is the full SVD
-    rng = np.random.default_rng(173)
-    d = 7
-    targets = [random_point(k, d, rng).apply() for k in range(1, 5)]
-    targets.append(targets[-1] + 1e-2 * rng.standard_normal((d, d, d)))
-    for T in targets:
-        for mode in (1, 2, 3):
-            U, s, _ = np.linalg.svd(flatten(T, mode), full_matrices=False)
-            Uk = U[:, s > 1e-10 * s[0]]
-            P = true_projection(T, mode)
-            assert round(np.trace(P)) == Uk.shape[1]
-            assert np.abs(P - Uk @ Uk.T).max() <= 1e-12
-    assert [round(np.trace(true_projection(T, 2))) for T in targets] \
-        == [1, 2, 3, 4, d]
-
-
-def test_true_projection_ignores_other_mode_rotations():
-    rng = np.random.default_rng(167)
-    T = random_point(2, 4, rng).apply()
-    Q2 = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-    Q3 = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-    T2 = multilinear_transform(T, np.eye(4), Q2, Q3)
-    np.testing.assert_allclose(true_projection(T2, 1), true_projection(T, 1),
-                               atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
-# point-level split
-
-
-def _off_span_parts(p, T):
-    """M (I - P) for each factor M and the target's projector P of its
-    mode, as the escape's remove-extraneous direction forms it."""
-    return [M @ (np.eye(p.d) - true_projection(T, m))
-            for m, M in enumerate((p.A, p.B, p.C), start=1)]
-
-
-def test_subspace_split_off_span_part_vanishes_for_consistent_factors():
-    rng = np.random.default_rng(173)
-    truth = random_point(2, 5, rng)
-    T = truth.apply()
-    for m3 in _off_span_parts(truth, T):
-        assert np.linalg.norm(m3) <= 1e-9
-
-
-def test_subspace_split_detects_off_span_factor_part():
-    # T lives on axes 1..2 in mode 1; give A an extra row along axis 4
-    e = np.eye(5)
-    T = outer3(e[0], e[0], e[0]) + outer3(e[1], e[1], e[1])
-    A = np.array([e[0], e[4]])
-    B = np.array([e[0], e[1]])
-    C = np.array([e[0], e[1]])
-    p = FactorPoint(np.zeros((2, 2, 2)), A, B, C)
-    m3 = _off_span_parts(p, T)
-    np.testing.assert_allclose(m3[0], np.array([e[0] * 0, e[4]]),
-                               atol=1e-12)
-    assert np.linalg.norm(m3[1]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
