@@ -4,7 +4,7 @@ Near a stationary point the loss can hide improvement in directions the
 factors do not yet span.  Indexing each mode by 1 (inside the large part of
 the factor's singular split) or 2 (in the complement), a block label
 ijk in {1, 2}^3 names where a candidate rank-one update lives.  For each
-label with at least one 2 the sampler draws
+label with at least two 2s the sampler draws
 
     a, b, c: unit ambient vectors, uniform in the chosen U subspaces,
     u, v, w: unit coefficient vectors; uniform in the V complement for
@@ -14,10 +14,12 @@ label with at least one 2 the sampler draws
 and the direction updates the core by u x v x w plus each index-2 factor by
 the outer product of its coefficient and ambient vectors.  Because every
 piece multiplies at least one other piece of the same update, the objective
-change along the direction starts at order 2, 3 or 4 in the step size
-depending on how many modes are missing; a short sign-and-magnitude sweep
-then finds a strictly improving step whenever the relevant residual block
-is large enough.
+change along the direction starts at order 3 or 4 in the step size for two
+or three missing modes; a short sign-and-magnitude sweep then finds a
+strictly improving step whenever the relevant residual block is large
+enough.  With one mode missing the change starts at order 2: that is
+negative curvature, which the driver's Lanczos probe finds, so no label
+with a single 2 is drawn.
 
 The sign search scores a direction without evaluating f at each
 candidate.  A candidate moves block b of (S, A, B, C) by a_b = t s_b, and
@@ -45,10 +47,6 @@ class NoMissingDirection(Exception):
     """The requested block has an empty sampling subspace."""
 
 
-class NoDirection(Exception):
-    """A direction handed to the sign search is identically zero."""
-
-
 def _unit_rows(X: np.ndarray) -> np.ndarray:
     """Each row of X over its norm."""
     return X / np.linalg.norm(X, axis=1, keepdims=True)
@@ -69,18 +67,18 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
     unit((w / s1) v1^T), for which m1^T u = c a with c >= min(s1) > sigma.
 
     The core moves by u x v x w.  Each index-2 factor moves by the outer
-    product of its coefficient and ambient vectors; when only one mode is
-    missing that single factor block is scaled by the split's sigma to
-    match the size of the preimage multipliers in the present modes.
+    product of its coefficient and ambient vectors.
 
-    Raises NoMissingDirection, before drawing anything, when any requested
-    subspace is empty, e.g. asking for a complement direction of a factor
-    that already uses all r of its rows.
+    A label must be in {1, 2}^3 with at least two 2s (a ValueError
+    otherwise).  Raises NoMissingDirection, before drawing anything, when
+    any requested subspace is empty, e.g. asking for a complement
+    direction of a factor that already uses all r of its rows.
     """
     ijk = tuple(int(x) for x in ijk)
-    if len(ijk) != 3 or any(x not in (1, 2) for x in ijk) or 2 not in ijk:
-        raise ValueError(f"block label must be in {{1,2}}^3 and have a 2, "
-                         f"got {ijk}")
+    if (len(ijk) != 3 or any(x not in (1, 2) for x in ijk)
+            or ijk.count(2) < 2):
+        raise ValueError(f"block label must be in {{1,2}}^3 with at least "
+                         f"two 2s, got {ijk}")
     widths = []
     for m, (ms, idx) in enumerate(zip(splits.modes, ijk)):
         if idx == 1 and ms.rank1 == 0:
@@ -101,7 +99,6 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
     r, d = splits.modes[0].v1.shape[0], splits.modes[0].u1.shape[0]
     flats = np.zeros((n, r**3 + 3 * r * d))
     mats = flats[:, r**3:].reshape(n, 3, r, d)
-    scale = splits.sigma if ijk.count(2) == 1 else 1.0
     coeff = []
     for m, (ms, idx) in enumerate(zip(splits.modes, ijk)):
         if idx == 1:
@@ -109,7 +106,7 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
         else:
             a = next(units) @ ms.u2.T
             coeff.append(next(units) @ ms.v2.T)
-            mats[:, m] = scale * (coeff[m][:, :, None] * a[:, None, :])
+            mats[:, m] = coeff[m][:, :, None] * a[:, None, :]
     flats[:, :r**3] = np.einsum("nx,ny,nz->nxyz", *coeff).reshape(n, r**3)
     return flats
 
@@ -117,14 +114,14 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
 def delta_grid(sigma: float, n_missing: int) -> np.ndarray:
     """13 log-spaced step sizes covering [center/100, center*100].
 
-    The center is sigma^(1/4) for one or two missing modes and sigma^(1/8)
-    for three, matching where the leading improvement term dominates.
+    The center is sigma^(1/4) for two missing modes and sigma^(1/8) for
+    three, matching where the leading improvement term dominates.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    if n_missing not in (1, 2, 3):
-        raise ValueError(f"n_missing must be 1, 2 or 3, got {n_missing}")
-    center = sigma ** 0.25 if n_missing <= 2 else sigma ** 0.125
+    if n_missing not in (2, 3):
+        raise ValueError(f"n_missing must be 2 or 3, got {n_missing}")
+    center = sigma ** 0.25 if n_missing == 2 else sigma ** 0.125
     return np.geomspace(center / 100.0, center * 100.0, 13)
 
 
@@ -274,21 +271,21 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, deltas: np.ndarray,
     keep the best objective value; returns one result per direction, in
     order.
 
-    The directions must share their nonzero blocks (a ValueError
-    otherwise), so that they share the sign patterns.  All candidates of
-    all directions are scored together by `sign_step_values`, which
-    expands f along the directions once instead of evaluating f at each
-    candidate.  f and the residual at p come from `at` when it is a report
-    of p (taken with the same T and lam), and otherwise from one
-    `objective` call.  A direction's candidates are ranked in the order
-    of a loop over the patterns (the k-th active block flipped when bit k
-    of the pattern number is set), then over the grid: the first smallest
-    value wins, NaN never, and it must be strictly below f at p.  Never
-    returns a step that makes f worse: if nothing improves, the result
-    has step 0, improvement 0 and the unsigned direction.  `evals` counts
-    the objective values computed for the direction, and where the call
-    made the `objective` call at p the first result also counts it, so
-    the results' evals add up to the call's.
+    The directions must share their nonzero blocks, at least one of them
+    (a ValueError otherwise), so that they share the sign patterns.  All
+    candidates of all directions are scored together by
+    `sign_step_values`, which expands f along the directions once instead
+    of evaluating f at each candidate.  f and the residual at p come from
+    `at` when it is a report of p (taken with the same T and lam), and
+    otherwise from one `objective` call.  A direction's candidates are
+    ranked in the order of a loop over the patterns (the k-th active block
+    flipped when bit k of the pattern number is set), then over the grid:
+    the first smallest value wins, NaN never, and it must be strictly
+    below f at p.  Never returns a step that makes f worse: if nothing
+    improves, the result has step 0, improvement 0 and the unsigned
+    direction.  `evals` counts the objective values computed for the
+    direction, and where the call made the `objective` call at p the first
+    result also counts it, so the results' evals add up to the call's.
     """
     if not len(deltas):
         raise ValueError("no directions to score")
@@ -300,7 +297,7 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, deltas: np.ndarray,
         raise ValueError("the directions' nonzero blocks differ")
     active = np.flatnonzero(nonzero[0])
     if not active.size:
-        raise NoDirection("direction is identically zero")
+        raise ValueError("the directions are identically zero")
     baseline = at is None or at.point is not p
     if baseline:
         at = objective(p, T, lam)

@@ -17,7 +17,8 @@ no direction helps, or the gradient-evaluation budget runs out:
      the best if it improves enough.
 
 Stage 1 handles first and second order saddles, stage 2 the flat third and
-fourth order ones that gradient information cannot see.
+fourth order ones that gradient information cannot see, so the escape
+draws only labels with two or three missing modes.
 
 The L-BFGS recursion starts from H0 = gamma P^-1, after scaled gradient
 descent for Tucker (Tong, Ma and Chi, arXiv:2104.14526).  P is the
@@ -49,18 +50,18 @@ or the escape does better there than more descent.  STALL_WINDOW = 5
 evaluations over the 36 perfbench `grid` cells of seeds 1-3, the desk
 grid exact and with noise of norm 5e-2, the 75-run start set, the scale
 table and acceptance criterion 05; BLAS at one thread; no status moved
-at any window):
+at any window; re-measured with the escape labels of SAMPLED_BLOCKS):
 
     STALL_WINDOW      1      3      5      8     10     50
-    grid cells    2,862  2,802  2,706  2,807  2,863  3,152
-    desk            967    925    796    828    842    897
-    desk + noise  1,635  1,688  1,704  1,850  1,973  2,158
-    start set     3,709  3,402  3,323  3,373  3,525  3,556
-    scale table   1,328  1,415  1,480  1,371  1,389  1,570
-    crit. 05      2,561  1,877  1,604  1,577  1,613  1,766
+    grid cells    2,885  2,820  2,730  2,818  2,905  3,155
+    desk            973    918    812    822    867    882
+    desk + noise  1,366  1,527  1,622  1,746  1,856  2,239
+    start set     3,693  3,400  3,327  3,376  3,533  3,549
+    scale table   1,336  1,409  1,485  1,352  1,396  1,569
+    crit. 05      2,550  1,858  1,617  1,564  1,635  1,752
 
 The cost is at the noise floor: the noisy desk runs end no_direction at
-an f up to 1.6e-5 relative above that of a 50-step window.
+an f up to 6.2e-5 relative above that of a 50-step window.
 
 Budget accounting: one `Evaluator` holds the target, lambda and the
 counters, and each of its methods charges its own cost: a gradient 1, a
@@ -98,8 +99,9 @@ from .objective import (ObjectiveReport, _gram_gaps, _phi, default_lambda,
 from .subspace import subspace_split
 from .tensor_core import FactorPoint, _transform, hosvd, random_point
 
-SAMPLED_BLOCKS = ((1, 1, 2), (1, 2, 1), (2, 1, 1), (1, 2, 2), (2, 1, 2),
-                  (2, 2, 1), (2, 2, 2))
+# the escape's block labels, two or three modes missing: a label with a
+# single 2 gains at second order, where the curvature probe looks
+SAMPLED_BLOCKS = ((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2))
 # a descent whose f falls by no more than STALL_TOL * f over STALL_WINDOW
 # accepted steps is treated as stationary and probes the curvature (see
 # the module docstring's sweep)
@@ -291,14 +293,17 @@ def _apply_balance(p: FactorPoint, eta: float, eigs) -> FactorPoint:
     exp(-eta G_m) where its Gram matrix exceeds the core's, and the core
     absorbs the inverse, so the reconstructed tensor is unchanged while the
     balance defect decreases.  `eigs` holds the (w, V) eigendecomposition
-    of each Gram gap G_m."""
-    shrink = []
+    of each Gram gap G_m.  The trial is assembled in one flat vector: a
+    trial needs only its Gram gaps, so it skips the checking constructor."""
+    flat = np.empty_like(p.flat)
+    n = p.r**3
+    mats = flat[n:].reshape(p.factors.shape)
     grow = []
-    for w, V in eigs:
-        shrink.append((V * np.exp(-eta * w)) @ V.T)
+    for m, (w, V) in enumerate(eigs):
+        np.matmul((V * np.exp(-eta * w)) @ V.T, p.factors[m], out=mats[m])
         grow.append((V * np.exp(eta * w)) @ V.T)
-    S = _transform(p.S, grow[0], grow[1], grow[2])[2]
-    return FactorPoint(S, shrink[0] @ p.A, shrink[1] @ p.B, shrink[2] @ p.C)
+    flat[:n] = _transform(p.S, grow[0], grow[1], grow[2])[2].ravel()
+    return p._like(flat)
 
 
 def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):

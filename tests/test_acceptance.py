@@ -127,8 +127,8 @@ def test_criterion_05_desk_scale_convergence():
         hits_loose += result.f <= 1e-2
     elapsed = time.perf_counter() - start
     # the evaluation total guards the descent policy: preconditioned
-    # L-BFGS directions and the Lanczos curvature probe take 1,604 here,
-    # L-BFGS from a scalar H0 2,736; with a 50-step stall window, steepest
+    # L-BFGS directions and the Lanczos curvature probe take 1,617 here,
+    # L-BFGS from a scalar H0 2,578; with a 50-step stall window, steepest
     # descent from Barzilai-Borwein steps with a power-iteration probe
     # took 9,195
     _verdict("desk-scale exact recovery",

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuckersearch.escape import (NoDirection, NoMissingDirection, _expansion,
-                                 delta_grid, sample_missing_directions,
-                                 sign_flip_search, sign_step_values)
+from tuckersearch.escape import (NoMissingDirection, _expansion, delta_grid,
+                                 sample_missing_directions, sign_flip_search,
+                                 sign_step_values)
 from tuckersearch.objective import eval_along, objective
 from tuckersearch.search import SAMPLED_BLOCKS
 from tuckersearch.subspace import subspace_split
@@ -57,8 +57,7 @@ def test_sampled_vectors_live_in_their_subspaces():
     # preimage of an ambient draw in the large span, so m1^T maps it back
     # with multiplier at least sigma
     p, T, splits, rng = _generic_setup()
-    for ijk in [(1, 1, 2), (1, 2, 2), (2, 2, 2), (2, 1, 1)]:
-        scale = splits.sigma if ijk.count(2) == 1 else 1.0
+    for ijk in SAMPLED_BLOCKS:
         for _ in range(3):
             delta, ambient, coeff = draw_with_vectors(splits, ijk, rng)
             assert norm_f(delta.S) == pytest.approx(1.0, abs=1e-12)
@@ -78,7 +77,7 @@ def test_sampled_vectors_live_in_their_subspaces():
                     np.testing.assert_allclose(y, c * ambient[m],
                                                atol=1e-12)
                 else:
-                    assert norm_f(M) == pytest.approx(scale, abs=1e-12)
+                    assert norm_f(M) == pytest.approx(1.0, abs=1e-12)
                     assert np.linalg.norm(ms.v1.T @ Sm) <= 1e-10
                     assert np.linalg.norm(ms.v1.T @ M) <= 1e-10
                     assert np.linalg.norm(M @ ms.u1) <= 1e-10
@@ -92,11 +91,11 @@ def test_sampler_raises_when_no_rows_left():
     with pytest.raises(NoMissingDirection, match="mode 1"):
         sample_missing_directions(splits, (2, 2, 2),
                                   np.random.default_rng(0), 1)
-    # modes 1 and 2 admit index 1, mode 3 fails: nothing is drawn
+    # mode 1 admits index 1, mode 2 fails: nothing is drawn
     rng = np.random.default_rng(0)
     state = copy.deepcopy(rng.bit_generator.state)
-    with pytest.raises(NoMissingDirection, match="mode 3"):
-        sample_missing_directions(splits, (1, 1, 2), rng, 1)
+    with pytest.raises(NoMissingDirection, match="mode 2"):
+        sample_missing_directions(splits, (1, 2, 2), rng, 1)
     assert rng.bit_generator.state == state
 
 
@@ -114,6 +113,18 @@ def test_sampler_rejects_bad_labels():
         sample_missing_directions(splits, (0, 1, 2), rng, 1)
     with pytest.raises(ValueError):
         sample_missing_directions(splits, (2, 2), rng, 1)
+
+
+def test_sampler_rejects_one_missing_labels():
+    # a label with a single 2 changes f at second order, where the
+    # curvature probe looks: the sampler builds no such direction, and
+    # draws nothing
+    p, T, splits, rng = _generic_setup()
+    state = copy.deepcopy(rng.bit_generator.state)
+    for ijk in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
+        with pytest.raises(ValueError, match="two 2s"):
+            sample_missing_directions(splits, ijk, rng, 1)
+    assert rng.bit_generator.state == state
 
 
 def test_sampler_is_deterministic_given_seed():
@@ -169,9 +180,8 @@ def draw_with_vectors(splits, ijk, rng):
     from a copy of rng; the direction built from them block by block must
     match the sampler's within 1e-12 of its largest entry."""
     ambient, coeff = reference_vectors(splits, ijk, copy.deepcopy(rng))
-    scale = splits.sigma if sum(x == 2 for x in ijk) == 1 else 1.0
     r, d = coeff[0].size, ambient[0].size
-    mats = [scale * np.outer(u, a) if idx == 2 else np.zeros((r, d))
+    mats = [np.outer(u, a) if idx == 2 else np.zeros((r, d))
             for idx, u, a in zip(ijk, coeff, ambient)]
     want = FactorPoint(outer3(*coeff), *mats)
     [direction] = sampled(splits, ijk, rng)
@@ -207,31 +217,32 @@ def test_split_pseudoinverse_matches_numpy_pinv(seed):
 
 
 def test_build_direction_blocks_and_scaling():
+    # each index-2 factor moves by the unscaled outer product of its unit
+    # coefficient and ambient vectors, an index-1 factor not at all
     p, T, splits, rng = _generic_setup()
-    direction, (a, _, _), (u, v, w) = draw_with_vectors(splits, (2, 1, 1),
+    direction, (a, _, c), (u, v, w) = draw_with_vectors(splits, (2, 1, 2),
                                                         rng)
     d = direction
     np.testing.assert_allclose(d.S, outer3(u, v, w), atol=1e-12)
-    np.testing.assert_allclose(d.A, splits.sigma * np.outer(u, a),
-                               atol=1e-12)
+    np.testing.assert_allclose(d.A, np.outer(u, a), atol=1e-12)
     assert np.linalg.norm(d.B) == 0.0
-    assert np.linalg.norm(d.C) == 0.0
+    np.testing.assert_allclose(d.C, np.outer(w, c), atol=1e-12)
 
-    direction, (a, _, c), (u, _, w) = draw_with_vectors(splits, (2, 2, 2),
+    direction, (a, b, c), (u, v, w) = draw_with_vectors(splits, (2, 2, 2),
                                                         rng)
-    # no sigma scaling when more than one mode is missing
     np.testing.assert_allclose(direction.A, np.outer(u, a), atol=1e-12)
+    np.testing.assert_allclose(direction.B, np.outer(v, b), atol=1e-12)
     np.testing.assert_allclose(direction.C, np.outer(w, c), atol=1e-12)
 
 
-def test_one_missing_core_times_factor_delta_identity():
-    # the core delta applied to (factor delta, B, C) collapses to
-    # sigma a x (B^T v) x (C^T w)
+def test_two_missing_core_times_factor_deltas_identity():
+    # the core delta applied to (factor delta, B, factor delta) collapses
+    # to a x (B^T v) x c, the rank-one update the label adds at third order
     p, T, splits, rng = _generic_setup(239)
-    direction, (a, _, _), (_, v, w) = draw_with_vectors(splits, (2, 1, 1),
+    direction, (a, _, c), (_, v, _) = draw_with_vectors(splits, (2, 1, 2),
                                                         rng)
-    got = multilinear_transform(direction.S, direction.A, p.B, p.C)
-    want = splits.sigma * outer3(a, p.B.T @ v, p.C.T @ w)
+    got = multilinear_transform(direction.S, direction.A, p.B, direction.C)
+    want = outer3(a, p.B.T @ v, c)
     np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -258,6 +269,9 @@ def test_delta_grid_shape_and_centers():
         delta_grid(0.0, 2)
     with pytest.raises(ValueError):
         delta_grid(0.1, 4)
+    # one missing mode is not an escape label
+    with pytest.raises(ValueError):
+        delta_grid(0.1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +336,7 @@ def test_sign_search_rejects_zero_direction(monkeypatch):
     monkeypatch.setattr(escape_module, "objective",
                         lambda *args: calls.append(args))
     p = FactorPoint.zeros(1, 2)
-    with pytest.raises(NoDirection):
+    with pytest.raises(ValueError, match="identically zero"):
         sign_flip_search(p, np.zeros((2, 2, 2)), stack(p), [0.1])
     assert calls == []
 
@@ -514,7 +528,7 @@ def test_sign_search_matches_the_per_candidate_loop(r, d):
                     f_after, f0), label
     want = {"all_blocks"}
     if r > 1:
-        want |= {"missing1", "missing2", "missing3"}
+        want |= {"missing2", "missing3"}
     assert want <= kinds
 
 
