@@ -34,6 +34,7 @@ products; the driver scores all draws of one block label as one stack.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,18 +112,23 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
     return flats
 
 
+@functools.cache
 def delta_grid(sigma: float, n_missing: int) -> np.ndarray:
     """13 log-spaced step sizes covering [center/100, center*100].
 
     The center is sigma^(1/4) for two missing modes and sigma^(1/8) for
-    three, matching where the leading improvement term dominates.
+    three, matching where the leading improvement term dominates.  Each
+    grid is computed once and shared read-only: `np.geomspace` costs more
+    than a small sign search's bookkeeping.
     """
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     if n_missing not in (2, 3):
         raise ValueError(f"n_missing must be 2 or 3, got {n_missing}")
     center = sigma ** 0.25 if n_missing == 2 else sigma ** 0.125
-    return np.geomspace(center / 100.0, center * 100.0, 13)
+    grid = np.geomspace(center / 100.0, center * 100.0, 13)
+    grid.flags.writeable = False
+    return grid
 
 
 @dataclass(frozen=True)

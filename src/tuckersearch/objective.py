@@ -46,13 +46,20 @@ def _fit(p: FactorPoint, T: np.ndarray):
     return SC, SBC, X - T
 
 
+def _core_grams(S: np.ndarray) -> np.ndarray:
+    """S_(m) S_(m)^T for each mode of the r x r x r core S, as a (3, r, r)
+    array."""
+    r = S.shape[0]
+    F = np.concatenate((S, S.transpose(1, 0, 2), S.transpose(2, 0, 1))
+                       ).reshape(3, r, r * r)
+    return F @ F.transpose(0, 2, 1)
+
+
 def _gram_gaps(p: FactorPoint) -> np.ndarray:
     """M M^T - S_(m) S_(m)^T for each mode, stacked into a (3, r, r) array
     of symmetric matrices."""
-    S, r, M = p.S, p.r, p.factors
-    F = np.concatenate((S, S.transpose(1, 0, 2), S.transpose(2, 0, 1))
-                       ).reshape(3, r, r * r)
-    return M @ M.transpose(0, 2, 1) - F @ F.transpose(0, 2, 1)
+    M = p.factors
+    return M @ M.transpose(0, 2, 1) - _core_grams(p.S)
 
 
 def _phi(gaps: np.ndarray) -> float:

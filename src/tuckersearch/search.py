@@ -3,22 +3,30 @@
 The driver alternates two stages until the objective reaches the target,
 no direction helps, or the gradient-evaluation budget runs out:
 
-  1. descend to an approximate second-order stationary point with
-     backtracking line searches along L-BFGS directions, built from the
-     last LBFGS_MEMORY (s, y) pairs between gradient points, exploiting
-     negative curvature found by a Lanczos probe of at most
-     LANCZOS_STEPS Hessian-vector products.  A small gradient, or f
-     falling by no more than STALL_TOL f over the last STALL_WINDOW
-     accepted steps, sends the descent to the curvature probe; no
-     negative curvature there makes the point stationary.  The descent
-     also ends as soon as f reaches the target;
-  2. at the stationary point, propose escape directions, the sampled
-     rank-one block updates of every label in SAMPLED_BLOCKS, and accept
-     the best if it improves enough.
+  1. descend with backtracking line searches along L-BFGS directions,
+     built from the last LBFGS_MEMORY (s, y) pairs between gradient
+     points, until the gradient norm is at most TAU1, or f has fallen by
+     no more than STALL_TOL f over the last STALL_WINDOW accepted steps,
+     or f reaches the target.  Such a first-order stop is not certified:
+     the descent hands the point on without probing its curvature;
+  2. at that point, propose escape directions, the sampled rank-one block
+     updates of every label in SAMPLED_BLOCKS, and accept the best if it
+     improves enough.  Only when no escape step is taken does a Lanczos
+     probe of at most LANCZOS_STEPS Hessian-vector products look for
+     negative curvature there, from the same report: a direction is
+     line-searched both ways and the descent resumes from the better
+     step; none certifies the point stationary, and the run ends
+     no_direction.
 
-Stage 1 handles first and second order saddles, stage 2 the flat third and
-fourth order ones that gradient information cannot see, so the escape
-draws only labels with two or three missing modes.
+A line search that cannot realize the descent it promises probes the
+curvature inside stage 1, in the same way.  The escape is scored from the
+exact expansion of f and charges no gradient evaluation, while a probe
+costs 2 to 2 LANCZOS_STEPS, so the cheaper test goes first.  Stage 1
+handles first order saddles, the probe second order ones, and stage 2 the
+flat third and fourth order ones that gradient information cannot see, so
+the escape draws only labels with two or three missing modes.  On the
+zero start, where every derivative vanishes, the escape round follows the
+first gradient and no probe is paid for.
 
 The L-BFGS recursion starts from H0 = gamma P^-1, after scaled gradient
 descent for Tucker (Tong, Ma and Chi, arXiv:2104.14526).  P is the
@@ -32,7 +40,8 @@ Each factor and the core thus take a step scaled to their own curvature
 rather than one scalar step for all.  The damping was chosen from this
 sweep (mean gradient evaluations over the 36 perfbench `grid` cells of
 seeds 51-53, and the totals of the desk grid and of acceptance criterion
-05; BLAS at one thread):
+05; BLAS at one thread), taken when every first-order stop probed the
+curvature before the escape round and the stall window was 50 steps:
 
     GN_DAMPING   1e-3    1e-2   2e-2   3e-2   4e-2   5e-2   0.1    0.3
     grid mean     902     183    112     95     86     84     97    129
@@ -44,24 +53,25 @@ about 2e-2 the count rises steeply; the cause of that cliff is not known.
 
 The algorithm needs the descent only to reach an approximate second-order
 stationary point, and a saddle plateau where the gradient norm sits
-between 1e-7 and 1e-5, above TAU1, is one already: the curvature probe
-or the escape does better there than more descent.  STALL_WINDOW = 5
+between 1e-7 and 1e-5, above TAU1, is one already: the escape or the
+curvature probe does better there than more descent.  STALL_WINDOW = 5
 (STALL_TOL = 1e-6) was chosen from this sweep (total gradient
 evaluations over the 36 perfbench `grid` cells of seeds 1-3, the desk
 grid exact and with noise of norm 5e-2, the 75-run start set, the scale
 table and acceptance criterion 05; BLAS at one thread; no status moved
-at any window; re-measured with the escape labels of SAMPLED_BLOCKS):
+at any window; re-measured with the escape round ahead of the probe):
 
     STALL_WINDOW      1      3      5      8     10     50
-    grid cells    2,885  2,820  2,730  2,818  2,905  3,155
-    desk            973    918    812    822    867    882
-    desk + noise  1,366  1,527  1,622  1,746  1,856  2,239
-    start set     3,693  3,400  3,327  3,376  3,533  3,549
-    scale table   1,336  1,409  1,485  1,352  1,396  1,569
-    crit. 05      2,550  1,858  1,617  1,564  1,635  1,752
+    grid cells    1,716  2,001  2,149  2,228  2,354  2,634
+    desk            553    609    650    660    705    720
+    desk + noise  1,120  1,297  1,395  1,522  1,549  2,054
+    start set     2,938  2,970  2,997  3,041  3,071  3,249
+    scale table     864  1,116  1,161  1,171  1,206  1,345
+    crit. 05        815    948  1,000  1,068  1,139  1,256
 
 The cost is at the noise floor: the noisy desk runs end no_direction at
-an f up to 6.2e-5 relative above that of a 50-step window.
+an f up to 6.6e-5 relative above that of a 50-step window with 5 steps,
+and up to 5.0e-4 with 1, which is why the shortest window is not taken.
 
 Budget accounting: one `Evaluator` holds the target, lambda and the
 counters, and each of its methods charges its own cost: a gradient 1, a
@@ -70,11 +80,14 @@ rebalance move 1 (the content of the regularizer gradient).  Objective
 values, the sign search's included, are counted but not charged; a
 rebalance trial, scored from its Gram gaps alone, is not counted.  Each
 point is evaluated once: its `ObjectiveReport` keeps the fit stages and
-Gram gaps, and the gradient at the point and every sign search of the
-escape round at it start from that report, so they form neither again
-and a sign search adds no baseline value to the count.  No curvature
-probe starts that the budget cannot pay for, so a run never spends past
-its budget.
+Gram gaps, and the gradient at the point, every sign search of the
+escape round at it and a curvature step from it start from that report,
+so they form neither again and a sign search adds no baseline value to
+the count.  No point takes a second gradient or a second escape round:
+after an escape round finds nothing, the run either steps along
+negative curvature to a new point or ends.  No curvature probe starts
+that the budget cannot pay for, so a run never spends past its budget; a
+probe the budget cuts short ends the run with status budget.
 
 An escape step is taken on the sign search's predicted gain only if the
 evaluated f does not rise by more than the trace allows; the expansion's
@@ -94,8 +107,8 @@ import numpy as np
 
 from .escape import (NoMissingDirection, delta_grid,
                      sample_missing_directions, sign_flip_search)
-from .objective import (ObjectiveReport, _gram_gaps, _phi, default_lambda,
-                        grad, hvp, objective)
+from .objective import (ObjectiveReport, _core_grams, _phi,
+                        default_lambda, grad, hvp, objective)
 from .subspace import subspace_split
 from .tensor_core import FactorPoint, _transform, hosvd, random_point
 
@@ -103,8 +116,8 @@ from .tensor_core import FactorPoint, _transform, hosvd, random_point
 # single 2 gains at second order, where the curvature probe looks
 SAMPLED_BLOCKS = ((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2))
 # a descent whose f falls by no more than STALL_TOL * f over STALL_WINDOW
-# accepted steps is treated as stationary and probes the curvature (see
-# the module docstring's sweep)
+# accepted steps stops as on a small gradient and hands its point to the
+# escape round (see the module docstring's sweep)
 STALL_WINDOW = 5
 STALL_TOL = 1e-6
 # (s, y) pairs the L-BFGS direction keeps, the relative damping of its
@@ -288,22 +301,22 @@ class Evaluator:
 # stationary point finding
 
 
-def _apply_balance(p: FactorPoint, eta: float, eigs) -> FactorPoint:
-    """Move along the loss-preserving symmetry orbit: each factor shrinks by
-    exp(-eta G_m) where its Gram matrix exceeds the core's, and the core
-    absorbs the inverse, so the reconstructed tensor is unchanged while the
-    balance defect decreases.  `eigs` holds the (w, V) eigendecomposition
-    of each Gram gap G_m.  The trial is assembled in one flat vector: a
-    trial needs only its Gram gaps, so it skips the checking constructor."""
-    flat = np.empty_like(p.flat)
-    n = p.r**3
-    mats = flat[n:].reshape(p.factors.shape)
-    grow = []
-    for m, (w, V) in enumerate(eigs):
-        np.matmul((V * np.exp(-eta * w)) @ V.T, p.factors[m], out=mats[m])
-        grow.append((V * np.exp(eta * w)) @ V.T)
-    flat[:n] = _transform(p.S, grow[0], grow[1], grow[2])[2].ravel()
-    return p._like(flat)
+def _apply_balance(p: FactorPoint, eta: float, w: np.ndarray, V: np.ndarray,
+                   grams: np.ndarray):
+    """One trial move along the loss-preserving symmetry orbit: each factor
+    M_m shrinks to E_m M_m, E_m = exp(-eta G_m), and the core absorbs the
+    inverses, so the reconstructed tensor is unchanged while the balance
+    defect decreases.  (w, V) is the stacked eigendecomposition of the Gram
+    gaps G_m and grams the factor Grams M_m M_m^T.  Returns (phi, E,
+    core): the trial's balance defect, scored from E_m M_m M_m^T E_m and
+    the core's Grams, the (3, r, r) stack E and the moved core.  The
+    factor matrices are left to the caller, which forms them only for the
+    trial it accepts."""
+    e = np.exp(eta * np.stack((-w, w)))
+    shrink, grow = (V * e[:, :, None, :]) @ V.transpose(0, 2, 1)
+    core = _transform(p.S, grow[0], grow[1], grow[2])[2]
+    gaps = shrink @ grams @ shrink - _core_grams(core)
+    return _phi(gaps), shrink, core
 
 
 def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
@@ -312,19 +325,21 @@ def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
 
     An orbit move leaves S(A, B, C), and so L, unchanged: each trial is
     scored as rep.L + lam R from its own Gram gaps, and only the accepted
-    point is evaluated in full."""
+    point is built and evaluated in full."""
     p, f0 = rep.point, rep.f
     gaps = ev.gram_gaps(rep)
     scale = max(float(np.abs(G).max()) for G in gaps)
     if scale <= 1e-15 * (1.0 + p.norm() ** 2):
         return None
     eta = 1.0 / (1.0 + scale)
-    eigs = [np.linalg.eigh(G) for G in gaps]
+    w, V = np.linalg.eigh(gaps)
+    grams = p.factors @ p.factors.transpose(0, 2, 1)
     for _ in range(12):
-        cand = _apply_balance(p, eta, eigs)
-        phi = _phi(_gram_gaps(cand))
+        phi, shrink, core = _apply_balance(p, eta, w, V, grams)
         fc = rep.L + ev.lam * (phi * phi)
         if math.isfinite(fc) and fc < f0 - 1e-12 * (1.0 + abs(f0)):
+            cand = p._like(np.concatenate((core.ravel(),
+                                           (shrink @ p.factors).ravel())))
             return cand, ev.objective(cand), eta
         eta *= 0.5
     return None
@@ -332,6 +347,9 @@ def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
 
 @dataclass(frozen=True)
 class FindSospInfo:
+    """How a descent ended: converged only where a curvature probe
+    certified the point stationary, with its Ritz value as min_curvature;
+    a first-order stop, epsilon or the budget leave it False."""
     converged: bool
     report: ObjectiveReport
     grad_norm: float | None
@@ -495,30 +513,54 @@ def _line_search(p, direction, f0, ev, init_step=1.0,
     return None
 
 
+def _curvature_step(p: FactorPoint, rep: ObjectiveReport,
+                    rng: np.random.Generator, ev: Evaluator):
+    """Probe the curvature at the point of the report rep and line-search a
+    negative-curvature direction both ways; returns (hit, rho), hit the
+    better (point, report, step) or None, rho the probe's smallest Ritz
+    value, infinite when the budget cut the probe short.  None with a
+    finite rho makes the point stationary: either no curvature lies below
+    -TAU2/2, or none that a step can realize at this floating-point
+    scale."""
+    direction, rho = _negative_curvature(p, rng, ev)
+    if direction is None:
+        return None, rho
+    hit = None
+    scale = max(2.0 * abs(rho), 1e-3)
+    for signed in (direction, -1.0 * direction):
+        cand = _line_search(p, signed, rep.f, ev, init_step=scale,
+                            max_backtracks=25)
+        if cand is not None and (hit is None or cand[1].f < hit[1].f):
+            hit = cand
+    return hit, rho
+
+
 def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
                rep: ObjectiveReport, trace: SearchTrace,
                epsilon: float = -math.inf):
     """Descend from p, whose finite objective report the caller passes as
     rep, recording each accepted step in trace, until f <= epsilon, the
-    point is stationary or the budget runs out.  Returns (point,
-    FindSospInfo) with the final point's report.  (`budget` keeps its name:
-    the benchmark's tracer reads `budget.exhausted` to classify the stop.)
+    descent stops at a first-order point or the budget runs out.  Returns
+    (point, FindSospInfo) with the final point's report.  (`budget` keeps
+    its name: the benchmark's tracer reads `budget.exhausted` to classify
+    the stop.)
 
     Each descent step line-searches the L-BFGS direction from a first
     trial step of 1.  Without a pair, or where that direction does not
     descend, the memory is cleared and the step goes along -g from twice
-    the last such step.  A small gradient, a stalled descent or a failed
-    line search probes the curvature; a negative-curvature direction is
-    line-searched both ways, and none makes the point stationary."""
+    the last such step.  A small gradient or a stalled descent returns
+    uncertified and probes nothing: `run` scores the escape round there
+    first.  A failed line search probes the curvature (`_curvature_step`);
+    a negative-curvature step continues the descent, and none certifies
+    the point stationary."""
     step_hint = 1.0
     gn = None
-    min_curv = None
     last_grad = None  # (point, gradient) where the last gradient was taken
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, s.y), oldest first
     recent = deque([rep.f], maxlen=STALL_WINDOW + 1)
     while True:
         if rep.f <= epsilon or budget.exhausted:
-            return p, FindSospInfo(False, rep, gn, min_curv)
+            return p, FindSospInfo(False, rep, gn, None)
         kind, hit, seen = "rebalance", None, {}
         # orbit moves only pay off once the regularizer carries a real
         # share of the objective; while the loss dominates, plain descent
@@ -526,7 +568,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
         if rep.f > 0.0 and budget.lam * rep.R >= 0.25 * rep.f:
             hit = _rebalance_once(rep, budget)
             if hit is None and budget.exhausted:
-                return p, FindSospInfo(False, rep, gn, min_curv)
+                return p, FindSospInfo(False, rep, gn, None)
         if hit is None:
             g = budget.grad(rep)
             gn = g.norm()
@@ -542,42 +584,29 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
             # no progress over a whole window counts as a small gradient
             stalled = (len(recent) > STALL_WINDOW
                        and recent[0] - recent[-1] <= STALL_TOL * recent[-1])
-            if gn > TAU1 and not stalled:
-                direction = _lbfgs_direction(p, g, pairs)
-                if direction is not None:
-                    hit = _line_search(p, direction, rep.f, budget,
-                                       slope=-g.inner(direction))
-                else:
-                    pairs.clear()
-                    hit = _line_search(p, -1.0 * g, rep.f, budget,
-                                       init_step=2.0 * step_hint,
-                                       slope=gn * gn)
-                    if hit is not None:
-                        step_hint = hit[2]
+            if gn <= TAU1 or stalled:
+                return p, FindSospInfo(False, rep, gn, None)
+            direction = _lbfgs_direction(p, g, pairs)
+            if direction is not None:
+                hit = _line_search(p, direction, rep.f, budget,
+                                   slope=-g.inner(direction))
+            else:
+                pairs.clear()
+                hit = _line_search(p, -1.0 * g, rep.f, budget,
+                                   init_step=2.0 * step_hint, slope=gn * gn)
+                if hit is not None:
+                    step_hint = hit[2]
         if hit is None:
-            # the gradient is small, descent has stalled, or the line
-            # search cannot realize the descent it promises: probe the
-            # curvature
-            direction, rho = _negative_curvature(p, rng, budget)
-            if direction is None:
-                if not math.isfinite(rho):
-                    # the budget died before a Rayleigh quotient came back
-                    return p, FindSospInfo(False, rep, gn, None)
-                return p, FindSospInfo(True, rep, gn, rho)
-            min_curv = rho if min_curv is None else min(min_curv, rho)
+            # the line search cannot realize the descent it promises
+            hit, rho = _curvature_step(p, rep, rng, budget)
+            if hit is None:
+                # stationary, unless rho is infinite: the budget died
+                # before a Rayleigh quotient came back
+                certified = math.isfinite(rho)
+                return p, FindSospInfo(certified, rep, gn,
+                                       rho if certified else None)
             kind = "negative-curvature"
             seen = {"grad_norm": gn, "min_curvature": rho}
-            scale = max(2.0 * abs(rho), 1e-3)
-            for signed in (direction, -1.0 * direction):
-                cand = _line_search(p, signed, rep.f, budget,
-                                    init_step=scale, max_backtracks=25)
-                if cand is not None and (hit is None
-                                         or cand[1].f < hit[1].f):
-                    hit = cand
-            if hit is None:
-                # curvature below -TAU2/2 that no step can realize at this
-                # floating-point scale: accept the point as stationary
-                return p, FindSospInfo(True, rep, gn, rho)
             recent.clear()
         prev_f = rep.f
         p, rep, step = hit
@@ -693,13 +722,23 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
                          improvement=best.improvement,
                          grad_norm=info.grad_norm,
                          min_curvature=info.min_curvature)
-            if rep.f <= config.epsilon:
-                status = "converged"
         elif info.converged:
             status = "no_direction"
-        elif ev.exhausted:
-            status = "budget"
-        # otherwise: descent had not finished, go around again
+        else:
+            # a first-order stop that no escape step leaves: only now probe
+            # the curvature, at the same point and from the same report
+            hit, rho = _curvature_step(p, rep, rng_sosp, ev)
+            if hit is None:
+                status = "no_direction" if math.isfinite(rho) else "budget"
+            else:
+                prev_f = rep.f
+                p, rep, step = hit
+                trace.append(f=rep.f, L=rep.L, R=rep.R,
+                             step_kind="negative-curvature", step_size=step,
+                             improvement=prev_f - rep.f,
+                             grad_norm=info.grad_norm, min_curvature=rho)
+        if status is None and rep.f <= config.epsilon:
+            status = "converged"
 
     return RunResult(point=p, trace=trace, status=status, f=rep.f, L=rep.L,
                      R=rep.R, grad_evals=ev.used,

@@ -274,6 +274,20 @@ def test_delta_grid_shape_and_centers():
         delta_grid(0.1, 1)
 
 
+def test_delta_grid_is_computed_once_and_read_only():
+    # a run asks for the same two grids in every escape round; each is
+    # made once, its values those of np.geomspace, and no caller can
+    # change it for the others
+    for n_missing, center in ((2, 0.05**0.25), (3, 0.05**0.125)):
+        g = delta_grid(0.05, n_missing)
+        assert delta_grid(0.05, n_missing) is g
+        assert np.array_equal(g, np.geomspace(center / 100.0,
+                                              center * 100.0, 13))
+        assert not g.flags.writeable
+        with pytest.raises(ValueError):
+            g[0] = 1.0
+
+
 # ---------------------------------------------------------------------------
 # sign flip search
 

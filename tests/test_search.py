@@ -13,8 +13,9 @@ from tuckersearch.escape import (delta_grid, sample_missing_directions,
 from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     eval_along, grad, grad_loss, hvp,
                                     objective, save_point)
-from tuckersearch.search import (SAMPLED_BLOCKS, TAU1, TAU2, Evaluator,
-                                 NonFiniteError, SearchConfig, SearchTrace,
+from tuckersearch.search import (LANCZOS_STEPS, SAMPLED_BLOCKS, TAU1, TAU2,
+                                 Evaluator, NonFiniteError, SearchConfig,
+                                 SearchTrace, _curvature_step,
                                  _negative_curvature, run, samples_per_block)
 from tuckersearch.subspace import subspace_split
 from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
@@ -58,20 +59,31 @@ def test_find_sosp_descends_to_tolerance_near_optimum():
     p0 = truth + 0.01 * random_point(2, 3, rng)
     f0 = objective(p0, T).f
     p, info = find_sosp(p0, T, budget=20_000, seed=0)
-    assert info.converged
+    # a small gradient ends the descent uncertified; the curvature probe
+    # that `run` takes there when no escape step gains finds nothing
+    assert not info.converged and info.min_curvature is None
     assert info.report.f <= f0 + 1e-15
+    assert info.grad_norm <= TAU1
     assert grad(objective(p, T)).norm() <= 1e-6
+    direction, rho = _negative_curvature(
+        p, np.random.default_rng(0), Evaluator(T, default_lambda(2), 10**9))
+    assert direction is None and rho > -TAU2 / 2.0
 
 
 def test_find_sosp_returns_origin_unchanged():
+    # every derivative vanishes at the origin: the descent returns it after
+    # one gradient, uncertified and without a curvature probe
     T = exact_instance(2, 3, 0)
     p0 = FactorPoint.zeros(2, 3)
-    p, info = find_sosp(p0, T, budget=5_000, seed=0)
+    ev = Evaluator(T, default_lambda(2), 5_000)
+    p, info = search_module._find_sosp(p0, ev, np.random.default_rng(0),
+                                       ev.objective(p0), SearchTrace(seed=0))
     for blk0, blk1 in zip(p0.blocks(), p.blocks()):
         assert np.array_equal(blk0, blk1)
-    assert info.converged
+    assert not info.converged
     assert info.grad_norm == 0.0
-    assert info.min_curvature is not None and info.min_curvature >= -1e-4
+    assert info.min_curvature is None
+    assert ev.used == 1
 
 
 def test_find_sosp_budget_exhaustion_flagged():
@@ -106,22 +118,53 @@ def make_flat_saddle(theta):
 
 
 def test_find_sosp_escapes_constructed_strict_saddle():
+    # the gradient vanishes at the saddle, so the descent stops there at
+    # once; the curvature step `run` takes next, when no escape step
+    # gains, leaves it, and the descent resumed from that step fits T
     theta = 0.3
     p, T = make_flat_saddle(theta)
     assert grad(objective(p, T)).norm() <= 1e-12
     f0 = objective(p, T).f
     assert math.isclose(f0, theta**2, rel_tol=1e-12)
-    q, info = find_sosp(p, T, budget=1_500, seed=0)
+    ev = Evaluator(T, default_lambda(3), 1_500)
+    rng = np.random.default_rng(0)
+    trace = SearchTrace(seed=0)
+    q, info = search_module._find_sosp(p, ev, rng, ev.objective(p), trace)
+    assert q is p and not info.converged and ev.used == 1
+    hit, rho = _curvature_step(q, info.report, rng, ev)
+    assert hit is not None and rho <= -TAU2 / 2.0
+    assert hit[1].f < f0
+    q, info = search_module._find_sosp(hit[0], ev, rng, hit[1], trace)
     assert info.report.f < 1e-4
     assert info.report.f < f0
 
 
-def test_find_sosp_curvature_probe_cut_short_is_not_converged():
-    # the saddle has curvature at most -2 theta; the Lanczos probe needs 8
-    # products (16 evaluations) after the first gradient, and a budget of 12
-    # stops it after 5: the descent must not claim a stationary point
+def test_find_sosp_curvature_probe_cut_short_is_not_converged(
+        monkeypatch):
+    # a failed line search probes the curvature inside the descent.  Near
+    # the saddle the probe finds its negative curvature in 8 products (16
+    # evaluations); with every gradient line search made to fail, it
+    # follows the first gradient, and a budget of 12 stops it after 5: the
+    # descent must not claim a stationary point
     p, T = make_flat_saddle(0.3)
-    _, info = find_sosp(p, T, budget=12, seed=0)
+    p = p + 1e-3 * random_point(3, 3, np.random.default_rng(1))
+    ev = Evaluator(T, default_lambda(3), 10**6)
+    direction, _ = _negative_curvature(p, np.random.default_rng(0), ev)
+    assert direction is not None and ev.used == 16
+    line_search = search_module._line_search
+
+    def failing(*args, slope=None, **kwargs):
+        if slope is not None:
+            return None
+        return line_search(*args, **kwargs)
+
+    monkeypatch.setattr(search_module, "_line_search", failing)
+    ev = Evaluator(T, default_lambda(3), 12)
+    rep = ev.objective(p)
+    _, info = search_module._find_sosp(p, ev, np.random.default_rng(0), rep,
+                                       SearchTrace(seed=0), epsilon=1e-4)
+    assert ev.used == 11
+    assert info.report is rep
     assert not info.converged
     assert info.min_curvature is None
 
@@ -332,20 +375,22 @@ def test_plateau_descent_hands_off_to_escape(monkeypatch):
     def recording(p, budget, *args, **kwargs):
         start = budget.used
         out = find(p, budget, *args, **kwargs)
-        descents.append((budget.used - start, out[1]))
+        descents.append((budget.used - start, budget.exhausted, out[1]))
         return out
 
     monkeypatch.setattr(search_module, "_find_sosp", recording)
     line_searches = record_gradient_line_searches(monkeypatch)
     res = run(desk_instance(2, 8, 0), SearchConfig(r=2, seed=0))
     assert res.status == "converged"
-    # with every gradient line search succeeding, a stationary verdict
-    # above TAU1 is the progress hand-off
+    # with every gradient line search succeeding, an uncertified stop
+    # above TAU1 and above epsilon, with budget left, is the progress
+    # hand-off
     assert all(step is not None for *_, step in line_searches)
-    handed_off = [spent for spent, info in descents
-                  if info.converged and info.grad_norm > TAU1]
+    handed_off = [spent for spent, exhausted, info in descents
+                  if not (info.converged or exhausted)
+                  and info.report.f > 1e-4 and info.grad_norm > TAU1]
     assert handed_off
-    assert max(spent for spent, _ in descents) <= 1_000
+    assert max(spent for spent, *_ in descents) <= 1_000
 
 
 def test_rebalance_evaluates_only_the_accepted_move(monkeypatch):
@@ -535,29 +580,33 @@ def test_run_stops_descending_at_epsilon():
 
 def test_desk_grid_gradient_evaluation_count():
     # a guard on the descent policy: the desk grid, (r, d) in (2, 8),
-    # (3, 16), (4, 24) x seeds 0-2, takes 812 gradient evaluations with
-    # BLAS at one thread, 828 at two.  L-BFGS from the scalar
-    # H0 = (s.y / y.y) I takes 1,579; with a 50-step stall window it took
-    # 2,183, steepest descent with Barzilai-Borwein steps 4,965, and a
-    # descent that ends only on a small gradient or a fixed cap of 3,000
-    # 38,844, so the bound catches a return to any of them.  For a given
-    # BLAS build and thread count the count repeats exactly
+    # (3, 16), (4, 24) x seeds 0-2, takes 650 gradient evaluations with
+    # BLAS at one thread, 666 at two, and 812 when every first-order stop
+    # probes the curvature before its escape round.  L-BFGS from the
+    # scalar H0 = (s.y / y.y) I takes 1,567 (and one run ends
+    # no_direction), so the bound catches it; a 50-step stall window takes
+    # 720, which the noisy desk guard catches.  Before the escape round
+    # went first, steepest descent with Barzilai-Borwein steps took 4,965
+    # and a descent that ends only on a small gradient or a fixed cap of
+    # 3,000 38,844.  For a given BLAS build and thread count the count
+    # repeats exactly
     total = 0
     for r, d in ((2, 8), (3, 16), (4, 24)):
         for seed in range(3):
             res = run(desk_instance(r, d, seed), SearchConfig(r=r, seed=seed))
             assert res.status == "converged"
             total += res.grad_evals
-    assert total <= 1_300
+    assert total <= 1_000
 
 
 def test_noisy_desk_grid_gradient_evaluation_count():
     # a guard on the stall window: with noise of norm 5e-2 every desk
     # target ends no_direction on a plateau near the noise floor, where
-    # only the window ends the descent.  The grid takes 1,622 gradient
-    # evaluations with BLAS at one thread (1,663 at two) with a 5-step
-    # window, 1,856 with 10 and 2,239 with 50, and 2,877 from the scalar
-    # H0 = (s.y / y.y) I
+    # only the window ends the descent.  The grid takes 1,395 gradient
+    # evaluations with BLAS at one thread (1,428 at two) with a 5-step
+    # window, 1,549 with 10 and 2,054 with 50, and 2,719 from the scalar
+    # H0 = (s.y / y.y) I; probing every first-order stop before its escape
+    # round took 1,622
     total = 0
     for r, d in ((2, 8), (3, 16), (4, 24)):
         for seed in range(3):
@@ -620,7 +669,9 @@ def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
 def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
     # the sign search predicts a gain of 1e-9 for a step that raises f:
     # the run keeps its point and ends the round as if nothing had gained
-    # enough, here at the stationary origin with status no_direction
+    # enough.  At the origin, where the descent stops after one gradient,
+    # that leaves the curvature probe, whose one product finds H flat:
+    # status no_direction after 3 evaluations, with no second gradient
     from tuckersearch.escape import SignSearchResult
     rng = np.random.default_rng(5)
     worse = random_point(2, 4, rng, scale=2.0)
@@ -640,6 +691,7 @@ def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
     T = exact_instance(1, 4, 0)
     res = run(T, SearchConfig(r=2, seed=0))
     assert res.status == "no_direction" and res.rounds == 1
+    assert res.grad_evals == 3
     assert [rec.step_kind for rec in res.trace.records] == ["init"]
     assert res.point.norm() == 0.0 and res.f == evaluated[0]
     # the refused step was evaluated, and it would have raised f
@@ -730,18 +782,127 @@ def test_run_escapes_a_single_missing_mode(monkeypatch, theta):
                                     for rec in res.trace.records}
 
 
+def record_round_events(monkeypatch):
+    """Log, in order, each gradient, Hessian-vector product, escape round,
+    curvature probe and first-order stop (a small gradient or a stall) of
+    the runs that follow, with the point it is at, and each accepted
+    step's kind."""
+    events = []
+
+    def logging(name, fn, at=lambda *args: args[0].flat.tobytes()):
+        def wrapped(*args, **kwargs):
+            events.append((name, at(*args)))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(search_module, "grad", logging(
+        "grad", grad, lambda rep: rep.point.flat.tobytes()))
+    monkeypatch.setattr(search_module, "hvp", logging("hvp", hvp))
+    monkeypatch.setattr(search_module, "subspace_split",
+                        logging("escape", subspace_split))
+    monkeypatch.setattr(search_module, "_negative_curvature",
+                        logging("probe", _negative_curvature))
+    find = search_module._find_sosp
+
+    def finding(p, budget, *args, **kwargs):
+        out = find(p, budget, *args, **kwargs)
+        info = out[1]
+        if not (info.converged or budget.exhausted
+                or info.report.f <= kwargs.get("epsilon", -math.inf)):
+            stop = "stall" if info.grad_norm > TAU1 else "small gradient"
+            events.append((stop, out[0].flat.tobytes()))
+        return out
+
+    monkeypatch.setattr(search_module, "_find_sosp", finding)
+    append = SearchTrace.append
+
+    def appending(self, *args, step_kind, **kwargs):
+        events.append(("step", step_kind))
+        return append(self, *args, step_kind=step_kind, **kwargs)
+
+    monkeypatch.setattr(SearchTrace, "append", appending)
+    return events
+
+
+def test_zero_start_takes_no_hvp_before_its_first_escape_step(monkeypatch):
+    # every derivative vanishes at the zero start: one gradient shows it,
+    # and the escape round, which charges nothing, moves off the origin
+    # before any curvature probe is paid for
+    events = record_round_events(monkeypatch)
+    for T, r in ((exact_instance(1, 8, 0), 2), (desk_instance(2, 8, 0), 2),
+                 (desk_instance(3, 16, 1), 3)):
+        events.clear()
+        res = run(T, SearchConfig(r=r, seed=0))
+        assert res.status == "converged"
+        first = next(i for i, (name, kind) in enumerate(events)
+                     if name == "step" and kind.startswith("sampled"))
+        assert [name for name, _ in events[:first]] == [
+            "step", "grad", "small gradient", "escape"]
+
+
+def test_stall_whose_escape_succeeds_takes_no_probe(monkeypatch):
+    # the plateau of test_plateau_descent_hands_off_to_escape: the stall
+    # hands its point to the escape round, whose step is taken, and no
+    # curvature probe runs there
+    events = record_round_events(monkeypatch)
+    res = run(desk_instance(2, 8, 0), SearchConfig(r=2, seed=0))
+    assert res.status == "converged"
+    stalls = [i for i, (name, _) in enumerate(events) if name == "stall"]
+    assert len(stalls) == 1
+    stall = stalls[0]
+    assert [name for name, _ in events[stall:stall + 3]] == [
+        "stall", "escape", "step"]
+    assert events[stall + 2][1].startswith("sampled")
+    assert "probe" not in {name for name, _ in events}
+
+
+@pytest.mark.parametrize("case", ["noisy", "saddle"])
+def test_failed_escape_probes_its_point_once(monkeypatch, case):
+    # when no escape step is taken at a first-order stop, the curvature
+    # probe runs at that point, from its report: no point takes a second
+    # gradient or a second escape round.  The noisy desk target ends on a
+    # flat probe (no_direction); at the saddle the probe's negative
+    # curvature step resumes the descent (converged).  Neither run has a
+    # failed line search, so every probe follows an escape round
+    if case == "noisy":
+        events = record_round_events(monkeypatch)
+        res = run(noisy_desk_instance(2, 8, 0, 5e-2),
+                  SearchConfig(r=2, seed=0))
+        assert res.status == "no_direction"
+    else:
+        p, T = make_flat_saddle(0.3)
+        monkeypatch.setattr(search_module, "hosvd", lambda T, r: p)
+        events = record_round_events(monkeypatch)
+        res = run(T, SearchConfig(r=3, seed=0, init="hosvd"))
+        assert res.status == "converged"
+        assert res.trace.records[1].step_kind == "negative-curvature"
+    for name in ("grad", "escape"):
+        at = [point for kind, point in events if kind == name]
+        assert len(at) == len(set(at)), name
+    probes = [i for i, (name, _) in enumerate(events) if name == "probe"]
+    assert probes
+    for i in probes:
+        point = events[i][1]
+        before = [e for e in events[:i] if e[0] != "hvp"][-3:]
+        assert [e[1] for e in before] == [point] * 3
+        assert [e[0] for e in before] in (["grad", "stall", "escape"],
+                                          ["grad", "small gradient",
+                                           "escape"])
+
+
 def test_scale_table_gradient_evaluation_count():
     # the desk shapes' seed-0 targets at norms 1 to 1e3 all converge, in
-    # 1,485 gradient evaluations together with BLAS at one thread (1,495
-    # at two; 2,020 from the scalar H0); the preconditioner's damping is a
-    # fraction of each block's trace, so it scales with the target
+    # 1,161 gradient evaluations together with BLAS at one thread (1,193
+    # at two; 2,156 from the scalar H0; 1,485 when every first-order stop
+    # probed first); the preconditioner's damping is a fraction of each
+    # block's trace, so it scales with the target
     total = 0
     for r, d in ((2, 8), (3, 16), (4, 24)):
         for scale in (1.0, 10.0, 1e2, 1e3):
             res = run(scale * desk_instance(r, d, 0), SearchConfig(r=r))
             assert res.status == "converged"
             total += res.grad_evals
-    assert total <= 1_800
+    assert total <= 1_500
 
 
 START_SHAPES = ((1, 3), (2, 4), (2, 6), (3, 5), (4, 6))
@@ -750,12 +911,12 @@ START_INITS = ("zero", "hosvd", "random:1e-3", "random:0.5", "random:10")
 
 def test_start_set_gradient_evaluation_count():
     # a guard beyond the zero start: five shapes x five inits x seeds 0-2
-    # of the exact targets, at the default lambda, all converge, in 3,327
-    # gradient evaluations together with BLAS at one thread (zero 1,043,
-    # hosvd 33, random:1e-3 668, random:0.5 548, random:10 1,035).  L-BFGS
-    # from the scalar H0 = (s.y / y.y) I takes 5,801, which the bound
-    # catches; dropping gamma from H0 = gamma P^-1 takes 3,590 (+8%),
-    # which it does not
+    # of the exact targets, at the default lambda, all converge, in 2,997
+    # gradient evaluations together with BLAS at one thread (zero 743,
+    # hosvd 33, random:1e-3 638, random:0.5 548, random:10 1,035; 3,327
+    # when every first-order stop probed first).  L-BFGS from the scalar
+    # H0 = (s.y / y.y) I takes 4,784, which the bound catches; dropping
+    # gamma from H0 = gamma P^-1 takes 3,085 (+3%), which it does not
     total = 0
     for r, d in START_SHAPES:
         for init in START_INITS:
@@ -765,7 +926,7 @@ def test_start_set_gradient_evaluation_count():
                                        init=init))
                 assert res.status == "converged", (r, d, init, seed)
                 total += res.grad_evals
-    assert total <= 4_400
+    assert total <= 4_000
 
 
 def test_run_hosvd_start_keeps_fit_while_balancing():
@@ -869,15 +1030,36 @@ def test_run_budget_status():
     assert res.rounds <= res.grad_evals
 
 
-def test_run_never_spends_past_its_budget():
+def test_run_never_spends_past_its_budget(monkeypatch):
     # the curvature probes cost two evaluations each and start only when
-    # the budget can pay for them
-    T = exact_instance(2, 8, 0)
-    # the run converges after 76 evaluations; at 30, 41 and 52 the budget
-    # stops a curvature probe that starts at 29 and takes 24 in full
-    for budget in (1, 2, 3, 5, 10, 30, 41, 52, 60, 75):
+    # the budget can pay for them.  The budgets come from a reference run
+    # on a noisy desk target: it ends no_direction after a full 12-product
+    # probe (from 107 to 131 evaluations), and every budget short of its
+    # total, inside or at the edges of a probe, ends the run at the budget
+    spans = []
+    probe = search_module._negative_curvature
+
+    def recording(p, rng, ev):
+        start = ev.used
+        out = probe(p, rng, ev)
+        spans.append((start, ev.used))
+        return out
+
+    monkeypatch.setattr(search_module, "_negative_curvature", recording)
+    T = noisy_desk_instance(2, 8, 0, 5e-2)
+    reference = run(T, SearchConfig(r=2, seed=0))
+    assert reference.status == "no_direction"
+    total = reference.grad_evals
+    assert spans and spans[-1][1] == total
+    assert max(end - start for start, end in spans) == 2 * LANCZOS_STEPS
+    budgets = {1, 2, 3, total // 3, 2 * total // 3, total - 1}
+    for start, end in spans:
+        budgets |= {start + 1, start + 2, start + 3, (start + end) // 2,
+                    end - 1}
+    assert len(budgets) >= 10
+    for budget in sorted(budgets):
         res = run(T, SearchConfig(r=2, seed=0, budget=budget))
-        assert res.status == "budget"
+        assert res.status == "budget", budget
         assert res.grad_evals <= budget
 
 
@@ -958,28 +1140,33 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
     monkeypatch.setattr(search_module, "hvp", charging(hvp, 2))
     monkeypatch.setattr(search_module, "_rebalance_once",
                         charging(search_module._rebalance_once, 1))
-    # a rank-1 target at r=2 needs descent, curvature probes and sampled
-    # escapes from the origin; a rank-2 one also reaches a round with a
-    # large part, whose labels with an index 1 are drawn and scored
-    for rank in (1, 2):
+    # a rank-1 target at r=2 needs descent and sampled escapes from the
+    # origin; a rank-2 one also reaches a round with a large part, whose
+    # labels with an index 1 are drawn and scored; the noisy desk target
+    # ends on a curvature probe after an escape round finds nothing
+    costs = set()
+    for T, status in ((exact_instance(1, 4, 0), "converged"),
+                      (exact_instance(2, 4, 0), "converged"),
+                      (noisy_desk_instance(2, 8, 0, 5e-2), "no_direction")):
         calls.clear()
         search_points.clear()
         grad_calls.clear()
         baselines.clear()
-        res = run(exact_instance(rank, 4, 0), SearchConfig(r=2, seed=0))
-        assert res.status == "converged" and res.rounds >= 2
+        res = run(T, SearchConfig(r=2, seed=0))
+        assert res.status == status and res.rounds >= 2
         assert res.objective_evals == len(calls)
         # every sign search takes f at the round's point from its report,
         # so none evaluates a baseline of its own
         assert baselines == []
         assert res.grad_evals == sum(grad_calls)
-        assert 2 in grad_calls
+        costs.update(grad_calls)
         assert res.rounds <= res.grad_evals
         # run hands each evaluated point's report on instead of
         # evaluating it again
         repeats = sum(a == b
                       for a, b in zip(search_points, search_points[1:]))
         assert repeats == 0
+    assert costs == {1, 2}
     assert any(1 in ijk for ijk in labels)
 
 
