@@ -55,11 +55,16 @@ def _core_grams(S: np.ndarray) -> np.ndarray:
     return F @ F.transpose(0, 2, 1)
 
 
+def _factor_grams(p: FactorPoint) -> np.ndarray:
+    """M M^T for each factor of p, as a (3, r, r) array."""
+    M = p.factors
+    return M @ M.transpose(0, 2, 1)
+
+
 def _gram_gaps(p: FactorPoint) -> np.ndarray:
     """M M^T - S_(m) S_(m)^T for each mode, stacked into a (3, r, r) array
     of symmetric matrices."""
-    M = p.factors
-    return M @ M.transpose(0, 2, 1) - _core_grams(p.S)
+    return _factor_grams(p) - _core_grams(p.S)
 
 
 def _phi(gaps: np.ndarray) -> float:
@@ -83,8 +88,9 @@ class ObjectiveReport:
 
     It also keeps what the evaluation formed, so that the gradient and the
     sign search at the point start from it: the point, the fit stages
-    (S x3 C, S(I, B, C) and the residual D, as `_fit` returns them) and
-    the Gram gaps.  These take no part in comparison or repr."""
+    (S x3 C, S(I, B, C) and the residual D, as `_fit` returns them), the
+    factor Grams M M^T and the Gram gaps.  These take no part in
+    comparison or repr."""
     f: float
     L: float
     R: float
@@ -92,6 +98,7 @@ class ObjectiveReport:
     lam: float
     point: FactorPoint = field(compare=False, repr=False)
     stages: tuple = field(compare=False, repr=False)
+    grams: np.ndarray = field(compare=False, repr=False)
     gaps: np.ndarray = field(compare=False, repr=False)
 
 
@@ -102,15 +109,16 @@ def objective(p: FactorPoint, T: np.ndarray, lam: float | None = None) -> Object
     stages = _fit(p, _check_target(p, T))
     D = stages[2].ravel()
     L = float(D @ D)
-    gaps = _gram_gaps(p)
+    grams = _factor_grams(p)
+    gaps = grams - _core_grams(p.S)
     phi = _phi(gaps)
     R = phi * phi
     # the instance dict is filled directly: the frozen dataclass's
-    # __init__ sets each of its eight fields through object.__setattr__,
+    # __init__ sets each of its nine fields through object.__setattr__,
     # which costs more than the rest of a small evaluation's bookkeeping
     rep = object.__new__(ObjectiveReport)
     vars(rep).update(f=L + lam * R, L=L, R=R, phi=phi, lam=lam, point=p,
-                     stages=stages, gaps=gaps)
+                     stages=stages, grams=grams, gaps=gaps)
     return rep
 
 

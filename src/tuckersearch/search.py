@@ -333,9 +333,8 @@ def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
         return None
     eta = 1.0 / (1.0 + scale)
     w, V = np.linalg.eigh(gaps)
-    grams = p.factors @ p.factors.transpose(0, 2, 1)
     for _ in range(12):
-        phi, shrink, core = _apply_balance(p, eta, w, V, grams)
+        phi, shrink, core = _apply_balance(p, eta, w, V, rep.grams)
         fc = rep.L + ev.lam * (phi * phi)
         if math.isfinite(fc) and fc < f0 - 1e-12 * (1.0 + abs(f0)):
             cand = p._like(np.concatenate((core.ravel(),
@@ -410,11 +409,12 @@ def _negative_curvature(p: FactorPoint, rng: np.random.Generator,
     return p._like(v / np.linalg.norm(v)), theta
 
 
-def _gn_inverse(p: FactorPoint):
-    """Inverses of the damped Gauss-Newton blocks of the fitting term at p,
-    as a (6, r, r) stack: W_A, W_B, W_C, then G_A, G_B, G_C.
+def _gn_inverse(rep: ObjectiveReport):
+    """Inverses of the damped Gauss-Newton blocks of the fitting term at the
+    point of the report rep, as a (6, r, r) stack: W_A, W_B, W_C, then
+    G_A, G_B, G_C.
 
-    G_m = M M^T is a factor's Gram matrix and W_m = S_(m) (G_k kron G_l)
+    G_m = M M^T is a factor's Gram matrix, which the report keeps, and W_m = S_(m) (G_k kron G_l)
     S_(m)^T, with k and l the other two modes, is the Gram matrix of the
     transform's mode-m unfolding without M.  The fitting term's
     Gauss-Newton matrix is 2 (W_m kron I_d) on factor m and
@@ -422,10 +422,11 @@ def _gn_inverse(p: FactorPoint):
     its mean eigenvalue, tr / r, on its diagonal, plus 1e-12 of the
     largest such mean, which keeps a zero block invertible.  None when
     every block is zero, as at a point whose factors are all zero."""
+    p = rep.point
     S, r = p.S, p.r
     blocks = np.empty((6, r, r))
-    G = np.matmul(p.factors, p.factors.transpose(0, 2, 1), out=blocks[3:])
-    GA, GB, GC = G
+    blocks[3:] = rep.grams
+    GA, GB, GC = rep.grams
     # Z_(m) is the mode-m unfolding of S times the other two Grams, so
     # W_m = S_(m) Z_(m)^T; the core and its unfoldings are r x r^2
     SC = (S.reshape(r * r, r) @ GC).reshape(r, r, r)
@@ -459,12 +460,13 @@ def _gn_apply(inv: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.concatenate((core.reshape(k, n), mats.reshape(k, -1)), axis=1)
 
 
-def _lbfgs_direction(p: FactorPoint, g: FactorPoint, pairs):
-    """The L-BFGS direction -H g at p by the two-loop recursion over the
-    (s, y, s.y) pairs, oldest first, from H0 = gamma P^-1.
+def _lbfgs_direction(rep: ObjectiveReport, g: FactorPoint, pairs):
+    """The L-BFGS direction -H g at the point of the report rep by the
+    two-loop recursion over the (s, y, s.y) pairs, oldest first, from
+    H0 = gamma P^-1.
 
     P is the damped block-diagonal Gauss-Newton matrix of the fitting term
-    at p (see `_gn_inverse`; the regularizer's curvature is left out), so
+    at that point (see `_gn_inverse`; the regularizer's curvature is left out), so
     each factor and the core get a step scaled to their own curvature;
     gamma = s.y / (y.P^-1 y) of the newest pair sets the overall length.
     The blocks are built and inverted once per call and applied to y and
@@ -474,7 +476,7 @@ def _lbfgs_direction(p: FactorPoint, g: FactorPoint, pairs):
     zero, or where -H g is not a descent direction."""
     if not pairs:
         return None
-    inv = _gn_inverse(p)
+    inv = _gn_inverse(rep)
     if inv is None:
         return None
     q = g.flat.copy()
@@ -586,7 +588,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
                        and recent[0] - recent[-1] <= STALL_TOL * recent[-1])
             if gn <= TAU1 or stalled:
                 return p, FindSospInfo(False, rep, gn, None)
-            direction = _lbfgs_direction(p, g, pairs)
+            direction = _lbfgs_direction(rep, g, pairs)
             if direction is not None:
                 hit = _line_search(p, direction, rep.f, budget,
                                    slope=-g.inner(direction))

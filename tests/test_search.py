@@ -238,6 +238,12 @@ def dense_inverse_bfgs(pairs, Pinv):
     return H
 
 
+def report_at(p):
+    """An objective report at p; the preconditioner reads only the point and
+    its factor Grams, so the target does not matter."""
+    return objective(p, np.zeros((p.d,) * 3))
+
+
 def test_lbfgs_direction_matches_dense_inverse_bfgs():
     rng = np.random.default_rng(3)
     for r, d in ((2, 3), (3, 4)):
@@ -253,11 +259,11 @@ def test_lbfgs_direction_matches_dense_inverse_bfgs():
             y = curvature @ s
             pairs.append((s, y))
             direction = search_module._lbfgs_direction(
-                p, g, [(s, y, float(s @ y)) for s, y in pairs])
+                report_at(p), g, [(s, y, float(s @ y)) for s, y in pairs])
             want = -dense_inverse_bfgs(pairs, Pinv) @ g.flat
             assert np.linalg.norm(direction.flat - want) <= (
                 1e-10 * np.linalg.norm(want))
-        assert search_module._lbfgs_direction(p, g, []) is None
+        assert search_module._lbfgs_direction(report_at(p), g, []) is None
 
 
 def test_gauss_newton_blocks_match_the_hessian_at_an_exact_fit():
@@ -285,13 +291,14 @@ def test_gauss_newton_blocks_match_the_hessian_at_an_exact_fit():
         Pinv = dense_preconditioner_inverse(
             p, blocks + gauss_newton_blocks(p)[3:])
         v = rng.standard_normal((2, p.flat.size))
-        got = search_module._gn_apply(search_module._gn_inverse(p), v)
+        got = search_module._gn_apply(search_module._gn_inverse(report_at(p)),
+                                      v)
         assert np.abs(got - v @ Pinv.T).max() <= 1e-9 * np.abs(got).max()
         s = rng.standard_normal(p.flat.size)
         y = H @ s
         g = random_point(r, d, rng)
         direction = search_module._lbfgs_direction(
-            p, g, [(s, y, float(s @ y))])
+            report_at(p), g, [(s, y, float(s @ y))])
         want = -dense_inverse_bfgs([(s, y)], Pinv) @ g.flat
         assert np.linalg.norm(direction.flat - want) <= (
             1e-9 * np.linalg.norm(want))
@@ -336,9 +343,9 @@ def test_gradient_line_search_falls_back_where_curvature_is_negative(
     received = []
     lbfgs_direction = search_module._lbfgs_direction
 
-    def recording(p, g, pairs):
+    def recording(rep, g, pairs):
         received.append(list(pairs))
-        return lbfgs_direction(p, g, pairs)
+        return lbfgs_direction(rep, g, pairs)
 
     monkeypatch.setattr(search_module, "_lbfgs_direction", recording)
     eps = 0.01
