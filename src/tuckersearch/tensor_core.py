@@ -257,11 +257,13 @@ def _validate_payload(dims, data) -> np.ndarray:
 
 def save_tensor_json(path, X: np.ndarray, meta: dict | None = None) -> None:
     X = np.ascontiguousarray(X, dtype=float)
-    doc = {"dims": list(X.shape), "data": [float(x) for x in X.ravel()]}
+    doc = {"dims": list(X.shape), "data": X.ravel().tolist()}
     if meta is not None:
         doc["meta"] = meta
+    # json.dumps runs the C encoder; json.dump to a file runs the pure
+    # Python one, for the same bytes
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True)
+        fh.write(json.dumps(doc, sort_keys=True))
         fh.write("\n")
 
 

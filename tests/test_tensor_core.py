@@ -269,6 +269,30 @@ def test_tensor_json_round_trip(tmp_path):
     assert doc["meta"] == {"note": "test"}
 
 
+def test_tensor_json_bytes_match_the_streaming_encoder(tmp_path):
+    # the file is written with the C encoder of json.dumps; the bytes are
+    # those json.dump, the pure Python encoder, writes: negative zeros,
+    # subnormals, extreme magnitudes and the meta object included
+    rng = np.random.default_rng(59)
+    X = rng.standard_normal((3, 4, 5))
+    X.flat[:8] = (-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e-310,
+                  1.7976931348623157e308, -1e300, 0.1)
+    meta = {"r": 2, "note": "t\u00e9st", "noise": 1e-2, "exact": False,
+            "nested": {"b": [1, None], "a": -0.0}}
+    path = tmp_path / "t.json"
+    save_tensor_json(path, X, meta)
+    reference = tmp_path / "ref.json"
+    with open(reference, "w") as fh:
+        json.dump({"dims": list(X.shape),
+                   "data": [float(x) for x in X.ravel()], "meta": meta},
+                  fh, sort_keys=True)
+        fh.write("\n")
+    assert path.read_bytes() == reference.read_bytes()
+    assert "-0.0, 0.0, 5e-324" in path.read_text()
+    np.testing.assert_array_equal(load_tensor(path), X)
+    assert np.signbit(load_tensor(path).flat[0])
+
+
 def test_tensor_json_rejects_wrong_length(tmp_path):
     path = tmp_path / "bad.json"
     with open(path, "w") as fh:
