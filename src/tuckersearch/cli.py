@@ -262,10 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "plus out; explicit flags take precedence")
     dp.add_argument("--rank", dest="r", type=int, metavar="RANK")
     dp.add_argument("--lambda", dest="lam", type=float)
-    dp.add_argument("--epsilon", type=float)
+    dp.add_argument("--epsilon", type=float,
+                    help="relative target: converged when f <= epsilon "
+                    "|T|^2")
     dp.add_argument("--seed", type=int)
     dp.add_argument("--budget", type=int)
-    dp.add_argument("--init", help="zero | hosvd | random:<scale>")
+    dp.add_argument("--init", help="zero | hosvd | random:<scale>, the "
+                    "scale relative to the unit-norm target")
     dp.add_argument("--out", help="output path prefix")
     dp.add_argument("--restarts", type=int, default=1,
                     help="independent runs with per-restart seeds")

@@ -37,19 +37,26 @@ from the left, and the core's is G_A kron G_B kron G_C, applied as three
 mode products.  Each of the six r x r blocks is damped by GN_DAMPING
 times its trace / r, and gamma = s.y / (y.P^-1 y) of the newest pair.
 Each factor and the core thus take a step scaled to their own curvature
-rather than one scalar step for all.  The damping was chosen from this
-sweep (mean gradient evaluations over the 36 perfbench `grid` cells of
-seeds 51-53, and the totals of the desk grid and of acceptance criterion
-05; BLAS at one thread), taken when every first-order stop probed the
-curvature before the escape round and the stall window was 50 steps:
+rather than one scalar step for all.  The damping was chosen from a sweep
+taken when every first-order stop probed the curvature before the escape
+round and the stall window was 50 steps; re-run on the unit-norm problem
+with the present stage order (mean gradient evaluations over the 36
+perfbench `grid` cells of seeds 51-53, and the totals of the desk grid,
+the desk grid with noise of norm 5e-2, acceptance criterion 05 and the
+scale table; BLAS at one thread):
 
-    GN_DAMPING   1e-3    1e-2   2e-2   3e-2   4e-2   5e-2   0.1    0.3
-    grid mean     902     183    112     95     86     84     97    129
-    desk grid  11,840   2,082  1,273    991    923    974  1,097  1,365
-    crit. 05    7,584   2,202  1,817  1,687  1,733  1,956  2,165  2,420
+    GN_DAMPING     1e-3   1e-2   2e-2   3e-2   4e-2   5e-2    0.1    0.3
+    grid mean       486    149     98     85     78     73     76    109
+    desk grid     3,089  1,208  1,009    714    659    571    668    969
+    desk + noise  3,414  2,237  1,608  1,539  1,307  1,386  1,475  1,859
+    crit. 05      1,337  1,116    964    949  1,012  1,027  1,176  1,497
+    scale table   3,924  1,727  1,380  1,227  1,111    745    875  1,242
 
-against 197, 2,132 and 3,294 from the scalar H0 = (s.y / y.y) I.  Below
-about 2e-2 the count rises steeply; the cause of that cliff is not known.
+against 176, 1,584, 2,943, 1,928 and 2,070 from the scalar
+H0 = (s.y / y.y) I.  Below about 2e-2 the count still rises, though less
+steeply than before the search solved at unit norm (desk grid 11,840 at
+1e-3 then); the cause of that cliff is not known.  5e-2 reads lower on
+three sets and higher on two, so the constant stays.
 
 The algorithm needs the descent only to reach an approximate second-order
 stationary point, and a saddle plateau where the gradient norm sits
@@ -59,19 +66,19 @@ curvature probe does better there than more descent.  STALL_WINDOW = 5
 evaluations over the 36 perfbench `grid` cells of seeds 1-3, the desk
 grid exact and with noise of norm 5e-2, the 75-run start set, the scale
 table and acceptance criterion 05; BLAS at one thread; no status moved
-at any window; re-measured with the escape round ahead of the probe):
+at any window; re-measured on the unit-norm problem):
 
     STALL_WINDOW      1      3      5      8     10     50
-    grid cells    1,716  2,001  2,149  2,228  2,354  2,634
-    desk            553    609    650    660    705    720
-    desk + noise  1,120  1,297  1,395  1,522  1,549  2,054
-    start set     2,938  2,970  2,997  3,041  3,071  3,249
-    scale table     864  1,116  1,161  1,171  1,206  1,345
-    crit. 05        815    948  1,000  1,068  1,139  1,256
+    grid cells    2,181  2,383  2,489  2,672  2,774  3,064
+    desk            516    609    659    661    703    717
+    desk + noise  1,066  1,297  1,307  1,445  1,504  2,029
+    start set     2,934  2,956  2,993  3,051  3,066  3,257
+    scale table     669    962  1,111  1,129  1,133  1,134
+    crit. 05        838    940  1,012  1,080  1,135  1,266
 
 The cost is at the noise floor: the noisy desk runs end no_direction at
-an f up to 6.6e-5 relative above that of a 50-step window with 5 steps,
-and up to 5.0e-4 with 1, which is why the shortest window is not taken.
+an f up to 4.9e-5 relative above that of a 50-step window with 5 steps,
+and up to 2.8e-4 with 1, which is why the shortest window is not taken.
 
 Budget accounting: one `Evaluator` holds the target, lambda and the
 counters, and each of its methods charges its own cost: a gradient 1, a
@@ -79,9 +86,11 @@ Hessian-vector product 2 (a gradient difference), the Gram gaps of a
 rebalance move 1 (the content of the regularizer gradient).  Objective
 values, the sign search's included, are counted but not charged; a
 rebalance trial, scored from its Gram gaps alone, is not counted.  Each
-point is evaluated once: its `ObjectiveReport` keeps the fit stages and
-Gram gaps, and the gradient at the point, every sign search of the
-escape round at it and a curvature step from it start from that report,
+point is evaluated once: its `ObjectiveReport` keeps the fit stages, the
+factor Grams and the Gram gaps, and the gradient at the point, the
+preconditioner of its L-BFGS direction, a rebalance move, every sign
+search of the escape round at it and a curvature step from it start
+from that report,
 so they form neither again and a sign search adds no baseline value to
 the count.  No point takes a second gradient or a second escape round:
 after an escape round finds nothing, the run either steps along
@@ -93,6 +102,20 @@ An escape step is taken on the sign search's predicted gain only if the
 evaluated f does not rise by more than the trace allows; the expansion's
 rounding can exceed a gain near MIN_IMPROVEMENT, and a refused step ends
 the round as if nothing had gained enough.
+
+The search is scale-free.  `run` solves on T / |T| and scales each block
+of the point it returns by c = |T|^(1/4): S(A, B, C) scales by |T|, the
+point stays balanced, and f(c p; T) = |T|^2 f(p; T / |T|) with the same
+lambda.  So every threshold above, the Hessian-vector product's step and
+epsilon apply to the unit-norm problem, and a run converges when
+f <= epsilon |T|^2.  Its starts are drawn for that problem: hosvd is
+taken of T / |T|, and random:<scale> is relative to it.  f, L and R of
+the result, and f, L, R and improvement of each trace record, are in the
+target's units, so the trace and the summary agree; the trace's
+grad_norm, min_curvature and step_size are those of the unit-norm
+problem.  Scaling T by a power of two leaves T / |T| and so the whole
+search unchanged, bit for bit; at |T| = 1.0 every rescaling is a
+multiplication by 1.0.
 """
 from __future__ import annotations
 
@@ -145,9 +168,12 @@ class NonFiniteError(Exception):
 
 @dataclass
 class SearchConfig:
-    """Knobs for one run; the thresholds are the module's constants.  No
-    round limit is needed: every round charges at least one gradient
-    evaluation, so the budget bounds the rounds."""
+    """Knobs for one run; the thresholds are the module's constants.
+    epsilon is relative: a run converges when f <= epsilon |T|^2.  init is
+    zero, hosvd or random:<scale>, the last with entries of standard
+    deviation scale on the unit-norm problem the search solves.  No round
+    limit is needed: every round charges at least one gradient evaluation,
+    so the budget bounds the rounds."""
     r: int
     epsilon: float = 1e-4
     lam: float | None = None
@@ -201,7 +227,10 @@ def _parse_init(spec: str):
 @dataclass
 class TraceRecord:
     """One accepted step.  step_kind is init, gradient, negative-curvature,
-    rebalance or sampled(i,j,k), with ijk a label of SAMPLED_BLOCKS."""
+    rebalance or sampled(i,j,k), with ijk a label of SAMPLED_BLOCKS.  f, L,
+    R and improvement are in the target's units, as in `RunResult`;
+    grad_norm, min_curvature and step_size are those of the unit-norm
+    problem the search solves (see the module docstring)."""
     iteration: int
     f: float
     L: float
@@ -248,6 +277,16 @@ class SearchTrace:
                           improvement=float(improvement), seed=self.seed)
         self.records.append(rec)
         return rec
+
+    def rescale(self, c: float) -> None:
+        """Multiply the f, L, R and improvement of every record by c; a
+        product that is not finite raises NonFiniteError."""
+        for rec in self.records:
+            rec.f, rec.L, rec.R, rec.improvement = values = (
+                rec.f * c, rec.L * c, rec.R * c, rec.improvement * c)
+            if not all(map(math.isfinite, values)):
+                raise NonFiniteError("objective at the target's scale is "
+                                     "not finite")
 
     def to_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -637,10 +676,14 @@ class RunResult:
 
 def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     """Full local search on target T.  Returns the final point, the trace
-    and the termination status: converged (f <= epsilon), no_direction
-    (stationary and nothing improves), or budget.  A target of zero norm
-    is a ValueError: the zero start fits it, so a run would report
-    converged after no work."""
+    and the termination status: converged (f <= epsilon |T|^2),
+    no_direction (stationary and nothing improves), or budget.
+
+    The search runs on T / |T| and scales every block of the point it
+    returns by |T|^(1/4) (see the module docstring).  A target of zero
+    norm is a ValueError: the zero start fits it, so a run would report
+    converged after no work.  A target whose norm, or whose f, L or R in
+    its own units, is not finite raises NonFiniteError."""
     t_start = time.perf_counter()
     config.validate()
     T = np.asarray(T, dtype=float)
@@ -648,12 +691,16 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
         raise ValueError(f"target must be a d x d x d tensor, got {T.shape}")
     if not np.all(np.isfinite(T)):
         raise ValueError("target contains non-finite entries")
-    if np.linalg.norm(T) == 0.0:
-        raise ValueError("target has zero norm; there is nothing to fit")
     d = T.shape[0]
     r = config.r
     if r > d:
         raise ValueError(f"rank {r} exceeds dimension {d}")
+    norm = float(np.linalg.norm(T))
+    if norm == 0.0:
+        raise ValueError("target has zero norm; there is nothing to fit")
+    if not math.isfinite(norm):
+        raise NonFiniteError("target norm is not finite")
+    T = T / norm
     lam = config.lam if config.lam is not None else default_lambda(r)
 
     samples = samples_per_block(config.epsilon)
@@ -742,7 +789,12 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
         if status is None and rep.f <= config.epsilon:
             status = "converged"
 
-    return RunResult(point=p, trace=trace, status=status, f=rep.f, L=rep.L,
-                     R=rep.R, grad_evals=ev.used,
+    # back to the target's units: f, L and R scale by |T|^2.  The last
+    # record is the final point's, so rescale checks these values too
+    units = norm * norm
+    trace.rescale(units)
+    return RunResult(point=norm ** 0.25 * p, trace=trace, status=status,
+                     f=rep.f * units, L=rep.L * units, R=rep.R * units,
+                     grad_evals=ev.used,
                      objective_evals=ev.objective_evals, rounds=rounds,
                      wall_time=time.perf_counter() - t_start)

@@ -128,9 +128,11 @@ def test_criterion_05_desk_scale_convergence():
     elapsed = time.perf_counter() - start
     # the evaluation total guards the descent policy: preconditioned
     # L-BFGS directions with the escape round ahead of the curvature probe
-    # take 1,000 here (1,617 probing first), L-BFGS from a scalar H0 1,857;
-    # with a 50-step stall window, steepest descent from Barzilai-Borwein
-    # steps with a power-iteration probe took 9,195
+    # take 1,012 here with BLAS at one or two threads (1,000 before the
+    # search solved on T / |T|, 1,617 probing first), L-BFGS from a scalar
+    # H0 1,928, a 50-step stall window 1,266; with a 50-step window,
+    # steepest descent from Barzilai-Borwein steps with a power-iteration
+    # probe took 9,195
     _verdict("desk-scale exact recovery",
              hits_tight >= 18 and hits_loose == 20 and total_evals <= 1_500
              and elapsed < 600.0,

@@ -380,15 +380,16 @@ def test_decompose_no_direction_exit_code(tmp_path):
 
 
 def test_decompose_non_finite_run_is_an_input_error(tmp_path, capsys):
-    # entries of 1e200 overflow the objective: the run ends with an
-    # explicit status, not a traceback and the exit code of a failed check
+    # entries of 1e200 overflow the target's norm, and with it the
+    # objective: the run ends with an explicit status before any search,
+    # not a traceback and the exit code of a failed check
     T_path = tmp_path / "huge.json"
     save_tensor_json(T_path, np.full((2, 2, 2), 1e200), {"r": 1})
     with pytest.warns(RuntimeWarning, match="overflow"):
         rc = main(["decompose", str(T_path), "--out", str(tmp_path / "x")])
     assert rc == EXIT_INPUT
-    assert capsys.readouterr().err.startswith("error: objective became "
-                                              "non-finite")
+    assert capsys.readouterr().err.startswith("error: target norm is not "
+                                              "finite")
     assert not (tmp_path / "x.summary.json").exists()
 
 

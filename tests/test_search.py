@@ -585,18 +585,93 @@ def test_run_stops_descending_at_epsilon():
         assert at_target == [len(res.trace.records) - 1]
 
 
+# desk targets, exact and with noise of norm 1e-2, and the start of each
+# scale test
+SCALE_CASES = ((2, 8, 0.0, "zero"), (2, 8, 1e-2, "zero"),
+               (3, 16, 0.0, "zero"), (3, 16, 1e-2, "zero"),
+               (2, 8, 0.0, "hosvd"), (2, 8, 1e-2, "random:0.5"))
+
+
+def relative_error(res, T):
+    return norm_f(res.point.apply() - T) / norm_f(T)
+
+
+@pytest.mark.parametrize("r,d,noise,init", SCALE_CASES)
+def test_run_repeats_exactly_at_power_of_two_scales(r, d, noise, init):
+    # 2^k T / |2^k T| is T / |T| bit for bit, so the search on the unit-norm
+    # problem repeats exactly: the same status and counts, the same step
+    # kinds, sizes, gradient norms and curvatures.  f, L, R and the
+    # improvements are in the target's units, 4^k times the unscaled
+    # run's, also exactly, and the final record agrees with the result
+    T = noisy_desk_instance(r, d, 0, noise)
+    cfg = SearchConfig(r=r, seed=0, init=init)
+    base = run(T, cfg)
+    for k in (-10, -3, 3, 10):
+        res = run(2.0**k * T, cfg)
+        assert (res.status, res.grad_evals, res.objective_evals,
+                res.rounds) == (base.status, base.grad_evals,
+                                base.objective_evals, base.rounds)
+        assert len(res.trace.records) == len(base.trace.records)
+        for got, want in zip(res.trace.records, base.trace.records):
+            assert (got.step_kind, got.step_size, got.grad_norm,
+                    got.min_curvature) == (want.step_kind, want.step_size,
+                                           want.grad_norm, want.min_curvature)
+            assert (got.f, got.L, got.R, got.improvement) == tuple(
+                4.0**k * v for v in (want.f, want.L, want.R,
+                                     want.improvement))
+        last = res.trace.records[-1]
+        assert (res.f, res.L, res.R) == (last.f, last.L, last.R)
+        assert (res.f, res.L, res.R) == (4.0**k * base.f, 4.0**k * base.L,
+                                         4.0**k * base.R)
+        # the point's blocks scale by (2^k |T|)^(1/4), so S(A, B, C) by 2^k
+        moved = res.point.apply() - 2.0**k * base.point.apply()
+        assert norm_f(moved) <= 1e-12 * 2.0**k * norm_f(base.point.apply())
+
+
+@pytest.mark.parametrize("r,d,noise,init", SCALE_CASES[:4])
+def test_run_status_and_accuracy_do_not_depend_on_scale(r, d, noise, init):
+    # a decimal scale rounds T / |T| differently, which moves the counts
+    # (64 to 113 gradient evaluations on the exact (3, 16) target), but
+    # neither the status nor the accuracy:
+    # a converged run has f <= epsilon |T|^2 and so a relative error of at
+    # most epsilon^(1/2) = 1e-2
+    T = noisy_desk_instance(r, d, 0, noise)
+    statuses = set()
+    for scale in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3):
+        res = run(scale * T, SearchConfig(r=r, seed=0, init=init))
+        statuses.add(res.status)
+        if res.status == "converged":
+            assert res.f <= 1e-4 * norm_f(scale * T) ** 2
+            assert relative_error(res, scale * T) <= 1e-2
+    assert len(statuses) == 1
+
+
+def test_small_desk_targets_are_fitted_not_converged_at_the_start():
+    # at norm 1e-2 the zero start's f, |T|^2 = 1e-4, met an absolute
+    # epsilon of 1e-4, and the run reported converged after at most 3
+    # gradient evaluations with a relative error of 1.  Relative to |T|^2
+    # the target is as hard as at norm 1, and the fit is real
+    for r, d in ((2, 8), (3, 16), (4, 24)):
+        for seed in range(3):
+            T = 1e-2 * desk_instance(r, d, seed)
+            res = run(T, SearchConfig(r=r, seed=seed))
+            assert res.status == "converged"
+            assert res.grad_evals > 10 and len(res.trace.records) > 2
+            assert relative_error(res, T) <= 1e-2
+
+
 def test_desk_grid_gradient_evaluation_count():
     # a guard on the descent policy: the desk grid, (r, d) in (2, 8),
-    # (3, 16), (4, 24) x seeds 0-2, takes 650 gradient evaluations with
-    # BLAS at one thread, 666 at two, and 812 when every first-order stop
-    # probes the curvature before its escape round.  L-BFGS from the
-    # scalar H0 = (s.y / y.y) I takes 1,567 (and one run ends
-    # no_direction), so the bound catches it; a 50-step stall window takes
-    # 720, which the noisy desk guard catches.  Before the escape round
-    # went first, steepest descent with Barzilai-Borwein steps took 4,965
-    # and a descent that ends only on a small gradient or a fixed cap of
-    # 3,000 38,844.  For a given BLAS build and thread count the count
-    # repeats exactly
+    # (3, 16), (4, 24) x seeds 0-2, takes 659 gradient evaluations with
+    # BLAS at one thread and 672 at two.  L-BFGS from the scalar
+    # H0 = (s.y / y.y) I takes 1,584, so the bound catches it; a 50-step
+    # stall window takes 717, which the noisy desk guard catches.  Before
+    # the search solved on T / |T| the grid took 650, and 812 when every
+    # first-order stop probed the curvature before its escape round;
+    # before the escape round went first, steepest descent with
+    # Barzilai-Borwein steps took 4,965 and a descent that ends only on a
+    # small gradient or a fixed cap of 3,000 38,844.  For a given BLAS
+    # build and thread count the count repeats exactly
     total = 0
     for r, d in ((2, 8), (3, 16), (4, 24)):
         for seed in range(3):
@@ -608,12 +683,13 @@ def test_desk_grid_gradient_evaluation_count():
 
 def test_noisy_desk_grid_gradient_evaluation_count():
     # a guard on the stall window: with noise of norm 5e-2 every desk
-    # target ends no_direction on a plateau near the noise floor, where
-    # only the window ends the descent.  The grid takes 1,395 gradient
-    # evaluations with BLAS at one thread (1,428 at two) with a 5-step
-    # window, 1,549 with 10 and 2,054 with 50, and 2,719 from the scalar
-    # H0 = (s.y / y.y) I; probing every first-order stop before its escape
-    # round took 1,622
+    # target ends no_direction on a plateau near the noise floor (f from
+    # 2.2e-3 to 2.5e-3, against |N|^2 = 2.5e-3), where only the window
+    # ends the descent.  The grid takes 1,307 gradient evaluations with
+    # BLAS at one thread (1,265 at two) with a 5-step window, 1,504 with
+    # 10 and 2,029 with 50, and 2,943 from the scalar H0 = (s.y / y.y) I.
+    # Before the search solved on T / |T| it took 1,395, and 1,622 when
+    # every first-order stop probed the curvature before its escape round
     total = 0
     for r, d in ((2, 8), (3, 16), (4, 24)):
         for seed in range(3):
@@ -653,7 +729,9 @@ def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
     searches = []
 
     def fresh_grad(rep):
-        return grad(objective(rep.point, targets[-1], rep.lam))
+        # the search evaluates on T / |T|
+        T = targets[-1]
+        return grad(objective(rep.point, T / np.linalg.norm(T), rep.lam))
 
     def dropping(fn, log):
         def wrapped(*args, at=None, **kwargs):
@@ -700,9 +778,12 @@ def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
     assert res.status == "no_direction" and res.rounds == 1
     assert res.grad_evals == 3
     assert [rec.step_kind for rec in res.trace.records] == ["init"]
-    assert res.point.norm() == 0.0 and res.f == evaluated[0]
+    # the search evaluates on T / |T|: the point it kept is the origin, and
+    # its f, in the target's units, is that of the first evaluation
+    assert res.point.norm() == 0.0
+    assert res.f == evaluated[0] * norm_f(T) ** 2
     # the refused step was evaluated, and it would have raised f
-    assert evaluated[-1] > res.f
+    assert evaluated[-1] > evaluated[0]
 
 
 # the step kinds of a run: descent, then the sampled escape labels
@@ -712,8 +793,10 @@ STEP_KINDS = ({"init", "gradient", "negative-curvature", "rebalance"}
 
 def run_from(p, T, monkeypatch):
     """`run` started at the point p, handed over as the hosvd start; every
-    step kind it records is in STEP_KINDS."""
-    monkeypatch.setattr(search_module, "hosvd", lambda T, r: p)
+    step kind it records is in STEP_KINDS.  The search solves on T / |T|,
+    where the point that corresponds to p is p / |T|^(1/4)."""
+    start = norm_f(T) ** -0.25 * p
+    monkeypatch.setattr(search_module, "hosvd", lambda T, r: start)
     res = run(T, SearchConfig(r=p.r, seed=0, init="hosvd"))
     assert {rec.step_kind for rec in res.trace.records} <= STEP_KINDS
     return res
@@ -877,10 +960,8 @@ def test_failed_escape_probes_its_point_once(monkeypatch, case):
                   SearchConfig(r=2, seed=0))
         assert res.status == "no_direction"
     else:
-        p, T = make_flat_saddle(0.3)
-        monkeypatch.setattr(search_module, "hosvd", lambda T, r: p)
         events = record_round_events(monkeypatch)
-        res = run(T, SearchConfig(r=3, seed=0, init="hosvd"))
+        res = run_from(*make_flat_saddle(0.3), monkeypatch)
         assert res.status == "converged"
         assert res.trace.records[1].step_kind == "negative-curvature"
     for name in ("grad", "escape"):
@@ -899,10 +980,11 @@ def test_failed_escape_probes_its_point_once(monkeypatch, case):
 
 def test_scale_table_gradient_evaluation_count():
     # the desk shapes' seed-0 targets at norms 1 to 1e3 all converge, in
-    # 1,161 gradient evaluations together with BLAS at one thread (1,193
-    # at two; 2,156 from the scalar H0; 1,485 when every first-order stop
-    # probed first); the preconditioner's damping is a fraction of each
-    # block's trace, so it scales with the target
+    # 1,111 gradient evaluations together with BLAS at one thread (1,106
+    # at two; 2,070 from the scalar H0).  The search solves on T / |T|, so
+    # the norms differ only in the rounding of T / |T| and cost about the
+    # same: 253, 302, 277 and 279 for norms 1, 10, 1e2 and 1e3, where the
+    # thresholds in the target's units took 251, 239, 329 and 342 (1,161)
     total = 0
     for r, d in ((2, 8), (3, 16), (4, 24)):
         for scale in (1.0, 10.0, 1e2, 1e3):
@@ -918,12 +1000,13 @@ START_INITS = ("zero", "hosvd", "random:1e-3", "random:0.5", "random:10")
 
 def test_start_set_gradient_evaluation_count():
     # a guard beyond the zero start: five shapes x five inits x seeds 0-2
-    # of the exact targets, at the default lambda, all converge, in 2,997
-    # gradient evaluations together with BLAS at one thread (zero 743,
-    # hosvd 33, random:1e-3 638, random:0.5 548, random:10 1,035; 3,327
-    # when every first-order stop probed first).  L-BFGS from the scalar
-    # H0 = (s.y / y.y) I takes 4,784, which the bound catches; dropping
-    # gamma from H0 = gamma P^-1 takes 3,085 (+3%), which it does not
+    # of the exact targets, at the default lambda, all converge, in 2,993
+    # gradient evaluations together with BLAS at one and at two threads
+    # (zero 739, hosvd 33, random:1e-3 638, random:0.5 548, random:10
+    # 1,035; 2,997 before the search solved on T / |T|, which moves these
+    # targets of norm 1 only by rounding).  L-BFGS from the scalar
+    # H0 = (s.y / y.y) I takes 4,788, which the bound catches; dropping
+    # gamma from H0 = gamma P^-1 takes 3,081 (+3%), which it does not
     total = 0
     for r, d in START_SHAPES:
         for init in START_INITS:
@@ -1041,7 +1124,7 @@ def test_run_never_spends_past_its_budget(monkeypatch):
     # the curvature probes cost two evaluations each and start only when
     # the budget can pay for them.  The budgets come from a reference run
     # on a noisy desk target: it ends no_direction after a full 12-product
-    # probe (from 107 to 131 evaluations), and every budget short of its
+    # probe (from 121 to 145 evaluations), and every budget short of its
     # total, inside or at the edges of a probe, ends the run at the budget
     spans = []
     probe = search_module._negative_curvature
@@ -1218,6 +1301,17 @@ def test_run_raises_on_non_finite_objective():
     with pytest.raises(NonFiniteError), pytest.warns(RuntimeWarning,
                                                      match="overflow"):
         run(np.full((2, 2, 2), 1e200), SearchConfig(r=1))
+
+
+def test_run_raises_where_the_target_units_overflow():
+    # |T| = 1e150 and |T|^2 are finite, but the random:10 start's f, about
+    # 5e9 on the unit-norm problem, overflows in the target's units: the
+    # run ends in NonFiniteError, not in a trace or summary with infinite
+    # values
+    T = 1e150 * exact_instance(2, 4, 0)
+    with pytest.raises(NonFiniteError):
+        run(T, SearchConfig(r=2, init="random:10", budget=1))
+    assert run(T, SearchConfig(r=2, seed=0)).status == "converged"
 
 
 def test_trace_append_rejects_increase():
