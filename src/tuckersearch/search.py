@@ -227,10 +227,8 @@ def _parse_init(spec: str):
 @dataclass
 class TraceRecord:
     """One accepted step.  step_kind is init, gradient, negative-curvature,
-    rebalance or sampled(i,j,k), with ijk a label of SAMPLED_BLOCKS.  f, L,
-    R and improvement are in the target's units, as in `RunResult`;
-    grad_norm, min_curvature and step_size are those of the unit-norm
-    problem the search solves (see the module docstring)."""
+    rebalance or sampled(i,j,k), with ijk a label of SAMPLED_BLOCKS.  The
+    module docstring's last paragraph gives the units of the fields."""
     iteration: int
     f: float
     L: float
@@ -453,9 +451,10 @@ def _gn_inverse(rep: ObjectiveReport):
     point of the report rep, as a (6, r, r) stack: W_A, W_B, W_C, then
     G_A, G_B, G_C.
 
-    G_m = M M^T is a factor's Gram matrix, which the report keeps, and W_m = S_(m) (G_k kron G_l)
-    S_(m)^T, with k and l the other two modes, is the Gram matrix of the
-    transform's mode-m unfolding without M.  The fitting term's
+    G_m = M M^T is a factor's Gram matrix, which the report keeps, and
+    W_m = S_(m) (G_k kron G_l) S_(m)^T, with k and l the other two modes,
+    is the Gram matrix of the transform's mode-m unfolding without M.  The
+    fitting term's
     Gauss-Newton matrix is 2 (W_m kron I_d) on factor m and
     2 G_A kron G_B kron G_C on the core.  Each block gets GN_DAMPING times
     its mean eigenvalue, tr / r, on its diagonal, plus 1e-12 of the
@@ -505,13 +504,14 @@ def _lbfgs_direction(rep: ObjectiveReport, g: FactorPoint, pairs):
     H0 = gamma P^-1.
 
     P is the damped block-diagonal Gauss-Newton matrix of the fitting term
-    at that point (see `_gn_inverse`; the regularizer's curvature is left out), so
-    each factor and the core get a step scaled to their own curvature;
-    gamma = s.y / (y.P^-1 y) of the newest pair sets the overall length.
+    at that point (see `_gn_inverse`; the regularizer's curvature is left
+    out), so each factor and the core get a step scaled to their own
+    curvature; gamma = s.y / (y.P^-1 y) of the newest pair sets the
+    overall length.
     The blocks are built and inverted once per call and applied to y and
     to the recursion's vector together.  GN_DAMPING = 4e-2 sits in the
     flat part of the module docstring's sweep, from 3e-2 to 0.1, above
-    the cliff below 2e-2.  None without a pair, where every block of P is
+    the rise below 2e-2.  None without a pair, where every block of P is
     zero, or where -H g is not a descent direction."""
     if not pairs:
         return None
@@ -679,11 +679,10 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     and the termination status: converged (f <= epsilon |T|^2),
     no_direction (stationary and nothing improves), or budget.
 
-    The search runs on T / |T| and scales every block of the point it
-    returns by |T|^(1/4) (see the module docstring).  A target of zero
-    norm is a ValueError: the zero start fits it, so a run would report
-    converged after no work.  A target whose norm, or whose f, L or R in
-    its own units, is not finite raises NonFiniteError."""
+    The search runs on T / |T| (see the module docstring).  A target of
+    zero norm is a ValueError: the zero start fits it, so a run would
+    report converged after no work.  A target whose norm, or whose f, L or
+    R in its own units, is not finite raises NonFiniteError."""
     t_start = time.perf_counter()
     config.validate()
     T = np.asarray(T, dtype=float)

@@ -632,9 +632,9 @@ def test_run_repeats_exactly_at_power_of_two_scales(r, d, noise, init):
 def test_run_status_and_accuracy_do_not_depend_on_scale(r, d, noise, init):
     # a decimal scale rounds T / |T| differently, which moves the counts
     # (64 to 113 gradient evaluations on the exact (3, 16) target), but
-    # neither the status nor the accuracy:
-    # a converged run has f <= epsilon |T|^2 and so a relative error of at
-    # most epsilon^(1/2) = 1e-2
+    # neither the status nor the accuracy: a converged run has
+    # f <= epsilon |T|^2 and so a relative error of at most
+    # epsilon^(1/2) = 1e-2
     T = noisy_desk_instance(r, d, 0, noise)
     statuses = set()
     for scale in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3):
@@ -647,10 +647,9 @@ def test_run_status_and_accuracy_do_not_depend_on_scale(r, d, noise, init):
 
 
 def test_small_desk_targets_are_fitted_not_converged_at_the_start():
-    # at norm 1e-2 the zero start's f, |T|^2 = 1e-4, met an absolute
-    # epsilon of 1e-4, and the run reported converged after at most 3
-    # gradient evaluations with a relative error of 1.  Relative to |T|^2
-    # the target is as hard as at norm 1, and the fit is real
+    # at norm 1e-2 the zero start's f, |T|^2 = 1e-4, meets an absolute
+    # epsilon of 1e-4 with a relative error of 1; against epsilon |T|^2
+    # the target is as hard as at norm 1, and the run must fit it
     for r, d in ((2, 8), (3, 16), (4, 24)):
         for seed in range(3):
             T = 1e-2 * desk_instance(r, d, seed)
