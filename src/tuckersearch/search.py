@@ -6,27 +6,38 @@ no direction helps, or the gradient-evaluation budget runs out:
   1. descend with backtracking line searches along L-BFGS directions,
      built from the last LBFGS_MEMORY (s, y) pairs between gradient
      points, until the gradient norm is at most TAU1, or f has fallen by
-     no more than STALL_TOL f over the last STALL_WINDOW accepted steps,
-     or f reaches the target.  Such a first-order stop is not certified:
-     the descent hands the point on without probing its curvature;
-  2. at that point, propose escape directions, the sampled rank-one block
-     updates of every label in SAMPLED_BLOCKS, and accept the best if it
-     improves enough.  Only when no escape step is taken does a Lanczos
-     probe of at most LANCZOS_STEPS Hessian-vector products look for
-     negative curvature there, from the same report: a direction is
-     line-searched both ways and the descent resumes from the better
+     no more than STALL_TOL f over the last STALL_WINDOW accepted steps
+     at a gradient norm of at most STALL_GRAD, or f reaches the target.
+     Such a first-order stop is not certified: the descent hands the
+     point on without probing its curvature.  While the descent crawls,
+     with f fallen by no more than SLOW_TOL f over the last STALL_WINDOW
+     accepted steps and at least one pair in the memory (a slow window),
+     it scores the escape round of stage 2 at its point first: a step
+     taken is recorded and the descent starts afresh from it, memory
+     cleared; after none it goes on from the same gradient and memory,
+     and its next slow window waits twice as many accepted steps (5, 10,
+     20, ...), until a step is taken;
+  2. at a first-order stop, propose escape directions, the sampled
+     rank-one block updates of every label in SAMPLED_BLOCKS, and accept
+     the best if it improves enough.  Only when no escape step is taken
+     does a Lanczos probe of at most LANCZOS_STEPS Hessian-vector products
+     look for negative curvature there, from the same report: a direction
+     is line-searched both ways and the descent resumes from the better
      step; none certifies the point stationary, and the run ends
      no_direction.
 
 A line search that cannot realize the descent it promises probes the
-curvature inside stage 1, in the same way.  The escape is scored from the
-exact expansion of f and charges no gradient evaluation, while a probe
-costs 2 to 2 LANCZOS_STEPS, so the cheaper test goes first.  Stage 1
-handles first order saddles, the probe second order ones, and stage 2 the
-flat third and fourth order ones that gradient information cannot see, so
-the escape draws only labels with two or three missing modes.  On the
-zero start, where every derivative vanishes, the escape round follows the
-first gradient and no probe is paid for.
+curvature inside stage 1, in the same way, but certifies the point only
+at a gradient norm of at most STALL_GRAD; above it the probe is taken
+again from a fresh random start until it gives a step or the budget ends
+the run.  The escape is scored from the exact expansion of f and charges
+no gradient evaluation, while a probe costs 2 to 2 LANCZOS_STEPS, so the
+cheaper test goes first.  Stage 1 handles first order saddles, the probe
+second order ones, and the escape round the flat third and fourth order
+ones that gradient information cannot see, so the escape draws only
+labels with two or three missing modes.  On the zero start, where every
+derivative vanishes, the escape round follows the first gradient and no
+probe is paid for.
 
 The L-BFGS recursion starts from H0 = gamma P^-1, after scaled gradient
 descent for Tucker (Tong, Ma and Chi, arXiv:2104.14526).  P is the
@@ -40,45 +51,89 @@ Each factor and the core thus take a step scaled to their own curvature
 rather than one scalar step for all.  The damping was chosen from a sweep
 taken when every first-order stop probed the curvature before the escape
 round and the stall window was 50 steps; re-run on the unit-norm problem
-with the present stage order (mean gradient evaluations over the 36
-perfbench `grid` cells of seeds 51-53, and the totals of the desk grid,
-the desk grid with noise of norm 5e-2, acceptance criterion 05 and the
-scale table; BLAS at one thread):
+with the present stage order, slow windows included (mean gradient
+evaluations over the 36 perfbench `grid` cells of seeds 51-53, and the
+totals of the desk grid, the desk grid with noise of norm 5e-2,
+acceptance criterion 05 and the scale table; BLAS at one thread):
 
     GN_DAMPING     1e-3   1e-2   2e-2   3e-2   4e-2   5e-2    0.1    0.3
-    grid mean       486    149     98     85     78     73     76    109
-    desk grid     3,089  1,208  1,009    714    659    571    668    969
-    desk + noise  3,414  2,237  1,608  1,539  1,307  1,386  1,475  1,859
-    crit. 05      1,337  1,116    964    949  1,012  1,027  1,176  1,497
-    scale table   3,924  1,727  1,380  1,227  1,111    745    875  1,242
+    grid mean        59     59     56     53     53     52     61     80
+    desk grid       558    508    518    438    480    509    552    708
+    desk + noise  1,280  1,364  1,270  1,189  1,067  1,274  1,336  1,575
+    crit. 05        614    625    679    777    791    848    946  1,317
+    scale table     620    608    721    604    565    594    728    902
 
-against 176, 1,584, 2,943, 1,928 and 2,070 from the scalar
-H0 = (s.y / y.y) I.  Below about 2e-2 the count still rises, though less
-steeply than before the search solved at unit norm (desk grid 11,840 at
-1e-3 then); the cause of that cliff is not known.  5e-2 reads lower on
-three sets and higher on two, so the constant stays.
+against 987, 2,263, 1,674 and 1,335 on the desk, noisy desk, criterion
+05 and scale sets from the scalar H0 = (s.y / y.y) I.  Without slow
+windows the count rose steeply below about 2e-2 (desk grid 3,089 at
+1e-3, grid mean 486): most of that cliff was the descent crawling on
+plateaus, which the slow window now leaves early.  4e-2 reads lowest
+on two sets and 29% above 1e-3 on criterion 05, and it has the lowest
+total over the five sets (4,819, against 4,933 at 3e-2, 5,094
+at 5e-2 and 5,196 at 1e-3), so the constant stays.
 
 The algorithm needs the descent only to reach an approximate second-order
 stationary point, and a saddle plateau where the gradient norm sits
 between 1e-7 and 1e-5, above TAU1, is one already: the escape or the
-curvature probe does better there than more descent.  STALL_WINDOW = 5
-(STALL_TOL = 1e-6) was chosen from this sweep (total gradient
-evaluations over the 36 perfbench `grid` cells of seeds 1-3, the desk
-grid exact and with noise of norm 5e-2, the 75-run start set, the scale
-table and acceptance criterion 05; BLAS at one thread; no status moved
-at any window; re-measured on the unit-norm problem):
+curvature probe does better there than more descent.  The slow window
+scores the escape round on such a plateau before the stall rule can fire.
+SLOW_TOL was chosen from this sweep (total gradient evaluations over the
+36 perfbench `grid` cells of seeds 1-3 and of seeds 4-6, the desk grid
+exact, with noise of norm 5e-2 and x100, the 75-run start set, the scale
+table, acceptance criterion 05 and 60 rank-1 runs; objective values over
+the first 36 cells; wall time of the 72 cells, each cell's best of 3
+interleaved runs summed, relative to the slow window off; the largest
+relative change of a noisy desk run's final f; BLAS at one thread; no
+status moved at any value):
+
+    SLOW_TOL        off   1e-5   1e-4   1e-3   1e-2   3e-2    0.1
+    grid 1-3      2,489  2,305  2,101  2,008  1,889  1,804  1,659
+    grid 4-6      2,739  2,351  2,144  2,038  1,872  1,781  1,736
+    desk            659    567    527    465    480    444    392
+    desk + noise  1,307  1,322  1,288  1,236  1,067  1,082  1,140
+    desk x100       673    554    520    480    473    435    389
+    start set     2,993  2,953  2,922  2,829  2,764  2,669  2,601
+    scale table   1,111    778    715    607    565    553    528
+    crit. 05      1,012    922    817    786    791    746    753
+    rank-1          665    665    665    665    665    665    665
+    grid 1-3 obj   148k   151k   157k   163k   179k   195k   232k
+    wall time      1.00   0.93   0.89   0.87   0.84   0.85   0.87
+    noisy f           0   7e-5   3e-5   2e-5   3e-5   3e-5   5e-5
+
+Every value lowers every set but the noisy desk at 1e-5 (+1%) and the
+rank-1 runs, which stay byte-equal: after the zero start's escape step
+their descent runs along -g from steps 2, 4, 8, ... with every pair
+rejected by negative curvature, and the pair condition keeps slow
+windows out of that ramp (without it, at 1e-2, 5 of the 60 runs score a
+round mid-ramp and take 699 evaluations).
+The gradient count falls up to 0.1, but the objective values climb and
+the wall time is flat from 1e-3 to 3e-2 and rises at 0.1; 1e-2 is taken.
+
+STALL_WINDOW = 5 (STALL_TOL = 1e-6) was chosen from this sweep (total
+gradient evaluations over the 36 `grid` cells of seeds 1-3, the desk grid
+exact and with noise of norm 5e-2, the start set, the scale table and
+criterion 05; BLAS at one thread; re-measured with slow windows):
 
     STALL_WINDOW      1      3      5      8     10     50
-    grid cells    2,181  2,383  2,489  2,672  2,774  3,064
-    desk            516    609    659    661    703    717
-    desk + noise  1,066  1,297  1,307  1,445  1,504  2,029
-    start set     2,934  2,956  2,993  3,051  3,066  3,257
-    scale table     669    962  1,111  1,129  1,133  1,134
-    crit. 05        838    940  1,012  1,080  1,135  1,266
+    grid cells    1,463  1,757  1,889  1,991  2,036  3,029
+    desk            362    408    480    482    488    717
+    desk + noise    880  1,062  1,067  1,294  1,440  2,029
+    start set     2,483  2,629  2,764  2,856  2,884  3,230
+    scale table     447    569    565    593    658  1,134
+    crit. 05        710    751    791    819    869  1,266
 
-The cost is at the noise floor: the noisy desk runs end no_direction at
-an f up to 4.9e-5 relative above that of a 50-step window with 5 steps,
-and up to 2.8e-4 with 1, which is why the shortest window is not taken.
+No status moved at any window.  The cost is at the noise floor: the
+noisy desk runs end no_direction at an f up to 3.0e-5 relative above
+that of a 50-step window with 5 steps, 1.1e-4 with 3 and 3.2e-4 with 1,
+which is why the shorter windows are not taken.
+
+STALL_GRAD keeps a crawl far from any stationary point from being
+handed on, and so from a no_direction verdict: at lambda = 0, where the
+paper promises nothing, descents from large starts stall at gradient
+norms from 0.12 to 91.  The largest gradient norm at a stall hand-off on
+the unit-norm check sets without the bound was 6.5e-4 (the 108 `grid`
+cells of seeds 1-9), 5.9e-4 (the start set) and 1.9e-4 (the noisy desk
+grid), so 1e-2 moves none of them.
 
 Budget accounting: one `Evaluator` holds the target, lambda and the
 counters, and each of its methods charges its own cost: a gradient 1, a
@@ -93,10 +148,12 @@ search of the escape round at it and a curvature step from it start
 from that report,
 so they form neither again and a sign search adds no baseline value to
 the count.  No point takes a second gradient or a second escape round:
-after an escape round finds nothing, the run either steps along
-negative curvature to a new point or ends.  No curvature probe starts
-that the budget cannot pay for, so a run never spends past its budget; a
-probe the budget cuts short ends the run with status budget.
+after a slow window's escape round finds nothing, the descent steps on
+from the gradient it has, and after a first-order stop's finds nothing,
+the run either steps along negative curvature to a new point or ends.
+No curvature probe starts that the budget cannot pay for, so a run never
+spends past its budget; a probe the budget cuts short ends the run with
+status budget.
 
 An escape step is taken on the sign search's predicted gain only if the
 evaluated f does not rise by more than the trace allows; the expansion's
@@ -140,9 +197,13 @@ from .tensor_core import FactorPoint, _transform, hosvd, random_point
 SAMPLED_BLOCKS = ((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2))
 # a descent whose f falls by no more than STALL_TOL * f over STALL_WINDOW
 # accepted steps stops as on a small gradient and hands its point to the
-# escape round (see the module docstring's sweep)
+# escape round, if its gradient norm is at most STALL_GRAD; one whose f
+# falls by no more than SLOW_TOL * f scores an escape round and goes on
+# (see the module docstring's sweeps)
 STALL_WINDOW = 5
 STALL_TOL = 1e-6
+STALL_GRAD = 1e-2
+SLOW_TOL = 1e-2
 # (s, y) pairs the L-BFGS direction keeps, the relative damping of its
 # Gauss-Newton preconditioner, and Hessian-vector products a Lanczos
 # curvature probe may take
@@ -384,8 +445,9 @@ def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
 @dataclass(frozen=True)
 class FindSospInfo:
     """How a descent ended: converged only where a curvature probe
-    certified the point stationary, with its Ritz value as min_curvature;
-    a first-order stop, epsilon or the budget leave it False."""
+    certified the point stationary, at a gradient norm of at most
+    STALL_GRAD, with its Ritz value as min_curvature; a first-order stop,
+    epsilon or the budget leave it False."""
     converged: bool
     report: ObjectiveReport
     grad_norm: float | None
@@ -576,9 +638,40 @@ def _curvature_step(p: FactorPoint, rep: ObjectiveReport,
     return hit, rho
 
 
+def _escape_round(rep: ObjectiveReport, ev: Evaluator,
+                  rng: np.random.Generator, samples: int):
+    """Score the labels of SAMPLED_BLOCKS at the point of the report rep,
+    samples draws each, one sign search per label; returns the step taken
+    as (kind, SignSearchResult, point, report), or None where no candidate
+    gains MIN_IMPROVEMENT or the evaluated f rises (see the module
+    docstring)."""
+    p = rep.point
+    splits = subspace_split(p, SIGMA)
+    cands = []
+    for ijk in SAMPLED_BLOCKS:
+        try:
+            drawn = sample_missing_directions(splits, ijk, rng, samples)
+        except NoMissingDirection:
+            continue
+        kind = "sampled({},{},{})".format(*ijk)
+        grid = delta_grid(SIGMA, ijk.count(2))
+        cands += [(kind, res) for res in ev.sign_search(rep, drawn, grid)]
+    # max keeps the first of equal gains
+    kind, best = max(cands, key=lambda c: c[1].improvement,
+                     default=(None, None))
+    if best is None or best.improvement < MIN_IMPROVEMENT:
+        return None
+    cand = best.apply(p)
+    cand_rep = ev.objective(cand)
+    _require_finite(cand_rep.f, "objective")
+    if _rises(rep.f, cand_rep.f):
+        return None
+    return kind, best, cand, cand_rep
+
+
 def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
                rep: ObjectiveReport, trace: SearchTrace,
-               epsilon: float = -math.inf):
+               epsilon: float = -math.inf, escape=None):
     """Descend from p, whose finite objective report the caller passes as
     rep, recording each accepted step in trace, until f <= epsilon, the
     descent stops at a first-order point or the budget runs out.  Returns
@@ -589,16 +682,26 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
     Each descent step line-searches the L-BFGS direction from a first
     trial step of 1.  Without a pair, or where that direction does not
     descend, the memory is cleared and the step goes along -g from twice
-    the last such step.  A small gradient or a stalled descent returns
-    uncertified and probes nothing: `run` scores the escape round there
-    first.  A failed line search probes the curvature (`_curvature_step`);
-    a negative-curvature step continues the descent, and none certifies
-    the point stationary."""
+    the last such step.  A small gradient, or a stall with a gradient norm
+    of at most STALL_GRAD, returns uncertified and probes nothing: `run`
+    scores the escape round there first.  A slow window (see the module
+    docstring) calls escape, a function of the report that returns an
+    `_escape_round` step or None, if one is given: a step taken is
+    recorded and the descent starts afresh from it, and after none the
+    descent goes on with the same gradient and memory and the next try
+    waits twice as many steps.  A failed line search probes the curvature
+    (`_curvature_step`); a negative-curvature step continues the descent,
+    and none certifies the point stationary where the gradient norm is at
+    most STALL_GRAD.  Above it the probe is repeated from a fresh random
+    start until a step or the budget ends it."""
     step_hint = 1.0
     gn = None
     last_grad = None  # (point, gradient) where the last gradient was taken
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, s.y), oldest first
     recent = deque([rep.f], maxlen=STALL_WINDOW + 1)
+    # accepted steps the next slow-window escape round waits for, and the
+    # steps left of that wait
+    wait, quiet = STALL_WINDOW, 0
     while True:
         if rep.f <= epsilon or budget.exhausted:
             return p, FindSospInfo(False, rep, gn, None)
@@ -622,11 +725,28 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
                 if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
                     pairs.append((s, y, sy))
             last_grad = (p, g)
-            # no progress over a whole window counts as a small gradient
-            stalled = (len(recent) > STALL_WINDOW
-                       and recent[0] - recent[-1] <= STALL_TOL * recent[-1])
-            if gn <= TAU1 or stalled:
+            # no progress over a whole window counts as a small gradient,
+            # and little progress earns an escape round
+            fall = (recent[0] - recent[-1] if len(recent) > STALL_WINDOW
+                    else math.inf)
+            if gn <= TAU1 or (fall <= STALL_TOL * recent[-1]
+                              and gn <= STALL_GRAD):
                 return p, FindSospInfo(False, rep, gn, None)
+            if (escape is not None and pairs and quiet <= 0
+                    and fall <= SLOW_TOL * recent[-1]):
+                taken = escape(rep)
+                if taken is not None:
+                    kind, best, p, rep = taken
+                    trace.append(f=rep.f, L=rep.L, R=rep.R, step_kind=kind,
+                                 step_size=best.step,
+                                 improvement=best.improvement, grad_norm=gn)
+                    step_hint, last_grad, wait = 1.0, None, STALL_WINDOW
+                    pairs.clear()
+                    recent.clear()
+                    recent.append(rep.f)
+                    continue
+                wait *= 2
+                quiet = wait
             direction = _lbfgs_direction(rep, g, pairs)
             if direction is not None:
                 hit = _line_search(p, direction, rep.f, budget,
@@ -637,10 +757,10 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
                                    init_step=2.0 * step_hint, slope=gn * gn)
                 if hit is not None:
                     step_hint = hit[2]
-        if hit is None:
+        while hit is None:
             # the line search cannot realize the descent it promises
             hit, rho = _curvature_step(p, rep, rng, budget)
-            if hit is None:
+            if hit is None and (gn <= STALL_GRAD or not math.isfinite(rho)):
                 # stationary, unless rho is infinite: the budget died
                 # before a Rayleigh quotient came back
                 certified = math.isfinite(rho)
@@ -652,6 +772,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
         prev_f = rep.f
         p, rep, step = hit
         recent.append(rep.f)
+        quiet -= 1
         trace.append(f=rep.f, L=rep.L, R=rep.R, step_kind=kind,
                      step_size=step, improvement=prev_f - rep.f, **seen)
 
@@ -702,8 +823,6 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     T = T / norm
     lam = config.lam if config.lam is not None else default_lambda(r)
 
-    samples = samples_per_block(config.epsilon)
-
     seeds = np.random.SeedSequence(config.seed).spawn(3)
     rng_init = np.random.default_rng(seeds[0])
     rng_sosp = np.random.default_rng(seeds[1])
@@ -718,6 +837,11 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
         p = random_point(r, d, rng_init, scale=scale)
 
     ev = Evaluator(T, lam, config.budget)
+    samples = samples_per_block(config.epsilon)
+
+    def escape(rep):
+        return _escape_round(rep, ev, rng_sampler, samples)
+
     trace = SearchTrace(seed=config.seed)
     rep = ev.objective(p)
     _require_finite(rep.f, "objective")
@@ -729,7 +853,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     while status is None:
         rounds += 1
         p, info = _find_sosp(p, ev, rng_sosp, rep, trace,
-                             epsilon=config.epsilon)
+                             epsilon=config.epsilon, escape=escape)
         rep = info.report
         if rep.f <= config.epsilon:
             status = "converged"
@@ -738,33 +862,9 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
             status = "budget"
             break
 
-        splits = subspace_split(p, SIGMA)
-        cands = []
-        for ijk in SAMPLED_BLOCKS:
-            # a block label's draws are scored in one sign search
-            try:
-                drawn = sample_missing_directions(splits, ijk, rng_sampler,
-                                                  samples)
-            except NoMissingDirection:
-                continue
-            kind = "sampled({},{},{})".format(*ijk)
-            grid = delta_grid(SIGMA, ijk.count(2))
-            cands += [(kind, res) for res in ev.sign_search(rep, drawn, grid)]
-        # max keeps the first of equal gains
-        kind, best = max(cands, key=lambda c: c[1].improvement,
-                         default=(None, None))
-
-        # a predicted gain is taken only if f does not rise (see the
-        # module docstring)
-        taken = None
-        if best is not None and best.improvement >= MIN_IMPROVEMENT:
-            cand = best.apply(p)
-            cand_rep = ev.objective(cand)
-            _require_finite(cand_rep.f, "objective")
-            if not _rises(rep.f, cand_rep.f):
-                taken = cand, cand_rep
+        taken = escape(rep)
         if taken is not None:
-            p, rep = taken
+            kind, best, p, rep = taken
             trace.append(f=rep.f, L=rep.L, R=rep.R,
                          step_kind=kind, step_size=best.step,
                          improvement=best.improvement,

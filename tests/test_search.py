@@ -13,8 +13,9 @@ from tuckersearch.escape import (delta_grid, sample_missing_directions,
 from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     eval_along, grad, grad_loss, hvp,
                                     objective, save_point)
-from tuckersearch.search import (LANCZOS_STEPS, SAMPLED_BLOCKS, TAU1, TAU2,
-                                 Evaluator, NonFiniteError, SearchConfig,
+from tuckersearch.search import (LANCZOS_STEPS, SAMPLED_BLOCKS, STALL_GRAD,
+                                 STALL_WINDOW, TAU1, TAU2, Evaluator,
+                                 NonFiniteError, SearchConfig,
                                  SearchTrace, _curvature_step,
                                  _negative_curvature, run, samples_per_block)
 from tuckersearch.subspace import subspace_split
@@ -371,10 +372,25 @@ def test_gradient_line_search_falls_back_where_curvature_is_negative(
     assert first1 == 2.0 * step0
 
 
+def tilted_two_missing_saddle(tilt):
+    """The saddle gallery's two-missing point (r = 2, d = 3, theta = 0.3),
+    with factor A scaled by 1 + tilt and the core by 1 / (1 + tilt): the
+    fit and L are unchanged, and only lambda R, quartic in the tilt,
+    pulls the point back along the scaling orbit.  Returns (p, T)."""
+    S = np.zeros((2, 2, 2))
+    S[0, 0, 0] = 1.0
+    row = np.zeros((2, 3))
+    row[0, 0] = 1.0
+    T = multilinear_transform(S, row, row, row)
+    T[1, 1, 0] += 0.3
+    return FactorPoint(S / (1.0 + tilt), (1.0 + tilt) * row, row, row), T
+
+
 def test_plateau_descent_hands_off_to_escape(monkeypatch):
-    # criterion 05's r=2, d=8, seed-0 target at norm 1: after the first
-    # escape step the descent sits on a plateau near f = 0.0665 where the
-    # gradient norm stays near 4.4e-5, above TAU1 = 1e-6, so only the
+    # the two-missing saddle tilted by 1e-2: the regularizer's gradient,
+    # from 6e-6 to 8e-6 and above TAU1 = 1e-6, moves f by less than
+    # 1e-6 f over the first 5 steps, so the stall rule ends the descent
+    # before a slow window could score an escape round, and only the
     # progress window can end it
     descents = []
     find = search_module._find_sosp
@@ -387,7 +403,7 @@ def test_plateau_descent_hands_off_to_escape(monkeypatch):
 
     monkeypatch.setattr(search_module, "_find_sosp", recording)
     line_searches = record_gradient_line_searches(monkeypatch)
-    res = run(desk_instance(2, 8, 0), SearchConfig(r=2, seed=0))
+    res = run_from(*tilted_two_missing_saddle(1e-2), monkeypatch)
     assert res.status == "converged"
     # with every gradient line search succeeding, an uncertified stop
     # above TAU1 and above epsilon, with budget left, is the progress
@@ -661,34 +677,37 @@ def test_small_desk_targets_are_fitted_not_converged_at_the_start():
 
 def test_desk_grid_gradient_evaluation_count():
     # a guard on the descent policy: the desk grid, (r, d) in (2, 8),
-    # (3, 16), (4, 24) x seeds 0-2, takes 659 gradient evaluations with
-    # BLAS at one thread and 672 at two.  L-BFGS from the scalar
-    # H0 = (s.y / y.y) I takes 1,584, so the bound catches it; a 50-step
-    # stall window takes 717, which the noisy desk guard catches.  Before
-    # the search solved on T / |T| the grid took 650, and 812 when every
-    # first-order stop probed the curvature before its escape round;
-    # before the escape round went first, steepest descent with
-    # Barzilai-Borwein steps took 4,965 and a descent that ends only on a
-    # small gradient or a fixed cap of 3,000 38,844.  For a given BLAS
-    # build and thread count the count repeats exactly
+    # (3, 16), (4, 24) x seeds 0-2, takes 480 gradient evaluations with
+    # BLAS at one thread and 443 at two.  With the slow window disabled it
+    # takes 659, as before the slow window, and L-BFGS from the scalar
+    # H0 = (s.y / y.y) I takes 987 (1,584 without the slow window), so the
+    # bound catches both.  Before the search solved on T / |T| the grid
+    # took 650, and 812 when every first-order stop probed the curvature
+    # before its escape round; before the escape round went first,
+    # steepest descent with Barzilai-Borwein steps took 4,965 and a
+    # descent that ends only on a small gradient or a fixed cap of 3,000
+    # 38,844.  For a given BLAS build and thread count the count repeats
+    # exactly
     total = 0
     for r, d in ((2, 8), (3, 16), (4, 24)):
         for seed in range(3):
             res = run(desk_instance(r, d, seed), SearchConfig(r=r, seed=seed))
             assert res.status == "converged"
             total += res.grad_evals
-    assert total <= 1_000
+    assert total <= 600
 
 
 def test_noisy_desk_grid_gradient_evaluation_count():
     # a guard on the stall window: with noise of norm 5e-2 every desk
     # target ends no_direction on a plateau near the noise floor (f from
-    # 2.2e-3 to 2.5e-3, against |N|^2 = 2.5e-3), where only the window
-    # ends the descent.  The grid takes 1,307 gradient evaluations with
-    # BLAS at one thread (1,265 at two) with a 5-step window, 1,504 with
-    # 10 and 2,029 with 50, and 2,943 from the scalar H0 = (s.y / y.y) I.
-    # Before the search solved on T / |T| it took 1,395, and 1,622 when
-    # every first-order stop probed the curvature before its escape round
+    # 2.2e-3 to 2.5e-3, against |N|^2 = 2.5e-3), where slow windows find
+    # nothing to escape to and only the stall rule ends the descent.  The
+    # grid takes 1,067 gradient evaluations with BLAS at one thread (1,140
+    # at two), 1,307 with the slow window disabled, and 2,263 from the
+    # scalar H0 = (s.y / y.y) I.  Before the slow window it took 1,504
+    # with a 10-step stall window and 2,029 with 50; before the search
+    # solved on T / |T| it took 1,395, and 1,622 when every first-order
+    # stop probed the curvature before its escape round
     total = 0
     for r, d in ((2, 8), (3, 16), (4, 24)):
         for seed in range(3):
@@ -875,7 +894,8 @@ def record_round_events(monkeypatch):
     """Log, in order, each gradient, Hessian-vector product, escape round,
     curvature probe and first-order stop (a small gradient or a stall) of
     the runs that follow, with the point it is at, and each accepted
-    step's kind."""
+    step's kind.  An escape round that a slow window scores inside the
+    descent is preceded by a "slow" entry at its point."""
     events = []
 
     def logging(name, fn, at=lambda *args: args[0].flat.tobytes()):
@@ -893,8 +913,12 @@ def record_round_events(monkeypatch):
                         logging("probe", _negative_curvature))
     find = search_module._find_sosp
 
-    def finding(p, budget, *args, **kwargs):
-        out = find(p, budget, *args, **kwargs)
+    def finding(p, budget, *args, escape=None, **kwargs):
+        def slow(rep):
+            events.append(("slow", rep.point.flat.tobytes()))
+            return escape(rep)
+
+        out = find(p, budget, *args, escape=escape and slow, **kwargs)
         info = out[1]
         if not (info.converged or budget.exhausted
                 or info.report.f <= kwargs.get("epsilon", -math.inf)):
@@ -934,7 +958,7 @@ def test_stall_whose_escape_succeeds_takes_no_probe(monkeypatch):
     # hands its point to the escape round, whose step is taken, and no
     # curvature probe runs there
     events = record_round_events(monkeypatch)
-    res = run(desk_instance(2, 8, 0), SearchConfig(r=2, seed=0))
+    res = run_from(*tilted_two_missing_saddle(1e-2), monkeypatch)
     assert res.status == "converged"
     stalls = [i for i, (name, _) in enumerate(events) if name == "stall"]
     assert len(stalls) == 1
@@ -943,6 +967,116 @@ def test_stall_whose_escape_succeeds_takes_no_probe(monkeypatch):
         "stall", "escape", "step"]
     assert events[stall + 2][1].startswith("sampled")
     assert "probe" not in {name for name, _ in events}
+
+
+def test_slow_window_scores_the_escape_round_before_the_stall(monkeypatch):
+    # criterion 05's r=2, d=8, seed-0 target: after the first escape step
+    # the descent crawls onto a saddle plateau near f = 0.0665, where the
+    # stall rule used to end it after 5 flat steps.  A slow window scores
+    # the escape round from inside the descent, at the point of its
+    # gradient, and its step is taken; no stall is left to fire
+    events = record_round_events(monkeypatch)
+    res = run(desk_instance(2, 8, 0), SearchConfig(r=2, seed=0))
+    assert res.status == "converged"
+    names = [name for name, _ in events]
+    assert "stall" not in names
+    slow = [i for i, name in enumerate(names) if name == "slow"]
+    assert slow
+    for i in slow:
+        assert events[i - 1] == ("grad", events[i][1])
+        assert events[i + 1] == ("escape", events[i][1])
+    assert any(events[i + 2][0] == "step"
+               and events[i + 2][1].startswith("sampled") for i in slow)
+
+
+def test_failed_slow_window_descends_on_from_the_same_gradient(
+        monkeypatch):
+    # the noisy desk target at the noise floor: slow windows score escape
+    # rounds that find nothing.  The descent then steps from the gradient
+    # it has, so no point takes a second gradient or a second escape
+    # round, and each later try in the same descent waits twice as many
+    # accepted steps as the one before (5, 10, 20, ...)
+    events = record_round_events(monkeypatch)
+    res = run(noisy_desk_instance(2, 8, 0, 5e-2), SearchConfig(r=2, seed=0))
+    assert res.status == "no_direction"
+    for name in ("grad", "escape"):
+        at = [point for kind, point in events if kind == name]
+        assert len(at) == len(set(at)), name
+    failed = checked = 0
+    wait, steps = STALL_WINDOW, None
+    for i, (name, point) in enumerate(events):
+        if name == "slow":
+            if steps is not None:
+                assert steps >= wait
+                checked += 1
+            if events[i + 2][0] == "step" and \
+                    events[i + 2][1].startswith("sampled"):
+                wait, steps = STALL_WINDOW, None
+            else:
+                assert events[i + 2] == ("step", "gradient")
+                failed += 1
+                wait, steps = 2 * wait, 0
+        elif name == "step" and steps is not None:
+            steps += 1
+        elif name in ("stall", "small gradient"):
+            wait, steps = STALL_WINDOW, None
+    assert failed >= 3 and checked >= 2
+
+
+def test_post_escape_gradient_ramp_scores_no_slow_window(monkeypatch):
+    # a rank-1 target at r = 3: after the zero start's escape step the
+    # memory is empty and the descent steps along -g from 2, 4, 8, ...,
+    # with every pair of that ramp rejected by negative curvature.  f
+    # falls by less than SLOW_TOL f over 5 of its steps, so only the
+    # condition that the memory holds a pair keeps a slow window from
+    # scoring an escape round mid-ramp
+    events = record_round_events(monkeypatch)
+    line_searches = record_gradient_line_searches(monkeypatch)
+    res = run(exact_instance(1, 16, 10), SearchConfig(r=3, seed=10))
+    assert res.status == "converged"
+    assert "slow" not in {name for name, _ in events}
+    assert [init for _, _, init, *_ in line_searches[:5]] == [
+        2.0, 4.0, 8.0, 16.0, 32.0]
+
+
+def test_lambda_zero_run_is_not_stopped_at_a_large_gradient():
+    # at lambda = 0 the start-set target (2, 4), seed 2, from random:10
+    # crawls with a gradient norm far above STALL_GRAD.  When a stall
+    # handed on any point, this run ended no_direction after 82
+    # evaluations at f = 0.98 with a gradient norm of 0.17; now the
+    # descent goes on, and the budget ends a run that cannot progress
+    T = exact_instance(2, 4, 2)
+    res = run(T, SearchConfig(r=2, seed=2, budget=500, init="random:10",
+                              lam=0.0))
+    assert res.status == "budget"
+    p = norm_f(T) ** -0.25 * res.point
+    assert grad(objective(p, T / norm_f(T), 0.0)).norm() > STALL_GRAD
+
+
+def test_lambda_zero_descent_hands_off_only_near_stationary(monkeypatch):
+    # lambda = 0, (2, 6), random:10, seed 0, with a budget of 2,000: every
+    # first-order stop, and so every escape round and probe after one, is
+    # at a gradient norm of at most STALL_GRAD.  The run takes 2 rounds
+    # (BLAS at one thread).  When a stall handed on any point it took 14
+    # (375, 1.2M objective values and a no_direction verdict with the
+    # full budget of 20,000), and 10 with the slow window from the scalar
+    # H0 = (s.y / y.y) I; the slow window alone does not move this count
+    stops = []
+    find = search_module._find_sosp
+
+    def recording(p, budget, *args, **kwargs):
+        out = find(p, budget, *args, **kwargs)
+        if not budget.exhausted:
+            stops.append(out[1].grad_norm)
+        return out
+
+    monkeypatch.setattr(search_module, "_find_sosp", recording)
+    res = run(exact_instance(2, 6, 0),
+              SearchConfig(r=2, seed=0, budget=2_000, init="random:10",
+                           lam=0.0))
+    assert res.status == "budget"
+    assert stops and all(gn <= STALL_GRAD for gn in stops)
+    assert res.rounds <= 5
 
 
 @pytest.mark.parametrize("case", ["noisy", "saddle"])
@@ -979,18 +1113,19 @@ def test_failed_escape_probes_its_point_once(monkeypatch, case):
 
 def test_scale_table_gradient_evaluation_count():
     # the desk shapes' seed-0 targets at norms 1 to 1e3 all converge, in
-    # 1,111 gradient evaluations together with BLAS at one thread (1,106
-    # at two; 2,070 from the scalar H0).  The search solves on T / |T|, so
-    # the norms differ only in the rounding of T / |T| and cost about the
-    # same: 253, 302, 277 and 279 for norms 1, 10, 1e2 and 1e3, where the
-    # thresholds in the target's units took 251, 239, 329 and 342 (1,161)
+    # 565 gradient evaluations together with BLAS at one thread (569 at
+    # two).  The bound catches the slow window disabled (1,111, the count
+    # before it) and the scalar H0 (1,335; 2,070 without the slow
+    # window).  The search solves on T / |T|, so the norms differ only in
+    # the rounding of T / |T|; the thresholds in the target's units took
+    # 1,161
     total = 0
     for r, d in ((2, 8), (3, 16), (4, 24)):
         for scale in (1.0, 10.0, 1e2, 1e3):
             res = run(scale * desk_instance(r, d, 0), SearchConfig(r=r))
             assert res.status == "converged"
             total += res.grad_evals
-    assert total <= 1_500
+    assert total <= 800
 
 
 START_SHAPES = ((1, 3), (2, 4), (2, 6), (3, 5), (4, 6))
@@ -999,13 +1134,13 @@ START_INITS = ("zero", "hosvd", "random:1e-3", "random:0.5", "random:10")
 
 def test_start_set_gradient_evaluation_count():
     # a guard beyond the zero start: five shapes x five inits x seeds 0-2
-    # of the exact targets, at the default lambda, all converge, in 2,993
+    # of the exact targets, at the default lambda, all converge, in 2,764
     # gradient evaluations together with BLAS at one and at two threads
-    # (zero 739, hosvd 33, random:1e-3 638, random:0.5 548, random:10
-    # 1,035; 2,997 before the search solved on T / |T|, which moves these
-    # targets of norm 1 only by rounding).  L-BFGS from the scalar
-    # H0 = (s.y / y.y) I takes 4,788, which the bound catches; dropping
-    # gamma from H0 = gamma P^-1 takes 3,081 (+3%), which it does not
+    # (2,993 with the slow window disabled, as before it).  L-BFGS from
+    # the scalar H0 = (s.y / y.y) I takes 4,016 (4,788 without the slow
+    # window), which the bound catches; dropping gamma from
+    # H0 = gamma P^-1 took 3,081 (+3%) before the slow window, which it
+    # does not
     total = 0
     for r, d in START_SHAPES:
         for init in START_INITS:
@@ -1055,11 +1190,11 @@ def test_trace_lines_exclude_wall_time(tmp_path):
 
 
 def test_trace_lines_match_the_asdict_serialization(tmp_path):
-    # the desk target with the longest trace, 126 records; the shared
-    # encoder writes what a fresh json.dumps per record wrote, null fields
-    # (the init record's gradient norm, every gradient step's curvature)
-    # included
-    res = run(desk_instance(4, 24, 0), SearchConfig(r=4, seed=0))
+    # the noisy desk target with the longest trace, 109 records (no exact
+    # desk target reaches 100); the shared encoder writes what a fresh
+    # json.dumps per record wrote, null fields (the init record's gradient
+    # norm, every gradient step's curvature) included
+    res = run(noisy_desk_instance(4, 24, 2, 5e-2), SearchConfig(r=4, seed=2))
     path = tmp_path / "trace.jsonl"
     res.trace.to_jsonl(path)
     reference = []
@@ -1123,7 +1258,7 @@ def test_run_never_spends_past_its_budget(monkeypatch):
     # the curvature probes cost two evaluations each and start only when
     # the budget can pay for them.  The budgets come from a reference run
     # on a noisy desk target: it ends no_direction after a full 12-product
-    # probe (from 121 to 145 evaluations), and every budget short of its
+    # probe (from 98 to 122 evaluations), and every budget short of its
     # total, inside or at the edges of a probe, ends the run at the budget
     spans = []
     probe = search_module._negative_curvature
