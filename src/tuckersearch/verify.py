@@ -138,22 +138,30 @@ def _max_block_norm(p):
     return max(float(np.linalg.norm(b)) for b in p.blocks())
 
 
-def _boundary_scale(q, T, gamma):
-    """Largest multiplier s keeping f(s*q) within the sublevel set f <= gamma.
+def _ray_coefficients(q, T):
+    """(a, b, c) with f(s*q) = a u^2 - 2 b u + c along the ray, u = s^4.
 
-    The transform of s*q is s^4 X and its regularizer s^8 R(q), so along
-    the ray f(s*q) = a u^2 - 2 b u + c with u = s^4, a = |X|^2 + lam R(q),
-    b = <X, T> and c = |T|^2, all from one transform of q.  The boundary
-    is the largest root of a u^2 - 2 b u + (c - gamma), taken in the form
-    that does not cancel.  With no positive root (gamma = |T|^2 and
-    b <= 0, or no real root) the answer is 0; the caller's membership
-    test decides whether that point counts.  q must be nonzero.
+    The transform of s*q is s^4 X and its regularizer s^8 R(q), so
+    a = |X|^2 + lam R(q), b = <X, T> and c = |T|^2, all from one
+    transform of q.
     """
     X = q.apply().ravel()
     t = T.ravel()
     a = float(X @ X) + default_lambda(q.r) * reg(q)
-    b = float(X @ t)
-    k = float(t @ t) - gamma
+    return a, float(X @ t), float(t @ t)
+
+
+def _boundary_scale(ray, gamma):
+    """Largest multiplier s keeping f(s*q) within the sublevel set f <= gamma,
+    from the ray's coefficients (a, b, c) (`_ray_coefficients`).
+
+    The boundary is the largest root of a u^2 - 2 b u + (c - gamma), taken
+    in the form that does not cancel.  With no positive root (gamma = |T|^2
+    and b <= 0, or no real root) the answer is 0; the caller's membership
+    test decides whether that point counts.  a must be positive.
+    """
+    a, b, c = ray
+    k = c - gamma
     disc = b * b - a * k
     if disc < 0.0:
         return 0.0
@@ -176,8 +184,9 @@ def check_sublevel_bound(rng, gammas=(0.0, 1.0, 10.0, 100.0, 1000.0),
     across levels pairs the extremes, so the growth exponent fitted over
     the positive levels is not order-statistic noise; it must stay at or
     below 0.25, twice the predicted 1/8.  The boundary point comes from
-    the closed form of f along the ray (`_boundary_scale`), one objective
-    call per trial then tests that it lies in the set.
+    the closed form of f along the ray (`_boundary_scale`), whose
+    coefficients each pool direction computes once for all levels; one
+    objective call per trial then tests that it lies in the set.
 
     A pool direction whose transform X has <X, T> <= 0 keeps f >= |T|^2
     along its whole ray, so at a level gamma <= |T|^2 (within the
@@ -197,7 +206,8 @@ def check_sublevel_bound(rng, gammas=(0.0, 1.0, 10.0, 100.0, 1000.0),
         q = random_point(r, d, rng)
         pool.append(q * (1.0 / max(1e-12, _max_block_norm(q))))
     t = T.ravel()
-    away = [float(q.apply().ravel() @ t) <= 0.0 for q in pool]
+    # each direction's ray serves every level
+    rays = [_ray_coefficients(q, T) for q in pool]
     vacuous = 0
     for gamma in gammas:
         bound = c * (gamma + 1.0) ** 0.125
@@ -212,10 +222,10 @@ def check_sublevel_bound(rng, gammas=(0.0, 1.0, 10.0, 100.0, 1000.0),
                 p = q * nq ** -0.25
                 f = objective(p, Tq / nq).f
             else:
-                if away[i] and gamma <= float(t @ t) + 1e-9:
+                if rays[i][1] <= 0.0 and gamma <= float(t @ t) + 1e-9:
                     vacuous += 1
                     continue
-                p = pool[i] * _boundary_scale(pool[i], T, gamma)
+                p = pool[i] * _boundary_scale(rays[i], gamma)
                 f = objective(p, T).f
             if f > gamma + 1e-9:
                 continue
@@ -332,21 +342,31 @@ def check_anti_concentration(rng, dims=(3, 4, 5, 6), trials: int = 5,
     """A tensor evaluated at random unit vectors lands above a tenth of
     its root-mean-square value with probability at least the frozen floor.
 
-    Rank-one tensors, the most concentrated case, are cross-checked
-    against the exact product-of-betas law for squared inner products of
-    random unit vectors.  The three sets of sample vectors are one
-    (3, samples, d) Gaussian draw into a reused buffer, tested unnormalized
-    and evaluated one mode-1 slice of the tensor at a time, as matrix
-    products (`_evaluate_at_rows`).
+    Each dimension scores trials Gaussian tensors and one rank-one tensor,
+    the most concentrated case, which is cross-checked against the exact
+    product-of-betas law for squared inner products of random unit
+    vectors.  The three sets of sample vectors are one (3, samples, d)
+    Gaussian draw per dimension, shared by all of its tensors (common
+    random numbers: each tensor's estimate keeps its sample size and its
+    variance, and the draws, the largest cost of the check, are paid once
+    per dimension).  The rows are tested
+    unnormalized and each tensor is evaluated one mode-1 slice at a time,
+    as matrix products (`_evaluate_at_rows`).
     """
     phats = []
     failures = 0
     oracle_gap = 0.0
-    # every trial's rows fill a prefix of one buffer, the size of the
+    # every dimension's rows fill a prefix of one buffer, the size of the
     # largest draw, so the draws do not churn the heap
     buf = np.empty(3 * samples * max(dims, default=0))
     for d in dims:
         thresh = ANTI_CONCENTRATION_CUTOFF / d ** 1.5
+        rows = buf[:3 * samples * d].reshape(3, samples, d)
+        rng.standard_normal(out=rows)
+        # X is trilinear, so the test at the unit rows is the raw rows'
+        # against thresh times their norms
+        norms = np.sqrt(np.einsum("msk,msk->ms", rows, rows))
+        bar = thresh * norms[0] * norms[1] * norms[2]
         for t in range(trials + 1):
             rank_one = t == trials
             if rank_one:
@@ -355,15 +375,7 @@ def check_anti_concentration(rng, dims=(3, 4, 5, 6), trials: int = 5,
             else:
                 X = rng.standard_normal((d, d, d))
                 X /= norm_f(X)
-            rows = buf[:3 * samples * d].reshape(3, samples, d)
-            rng.standard_normal(out=rows)
-            vals = np.abs(_evaluate_at_rows(X, *rows))
-            # X is trilinear, so the test at the unit rows is the raw rows'
-            # against thresh times their norms, taken once the evaluation
-            # has freed its temporaries
-            norms = np.sqrt(np.einsum("msk,msk->ms", rows, rows))
-            phat = float(np.mean(vals >= thresh * norms[0] * norms[1]
-                                 * norms[2]))
+            phat = float(np.mean(np.abs(_evaluate_at_rows(X, *rows)) >= bar))
             phats.append(phat)
             if rank_one:
                 # squared cosines of random unit vectors follow

@@ -703,8 +703,11 @@ def test_noisy_desk_grid_gradient_evaluation_count():
     # 2.2e-3 to 2.5e-3, against |N|^2 = 2.5e-3), where slow windows find
     # nothing to escape to and only the stall rule ends the descent.  The
     # grid takes 1,067 gradient evaluations with BLAS at one thread (1,140
-    # at two), 1,307 with the slow window disabled, and 2,263 from the
-    # scalar H0 = (s.y / y.y) I.  Before the slow window it took 1,504
+    # at two), 1,641 with the stall rule disabled (each descent then runs
+    # on to its small-gradient stop), 1,307 with the slow window disabled,
+    # and 2,263 from the scalar H0 = (s.y / y.y) I.  The bound sits
+    # between the stall rule's disabled and enabled counts, so deleting the
+    # rule fails it.  Before the slow window it took 1,504
     # with a 10-step stall window and 2,029 with 50; before the search
     # solved on T / |T| it took 1,395, and 1,622 when every first-order
     # stop probed the curvature before its escape round
@@ -715,7 +718,7 @@ def test_noisy_desk_grid_gradient_evaluation_count():
                       SearchConfig(r=r, seed=seed))
             assert res.status == "no_direction"
             total += res.grad_evals
-    assert total <= 1_900
+    assert total <= 1_400
 
 
 def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
@@ -1140,7 +1143,8 @@ def test_start_set_gradient_evaluation_count():
     # the scalar H0 = (s.y / y.y) I takes 4,016 (4,788 without the slow
     # window), which the bound catches; dropping gamma from
     # H0 = gamma P^-1 took 3,081 (+3%) before the slow window, which it
-    # does not
+    # does not.  A deleted `_rebalance_once` reads 4,009, only 9 over the
+    # bound, so that catch has almost no margin
     total = 0
     for r, d in START_SHAPES:
         for init in START_INITS:

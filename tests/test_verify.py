@@ -11,7 +11,8 @@ from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
 from tuckersearch.verify import (ANTI_CONCENTRATION_FLOOR, CHECKS,
                                  LemmaReport, SUBLEVEL_NORM_CONSTANT,
                                  _boundary_scale, _evaluate_at_rows,
-                                 _random_units, _unit_rows,
+                                 _random_units, _ray_coefficients,
+                                 _unit_rows,
                                  _unit_step_losses,
                                  check_anti_concentration,
                                  check_core_lower_bound, check_euler,
@@ -145,7 +146,7 @@ def test_boundary_scale_matches_bisection_reference(seed):
     levels = [g for g in gammas.default if g > 0]
     for gamma in levels:
         for q in pool:
-            s = _boundary_scale(q, T, gamma)
+            s = _boundary_scale(_ray_coefficients(q, T), gamma)
             ref = _bisect_boundary_scale(q, T, gamma)
             if abs(gamma - c) > 1e-9:
                 assert abs(s - ref) <= 1e-12 * ref
@@ -165,19 +166,20 @@ def test_boundary_scale_is_zero_when_the_ray_leaves_the_target_level():
             # X is linear in the core, and R sees it only through S S^T
             q = FactorPoint(-q.S, q.A, q.B, q.C)
         assert float(q.apply().ravel() @ T.ravel()) <= 0.0
-        assert _boundary_scale(q, T, c) == 0.0
+        assert _boundary_scale(_ray_coefficients(q, T), c) == 0.0
         # the bisection stops inside the stretch of the ray where f
         # rounds to c
         ref = _bisect_boundary_scale(q, T, c)
         assert objective(q * ref, T).f == c
         # just below |T|^2 both roots are negative and the set is empty
         below = (1.0 - 1e-6) * c
-        assert _boundary_scale(q, T, below) == 0.0
+        assert _boundary_scale(_ray_coefficients(q, T), below) == 0.0
         assert _bisect_boundary_scale(q, T, below) == 0.0
     # a zero core gives X = 0 and <X, T> = 0 exactly
     q = pool[0]
     q = FactorPoint(0.0 * q.S, q.A, q.B, q.C)
-    assert _boundary_scale(q, T, c) == 0.0
+    assert _ray_coefficients(q, T)[1] == 0.0
+    assert _boundary_scale(_ray_coefficients(q, T), c) == 0.0
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -205,6 +207,20 @@ def test_sublevel_check_calls_objective_at_most_twice_per_trial(monkeypatch):
     assert 0 < len(calls) <= 2 * rep.trials
 
 
+def test_sublevel_takes_each_directions_ray_once(monkeypatch):
+    # one transform and one regularizer per pool direction serve all four
+    # positive levels: 40 rays per check, not one per (level, direction)
+    rays = []
+
+    def counting(q, T):
+        rays.append(1)
+        return _ray_coefficients(q, T)
+
+    monkeypatch.setattr(verify_module, "_ray_coefficients", counting)
+    rep = check_sublevel_bound(rng=np.random.default_rng(2))
+    assert rep.passed and len(rays) == 40
+
+
 def test_sublevel_counts_no_trial_that_cannot_fail(monkeypatch):
     # along a ray with <X, T> <= 0, f >= |T|^2, so at a level gamma <=
     # |T|^2 the boundary point is all but zero and cannot fail the bound;
@@ -213,9 +229,9 @@ def test_sublevel_counts_no_trial_that_cannot_fail(monkeypatch):
     # call follows the _boundary_scale call that names its level
     levels, trials = [0.0], []
 
-    def scaling(q, T, gamma):
+    def scaling(ray, gamma):
         levels.append(gamma)
-        return _boundary_scale(q, T, gamma)
+        return _boundary_scale(ray, gamma)
 
     def recording(p, T, *args):
         rep = objective(p, T, *args)
@@ -244,12 +260,15 @@ def test_per_mode_contraction_matches_four_operand_einsum(d):
 
 
 def _unit_row_margins(rng, dims, trials, samples):
-    """check_anti_concentration's margins and oracle gap with its sample
-    rows drawn as three unit-row sets, one after the other: the
-    reference for the one unnormalized (3, samples, d) draw."""
+    """check_anti_concentration's margins and oracle gap with each
+    dimension's sample rows drawn as three unit-row sets, one after the
+    other, and shared by that dimension's trials + 1 tensors: the
+    reference for the one unnormalized (3, samples, d) draw per
+    dimension."""
     margins, oracle_gap = [], 0.0
     for d in dims:
         thresh = verify_module.ANTI_CONCENTRATION_CUTOFF / d ** 1.5
+        A, B, C = (_unit_rows(rng, samples, d) for _ in range(3))
         for t in range(trials + 1):
             if t == trials:
                 u, v, w = (_unit_rows(rng, 1, d)[0] for _ in range(3))
@@ -257,7 +276,6 @@ def _unit_row_margins(rng, dims, trials, samples):
             else:
                 X = rng.standard_normal((d, d, d))
                 X /= norm_f(X)
-            A, B, C = (_unit_rows(rng, samples, d) for _ in range(3))
             phat = float(np.mean(np.abs(_evaluate_at_rows(X, A, B, C))
                                  >= thresh))
             margins.append(ANTI_CONCENTRATION_FLOOR - phat)
@@ -271,10 +289,10 @@ def _unit_row_margins(rng, dims, trials, samples):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_anti_concentration_matches_the_unit_row_reference(seed,
                                                            monkeypatch):
-    # the one (3, samples, d) draw into a prefix of the buffer is the
-    # stream of three successive row draws, and the unnormalized test
-    # counts as the unit rows do: every trial's margin and the oracle gap
-    # equal the reference's
+    # each dimension's one (3, samples, d) draw into a prefix of the
+    # buffer is the stream of three successive row draws, taken before
+    # its tensors, and the unnormalized test counts as the unit rows do:
+    # every trial's margin and the oracle gap equal the reference's
     seen = []
     report = verify_module._margin_report
     monkeypatch.setattr(verify_module, "_margin_report",
@@ -286,6 +304,69 @@ def test_anti_concentration_matches_the_unit_row_reference(seed,
                                      (3, 4, 5, 6), 2, 3000)
     assert seen == [margins]
     assert rep.details["rank_one_oracle_gap"] == gap
+
+
+class _RecordingGenerator:
+    """A generator that logs the shape of every normal and beta draw."""
+
+    def __init__(self, rng):
+        self.rng, self.normals, self.betas = rng, [], []
+
+    def standard_normal(self, size=None, out=None):
+        self.normals.append(np.shape(out) if size is None else size)
+        return self.rng.standard_normal(size, out=out)
+
+    def beta(self, a, b, size=None):
+        self.betas.append(size)
+        return self.rng.beta(a, b, size=size)
+
+
+def test_anti_concentration_work_is_pinned(monkeypatch):
+    # a guard on the check's work, so a speed-up cannot buy its time by
+    # scoring fewer tensors or fewer samples: 4 dimensions x (5 Gaussian +
+    # 1 rank-one) tensors, each evaluated once on (3, 10,000, d) rows,
+    # one row draw and one (3, 10,000) Beta draw per dimension
+    calls = []
+
+    def recording(X, A, B, C):
+        calls.append((X.shape, A.shape, B.shape, C.shape))
+        return _evaluate_at_rows(X, A, B, C)
+
+    monkeypatch.setattr(verify_module, "_evaluate_at_rows", recording)
+    rng = _RecordingGenerator(np.random.default_rng(0))
+    rep = check_anti_concentration(rng)
+    samples = 10_000
+    assert rep.trials == 24 and rep.passed
+    assert calls == [((d,) * 3, (samples, d), (samples, d), (samples, d))
+                     for d in (3, 4, 5, 6) for _ in range(6)]
+    assert rng.normals == [shape for d in (3, 4, 5, 6) for shape in
+                           [(3, samples, d)] + [(d, d, d)] * 5 + [(1, d)] * 3]
+    assert rng.betas == [(3, samples)] * 4
+    calls.clear()
+    [suite_rep] = run_suite(0, ["anti-concentration"])
+    assert suite_rep.trials == 24 and len(calls) == 24
+
+
+@pytest.mark.parametrize("shrink,floor_fails", [(1e-2, True), (0.6, False)])
+def test_anti_concentration_fails_on_shrunk_evaluations(monkeypatch, shrink,
+                                                        floor_fails):
+    # negative controls: evaluations shrunk by 1e-2 fall under the cutoff
+    # almost everywhere, so every tensor's floor margin and every rank-one
+    # oracle gap fails; shrunk by 0.6 every tensor still clears the floor,
+    # and only the oracle, exact for rank-one tensors, sees the change
+    monkeypatch.setattr(verify_module, "_evaluate_at_rows",
+                        lambda *args: shrink * _evaluate_at_rows(*args))
+    rep = check_anti_concentration(np.random.default_rng(8), trials=2,
+                                   samples=4000)
+    assert not rep.passed
+    assert rep.details["rank_one_oracle_gap"] > 0.03
+    dims = 4
+    if floor_fails:
+        assert rep.failures == rep.trials + dims
+        assert rep.worst_margin > 0.0
+    else:
+        assert rep.failures == dims
+        assert rep.worst_margin <= 0.0
 
 
 def test_core_lower_bound_holds():
@@ -438,6 +519,15 @@ def test_suite_runs_every_registered_check():
     reports = run_suite(seed=0)
     assert len(reports) == len(CHECKS) - 1 + 5
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("seed", range(1, 8))
+def test_suite_passes_on_every_check(seed):
+    # the frozen constants and bounds hold on the suite's own streams;
+    # seed 0 is the test above's
+    reports = run_suite(seed=seed)
+    assert all(r.passed for r in reports), [
+        (r.lemma, r.details) for r in reports if not r.passed]
 
 
 def test_suite_is_deterministic_given_seed():
