@@ -1,15 +1,17 @@
 """Local search driver.
 
-The driver alternates two stages until the objective reaches the target,
-no direction helps, or the gradient-evaluation budget runs out:
+`run` checks its input, solves on the unit-norm target and hands the
+start to `_find_sosp`, the one search loop.  It descends, handles each
+stop itself, and has three exits: f reaches the target (converged), the
+gradient-evaluation budget runs out (budget), or a point that a curvature
+probe certified stationary takes no escape step (no_direction).
 
-  1. descend with backtracking line searches along L-BFGS directions,
-     built from the last LBFGS_MEMORY (s, y) pairs between gradient
-     points, until the gradient norm is at most TAU1, or f has fallen by
-     no more than STALL_TOL f over the last STALL_WINDOW accepted steps
-     at a gradient norm of at most STALL_GRAD, or f reaches the target.
-     Such a first-order stop is not certified: the descent hands the
-     point on without probing its curvature.  While the descent crawls,
+  1. The descent line-searches L-BFGS directions, built from the last
+     LBFGS_MEMORY (s, y) pairs between gradient points, with
+     backtracking.  It stops when the gradient norm is at most TAU1, or
+     at a stall: f has fallen by no more than STALL_TOL f over the last
+     STALL_WINDOW accepted steps at a gradient norm of at most
+     STALL_GRAD.  A stop probes nothing yet.  While the descent crawls,
      with f fallen by no more than SLOW_TOL f over the last STALL_WINDOW
      accepted steps and at least one pair in the memory (a slow window),
      it scores the escape round of stage 2 at its point first: a step
@@ -17,123 +19,47 @@ no direction helps, or the gradient-evaluation budget runs out:
      cleared; after none it goes on from the same gradient and memory,
      and its next slow window waits twice as many accepted steps (5, 10,
      20, ...), until a step is taken;
-  2. at a first-order stop, propose escape directions, the sampled
-     rank-one block updates of every label in SAMPLED_BLOCKS, and accept
-     the best if it improves enough.  Only when no escape step is taken
-     does a Lanczos probe of at most LANCZOS_STEPS Hessian-vector products
-     look for negative curvature there, from the same report: a direction
-     is line-searched both ways and the descent resumes from the better
-     step; none certifies the point stationary, and the run ends
-     no_direction.
+  2. at a stop, the escape round proposes the sampled rank-one block
+     updates of every label in SAMPLED_BLOCKS and takes the best if it
+     improves enough.  Only when no escape step is taken does a Lanczos
+     probe of at most LANCZOS_STEPS Hessian-vector products look for
+     negative curvature there, from the same report: a direction is
+     line-searched both ways and the better step is taken; none
+     certifies the point stationary.  The step either takes starts a new
+     descent (a round), memory cleared.
 
 A line search that cannot realize the descent it promises probes the
-curvature inside stage 1, in the same way, but certifies the point only
-at a gradient norm of at most STALL_GRAD; above it the probe is taken
-again from a fresh random start until it gives a step or the budget ends
-the run.  The escape is scored from the exact expansion of f and charges
-no gradient evaluation, while a probe costs 2 to 2 LANCZOS_STEPS, so the
-cheaper test goes first.  Stage 1 handles first order saddles, the probe
-second order ones, and the escape round the flat third and fourth order
-ones that gradient information cannot see, so the escape draws only
-labels with two or three missing modes.  On the zero start, where every
-derivative vanishes, the escape round follows the first gradient and no
-probe is paid for.
+curvature inside stage 1, in the same way, and a step continues the
+descent.  Where the probe gives none at a gradient norm of at most
+STALL_GRAD, the point is certified: a stop whose escape round comes
+without a second probe.  Above that norm the probe is taken again from
+a fresh random start until it gives a step or the budget cuts it short,
+which is a stop as well.  The escape is scored from the exact expansion
+of f and charges no gradient evaluation, while a probe costs 2 to
+2 LANCZOS_STEPS, so the cheaper test goes first.  Stage 1 handles first
+order saddles, the probe second order ones, and the escape round the flat
+third and fourth order ones that gradient information cannot see, so the
+escape draws only labels with two or three missing modes.  On the zero
+start, where every derivative vanishes, the escape round follows the
+first gradient and no probe is paid for.
 
 The L-BFGS recursion starts from H0 = gamma P^-1, after scaled gradient
-descent for Tucker (Tong, Ma and Chi, arXiv:2104.14526).  P is the
-block-diagonal Gauss-Newton matrix of the fitting term at the current
-point: with the Gram matrices G_m = M M^T, factor m's block is
-W_m = S_(m) (G_k kron G_l) S_(m)^T, multiplying its r x d gradient block
-from the left, and the core's is G_A kron G_B kron G_C, applied as three
-mode products.  Each of the six r x r blocks is damped by GN_DAMPING
-times its trace / r, and gamma = s.y / (y.P^-1 y) of the newest pair.
-Each factor and the core thus take a step scaled to their own curvature
-rather than one scalar step for all.  The damping was chosen from a sweep
-taken when every first-order stop probed the curvature before the escape
-round and the stall window was 50 steps; re-run on the unit-norm problem
-with the present stage order, slow windows included (mean gradient
-evaluations over the 36 perfbench `grid` cells of seeds 51-53, and the
-totals of the desk grid, the desk grid with noise of norm 5e-2,
-acceptance criterion 05 and the scale table; BLAS at one thread):
+descent for Tucker (Tong, Ma and Chi, arXiv:2104.14526): P is the damped
+block-diagonal Gauss-Newton matrix of the fitting term (`_gn_inverse`),
+so each factor and the core take a step scaled to their own curvature
+rather than one scalar step for all.
 
-    GN_DAMPING     1e-3   1e-2   2e-2   3e-2   4e-2   5e-2    0.1    0.3
-    grid mean        59     59     56     53     53     52     61     80
-    desk grid       558    508    518    438    480    509    552    708
-    desk + noise  1,280  1,364  1,270  1,189  1,067  1,274  1,336  1,575
-    crit. 05        614    625    679    777    791    848    946  1,317
-    scale table     620    608    721    604    565    594    728    902
+The tuned constants, each chosen from a sweep in the README's "Tuning"
+section:
 
-against 987, 2,263, 1,674 and 1,335 on the desk, noisy desk, criterion
-05 and scale sets from the scalar H0 = (s.y / y.y) I.  Without slow
-windows the count rose steeply below about 2e-2 (desk grid 3,089 at
-1e-3, grid mean 486): most of that cliff was the descent crawling on
-plateaus, which the slow window now leaves early.  4e-2 reads lowest
-on two sets and 29% above 1e-3 on criterion 05, and it has the lowest
-total over the five sets (4,819, against 4,933 at 3e-2, 5,094
-at 5e-2 and 5,196 at 1e-3), so the constant stays.
-
-The algorithm needs the descent only to reach an approximate second-order
-stationary point, and a saddle plateau where the gradient norm sits
-between 1e-7 and 1e-5, above TAU1, is one already: the escape or the
-curvature probe does better there than more descent.  The slow window
-scores the escape round on such a plateau before the stall rule can fire.
-SLOW_TOL was chosen from this sweep (total gradient evaluations over the
-36 perfbench `grid` cells of seeds 1-3 and of seeds 4-6, the desk grid
-exact, with noise of norm 5e-2 and x100, the 75-run start set, the scale
-table, acceptance criterion 05 and 60 rank-1 runs; objective values over
-the first 36 cells; wall time of the 72 cells, each cell's best of 3
-interleaved runs summed, relative to the slow window off; the largest
-relative change of a noisy desk run's final f; BLAS at one thread; no
-status moved at any value):
-
-    SLOW_TOL        off   1e-5   1e-4   1e-3   1e-2   3e-2    0.1
-    grid 1-3      2,489  2,305  2,101  2,008  1,889  1,804  1,659
-    grid 4-6      2,739  2,351  2,144  2,038  1,872  1,781  1,736
-    desk            659    567    527    465    480    444    392
-    desk + noise  1,307  1,322  1,288  1,236  1,067  1,082  1,140
-    desk x100       673    554    520    480    473    435    389
-    start set     2,993  2,953  2,922  2,829  2,764  2,669  2,601
-    scale table   1,111    778    715    607    565    553    528
-    crit. 05      1,012    922    817    786    791    746    753
-    rank-1          665    665    665    665    665    665    665
-    grid 1-3 obj   148k   151k   157k   163k   179k   195k   232k
-    wall time      1.00   0.93   0.89   0.87   0.84   0.85   0.87
-    noisy f           0   7e-5   3e-5   2e-5   3e-5   3e-5   5e-5
-
-Every value lowers every set but the noisy desk at 1e-5 (+1%) and the
-rank-1 runs, which stay byte-equal: after the zero start's escape step
-their descent runs along -g from steps 2, 4, 8, ... with every pair
-rejected by negative curvature, and the pair condition keeps slow
-windows out of that ramp (without it, at 1e-2, 5 of the 60 runs score a
-round mid-ramp and take 699 evaluations).
-The gradient count falls up to 0.1, but the objective values climb and
-the wall time is flat from 1e-3 to 3e-2 and rises at 0.1; 1e-2 is taken.
-
-STALL_WINDOW = 5 (STALL_TOL = 1e-6) was chosen from this sweep (total
-gradient evaluations over the 36 `grid` cells of seeds 1-3, the desk grid
-exact and with noise of norm 5e-2, the start set, the scale table and
-criterion 05; BLAS at one thread; re-measured with slow windows):
-
-    STALL_WINDOW      1      3      5      8     10     50
-    grid cells    1,463  1,757  1,889  1,991  2,036  3,029
-    desk            362    408    480    482    488    717
-    desk + noise    880  1,062  1,067  1,294  1,440  2,029
-    start set     2,483  2,629  2,764  2,856  2,884  3,230
-    scale table     447    569    565    593    658  1,134
-    crit. 05        710    751    791    819    869  1,266
-
-No status moved at any window.  The cost is at the noise floor: the
-noisy desk runs end no_direction at an f up to 3.0e-5 relative above
-that of a 50-step window with 5 steps, 1.1e-4 with 3 and 3.2e-4 with 1,
-which is why the shorter windows are not taken.
-
-STALL_GRAD keeps a crawl far from any stationary point from being
-handed on, and so from a no_direction verdict: at lambda = 0, where the
-paper promises nothing, descents from large starts stall at gradient
-norms from 0.12 to 91.  The largest gradient norm at a stall hand-off on
-the unit-norm check sets without the bound was 6.5e-4 (the 108 `grid`
-cells of seeds 1-9), 5.9e-4 (the start set) and 1.9e-4 (the noisy desk
-grid), so 1e-2 moves none of them.
+  GN_DAMPING = 4e-2   the lowest total over five check sets;
+  SLOW_TOL = 1e-2     fewer gradient evaluations up to it, no more wall
+                      time, and more objective values beyond it;
+  STALL_WINDOW = 5    shorter windows leave noisy runs further above
+                      their floor;
+  STALL_GRAD = 1e-2   keeps a crawl far from any stationary point, as at
+                      lambda = 0, from being handed on, and no stall on
+                      the check sets comes near it.
 
 Budget accounting: one `Evaluator` holds the target, lambda and the
 counters, and each of its methods charges its own cost: a gradient 1, a
@@ -145,15 +71,14 @@ point is evaluated once: its `ObjectiveReport` keeps the fit stages, the
 factor Grams and the Gram gaps, and the gradient at the point, the
 preconditioner of its L-BFGS direction, a rebalance move, every sign
 search of the escape round at it and a curvature step from it start
-from that report,
-so they form neither again and a sign search adds no baseline value to
-the count.  No point takes a second gradient or a second escape round:
-after a slow window's escape round finds nothing, the descent steps on
-from the gradient it has, and after a first-order stop's finds nothing,
-the run either steps along negative curvature to a new point or ends.
-No curvature probe starts that the budget cannot pay for, so a run never
-spends past its budget; a probe the budget cuts short ends the run with
-status budget.
+from that report, so they form neither again and a sign search adds no
+baseline value to the count.  No point takes a second gradient or a
+second escape round: after a slow window's escape round finds nothing,
+the descent steps on from the gradient it has, and after a stop's finds
+nothing, the search either steps along negative curvature to a new point
+or ends.  No curvature probe starts that the budget cannot pay for, so a
+run never spends past its budget; a probe the budget cuts short ends the
+run with status budget, unless its point's escape round takes a step.
 
 An escape step is taken on the sign search's predicted gain only if the
 evaluated f does not rise by more than the trace allows; the expansion's
@@ -199,7 +124,7 @@ SAMPLED_BLOCKS = ((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2))
 # accepted steps stops as on a small gradient and hands its point to the
 # escape round, if its gradient norm is at most STALL_GRAD; one whose f
 # falls by no more than SLOW_TOL * f scores an escape round and goes on
-# (see the module docstring's sweeps)
+# (see the module docstring)
 STALL_WINDOW = 5
 STALL_TOL = 1e-6
 STALL_GRAD = 1e-2
@@ -444,14 +369,13 @@ def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
 
 @dataclass(frozen=True)
 class FindSospInfo:
-    """How a descent ended: converged only where a curvature probe
-    certified the point stationary, at a gradient norm of at most
-    STALL_GRAD, with its Ritz value as min_curvature; a first-order stop,
-    epsilon or the budget leave it False."""
+    """How a search ended: converged only where a curvature probe
+    certified the final point stationary and no escape step left it;
+    epsilon or the budget leave it False.  rounds counts the descents
+    started."""
     converged: bool
     report: ObjectiveReport
-    grad_norm: float | None
-    min_curvature: float | None
+    rounds: int
 
 
 def _require_finite(value: float, what: str) -> None:
@@ -465,12 +389,15 @@ def _negative_curvature(p: FactorPoint, rng: np.random.Generator,
     reorthogonalization; returns (unit Ritz direction or None, smallest
     Ritz value).
 
-    The first product is also the flat-Hessian probe: with 4 |Hq| < TAU2
-    the search returns its Rayleigh quotient and no direction.  The
-    iteration stops once the smallest Ritz value theta is at most -TAU2/2
-    with residual beta |e_k.y| <= 0.1 |theta|, or once beta vanishes and
-    the Ritz values are exact, and otherwise after LANCZOS_STEPS products;
-    a direction comes back whenever theta <= -TAU2/2.  A product the
+    The first two products are also the flat-Hessian probe: with
+    4 |Hq| < TAU2 for both, the search stops there with no direction.
+    The second start is the first one's image, so an eigenvalue that
+    dominates H shows in it even where the random start barely meets its
+    eigenvector.  The iteration stops once the smallest Ritz value theta
+    is at most -TAU2/2 with residual beta |e_k.y| <= 0.1 |theta|, or once
+    beta vanishes and the Ritz values are exact, and otherwise after
+    LANCZOS_STEPS products; a direction comes back whenever
+    theta <= -TAU2/2.  A product the
     budget cannot pay for ends the search with an infinite value: nothing
     was measured."""
     q = rng.standard_normal(p.flat.size)
@@ -485,8 +412,6 @@ def _negative_curvature(p: FactorPoint, rng: np.random.Generator,
         alpha = float(q @ w)
         _require_finite(alpha, "curvature estimate")
         hnorm = max(hnorm, float(np.linalg.norm(w)))
-        if len(basis) == 1 and 4.0 * hnorm < TAU2:
-            return None, alpha
         alphas.append(alpha)
         # full reorthogonalization, in two passes; it also takes out the
         # alpha q and beta q_prev terms of the three-term recurrence
@@ -497,8 +422,9 @@ def _negative_curvature(p: FactorPoint, rng: np.random.Generator,
         ritz, vecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1)
                                     + np.diag(betas, -1))
         theta, y = float(ritz[0]), vecs[:, 0]
-        if beta <= 1e-10 * hnorm or (theta <= -TAU2 / 2.0 and
-                                     beta * abs(y[-1]) <= 0.1 * abs(theta)):
+        if (beta <= 1e-10 * hnorm or (len(alphas) == 2 and 4.0 * hnorm < TAU2)
+                or (theta <= -TAU2 / 2.0
+                    and beta * abs(y[-1]) <= 0.1 * abs(theta))):
             break
         betas.append(beta)
         basis.append(w / beta)
@@ -571,10 +497,8 @@ def _lbfgs_direction(rep: ObjectiveReport, g: FactorPoint, pairs):
     curvature; gamma = s.y / (y.P^-1 y) of the newest pair sets the
     overall length.
     The blocks are built and inverted once per call and applied to y and
-    to the recursion's vector together.  GN_DAMPING = 4e-2 sits in the
-    flat part of the module docstring's sweep, from 3e-2 to 0.1, above
-    the rise below 2e-2.  None without a pair, where every block of P is
-    zero, or where -H g is not a descent direction."""
+    to the recursion's vector together.  None without a pair, where every
+    block of P is zero, or where -H g is not a descent direction."""
     if not pairs:
         return None
     inv = _gn_inverse(rep)
@@ -670,54 +594,52 @@ def _escape_round(rep: ObjectiveReport, ev: Evaluator,
 
 
 def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
-               rep: ObjectiveReport, trace: SearchTrace,
-               epsilon: float = -math.inf, escape=None):
-    """Descend from p, whose finite objective report the caller passes as
-    rep, recording each accepted step in trace, until f <= epsilon, the
-    descent stops at a first-order point or the budget runs out.  Returns
-    (point, FindSospInfo) with the final point's report.  (`budget` keeps
-    its name: the benchmark's tracer reads `budget.exhausted` to classify
-    the stop.)
+               rep: ObjectiveReport, trace: SearchTrace, epsilon: float,
+               sampler: np.random.Generator, samples: int):
+    """The search from p, whose finite objective report the caller passes as
+    rep, recording each accepted step in trace, until one of the three
+    exits in the module docstring: f <= epsilon, the budget runs out, or a
+    point a curvature probe certified takes no escape step.  Returns
+    (point, FindSospInfo) with the final point's report.  Probes draw from
+    rng, and each escape round samples draws per label from sampler.
+    (`budget` keeps its name: the benchmark's tracer reads
+    `budget.exhausted` to classify the end.)
 
     Each descent step line-searches the L-BFGS direction from a first
     trial step of 1.  Without a pair, or where that direction does not
     descend, the memory is cleared and the step goes along -g from twice
-    the last such step.  A small gradient, or a stall with a gradient norm
-    of at most STALL_GRAD, returns uncertified and probes nothing: `run`
-    scores the escape round there first.  A slow window (see the module
-    docstring) calls escape, a function of the report that returns an
-    `_escape_round` step or None, if one is given: a step taken is
-    recorded and the descent starts afresh from it, and after none the
-    descent goes on with the same gradient and memory and the next try
-    waits twice as many steps.  A failed line search probes the curvature
-    (`_curvature_step`); a negative-curvature step continues the descent,
-    and none certifies the point stationary where the gradient norm is at
-    most STALL_GRAD.  Above it the probe is repeated from a fresh random
-    start until a step or the budget ends it."""
+    the last such step.  A probe inside the descent that gives no step is
+    repeated from a fresh random start while the gradient norm is above
+    STALL_GRAD and the budget lasts."""
     step_hint = 1.0
-    gn = None
     last_grad = None  # (point, gradient) where the last gradient was taken
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, s.y), oldest first
     recent = deque([rep.f], maxlen=STALL_WINDOW + 1)
     # accepted steps the next slow-window escape round waits for, and the
     # steps left of that wait
     wait, quiet = STALL_WINDOW, 0
+    # descents started: this one, and one after each stop's step, unless
+    # the point reaches epsilon
+    rounds = int(rep.f > epsilon)
     while True:
         if rep.f <= epsilon or budget.exhausted:
-            return p, FindSospInfo(False, rep, gn, None)
-        kind, hit, seen = "rebalance", None, {}
+            return p, FindSospInfo(False, rep, rounds)
+        kind, hit, taken = "rebalance", None, None
+        # rho: the smallest Ritz value of a probe that gave a step or
+        # certified a stop's point
+        stop, rho = False, None
         # orbit moves only pay off once the regularizer carries a real
         # share of the objective; while the loss dominates, plain descent
         # handles both components
         if rep.f > 0.0 and budget.lam * rep.R >= 0.25 * rep.f:
             hit = _rebalance_once(rep, budget)
             if hit is None and budget.exhausted:
-                return p, FindSospInfo(False, rep, gn, None)
+                return p, FindSospInfo(False, rep, rounds)
         if hit is None:
             g = budget.grad(rep)
             gn = g.norm()
             _require_finite(gn, "gradient")
-            kind, seen = "gradient", {"grad_norm": gn}
+            kind = "gradient"
             if last_grad is not None:
                 s = p.flat - last_grad[0].flat
                 y = g.flat - last_grad[1].flat
@@ -729,52 +651,66 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
             # and little progress earns an escape round
             fall = (recent[0] - recent[-1] if len(recent) > STALL_WINDOW
                     else math.inf)
-            if gn <= TAU1 or (fall <= STALL_TOL * recent[-1]
-                              and gn <= STALL_GRAD):
-                return p, FindSospInfo(False, rep, gn, None)
-            if (escape is not None and pairs and quiet <= 0
+            stop = gn <= TAU1 or (fall <= STALL_TOL * recent[-1]
+                                  and gn <= STALL_GRAD)
+            if (not stop and pairs and quiet <= 0
                     and fall <= SLOW_TOL * recent[-1]):
-                taken = escape(rep)
-                if taken is not None:
-                    kind, best, p, rep = taken
-                    trace.append(f=rep.f, L=rep.L, R=rep.R, step_kind=kind,
-                                 step_size=best.step,
-                                 improvement=best.improvement, grad_norm=gn)
-                    step_hint, last_grad, wait = 1.0, None, STALL_WINDOW
+                taken = _escape_round(rep, budget, sampler, samples)
+                if taken is None:
+                    wait *= 2
+                    quiet = wait
+            if not stop and taken is None:
+                direction = _lbfgs_direction(rep, g, pairs)
+                if direction is not None:
+                    hit = _line_search(p, direction, rep.f, budget,
+                                       slope=-g.inner(direction))
+                else:
                     pairs.clear()
-                    recent.clear()
-                    recent.append(rep.f)
-                    continue
-                wait *= 2
-                quiet = wait
-            direction = _lbfgs_direction(rep, g, pairs)
-            if direction is not None:
-                hit = _line_search(p, direction, rep.f, budget,
-                                   slope=-g.inner(direction))
-            else:
-                pairs.clear()
-                hit = _line_search(p, -1.0 * g, rep.f, budget,
-                                   init_step=2.0 * step_hint, slope=gn * gn)
-                if hit is not None:
-                    step_hint = hit[2]
-        while hit is None:
+                    hit = _line_search(p, -1.0 * g, rep.f, budget,
+                                       init_step=2.0 * step_hint,
+                                       slope=gn * gn)
+                    if hit is not None:
+                        step_hint = hit[2]
+        while hit is None and not stop and taken is None:
             # the line search cannot realize the descent it promises
             hit, rho = _curvature_step(p, rep, rng, budget)
             if hit is None and (gn <= STALL_GRAD or not math.isfinite(rho)):
                 # stationary, unless rho is infinite: the budget died
-                # before a Rayleigh quotient came back
-                certified = math.isfinite(rho)
-                return p, FindSospInfo(certified, rep, gn,
-                                       rho if certified else None)
+                # before a Rayleigh quotient came back, and it cuts the
+                # stop's own probe short too
+                stop, rho = True, rho if math.isfinite(rho) else None
+                break
             kind = "negative-curvature"
-            seen = {"grad_norm": gn, "min_curvature": rho}
             recent.clear()
-        prev_f = rep.f
-        p, rep, step = hit
+        if stop:
+            if budget.exhausted:
+                return p, FindSospInfo(False, rep, rounds)
+            taken = _escape_round(rep, budget, sampler, samples)
+            if taken is None and rho is None:
+                # only now probe the curvature, from the same report
+                hit, rho = _curvature_step(p, rep, rng, budget)
+                kind = "negative-curvature"
+            if taken is None and hit is None:
+                return p, FindSospInfo(math.isfinite(rho), rep, rounds)
+        if taken is not None:
+            kind, best, p, rep = taken
+            step, gain = best.step, best.improvement
+        else:
+            gain = rep.f - hit[1].f
+            p, rep, step = hit
+        if stop or taken is not None:
+            # the descent starts afresh from an escape step or a stop's
+            # step; the latter starts a new round
+            step_hint, last_grad, wait, quiet = 1.0, None, STALL_WINDOW, 0
+            pairs.clear()
+            recent.clear()
+            rounds += stop and rep.f > epsilon
         recent.append(rep.f)
         quiet -= 1
         trace.append(f=rep.f, L=rep.L, R=rep.R, step_kind=kind,
-                     step_size=step, improvement=prev_f - rep.f, **seen)
+                     step_size=step, improvement=gain,
+                     grad_norm=None if kind == "rebalance" else gn,
+                     min_curvature=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -837,56 +773,18 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
         p = random_point(r, d, rng_init, scale=scale)
 
     ev = Evaluator(T, lam, config.budget)
-    samples = samples_per_block(config.epsilon)
-
-    def escape(rep):
-        return _escape_round(rep, ev, rng_sampler, samples)
-
     trace = SearchTrace(seed=config.seed)
     rep = ev.objective(p)
     _require_finite(rep.f, "objective")
     trace.append(f=rep.f, L=rep.L, R=rep.R, step_kind="init", step_size=0.0,
                  improvement=0.0)
-
-    status = "converged" if rep.f <= config.epsilon else None
-    rounds = 0
-    while status is None:
-        rounds += 1
-        p, info = _find_sosp(p, ev, rng_sosp, rep, trace,
-                             epsilon=config.epsilon, escape=escape)
-        rep = info.report
-        if rep.f <= config.epsilon:
-            status = "converged"
-            break
-        if ev.exhausted:
-            status = "budget"
-            break
-
-        taken = escape(rep)
-        if taken is not None:
-            kind, best, p, rep = taken
-            trace.append(f=rep.f, L=rep.L, R=rep.R,
-                         step_kind=kind, step_size=best.step,
-                         improvement=best.improvement,
-                         grad_norm=info.grad_norm,
-                         min_curvature=info.min_curvature)
-        elif info.converged:
-            status = "no_direction"
-        else:
-            # a first-order stop that no escape step leaves: only now probe
-            # the curvature, at the same point and from the same report
-            hit, rho = _curvature_step(p, rep, rng_sosp, ev)
-            if hit is None:
-                status = "no_direction" if math.isfinite(rho) else "budget"
-            else:
-                prev_f = rep.f
-                p, rep, step = hit
-                trace.append(f=rep.f, L=rep.L, R=rep.R,
-                             step_kind="negative-curvature", step_size=step,
-                             improvement=prev_f - rep.f,
-                             grad_norm=info.grad_norm, min_curvature=rho)
-        if status is None and rep.f <= config.epsilon:
-            status = "converged"
+    p, info = _find_sosp(p, ev, rng_sosp, rep, trace, config.epsilon,
+                         rng_sampler, samples_per_block(config.epsilon))
+    rep = info.report
+    if rep.f <= config.epsilon:
+        status = "converged"
+    else:
+        status = "no_direction" if info.converged else "budget"
 
     # back to the target's units: f, L and R scale by |T|^2.  The last
     # record is the final point's, so rescale checks these values too
@@ -895,5 +793,5 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     return RunResult(point=norm ** 0.25 * p, trace=trace, status=status,
                      f=rep.f * units, L=rep.L * units, R=rep.R * units,
                      grad_evals=ev.used,
-                     objective_evals=ev.objective_evals, rounds=rounds,
+                     objective_evals=ev.objective_evals, rounds=info.rounds,
                      wall_time=time.perf_counter() - t_start)

@@ -3,6 +3,7 @@ curvature, and the full run loop."""
 import dataclasses
 import json
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     eval_along, grad, grad_loss, hvp,
                                     objective, save_point)
 from tuckersearch.search import (LANCZOS_STEPS, SAMPLED_BLOCKS, STALL_GRAD,
-                                 STALL_WINDOW, TAU1, TAU2, Evaluator,
-                                 NonFiniteError, SearchConfig,
-                                 SearchTrace, _curvature_step,
-                                 _negative_curvature, run, samples_per_block)
+                                 STALL_TOL, STALL_WINDOW, TAU1, TAU2,
+                                 Evaluator, NonFiniteError, SearchConfig,
+                                 SearchTrace, _negative_curvature, run,
+                                 samples_per_block)
 from tuckersearch.subspace import subspace_split
 from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
                                       norm_f, random_point)
@@ -45,12 +46,52 @@ def noisy_desk_instance(r, d, seed, noise):
 # stationary-point finding
 
 
-def find_sosp(p0, T, lam=None, budget=10_000, seed=0):
-    """One descent of search._find_sosp from p0 with an Evaluator of the
-    given budget; returns (point, FindSospInfo)."""
+def find_sosp(p0, T, lam=None, budget=10_000, seed=0, epsilon=-math.inf):
+    """The search of search._find_sosp from p0 with an Evaluator of the
+    given budget, its curvature probes and escape rounds drawn from
+    streams of seed; returns (point, FindSospInfo, Evaluator)."""
     ev = Evaluator(T, default_lambda(p0.r) if lam is None else lam, budget)
-    return search_module._find_sosp(p0, ev, np.random.default_rng(seed),
-                                    ev.objective(p0), SearchTrace(seed=seed))
+    probe_rng, sampler = (np.random.default_rng(s)
+                          for s in np.random.SeedSequence(seed).spawn(2))
+    p, info = search_module._find_sosp(p0, ev, probe_rng, ev.objective(p0),
+                                       SearchTrace(seed=seed), epsilon,
+                                       sampler, samples_per_block(1e-4))
+    return p, info, ev
+
+
+def record_calls(monkeypatch, name):
+    """Wrap the search function `name`, which takes a point or a report
+    first and an Evaluator among its arguments; log each call as (point
+    bytes, gradient evaluations spent when it started, result)."""
+    calls = []
+    fn = getattr(search_module, name)
+
+    def recording(*args):
+        at = args[0] if isinstance(args[0], FactorPoint) else args[0].point
+        ev = next(a for a in args if isinstance(a, Evaluator))
+        start = ev.used
+        out = fn(*args)
+        calls.append((at.flat.tobytes(), start, out))
+        return out
+
+    monkeypatch.setattr(search_module, name, recording)
+    return calls
+
+
+def fail_gradient_line_searches(monkeypatch, first_only):
+    """Make the first gradient line search fail, or every one; returns the
+    points at which they failed."""
+    line_search = search_module._line_search
+    failed = []
+
+    def failing(p, *args, slope=None, **kwargs):
+        if slope is not None and not (first_only and failed):
+            failed.append(p)
+            return None
+        return line_search(p, *args, slope=slope, **kwargs)
+
+    monkeypatch.setattr(search_module, "_line_search", failing)
+    return failed
 
 
 def test_find_sosp_descends_to_tolerance_near_optimum():
@@ -59,40 +100,45 @@ def test_find_sosp_descends_to_tolerance_near_optimum():
     T = multilinear_transform(truth.S, truth.A, truth.B, truth.C)
     p0 = truth + 0.01 * random_point(2, 3, rng)
     f0 = objective(p0, T).f
-    p, info = find_sosp(p0, T, budget=20_000, seed=0)
-    # a small gradient ends the descent uncertified; the curvature probe
-    # that `run` takes there when no escape step gains finds nothing
-    assert not info.converged and info.min_curvature is None
+    p, info, _ = find_sosp(p0, T, budget=20_000, seed=0)
+    # a small gradient ends the descent; no escape step gains there, and
+    # the curvature probe that follows finds nothing and certifies it
+    assert info.converged and info.rounds == 1
     assert info.report.f <= f0 + 1e-15
-    assert info.grad_norm <= TAU1
-    assert grad(objective(p, T)).norm() <= 1e-6
+    assert grad(objective(p, T)).norm() <= TAU1
     direction, rho = _negative_curvature(
         p, np.random.default_rng(0), Evaluator(T, default_lambda(2), 10**9))
     assert direction is None and rho > -TAU2 / 2.0
 
 
-def test_find_sosp_returns_origin_unchanged():
-    # every derivative vanishes at the origin: the descent returns it after
-    # one gradient, uncertified and without a curvature probe
+def test_find_sosp_returns_origin_unchanged(monkeypatch):
+    # every derivative vanishes at the origin: the descent stops there
+    # after one gradient and scores the escape round first.  With that
+    # round made to find nothing, the curvature probe sees a flat Hessian
+    # in two products and certifies the origin, which comes back unchanged
+    monkeypatch.setattr(search_module, "_escape_round",
+                        lambda *args: None)
+    escapes = record_calls(monkeypatch, "_escape_round")
+    probes = record_calls(monkeypatch, "_curvature_step")
     T = exact_instance(2, 3, 0)
     p0 = FactorPoint.zeros(2, 3)
-    ev = Evaluator(T, default_lambda(2), 5_000)
-    p, info = search_module._find_sosp(p0, ev, np.random.default_rng(0),
-                                       ev.objective(p0), SearchTrace(seed=0))
+    p, info, ev = find_sosp(p0, T, budget=5_000)
     for blk0, blk1 in zip(p0.blocks(), p.blocks()):
         assert np.array_equal(blk0, blk1)
-    assert not info.converged
-    assert info.grad_norm == 0.0
-    assert info.min_curvature is None
-    assert ev.used == 1
+    origin = p0.flat.tobytes()
+    assert [call[:2] for call in escapes] == [(origin, 1)]
+    assert [call[:2] for call in probes] == [(origin, 1)]
+    assert probes[0][2][0] is None
+    assert info.converged and info.rounds == 1
+    assert ev.used == 5
 
 
 def test_find_sosp_budget_exhaustion_flagged():
     T = exact_instance(2, 4, 1)
     rng = np.random.default_rng(3)
     p0 = random_point(2, 4, rng)
-    p, info = find_sosp(p0, T, budget=5, seed=0)
-    assert not info.converged
+    p, info, ev = find_sosp(p0, T, budget=5, seed=0)
+    assert not info.converged and ev.exhausted
 
 
 def make_flat_saddle(theta):
@@ -118,26 +164,26 @@ def make_flat_saddle(theta):
     return p, T
 
 
-def test_find_sosp_escapes_constructed_strict_saddle():
+def test_find_sosp_escapes_constructed_strict_saddle(monkeypatch):
     # the gradient vanishes at the saddle, so the descent stops there at
-    # once; the curvature step `run` takes next, when no escape step
-    # gains, leaves it, and the descent resumed from that step fits T
+    # once; no escape step gains, and the curvature step that follows
+    # leaves it.  The descent resumed from that step fits T
     theta = 0.3
     p, T = make_flat_saddle(theta)
     assert grad(objective(p, T)).norm() <= 1e-12
     f0 = objective(p, T).f
     assert math.isclose(f0, theta**2, rel_tol=1e-12)
-    ev = Evaluator(T, default_lambda(3), 1_500)
-    rng = np.random.default_rng(0)
-    trace = SearchTrace(seed=0)
-    q, info = search_module._find_sosp(p, ev, rng, ev.objective(p), trace)
-    assert q is p and not info.converged and ev.used == 1
-    hit, rho = _curvature_step(q, info.report, rng, ev)
+    escapes = record_calls(monkeypatch, "_escape_round")
+    probes = record_calls(monkeypatch, "_curvature_step")
+    q, info, ev = find_sosp(p, T, budget=1_500, epsilon=1e-4)
+    saddle = p.flat.tobytes()
+    assert escapes[0] == (saddle, 1, None)
+    at, start, (hit, rho) = probes[0]
+    assert (at, start) == (saddle, 1)
     assert hit is not None and rho <= -TAU2 / 2.0
     assert hit[1].f < f0
-    q, info = search_module._find_sosp(hit[0], ev, rng, hit[1], trace)
-    assert info.report.f < 1e-4
-    assert info.report.f < f0
+    assert info.report.f <= 1e-4 < f0
+    assert not info.converged
 
 
 def test_find_sosp_curvature_probe_cut_short_is_not_converged(
@@ -145,29 +191,27 @@ def test_find_sosp_curvature_probe_cut_short_is_not_converged(
     # a failed line search probes the curvature inside the descent.  Near
     # the saddle the probe finds its negative curvature in 8 products (16
     # evaluations); with every gradient line search made to fail, it
-    # follows the first gradient, and a budget of 12 stops it after 5: the
-    # descent must not claim a stationary point
+    # follows the first gradient, and a budget of 12 stops it after 5.
+    # The search must not claim a stationary point.  It scores the escape
+    # round at that point, whose step starts a second round; that round's
+    # gradient spends the budget, and its probe, cut short at once, cannot
+    # certify either
     p, T = make_flat_saddle(0.3)
     p = p + 1e-3 * random_point(3, 3, np.random.default_rng(1))
     ev = Evaluator(T, default_lambda(3), 10**6)
     direction, _ = _negative_curvature(p, np.random.default_rng(0), ev)
     assert direction is not None and ev.used == 16
-    line_search = search_module._line_search
-
-    def failing(*args, slope=None, **kwargs):
-        if slope is not None:
-            return None
-        return line_search(*args, **kwargs)
-
-    monkeypatch.setattr(search_module, "_line_search", failing)
-    ev = Evaluator(T, default_lambda(3), 12)
-    rep = ev.objective(p)
-    _, info = search_module._find_sosp(p, ev, np.random.default_rng(0), rep,
-                                       SearchTrace(seed=0), epsilon=1e-4)
-    assert ev.used == 11
-    assert info.report is rep
+    fail_gradient_line_searches(monkeypatch, first_only=False)
+    escapes = record_calls(monkeypatch, "_escape_round")
+    probes = record_calls(monkeypatch, "_curvature_step")
+    _, info, ev = find_sosp(p, T, budget=12, epsilon=1e-4)
+    point = p.flat.tobytes()
+    assert probes[0] == (point, 1, (None, math.inf))
+    assert len(escapes) == 1 and escapes[0][:2] == (point, 11)
+    assert escapes[0][2] is not None
+    assert [call[1:] for call in probes[1:]] == [(12, (None, math.inf))]
+    assert ev.used == 12 and info.rounds == 2
     assert not info.converged
-    assert info.min_curvature is None
 
 
 def record_gradient_line_searches(monkeypatch):
@@ -392,28 +436,16 @@ def test_plateau_descent_hands_off_to_escape(monkeypatch):
     # 1e-6 f over the first 5 steps, so the stall rule ends the descent
     # before a slow window could score an escape round, and only the
     # progress window can end it
-    descents = []
-    find = search_module._find_sosp
-
-    def recording(p, budget, *args, **kwargs):
-        start = budget.used
-        out = find(p, budget, *args, **kwargs)
-        descents.append((budget.used - start, budget.exhausted, out[1]))
-        return out
-
-    monkeypatch.setattr(search_module, "_find_sosp", recording)
+    events = record_round_events(monkeypatch)
     line_searches = record_gradient_line_searches(monkeypatch)
     res = run_from(*tilted_two_missing_saddle(1e-2), monkeypatch)
     assert res.status == "converged"
-    # with every gradient line search succeeding, an uncertified stop
-    # above TAU1 and above epsilon, with budget left, is the progress
-    # hand-off
+    # with every gradient line search succeeding, the escape round is
+    # scored at a stall above TAU1: the progress hand-off
     assert all(step is not None for *_, step in line_searches)
-    handed_off = [spent for spent, exhausted, info in descents
-                  if not (info.converged or exhausted)
-                  and info.report.f > 1e-4 and info.grad_norm > TAU1]
-    assert handed_off
-    assert max(spent for spent, *_ in descents) <= 1_000
+    assert [name for name, _ in events
+            if name not in ("grad", "step")] == ["stall", "escape"]
+    assert res.grad_evals <= 1_000
 
 
 def test_rebalance_evaluates_only_the_accepted_move(monkeypatch):
@@ -450,6 +482,39 @@ def test_negative_curvature_exits_at_a_flat_hessian():
     assert direction is None
     assert math.isfinite(rho)
     assert ev.used <= 6
+
+
+class RankOneHessian:
+    """An evaluator whose Hessian is H = c e e^T at every point."""
+
+    def __init__(self, c, e):
+        self.c, self.e, self.used = c, e, 0
+
+    def affords(self, cost):
+        return True
+
+    def hvp(self, p, v):
+        self.used += 2
+        return p._like(self.c * (self.e @ v.flat) * self.e)
+
+
+def test_negative_curvature_finds_a_lone_eigenvalue_past_the_flat_test():
+    # H = -3 TAU2 e e^T at n = 352 (r = 4, d = 24): a random unit start
+    # meets e by about n^-1/2, so |Hq| of the first product is near
+    # 0.16 TAU2, below the flat test's TAU2 / 4.  The second Lanczos vector
+    # is the first's image, e itself, so the test waits for it; on the
+    # first product alone 18 of these 20 starts passed H as flat
+    p = FactorPoint.zeros(4, 24)
+    e = np.random.default_rng(99).standard_normal(p.flat.size)
+    e /= np.linalg.norm(e)
+    for seed in range(20):
+        ev = RankOneHessian(-3.0 * TAU2, e)
+        direction, rho = _negative_curvature(p, np.random.default_rng(seed),
+                                             ev)
+        assert direction is not None, seed
+        assert rho == pytest.approx(-3.0 * TAU2, rel=1e-9)
+        assert abs(direction.flat @ e) == pytest.approx(1.0, rel=1e-9)
+        assert ev.used == 4
 
 
 def curvature_direction(p, T, lam, rng):
@@ -776,8 +841,8 @@ def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
     # the sign search predicts a gain of 1e-9 for a step that raises f:
     # the run keeps its point and ends the round as if nothing had gained
     # enough.  At the origin, where the descent stops after one gradient,
-    # that leaves the curvature probe, whose one product finds H flat:
-    # status no_direction after 3 evaluations, with no second gradient
+    # that leaves the curvature probe, whose two products find H flat:
+    # status no_direction after 5 evaluations, with no second gradient
     from tuckersearch.escape import SignSearchResult
     rng = np.random.default_rng(5)
     worse = random_point(2, 4, rng, scale=2.0)
@@ -797,7 +862,7 @@ def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
     T = exact_instance(1, 4, 0)
     res = run(T, SearchConfig(r=2, seed=0))
     assert res.status == "no_direction" and res.rounds == 1
-    assert res.grad_evals == 3
+    assert res.grad_evals == 5
     assert [rec.step_kind for rec in res.trace.records] == ["init"]
     # the search evaluates on T / |T|: the point it kept is the origin, and
     # its f, in the target's units, is that of the first evaluation
@@ -812,13 +877,14 @@ STEP_KINDS = ({"init", "gradient", "negative-curvature", "rebalance"}
               | {"sampled({},{},{})".format(*ijk) for ijk in SAMPLED_BLOCKS})
 
 
-def run_from(p, T, monkeypatch):
-    """`run` started at the point p, handed over as the hosvd start; every
-    step kind it records is in STEP_KINDS.  The search solves on T / |T|,
-    where the point that corresponds to p is p / |T|^(1/4)."""
+def run_from(p, T, monkeypatch, **config):
+    """`run` started at the point p, handed over as the hosvd start, with
+    any other SearchConfig fields given; every step kind it records is in
+    STEP_KINDS.  The search solves on T / |T|, where the point that
+    corresponds to p is p / |T|^(1/4)."""
     start = norm_f(T) ** -0.25 * p
     monkeypatch.setattr(search_module, "hosvd", lambda T, r: start)
-    res = run(T, SearchConfig(r=p.r, seed=0, init="hosvd"))
+    res = run(T, SearchConfig(r=p.r, seed=0, init="hosvd", **config))
     assert {rec.step_kind for rec in res.trace.records} <= STEP_KINDS
     return res
 
@@ -895,11 +961,17 @@ def test_run_escapes_a_single_missing_mode(monkeypatch, theta):
 
 def record_round_events(monkeypatch):
     """Log, in order, each gradient, Hessian-vector product, escape round,
-    curvature probe and first-order stop (a small gradient or a stall) of
-    the runs that follow, with the point it is at, and each accepted
-    step's kind.  An escape round that a slow window scores inside the
-    descent is preceded by a "slow" entry at its point."""
+    curvature probe and accepted step of the runs that follow, with the
+    point it is at (a step with its kind).  Each escape round is preceded
+    by an entry, at its point, that names why the search scored it:
+    "small gradient" or "stall" at a first-order stop, "certified" after a
+    probe that found no step there, or "slow" in a slow window.  A stall
+    is told from a slow window by the stall rule, replayed on the f of the
+    steps recorded since the descent last started afresh (at the start, an
+    escape step or a negative-curvature step), as the search keeps them."""
     events = []
+    norms = []
+    recent = deque(maxlen=STALL_WINDOW + 1)
 
     def logging(name, fn, at=lambda *args: args[0].flat.tobytes()):
         def wrapped(*args, **kwargs):
@@ -907,34 +979,47 @@ def record_round_events(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(search_module, "grad", logging(
-        "grad", grad, lambda rep: rep.point.flat.tobytes()))
+    def grading(rep):
+        events.append(("grad", rep.point.flat.tobytes()))
+        g = grad(rep)
+        norms.append(g.norm())
+        return g
+
+    def why(at):
+        last = next(e for e in reversed(events) if e[0] != "hvp")
+        fall = (recent[0] - recent[-1] if len(recent) > STALL_WINDOW
+                else math.inf)
+        if last == ("probe", at):
+            return "certified"
+        if norms[-1] <= TAU1:
+            return "small gradient"
+        if fall <= STALL_TOL * recent[-1] and norms[-1] <= STALL_GRAD:
+            return "stall"
+        return "slow"
+
+    escape_round = search_module._escape_round
+
+    def escaping(rep, *args):
+        events.append((why(rep.point.flat.tobytes()),
+                       rep.point.flat.tobytes()))
+        return escape_round(rep, *args)
+
+    monkeypatch.setattr(search_module, "grad", grading)
     monkeypatch.setattr(search_module, "hvp", logging("hvp", hvp))
     monkeypatch.setattr(search_module, "subspace_split",
                         logging("escape", subspace_split))
     monkeypatch.setattr(search_module, "_negative_curvature",
                         logging("probe", _negative_curvature))
-    find = search_module._find_sosp
-
-    def finding(p, budget, *args, escape=None, **kwargs):
-        def slow(rep):
-            events.append(("slow", rep.point.flat.tobytes()))
-            return escape(rep)
-
-        out = find(p, budget, *args, escape=escape and slow, **kwargs)
-        info = out[1]
-        if not (info.converged or budget.exhausted
-                or info.report.f <= kwargs.get("epsilon", -math.inf)):
-            stop = "stall" if info.grad_norm > TAU1 else "small gradient"
-            events.append((stop, out[0].flat.tobytes()))
-        return out
-
-    monkeypatch.setattr(search_module, "_find_sosp", finding)
+    monkeypatch.setattr(search_module, "_escape_round", escaping)
     append = SearchTrace.append
 
-    def appending(self, *args, step_kind, **kwargs):
+    def appending(self, f, *args, step_kind, **kwargs):
         events.append(("step", step_kind))
-        return append(self, *args, step_kind=step_kind, **kwargs)
+        if step_kind == "init" or step_kind.startswith(
+                ("sampled", "negative")):
+            recent.clear()
+        recent.append(f)
+        return append(self, f, *args, step_kind=step_kind, **kwargs)
 
     monkeypatch.setattr(SearchTrace, "append", appending)
     return events
@@ -1060,25 +1145,26 @@ def test_lambda_zero_descent_hands_off_only_near_stationary(monkeypatch):
     # lambda = 0, (2, 6), random:10, seed 0, with a budget of 2,000: every
     # first-order stop, and so every escape round and probe after one, is
     # at a gradient norm of at most STALL_GRAD.  The run takes 2 rounds
-    # (BLAS at one thread).  When a stall handed on any point it took 14
-    # (375, 1.2M objective values and a no_direction verdict with the
-    # full budget of 20,000), and 10 with the slow window from the scalar
-    # H0 = (s.y / y.y) I; the slow window alone does not move this count
-    stops = []
-    find = search_module._find_sosp
-
-    def recording(p, budget, *args, **kwargs):
-        out = find(p, budget, *args, **kwargs)
-        if not budget.exhausted:
-            stops.append(out[1].grad_norm)
-        return out
-
-    monkeypatch.setattr(search_module, "_find_sosp", recording)
-    res = run(exact_instance(2, 6, 0),
-              SearchConfig(r=2, seed=0, budget=2_000, init="random:10",
-                           lam=0.0))
+    # (BLAS at one thread): its one stop's escape round finds nothing, and
+    # the probe there gives a step.  When a stall handed on any point it
+    # took 14 (375, 1.2M objective values and a no_direction verdict with
+    # the full budget of 20,000), and 10 with the slow window from the
+    # scalar H0 = (s.y / y.y) I; the slow window alone does not move this
+    # count.  No line search fails, so each probe follows a stop's failed
+    # escape round, and the many slow windows' rounds each step on
+    events = record_round_events(monkeypatch)
+    line_searches = record_gradient_line_searches(monkeypatch)
+    T = exact_instance(2, 6, 0)
+    res = run(T, SearchConfig(r=2, seed=0, budget=2_000, init="random:10",
+                              lam=0.0))
     assert res.status == "budget"
-    assert stops and all(gn <= STALL_GRAD for gn in stops)
+    assert all(step is not None for *_, step in line_searches)
+    probed = [at for name, at in events if name == "probe"]
+    assert probed
+    unit = FactorPoint.zeros(2, 6)
+    for at in probed:
+        p = unit._like(np.frombuffer(at).copy())
+        assert grad(objective(p, T / norm_f(T), 0.0)).norm() <= STALL_GRAD
     assert res.rounds <= 5
 
 
@@ -1112,6 +1198,110 @@ def test_failed_escape_probes_its_point_once(monkeypatch, case):
         assert [e[0] for e in before] in (["grad", "stall", "escape"],
                                           ["grad", "small gradient",
                                            "escape"])
+
+
+@pytest.mark.parametrize("gains", [False, True])
+def test_stop_after_a_descent_probe_step_is_probed_afresh(monkeypatch,
+                                                          gains):
+    # near the flat saddle the first gradient line search is made to fail,
+    # and the probe there gives a negative-curvature step inside the
+    # descent.  TAU1 is then raised until the next escape round, so the
+    # next gradient is a first-order stop.  That probe's Ritz value
+    # certifies nothing at the stop: where its escape round finds nothing
+    # (made so here), the stop probes its own point, and where the round
+    # gains, its step's record carries no min_curvature
+    p, T = make_flat_saddle(0.3)
+    p = p + 1e-3 * random_point(3, 3, np.random.default_rng(1))
+    failed = fail_gradient_line_searches(monkeypatch, first_only=True)
+    curvature_step = search_module._curvature_step
+    escape_round = search_module._escape_round
+    probes, stops = [], []
+
+    def probing(q, rep, *args):
+        probes.append(q.flat.tobytes())
+        out = curvature_step(q, rep, *args)
+        if len(probes) == 1:
+            monkeypatch.setattr(search_module, "TAU1", math.inf)
+        return out
+
+    def escaping(rep, *args):
+        monkeypatch.setattr(search_module, "TAU1", TAU1)
+        stops.append(rep.point.flat.tobytes())
+        return escape_round(rep, *args) if gains else None
+
+    monkeypatch.setattr(search_module, "_curvature_step", probing)
+    monkeypatch.setattr(search_module, "_escape_round", escaping)
+    res = run_from(p, T, monkeypatch)
+    kinds = [rec.step_kind for rec in res.trace.records]
+    assert kinds[:2] == ["init", "negative-curvature"]
+    assert res.trace.records[1].min_curvature <= -TAU2 / 2.0
+    assert probes[0] == failed[0].flat.tobytes() != stops[0]
+    if gains:
+        assert kinds[2].startswith("sampled")
+        stop = res.trace.records[2]
+        assert stop.grad_norm > TAU1 and stop.min_curvature is None
+        assert len(probes) == 1
+    else:
+        assert probes[1] == stops[0]
+    assert res.status == "converged"
+
+
+def rare_exit_run(case, monkeypatch):
+    """A run that takes an exit no census run takes."""
+    saddle, T = make_flat_saddle(0.3)
+    near_saddle = saddle + 1e-3 * random_point(3, 3,
+                                               np.random.default_rng(1))
+    if case == "descent probe step":
+        fail_gradient_line_searches(monkeypatch, first_only=True)
+        return run_from(near_saddle, T, monkeypatch)
+    if case == "probe cut short with budget left":
+        fail_gradient_line_searches(monkeypatch, first_only=False)
+        return run_from(near_saddle, T, monkeypatch, budget=12)
+    if case == "certified, then escaped":
+        fail_gradient_line_searches(monkeypatch, first_only=True)
+        return run_from(*tilted_two_missing_saddle(1e-2), monkeypatch)
+    if case == "certified, then no_direction":
+        fail_gradient_line_searches(monkeypatch, first_only=False)
+        truth = balanced_random_point(2, 3, np.random.default_rng(0))
+        p = truth + 1e-4 * random_point(2, 3, np.random.default_rng(1))
+        return run_from(p, truth.apply(), monkeypatch, epsilon=1e-10,
+                        budget=400)
+    if case == "failed rebalance":
+        apply_balance = search_module._apply_balance
+        monkeypatch.setattr(search_module, "_apply_balance",
+                            lambda *args: (math.inf,)
+                            + apply_balance(*args)[1:])
+    T = random_point(2, 4, np.random.default_rng(0)).apply()
+    return run(T, SearchConfig(r=2, seed=0, budget=2, init="random:10"))
+
+
+@pytest.mark.parametrize("case, status, counts, steps", [
+    ("descent probe step", "converged", (20, 7, 1),
+     ["init", "negative-curvature*"] + ["gradient"] * 3),
+    ("probe cut short with budget left", "budget", (12, 3122, 2),
+     ["init", "sampled(2,2,2)"]),
+    ("certified, then escaped", "converged", (31, 3130, 2),
+     ["init", "sampled(2,2,1)*"] + ["gradient"] * 6),
+    ("certified, then no_direction", "no_direction", (25, 1, 1), ["init"]),
+    ("rebalance", "budget", (2, 29, 1), ["init", "gradient", "rebalance"]),
+    ("failed rebalance", "budget", (2, 28, 1), ["init", "gradient"]),
+])
+def test_rare_exits_keep_their_records_and_counts(monkeypatch, case, status,
+                                                  counts, steps):
+    # the exits of the search loop that no census run reaches: a failed
+    # line search's probe step, a probe the budget cuts short with an
+    # evaluation left (its point's escape round gains, and the next
+    # gradient ends the budget), a point a probe certifies inside the
+    # descent that an escape step then leaves or that ends the run, and
+    # a rebalance, taken or failed, that spends the last evaluation.  Each
+    # run's status, counts (gradient and objective evaluations, rounds)
+    # and records are those from before the search's loops were one; a
+    # step marked * carries a min_curvature
+    res = rare_exit_run(case, monkeypatch)
+    assert res.status == status
+    assert (res.grad_evals, res.objective_evals, res.rounds) == counts
+    assert [rec.step_kind + "*" * (rec.min_curvature is not None)
+            for rec in res.trace.records] == steps
 
 
 def test_scale_table_gradient_evaluation_count():
