@@ -72,6 +72,8 @@ def cmd_generate(args) -> int:
         return _fail(f"rank {r} exceeds dimension {d}")
     if not (np.isfinite(args.noise) and args.noise >= 0):
         return _fail(f"noise must be finite and nonnegative, got {args.noise}")
+    if args.seed < 0:
+        return _fail("seed must be nonnegative")
     rng = np.random.default_rng(args.seed)
     truth = random_point(r, d, rng)
     T = multilinear_transform(truth.S, truth.A, truth.B, truth.C)
@@ -125,7 +127,7 @@ def _load_config(args) -> dict:
 def cmd_decompose(args) -> int:
     try:
         doc = _load_config(args)
-        T, meta = load_tensor(args.tensor, with_meta=True)
+        T, meta = load_tensor(args.tensor)
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     if T.shape[0] != T.shape[1] or T.shape[0] != T.shape[2]:
@@ -140,7 +142,6 @@ def cmd_decompose(args) -> int:
         doc["r"] = meta_r
     try:
         cfg = SearchConfig(**doc)
-        cfg.validate()
     except (ValueError, TypeError) as exc:
         return _fail(str(exc))
     if cfg.r > d:

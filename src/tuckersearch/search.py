@@ -7,18 +7,18 @@ gradient-evaluation budget runs out (budget), or a point that a curvature
 probe certified stationary takes no escape step (no_direction).
 
   1. The descent line-searches L-BFGS directions, built from the last
-     LBFGS_MEMORY (s, y) pairs between gradient points, with
-     backtracking.  It stops when the gradient norm is at most TAU1, or
-     at a stall: f has fallen by no more than STALL_TOL f over the last
-     STALL_WINDOW accepted steps at a gradient norm of at most
-     STALL_GRAD.  A stop probes nothing yet.  While the descent crawls,
-     with f fallen by no more than SLOW_TOL f over the last STALL_WINDOW
-     accepted steps and at least one pair in the memory (a slow window),
-     it scores the escape round of stage 2 at its point first: a step
-     taken is recorded and the descent starts afresh from it, memory
-     cleared; after none it goes on from the same gradient and memory,
-     and its next slow window waits twice as many accepted steps (5, 10,
-     20, ...), until a step is taken;
+     LBFGS_MEMORY (s, y) pairs between gradient points, halving the step
+     at most 40 times, as every line search does.  It stops when the
+     gradient norm is at most TAU1, or at a stall: f has fallen by no
+     more than STALL_TOL f over the last STALL_WINDOW accepted steps at
+     a gradient norm of at most STALL_GRAD.  A stop probes nothing yet.
+     While the descent crawls, with f fallen by no more than SLOW_TOL f
+     over the last STALL_WINDOW accepted steps and at least one pair in
+     the memory (a slow window), it scores the escape round of stage 2
+     at its point first: a step taken is recorded and the descent starts
+     afresh from it, memory cleared; after none it goes on from the same
+     gradient and memory, and its next slow window waits twice as many
+     accepted steps (5, 10, 20, ...), until a step is taken;
   2. at a stop, the escape round proposes the sampled rank-one block
      updates of every label in SAMPLED_BLOCKS and takes the best if it
      improves enough.  Only when no escape step is taken does a Lanczos
@@ -67,18 +67,20 @@ Hessian-vector product 2 (a gradient difference), the Gram gaps of a
 rebalance move 1 (the content of the regularizer gradient).  Objective
 values, the sign search's included, are counted but not charged; a
 rebalance trial, scored from its Gram gaps alone, is not counted.  Each
-point is evaluated once: its `ObjectiveReport` keeps the fit stages, the
-factor Grams and the Gram gaps, and the gradient at the point, the
-preconditioner of its L-BFGS direction, a rebalance move, every sign
-search of the escape round at it and a curvature step from it start
-from that report, so they form neither again and a sign search adds no
-baseline value to the count.  No point takes a second gradient or a
-second escape round: after a slow window's escape round finds nothing,
-the descent steps on from the gradient it has, and after a stop's finds
-nothing, the search either steps along negative curvature to a new point
-or ends.  No curvature probe starts that the budget cannot pay for, so a
-run never spends past its budget; a probe the budget cuts short ends the
-run with status budget, unless its point's escape round takes a step.
+point is evaluated once: its `ObjectiveReport` keeps the point, the fit
+stages, the factor Grams and the Gram gaps, and it is the search's only
+state of the point.  The gradient at the point, the preconditioner of
+its L-BFGS direction, and each step source (a line search, a rebalance
+move, the escape round and a curvature step) start from that report, so
+they form neither again and a sign search adds no baseline value to the
+count; a step source returns the report of the point it steps to.  No
+point takes a second gradient or a second escape round: after a slow
+window's escape round finds nothing, the descent steps on from the
+gradient it has, and after a stop's finds nothing, the search either
+steps along negative curvature to a new point or ends.  No curvature
+probe starts that the budget cannot pay for, so a run never spends past
+its budget; a probe the budget cuts short ends the run with status
+budget, unless its point's escape round takes a step.
 
 An escape step is taken on the sign search's predicted gain only if the
 evaluated f does not rise by more than the trace allows; the expansion's
@@ -152,14 +154,16 @@ class NonFiniteError(Exception):
 # configuration and trace
 
 
-@dataclass
+@dataclass(frozen=True)
 class SearchConfig:
     """Knobs for one run; the thresholds are the module's constants.
     epsilon is relative: a run converges when f <= epsilon |T|^2.  init is
     zero, hosvd or random:<scale>, the last with entries of standard
     deviation scale on the unit-norm problem the search solves.  No round
     limit is needed: every round charges at least one gradient evaluation,
-    so the budget bounds the rounds."""
+    so the budget bounds the rounds.  A config is immutable and checks
+    itself when made: a count that is not an integer, a number that is
+    not finite, a value out of range or a bad init is a ValueError."""
     r: int
     epsilon: float = 1e-4
     lam: float | None = None
@@ -167,9 +171,7 @@ class SearchConfig:
     budget: int = 50_000
     init: str = "zero"
 
-    def validate(self) -> None:
-        """Reject what a run cannot use: a count that is not an integer, a
-        number that is not finite, a value out of range, a bad init."""
+    def __post_init__(self) -> None:
         for name, low in (("r", 1), ("seed", 0), ("budget", 1)):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Integral):
@@ -247,15 +249,16 @@ class SearchTrace:
     seed: int
     records: list[TraceRecord] = field(default_factory=list)
 
-    def append(self, f: float, L: float, R: float, step_kind: str,
-               step_size: float, improvement: float,
-               grad_norm: float | None = None,
+    def append(self, rep: ObjectiveReport, step_kind: str, step_size: float,
+               improvement: float, grad_norm: float | None = None,
                min_curvature: float | None = None) -> TraceRecord:
-        if self.records and _rises(self.records[-1].f, f):
+        """Record the step to the point of the report rep, with its f, L
+        and R."""
+        if self.records and _rises(self.records[-1].f, rep.f):
             raise AssertionError("objective increased along accepted "
-                                 f"steps: {self.records[-1].f} -> {f}")
-        rec = TraceRecord(iteration=len(self.records), f=float(f), L=float(L),
-                          R=float(R), grad_norm=grad_norm,
+                                 f"steps: {self.records[-1].f} -> {rep.f}")
+        rec = TraceRecord(iteration=len(self.records), f=float(rep.f),
+                          L=float(rep.L), R=float(rep.R), grad_norm=grad_norm,
                           min_curvature=min_curvature, step_kind=step_kind,
                           step_size=float(step_size),
                           improvement=float(improvement), seed=self.seed)
@@ -344,7 +347,7 @@ def _apply_balance(p: FactorPoint, eta: float, w: np.ndarray, V: np.ndarray,
 
 def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
     """One line-searched orbit move from the point of the report rep;
-    returns (point, report, eta) or None.
+    returns (report, eta) or None.
 
     An orbit move leaves S(A, B, C), and so L, unchanged: each trial is
     scored as rep.L + lam R from its own Gram gaps, and only the accepted
@@ -362,7 +365,7 @@ def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
         if math.isfinite(fc) and fc < f0 - 1e-12 * (1.0 + abs(f0)):
             cand = p._like(np.concatenate((core.ravel(),
                                            (shrink @ p.factors).ravel())))
-            return cand, ev.objective(cand), eta
+            return ev.objective(cand), eta
         eta *= 0.5
     return None
 
@@ -374,7 +377,6 @@ class FindSospInfo:
     epsilon or the budget leave it False.  rounds counts the descents
     started."""
     converged: bool
-    report: ObjectiveReport
     rounds: int
 
 
@@ -520,44 +522,43 @@ def _lbfgs_direction(rep: ObjectiveReport, g: FactorPoint, pairs):
     return g._like(-q)
 
 
-def _line_search(p, direction, f0, ev, init_step=1.0,
-                 slope: float | None = None, max_backtracks=40):
-    """Halve the step from init_step until sufficient decrease; returns
-    (point, report, step) or None.  With a slope (for gradient steps) the
-    Armijo rule applies; otherwise any strict decrease wins."""
+def _line_search(rep: ObjectiveReport, direction: FactorPoint,
+                 ev: Evaluator, init_step=1.0, slope: float | None = None):
+    """Halve the step from init_step, at most 40 times, until sufficient
+    decrease from the point of the report rep; returns (report, step) or
+    None.  With a slope (for gradient steps) the Armijo rule applies;
+    otherwise any strict decrease wins."""
+    p, f = rep.point, rep.f
     step = init_step
-    for _ in range(max_backtracks):
-        cand = p._like(p.flat + step * direction.flat)
-        rep = ev.objective(cand)
-        fc = rep.f
-        if math.isfinite(fc):
+    for _ in range(40):
+        cand = ev.objective(p._like(p.flat + step * direction.flat))
+        if math.isfinite(cand.f):
             if slope is not None:
-                if fc <= f0 - 1e-4 * step * slope:
-                    return cand, rep, step
-            elif fc < f0 - 1e-12 * (1.0 + abs(f0)):
-                return cand, rep, step
+                if cand.f <= f - 1e-4 * step * slope:
+                    return cand, step
+            elif cand.f < f - 1e-12 * (1.0 + abs(f)):
+                return cand, step
         step *= 0.5
     return None
 
 
-def _curvature_step(p: FactorPoint, rep: ObjectiveReport,
-                    rng: np.random.Generator, ev: Evaluator):
+def _curvature_step(rep: ObjectiveReport, rng: np.random.Generator,
+                    ev: Evaluator):
     """Probe the curvature at the point of the report rep and line-search a
     negative-curvature direction both ways; returns (hit, rho), hit the
-    better (point, report, step) or None, rho the probe's smallest Ritz
+    better (report, step) or None, rho the probe's smallest Ritz
     value, infinite when the budget cut the probe short.  None with a
     finite rho makes the point stationary: either no curvature lies below
     -TAU2/2, or none that a step can realize at this floating-point
     scale."""
-    direction, rho = _negative_curvature(p, rng, ev)
+    direction, rho = _negative_curvature(rep.point, rng, ev)
     if direction is None:
         return None, rho
     hit = None
     scale = max(2.0 * abs(rho), 1e-3)
     for signed in (direction, -1.0 * direction):
-        cand = _line_search(p, signed, rep.f, ev, init_step=scale,
-                            max_backtracks=25)
-        if cand is not None and (hit is None or cand[1].f < hit[1].f):
+        cand = _line_search(rep, signed, ev, init_step=scale)
+        if cand is not None and (hit is None or cand[0].f < hit[0].f):
             hit = cand
     return hit, rho
 
@@ -566,11 +567,10 @@ def _escape_round(rep: ObjectiveReport, ev: Evaluator,
                   rng: np.random.Generator, samples: int):
     """Score the labels of SAMPLED_BLOCKS at the point of the report rep,
     samples draws each, one sign search per label; returns the step taken
-    as (kind, SignSearchResult, point, report), or None where no candidate
+    as (kind, report, step, predicted gain), or None where no candidate
     gains MIN_IMPROVEMENT or the evaluated f rises (see the module
     docstring)."""
-    p = rep.point
-    splits = subspace_split(p, SIGMA)
+    splits = subspace_split(rep.point, SIGMA)
     cands = []
     for ijk in SAMPLED_BLOCKS:
         try:
@@ -585,23 +585,22 @@ def _escape_round(rep: ObjectiveReport, ev: Evaluator,
                      default=(None, None))
     if best is None or best.improvement < MIN_IMPROVEMENT:
         return None
-    cand = best.apply(p)
-    cand_rep = ev.objective(cand)
-    _require_finite(cand_rep.f, "objective")
-    if _rises(rep.f, cand_rep.f):
+    cand = ev.objective(best.apply(rep.point))
+    _require_finite(cand.f, "objective")
+    if _rises(rep.f, cand.f):
         return None
-    return kind, best, cand, cand_rep
+    return kind, cand, best.step, best.improvement
 
 
-def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
-               rep: ObjectiveReport, trace: SearchTrace, epsilon: float,
+def _find_sosp(rep: ObjectiveReport, budget: Evaluator,
+               rng: np.random.Generator, trace: SearchTrace, epsilon: float,
                sampler: np.random.Generator, samples: int):
-    """The search from p, whose finite objective report the caller passes as
-    rep, recording each accepted step in trace, until one of the three
-    exits in the module docstring: f <= epsilon, the budget runs out, or a
-    point a curvature probe certified takes no escape step.  Returns
-    (point, FindSospInfo) with the final point's report.  Probes draw from
-    rng, and each escape round samples draws per label from sampler.
+    """The search from the point of the finite objective report rep,
+    recording each accepted step in trace, until one of the three exits in
+    the module docstring: f <= epsilon, the budget runs out, or a point a
+    curvature probe certified takes no escape step.  Returns the final
+    point's report and a FindSospInfo.  Probes draw from rng, and each
+    escape round samples draws per label from sampler.
     (`budget` keeps its name: the benchmark's tracer reads
     `budget.exhausted` to classify the end.)
 
@@ -612,7 +611,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
     repeated from a fresh random start while the gradient norm is above
     STALL_GRAD and the budget lasts."""
     step_hint = 1.0
-    last_grad = None  # (point, gradient) where the last gradient was taken
+    last_grad = None  # (report, gradient) where the last gradient was taken
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, s.y), oldest first
     recent = deque([rep.f], maxlen=STALL_WINDOW + 1)
     # accepted steps the next slow-window escape round waits for, and the
@@ -623,7 +622,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
     rounds = int(rep.f > epsilon)
     while True:
         if rep.f <= epsilon or budget.exhausted:
-            return p, FindSospInfo(False, rep, rounds)
+            return rep, FindSospInfo(False, rounds)
         kind, hit, taken = "rebalance", None, None
         # rho: the smallest Ritz value of a probe that gave a step or
         # certified a stop's point
@@ -634,19 +633,19 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
         if rep.f > 0.0 and budget.lam * rep.R >= 0.25 * rep.f:
             hit = _rebalance_once(rep, budget)
             if hit is None and budget.exhausted:
-                return p, FindSospInfo(False, rep, rounds)
+                return rep, FindSospInfo(False, rounds)
         if hit is None:
             g = budget.grad(rep)
             gn = g.norm()
             _require_finite(gn, "gradient")
             kind = "gradient"
             if last_grad is not None:
-                s = p.flat - last_grad[0].flat
+                s = rep.point.flat - last_grad[0].point.flat
                 y = g.flat - last_grad[1].flat
                 sy = float(s @ y)
                 if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
                     pairs.append((s, y, sy))
-            last_grad = (p, g)
+            last_grad = (rep, g)
             # no progress over a whole window counts as a small gradient,
             # and little progress earns an escape round
             fall = (recent[0] - recent[-1] if len(recent) > STALL_WINDOW
@@ -662,18 +661,18 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
             if not stop and taken is None:
                 direction = _lbfgs_direction(rep, g, pairs)
                 if direction is not None:
-                    hit = _line_search(p, direction, rep.f, budget,
+                    hit = _line_search(rep, direction, budget,
                                        slope=-g.inner(direction))
                 else:
                     pairs.clear()
-                    hit = _line_search(p, -1.0 * g, rep.f, budget,
+                    hit = _line_search(rep, -1.0 * g, budget,
                                        init_step=2.0 * step_hint,
                                        slope=gn * gn)
                     if hit is not None:
-                        step_hint = hit[2]
+                        step_hint = hit[1]
         while hit is None and not stop and taken is None:
             # the line search cannot realize the descent it promises
-            hit, rho = _curvature_step(p, rep, rng, budget)
+            hit, rho = _curvature_step(rep, rng, budget)
             if hit is None and (gn <= STALL_GRAD or not math.isfinite(rho)):
                 # stationary, unless rho is infinite: the budget died
                 # before a Rayleigh quotient came back, and it cuts the
@@ -684,20 +683,19 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
             recent.clear()
         if stop:
             if budget.exhausted:
-                return p, FindSospInfo(False, rep, rounds)
+                return rep, FindSospInfo(False, rounds)
             taken = _escape_round(rep, budget, sampler, samples)
             if taken is None and rho is None:
                 # only now probe the curvature, from the same report
-                hit, rho = _curvature_step(p, rep, rng, budget)
+                hit, rho = _curvature_step(rep, rng, budget)
                 kind = "negative-curvature"
             if taken is None and hit is None:
-                return p, FindSospInfo(math.isfinite(rho), rep, rounds)
+                return rep, FindSospInfo(math.isfinite(rho), rounds)
         if taken is not None:
-            kind, best, p, rep = taken
-            step, gain = best.step, best.improvement
+            kind, rep, step, gain = taken
         else:
-            gain = rep.f - hit[1].f
-            p, rep, step = hit
+            gain = rep.f - hit[0].f
+            rep, step = hit
         if stop or taken is not None:
             # the descent starts afresh from an escape step or a stop's
             # step; the latter starts a new round
@@ -707,8 +705,7 @@ def _find_sosp(p: FactorPoint, budget: Evaluator, rng: np.random.Generator,
             rounds += stop and rep.f > epsilon
         recent.append(rep.f)
         quiet -= 1
-        trace.append(f=rep.f, L=rep.L, R=rep.R, step_kind=kind,
-                     step_size=step, improvement=gain,
+        trace.append(rep, kind, step, gain,
                      grad_norm=None if kind == "rebalance" else gn,
                      min_curvature=rho)
 
@@ -741,7 +738,6 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     report converged after no work.  A target whose norm, or whose f, L or
     R in its own units, is not finite raises NonFiniteError."""
     t_start = time.perf_counter()
-    config.validate()
     T = np.asarray(T, dtype=float)
     if T.ndim != 3 or len(set(T.shape)) != 1:
         raise ValueError(f"target must be a d x d x d tensor, got {T.shape}")
@@ -776,11 +772,9 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     trace = SearchTrace(seed=config.seed)
     rep = ev.objective(p)
     _require_finite(rep.f, "objective")
-    trace.append(f=rep.f, L=rep.L, R=rep.R, step_kind="init", step_size=0.0,
-                 improvement=0.0)
-    p, info = _find_sosp(p, ev, rng_sosp, rep, trace, config.epsilon,
-                         rng_sampler, samples_per_block(config.epsilon))
-    rep = info.report
+    trace.append(rep, "init", 0.0, 0.0)
+    rep, info = _find_sosp(rep, ev, rng_sosp, trace, config.epsilon,
+                           rng_sampler, samples_per_block(config.epsilon))
     if rep.f <= config.epsilon:
         status = "converged"
     else:
@@ -790,8 +784,8 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     # record is the final point's, so rescale checks these values too
     units = norm * norm
     trace.rescale(units)
-    return RunResult(point=norm ** 0.25 * p, trace=trace, status=status,
-                     f=rep.f * units, L=rep.L * units, R=rep.R * units,
-                     grad_evals=ev.used,
+    return RunResult(point=norm ** 0.25 * rep.point, trace=trace,
+                     status=status, f=rep.f * units, L=rep.L * units,
+                     R=rep.R * units, grad_evals=ev.used,
                      objective_evals=ev.objective_evals, rounds=info.rounds,
                      wall_time=time.perf_counter() - t_start)

@@ -305,15 +305,12 @@ def _parse_binary(blob: bytes, path) -> np.ndarray:
     return _validate_payload(dims, data)
 
 
-def load_tensor(path, with_meta: bool = False):
+def load_tensor(path):
     """Load a tensor file from one read, sniffing the binary magic, else
-    JSON.  With `with_meta`, return (tensor, meta): the JSON file's `meta`
-    object, or {} for a binary file or where it is absent or not an
-    object."""
+    JSON.  Returns (tensor, meta): the JSON file's `meta` object, or {} for
+    a binary file or where it is absent or not an object."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] == MAGIC:
-        T, meta = _parse_binary(blob, path), {}
-    else:
-        T, meta = _parse_json(blob, path)
-    return (T, meta) if with_meta else T
+        return _parse_binary(blob, path), {}
+    return _parse_json(blob, path)

@@ -29,7 +29,7 @@ def test_generate_writes_unit_tensor_with_metadata(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["meta"] == {"r": 2, "d": 5, "seed": 11, "noise": 0.0,
                            "exact": True}
-    T = load_tensor(path)
+    T, _ = load_tensor(path)
     assert T.shape == (5, 5, 5)
     assert abs(norm_f(T) - 1.0) < 1e-12
 
@@ -43,7 +43,7 @@ def test_generate_is_byte_reproducible(tmp_path):
 
 
 def test_generate_exact_instance_is_hosvd_recoverable(tmp_path):
-    T = load_tensor(gen(tmp_path, r=2, d=6, seed=0))
+    T, _ = load_tensor(gen(tmp_path, r=2, d=6, seed=0))
     p = hosvd(T, 2)
     fit = multilinear_transform(p.S, p.A, p.B, p.C)
     assert norm_f(fit - T) ** 2 <= 1e-10
@@ -54,8 +54,8 @@ def test_generate_noise_is_flagged_and_sized(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["meta"]["exact"] is False
     assert doc["meta"]["noise"] == 0.05
-    clean = load_tensor(gen(tmp_path, "clean.json"))
-    noisy = load_tensor(path)
+    clean, _ = load_tensor(gen(tmp_path, "clean.json"))
+    noisy, _ = load_tensor(path)
     assert abs(norm_f(noisy - clean) - 0.05) < 1e-12
 
 
@@ -72,6 +72,17 @@ def test_generate_rejects_noise_that_is_not_finite_and_nonnegative(
     assert not path.exists()
 
 
+def test_generate_rejects_a_negative_seed(tmp_path, capsys):
+    # numpy refuses a negative seed; the CLI once died in its traceback
+    # with exit 1, the code of a failed verification
+    path = tmp_path / "x.json"
+    rc = main(["generate", "--rank", "2", "--dim", "3", "--seed", "-1",
+               "--out", str(path)])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+    assert not path.exists()
+
+
 def test_generate_rejects_rank_above_dim(tmp_path, capsys):
     rc = main(["generate", "--rank", "5", "--dim", "3",
                "--out", str(tmp_path / "x.json")])
@@ -84,7 +95,7 @@ def test_generate_binary_writes_sidecar_meta(tmp_path):
     rc = main(["generate", "--rank", "2", "--dim", "4", "--seed", "1",
                "--out", str(path), "--binary"])
     assert rc == EXIT_OK
-    assert load_tensor(path).shape == (4, 4, 4)
+    assert load_tensor(path)[0].shape == (4, 4, 4)
     meta = json.loads((tmp_path / "T.bin.meta.json").read_text())
     assert meta["r"] == 2 and meta["exact"] is True
 
@@ -111,7 +122,7 @@ def test_decompose_converges_and_summary_matches_saved_factors(tmp_path):
     summary = json.loads((tmp_path / "run.summary.json").read_text())
     assert summary["status"] == "converged"
     p = load_point(tmp_path / "run.factors.json")
-    rep = objective(p, load_tensor(T_path))
+    rep = objective(p, load_tensor(T_path)[0])
     assert abs(summary["f"] - rep.f) <= 1e-12
     assert abs(summary["L"] - rep.L) <= 1e-12
     assert summary["f"] <= 1e-4
@@ -183,7 +194,7 @@ def test_decompose_takes_no_rank_from_binary_or_malformed_metadata(
         tmp_path, capsys):
     binary = gen(tmp_path, "T.bin", extra=("--binary",))
     malformed = tmp_path / "malformed.json"
-    save_tensor_json(malformed, load_tensor(binary), meta=None)
+    save_tensor_json(malformed, load_tensor(binary)[0], meta=None)
     doc = json.loads(malformed.read_text())
     doc["meta"] = [2]
     malformed.write_text(json.dumps(doc))

@@ -49,29 +49,28 @@ def noisy_desk_instance(r, d, seed, noise):
 def find_sosp(p0, T, lam=None, budget=10_000, seed=0, epsilon=-math.inf):
     """The search of search._find_sosp from p0 with an Evaluator of the
     given budget, its curvature probes and escape rounds drawn from
-    streams of seed; returns (point, FindSospInfo, Evaluator)."""
+    streams of seed; returns (final report, FindSospInfo, Evaluator)."""
     ev = Evaluator(T, default_lambda(p0.r) if lam is None else lam, budget)
     probe_rng, sampler = (np.random.default_rng(s)
                           for s in np.random.SeedSequence(seed).spawn(2))
-    p, info = search_module._find_sosp(p0, ev, probe_rng, ev.objective(p0),
-                                       SearchTrace(seed=seed), epsilon,
-                                       sampler, samples_per_block(1e-4))
-    return p, info, ev
+    rep, info = search_module._find_sosp(ev.objective(p0), ev, probe_rng,
+                                         SearchTrace(seed=seed), epsilon,
+                                         sampler, samples_per_block(1e-4))
+    return rep, info, ev
 
 
 def record_calls(monkeypatch, name):
-    """Wrap the search function `name`, which takes a point or a report
-    first and an Evaluator among its arguments; log each call as (point
-    bytes, gradient evaluations spent when it started, result)."""
+    """Wrap the search function `name`, which takes a report first and an
+    Evaluator among its arguments; log each call as (point bytes, gradient
+    evaluations spent when it started, result)."""
     calls = []
     fn = getattr(search_module, name)
 
     def recording(*args):
-        at = args[0] if isinstance(args[0], FactorPoint) else args[0].point
         ev = next(a for a in args if isinstance(a, Evaluator))
         start = ev.used
         out = fn(*args)
-        calls.append((at.flat.tobytes(), start, out))
+        calls.append((args[0].point.flat.tobytes(), start, out))
         return out
 
     monkeypatch.setattr(search_module, name, recording)
@@ -84,11 +83,11 @@ def fail_gradient_line_searches(monkeypatch, first_only):
     line_search = search_module._line_search
     failed = []
 
-    def failing(p, *args, slope=None, **kwargs):
+    def failing(rep, *args, slope=None, **kwargs):
         if slope is not None and not (first_only and failed):
-            failed.append(p)
+            failed.append(rep.point)
             return None
-        return line_search(p, *args, slope=slope, **kwargs)
+        return line_search(rep, *args, slope=slope, **kwargs)
 
     monkeypatch.setattr(search_module, "_line_search", failing)
     return failed
@@ -100,11 +99,12 @@ def test_find_sosp_descends_to_tolerance_near_optimum():
     T = multilinear_transform(truth.S, truth.A, truth.B, truth.C)
     p0 = truth + 0.01 * random_point(2, 3, rng)
     f0 = objective(p0, T).f
-    p, info, _ = find_sosp(p0, T, budget=20_000, seed=0)
+    rep, info, _ = find_sosp(p0, T, budget=20_000, seed=0)
+    p = rep.point
     # a small gradient ends the descent; no escape step gains there, and
     # the curvature probe that follows finds nothing and certifies it
     assert info.converged and info.rounds == 1
-    assert info.report.f <= f0 + 1e-15
+    assert rep.f <= f0 + 1e-15
     assert grad(objective(p, T)).norm() <= TAU1
     direction, rho = _negative_curvature(
         p, np.random.default_rng(0), Evaluator(T, default_lambda(2), 10**9))
@@ -122,8 +122,8 @@ def test_find_sosp_returns_origin_unchanged(monkeypatch):
     probes = record_calls(monkeypatch, "_curvature_step")
     T = exact_instance(2, 3, 0)
     p0 = FactorPoint.zeros(2, 3)
-    p, info, ev = find_sosp(p0, T, budget=5_000)
-    for blk0, blk1 in zip(p0.blocks(), p.blocks()):
+    rep, info, ev = find_sosp(p0, T, budget=5_000)
+    for blk0, blk1 in zip(p0.blocks(), rep.point.blocks()):
         assert np.array_equal(blk0, blk1)
     origin = p0.flat.tobytes()
     assert [call[:2] for call in escapes] == [(origin, 1)]
@@ -137,7 +137,7 @@ def test_find_sosp_budget_exhaustion_flagged():
     T = exact_instance(2, 4, 1)
     rng = np.random.default_rng(3)
     p0 = random_point(2, 4, rng)
-    p, info, ev = find_sosp(p0, T, budget=5, seed=0)
+    _, info, ev = find_sosp(p0, T, budget=5, seed=0)
     assert not info.converged and ev.exhausted
 
 
@@ -175,14 +175,14 @@ def test_find_sosp_escapes_constructed_strict_saddle(monkeypatch):
     assert math.isclose(f0, theta**2, rel_tol=1e-12)
     escapes = record_calls(monkeypatch, "_escape_round")
     probes = record_calls(monkeypatch, "_curvature_step")
-    q, info, ev = find_sosp(p, T, budget=1_500, epsilon=1e-4)
+    rep, info, ev = find_sosp(p, T, budget=1_500, epsilon=1e-4)
     saddle = p.flat.tobytes()
     assert escapes[0] == (saddle, 1, None)
     at, start, (hit, rho) = probes[0]
     assert (at, start) == (saddle, 1)
     assert hit is not None and rho <= -TAU2 / 2.0
-    assert hit[1].f < f0
-    assert info.report.f <= 1e-4 < f0
+    assert hit[0].f < f0
+    assert rep.f <= 1e-4 < f0
     assert not info.converged
 
 
@@ -221,12 +221,12 @@ def record_gradient_line_searches(monkeypatch):
     calls = []
     line_search = search_module._line_search
 
-    def recording(p, direction, f0, ev, init_step=1.0, slope=None, **kw):
-        hit = line_search(p, direction, f0, ev, init_step=init_step,
-                          slope=slope, **kw)
+    def recording(rep, direction, ev, init_step=1.0, slope=None):
+        hit = line_search(rep, direction, ev, init_step=init_step,
+                          slope=slope)
         if slope is not None:
-            calls.append((p, direction, init_step, slope,
-                          None if hit is None else hit[2]))
+            calls.append((rep.point, direction, init_step, slope,
+                          None if hit is None else hit[1]))
         return hit
 
     monkeypatch.setattr(search_module, "_line_search", recording)
@@ -463,10 +463,10 @@ def test_rebalance_evaluates_only_the_accepted_move(monkeypatch):
     T = exact_instance(2, 5, 0)
     ev = Evaluator(T, default_lambda(2), 100)
     rep = ev.objective(random_point(2, 5, np.random.default_rng(1)))
-    cand, cand_rep, eta = search_module._rebalance_once(rep, ev)
+    cand_rep, eta = search_module._rebalance_once(rep, ev)
     assert len(trials) == 2
     assert ev.used == 1 and ev.objective_evals == 2
-    assert cand_rep.f == objective(cand, T, ev.lam).f < rep.f
+    assert cand_rep.f == objective(cand_rep.point, T, ev.lam).f < rep.f
     assert cand_rep.L == pytest.approx(rep.L, rel=1e-12)
 
 
@@ -1013,13 +1013,13 @@ def record_round_events(monkeypatch):
     monkeypatch.setattr(search_module, "_escape_round", escaping)
     append = SearchTrace.append
 
-    def appending(self, f, *args, step_kind, **kwargs):
+    def appending(self, rep, step_kind, *args, **kwargs):
         events.append(("step", step_kind))
         if step_kind == "init" or step_kind.startswith(
                 ("sampled", "negative")):
             recent.clear()
-        recent.append(f)
-        return append(self, f, *args, step_kind=step_kind, **kwargs)
+        recent.append(rep.f)
+        return append(self, rep, step_kind, *args, **kwargs)
 
     monkeypatch.setattr(SearchTrace, "append", appending)
     return events
@@ -1217,9 +1217,9 @@ def test_stop_after_a_descent_probe_step_is_probed_afresh(monkeypatch,
     escape_round = search_module._escape_round
     probes, stops = [], []
 
-    def probing(q, rep, *args):
-        probes.append(q.flat.tobytes())
-        out = curvature_step(q, rep, *args)
+    def probing(rep, *args):
+        probes.append(rep.point.flat.tobytes())
+        out = curvature_step(rep, *args)
         if len(probes) == 1:
             monkeypatch.setattr(search_module, "TAU1", math.inf)
         return out
@@ -1643,12 +1643,31 @@ def test_run_raises_where_the_target_units_overflow():
 
 
 def test_trace_append_rejects_increase():
+    # the zero point has f = |T|^2 = 1; a random:10 point lies far above
+    T = exact_instance(2, 4, 0)
+    low = objective(FactorPoint.zeros(2, 4), T)
+    high = objective(random_point(2, 4, np.random.default_rng(0), scale=10.0),
+                     T)
+    assert high.f > 2.0 * low.f
     tr = SearchTrace(seed=0)
-    tr.append(f=1.0, L=1.0, R=0.0, step_kind="init", step_size=0.0,
-              improvement=0.0)
+    rec = tr.append(low, "init", 0.0, 0.0)
+    assert (rec.f, rec.L, rec.R) == (low.f, low.L, low.R)
     with pytest.raises(AssertionError):
-        tr.append(f=2.0, L=2.0, R=0.0, step_kind="gradient", step_size=0.1,
-                  improvement=-1.0)
+        tr.append(high, "gradient", 0.1, low.f - high.f)
+
+
+def test_config_checks_itself_and_is_immutable():
+    # a config is checked when it is made, a copy by dataclasses.replace
+    # included, so no run starts from a bad one, and none can be changed
+    # after its check
+    with pytest.raises(ValueError, match="r must be at least 1"):
+        SearchConfig(r=0)
+    with pytest.raises(ValueError, match="budget must be at least 1"):
+        dataclasses.replace(SearchConfig(r=2), budget=0)
+    cfg = SearchConfig(r=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.budget = 0
+    assert cfg.budget == 50_000
 
 
 def test_config_sample_count_resolution():

@@ -258,8 +258,7 @@ def test_tensor_json_round_trip(tmp_path):
     X = rng.standard_normal((2, 3, 4))
     path = tmp_path / "t.json"
     save_tensor_json(path, X, meta={"note": "test"})
-    np.testing.assert_array_equal(load_tensor(path), X)
-    T, meta = load_tensor(path, with_meta=True)
+    T, meta = load_tensor(path)
     np.testing.assert_array_equal(T, X)
     assert meta == {"note": "test"}
     with open(path) as fh:
@@ -289,8 +288,9 @@ def test_tensor_json_bytes_match_the_streaming_encoder(tmp_path):
         fh.write("\n")
     assert path.read_bytes() == reference.read_bytes()
     assert "-0.0, 0.0, 5e-324" in path.read_text()
-    np.testing.assert_array_equal(load_tensor(path), X)
-    assert np.signbit(load_tensor(path).flat[0])
+    T, _ = load_tensor(path)
+    np.testing.assert_array_equal(T, X)
+    assert np.signbit(T.flat[0])
 
 
 def test_tensor_json_rejects_wrong_length(tmp_path):
@@ -314,8 +314,9 @@ def test_tensor_binary_round_trip(tmp_path):
     X = rng.standard_normal((4, 1, 3))
     path = tmp_path / "t.bin"
     save_tensor_binary(path, X)
-    np.testing.assert_array_equal(load_tensor(path), X)
-    assert load_tensor(path, with_meta=True)[1] == {}
+    T, meta = load_tensor(path)
+    np.testing.assert_array_equal(T, X)
+    assert meta == {}
     with open(path, "rb") as fh:
         blob = fh.read()
     assert blob[:4] == b"TKR1"
