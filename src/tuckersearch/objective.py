@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import FactorPoint, _transform, flatten
+from .tensor_core import FactorPoint, _transform
 
 
 def default_lambda(r: int) -> float:
@@ -216,19 +216,16 @@ def balanced_random_point(r: int, d: int, rng: np.random.Generator,
 
     Draws a Gaussian core, then builds each factor as (symmetric square root
     of the core Gram) times a matrix with orthonormal rows, so every factor
-    Gram equals the matching core Gram exactly.
+    Gram equals the matching core Gram exactly.  One stacked `eigh` and
+    one `qr` of one draw give bit for bit the per-mode calls' values.
     """
     if d < r:
         raise ValueError(f"need d >= r to draw orthonormal rows, got r={r} d={d}")
     S = scale * rng.standard_normal((r, r, r))
-    mats = []
-    for mode in (1, 2, 3):
-        F = flatten(S, mode)
-        w, V = np.linalg.eigh(F @ F.T)
-        root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
-        Q = np.linalg.qr(rng.standard_normal((d, r)))[0].T
-        mats.append(root @ Q)
-    return FactorPoint(S, *mats)
+    w, V = np.linalg.eigh(_core_grams(S))
+    roots = (V * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ V.swapaxes(1, 2)
+    Q = np.linalg.qr(rng.standard_normal((3, d, r)))[0]
+    return FactorPoint(S, *(roots @ Q.swapaxes(1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +239,10 @@ def point_to_dict(p: FactorPoint) -> dict:
     return {
         "r": p.r,
         "d": p.d,
-        "S": {"dims": [p.r] * 3, "data": [float(x) for x in p.S.ravel()]},
-        "A": [[float(x) for x in row] for row in p.A],
-        "B": [[float(x) for x in row] for row in p.B],
-        "C": [[float(x) for x in row] for row in p.C],
+        "S": {"dims": [p.r] * 3, "data": p.S.ravel().tolist()},
+        "A": p.A.tolist(),
+        "B": p.B.tolist(),
+        "C": p.C.tolist(),
     }
 
 

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -77,8 +78,9 @@ def flatten(X: np.ndarray, mode: int) -> np.ndarray:
 
 
 def norm_f(X: np.ndarray) -> float:
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(X, dtype=float).ravel()))
+    """Frobenius norm, as np.linalg.norm computes it, in memory order."""
+    x = np.asarray(X, dtype=float).ravel(order="K")
+    return math.sqrt(x @ x)
 
 
 def trilinear(X: np.ndarray, u: np.ndarray, v: np.ndarray,
@@ -146,12 +148,15 @@ class FactorPoint:
         vars(self).update(flat=flat, factors=M, S=flat[:n].reshape(r, r, r),
                           A=M[0], B=M[1], C=M[2])
 
-    def _like(self, flat: np.ndarray) -> "FactorPoint":
-        """A point of this shape around a fresh float vector, unchecked; for
-        results computed inside the package."""
+    @staticmethod
+    def _from_flat(flat: np.ndarray, r: int, d: int) -> "FactorPoint":
+        """An unchecked point around a fresh vector, for package results."""
         p = object.__new__(FactorPoint)
-        p._bind(flat, self.S.shape[0], self.A.shape[1])
+        p._bind(flat, r, d)
         return p
+
+    def _like(self, flat: np.ndarray) -> "FactorPoint":
+        return FactorPoint._from_flat(flat, self.S.shape[0], self.A.shape[1])
 
     @property
     def r(self) -> int:
@@ -196,11 +201,12 @@ class FactorPoint:
 
 def random_point(r: int, d: int, rng: np.random.Generator,
                  scale: float = 1.0) -> FactorPoint:
-    """Independent Gaussian entries of standard deviation `scale`."""
-    return FactorPoint(scale * rng.standard_normal((r, r, r)),
-                       scale * rng.standard_normal((r, d)),
-                       scale * rng.standard_normal((r, d)),
-                       scale * rng.standard_normal((r, d)))
+    """Independent Gaussian entries of standard deviation `scale`, in one
+    draw: the stream of drawing S, A, B and C in turn."""
+    if r < 0 or d < 0:
+        raise ValueError(f"r and d must be nonnegative, got r={r} d={d}")
+    flat = scale * rng.standard_normal(r**3 + 3 * r * d)
+    return FactorPoint._from_flat(flat, r, d)
 
 
 def hosvd(T: np.ndarray, r: int) -> FactorPoint:
@@ -236,7 +242,9 @@ def hosvd(T: np.ndarray, r: int) -> FactorPoint:
 
 def _validate_payload(dims, data) -> np.ndarray:
     try:
-        ok = len(dims) == 3 and all(int(d) == d and d >= 1 for d in dims)
+        # a JSON true would pass int(d) == d as 1
+        ok = len(dims) == 3 and all(
+            not isinstance(d, bool) and int(d) == d and d >= 1 for d in dims)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:

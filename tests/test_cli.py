@@ -333,6 +333,19 @@ def test_decompose_rejects_malformed_tensor_files(tmp_path, capsys):
     assert not (tmp_path / "x.summary.json").exists()
 
 
+def test_decompose_rejects_boolean_dims(tmp_path, capsys):
+    # int(True) == True, so a JSON true once passed as a dimension of 1
+    # and the file decomposed as a 1 x 1 x 1 tensor
+    for dims in ([True, True, True], [1, True, 1]):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps({"dims": dims, "data": [1.0]}))
+        rc = main(["decompose", str(path), "--rank", "1",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_INPUT, dims
+        assert capsys.readouterr().err.startswith("error: dims must be ")
+        assert [f.name for f in tmp_path.iterdir()] == ["bool.json"]
+
+
 def test_decompose_config_round_trips_through_summary(tmp_path):
     # the summary's config object is a config file that reruns the search
     T_path = gen(tmp_path, d=4, seed=5)
@@ -464,6 +477,15 @@ def test_verify_empty_or_repeated_selection_is_input_error(tmp_path,
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
         assert not report.exists()
+
+
+def test_verify_rejects_a_negative_seed(tmp_path, capsys):
+    # numpy's message, "expected non-negative integer", once named no seed
+    report = tmp_path / "report.json"
+    rc = main(["verify", "--seed", "-1", "--out", str(report)])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err == "error: seed must be nonnegative\n"
+    assert not report.exists()
 
 
 def test_verify_into_a_missing_directory_is_input_error(tmp_path, monkeypatch,

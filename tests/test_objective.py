@@ -10,7 +10,7 @@ from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     grad_reg, hvp, load_point, objective,
                                     point_from_dict, point_to_dict, reg,
                                     reg_phi, save_point)
-from tuckersearch.tensor_core import FactorPoint, random_point
+from tuckersearch.tensor_core import FactorPoint, flatten, random_point
 
 
 def brute_force_loss(p, T):
@@ -198,6 +198,34 @@ def test_reg_phi_zero_on_balanced_points():
         p = balanced_random_point(2, 5, rng)
         assert reg_phi(p) <= 1e-24
         assert reg(p) <= 1e-40
+
+
+def reference_balanced_point(r, d, rng, scale=1.0):
+    """The per-mode construction: one eigh of each core Gram and one qr of
+    each mode's own (d, r) draw."""
+    S = scale * rng.standard_normal((r, r, r))
+    mats = []
+    for mode in (1, 2, 3):
+        F = flatten(S, mode)
+        w, V = np.linalg.eigh(F @ F.T)
+        root = (V * np.sqrt(np.clip(w, 0.0, None))) @ V.T
+        Q = np.linalg.qr(rng.standard_normal((d, r)))[0].T
+        mats.append(root @ Q)
+    return [S] + mats
+
+
+@pytest.mark.parametrize("r, d, seed", ((1, 1, 0), (1, 3, 1), (2, 4, 2),
+                                        (3, 5, 3), (3, 7, 4), (4, 6, 5)))
+@pytest.mark.parametrize("scale", (1.0, 0.3))
+def test_balanced_random_point_is_the_per_mode_construction(r, d, seed,
+                                                            scale):
+    rng = np.random.default_rng(seed)
+    p = balanced_random_point(r, d, rng, scale)
+    ref = np.random.default_rng(seed)
+    for got, want in zip(p.blocks(), reference_balanced_point(r, d, ref,
+                                                              scale)):
+        assert np.array_equal(got, want)
+    assert rng.standard_normal() == ref.standard_normal()
 
 
 def test_objective_report_is_consistent():
@@ -413,6 +441,22 @@ def test_point_round_trip(tmp_path):
     np.testing.assert_array_equal(q.A, p.A)
     np.testing.assert_array_equal(q.B, p.B)
     np.testing.assert_array_equal(q.C, p.C)
+
+
+def test_point_dict_lists_are_the_per_element_floats():
+    # tolist() gives the floats a per-element float(x) gives, -0.0 and
+    # the subnormals included, so the saved bytes are unchanged
+    p = random_point(3, 5, np.random.default_rng(157))
+    S = p.S.copy()
+    S.flat[:4] = (5e-324, -1e300, 0.0, -0.0)
+    p = FactorPoint(S, p.A, p.B, p.C)
+    want = {"r": 3, "d": 5,
+            "S": {"dims": [3] * 3, "data": [float(x) for x in p.S.ravel()]},
+            **{k: [[float(x) for x in row] for row in M]
+               for k, M in zip("ABC", (p.A, p.B, p.C))}}
+    doc = point_to_dict(p)
+    assert json.dumps(doc, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert all(type(x) is float for x in doc["S"]["data"] + doc["A"][0])
 
 
 def test_point_file_bytes_equal_the_file_encoders(tmp_path):

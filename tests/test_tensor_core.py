@@ -249,6 +249,40 @@ def test_factor_point_copies_its_blocks():
         assert given.flags.writeable
 
 
+@pytest.mark.parametrize("r, d, seed", ((1, 1, 0), (1, 3, 1), (2, 4, 2),
+                                        (3, 5, 3), (3, 7, 4), (4, 24, 5)))
+def test_random_point_is_the_four_block_draws(r, d, seed):
+    # one draw in flat order is bit for bit the draws of S, A, B and C in
+    # turn, and leaves the generator where they leave it
+    rng = np.random.default_rng(seed)
+    p = random_point(r, d, rng, scale=0.7)
+    ref = np.random.default_rng(seed)
+    want = [0.7 * ref.standard_normal(shape)
+            for shape in ((r, r, r), (r, d), (r, d), (r, d))]
+    for got, block in zip(p.blocks(), want):
+        assert np.array_equal(got, block)
+        assert not got.flags.writeable
+    assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_random_point_rejects_negative_sizes():
+    # (-2, -3) would ask for -8 + 18 = 10 entries in one draw
+    for r, d in ((-1, 2), (2, -1), (-2, -3)):
+        with pytest.raises(ValueError):
+            random_point(r, d, np.random.default_rng(0))
+
+
+def test_norm_f_is_the_numpy_frobenius_norm_bit_for_bit():
+    # C-contiguous, transposed and sliced arrays, and an integer list
+    rng = np.random.default_rng(46)
+    for shape in ((1,), (7,), (3, 5), (4, 4, 4), (2, 6, 3)):
+        X = rng.standard_normal(shape)
+        for view in (X, X.T, np.moveaxis(X, 0, -1), X[::2], X[..., ::-1],
+                     X[..., 1:]):
+            assert norm_f(view) == float(np.linalg.norm(view))
+    assert norm_f([[3, 4], [0, 12]]) == 13.0
+
+
 # ---------------------------------------------------------------------------
 # file round trips
 

@@ -10,7 +10,7 @@ from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
                                       norm_f, random_point)
 from tuckersearch.verify import (ANTI_CONCENTRATION_FLOOR, CHECKS,
                                  LemmaReport, SUBLEVEL_NORM_CONSTANT,
-                                 _boundary_scale, _evaluate_at_rows,
+                                 _boundary_scale, _evaluate_at_rows, _gauge,
                                  _random_units, _ray_coefficients,
                                  _unit_rows,
                                  _unit_step_losses,
@@ -380,6 +380,78 @@ def test_submultiplicativity_holds_and_rank_one_is_tight():
     assert abs(rep.details["tight_case_gap"]) <= 1e-10
 
 
+def test_submultiplicativity_fails_a_tight_case_off_the_top_vectors(
+        monkeypatch):
+    # with the singular vectors reversed, a tight case takes the bottom
+    # ones: lhs falls below rhs, so no margin is positive and only the
+    # tight-case rule can fail the check
+    svd = np.linalg.svd
+
+    def bottom_vectors_first(a, *args, **kwargs):
+        out = svd(a, *args, **kwargs)
+        if not kwargs.get("compute_uv", True):
+            return out
+        U, s, Vt = out
+        return U[..., ::-1], s, Vt
+
+    monkeypatch.setattr(np.linalg, "svd", bottom_vectors_first)
+    rep = check_submultiplicativity(trials=80, rng=np.random.default_rng(6))
+    assert rep.worst_margin <= 0.0
+    assert rep.failures > 0 and not rep.passed
+
+
+def reference_submultiplicativity(rng, trials):
+    """check_submultiplicativity's margins and tight-case gap, from one
+    draw, one operator norm and one SVD per factor."""
+    margins, tight_gap = [], np.inf
+    for i in range(trials):
+        r = int(rng.integers(1, 4))
+        d = int(rng.integers(r, 7))
+        A, B, C = (rng.standard_normal((r, d)) for _ in range(3))
+        bound_factor = (np.linalg.norm(A, 2) * np.linalg.norm(B, 2)
+                        * np.linalg.norm(C, 2))
+        if i % 10 == 0:
+            ua, ub, uc = (np.linalg.svd(M)[0][:, 0] for M in (A, B, C))
+            S = np.einsum("x,y,z->xyz", ua, ub, uc)
+        elif i == 1:
+            A = B = C = np.eye(r)
+            bound_factor = 1.0
+            S = rng.standard_normal((r, r, r))
+        else:
+            S = rng.standard_normal((r, r, r))
+        lhs = norm_f(multilinear_transform(S, A, B, C))
+        rhs = norm_f(S) * bound_factor
+        margins.append(lhs - rhs - 1e-10 * (1.0 + rhs))
+        if i % 10 == 0:
+            tight_gap = min(tight_gap, float(rhs - lhs))
+    return margins, tight_gap
+
+
+@pytest.mark.parametrize("seed", (0, 6, 17))
+def test_submultiplicativity_stacked_svds_are_the_per_matrix_calls(seed):
+    rep = check_submultiplicativity(np.random.default_rng(seed), trials=60)
+    margins, tight_gap = reference_submultiplicativity(
+        np.random.default_rng(seed), 60)
+    assert rep.worst_margin == max(margins)
+    assert rep.details["tight_case_gap"] == tight_gap
+
+
+@pytest.mark.parametrize("r, d, seed", ((1, 1, 0), (1, 4, 1), (2, 3, 2),
+                                        (3, 6, 3), (3, 3, 4)))
+def test_stacked_operator_norms_and_gauge_are_the_per_matrix_calls(r, d,
+                                                                   seed):
+    M = np.random.default_rng(seed).standard_normal((3, r, d))
+    norms = np.linalg.svd(M, compute_uv=False).max(axis=1)
+    assert np.array_equal(norms, [np.linalg.norm(m, 2) for m in M])
+    p = random_point(r, d, np.random.default_rng(seed))
+    got = _gauge(p, np.random.default_rng(seed + 50))
+    rng = np.random.default_rng(seed + 50)
+    qs = [np.linalg.qr(rng.standard_normal((r, r)))[0] for _ in range(3)]
+    want = FactorPoint(multilinear_transform(p.S, *qs), qs[0].T @ p.A,
+                       qs[1].T @ p.B, qs[2].T @ p.C)
+    assert np.array_equal(got.flat, want.flat)
+
+
 def test_wedin_bound_has_zero_violations():
     rep = check_wedin(trials=100, rng=np.random.default_rng(7))
     assert rep.failures == 0
@@ -555,6 +627,12 @@ def test_suite_rejects_empty_and_repeated_selections():
         run_suite(names=[])
     with pytest.raises(ValueError, match="more than once"):
         run_suite(names=["euler", "wedin", "euler"])
+
+
+def test_suite_rejects_a_negative_seed():
+    # numpy's own message names no seed: "expected non-negative integer"
+    with pytest.raises(ValueError, match="^seed must be nonnegative$"):
+        run_suite(seed=-1, names=["euler"])
 
 
 def test_suite_json_reports_aggregate_flag():
