@@ -8,7 +8,8 @@ probe certified stationary takes no escape step (no_direction).
 
   1. The descent line-searches L-BFGS directions, built from the last
      LBFGS_MEMORY (s, y) pairs between gradient points, halving the step
-     at most 40 times, as every line search does.  It stops when the
+     up to 40 times and then while the trial still moves the point, as
+     every line search does.  It stops when the
      gradient norm is at most TAU1, or at a stall: f has fallen by no
      more than STALL_TOL f over the last STALL_WINDOW accepted steps at
      a gradient norm of at most STALL_GRAD.  A stop probes nothing yet.
@@ -21,7 +22,9 @@ probe certified stationary takes no escape step (no_direction).
      accepted steps (5, 10, 20, ...), until a step is taken;
   2. at a stop, the escape round proposes the sampled rank-one block
      updates of every label in SAMPLED_BLOCKS and takes the best if it
-     improves enough.  Only when no escape step is taken does a Lanczos
+     improves enough; it is one pass over the labels, with one split,
+     one sampler call and one sign search of every label's draws.  Only
+     when no escape step is taken does a Lanczos
      probe of at most LANCZOS_STEPS Hessian-vector products look for
      negative curvature there, from the same report: a direction is
      line-searched both ways and the better step is taken; none
@@ -112,8 +115,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .escape import (NoMissingDirection, delta_grid,
-                     sample_missing_directions, sign_flip_search)
+from .escape import delta_grid, sample_missing_directions, sign_flip_search
 from .objective import (ObjectiveReport, _core_grams, _phi,
                         default_lambda, grad, hvp, objective)
 from .subspace import subspace_split
@@ -317,10 +319,10 @@ class Evaluator:
         return rep.gaps
 
     def sign_search(self, rep: ObjectiveReport, deltas: np.ndarray, grid):
-        cands = sign_flip_search(rep.point, self.T, deltas, grid, self.lam,
+        found = sign_flip_search(rep.point, self.T, deltas, grid, self.lam,
                                  at=rep)
-        self.objective_evals += sum(c.evals for c in cands)
-        return cands
+        self.objective_evals += int(found.evals.sum())
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -524,13 +526,16 @@ def _lbfgs_direction(rep: ObjectiveReport, g: FactorPoint, pairs):
 
 def _line_search(rep: ObjectiveReport, direction: FactorPoint,
                  ev: Evaluator, init_step=1.0, slope: float | None = None):
-    """Halve the step from init_step, at most 40 times, until sufficient
-    decrease from the point of the report rep; returns (report, step) or
-    None.  With a slope (for gradient steps) the Armijo rule applies;
-    otherwise any strict decrease wins."""
+    """Halve the step from init_step until sufficient decrease from the
+    point of the report rep; returns (report, step) or None.  With a slope
+    (for gradient steps) the Armijo rule applies; otherwise any strict
+    decrease wins.  After 40 trials the halving goes on only while a trial
+    still moves the point, step |d| > 1e-16 max(|p|, 1): a start far out,
+    where f is huge, can need more halvings than that to come back to
+    scale."""
     p, f = rep.point, rep.f
-    step = init_step
-    for _ in range(40):
+    step, trials, floor, size = init_step, 0, None, None
+    while True:
         cand = ev.objective(p._like(p.flat + step * direction.flat))
         if math.isfinite(cand.f):
             if slope is not None:
@@ -539,7 +544,15 @@ def _line_search(rep: ObjectiveReport, direction: FactorPoint,
             elif cand.f < f - 1e-12 * (1.0 + abs(f)):
                 return cand, step
         step *= 0.5
-    return None
+        trials += 1
+        if trials >= 40:
+            if floor is None:
+                # formed only here, so a search that ends sooner pays
+                # nothing for it
+                floor = 1e-16 * max(p.norm(), 1.0)
+                size = direction.norm()
+            if not step * size > floor:
+                return None
 
 
 def _curvature_step(rep: ObjectiveReport, rng: np.random.Generator,
@@ -565,31 +578,29 @@ def _curvature_step(rep: ObjectiveReport, rng: np.random.Generator,
 
 def _escape_round(rep: ObjectiveReport, ev: Evaluator,
                   rng: np.random.Generator, samples: int):
-    """Score the labels of SAMPLED_BLOCKS at the point of the report rep,
-    samples draws each, one sign search per label; returns the step taken
-    as (kind, report, step, predicted gain), or None where no candidate
-    gains MIN_IMPROVEMENT or the evaluated f rises (see the module
-    docstring)."""
-    splits = subspace_split(rep.point, SIGMA)
-    cands = []
-    for ijk in SAMPLED_BLOCKS:
-        try:
-            drawn = sample_missing_directions(splits, ijk, rng, samples)
-        except NoMissingDirection:
-            continue
-        kind = "sampled({},{},{})".format(*ijk)
-        grid = delta_grid(SIGMA, ijk.count(2))
-        cands += [(kind, res) for res in ev.sign_search(rep, drawn, grid)]
-    # max keeps the first of equal gains
-    kind, best = max(cands, key=lambda c: c[1].improvement,
-                     default=(None, None))
-    if best is None or best.improvement < MIN_IMPROVEMENT:
+    """Score the labels of SAMPLED_BLOCKS at the point of the report rep
+    in one pass: one split, samples draws of every label that has
+    directions there, in one sampler call, and one sign search of all the
+    draws.  Returns the step taken as (kind, report, step, predicted
+    gain), or None where no candidate gains MIN_IMPROVEMENT or the
+    evaluated f rises (see the module docstring)."""
+    labels, drawn = sample_missing_directions(
+        subspace_split(rep.point, SIGMA), SAMPLED_BLOCKS, rng, samples)
+    if not labels:
         return None
-    cand = ev.objective(best.apply(rep.point))
+    found = ev.sign_search(rep, drawn, [delta_grid(SIGMA, ijk.count(2))
+                                        for ijk in labels])
+    # the first of equal gains, label by label and draw by draw
+    k = found.best()
+    gain = float(found.improvements[k])
+    if gain < MIN_IMPROVEMENT:
+        return None
+    cand = ev.objective(found.apply(k))
     _require_finite(cand.f, "objective")
     if _rises(rep.f, cand.f):
         return None
-    return kind, cand, best.step, best.improvement
+    return ("sampled({},{},{})".format(*labels[k // samples]), cand,
+            found.step(k), gain)
 
 
 def _find_sosp(rep: ObjectiveReport, budget: Evaluator,
@@ -643,7 +654,7 @@ def _find_sosp(rep: ObjectiveReport, budget: Evaluator,
                 s = rep.point.flat - last_grad[0].point.flat
                 y = g.flat - last_grad[1].flat
                 sy = float(s @ y)
-                if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
+                if sy > 1e-12 * math.sqrt(s @ s) * math.sqrt(y @ y):
                     pairs.append((s, y, sy))
             last_grad = (rep, g)
             # no progress over a whole window counts as a small gradient,

@@ -16,6 +16,7 @@ The escape stage draws its sampled directions from these bases.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,40 @@ class ModeSplit:
         return self.u1.shape[1]
 
 
+def _stacked_split(F: np.ndarray, sigma: float):
+    """Split each matrix of the (k, r, d) stack F at threshold sigma, ties
+    (values equal to sigma) to the small part; returns (V, s, U, ranks):
+    the signed singular bases [v1 v2] and [u1 u2] of each matrix as the
+    columns of V[i] and U[i], its singular values s[i], and the number of
+    them above sigma."""
+    k, r, d = F.shape
+    if not F.any():
+        # every factor of a zero-start point is zero: every direction is
+        # singular with value 0, and the identities are the bases the SVD
+        # gives it, so they are taken without one
+        return (np.broadcast_to(np.eye(r), (k, r, r)),
+                np.zeros((k, min(r, d))),
+                np.broadcast_to(np.eye(d), (k, d, d)), (0,) * k)
+    # one SVD of the stack runs LAPACK on each matrix as a call of its own
+    # would; a zero matrix among nonzero ones gets the identities, as above
+    V, s, Ut = np.linalg.svd(F, full_matrices=True)
+    U = Ut.transpose(0, 2, 1)
+    # paired singular directions flip together, by the sign of their V
+    # column, so they still factor M; trailing complement-only columns
+    # take their own signs
+    sv, su = _column_signs(V), _column_signs(U)
+    su[:, :s.shape[1]] = sv[:, :s.shape[1]]
+    V *= sv[:, None, :]
+    U *= su[:, None, :]
+    return V, s, U, tuple((s > sigma).sum(axis=1).tolist())
+
+
+def _mode_split(V: np.ndarray, s: np.ndarray, U: np.ndarray,
+                k: int) -> ModeSplit:
+    return ModeSplit(s1=s[:k], v1=V[:, :k], v2=V[:, k:], u1=U[:, :k],
+                     u2=U[:, k:])
+
+
 def split(M: np.ndarray, sigma: float) -> ModeSplit:
     """Split M at threshold sigma; ties (values equal to sigma) go to the
     small part."""
@@ -48,40 +83,35 @@ def split(M: np.ndarray, sigma: float) -> ModeSplit:
         raise ValueError(f"expected a matrix, got ndim={M.ndim}")
     if sigma < 0:
         raise ValueError(f"threshold must be nonnegative, got {sigma}")
-    if not M.any():
-        # every factor of a zero-start point is zero: every direction is
-        # singular with value 0, and the identities are the bases the SVD
-        # gives it, so they are taken without one
-        r, d = M.shape
-        Ir, Id = np.eye(r), np.eye(d)
-        return ModeSplit(s1=np.zeros(0), v1=Ir[:, :0], v2=Ir, u1=Id[:, :0],
-                         u2=Id)
-    V, s, Ut = np.linalg.svd(M, full_matrices=True)
-    U = Ut.T
-    nmin = min(M.shape)
-    # paired singular directions flip together, by the sign of their V
-    # column, so they still factor M; trailing complement-only columns
-    # take their own signs
-    sv, su = _column_signs(V), _column_signs(U)
-    su[:nmin] = sv[:nmin]
-    V *= sv
-    U *= su
-    k = int(np.sum(s > sigma))
-    return ModeSplit(s1=s[:k], v1=V[:, :k], v2=V[:, k:], u1=U[:, :k],
-                     u2=U[:, k:])
+    V, s, U, (k,) = _stacked_split(M[None], sigma)
+    return _mode_split(V[0], s[0], U[0], k)
 
 
 @dataclass(frozen=True)
 class SubspaceSplit:
-    """Mode splits of the three factors at one threshold sigma."""
-    modes: tuple[ModeSplit, ModeSplit, ModeSplit]
+    """Splits of the three factors at one threshold sigma, stacked by mode:
+    mode m's bases [v1 v2] and [u1 u2] are the columns of V[m] (r x r) and
+    U[m] (d x d), its singular values s[m], and ranks[m] of them lie above
+    sigma, so its large part is V[m, :, :k] diag(s[m, :k]) U[m, :, :k]^T
+    with k = ranks[m]."""
+    V: np.ndarray
+    s: np.ndarray
+    U: np.ndarray
+    ranks: tuple[int, int, int]
     sigma: float
+
+    @functools.cached_property
+    def modes(self) -> tuple[ModeSplit, ModeSplit, ModeSplit]:
+        """Each mode's split as a ModeSplit of views into the stacks."""
+        return tuple(_mode_split(*parts) for parts in
+                     zip(self.V, self.s, self.U, self.ranks))
 
 
 def subspace_split(p: FactorPoint, sigma: float) -> SubspaceSplit:
-    """Split each of (A, B, C) at threshold sigma."""
-    modes = tuple(split(M, sigma) for M in (p.A, p.B, p.C))
-    return SubspaceSplit(modes=modes, sigma=float(sigma))
+    """Split each of (A, B, C) at threshold sigma, with one SVD of the
+    three."""
+    V, s, U, ranks = _stacked_split(p.factors, sigma)
+    return SubspaceSplit(V=V, s=s, U=U, ranks=ranks, sigma=float(sigma))
 
 
 def projection_distance_bound(M: np.ndarray, M1: np.ndarray,

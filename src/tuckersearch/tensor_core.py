@@ -90,13 +90,15 @@ def trilinear(X: np.ndarray, u: np.ndarray, v: np.ndarray,
 
 
 def _column_signs(U: np.ndarray) -> np.ndarray:
-    """+1.0 or -1.0 for each column of U, so that multiplying the column by
-    it makes its first entry of magnitude > 1e-12 positive (+1.0 for a
-    column with no such entry).  Multiplying by +-1.0 is exact, so the
-    signed columns are bit for bit the negated or unchanged ones."""
+    """+1.0 or -1.0 for each column of each matrix of the (k, rows, cols)
+    stack U, so that multiplying the column by it makes its first entry
+    of magnitude > 1e-12 positive (+1.0 for a column with no such entry).
+    Multiplying by +-1.0 is exact, so the signed columns are bit for bit
+    the negated or unchanged ones."""
     big = np.abs(U) > 1e-12
-    first = U[big.argmax(axis=0), np.arange(U.shape[1])]
-    return np.where(big.any(axis=0) & (first < 0.0), -1.0, 1.0)
+    first = U[np.arange(len(U))[:, None], big.argmax(axis=1),
+              np.arange(U.shape[2])]
+    return np.where(big.any(axis=1) & (first < 0.0), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +228,7 @@ def hosvd(T: np.ndarray, r: int) -> FactorPoint:
     factors = []
     for mode in (1, 2, 3):
         U = np.linalg.svd(flatten(T, mode), full_matrices=False)[0][:, :r]
-        U = U * _column_signs(U)
+        U = U * _column_signs(U[None])[0]
         factors.append(U.T)
     A, B, C = factors
     S = multilinear_transform(T, A.T, B.T, C.T)
@@ -263,6 +265,15 @@ def _validate_payload(dims, data) -> np.ndarray:
     return arr.reshape(dims)
 
 
+def _file_payload(path, dims, data) -> np.ndarray:
+    """`_validate_payload` of a file's dims and data, its error naming the
+    file."""
+    try:
+        return _validate_payload(dims, data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def save_tensor_json(path, X: np.ndarray, meta: dict | None = None) -> None:
     X = np.ascontiguousarray(X, dtype=float)
     doc = {"dims": list(X.shape), "data": X.ravel().tolist()}
@@ -286,7 +297,7 @@ def _parse_json(blob: bytes, path) -> tuple[np.ndarray, dict]:
     if not isinstance(doc, dict) or "dims" not in doc or "data" not in doc:
         raise ValueError(f"{path}: expected an object with dims and data")
     meta = doc.get("meta")
-    return (_validate_payload(doc["dims"], doc["data"]),
+    return (_file_payload(path, doc["dims"], doc["data"]),
             meta if isinstance(meta, dict) else {})
 
 
@@ -309,8 +320,7 @@ def _parse_binary(blob: bytes, path) -> np.ndarray:
     if len(payload) != 8 * n:
         raise ValueError(
             f"{path}: payload has {len(payload)} bytes, dims {dims} need {8 * n}")
-    data = np.frombuffer(payload, dtype="<f8")
-    return _validate_payload(dims, data)
+    return _file_payload(path, dims, np.frombuffer(payload, dtype="<f8"))
 
 
 def load_tensor(path):

@@ -441,8 +441,8 @@ def gallery_origin(rng, attempts: int = 100) -> LemmaReport:
     grid = delta_grid(0.05, 3)
     lam = default_lambda(r)
     deltas = sample_missing_directions(splits, (2, 2, 2), rng, attempts)
-    improved = sum(res.improvement > 0.0 for res in
-                   sign_flip_search(p, T, deltas, grid, lam))
+    improved = int(np.count_nonzero(
+        sign_flip_search(p, T, deltas, grid, lam).improvements > 0.0))
     # core and factor moves share the same unit vectors, so the fully
     # sampled step keeps the point exactly balanced
     reg_drift = _nan_max([reg(p._like(p.flat + t * delta))

@@ -9,7 +9,7 @@ from tuckersearch.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT,
 from tuckersearch.objective import grad_loss, grad_reg, load_point, objective
 from tuckersearch.tensor_core import (hosvd, load_tensor,
                                       multilinear_transform, norm_f,
-                                      save_tensor_json)
+                                      save_tensor_binary, save_tensor_json)
 
 
 def gen(tmp_path, name="T.json", r=2, d=4, seed=3, extra=()):
@@ -335,15 +335,36 @@ def test_decompose_rejects_malformed_tensor_files(tmp_path, capsys):
 
 def test_decompose_rejects_boolean_dims(tmp_path, capsys):
     # int(True) == True, so a JSON true once passed as a dimension of 1
-    # and the file decomposed as a 1 x 1 x 1 tensor
+    # and the file decomposed as a 1 x 1 x 1 tensor; the error line names
+    # the file
     for dims in ([True, True, True], [1, True, 1]):
         path = tmp_path / "bool.json"
         path.write_text(json.dumps({"dims": dims, "data": [1.0]}))
         rc = main(["decompose", str(path), "--rank", "1",
                    "--out", str(tmp_path / "x")])
         assert rc == EXIT_INPUT, dims
-        assert capsys.readouterr().err.startswith("error: dims must be ")
+        assert capsys.readouterr().err.startswith(
+            f"error: {path}: dims must be ")
         assert [f.name for f in tmp_path.iterdir()] == ["bool.json"]
+
+
+def test_decompose_names_the_file_of_non_finite_data(tmp_path, capsys):
+    # the payload checks of both formats name the file, as the header and
+    # parse errors do
+    T = np.ones((2, 2, 2))
+    T[1, 0, 1] = np.inf
+    json_path = tmp_path / "inf.json"
+    save_tensor_json(json_path, T)
+    bin_path = tmp_path / "inf.bin"
+    save_tensor_binary(bin_path, T)
+    for path in (json_path, bin_path):
+        rc = main(["decompose", str(path), "--rank", "1",
+                   "--out", str(tmp_path / "x")])
+        assert rc == EXIT_INPUT, path.name
+        assert capsys.readouterr().err == (
+            f"error: {path}: tensor data contains non-finite entries\n")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["inf.bin",
+                                                          "inf.json"]
 
 
 def test_decompose_config_round_trips_through_summary(tmp_path):

@@ -137,6 +137,41 @@ def test_sampler_is_deterministic_given_seed():
     assert np.array_equal(v1, v2)
 
 
+@pytest.mark.parametrize("r,d,spectrum", [
+    (2, 4, (2.0, 0.01)), (3, 5, (2.0, 1.5, 0.01)), (3, 6, (2.0, 0.01, 0.0)),
+    (4, 6, (0.0, 0.0, 0.0, 0.0)), (2, 2, (2.0, 1.0))])
+def test_sampler_of_several_labels_is_the_one_label_loop(r, d, spectrum):
+    # several labels draw as one-label calls in order would, from one
+    # state, bit for bit, and leave the generator where the loop does; a
+    # label with an empty subspace is left out and draws nothing
+    rng = np.random.default_rng(10 * r + d)
+    mats = []
+    for _ in range(3):
+        V = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        U = np.linalg.qr(rng.standard_normal((d, r)))[0]
+        mats.append((V * np.array(spectrum)) @ U.T)
+    p = FactorPoint(rng.standard_normal((r, r, r)), *mats)
+    splits = subspace_split(p, 0.1)
+    order = SAMPLED_BLOCKS[::-1] + SAMPLED_BLOCKS[:2]
+    for size in (1, 4):
+        loop, want = np.random.default_rng(size), []
+        for ijk in order:
+            try:
+                want.append((ijk, sample_missing_directions(splits, ijk, loop,
+                                                            size)))
+            except NoMissingDirection:
+                pass
+        one = np.random.default_rng(size)
+        drawn, flats = sample_missing_directions(splits, order, one, size)
+        assert drawn == tuple(ijk for ijk, _ in want)
+        assert flats.shape == (len(want), size, p.flat.size)
+        assert flats.tobytes() == b"".join(x.tobytes() for _, x in want)
+        assert one.bit_generator.state == loop.bit_generator.state
+    with pytest.raises(ValueError, match="two 2s"):
+        sample_missing_directions(splits, [(2, 2, 2), (1, 1, 2)],
+                                  np.random.default_rng(0), 1)
+
+
 def test_sampler_draws_are_centered():
     # the sampled rank-one update's transform a x b x c and its factor
     # blocks average to zero over many draws
@@ -676,6 +711,39 @@ def test_stacked_sign_search_matches_one_direction_at_a_time(r, d):
     with pytest.raises(ValueError):
         sign_flip_search(p, T, np.empty((0, p.flat.size)),
                          delta_grid(sigma, 3))
+
+
+@pytest.mark.parametrize("r,d", [(2, 5), (3, 7)])
+def test_sign_search_of_several_stacks_is_one_search_per_stack(r, d):
+    # stacks of several labels, with their own grids, scored by one call
+    # give every field of a call per stack, bit for bit, and the one-label
+    # results; f at p is computed, and counted, once for the whole call
+    p, T, splits, sigma, rng = _escape_instance(r, d, 1.0, 11 * r + d)
+    drawn, flats = sample_missing_directions(splits, SAMPLED_BLOCKS, rng, 3)
+    assert len(drawn) == 4
+    grids = [delta_grid(sigma, ijk.count(2)) for ijk in drawn]
+    found = sign_flip_search(p, T, flats, grids)
+    assert len(found) == 12
+    singles = [res for stack, grid in zip(flats, grids)
+               for res in sign_flip_search(p, T, stack, grid)]
+    assert [_result_fields(x) for x in found] == \
+        [_result_fields(x) for x in singles]
+    assert [x.evals for x in found] == \
+        [x.evals - (k % 3 == 0 and k > 0) for k, x in enumerate(singles)]
+    assert found.evals.sum() == sum(x.evals for x in singles) - 3
+    # the winner's point is the one its result applies
+    k = found.best()
+    assert found.improvements[k] == max(x.improvement for x in singles) > 0
+    assert found.apply(k).flat.tobytes() == \
+        singles[k].apply(p).flat.tobytes()
+    # a stack whose directions move different blocks is refused, and so
+    # is a count of grids that is neither one nor one per stack
+    mixed = flats.copy()
+    mixed[1, 0] = flats[3, 0]
+    with pytest.raises(ValueError, match="nonzero blocks"):
+        sign_flip_search(p, T, mixed, grids)
+    with pytest.raises(ValueError):
+        sign_flip_search(p, T, flats, grids[:2])
 
 
 def _result_fields(res):

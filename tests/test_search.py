@@ -843,14 +843,19 @@ def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
     # enough.  At the origin, where the descent stops after one gradient,
     # that leaves the curvature probe, whose two products find H flat:
     # status no_direction after 5 evaluations, with no second gradient
-    from tuckersearch.escape import SignSearchResult
+    from tuckersearch.escape import SignSearchResults
     rng = np.random.default_rng(5)
     worse = random_point(2, 4, rng, scale=2.0)
     evaluated = []
 
     def predicting(p, T, deltas, grid, lam=None, at=None):
-        return [SignSearchResult(delta=worse, step=1.0, improvement=1e-9,
-                                 evals=0) for _ in deltas]
+        # every direction steps by 1 to `worse`, with all signs +1
+        n = deltas.size // p.flat.size
+        return SignSearchResults(
+            point=p, deltas=np.tile(worse.flat, (n, 1)),
+            won=np.ones(n, dtype=bool), improvements=np.full(n, 1e-9),
+            evals=np.zeros(n, dtype=int), candidate=np.zeros(n, dtype=int),
+            tables=((np.ones((1, 4)), np.ones(1)),))
 
     def recording(p, *args, **kwargs):
         rep = objective(p, *args, **kwargs)
@@ -868,8 +873,10 @@ def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
     # its f, in the target's units, is that of the first evaluation
     assert res.point.norm() == 0.0
     assert res.f == evaluated[0] * norm_f(T) ** 2
-    # the refused step was evaluated, and it would have raised f
+    # the refused step was evaluated at `worse`, and it would have raised f
     assert evaluated[-1] > evaluated[0]
+    assert evaluated[-1] == objective(worse, T / norm_f(T),
+                                      default_lambda(2)).f
 
 
 # the step kinds of a run: descent, then the sampled escape labels
@@ -1347,6 +1354,36 @@ def test_start_set_gradient_evaluation_count():
     assert total <= 4_000
 
 
+def test_large_random_starts_converge():
+    # from random:100 or random:1000 the first steps must shrink the point
+    # by many orders of magnitude, and a line search needs more than 40
+    # halvings of its first trial step to find one: when it gave up there,
+    # this (2, 6) run from random:100 ended with status budget at
+    # f = 3.4e18 after 2,521 objective values, with only its init record
+    T = exact_instance(2, 6, 3)
+    for init in ("random:100", "random:1000"):
+        res = run(T, SearchConfig(r=2, budget=500, init=init))
+        assert res.status == "converged", init
+        assert res.f <= 1e-4 and len(res.trace.records) > 2
+
+
+def test_line_search_halves_past_40_only_while_the_point_moves():
+    # uphill, every trial fails: after 40 of them the halving goes on
+    # while the step still moves the point, step |d| > 1e-16 max(|p|, 1),
+    # and then gives up
+    T = exact_instance(2, 4, 0)
+    p = random_point(2, 4, np.random.default_rng(1))
+    ev = Evaluator(T, default_lambda(2), 10)
+    rep = ev.objective(p)
+    up = grad(rep)
+    assert search_module._line_search(rep, up, ev) is None
+    floor = 1e-16 * max(p.norm(), 1.0)
+    trials = 40 + sum(1 for k in range(40, 2000)
+                      if 0.5 ** k * up.norm() > floor)
+    assert trials > 40
+    assert ev.objective_evals == 1 + trials
+
+
 def test_run_hosvd_start_keeps_fit_while_balancing():
     T = exact_instance(2, 5, 0)
     res = run(T, SearchConfig(r=2, epsilon=1e-6, seed=0, init="hosvd"))
@@ -1529,15 +1566,15 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
         search_points.append(p.flat.tobytes())
         return counting(p, *args, **kwargs)
 
-    def expanded(*args, **kwargs):
-        values = sign_step_values(*args, **kwargs)
+    def scored(*args, **kwargs):
+        values = step_values(*args, **kwargs)
         calls.extend([1] * values.size)
         return values
 
     def noting(splits, ijk, *args, **kwargs):
-        out = sample_missing(splits, ijk, *args, **kwargs)
-        labels.append(ijk)
-        return out
+        drawn, flats = sample_missing(splits, ijk, *args, **kwargs)
+        labels.extend(drawn)
+        return drawn, flats
 
     def charging(fn, cost):
         def wrapped(*args, **kwargs):
@@ -1547,10 +1584,11 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
 
     monkeypatch.setattr(search_module, "objective", recording)
     monkeypatch.setattr(escape_module, "objective", baseline)
-    # the sign search scores its candidates from one expansion of f; each
-    # value it returns is an objective value and counts as one
-    sign_step_values = escape_module.sign_step_values
-    monkeypatch.setattr(escape_module, "sign_step_values", expanded)
+    # the sign search scores its candidates from one expansion of f, each
+    # step grid's labels in one scoring call; each value a scoring call
+    # returns is an objective value and counts as one
+    step_values = escape_module._step_values
+    monkeypatch.setattr(escape_module, "_step_values", scored)
     sample_missing = search_module.sample_missing_directions
     monkeypatch.setattr(search_module, "sample_missing_directions", noting)
     # a gradient costs 1, a Hessian-vector product 2, a rebalance move 1
@@ -1590,23 +1628,29 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
 
 def test_escape_round_scores_each_block_label_in_one_sign_search(
         monkeypatch):
-    # a round draws all of a block label's samples and scores them in one
-    # call, and makes no other sign search
+    # a round splits once, draws every label's samples in one sampler call
+    # and scores them all in one sign search, one stack per label, and
+    # makes no other sign search
     rounds = []
 
     def splitting(*args, **kwargs):
-        rounds.append([])
+        rounds.append({"draws": 0, "searches": []})
         return subspace_split(*args, **kwargs)
+
+    def drawing(*args, **kwargs):
+        rounds[-1]["draws"] += 1
+        return sample_missing_directions(*args, **kwargs)
 
     def searching(p, T, deltas, grid, lam=None, at=None):
         # the blocks a direction moves name its kind: a sampled one moves
         # the core and the factors of its index-2 modes
-        rounds[-1].append([tuple(blk.any() for blk in
-                                 p._like(row.copy()).blocks())
-                           for row in deltas])
+        rounds[-1]["searches"].append(
+            [[tuple(blk.any() for blk in p._like(row.copy()).blocks())
+              for row in stack] for stack in deltas])
         return sign_flip_search(p, T, deltas, grid, lam, at=at)
 
     monkeypatch.setattr(search_module, "subspace_split", splitting)
+    monkeypatch.setattr(search_module, "sample_missing_directions", drawing)
     monkeypatch.setattr(search_module, "sign_flip_search", searching)
     samples = samples_per_block(SearchConfig(r=2).epsilon)
     stacked = 0
@@ -1614,15 +1658,94 @@ def test_escape_round_scores_each_block_label_in_one_sign_search(
         rounds.clear()
         res = run(exact_instance(rank, 4, 0), SearchConfig(r=2, seed=0))
         assert res.status == "converged" and rounds
-        for calls in rounds:
-            sampled = [c[0] for c in calls if c[0][0] and any(c[0][1:])]
-            assert len(set(sampled)) == len(sampled) <= len(SAMPLED_BLOCKS)
-            assert len(calls) == len(sampled)
-            for c in calls:
-                assert len(set(c)) == 1
-                assert len(c) == (samples if c[0] in sampled else 1)
-            stacked += len(sampled)
-    assert stacked > 0
+        for found in rounds:
+            assert found["draws"] == 1 and len(found["searches"]) <= 1
+            for stacks in found["searches"]:
+                kinds = [stack[0] for stack in stacks]
+                assert len(set(kinds)) == len(kinds) <= len(SAMPLED_BLOCKS)
+                for stack in stacks:
+                    assert len(stack) == samples and len(set(stack)) == 1
+                    assert stack[0][0] and sum(stack[0][1:]) >= 2
+                stacked = max(stacked, len(stacks))
+    # some round scored several labels together
+    assert stacked > 1
+
+
+def _per_label_round(rep, T, lam, rng, samples):
+    """The escape round as a loop over SAMPLED_BLOCKS: one-label draws and
+    one sign search per label, the first of the largest gains, then the
+    winner's evaluation; returns (kind, report, step, gain, objective
+    values) or None."""
+    from tuckersearch.escape import NoMissingDirection
+    splits = subspace_split(rep.point, search_module.SIGMA)
+    cands, evals = [], 0
+    for ijk in SAMPLED_BLOCKS:
+        try:
+            drawn = sample_missing_directions(splits, ijk, rng, samples)
+        except NoMissingDirection:
+            continue
+        grid = delta_grid(search_module.SIGMA, ijk.count(2))
+        for res in sign_flip_search(rep.point, T, drawn, grid, lam, at=rep):
+            cands.append(("sampled({},{},{})".format(*ijk), res))
+            evals += res.evals
+    kind, best = max(cands, key=lambda c: c[1].improvement,
+                     default=(None, None))
+    if best is None or best.improvement < search_module.MIN_IMPROVEMENT:
+        return None
+    cand = objective(best.apply(rep.point), T, lam)
+    if search_module._rises(rep.f, cand.f):
+        return None
+    return kind, cand, best.step, best.improvement, evals + 1
+
+
+def _low_rank_point(r, d, rank, rng):
+    """A random point whose factors have `rank` singular values 1 and the
+    rest 1e-3, below the escape's split threshold."""
+    mats = []
+    for _ in range(3):
+        V = np.linalg.qr(rng.standard_normal((r, r)))[0]
+        U = np.linalg.qr(rng.standard_normal((d, r)))[0]
+        s = np.where(np.arange(r) < rank, 1.0, 1e-3)
+        mats.append((V * s) @ U.T)
+    return FactorPoint(rng.standard_normal((r, r, r)), *mats)
+
+
+@pytest.mark.parametrize("r,d", [(2, 4), (3, 8), (4, 9)])
+def test_one_pass_escape_round_matches_the_per_label_loop(r, d):
+    # the round draws, scores and picks as a loop over the labels with the
+    # one-label sampler and sign search would, from the same sampler
+    # state: the same kind, step, gain, point bytes and objective values,
+    # at the zero start (only (2,2,2) draws), at a full-rank point (no
+    # label draws) and at a rank-deficient one (all four draw)
+    T = exact_instance(r, d, 7)
+    lam = default_lambda(r)
+    taken = set()
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        points = {"zero": FactorPoint.zeros(r, d),
+                  "full": _low_rank_point(r, d, r, rng),
+                  "deficient": _low_rank_point(r, d, r - 1, rng)}
+        for name, p in points.items():
+            rep = objective(p, T, lam)
+            labels, _ = sample_missing_directions(
+                subspace_split(p, search_module.SIGMA), SAMPLED_BLOCKS,
+                np.random.default_rng(0), 1)
+            assert len(labels) == {"zero": 1, "full": 0,
+                                   "deficient": 4}[name]
+            ev = Evaluator(T, lam, 1)
+            got = search_module._escape_round(
+                rep, ev, np.random.default_rng(seed), 6)
+            want = _per_label_round(rep, T, lam, np.random.default_rng(seed),
+                                    6)
+            if want is None:
+                assert got is None, name
+                continue
+            taken.add(name)
+            kind, cand, step, gain = got
+            assert (kind, step, gain) == want[0:1] + want[2:4], name
+            assert cand.point.flat.tobytes() == want[1].point.flat.tobytes()
+            assert ev.objective_evals == want[4] and ev.used == 0
+    assert taken == {"zero", "deficient"}
 
 
 def test_run_raises_on_non_finite_objective():
