@@ -5,6 +5,14 @@ All JSON outputs are byte-reproducible for fixed arguments and seed;
 anything time-dependent goes to a separate metadata file so the main
 artifacts can be compared directly.
 
+`verify` runs its checks on one process per available CPU, at most one
+per check: the CLI process and workers it forks.  Its report is byte
+for byte that of a serial `run_suite`, which stays serial for library
+callers, and a check's exception ends the command as it would serially.
+Without os.fork, on one CPU, or in a process that already runs more
+than one thread (a BLAS library's threads included), the checks run in
+the CLI process alone.
+
 Exit codes: 0 converged or success, 1 verification failure, 2 budget
 exhausted, 3 no improving direction above the target, 4 input error (a
 usage error included) or a run whose objective became non-finite.
@@ -16,6 +24,7 @@ import dataclasses
 import functools
 import json
 import os
+import pickle
 import sys
 import time
 
@@ -25,7 +34,7 @@ from .objective import save_point
 from .search import NonFiniteError, SearchConfig, run
 from .tensor_core import (load_tensor, multilinear_transform, norm_f,
                           random_point, save_tensor_binary, save_tensor_json)
-from .verify import run_suite, suite_to_json
+from .verify import CHECKS, suite_streams, suite_to_json
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -196,6 +205,121 @@ def cmd_decompose(args) -> int:
 # verify
 
 
+# Checks by serial time, longest first, so the longest starts at once and
+# the short ones fill in behind it: anti-concentration takes 43% of a suite
+# (33 of 77 ms), then sublevel 11, wedin 8.6, orthogonality 7.8,
+# saddle-gallery 6.2, euler 5.0, submultiplicativity 3.6 and
+# core-lower-bound 1.7 ms (medians over suite seeds 0-39, BLAS at one
+# thread, 2-core x86-64).  A check not listed goes last.
+_LONGEST_FIRST = ("anti-concentration", "sublevel", "wedin", "orthogonality",
+                  "saddle-gallery", "euler", "submultiplicativity",
+                  "core-lower-bound")
+
+
+def _thread_count() -> int:
+    """Threads of this process, a BLAS library's own included where the
+    system lists them."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        import threading
+        return threading.active_count()
+
+
+def _worker_count(checks: int) -> int:
+    """Processes to fork beside this one: one per further available CPU
+    and at most one per further check.  None without os.fork or in a
+    process that already runs more than one thread, since forking a
+    threaded process is unsafe."""
+    if not hasattr(os, "fork") or _thread_count() > 1:
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not every system with fork has it
+        cpus = os.cpu_count() or 1
+    return min(cpus, checks) - 1
+
+
+def _outcome(name, rng):
+    """A check's reports, or the exception it raised."""
+    try:
+        return CHECKS[name](rng)
+    except Exception as exc:  # raised in names order once all are reaped
+        return exc
+
+
+def _drain(queue: int, checks: list) -> dict:
+    """Run the checks whose indices this process takes from the queue
+    pipe, one byte each, until it is empty: {index: outcome}."""
+    done = {}
+    while taken := os.read(queue, 1):
+        done[taken[0]] = _outcome(*checks[taken[0]])
+    return done
+
+
+def _worker(queue: int, checks: list, out: int, inherited) -> None:
+    """A forked worker: drain the queue and send the pickled outcomes
+    through `out`.  It never returns and writes nothing to stdout or
+    stderr; an outcome it cannot send is run again by the parent."""
+    try:
+        for fd in inherited:
+            os.close(fd)
+        blob = pickle.dumps(_drain(queue, checks))
+        with open(out, "wb") as fh:
+            fh.write(blob)
+    finally:
+        os._exit(0)
+
+
+def _run_checks(streams: dict) -> list:
+    """The reports of `run_suite` over the streams of `suite_streams`,
+    byte for byte, from one process per available CPU: this process and
+    its forked workers take check indices, longest first, from one queue
+    pipe, and the workers send their outcomes back over a pipe each.
+    Every worker is reaped before this returns or raises; then the first
+    exception in names order, if any, is raised as a serial run would."""
+    checks = list(streams.items())
+    rank = {name: i for i, name in enumerate(_LONGEST_FIRST)}
+    order = sorted(range(len(checks)),
+                   key=lambda i: rank.get(checks[i][0], len(rank)))
+    queue, feed = os.pipe()
+    os.write(feed, bytes(order))
+    os.close(feed)
+    workers = {}
+    try:
+        for _ in range(_worker_count(len(checks))):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the others do the rest
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                _worker(queue, checks, write, [read, *workers.values()])
+            os.close(write)
+            workers[pid] = read
+        done = _drain(queue, checks)
+        for read in workers.values():
+            with open(read, "rb", closefd=False) as fh:
+                blob = fh.read()
+            if blob:
+                done.update(pickle.loads(blob))
+    finally:
+        os.close(queue)
+        for pid, read in workers.items():
+            os.close(read)
+            os.waitpid(pid, 0)
+    reports = []
+    for i, check in enumerate(checks):
+        if i not in done:  # its worker ended without sending it
+            done[i] = _outcome(*check)
+        if isinstance(done[i], Exception):
+            raise done[i]
+        reports.extend(done[i])
+    return reports
+
+
 def cmd_verify(args) -> int:
     names = None
     if args.checks is not None:
@@ -205,7 +329,7 @@ def cmd_verify(args) -> int:
     if missing:
         return _fail(missing)
     try:
-        reports = run_suite(seed=args.seed, names=names)
+        reports = _run_checks(suite_streams(args.seed, names))
     except ValueError as exc:
         return _fail(str(exc))
     payload = suite_to_json(reports)

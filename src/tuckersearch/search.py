@@ -146,6 +146,10 @@ SIGMA = 0.05
 TAU1 = 1e-6
 TAU2 = 1e-4
 MIN_IMPROVEMENT = 1e-10
+# the least epsilon a run accepts: TAU1 stops a descent near f = 1e-12 of
+# the unit-norm problem, so all 9 exact desk targets converge at 1e-12 but
+# end in a misleading no_direction at 1e-14
+EPSILON_FLOOR = 1e-12
 
 
 class NonFiniteError(Exception):
@@ -165,7 +169,8 @@ class SearchConfig:
     limit is needed: every round charges at least one gradient evaluation,
     so the budget bounds the rounds.  A config is immutable and checks
     itself when made: a count that is not an integer, a number that is
-    not finite, a value out of range or a bad init is a ValueError."""
+    not finite, a value out of range (epsilon below EPSILON_FLOOR
+    included) or a bad init is a ValueError."""
     r: int
     epsilon: float = 1e-4
     lam: float | None = None
@@ -189,8 +194,9 @@ class SearchConfig:
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
         if self.lam is not None and self.lam < 0:
             raise ValueError(f"lambda must be nonnegative, got {self.lam}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
+        if not EPSILON_FLOOR <= self.epsilon < 1.0:
+            raise ValueError(f"epsilon must be in [{EPSILON_FLOOR:g}, 1), "
+                             f"got {self.epsilon}")
         _parse_init(self.init)
 
 

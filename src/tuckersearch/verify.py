@@ -637,11 +637,11 @@ CHECKS = {
 }
 
 
-def run_suite(seed: int = 0, names=None) -> list[LemmaReport]:
-    """Run the named checks (all by default), each on its own seeded
-    stream so single-check runs reproduce the full-suite results.  An
-    empty selection, a repeated name, an unknown one or a negative seed
-    is a ValueError."""
+def suite_streams(seed: int = 0, names=None) -> dict:
+    """The named checks (all by default), in the order named, each with
+    its own seeded stream, so single-check runs reproduce the full-suite
+    results: {name: generator}.  An empty selection, a repeated name, an
+    unknown one or a negative seed is a ValueError."""
     if names is None:
         names = list(CHECKS)
     unknown = [n for n in names if n not in CHECKS]
@@ -658,9 +658,15 @@ def run_suite(seed: int = 0, names=None) -> list[LemmaReport]:
     root = np.random.SeedSequence(seed)
     streams = {name: np.random.default_rng(s)
                for name, s in zip(CHECKS, root.spawn(len(CHECKS)))}
+    return {name: streams[name] for name in names}
+
+
+def run_suite(seed: int = 0, names=None) -> list[LemmaReport]:
+    """Run the named checks (all by default) one after another on the
+    streams of `suite_streams`, which also checks the selection."""
     reports = []
-    for name in names:
-        reports.extend(CHECKS[name](streams[name]))
+    for name, rng in suite_streams(seed, names).items():
+        reports.extend(CHECKS[name](rng))
     return reports
 
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tuckersearch.cli as cli_module
 from tuckersearch import verify as verify_mod
 from tuckersearch.cli import (EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT,
                               EXIT_NO_DIRECTION, EXIT_OK, main)
@@ -10,6 +16,7 @@ from tuckersearch.objective import grad_loss, grad_reg, load_point, objective
 from tuckersearch.tensor_core import (hosvd, load_tensor,
                                       multilinear_transform, norm_f,
                                       save_tensor_binary, save_tensor_json)
+from tuckersearch.verify import run_suite, suite_to_json
 
 
 def gen(tmp_path, name="T.json", r=2, d=4, seed=3, extra=()):
@@ -413,15 +420,32 @@ def test_decompose_budget_exit_code(tmp_path):
 
 
 def test_decompose_no_direction_exit_code(tmp_path):
-    # epsilon far below the reachable floor: the search stalls at a point
-    # with no improving direction above the acceptance threshold
-    T_path = gen(tmp_path, d=4, seed=2)
+    # noise of norm 5e-2 puts the floor of the fit (about |N|^2 = 2.5e-3)
+    # far above the default epsilon: the search stalls at a point with no
+    # improving direction above the acceptance threshold
+    T_path = gen(tmp_path, d=4, seed=2, extra=("--noise", "5e-2"))
     rc = main(["decompose", str(T_path), "--rank", "2",
-               "--epsilon", "1e-15", "--out", str(tmp_path / "n")])
+               "--out", str(tmp_path / "n")])
     assert rc == EXIT_NO_DIRECTION
     summary = json.loads((tmp_path / "n.summary.json").read_text())
     assert summary["status"] == "no-direction"
-    assert summary["f"] <= 1e-8
+    assert 1e-4 < summary["f"] <= 5e-3
+
+
+def test_decompose_rejects_epsilon_below_the_floor(tmp_path, capsys):
+    # below EPSILON_FLOOR an exact target would end in a misleading
+    # no-direction near f = 1e-12, so such an epsilon is an input error
+    # before any search; the floor itself is accepted
+    T_path = gen(tmp_path)
+    rc = main(["decompose", str(T_path), "--rank", "2",
+               "--epsilon", "1e-14", "--out", str(tmp_path / "x")])
+    assert rc == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: epsilon must be in "
+                                              "[1e-12, 1)")
+    assert not (tmp_path / "x.summary.json").exists()
+    rc = main(["decompose", str(T_path), "--rank", "2",
+               "--epsilon", "1e-12", "--out", str(tmp_path / "y")])
+    assert rc == EXIT_OK
 
 
 def test_decompose_non_finite_run_is_an_input_error(tmp_path, capsys):
@@ -543,6 +567,135 @@ def test_verify_corrupted_gradient_fails_suite(tmp_path, monkeypatch,
     assert "FAIL" in out
     doc = json.loads(report.read_text())
     assert doc["all_passed"] is False
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """verify as on two CPUs in a single-threaded process, whatever this
+    machine and its BLAS threads: one worker is forked.  Yields the list
+    of the pids forked."""
+    real_fork = os.fork
+    pids = []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(cli_module, "_thread_count", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", fork)
+    yield pids
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verify_report_from_workers_equals_a_serial_run(tmp_path, forks):
+    # the checks run in two processes, longest first, yet the report is
+    # run_suite's, byte for byte, for a subset out of that order too
+    report = tmp_path / "report.json"
+    for seed, names in ((0, None), (1, None), (2, None), (3, None),
+                        (1, ["euler", "anti-concentration", "wedin"])):
+        argv = ["verify", "--seed", str(seed), "--out", str(report)]
+        if names is not None:
+            argv += ["--checks", ",".join(names)]
+        assert main(argv) == EXIT_OK
+        assert report.read_text() == suite_to_json(
+            run_suite(seed, names)) + "\n"
+    assert len(forks) == 5
+
+
+def test_verify_raises_a_workers_exception_after_reaping_it(
+        tmp_path, monkeypatch, forks):
+    # the parent's check waits until the worker has raised, so the
+    # worker takes the other check, whichever process took the first
+    parent = os.getpid()
+    marker = tmp_path / "raised"
+
+    def check(rng):
+        if os.getpid() != parent:
+            marker.touch()
+            raise ArithmeticError("raised in a worker")
+        deadline = time.monotonic() + 30
+        while not marker.exists() and time.monotonic() < deadline:
+            time.sleep(1e-3)
+        return []
+
+    for name in ("euler", "wedin"):
+        monkeypatch.setitem(verify_mod.CHECKS, name, check)
+    with pytest.raises(ArithmeticError, match="raised in a worker"):
+        main(["verify", "--checks", "euler,wedin"])
+    assert marker.exists() and len(forks) == 1
+
+
+def test_verify_runs_again_the_check_of_a_worker_that_died(
+        tmp_path, monkeypatch, forks):
+    # a worker that ends without sending its outcome (killed, say) loses
+    # nothing: the parent runs the check it had taken itself
+    parent = os.getpid()
+    marker = tmp_path / "died"
+    expected = suite_to_json(run_suite(2)) + "\n"
+
+    def dying(check):
+        def run_check(rng):
+            if os.getpid() != parent:
+                marker.touch()
+                os._exit(1)
+            deadline = time.monotonic() + 30
+            while not marker.exists() and time.monotonic() < deadline:
+                time.sleep(1e-3)
+            return check(rng)
+        return run_check
+
+    for name, check in list(verify_mod.CHECKS.items()):
+        monkeypatch.setitem(verify_mod.CHECKS, name, dying(check))
+    report = tmp_path / "report.json"
+    assert main(["verify", "--seed", "2", "--out", str(report)]) == EXIT_OK
+    assert report.read_text() == expected
+    assert marker.exists() and len(forks) == 1
+
+
+@pytest.mark.parametrize("cpus, threads, fork", [
+    ({0}, 1, "fails"), ({0, 1}, 2, "fails"), ({0, 1}, 1, "missing"),
+    ({0, 1}, 1, "out of processes")])
+def test_verify_without_workers_writes_the_same_report(
+        tmp_path, monkeypatch, cpus, threads, fork):
+    # one CPU, a threaded process or no os.fork: no fork is tried, and
+    # the same loop runs in this process alone; a failed fork leaves
+    # the work to this process too
+    def failing_fork():
+        if fork == "out of processes":
+            raise BlockingIOError("Resource temporarily unavailable")
+        raise AssertionError("fork called")
+
+    monkeypatch.setattr(cli_module, "_thread_count", lambda: threads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", failing_fork)
+    report = tmp_path / "report.json"
+    assert main(["verify", "--seed", "3", "--out", str(report)]) == EXIT_OK
+    assert report.read_text() == suite_to_json(run_suite(3)) + "\n"
+
+
+def test_verify_forks_from_a_process_with_blas_at_one_thread():
+    # the thread count is the process's own, BLAS threads included, and a
+    # fresh process with BLAS pinned to one thread forks a worker per
+    # further CPU
+    code = ("import os; from tuckersearch.cli import _worker_count; "
+            "print(_worker_count(8), "
+            "min(len(os.sched_getaffinity(0)), 8) - 1)")
+    src = str(Path(cli_module.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get(
+                   "PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    workers, expected = out.split()
+    assert workers == expected
 
 
 def test_main_builds_the_parser_once(capsys):

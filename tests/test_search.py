@@ -1537,6 +1537,7 @@ def test_run_validates_inputs():
         run(exact_instance(2, 4, 0), SearchConfig(r=2, lam=-1.0, budget=2000))
     T = exact_instance(2, 4, 0)
     for bad in ({"lam": math.nan}, {"epsilon": math.nan},
+                {"epsilon": 0.0}, {"epsilon": 1e-13},
                 {"r": 2.5}, {"r": True}, {"budget": 10.0},
                 {"seed": 0.5}, {"seed": -1},
                 {"init": "random:inf"}, {"init": "random:nan"},
