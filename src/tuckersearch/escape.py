@@ -32,10 +32,22 @@ a whole stack of directions at once, the directions on a leading axis,
 and every (sign pattern, step) candidate is then a few small array
 products.
 
+The zero point needs no sign search.  There every block of the point is
+zero, so only the label (2,2,2) draws, every X_U but X_{SABC} = X_d
+vanishes, and each Gram gap is a_m^2 and a_S^2 times the direction's own.
+With a_b = t s_b, u = t^4 and s the product of the four signs,
+
+    f = |T|^2 - 2 s u <T, X_d> + u^2 (|X_d|^2 + lam phi(d)^2),
+
+a quadratic in u in which a flipped block flips only the middle term, so
+`zero_point_search` takes each direction's exact best step in closed form
+from one expansion of the draws.
+
 An escape round of the driver is one pass over its block labels: one
 sampler call draws every label's samples, in the stream order of a loop
 over the labels, and one sign search scores them all, from one expansion
-of every draw and one scoring of each step grid's labels together.
+of every draw and one scoring of each step grid's labels together; at the
+zero point `zero_point_search` scores them instead.
 """
 from __future__ import annotations
 
@@ -525,3 +537,50 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, deltas: np.ndarray,
         improvements=f0 - np.where(won, f_best, f0).ravel(),
         candidate=candidate.ravel(), tables=tuple(tables),
         evals=evals.ravel())
+
+
+# the two sign patterns of a zero-point step: as drawn, and the core flipped
+_ZERO_POINT_PATTERNS = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0]])
+_ZERO_POINT_PATTERNS.flags.writeable = False
+
+
+def zero_point_search(at: ObjectiveReport,
+                      deltas: np.ndarray) -> SignSearchResults:
+    """The exact best step along each direction of the stack `deltas`
+    (rows of flat vectors, or an (L, m, size) stack of stacks) from the
+    zero point of the report `at`, in closed form, as the results of a
+    sign search: the directions in order, each with one objective value.
+
+    At p = 0 every block of the point is zero, so along t d, with
+    X_d = S_d(A_d, B_d, C_d) and u = t^4,
+
+        f(t d) = |T|^2 - 2 u b + u^2 q,   b = <T, X_d>,
+                 q = |X_d|^2 + lam phi(d)^2,
+
+    since the transform is multilinear in the four blocks and each Gram gap
+    quadratic in its mode's block and the core's.  Flipping the sign of any
+    block flips the sign of b alone, so the best step takes the core
+    flipped where b < 0, u* = |b| / q and t = u*^(1/4), and gains b^2 / q.
+    b, |X_d|^2 and phi(d) are read off one `_expansion` of the directions:
+    b is minus the product of the residual -T with X_U for U = {S, A, B, C},
+    |X_d|^2 is that U's Gram entry, and phi(d) is the squared norm of the
+    Gram gaps' a_m^2 and a_S^2 pieces, the only ones at p = 0.  Each
+    direction's result holds its own one-step grid, t, and the two sign
+    patterns, as drawn and with the core flipped; one that gains nothing
+    takes step 0."""
+    flats = deltas.reshape(-1, deltas.shape[-1])
+    gram, proj, basis = _expansion(at.point, flats, at.stages[2])
+    b = -proj[:, -1]
+    gaps = basis[:, :, 2] + basis[:, :, 4]
+    phi = np.einsum("nmj,nmj->n", gaps, gaps)
+    q = gram[:, -1, -1] + at.lam * phi * phi
+    gains = b * b / q
+    won = gains > 0.0
+    steps = (np.abs(b) / q) ** 0.25
+    return SignSearchResults(
+        point=at.point, deltas=flats, won=won,
+        improvements=np.where(won, gains, 0.0),
+        evals=np.ones(len(flats), dtype=int),
+        candidate=(b < 0.0).astype(int),
+        tables=tuple((_ZERO_POINT_PATTERNS, steps[k:k + 1])
+                     for k in range(len(flats))))

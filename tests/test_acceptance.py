@@ -23,6 +23,8 @@ from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
 from tuckersearch.verify import (gallery_one_missing, gallery_three_missing,
                                  gallery_two_missing)
 
+from instances import desk_instance
+
 
 def _verdict(name, ok, detail=""):
     print(f"[acceptance] {name}: {'PASS' if ok else 'FAIL'}"
@@ -115,10 +117,7 @@ def test_criterion_05_desk_scale_convergence():
     hits_loose, hits_tight = 0, 0
     total_evals = 0
     for seed in range(20):
-        rng = np.random.default_rng(np.random.SeedSequence([505, seed]))
-        truth = random_point(r, d, rng)
-        T = multilinear_transform(truth.S, truth.A, truth.B, truth.C)
-        T = T / norm_f(T)
+        T = desk_instance(r, d, seed)
         result = run(T, SearchConfig(r=r, epsilon=1e-4,
                                      seed=seed, budget=50_000, init="zero"))
         assert result.grad_evals <= 50_000
@@ -127,12 +126,16 @@ def test_criterion_05_desk_scale_convergence():
         hits_loose += result.f <= 1e-2
     elapsed = time.perf_counter() - start
     # the evaluation total guards the descent policy: preconditioned
-    # L-BFGS directions with slow-window escape rounds and the escape
-    # round ahead of the curvature probe take 791 here with BLAS at one or
-    # two threads; with the slow window disabled 1,012 (as before it;
-    # 1,000 before the search solved on T / |T|, 1,617 probing first),
-    # L-BFGS from a scalar H0 1,674 (1,928 without the slow window), a
-    # 50-step stall window without the slow window 1,266; with a 50-step
+    # L-BFGS directions with slow-window escape rounds, the escape round
+    # ahead of the curvature probe and the zero point's escape step in
+    # closed form take 717 here with BLAS at one or two threads, and
+    # L-BFGS from a scalar H0 1,834 (2,090 without the slow window).  With
+    # the slow window disabled they take 960, which only the desk-grid
+    # guard of test_search.py catches.  Before the closed-form step: 791,
+    # 1,012 with the slow window disabled (1,000 before the search solved
+    # on T / |T|, 1,617 probing first), L-BFGS from a scalar H0 1,674
+    # (1,928 without the slow window), a 50-step stall window without the
+    # slow window 1,266; with a 50-step
     # window, steepest descent from Barzilai-Borwein steps with a
     # power-iteration probe took 9,195
     _verdict("desk-scale exact recovery",

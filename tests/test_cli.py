@@ -433,18 +433,20 @@ def test_decompose_no_direction_exit_code(tmp_path):
 
 
 def test_decompose_rejects_epsilon_below_the_floor(tmp_path, capsys):
-    # below EPSILON_FLOOR an exact target would end in a misleading
-    # no-direction near f = 1e-12, so such an epsilon is an input error
-    # before any search; the floor itself is accepted
+    # below EPSILON_FLOOR an exact target can end in a misleading
+    # no-direction near f = 1e-12, as this one does at 1e-12 (f = 1.19e-12),
+    # so such an epsilon is an input error before any search; the floor
+    # itself is accepted
     T_path = gen(tmp_path)
+    for i, low in enumerate(("1e-14", "1e-12")):
+        rc = main(["decompose", str(T_path), "--rank", "2",
+                   "--epsilon", low, "--out", str(tmp_path / f"x{i}")])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            "error: epsilon must be in [1e-11, 1)")
+        assert not (tmp_path / f"x{i}.summary.json").exists()
     rc = main(["decompose", str(T_path), "--rank", "2",
-               "--epsilon", "1e-14", "--out", str(tmp_path / "x")])
-    assert rc == EXIT_INPUT
-    assert capsys.readouterr().err.startswith("error: epsilon must be in "
-                                              "[1e-12, 1)")
-    assert not (tmp_path / "x.summary.json").exists()
-    rc = main(["decompose", str(T_path), "--rank", "2",
-               "--epsilon", "1e-12", "--out", str(tmp_path / "y")])
+               "--epsilon", "1e-11", "--out", str(tmp_path / "y")])
     assert rc == EXIT_OK
 
 

@@ -13,7 +13,7 @@ from tuckersearch.escape import (delta_grid, sample_missing_directions,
                                  sign_flip_search)
 from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     eval_along, grad, grad_loss, hvp,
-                                    objective, save_point)
+                                    objective, reg_phi, save_point)
 from tuckersearch.search import (LANCZOS_STEPS, SAMPLED_BLOCKS, STALL_GRAD,
                                  STALL_TOL, STALL_WINDOW, TAU1, TAU2,
                                  Evaluator, NonFiniteError, SearchConfig,
@@ -23,23 +23,7 @@ from tuckersearch.subspace import subspace_split
 from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
                                       norm_f, random_point)
 
-def exact_instance(r, d, seed, entropy=11):
-    rng = np.random.default_rng(np.random.SeedSequence([entropy, seed]))
-    p = random_point(r, d, rng)
-    T = multilinear_transform(p.S, p.A, p.B, p.C)
-    return T / norm_f(T)
-
-
-def desk_instance(r, d, seed):
-    """The exact targets of acceptance criterion 05."""
-    return exact_instance(r, d, seed, entropy=505)
-
-
-def noisy_desk_instance(r, d, seed, noise):
-    """A desk target plus Gaussian noise of Frobenius norm `noise`."""
-    T = desk_instance(r, d, seed)
-    G = np.random.default_rng(seed).standard_normal(T.shape)
-    return T + noise * G / norm_f(G)
+from instances import desk_instance, exact_instance, noisy_desk_instance
 
 
 # ---------------------------------------------------------------------------
@@ -742,24 +726,25 @@ def test_small_desk_targets_are_fitted_not_converged_at_the_start():
 
 def test_desk_grid_gradient_evaluation_count():
     # a guard on the descent policy: the desk grid, (r, d) in (2, 8),
-    # (3, 16), (4, 24) x seeds 0-2, takes 480 gradient evaluations with
-    # BLAS at one thread and 443 at two.  With the slow window disabled it
-    # takes 659, as before the slow window, and L-BFGS from the scalar
-    # H0 = (s.y / y.y) I takes 987 (1,584 without the slow window), so the
-    # bound catches both.  Before the search solved on T / |T| the grid
-    # took 650, and 812 when every first-order stop probed the curvature
-    # before its escape round; before the escape round went first,
-    # steepest descent with Barzilai-Borwein steps took 4,965 and a
-    # descent that ends only on a small gradient or a fixed cap of 3,000
-    # 38,844.  For a given BLAS build and thread count the count repeats
-    # exactly
+    # (3, 16), (4, 24) x seeds 0-2, takes 461 gradient evaluations with
+    # BLAS at one thread and 447 at two.  With the slow window disabled it
+    # takes 562 (570 at two), and L-BFGS from the scalar H0 = (s.y / y.y) I
+    # takes 1,059 (1,645 without the slow window), so the bound catches
+    # both.  Before the zero point's escape step was taken in closed form
+    # the grid took 480 (443 at two), 659 with the slow window disabled;
+    # before the search solved on T / |T| it took 650, and 812 when every
+    # first-order stop probed the curvature before its escape round;
+    # before the escape round went first, steepest descent with
+    # Barzilai-Borwein steps took 4,965 and a descent that ends only on a
+    # small gradient or a fixed cap of 3,000 38,844.  For a given BLAS
+    # build and thread count the count repeats exactly
     total = 0
     for r, d in ((2, 8), (3, 16), (4, 24)):
         for seed in range(3):
             res = run(desk_instance(r, d, seed), SearchConfig(r=r, seed=seed))
             assert res.status == "converged"
             total += res.grad_evals
-    assert total <= 600
+    assert total <= 520
 
 
 def test_noisy_desk_grid_gradient_evaluation_count():
@@ -767,12 +752,14 @@ def test_noisy_desk_grid_gradient_evaluation_count():
     # target ends no_direction on a plateau near the noise floor (f from
     # 2.2e-3 to 2.5e-3, against |N|^2 = 2.5e-3), where slow windows find
     # nothing to escape to and only the stall rule ends the descent.  The
-    # grid takes 1,067 gradient evaluations with BLAS at one thread (1,140
-    # at two), 1,641 with the stall rule disabled (each descent then runs
-    # on to its small-gradient stop), 1,307 with the slow window disabled,
-    # and 2,263 from the scalar H0 = (s.y / y.y) I.  The bound sits
-    # between the stall rule's disabled and enabled counts, so deleting the
-    # rule fails it.  Before the slow window it took 1,504
+    # grid takes 1,201 gradient evaluations with BLAS at one thread (1,168
+    # at two), 1,670 with the stall rule disabled (1,623 at two; each
+    # descent then runs on to its small-gradient stop), 1,322 with the slow
+    # window disabled, and 2,259 from the scalar H0 = (s.y / y.y) I.  The
+    # bound sits between the stall rule's disabled and enabled counts, so
+    # deleting the rule fails it.  Before the zero point's escape step was
+    # taken in closed form the grid took 1,067 (1,641 without the stall
+    # rule).  Before the slow window it took 1,504
     # with a 10-step stall window and 2,029 with 50; before the search
     # solved on T / |T| it took 1,395, and 1,622 when every first-order
     # stop probed the curvature before its escape round
@@ -837,37 +824,45 @@ def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
             == len(searches))
 
 
+def _predicted(p, deltas, worse):
+    """Scores in place of the sign search or the zero-point rule: every
+    direction steps by 1 to `worse` past p, with all signs +1 and a
+    predicted gain of 1e-9."""
+    from tuckersearch.escape import SignSearchResults
+    n = deltas.size // p.flat.size
+    return SignSearchResults(
+        point=p, deltas=np.tile(worse.flat, (n, 1)),
+        won=np.ones(n, dtype=bool), improvements=np.full(n, 1e-9),
+        evals=np.zeros(n, dtype=int), candidate=np.zeros(n, dtype=int),
+        tables=((np.ones((1, 4)), np.ones(1)),))
+
+
 def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
-    # the sign search predicts a gain of 1e-9 for a step that raises f:
+    # the zero-point rule predicts a gain of 1e-9 for a step that raises f:
     # the run keeps its point and ends the round as if nothing had gained
     # enough.  At the origin, where the descent stops after one gradient,
     # that leaves the curvature probe, whose two products find H flat:
     # status no_direction after 5 evaluations, with no second gradient
-    from tuckersearch.escape import SignSearchResults
     rng = np.random.default_rng(5)
     worse = random_point(2, 4, rng, scale=2.0)
-    evaluated = []
+    evaluated, scored = [], []
 
-    def predicting(p, T, deltas, grid, lam=None, at=None):
-        # every direction steps by 1 to `worse`, with all signs +1
-        n = deltas.size // p.flat.size
-        return SignSearchResults(
-            point=p, deltas=np.tile(worse.flat, (n, 1)),
-            won=np.ones(n, dtype=bool), improvements=np.full(n, 1e-9),
-            evals=np.zeros(n, dtype=int), candidate=np.zeros(n, dtype=int),
-            tables=((np.ones((1, 4)), np.ones(1)),))
+    def predicting(at, deltas):
+        scored.append(at.point.norm())
+        return _predicted(at.point, deltas, worse)
 
     def recording(p, *args, **kwargs):
         rep = objective(p, *args, **kwargs)
         evaluated.append(rep.f)
         return rep
 
-    monkeypatch.setattr(search_module, "sign_flip_search", predicting)
+    monkeypatch.setattr(search_module, "zero_point_search", predicting)
     monkeypatch.setattr(search_module, "objective", recording)
     T = exact_instance(1, 4, 0)
     res = run(T, SearchConfig(r=2, seed=0))
     assert res.status == "no_direction" and res.rounds == 1
     assert res.grad_evals == 5
+    assert scored == [0.0]
     assert [rec.step_kind for rec in res.trace.records] == ["init"]
     # the search evaluates on T / |T|: the point it kept is the origin, and
     # its f, in the target's units, is that of the first evaluation
@@ -877,6 +872,31 @@ def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
     assert evaluated[-1] > evaluated[0]
     assert evaluated[-1] == objective(worse, T / norm_f(T),
                                       default_lambda(2)).f
+
+
+def test_escape_round_refuses_a_sign_search_step_that_raises_f(
+        monkeypatch):
+    # away from the zero point the round scores its draws by the sign
+    # search; a step it predicts to gain 1e-9 but that raises f is refused
+    # there too: the round evaluates and counts the step's point, and
+    # takes no step
+    rng = np.random.default_rng(5)
+    worse = random_point(2, 4, rng, scale=2.0)
+    T = exact_instance(1, 4, 0)
+    lam = default_lambda(2)
+    rep = objective(_low_rank_point(2, 4, 1, rng), T, lam)
+    searched = []
+
+    def predicting(p, T, deltas, grid, lam=None, at=None):
+        searched.append(at is rep)
+        return _predicted(p, deltas, worse)
+
+    monkeypatch.setattr(search_module, "sign_flip_search", predicting)
+    ev = Evaluator(T, lam, 1)
+    taken = search_module._escape_round(rep, ev, np.random.default_rng(0), 6)
+    assert taken is None and searched == [True]
+    assert ev.objective_evals == 1 and ev.used == 0
+    assert objective(rep.point + worse, T, lam).f > rep.f
 
 
 # the step kinds of a run: descent, then the sampled escape labels
@@ -1313,19 +1333,20 @@ def test_rare_exits_keep_their_records_and_counts(monkeypatch, case, status,
 
 def test_scale_table_gradient_evaluation_count():
     # the desk shapes' seed-0 targets at norms 1 to 1e3 all converge, in
-    # 565 gradient evaluations together with BLAS at one thread (569 at
-    # two).  The bound catches the slow window disabled (1,111, the count
-    # before it) and the scalar H0 (1,335; 2,070 without the slow
-    # window).  The search solves on T / |T|, so the norms differ only in
-    # the rounding of T / |T|; the thresholds in the target's units took
-    # 1,161
+    # 565 gradient evaluations together with BLAS at one thread (581 at
+    # two).  The bound catches the slow window disabled (774, 792 at two)
+    # and the scalar H0 (1,227; 1,854 without the slow window).  Before
+    # the zero point's escape step was taken in closed form the set took
+    # 565 (569 at two) and 1,111 with the slow window disabled.  The search
+    # solves on T / |T|, so the norms differ only in the rounding of
+    # T / |T|; the thresholds in the target's units took 1,161
     total = 0
     for r, d in ((2, 8), (3, 16), (4, 24)):
         for scale in (1.0, 10.0, 1e2, 1e3):
             res = run(scale * desk_instance(r, d, 0), SearchConfig(r=r))
             assert res.status == "converged"
             total += res.grad_evals
-    assert total <= 800
+    assert total <= 700
 
 
 START_SHAPES = ((1, 3), (2, 4), (2, 6), (3, 5), (4, 6))
@@ -1334,14 +1355,15 @@ START_INITS = ("zero", "hosvd", "random:1e-3", "random:0.5", "random:10")
 
 def test_start_set_gradient_evaluation_count():
     # a guard beyond the zero start: five shapes x five inits x seeds 0-2
-    # of the exact targets, at the default lambda, all converge, in 2,764
+    # of the exact targets, at the default lambda, all converge, in 2,748
     # gradient evaluations together with BLAS at one and at two threads
-    # (2,993 with the slow window disabled, as before it).  L-BFGS from
-    # the scalar H0 = (s.y / y.y) I takes 4,016 (4,788 without the slow
-    # window), which the bound catches; dropping gamma from
-    # H0 = gamma P^-1 took 3,081 (+3%) before the slow window, which it
-    # does not.  A deleted `_rebalance_once` reads 4,009, only 9 over the
-    # bound, so that catch has almost no margin
+    # (2,987 with the slow window disabled).  L-BFGS from the scalar
+    # H0 = (s.y / y.y) I takes 4,156 (4,742 without the slow window) and a
+    # deleted `_rebalance_once` 4,000, which the bound catches; dropping
+    # gamma from H0 = gamma P^-1 took 3,081 (+3%) before the slow window,
+    # which it does not.  Before the zero point's escape step was taken in
+    # closed form the set took 2,764, the scalar H0 4,016 and a deleted
+    # `_rebalance_once` 4,009, against a bound of 4,000 then
     total = 0
     for r, d in START_SHAPES:
         for init in START_INITS:
@@ -1351,7 +1373,7 @@ def test_start_set_gradient_evaluation_count():
                                        init=init))
                 assert res.status == "converged", (r, d, init, seed)
                 total += res.grad_evals
-    assert total <= 4_000
+    assert total <= 3_500
 
 
 def test_large_random_starts_converge():
@@ -1477,7 +1499,7 @@ def test_run_terminal_points_without_directions_are_global(tmp_path):
 
 def test_run_budget_status():
     T = exact_instance(2, 5, 9)
-    res = run(T, SearchConfig(r=2, epsilon=1e-12, seed=0, budget=50))
+    res = run(T, SearchConfig(r=2, epsilon=1e-11, seed=0, budget=50))
     assert res.status == "budget"
     assert res.grad_evals >= 50
     assert res.grad_evals <= 50
@@ -1485,11 +1507,27 @@ def test_run_budget_status():
     assert res.rounds <= res.grad_evals
 
 
+def test_exact_targets_converge_at_the_epsilon_floor():
+    # the fixed first-order stop TAU1 leaves a descent near f = 1e-12, so
+    # at epsilon = 1e-12 each of these exact targets ended no_direction, at
+    # f from 1.06e-12 to 2.17e-12, a verdict the floor exists to rule out.
+    # At EPSILON_FLOOR = 1e-11 they converge, as do all 72 exact targets of
+    # shapes (2, 8), (3, 16), (4, 24), (2, 4), (2, 6) and (3, 6), seeds 0-5,
+    # of both streams, at 1e-11 and at 1e-10
+    for r, d, seed, entropy in ((2, 4, 0, 505), (2, 4, 3, 505),
+                                (3, 6, 2, 11), (3, 6, 2, 505),
+                                (3, 6, 3, 505)):
+        res = run(exact_instance(r, d, seed, entropy),
+                  SearchConfig(r=r, epsilon=search_module.EPSILON_FLOOR))
+        assert res.status == "converged", (r, d, seed, entropy, res.f)
+        assert res.f <= search_module.EPSILON_FLOOR
+
+
 def test_run_never_spends_past_its_budget(monkeypatch):
     # the curvature probes cost two evaluations each and start only when
     # the budget can pay for them.  The budgets come from a reference run
     # on a noisy desk target: it ends no_direction after a full 12-product
-    # probe (from 98 to 122 evaluations), and every budget short of its
+    # probe (from 85 to 109 evaluations), and every budget short of its
     # total, inside or at the edges of a probe, ends the run at the budget
     spans = []
     probe = search_module._negative_curvature
@@ -1537,7 +1575,7 @@ def test_run_validates_inputs():
         run(exact_instance(2, 4, 0), SearchConfig(r=2, lam=-1.0, budget=2000))
     T = exact_instance(2, 4, 0)
     for bad in ({"lam": math.nan}, {"epsilon": math.nan},
-                {"epsilon": 0.0}, {"epsilon": 1e-13},
+                {"epsilon": 0.0}, {"epsilon": 1e-13}, {"epsilon": 1e-12},
                 {"r": 2.5}, {"r": True}, {"budget": 10.0},
                 {"seed": 0.5}, {"seed": -1},
                 {"init": "random:inf"}, {"init": "random:nan"},
@@ -1554,6 +1592,7 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
     labels = []
     grad_calls = []
     baselines = []
+    zero_rounds = []
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -1571,6 +1610,11 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
         values = step_values(*args, **kwargs)
         calls.extend([1] * values.size)
         return values
+
+    def closed_form(at, deltas):
+        zero_rounds.append(1)
+        calls.extend([1] * (deltas.size // at.point.flat.size))
+        return zero_point(at, deltas)
 
     def noting(splits, ijk, *args, **kwargs):
         drawn, flats = sample_missing(splits, ijk, *args, **kwargs)
@@ -1590,6 +1634,10 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
     # returns is an objective value and counts as one
     step_values = escape_module._step_values
     monkeypatch.setattr(escape_module, "_step_values", scored)
+    # at the zero point the round scores each draw in closed form, one
+    # objective value per draw
+    zero_point = search_module.zero_point_search
+    monkeypatch.setattr(search_module, "zero_point_search", closed_form)
     sample_missing = search_module.sample_missing_directions
     monkeypatch.setattr(search_module, "sample_missing_directions", noting)
     # a gradient costs 1, a Hessian-vector product 2, a rebalance move 1
@@ -1609,8 +1657,12 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
         search_points.clear()
         grad_calls.clear()
         baselines.clear()
+        zero_rounds.clear()
         res = run(T, SearchConfig(r=2, seed=0))
         assert res.status == status and res.rounds >= 2
+        # every run starts at the zero point and scores its first round
+        # there
+        assert zero_rounds == [1]
         assert res.objective_evals == len(calls)
         # every sign search takes f at the round's point from its report,
         # so none evaluates a baseline of its own
@@ -1711,13 +1763,37 @@ def _low_rank_point(r, d, rank, rng):
     return FactorPoint(rng.standard_normal((r, r, r)), *mats)
 
 
+def _zero_point_round(rep, T, lam, rng, samples):
+    """The escape round at the zero point from arithmetic of its own: the
+    (2,2,2) draws of a one-label sampler call, and along each draw d, with
+    X = S_d(A_d, B_d, C_d), f(t d) = |T|^2 - 2 u b + u^2 q in u = t^4,
+    b = <T, X> and q = |X|^2 + lam phi(d)^2.  The first draw of the
+    largest b^2 / q steps to t = (|b| / q)^(1/4), its core flipped where
+    b < 0; returns (kind, report, step, gain, objective values)."""
+    splits = subspace_split(rep.point, search_module.SIGMA)
+    best = None
+    for flat in sample_missing_directions(splits, (2, 2, 2), rng, samples):
+        d = rep.point._like(flat)
+        X = multilinear_transform(d.S, d.A, d.B, d.C)
+        b = float(np.sum(T * X))
+        q = float(np.sum(X * X)) + lam * reg_phi(d) ** 2
+        if best is None or b * b / q > best[0]:
+            best = b * b / q, (abs(b) / q) ** 0.25, d, b
+    gain, step, d, b = best
+    signed = FactorPoint(math.copysign(1.0, b) * d.S, d.A, d.B, d.C)
+    return ("sampled(2,2,2)", objective(step * signed, T, lam), step, gain,
+            samples + 1)
+
+
 @pytest.mark.parametrize("r,d", [(2, 4), (3, 8), (4, 9)])
 def test_one_pass_escape_round_matches_the_per_label_loop(r, d):
     # the round draws, scores and picks as a loop over the labels with the
     # one-label sampler and sign search would, from the same sampler
     # state: the same kind, step, gain, point bytes and objective values,
-    # at the zero start (only (2,2,2) draws), at a full-rank point (no
-    # label draws) and at a rank-deficient one (all four draw)
+    # at a full-rank point (no label draws) and at a rank-deficient one
+    # (all four draw).  At the zero start (only (2,2,2) draws) it takes
+    # the exact step along each draw, which `_zero_point_round` forms
+    # from its own arithmetic, so the two agree to rounding
     T = exact_instance(r, d, 7)
     lam = default_lambda(r)
     taken = set()
@@ -1736,17 +1812,59 @@ def test_one_pass_escape_round_matches_the_per_label_loop(r, d):
             ev = Evaluator(T, lam, 1)
             got = search_module._escape_round(
                 rep, ev, np.random.default_rng(seed), 6)
-            want = _per_label_round(rep, T, lam, np.random.default_rng(seed),
-                                    6)
+            reference = (_zero_point_round if name == "zero"
+                         else _per_label_round)
+            want = reference(rep, T, lam, np.random.default_rng(seed), 6)
             if want is None:
                 assert got is None, name
                 continue
             taken.add(name)
             kind, cand, step, gain = got
+            assert ev.objective_evals == want[4] and ev.used == 0
+            if name == "zero":
+                assert kind == want[0]
+                assert step == pytest.approx(want[2], rel=1e-12)
+                assert gain == pytest.approx(want[3], rel=1e-12)
+                np.testing.assert_allclose(cand.point.flat,
+                                           want[1].point.flat, rtol=0,
+                                           atol=1e-12 * step)
+                continue
             assert (kind, step, gain) == want[0:1] + want[2:4], name
             assert cand.point.flat.tobytes() == want[1].point.flat.tobytes()
-            assert ev.objective_evals == want[4] and ev.used == 0
     assert taken == {"zero", "deficient"}
+
+
+@pytest.mark.parametrize("r,d", [(1, 3), (2, 4), (2, 8), (3, 6), (4, 9)])
+def test_zero_point_round_takes_the_exact_step_along_its_draws(r, d):
+    # at the zero point f along a draw t d is quadratic in u = t^4, so the
+    # round takes the best draw's exact step: the evaluated gain is the
+    # largest b^2 / q over the draws, from `_zero_point_round`'s own
+    # arithmetic, to rounding; no step of the sign search's grid over the
+    # same draws gains more; and the round takes from the sampler's stream
+    # only what its one sampler call draws
+    lam = default_lambda(r)
+    p = FactorPoint.zeros(r, d)
+    grid = delta_grid(search_module.SIGMA, 3)
+    for T in (exact_instance(r, d, 3), noisy_desk_instance(r, d, 3, 5e-2)):
+        rep = objective(p, T, lam)
+        for seed in range(3):
+            ev = Evaluator(T, lam, 1)
+            rng = np.random.default_rng(seed)
+            kind, cand, step, gain = search_module._escape_round(rep, ev,
+                                                                 rng, 6)
+            want = _zero_point_round(rep, T, lam,
+                                     np.random.default_rng(seed), 6)
+            assert kind == want[0] and ev.objective_evals == want[4] == 7
+            assert gain == pytest.approx(want[3], rel=1e-10)
+            assert rep.f - cand.f == pytest.approx(want[3], rel=1e-10)
+            assert step == pytest.approx(want[2], rel=1e-10)
+            alone = np.random.default_rng(seed)
+            _, drawn = sample_missing_directions(
+                subspace_split(p, search_module.SIGMA), SAMPLED_BLOCKS,
+                alone, 6)
+            assert rng.bit_generator.state == alone.bit_generator.state
+            found = sign_flip_search(p, T, drawn, grid, lam, at=rep)
+            assert want[3] >= found.improvements.max() > 0.0
 
 
 def test_run_raises_on_non_finite_objective():
