@@ -3,16 +3,18 @@
 `run` checks its input, solves on the unit-norm target and hands the
 start to `_find_sosp`, the one search loop.  It descends, handles each
 stop itself, and has three exits: f reaches the target (converged), the
-gradient-evaluation budget runs out (budget), or a point that a curvature
-probe certified stationary takes no escape step (no_direction).
+gradient-evaluation budget runs out (budget), or a stop at a gradient norm
+of at most STALL_GRAD whose point takes no escape step and which a
+curvature probe certifies stationary (no_direction).
 
   1. The descent line-searches L-BFGS directions, built from the last
      LBFGS_MEMORY (s, y) pairs between gradient points, halving the step
      up to 40 times and then while the trial still moves the point, as
      every line search does.  It stops when the
-     gradient norm is at most TAU1, or at a stall: f has fallen by no
+     gradient norm is at most TAU1, at a stall: f has fallen by no
      more than STALL_TOL f over the last STALL_WINDOW accepted steps at
-     a gradient norm of at most STALL_GRAD.  A stop probes nothing yet.
+     a gradient norm of at most STALL_GRAD, or when its line search
+     finds no step.  A stop probes nothing yet.
      While the descent crawls, with f fallen by no more than SLOW_TOL f
      over the last STALL_WINDOW accepted steps and at least one pair in
      the memory (a slow window), it scores the escape round of stage 2
@@ -34,15 +36,11 @@ probe certified stationary takes no escape step (no_direction).
      certifies the point stationary.  The step either takes starts a new
      descent (a round), memory cleared.
 
-A line search that cannot realize the descent it promises probes the
-curvature inside stage 1, in the same way, and a step continues the
-descent.  Where the probe gives none at a gradient norm of at most
-STALL_GRAD, the point is certified: a stop whose escape round comes
-without a second probe.  Above that norm the probe is taken again from
-a fresh random start until it gives a step or the budget cuts it short,
-which is a stop as well.  The escape is scored from the exact expansion
-of f and charges no gradient evaluation, while a probe costs 2 to
-2 LANCZOS_STEPS, so the cheaper test goes first.  Stage 1 handles first
+A gradient line search fails only where no representable step lowers f
+(the halving floor), so it is a stop like the others.  The escape is
+scored from the exact expansion of f and charges no gradient evaluation,
+while a probe costs 2 to 2 LANCZOS_STEPS, so the cheaper test goes
+first.  Stage 1 handles first
 order saddles, the probe second order ones, and the escape round the flat
 third and fourth order ones that gradient information cannot see, so the
 escape draws only labels with two or three missing modes.  On the zero
@@ -87,7 +85,7 @@ gradient it has, and after a stop's finds nothing, the search either
 steps along negative curvature to a new point or ends.  No curvature
 probe starts that the budget cannot pay for, so a run never spends past
 its budget; a probe the budget cuts short ends the run with status
-budget, unless its point's escape round takes a step.
+budget.
 
 An escape step is taken on its predicted gain, the sign search's or the
 zero-point rule's, only if the evaluated f does not rise by more than the
@@ -392,10 +390,12 @@ def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
 
 @dataclass(frozen=True)
 class FindSospInfo:
-    """How a search ended: converged only where a curvature probe
-    certified the final point stationary and no escape step left it;
-    epsilon or the budget leave it False.  rounds counts the descents
-    started."""
+    """How a search ended: converged only where a stop at a gradient norm
+    of at most STALL_GRAD took no escape step and a curvature probe
+    certified its point stationary; epsilon, the budget, or a stop above
+    STALL_GRAD (a failed line search) that steps nowhere leave it False,
+    and that last run ends budget with budget left.  rounds counts the
+    descents started."""
     converged: bool
     rounds: int
 
@@ -627,19 +627,17 @@ def _find_sosp(rep: ObjectiveReport, budget: Evaluator,
                sampler: np.random.Generator, samples: int):
     """The search from the point of the finite objective report rep,
     recording each accepted step in trace, until one of the three exits in
-    the module docstring: f <= epsilon, the budget runs out, or a point a
-    curvature probe certified takes no escape step.  Returns the final
-    point's report and a FindSospInfo.  Probes draw from rng, and each
-    escape round samples draws per label from sampler.
+    the module docstring: f <= epsilon, the budget runs out, or a stop's
+    point takes no escape step and its probe gives no step.  Returns the
+    final point's report and a FindSospInfo.  Probes draw from rng, and
+    each escape round samples draws per label from sampler.
     (`budget` keeps its name: the benchmark's tracer reads
     `budget.exhausted` to classify the end.)
 
     Each descent step line-searches the L-BFGS direction from a first
     trial step of 1.  Without a pair, or where that direction does not
     descend, the memory is cleared and the step goes along -g from twice
-    the last such step.  A probe inside the descent that gives no step is
-    repeated from a fresh random start while the gradient norm is above
-    STALL_GRAD and the budget lasts."""
+    the last such step."""
     step_hint = 1.0
     last_grad = None  # (report, gradient) where the last gradient was taken
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, s.y), oldest first
@@ -654,8 +652,7 @@ def _find_sosp(rep: ObjectiveReport, budget: Evaluator,
         if rep.f <= epsilon or budget.exhausted:
             return rep, FindSospInfo(False, rounds)
         kind, hit, taken = "rebalance", None, None
-        # rho: the smallest Ritz value of a probe that gave a step or
-        # certified a stop's point
+        # rho: the smallest Ritz value of a stop's probe
         stop, rho = False, None
         # orbit moves only pay off once the regularizer carries a real
         # share of the objective; while the loss dominates, plain descent
@@ -700,27 +697,21 @@ def _find_sosp(rep: ObjectiveReport, budget: Evaluator,
                                        slope=gn * gn)
                     if hit is not None:
                         step_hint = hit[1]
-        while hit is None and not stop and taken is None:
-            # the line search cannot realize the descent it promises
-            hit, rho = _curvature_step(rep, rng, budget)
-            if hit is None and (gn <= STALL_GRAD or not math.isfinite(rho)):
-                # stationary, unless rho is infinite: the budget died
-                # before a Rayleigh quotient came back, and it cuts the
-                # stop's own probe short too
-                stop, rho = True, rho if math.isfinite(rho) else None
-                break
-            kind = "negative-curvature"
-            recent.clear()
+                # no representable step along it lowers f: a stop
+                stop = hit is None
         if stop:
             if budget.exhausted:
                 return rep, FindSospInfo(False, rounds)
             taken = _escape_round(rep, budget, sampler, samples)
-            if taken is None and rho is None:
+            if taken is None:
                 # only now probe the curvature, from the same report
                 hit, rho = _curvature_step(rep, rng, budget)
                 kind = "negative-curvature"
-            if taken is None and hit is None:
-                return rep, FindSospInfo(math.isfinite(rho), rounds)
+                if hit is None:
+                    # a failed line search's gradient above STALL_GRAD
+                    # certifies nothing
+                    return rep, FindSospInfo(
+                        math.isfinite(rho) and gn <= STALL_GRAD, rounds)
         if taken is not None:
             kind, rep, step, gain = taken
         else:

@@ -20,7 +20,11 @@ otherwise, as the README's tables were measured.  The sets:
   criterion-05  the desk targets at (2, 8), seeds 0-19;
   grid          the 36 perfbench `grid` cells of seeds 1-3, through
                 `tuckersearch decompose --init zero`;
-  rank-1        the 60 perfbench `rank1-overfit` targets of seed 1.
+  rank-1        the 60 perfbench `rank1-overfit` targets of seed 1;
+  landscape     the exact targets at r = 1-5, d in {r, r+1, 2r, 3r+2},
+                seeds 0-3, from six inits (zero, hosvd, random:1e-3,
+                random:0.5, random:10, random:100), budget 20,000: 456
+                runs.  It is not among the sets run without names.
 
 It is not a test: pytest does not collect it, and the tier-1 guards on
 these sets live in test_search.py and test_acceptance.py.
@@ -50,6 +54,7 @@ import bench  # noqa: E402
 DESK_SHAPES = ((2, 8), (3, 16), (4, 24))
 START_SHAPES = ((1, 3), (2, 4), (2, 6), (3, 5), (4, 6))
 START_INITS = ("zero", "hosvd", "random:1e-3", "random:0.5", "random:10")
+LANDSCAPE_INITS = START_INITS + ("random:100",)
 
 
 def _solve(T, **config):
@@ -118,9 +123,21 @@ def rank_1():
         yield "", _solve(inst.T, r=inst.r, init="zero")
 
 
+def landscape():
+    for r in range(1, 6):
+        for d in sorted({r, r + 1, 2 * r, 3 * r + 2}):
+            for seed in range(4):
+                for init in LANDSCAPE_INITS:
+                    yield init, _solve(exact_instance(r, d, seed), r=r,
+                                       seed=seed, budget=20_000, init=init)
+
+
 SETS = {"desk": desk, "noisy-desk": noisy_desk, "x100": x100,
         "scale-table": scale_table, "start-set": start_set,
-        "criterion-05": criterion_05, "grid": grid, "rank-1": rank_1}
+        "criterion-05": criterion_05, "grid": grid, "rank-1": rank_1,
+        "landscape": landscape}
+# the sets run when none is named
+DEFAULT_SETS = tuple(name for name in SETS if name != "landscape")
 
 
 def main(names) -> int:
@@ -130,7 +147,7 @@ def main(names) -> int:
               file=sys.stderr)
         return 2
     total = Counter()
-    for name in names or SETS:
+    for name in names or DEFAULT_SETS:
         tally, parts = Counter(), {}
         for part, (status, grads, values) in SETS[name]():
             tally.update(runs=1, grads=grads, values=values)

@@ -172,28 +172,27 @@ def test_find_sosp_escapes_constructed_strict_saddle(monkeypatch):
 
 def test_find_sosp_curvature_probe_cut_short_is_not_converged(
         monkeypatch):
-    # a failed line search probes the curvature inside the descent.  Near
-    # the saddle the probe finds its negative curvature in 8 products (16
-    # evaluations); with every gradient line search made to fail, it
-    # follows the first gradient, and a budget of 12 stops it after 5.
-    # The search must not claim a stationary point.  It scores the escape
-    # round at that point, whose step starts a second round; that round's
-    # gradient spends the budget, and its probe, cut short at once, cannot
-    # certify either
+    # a failed line search is a stop.  Near the saddle a probe finds its
+    # negative curvature in 8 products (16 evaluations); with every
+    # gradient line search made to fail, the first gradient's stop takes
+    # its escape round's step, which starts a second round.  That round's
+    # gradient fails as well, its escape round finds nothing, and a budget
+    # of 12 stops its probe after 5 products.  The search must not claim a
+    # stationary point
     p, T = make_flat_saddle(0.3)
     p = p + 1e-3 * random_point(3, 3, np.random.default_rng(1))
     ev = Evaluator(T, default_lambda(3), 10**6)
     direction, _ = _negative_curvature(p, np.random.default_rng(0), ev)
     assert direction is not None and ev.used == 16
-    fail_gradient_line_searches(monkeypatch, first_only=False)
+    failed = fail_gradient_line_searches(monkeypatch, first_only=False)
     escapes = record_calls(monkeypatch, "_escape_round")
     probes = record_calls(monkeypatch, "_curvature_step")
     _, info, ev = find_sosp(p, T, budget=12, epsilon=1e-4)
-    point = p.flat.tobytes()
-    assert probes[0] == (point, 1, (None, math.inf))
-    assert len(escapes) == 1 and escapes[0][:2] == (point, 11)
-    assert escapes[0][2] is not None
-    assert [call[1:] for call in probes[1:]] == [(12, (None, math.inf))]
+    points = [q.flat.tobytes() for q in failed]
+    assert points[0] == p.flat.tobytes() and len(points) == 2
+    assert [call[:2] for call in escapes] == [(points[0], 1), (points[1], 2)]
+    assert escapes[0][2] is not None and escapes[1][2] is None
+    assert probes == [(points[1], 2, (None, math.inf))]
     assert ev.used == 12 and info.rounds == 2
     assert not info.converged
 
@@ -991,8 +990,8 @@ def record_round_events(monkeypatch):
     curvature probe and accepted step of the runs that follow, with the
     point it is at (a step with its kind).  Each escape round is preceded
     by an entry, at its point, that names why the search scored it:
-    "small gradient" or "stall" at a first-order stop, "certified" after a
-    probe that found no step there, or "slow" in a slow window.  A stall
+    "small gradient" or "stall" at a first-order stop, or "slow" in a slow
+    window (no line search is made to fail in these runs).  A stall
     is told from a slow window by the stall rule, replayed on the f of the
     steps recorded since the descent last started afresh (at the start, an
     escape step or a negative-curvature step), as the search keeps them."""
@@ -1012,12 +1011,9 @@ def record_round_events(monkeypatch):
         norms.append(g.norm())
         return g
 
-    def why(at):
-        last = next(e for e in reversed(events) if e[0] != "hvp")
+    def why():
         fall = (recent[0] - recent[-1] if len(recent) > STALL_WINDOW
                 else math.inf)
-        if last == ("probe", at):
-            return "certified"
         if norms[-1] <= TAU1:
             return "small gradient"
         if fall <= STALL_TOL * recent[-1] and norms[-1] <= STALL_GRAD:
@@ -1027,8 +1023,7 @@ def record_round_events(monkeypatch):
     escape_round = search_module._escape_round
 
     def escaping(rep, *args):
-        events.append((why(rep.point.flat.tobytes()),
-                       rep.point.flat.tobytes()))
+        events.append((why(), rep.point.flat.tobytes()))
         return escape_round(rep, *args)
 
     monkeypatch.setattr(search_module, "grad", grading)
@@ -1177,8 +1172,8 @@ def test_lambda_zero_descent_hands_off_only_near_stationary(monkeypatch):
     # took 14 (375, 1.2M objective values and a no_direction verdict with
     # the full budget of 20,000), and 10 with the slow window from the
     # scalar H0 = (s.y / y.y) I; the slow window alone does not move this
-    # count.  No line search fails, so each probe follows a stop's failed
-    # escape round, and the many slow windows' rounds each step on
+    # count.  Each probe follows a stop's failed escape round, and the many
+    # slow windows' rounds each step on.  No line search fails here
     events = record_round_events(monkeypatch)
     line_searches = record_gradient_line_searches(monkeypatch)
     T = exact_instance(2, 6, 0)
@@ -1201,8 +1196,8 @@ def test_failed_escape_probes_its_point_once(monkeypatch, case):
     # probe runs at that point, from its report: no point takes a second
     # gradient or a second escape round.  The noisy desk target ends on a
     # flat probe (no_direction); at the saddle the probe's negative
-    # curvature step resumes the descent (converged).  Neither run has a
-    # failed line search, so every probe follows an escape round
+    # curvature step resumes the descent (converged).  Every probe follows
+    # an escape round: a failed line search is a stop too
     if case == "noisy":
         events = record_round_events(monkeypatch)
         res = run(noisy_desk_instance(2, 8, 0, 5e-2),
@@ -1230,13 +1225,14 @@ def test_failed_escape_probes_its_point_once(monkeypatch, case):
 @pytest.mark.parametrize("gains", [False, True])
 def test_stop_after_a_descent_probe_step_is_probed_afresh(monkeypatch,
                                                           gains):
-    # near the flat saddle the first gradient line search is made to fail,
-    # and the probe there gives a negative-curvature step inside the
-    # descent.  TAU1 is then raised until the next escape round, so the
-    # next gradient is a first-order stop.  That probe's Ritz value
-    # certifies nothing at the stop: where its escape round finds nothing
-    # (made so here), the stop probes its own point, and where the round
-    # gains, its step's record carries no min_curvature
+    # near the flat saddle the first gradient line search is made to fail:
+    # a stop, whose escape round is made to find nothing, so the probe
+    # there gives a negative-curvature step.  TAU1 is then raised until
+    # the next escape round, so the next gradient is a first-order stop.
+    # That probe's Ritz value certifies nothing at the new stop: where its
+    # escape round finds nothing (made so with gains False), the stop
+    # probes its own point, and where the round gains, its step's record
+    # carries no min_curvature
     p, T = make_flat_saddle(0.3)
     p = p + 1e-3 * random_point(3, 3, np.random.default_rng(1))
     failed = fail_gradient_line_searches(monkeypatch, first_only=True)
@@ -1252,8 +1248,10 @@ def test_stop_after_a_descent_probe_step_is_probed_afresh(monkeypatch,
         return out
 
     def escaping(rep, *args):
-        monkeypatch.setattr(search_module, "TAU1", TAU1)
         stops.append(rep.point.flat.tobytes())
+        if len(stops) == 1:
+            return None
+        monkeypatch.setattr(search_module, "TAU1", TAU1)
         return escape_round(rep, *args) if gains else None
 
     monkeypatch.setattr(search_module, "_curvature_step", probing)
@@ -1262,15 +1260,81 @@ def test_stop_after_a_descent_probe_step_is_probed_afresh(monkeypatch,
     kinds = [rec.step_kind for rec in res.trace.records]
     assert kinds[:2] == ["init", "negative-curvature"]
     assert res.trace.records[1].min_curvature <= -TAU2 / 2.0
-    assert probes[0] == failed[0].flat.tobytes() != stops[0]
+    assert probes[0] == failed[0].flat.tobytes() == stops[0] != stops[1]
+    assert len(failed) == 1
     if gains:
         assert kinds[2].startswith("sampled")
         stop = res.trace.records[2]
         assert stop.grad_norm > TAU1 and stop.min_curvature is None
         assert len(probes) == 1
     else:
-        assert probes[1] == stops[0]
+        assert probes[1] == stops[1]
     assert res.status == "converged"
+
+
+def test_failed_line_search_above_stall_grad_ends_budget(monkeypatch):
+    # every gradient line search is made to fail from a random:10 start,
+    # whose gradient norm is far above STALL_GRAD, and the stop's escape
+    # round and probe are made to give nothing.  That gradient certifies
+    # nothing, so the run ends budget with budget left, never no_direction
+    failed = fail_gradient_line_searches(monkeypatch, first_only=False)
+    monkeypatch.setattr(search_module, "_escape_round", lambda *args: None)
+    probed = []
+
+    def flat_probe(rep, rng, ev):
+        # the two products of a probe that sees a flat Hessian, or an
+        # infinite value where the budget cannot pay for them
+        probed.append(rep.point)
+        if not ev.affords(4):
+            return None, math.inf
+        for _ in range(2):
+            ev.hvp(rep.point, rep.point)
+        return None, 0.0
+
+    monkeypatch.setattr(search_module, "_curvature_step", flat_probe)
+    T = exact_instance(2, 4, 0)
+    res = run(T, SearchConfig(r=2, seed=0, budget=500, init="random:10"))
+    assert res.status == "budget" and res.grad_evals == 5
+    assert probed == failed and len(failed) == 1
+    assert [rec.step_kind for rec in res.trace.records] == ["init"]
+    assert grad(objective(failed[0], T / norm_f(T))).norm() > STALL_GRAD
+
+
+@pytest.mark.parametrize("case", ["certified", "escaped"])
+def test_failed_line_search_near_stationary_escapes_before_one_probe(
+        monkeypatch, case):
+    # a failed line search at a gradient norm of at most STALL_GRAD is a
+    # stop like a small gradient: its escape round is scored first, and a
+    # probe runs at its point only where that round takes no step, once.
+    # Near an exact fit, with every line search failing, the round finds
+    # nothing and the probe certifies the point (no_direction); at the
+    # tilted saddle, with the first failing, the round's step is taken and
+    # no probe runs
+    failed = fail_gradient_line_searches(monkeypatch,
+                                         first_only=case == "escaped")
+    events = []
+    for name in ("_escape_round", "_curvature_step"):
+        def logging(rep, *args, fn=getattr(search_module, name), name=name):
+            events.append((name, rep.point.flat.tobytes()))
+            return fn(rep, *args)
+        monkeypatch.setattr(search_module, name, logging)
+    if case == "certified":
+        truth = balanced_random_point(2, 3, np.random.default_rng(0))
+        p = truth + 1e-4 * random_point(2, 3, np.random.default_rng(1))
+        T = truth.apply()
+        res = run_from(p, T, monkeypatch, epsilon=1e-10, budget=400)
+        assert res.status == "no_direction"
+    else:
+        p, T = tilted_two_missing_saddle(1e-2)
+        res = run_from(p, T, monkeypatch)
+        assert res.status == "converged"
+        assert res.trace.records[1].step_kind.startswith("sampled")
+    at = failed[0].flat.tobytes()
+    assert grad(objective(failed[0], T / norm_f(T))).norm() <= STALL_GRAD
+    expected = [("_escape_round", at)]
+    if case == "certified":
+        expected.append(("_curvature_step", at))
+    assert events == expected
 
 
 def rare_exit_run(case, monkeypatch):
@@ -1278,13 +1342,15 @@ def rare_exit_run(case, monkeypatch):
     saddle, T = make_flat_saddle(0.3)
     near_saddle = saddle + 1e-3 * random_point(3, 3,
                                                np.random.default_rng(1))
-    if case == "descent probe step":
+    if case == "failed line search, then probe step":
         fail_gradient_line_searches(monkeypatch, first_only=True)
+        monkeypatch.setattr(search_module, "_escape_round",
+                            lambda *args: None)
         return run_from(near_saddle, T, monkeypatch)
     if case == "probe cut short with budget left":
         fail_gradient_line_searches(monkeypatch, first_only=False)
-        return run_from(near_saddle, T, monkeypatch, budget=12)
-    if case == "certified, then escaped":
+        return run_from(near_saddle, T, monkeypatch, budget=13)
+    if case == "failed line search, then escaped":
         fail_gradient_line_searches(monkeypatch, first_only=True)
         return run_from(*tilted_two_missing_saddle(1e-2), monkeypatch)
     if case == "certified, then no_direction":
@@ -1303,27 +1369,26 @@ def rare_exit_run(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case, status, counts, steps", [
-    ("descent probe step", "converged", (20, 7, 1),
+    ("failed line search, then probe step", "converged", (20, 7, 2),
      ["init", "negative-curvature*"] + ["gradient"] * 3),
     ("probe cut short with budget left", "budget", (12, 3122, 2),
      ["init", "sampled(2,2,2)"]),
-    ("certified, then escaped", "converged", (31, 3130, 2),
-     ["init", "sampled(2,2,1)*"] + ["gradient"] * 6),
+    ("failed line search, then escaped", "converged", (7, 3130, 2),
+     ["init", "sampled(2,2,1)"] + ["gradient"] * 6),
     ("certified, then no_direction", "no_direction", (25, 1, 1), ["init"]),
     ("rebalance", "budget", (2, 29, 1), ["init", "gradient", "rebalance"]),
     ("failed rebalance", "budget", (2, 28, 1), ["init", "gradient"]),
 ])
 def test_rare_exits_keep_their_records_and_counts(monkeypatch, case, status,
                                                   counts, steps):
-    # the exits of the search loop that no census run reaches: a failed
-    # line search's probe step, a probe the budget cuts short with an
-    # evaluation left (its point's escape round gains, and the next
-    # gradient ends the budget), a point a probe certifies inside the
-    # descent that an escape step then leaves or that ends the run, and
-    # a rebalance, taken or failed, that spends the last evaluation.  Each
-    # run's status, counts (gradient and objective evaluations, rounds)
-    # and records are those from before the search's loops were one; a
-    # step marked * carries a min_curvature
+    # the exits of the search loop that no census run reaches.  A failed
+    # line search is a stop: its escape round, made to find nothing, is
+    # followed by a probe step, or its escape step is taken, or at a small
+    # gradient its probe certifies the point (no_direction).  With every
+    # line search failing, a probe that the budget cuts short with an
+    # evaluation left follows an escape step and a failed escape round.  A
+    # rebalance, taken or failed, spends the last evaluation.  A step
+    # marked * carries a min_curvature
     res = rare_exit_run(case, monkeypatch)
     assert res.status == status
     assert (res.grad_evals, res.objective_evals, res.rounds) == counts
@@ -1376,17 +1441,22 @@ def test_start_set_gradient_evaluation_count():
     assert total <= 3_500
 
 
-def test_large_random_starts_converge():
+def test_large_random_starts_converge(monkeypatch):
     # from random:100 or random:1000 the first steps must shrink the point
     # by many orders of magnitude, and a line search needs more than 40
     # halvings of its first trial step to find one: when it gave up there,
     # this (2, 6) run from random:100 ended with status budget at
-    # f = 3.4e18 after 2,521 objective values, with only its init record
+    # f = 3.4e18 after 2,521 objective values, with only its init record.
+    # No gradient line search fails, the premise of a failed one being a
+    # stop
+    line_searches = record_gradient_line_searches(monkeypatch)
     T = exact_instance(2, 6, 3)
     for init in ("random:100", "random:1000"):
         res = run(T, SearchConfig(r=2, budget=500, init=init))
         assert res.status == "converged", init
         assert res.f <= 1e-4 and len(res.trace.records) > 2
+    assert line_searches
+    assert all(step is not None for *_, step in line_searches)
 
 
 def test_line_search_halves_past_40_only_while_the_point_moves():
