@@ -206,12 +206,12 @@ def cmd_decompose(args) -> int:
 
 
 # Checks by serial time, longest first, so the longest starts at once and
-# the short ones fill in behind it: anti-concentration takes 43% of a suite
-# (33 of 77 ms), then sublevel 11, wedin 8.6, orthogonality 7.8,
-# saddle-gallery 6.2, euler 5.0, submultiplicativity 3.6 and
-# core-lower-bound 1.7 ms (medians over suite seeds 0-39, BLAS at one
+# the short ones fill in behind it: anti-concentration takes 35% of a suite
+# (19.5 of 55 ms), then sublevel 8.4, orthogonality 6.8, wedin 6.3,
+# saddle-gallery 5.1, euler 4.3, submultiplicativity 3.1 and
+# core-lower-bound 1.5 ms (medians over suite seeds 0-39, BLAS at one
 # thread, 2-core x86-64).  A check not listed goes last.
-_LONGEST_FIRST = ("anti-concentration", "sublevel", "wedin", "orthogonality",
+_LONGEST_FIRST = ("anti-concentration", "sublevel", "orthogonality", "wedin",
                   "saddle-gallery", "euler", "submultiplicativity",
                   "core-lower-bound")
 

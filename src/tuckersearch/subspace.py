@@ -133,16 +133,17 @@ def projection_distance_bound(M: np.ndarray, M1: np.ndarray,
         raise ValueError("M, M1, M2 must share one shape")
 
     def row_projection(X, rank=None):
+        """The projector onto X's top-rank row space, the rank (by default
+        the numerical rank), and X's singular values."""
         _, s, Vt = np.linalg.svd(X, full_matrices=False)
         if s.size == 0 or s[0] == 0.0:
-            return np.zeros((X.shape[1], X.shape[1])), 0
+            return np.zeros((X.shape[1], X.shape[1])), 0, s
         k = int(np.sum(s > 1e-12 * s[0])) if rank is None else rank
         Vk = Vt[:k].T
-        return Vk @ Vk.T, k
+        return Vk @ Vk.T, k, s
 
-    P1, k1 = row_projection(M1)
-    P, _ = row_projection(M, rank=k1)
-    s = np.linalg.svd(M, compute_uv=False)
+    P1, k1, _ = row_projection(M1)
+    P, _, s = row_projection(M, rank=k1)
     smin = float(s[k1 - 1]) if k1 >= 1 else float("inf")
     lhs = float(np.linalg.norm(P - P1))
     rhs = 2.0 * float(np.linalg.norm(M2)) / smin if smin > 0 else float("inf")

@@ -2,13 +2,17 @@
 
 Run from the repository root as
 
-    PYTHONPATH=src python tests/census.py [SET ...]
+    PYTHONPATH=src python tests/census.py [SET ...] [--fingerprint OUT]
+    PYTHONPATH=src python tests/census.py --compare A B
 
 It prints one line per set (runs, gradient evaluations, objective values,
 statuses) and the total, and the start set also by init.  With set names
-it runs only those.  The counts repeat exactly for a given BLAS build and
-thread count; BLAS is pinned to one thread unless the environment says
-otherwise, as the README's tables were measured.  The sets:
+it runs only those.  `--fingerprint OUT` also writes every run's counts
+and digests to OUT, and `--compare A B` lists the runs that differ
+between two such files, exiting 1 if any does (see fingerprints.py).
+The counts repeat exactly for a given BLAS build and thread count; BLAS
+is pinned to one thread unless the environment says otherwise, as the
+README's tables were measured.  The sets:
 
   desk          the exact desk targets, (r, d) in (2, 8), (3, 16), (4, 24),
                 seeds 0-2, from the zero start;
@@ -34,6 +38,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
@@ -43,9 +48,11 @@ from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 from types import SimpleNamespace  # noqa: E402
 
+import fingerprints  # noqa: E402
 from instances import (desk_instance, exact_instance,  # noqa: E402
                        noisy_desk_instance)
 from tuckersearch import cli, tensor_core  # noqa: E402
+from tuckersearch.objective import load_point  # noqa: E402
 from tuckersearch.search import SearchConfig, run  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -57,9 +64,22 @@ START_INITS = ("zero", "hosvd", "random:1e-3", "random:0.5", "random:10")
 LANDSCAPE_INITS = START_INITS + ("random:100",)
 
 
+def _fingerprint(status, grad_evals, objective_evals, rounds, point, trace):
+    """A run's fields in a fingerprint file, from its final point and the
+    bytes of its trace."""
+    return {"status": status, "grad_evals": grad_evals,
+            "objective_evals": objective_evals, "rounds": rounds,
+            "point_sha256": fingerprints.digest(point.flat.tobytes()),
+            "trace_sha256": fingerprints.digest(trace)}
+
+
 def _solve(T, **config):
     res = run(T, SearchConfig(**config))
-    return res.status, res.grad_evals, res.objective_evals
+    with tempfile.TemporaryDirectory() as work:
+        res.trace.to_jsonl(f"{work}/trace.jsonl")
+        trace = Path(f"{work}/trace.jsonl").read_bytes()
+    return _fingerprint(res.status, res.grad_evals, res.objective_evals,
+                        res.rounds, res.point, trace)
 
 
 def desk():
@@ -114,8 +134,11 @@ def grid():
                               "--out", prefix])
                 with open(prefix + ".summary.json") as fh:
                     doc = json.load(fh)
-                yield "", (doc["status"].replace("-", "_"),
-                           doc["grad_evals"], doc["objective_evals"])
+                yield "", _fingerprint(
+                    doc["status"].replace("-", "_"), doc["grad_evals"],
+                    doc["objective_evals"], doc["rounds"],
+                    load_point(prefix + ".factors.json"),
+                    Path(prefix + ".trace.jsonl").read_bytes())
 
 
 def rank_1():
@@ -140,20 +163,40 @@ SETS = {"desk": desk, "noisy-desk": noisy_desk, "x100": x100,
 DEFAULT_SETS = tuple(name for name in SETS if name != "landscape")
 
 
-def main(names) -> int:
+def compare(path_a, path_b) -> int:
+    a, b = fingerprints.read(path_a), fingerprints.read(path_b)
+    lines = fingerprints.compare(a, b)
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} of {len(a.keys() | b.keys())} runs differ")
+    return int(bool(lines))
+
+
+def main(argv) -> int:
+    parser = argparse.ArgumentParser(description="The census sets.")
+    parser.add_argument("sets", nargs="*", metavar="SET")
+    parser.add_argument("--fingerprint", metavar="OUT")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    names = args.sets
     unknown = sorted(set(names) - set(SETS))
     if unknown:
         print(f"unknown sets {unknown}; known: {', '.join(SETS)}",
               file=sys.stderr)
         return 2
     total = Counter()
+    runs = []
     for name in names or DEFAULT_SETS:
         tally, parts = Counter(), {}
-        for part, (status, grads, values) in SETS[name]():
-            tally.update(runs=1, grads=grads, values=values)
-            tally[status] += 1
+        for index, (part, fp) in enumerate(SETS[name]()):
+            grads = fp["grad_evals"]
+            tally.update(runs=1, grads=grads, values=fp["objective_evals"])
+            tally[fp["status"]] += 1
             if part:
                 parts[part] = parts.get(part, 0) + grads
+            runs.append(dict(fp, set=name, index=index))
         statuses = ", ".join(f"{k} {v}" for k, v in sorted(tally.items())
                              if k not in ("runs", "grads", "values"))
         print(f"{name:13s} {tally['runs']:3d} runs  {tally['grads']:6,d} "
@@ -164,6 +207,8 @@ def main(names) -> int:
         total.update(runs=tally["runs"], grads=tally["grads"])
     print(f"{'total':13s} {total['runs']:3d} runs  {total['grads']:6,d} "
           "gradient evaluations")
+    if args.fingerprint:
+        fingerprints.write(args.fingerprint, runs)
     return 0
 
 

@@ -11,8 +11,8 @@ from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
 from tuckersearch.verify import (ANTI_CONCENTRATION_FLOOR, CHECKS,
                                  LemmaReport, SUBLEVEL_NORM_CONSTANT,
                                  _boundary_scale, _evaluate_at_rows, _gauge,
-                                 _random_units, _ray_coefficients,
-                                 _unit_rows,
+                                 _random_units, _rank_one_law,
+                                 _ray_coefficients, _unit_rows,
                                  _unit_step_losses,
                                  check_anti_concentration,
                                  check_core_lower_bound, check_euler,
@@ -262,9 +262,9 @@ def test_per_mode_contraction_matches_four_operand_einsum(d):
 def _unit_row_margins(rng, dims, trials, samples):
     """check_anti_concentration's margins and oracle gap with each
     dimension's sample rows drawn as three unit-row sets, one after the
-    other, and shared by that dimension's trials + 1 tensors: the
-    reference for the one unnormalized (3, samples, d) draw per
-    dimension."""
+    other, and shared by that dimension's trials + 1 tensors, the rank-one
+    estimate measured against the exact law: the reference for the one
+    unnormalized (3, samples, d) draw per dimension."""
     margins, oracle_gap = [], 0.0
     for d in dims:
         thresh = verify_module.ANTI_CONCENTRATION_CUTOFF / d ** 1.5
@@ -280,9 +280,8 @@ def _unit_row_margins(rng, dims, trials, samples):
                                  >= thresh))
             margins.append(ANTI_CONCENTRATION_FLOOR - phat)
             if t == trials:
-                betas = rng.beta(0.5, (d - 1) / 2.0, size=(3, samples))
-                oracle_gap = max(oracle_gap, abs(phat - float(np.mean(
-                    np.sqrt(betas.prod(axis=0)) >= thresh))))
+                oracle_gap = max(oracle_gap,
+                                 abs(phat - _rank_one_law(d, thresh)))
     return margins, oracle_gap
 
 
@@ -307,25 +306,27 @@ def test_anti_concentration_matches_the_unit_row_reference(seed,
 
 
 class _RecordingGenerator:
-    """A generator that logs the shape of every normal and beta draw."""
+    """A generator that logs the shape of every normal draw and the name of
+    every other generator method used."""
 
     def __init__(self, rng):
-        self.rng, self.normals, self.betas = rng, [], []
+        self.rng, self.normals, self.others = rng, [], []
 
     def standard_normal(self, size=None, out=None):
         self.normals.append(np.shape(out) if size is None else size)
         return self.rng.standard_normal(size, out=out)
 
-    def beta(self, a, b, size=None):
-        self.betas.append(size)
-        return self.rng.beta(a, b, size=size)
+    def __getattr__(self, name):
+        self.others.append(name)
+        return getattr(self.rng, name)
 
 
 def test_anti_concentration_work_is_pinned(monkeypatch):
     # a guard on the check's work, so a speed-up cannot buy its time by
     # scoring fewer tensors or fewer samples: 4 dimensions x (5 Gaussian +
     # 1 rank-one) tensors, each evaluated once on (3, 10,000, d) rows,
-    # one row draw and one (3, 10,000) Beta draw per dimension
+    # one row draw per dimension, and no draw but normals: the rank-one
+    # estimate is measured against the exact law, not a Beta sample
     calls = []
 
     def recording(X, A, B, C):
@@ -341,7 +342,7 @@ def test_anti_concentration_work_is_pinned(monkeypatch):
                      for d in (3, 4, 5, 6) for _ in range(6)]
     assert rng.normals == [shape for d in (3, 4, 5, 6) for shape in
                            [(3, samples, d)] + [(d, d, d)] * 5 + [(1, d)] * 3]
-    assert rng.betas == [(3, samples)] * 4
+    assert rng.others == []
     calls.clear()
     [suite_rep] = run_suite(0, ["anti-concentration"])
     assert suite_rep.trials == 24 and len(calls) == 24
@@ -463,6 +464,38 @@ def test_anti_concentration_floor_and_oracle():
     assert rep.passed
     assert rep.details["worst_probability"] >= ANTI_CONCENTRATION_FLOOR
     assert rep.details["rank_one_oracle_gap"] <= 0.03
+    assert rep.details["rank_one_law"] == {
+        str(d): _rank_one_law(d, verify_module.ANTI_CONCENTRATION_CUTOFF
+                              / d ** 1.5) for d in (3, 4, 5, 6)}
+
+
+@pytest.mark.parametrize("tau", [0.1 / 27 ** 0.5, 0.05, 0.3, 0.9])
+def test_rank_one_law_matches_the_closed_form_at_d3(tau):
+    # in R^3 the first coordinate of a uniform unit vector is uniform on
+    # [-1, 1], so P(|c1 c2 c3| >= tau) = 1 - tau (1 + L + L^2 / 2) with
+    # L = ln(1 / tau)
+    L = np.log(1.0 / tau)
+    assert abs(_rank_one_law(3, tau) - (1.0 - tau * (1.0 + L + L * L / 2))
+               ) <= 1e-6
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_rank_one_law_agrees_with_beta_sampling(d):
+    # squared first coordinates of random unit vectors in R^d follow
+    # Beta(1/2, (d-1)/2), so a seeded Monte Carlo estimate of the law must
+    # lie within five of its standard errors
+    tau, n = 0.1 / d ** 1.5, 200_000
+    betas = np.random.default_rng(d).beta(0.5, (d - 1) / 2.0, size=(3, n))
+    p = _rank_one_law(d, tau)
+    estimate = float(np.mean(np.sqrt(betas.prod(axis=0)) >= tau))
+    assert abs(estimate - p) <= 5.0 * np.sqrt(p * (1.0 - p) / n)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_rank_one_law_falls_as_the_cutoff_rises(d):
+    laws = [_rank_one_law(d, tau) for tau in np.geomspace(1e-4, 0.95, 15)]
+    assert all(0.0 < p <= 1.0 for p in laws)
+    assert all(a > b for a, b in zip(laws, laws[1:]))
 
 
 # ---------------------------------------------------------------------------
