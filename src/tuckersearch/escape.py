@@ -19,7 +19,10 @@ or three missing modes; a short sign-and-magnitude sweep then finds a
 strictly improving step whenever the relevant residual block is large
 enough.  With one mode missing the change starts at order 2: that is
 negative curvature, which the driver's Lanczos probe finds, so no label
-with a single 2 is drawn.
+with a single 2 is drawn.  The sweep's steps are 13 log-spaced sizes
+around SIGMA^(1/4) for two missing modes and SIGMA^(1/8) for three, where
+the leading improvement term dominates; so a direction's grid is fixed by
+the blocks it moves, the core and two or three factors.
 
 The sign search scores a direction without evaluating f at each
 candidate.  A candidate moves block b of (S, A, B, C) by a_b = t s_b, and
@@ -40,18 +43,18 @@ With a_b = t s_b, u = t^4 and s the product of the four signs,
     f = |T|^2 - 2 s u <T, X_d> + u^2 (|X_d|^2 + lam phi(d)^2),
 
 a quadratic in u in which a flipped block flips only the middle term, so
-`zero_point_search` takes each direction's exact best step in closed form
-from one expansion of the draws.
+at the zero point the sign search takes each direction's exact best step
+in closed form from one expansion of the draws, and scores no grid.
 
 An escape round of the driver is one pass over its block labels: one
 sampler call draws every label's samples, in the stream order of a loop
 over the labels, and one sign search scores them all, from one expansion
-of every draw and one scoring of each step grid's labels together; at the
-zero point `zero_point_search` scores them instead.
+of every draw and one scoring of each step grid's labels together.
 """
 from __future__ import annotations
 
 import functools
+import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -62,8 +65,13 @@ from .subspace import SubspaceSplit
 from .tensor_core import FactorPoint
 
 
-class NoMissingDirection(Exception):
-    """The requested block has an empty sampling subspace."""
+# the singular value threshold of the escape's split, fixed in place of the
+# paper's cascade
+SIGMA = 0.05
+# the step grid of a direction by its count of missing modes (see the
+# module docstring)
+_GRIDS = {n: np.geomspace(center / 100.0, center * 100.0, 13)
+          for n, center in ((2, SIGMA ** 0.25), (3, SIGMA ** 0.125))}
 
 
 def _unit(X: np.ndarray) -> np.ndarray:
@@ -77,33 +85,29 @@ _LABELS = frozenset(((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2)))
 
 
 def _label(ijk) -> tuple[int, int, int]:
-    ijk = tuple(map(int, ijk))
-    if ijk not in _LABELS:
-        raise ValueError(f"block label must be in {{1,2}}^3 with at least "
-                         f"two 2s, got {ijk}")
-    return ijk
+    if not (isinstance(ijk, Sequence) and len(ijk) == 3
+            and all(isinstance(x, numbers.Integral) for x in ijk)
+            and tuple(ijk) in _LABELS):
+        raise ValueError(f"block label must be three integers in {{1,2}} "
+                         f"with at least two 2s, got {ijk!r}")
+    return tuple(map(int, ijk))
 
 
-def _missing(splits: SubspaceSplit, ijk) -> str | None:
-    """Why the label ijk has an empty sampling subspace, or None."""
+def _missing(splits: SubspaceSplit, ijk) -> bool:
+    """Whether the label ijk has an empty sampling subspace: index 1 of a
+    mode without a large part, or index 2 of one with no unused
+    coefficient rows or ambient directions."""
     r, d = splits.V.shape[1], splits.U.shape[1]
-    for m, (k, idx) in enumerate(zip(splits.ranks, ijk)):
-        if idx == 1 and k == 0:
-            reason = f"no singular values above {splits.sigma}"
-        elif idx == 2 and k == r:
-            reason = "no unused coefficient rows (rank1 = r)"
-        elif idx == 2 and k == d:
-            reason = "no unused ambient directions"
-        else:
-            continue
-        return f"mode {m + 1}: {reason}"
-    return None
+    return any(k == 0 if idx == 1 else k in (r, d)
+               for k, idx in zip(splits.ranks, ijk))
 
 
-def sample_missing_directions(splits: SubspaceSplit, ijk,
+def sample_missing_directions(splits: SubspaceSplit, labels,
                               rng: np.random.Generator, size: int):
-    """Draw `size` rank-one updates for the block label ijk; returns the
-    (size, r^3 + 3 r d) stack of their flat vectors, in draw order.
+    """Draw `size` rank-one updates for each block label of the sequence
+    `labels` that has directions at the split; returns (drawn, flats),
+    the tuple of the labels drawn, in order, and the (len(drawn), size,
+    r^3 + 3 r d) stack of their flat vectors, in draw order.
 
     Each draw takes, mode by mode, a unit vector per orthonormal basis
     the mode uses (u1 for index 1; u2, then v2 for index 2): a standard
@@ -116,29 +120,19 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
     The core moves by u x v x w.  Each index-2 factor moves by the outer
     product of its coefficient and ambient vectors.
 
-    A label must be in {1, 2}^3 with at least two 2s (a ValueError
-    otherwise).  Raises NoMissingDirection, before drawing anything, when
-    any requested subspace is empty, e.g. asking for a complement
-    direction of a factor that already uses all r of its rows.
-
-    ijk may also be a sequence of labels.  Then a label with an empty
-    subspace is left out, and the others draw as a loop of one-label calls
-    would, in order, from one rng.standard_normal call of their joint
-    length; the result is (drawn, flats), the tuple of the labels drawn
-    and the (len(drawn), size, r^3 + 3 r d) stack of their draws.  Each
-    step of the construction takes the labels that share it together, in
-    stacks with the labels on a leading axis, whose arithmetic is that of
-    the one-label calls, bit for bit.
+    Each label must be a sequence of three integers in {1, 2} with at
+    least two 2s (a ValueError, before drawing anything, otherwise).  A
+    label with an empty subspace, e.g. a complement direction of a factor
+    that already uses all r of its rows, is left out.  The labels drawn
+    take their draws, label by label, from one rng.standard_normal call
+    of their joint length.  Each step of the construction takes the
+    labels that share it together, in stacks with the labels on a leading
+    axis, and the arithmetic of each label's slice of a stack does not
+    depend on the others.
     """
-    several = len(ijk) > 0 and hasattr(ijk[0], "__len__")
-    drawn = []
-    for label in map(_label, ijk if several else (ijk,)):
-        reason = _missing(splits, label)
-        if reason is None:
-            drawn.append(label)
-        elif not several:
-            raise NoMissingDirection(reason)
-    n, labels = int(size), len(drawn)
+    drawn = tuple(label for label in map(_label, labels)
+                  if not _missing(splits, label))
+    n, L = int(size), len(drawn)
     r, d = splits.V.shape[1], splits.U.shape[1]
     # the slots (label, mode) of each index, grouped with the mode's rank
     # k; a slot's pieces are columns of its label's draw, mode by mode: w
@@ -163,11 +157,11 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
                               for i, _, c in group])
         return _unit(out.reshape(len(group), n, width))
 
-    flats = np.zeros((labels, n, r**3 + 3 * r * d))
-    mats = flats[..., r**3:].reshape(labels, n, 3, r, d)
-    coeff = np.empty((3, labels, n, r))
+    flats = np.zeros((L, n, r**3 + 3 * r * d))
+    mats = flats[..., r**3:].reshape(L, n, 3, r, d)
+    coeff = np.empty((3, L, n, r))
     # each group's products take every slot's bases from the stacks, each
-    # as the one-label construction takes them: v1^T, v2^T as transposed
+    # as a construction of its label alone would: v1^T, v2^T as transposed
     # views of V's columns, and u2^T as rows of U^T
     for (idx, k), group in slots.items():
         i, m = np.array([g[:2] for g in group]).T
@@ -180,93 +174,32 @@ def sample_missing_directions(splits: SubspaceSplit, ijk,
             coeff[m, i] = b = units(group, d - k, r - k) @ V[:, k:]
             mats[i, :, m] = b[..., None] * a[:, :, None]
     flats[..., :r**3] = np.einsum(
-        "nx,ny,nz->nxyz", *coeff.reshape(3, labels * n, r)).reshape(
-            labels, n, r**3)
-    return (tuple(drawn), flats) if several else flats[0]
-
-
-@functools.cache
-def delta_grid(sigma: float, n_missing: int) -> np.ndarray:
-    """13 log-spaced step sizes covering [center/100, center*100].
-
-    The center is sigma^(1/4) for two missing modes and sigma^(1/8) for
-    three, matching where the leading improvement term dominates.  Each
-    grid is computed once and shared read-only: `np.geomspace` costs more
-    than a small sign search's bookkeeping.
-    """
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if n_missing not in (2, 3):
-        raise ValueError(f"n_missing must be 2 or 3, got {n_missing}")
-    center = sigma ** 0.25 if n_missing == 2 else sigma ** 0.125
-    grid = np.geomspace(center / 100.0, center * 100.0, 13)
-    grid.flags.writeable = False
-    return grid
-
-
-@dataclass(frozen=True)
-class SignSearchResult:
-    delta: FactorPoint    # the direction, signed as the step takes it
-    step: float
-    improvement: float
-    evals: int
-
-    def apply(self, p: FactorPoint) -> FactorPoint:
-        return p + self.step * self.delta
+        "nx,ny,nz->nxyz", *coeff.reshape(3, L * n, r)).reshape(
+            L, n, r**3)
+    return drawn, flats
 
 
 @dataclass(frozen=True, eq=False)
-class SignSearchResults(Sequence):
+class SignSearchResults:
     """The sign searches of L stacks of m directions, kept as arrays over
-    the directions in order: the unsigned flat vectors, whether each took
-    a step, its improvement, the objective values computed for it, and
-    the index of its best candidate among its stack's (sign pattern, step)
-    candidates, pattern-major; tables[k // m] holds the patterns and the
-    grid of direction k's stack.  Indexing builds one direction's
-    SignSearchResult; `best` and `apply` pick the winner and build only
-    its point."""
+    the directions in order: each one's step (0 where it takes none), its
+    flat vector signed as the step takes it, its improvement and the
+    objective values computed for it.  `best` and `apply` pick the winner
+    and build only its point."""
     point: FactorPoint
+    steps: np.ndarray
     deltas: np.ndarray
-    won: np.ndarray
     improvements: np.ndarray
     evals: np.ndarray
-    candidate: np.ndarray
-    tables: tuple
-
-    def __len__(self) -> int:
-        return len(self.deltas)
-
-    def step(self, k: int) -> float:
-        """Direction k's step, 0 where it takes none."""
-        if not self.won[k]:
-            return 0.0
-        _, grid = self.tables[k * len(self.tables) // len(self)]
-        return float(grid[self.candidate[k] % len(grid)])
-
-    def _delta(self, k: int) -> np.ndarray:
-        if not self.won[k]:
-            return self.deltas[k]
-        patterns, grid = self.tables[k * len(self.tables) // len(self)]
-        sizes = (self.point.r**3,) + (self.point.r * self.point.d,) * 3
-        return (np.repeat(patterns[self.candidate[k] // len(grid)], sizes)
-                * self.deltas[k])
-
-    def __getitem__(self, k: int) -> SignSearchResult:
-        k = range(len(self))[k]
-        return SignSearchResult(
-            delta=self.point._like(self._delta(k)), step=self.step(k),
-            improvement=float(self.improvements[k]),
-            evals=int(self.evals[k]))
 
     def best(self) -> int:
         """The first direction of the largest improvement."""
         return int(np.argmax(self.improvements))
 
     def apply(self, k: int) -> FactorPoint:
-        """The point moved by direction k's step, as the result's `apply`
-        forms it."""
+        """The point moved by direction k's step."""
         p = self.point
-        return p._like(p.flat + self.step(k) * self._delta(k))
+        return p._like(p.flat + self.steps[k] * self.deltas[k])
 
 
 # `_expansion` forms the Gram matrix with its sign bits in the order
@@ -276,12 +209,11 @@ _GRAM_BITS = np.arange(256).reshape((2,) * 8).transpose(
     5, 7, 4, 2, 0, 6, 3, 1).ravel()
 
 
-def _expansion(p: FactorPoint, flats: np.ndarray, D: np.ndarray):
+def _expansion(p: FactorPoint, stacks: np.ndarray, D: np.ndarray):
     """Coefficients of f along the moves (a_S dS, a_A dA, a_B dB, a_C dC),
-    for each of the n directions whose flat vectors are the rows of
-    `flats`, the directions on a leading axis.  `flats` may also be an
-    (L, m, size) stack of L stacks of m directions; the results then list
-    its n = L m directions in order.
+    for each of the n = L m directions of the (L, m, size) stack `stacks`
+    of L stacks of m flat vectors, the directions in order on a leading
+    axis.
 
     The reconstruction is the sum over subsets U of {S, A, B, C} of
     c_U X_U, with c_U the product of a_b over b in U and X_U the transform
@@ -302,9 +234,8 @@ def _expansion(p: FactorPoint, flats: np.ndarray, D: np.ndarray):
     bit for bit.
     """
     r, d = p.r, p.d
-    stacks = flats[None] if flats.ndim == 2 else flats
     L, m = stacks.shape[:2]
-    flats = stacks.reshape(-1, flats.shape[-1])
+    flats = stacks.reshape(L * m, -1)
     n = len(flats)
     K = np.empty((n, 2, r, r, r))
     K[:, 0] = p.S
@@ -381,14 +312,14 @@ def _tables(patterns: np.ndarray, grid: np.ndarray):
 
 
 @functools.lru_cache(maxsize=64)
-def _search_tables(actives: tuple[tuple[int, ...], ...], grid: bytes):
+def _search_tables(actives: tuple[tuple[int, ...], ...]):
     """For stacks whose nonzero blocks are the `actives`, each of one
-    count, and the step grid with these bytes: the stacked sign patterns,
-    the k-th active block flipped when bit k of the pattern number is
-    set, and their stacked c (columns 1 to 15), coef and rows of
-    `_tables`.  They are built once and shared read-only, as `delta_grid`
-    is: every escape round scores the same labels on the same grids."""
-    grid = np.frombuffer(grid)
+    count: the stacked sign patterns, the k-th active block flipped when
+    bit k of the pattern number is set, and their stacked c (columns 1 to
+    15), coef and rows of `_tables` on the step grid of that count.  They
+    are built once and shared read-only: every escape round scores the
+    same labels."""
+    grid = _GRIDS[len(actives[0]) - 1]
     patterns = np.ones((len(actives), 2 ** len(actives[0]), 4))
     bits = (np.arange(patterns.shape[1])[:, None]
             >> np.arange(len(actives[0])) & 1)
@@ -430,126 +361,107 @@ def _step_values(at: ObjectiveReport, gram, proj, basis, c, coef,
     return (L + at.lam * (phi * phi).reshape(L.shape)).reshape(phi.shape)
 
 
-def sign_step_values(at: ObjectiveReport, deltas, patterns,
-                     grid) -> np.ndarray:
-    """f(p + t * (s o delta)) at the point p and weight lam of the report
-    `at`, for every delta of `deltas`, every sign row s of `patterns` (one
-    sign per block S, A, B, C) and every step t of `grid`, as a
-    (len(deltas), len(patterns), len(grid)) array.  `deltas` is the stack
-    of the directions' flat vectors, one per row.
-
-    The values come from one `_expansion` of all the deltas and one
-    `_step_values` call, the scoring a sign search makes.  The sum adds
-    terms as large as L(p) and the c_U X_U, so a value is accurate to a
-    few ulps of the largest of these, not of itself: an exact fit can read
-    0.0 or a rounding-sized value of either sign.
-    """
-    c, coef, rows = _tables(np.asarray(patterns, dtype=float),
-                            np.asarray(grid, dtype=float))
-    gram, proj, basis = _expansion(at.point, deltas, at.stages[2])
-    return _step_values(at, gram[None], proj[None], basis[None],
-                        c[None, :, 1:], coef, rows[None])[0]
-
-
-def sign_flip_search(p: FactorPoint, T: np.ndarray, deltas: np.ndarray,
-                     grid, lam: float | None = None,
+def sign_flip_search(p: FactorPoint, T: np.ndarray, flats: np.ndarray,
+                     lam: float | None = None,
                      at: ObjectiveReport | None = None
                      ) -> SignSearchResults:
-    """For each direction, a row of the stack `deltas` of flat vectors,
-    try every sign pattern of its nonzero blocks over the step grid and
-    keep the best objective value; returns the results of the directions,
-    in order.
+    """For each direction of the (L, m, size) stack `flats` of L stacks of
+    m flat vectors, try every sign pattern of its nonzero blocks over its
+    step grid and keep the best objective value; returns the results of
+    the L m directions, stack by stack.
 
-    The directions must share their nonzero blocks, at least one of them
-    (a ValueError otherwise), so that they share the sign patterns.
-    `deltas` may also be an (L, m, size) stack of L such stacks, one per
-    block label, and `grid` one grid per stack; the results then list the
-    L m directions stack by stack.  One `_expansion` expands f along all
+    The directions of a stack must share their nonzero blocks, the core
+    and two or three factors (a ValueError otherwise), so that they share
+    the sign patterns and the grid.  One `_expansion` expands f along all
     the directions, instead of evaluating f at each candidate, and the
-    stacks of one grid and one count of sign patterns are scored by one
-    `_step_values` call.  f and the residual at p come from `at` when it
-    is a report of p (taken with the same T and lam), and otherwise from
-    one `objective` call.  A direction's candidates are ranked in the
-    order of a loop over the patterns (the k-th active block flipped when
-    bit k of the pattern number is set), then over the grid: the first
-    smallest value wins, NaN never, and it must be strictly below f at p.
-    Never returns a step that makes f worse: if nothing improves, the
-    result has step 0, improvement 0 and the unsigned direction.  `evals`
-    counts the objective values computed for each direction, and where
-    the call made the `objective` call at p the first direction also
-    counts it, so the evals add up to the call's.
+    stacks of one count of blocks are scored by one `_step_values` call.
+    f and the residual at p come from `at` when it is a report of p (taken
+    with the same T and lam), and otherwise from one `objective` call.  A
+    direction's candidates are ranked in the order of a loop over the
+    patterns (the k-th active block flipped when bit k of the pattern
+    number is set), then over the grid: the first smallest value wins,
+    NaN never, and it must be strictly below f at p.  At the zero point
+    each direction takes its exact best step in closed form instead (see
+    `_zero_point_search`).  Never returns a step that makes f worse: if
+    nothing improves, the result has step 0, improvement 0 and the
+    unsigned direction.  `evals` counts the objective values computed for
+    each direction, and where the call made the `objective` call at p the
+    first direction also counts it, so the evals add up to the call's.
     """
-    stacks = deltas[None] if deltas.ndim == 2 else deltas
-    L, m, size = stacks.shape
+    L, m, size = flats.shape
     if not L * m:
         raise ValueError("no directions to score")
-    grids = np.asarray(grid, dtype=float)
-    if grids.shape[:-1] != (L,):
-        # one grid for all stacks; a count of grids that is not L raises
-        grids = np.broadcast_to(grids, (L, grids.shape[-1]))
-    sizes = (p.r**3,) + (p.r * p.d,) * 3
+    r3, rd = p.r**3, p.r * p.d
+    sizes = (r3, rd, rd, rd)
     # per stack, one row per direction, one column per block: is any entry
     # nonzero?
-    nonzero = np.logical_or.reduceat(stacks != 0.0,
-                                     np.cumsum((0,) + sizes[:3]), axis=2)
+    nonzero = np.logical_or.reduceat(
+        flats != 0.0, [0, r3, r3 + rd, r3 + 2 * rd], axis=2)
     if (nonzero != nonzero[:, :1]).any():
         raise ValueError("the directions' nonzero blocks differ")
     actives = [tuple(b for b, x in enumerate(row) if x)
                for row in nonzero[:, 0].tolist()]
-    if not all(actives):
-        raise ValueError("the directions are identically zero")
+    if not all(active[:1] == (0,) and len(active) > 2 for active in actives):
+        raise ValueError("a direction must move the core and two or three "
+                         "factors")
     baseline = at is None or at.point is not p
     if baseline:
         at = objective(p, T, lam)
+    if p.flat.any():
+        steps, signs, improvements, evals = _grid_search(at, flats, actives)
+    else:
+        steps, signs, improvements, evals = _zero_point_search(at, flats)
+    evals[0] += baseline
+    return SignSearchResults(
+        point=p, steps=steps, improvements=improvements, evals=evals,
+        deltas=np.repeat(signs, sizes, axis=1) * flats.reshape(-1, size))
+
+
+def _grid_search(at: ObjectiveReport, flats: np.ndarray, actives: list):
+    """The sign search of `sign_flip_search` on the step grids, away from
+    the zero point: per direction, in order, its step, its signs (one per
+    block S, A, B, C), its improvement and its count of values."""
+    L, m, _ = flats.shape
     f0 = at.f
     gram, proj, basis = (x.reshape((L, m) + x.shape[1:]) for x in
-                         _expansion(at.point, stacks, at.stages[2]))
-    # each direction's best value, its best candidate and its count
-    f_best = np.full((L, m), np.inf)
-    candidate = np.zeros((L, m), dtype=int)
+                         _expansion(at.point, flats, at.stages[2]))
+    # each direction's best value, its step and signs, and its count
+    f_best = np.empty((L, m))
+    steps = np.empty((L, m))
+    signs = np.empty((L, m, 4))
     evals = np.empty((L, m), dtype=int)
-    tables = [None] * L
     groups = {}
-    for i, (active, g) in enumerate(zip(actives, grids)):
-        groups.setdefault((g.tobytes(), len(active)), []).append(i)
-    for (key, _), ids in groups.items():
+    for i, active in enumerate(actives):
+        groups.setdefault(len(active), []).append(i)
+    for count, ids in groups.items():
+        grid = _GRIDS[count - 1]
         patterns, c, coef, rows = _search_tables(
-            tuple(actives[i] for i in ids), key)
-        for i, x in zip(ids, patterns):
-            tables[i] = x, grids[i]
+            tuple(actives[i] for i in ids))
         # a run of stacks is taken as a view
         at_ids = (slice(ids[0], ids[-1] + 1)
                   if ids[-1] - ids[0] == len(ids) - 1 else ids)
         values = _step_values(at, gram[at_ids], proj[at_ids],
                               basis[at_ids], c, coef, rows)
         evals[at_ids] = values[0, 0].size
-        if not values.size:
-            continue
         # NaN never wins, as it never compares smaller
         ranked = np.where(np.isnan(values), np.inf, values).reshape(
             len(ids), m, -1)
-        candidate[at_ids] = ranked.argmin(axis=2)
+        candidate = ranked.argmin(axis=2)
         f_best[at_ids] = ranked.min(axis=2)
+        steps[at_ids] = grid[candidate % len(grid)]
+        signs[at_ids] = patterns[np.arange(len(ids))[:, None],
+                                 candidate // len(grid)]
     won = f_best < f0
-    evals[0, 0] += baseline
-    return SignSearchResults(
-        point=p, deltas=stacks.reshape(-1, size), won=won.ravel(),
-        improvements=f0 - np.where(won, f_best, f0).ravel(),
-        candidate=candidate.ravel(), tables=tuple(tables),
-        evals=evals.ravel())
+    return (np.where(won, steps, 0.0).ravel(),
+            np.where(won[..., None], signs, 1.0).reshape(-1, 4),
+            (f0 - np.where(won, f_best, f0)).ravel(), evals.ravel())
 
 
-# the two sign patterns of a zero-point step: as drawn, and the core flipped
-_ZERO_POINT_PATTERNS = np.array([[1.0, 1.0, 1.0, 1.0], [-1.0, 1.0, 1.0, 1.0]])
-_ZERO_POINT_PATTERNS.flags.writeable = False
-
-
-def zero_point_search(at: ObjectiveReport,
-                      deltas: np.ndarray) -> SignSearchResults:
-    """The exact best step along each direction of the stack `deltas`
-    (rows of flat vectors, or an (L, m, size) stack of stacks) from the
-    zero point of the report `at`, in closed form, as the results of a
-    sign search: the directions in order, each with one objective value.
+def _zero_point_search(at: ObjectiveReport, flats: np.ndarray):
+    """The exact best step along each direction of the (L, m, size) stack
+    `flats` from the zero point of the report `at`, in closed form, as
+    `_grid_search` returns its results: each direction with one objective
+    value.
 
     At p = 0 every block of the point is zero, so along t d, with
     X_d = S_d(A_d, B_d, C_d) and u = t^4,
@@ -561,26 +473,20 @@ def zero_point_search(at: ObjectiveReport,
     quadratic in its mode's block and the core's.  Flipping the sign of any
     block flips the sign of b alone, so the best step takes the core
     flipped where b < 0, u* = |b| / q and t = u*^(1/4), and gains b^2 / q.
-    b, |X_d|^2 and phi(d) are read off one `_expansion` of the directions:
-    b is minus the product of the residual -T with X_U for U = {S, A, B, C},
-    |X_d|^2 is that U's Gram entry, and phi(d) is the squared norm of the
-    Gram gaps' a_m^2 and a_S^2 pieces, the only ones at p = 0.  Each
-    direction's result holds its own one-step grid, t, and the two sign
-    patterns, as drawn and with the core flipped; one that gains nothing
-    takes step 0."""
-    flats = deltas.reshape(-1, deltas.shape[-1])
-    gram, proj, basis = _expansion(at.point, flats, at.stages[2])
+    b, |X_d|^2 and phi(d) are read off one `_expansion` of the directions,
+    taken as one stack: b is minus the product of the residual -T with X_U
+    for U = {S, A, B, C}, |X_d|^2 is that U's Gram entry, and phi(d) is
+    the squared norm of the Gram gaps' a_m^2 and a_S^2 pieces, the only
+    ones at p = 0.  A direction that gains nothing takes step 0."""
+    gram, proj, basis = _expansion(
+        at.point, flats.reshape(1, -1, flats.shape[-1]), at.stages[2])
     b = -proj[:, -1]
     gaps = basis[:, :, 2] + basis[:, :, 4]
     phi = np.einsum("nmj,nmj->n", gaps, gaps)
     q = gram[:, -1, -1] + at.lam * phi * phi
     gains = b * b / q
     won = gains > 0.0
-    steps = (np.abs(b) / q) ** 0.25
-    return SignSearchResults(
-        point=at.point, deltas=flats, won=won,
-        improvements=np.where(won, gains, 0.0),
-        evals=np.ones(len(flats), dtype=int),
-        candidate=(b < 0.0).astype(int),
-        tables=tuple((_ZERO_POINT_PATTERNS, steps[k:k + 1])
-                     for k in range(len(flats))))
+    signs = np.ones((len(b), 4))
+    signs[:, 0] = np.where(won & (b < 0.0), -1.0, 1.0)
+    return (np.where(won, (np.abs(b) / q) ** 0.25, 0.0), signs,
+            np.where(won, gains, 0.0), np.ones(len(b), dtype=int))

@@ -27,9 +27,8 @@ curvature probe certifies stationary (no_direction).
      improves enough; it is one pass over the labels, with one split,
      one sampler call and one sign search of every label's draws.  At
      the zero point, where f along a draw t d is a quadratic in t^4
-     (see `escape`), it takes each draw's exact best step in closed form
-     instead of the sign search.  Only
-     when no escape step is taken does a Lanczos
+     (see `escape`), that search takes each draw's exact best step in
+     closed form.  Only when no escape step is taken does a Lanczos
      probe of at most LANCZOS_STEPS Hessian-vector products look for
      negative curvature there, from the same report: a direction is
      line-searched both ways and the better step is taken; none
@@ -69,8 +68,8 @@ Budget accounting: one `Evaluator` holds the target, lambda and the
 counters, and each of its methods charges its own cost: a gradient 1, a
 Hessian-vector product 2 (a gradient difference), the Gram gaps of a
 rebalance move 1 (the content of the regularizer gradient).  Objective
-values, the sign search's included, are counted but not charged; the
-zero-point rule counts one value per draw it scores; a rebalance trial,
+values, the sign search's included, are counted but not charged; at the
+zero point the sign search counts one value per draw; a rebalance trial,
 scored from its Gram gaps alone, is not counted.  Each
 point is evaluated once: its `ObjectiveReport` keeps the point, the fit
 stages, the factor Grams and the Gram gaps, and it is the search's only
@@ -87,11 +86,10 @@ probe starts that the budget cannot pay for, so a run never spends past
 its budget; a probe the budget cuts short ends the run with status
 budget.
 
-An escape step is taken on its predicted gain, the sign search's or the
-zero-point rule's, only if the evaluated f does not rise by more than the
-trace allows; the expansion's rounding can exceed a gain near
-MIN_IMPROVEMENT, and a refused step ends the round as if nothing had
-gained enough.
+An escape step is taken on its predicted gain, the sign search's, only
+if the evaluated f does not rise by more than the trace allows; the
+expansion's rounding can exceed a gain near MIN_IMPROVEMENT, and a
+refused step ends the round as if nothing had gained enough.
 
 The search is scale-free.  `run` solves on T / |T| and scales each block
 of the point it returns by c = |T|^(1/4): S(A, B, C) scales by |T|, the
@@ -118,8 +116,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .escape import (delta_grid, sample_missing_directions, sign_flip_search,
-                     zero_point_search)
+from .escape import SIGMA, sample_missing_directions, sign_flip_search
 from .objective import (ObjectiveReport, _core_grams, _phi,
                         default_lambda, grad, hvp, objective)
 from .subspace import subspace_split
@@ -143,10 +140,9 @@ SLOW_TOL = 1e-2
 LBFGS_MEMORY = 5
 GN_DAMPING = 4e-2
 LANCZOS_STEPS = 12
-# fixed thresholds in place of the paper's cascade: the escape's singular
-# value split, the gradient and curvature tolerances of a stationary
-# point, and the least gain an escape step must make
-SIGMA = 0.05
+# fixed thresholds in place of the paper's cascade (the escape's split
+# takes escape.SIGMA): the gradient and curvature tolerances of a
+# stationary point, and the least gain an escape step must make
 TAU1 = 1e-6
 TAU2 = 1e-4
 MIN_IMPROVEMENT = 1e-10
@@ -329,14 +325,10 @@ class Evaluator:
         self.used += 1
         return rep.gaps
 
-    def sign_search(self, rep: ObjectiveReport, deltas: np.ndarray, grid):
-        """The sign search of deltas at the point of the report rep, or at
-        the zero point its exact answer in closed form."""
-        if rep.point.flat.any():
-            found = sign_flip_search(rep.point, self.T, deltas, grid,
-                                     self.lam, at=rep)
-        else:
-            found = zero_point_search(rep, deltas)
+    def sign_search(self, rep: ObjectiveReport, deltas: np.ndarray):
+        """The sign search of the stacks deltas at the point of the report
+        rep."""
+        found = sign_flip_search(rep.point, self.T, deltas, self.lam, at=rep)
         self.objective_evals += int(found.evals.sum())
         return found
 
@@ -599,7 +591,7 @@ def _escape_round(rep: ObjectiveReport, ev: Evaluator,
     """Score the labels of SAMPLED_BLOCKS at the point of the report rep
     in one pass: one split, samples draws of every label that has
     directions there, in one sampler call, and one sign search of all the
-    draws, or at the zero point their exact steps in closed form.  Returns
+    draws (at the zero point their exact steps in closed form).  Returns
     the step taken as (kind, report, step, predicted gain), or None where
     no candidate gains MIN_IMPROVEMENT or the evaluated f rises (see the
     module docstring)."""
@@ -607,8 +599,7 @@ def _escape_round(rep: ObjectiveReport, ev: Evaluator,
         subspace_split(rep.point, SIGMA), SAMPLED_BLOCKS, rng, samples)
     if not labels:
         return None
-    found = ev.sign_search(rep, drawn, [delta_grid(SIGMA, ijk.count(2))
-                                        for ijk in labels])
+    found = ev.sign_search(rep, drawn)
     # the first of equal gains, label by label and draw by draw
     k = found.best()
     gain = float(found.improvements[k])
@@ -619,7 +610,7 @@ def _escape_round(rep: ObjectiveReport, ev: Evaluator,
     if _rises(rep.f, cand.f):
         return None
     return ("sampled({},{},{})".format(*labels[k // samples]), cand,
-            found.step(k), gain)
+            float(found.steps[k]), gain)
 
 
 def _find_sosp(rep: ObjectiveReport, budget: Evaluator,

@@ -16,75 +16,11 @@ The escape stage draws its sampled directions from these bases.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor_core import FactorPoint, _column_signs
-
-
-@dataclass(frozen=True)
-class ModeSplit:
-    """Threshold split of one factor matrix at singular value sigma: the
-    singular values s1 above sigma, and the bases v1, v2 (R^r) and u1, u2
-    (R^d); the large part is v1 diag(s1) u1^T."""
-    s1: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-
-    @property
-    def rank1(self) -> int:
-        """Number of singular values above the threshold."""
-        return self.u1.shape[1]
-
-
-def _stacked_split(F: np.ndarray, sigma: float):
-    """Split each matrix of the (k, r, d) stack F at threshold sigma, ties
-    (values equal to sigma) to the small part; returns (V, s, U, ranks):
-    the signed singular bases [v1 v2] and [u1 u2] of each matrix as the
-    columns of V[i] and U[i], its singular values s[i], and the number of
-    them above sigma."""
-    k, r, d = F.shape
-    if not F.any():
-        # every factor of a zero-start point is zero: every direction is
-        # singular with value 0, and the identities are the bases the SVD
-        # gives it, so they are taken without one
-        return (np.broadcast_to(np.eye(r), (k, r, r)),
-                np.zeros((k, min(r, d))),
-                np.broadcast_to(np.eye(d), (k, d, d)), (0,) * k)
-    # one SVD of the stack runs LAPACK on each matrix as a call of its own
-    # would; a zero matrix among nonzero ones gets the identities, as above
-    V, s, Ut = np.linalg.svd(F, full_matrices=True)
-    U = Ut.transpose(0, 2, 1)
-    # paired singular directions flip together, by the sign of their V
-    # column, so they still factor M; trailing complement-only columns
-    # take their own signs
-    sv, su = _column_signs(V), _column_signs(U)
-    su[:, :s.shape[1]] = sv[:, :s.shape[1]]
-    V *= sv[:, None, :]
-    U *= su[:, None, :]
-    return V, s, U, tuple((s > sigma).sum(axis=1).tolist())
-
-
-def _mode_split(V: np.ndarray, s: np.ndarray, U: np.ndarray,
-                k: int) -> ModeSplit:
-    return ModeSplit(s1=s[:k], v1=V[:, :k], v2=V[:, k:], u1=U[:, :k],
-                     u2=U[:, k:])
-
-
-def split(M: np.ndarray, sigma: float) -> ModeSplit:
-    """Split M at threshold sigma; ties (values equal to sigma) go to the
-    small part."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError(f"expected a matrix, got ndim={M.ndim}")
-    if sigma < 0:
-        raise ValueError(f"threshold must be nonnegative, got {sigma}")
-    V, s, U, (k,) = _stacked_split(M[None], sigma)
-    return _mode_split(V[0], s[0], U[0], k)
 
 
 @dataclass(frozen=True)
@@ -98,20 +34,35 @@ class SubspaceSplit:
     s: np.ndarray
     U: np.ndarray
     ranks: tuple[int, int, int]
-    sigma: float
-
-    @functools.cached_property
-    def modes(self) -> tuple[ModeSplit, ModeSplit, ModeSplit]:
-        """Each mode's split as a ModeSplit of views into the stacks."""
-        return tuple(_mode_split(*parts) for parts in
-                     zip(self.V, self.s, self.U, self.ranks))
 
 
 def subspace_split(p: FactorPoint, sigma: float) -> SubspaceSplit:
-    """Split each of (A, B, C) at threshold sigma, with one SVD of the
-    three."""
-    V, s, U, ranks = _stacked_split(p.factors, sigma)
-    return SubspaceSplit(V=V, s=s, U=U, ranks=ranks, sigma=float(sigma))
+    """Split each of (A, B, C) at threshold sigma, ties (values equal to
+    sigma) to the small part, with one SVD of the three; the bases of each
+    singular pair are signed as `hosvd` signs them."""
+    F = p.factors
+    k, r, d = F.shape
+    if not F.any():
+        # every factor of a zero-start point is zero: every direction is
+        # singular with value 0, and the identities are the bases the SVD
+        # gives it, so they are taken without one
+        return SubspaceSplit(V=np.broadcast_to(np.eye(r), (k, r, r)),
+                             s=np.zeros((k, min(r, d))),
+                             U=np.broadcast_to(np.eye(d), (k, d, d)),
+                             ranks=(0,) * k)
+    # one SVD of the stack runs LAPACK on each matrix as a call of its own
+    # would; a zero matrix among nonzero ones gets the identities, as above
+    V, s, Ut = np.linalg.svd(F, full_matrices=True)
+    U = Ut.transpose(0, 2, 1)
+    # paired singular directions flip together, by the sign of their V
+    # column, so they still factor M; trailing complement-only columns
+    # take their own signs
+    sv, su = _column_signs(V), _column_signs(U)
+    su[:, :s.shape[1]] = sv[:, :s.shape[1]]
+    V *= sv[:, None, :]
+    U *= su[:, None, :]
+    return SubspaceSplit(V=V, s=s, U=U,
+                         ranks=tuple((s > sigma).sum(axis=1).tolist()))
 
 
 def projection_distance_bound(M: np.ndarray, M1: np.ndarray,

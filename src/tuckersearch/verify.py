@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .escape import delta_grid, sample_missing_directions, sign_flip_search
+from .escape import SIGMA, sample_missing_directions, sign_flip_search
 from .objective import (balanced_random_point, default_lambda, eval_along,
                         grad, grad_loss, grad_phi, grad_reg, hvp, objective,
                         reg, reg_phi)
@@ -483,16 +483,16 @@ def gallery_origin(rng, attempts: int = 100) -> LemmaReport:
                      for v in _random_units(r, d, rng, 5)], 0.0)
     if not curv <= 1e-8:
         failures += 1
-    splits = subspace_split(p, 0.05)
-    grid = delta_grid(0.05, 3)
     lam = default_lambda(r)
-    deltas = sample_missing_directions(splits, (2, 2, 2), rng, attempts)
+    _, deltas = sample_missing_directions(subspace_split(p, SIGMA),
+                                          ((2, 2, 2),), rng, attempts)
+    # the escape's own rule at the zero point, the exact step of each draw
     improved = int(np.count_nonzero(
-        sign_flip_search(p, T, deltas, grid, lam).improvements > 0.0))
+        sign_flip_search(p, T, deltas, lam).improvements > 0.0))
     # core and factor moves share the same unit vectors, so the fully
     # sampled step keeps the point exactly balanced
     reg_drift = _nan_max([reg(p._like(p.flat + t * delta))
-                          for delta in deltas[:5] for t in (0.1, 1.0)])
+                          for delta in deltas[0, :5] for t in (0.1, 1.0)])
     if not reg_drift <= 1e-20:
         failures += 1
     if improved < 0.3 * attempts:

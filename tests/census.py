@@ -28,7 +28,10 @@ README's tables were measured.  The sets:
   landscape     the exact targets at r = 1-5, d in {r, r+1, 2r, 3r+2},
                 seeds 0-3, from six inits (zero, hosvd, random:1e-3,
                 random:0.5, random:10, random:100), budget 20,000: 456
-                runs.  It is not among the sets run without names.
+                runs.  It is not among the sets run without names;
+  verify        the reports of `verify.run_suite` for suite seeds 0-199,
+                one line per (seed, check): 2,400 lines, with no
+                gradient evaluations.  It too runs only by name.
 
 It is not a test: pytest does not collect it, and the tier-1 guards on
 these sets live in test_search.py and test_acceptance.py.
@@ -54,6 +57,7 @@ from instances import (desk_instance, exact_instance,  # noqa: E402
 from tuckersearch import cli, tensor_core  # noqa: E402
 from tuckersearch.objective import load_point  # noqa: E402
 from tuckersearch.search import SearchConfig, run  # noqa: E402
+from tuckersearch.verify import run_suite  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import bench  # noqa: E402
@@ -155,12 +159,19 @@ def landscape():
                                        seed=seed, budget=20_000, init=init)
 
 
+def verify():
+    for seed in range(200):
+        for report in run_suite(seed):
+            yield "", fingerprints.report_fields(seed, report.to_json_dict())
+
+
 SETS = {"desk": desk, "noisy-desk": noisy_desk, "x100": x100,
         "scale-table": scale_table, "start-set": start_set,
         "criterion-05": criterion_05, "grid": grid, "rank-1": rank_1,
-        "landscape": landscape}
+        "landscape": landscape, "verify": verify}
 # the sets run when none is named
-DEFAULT_SETS = tuple(name for name in SETS if name != "landscape")
+DEFAULT_SETS = tuple(name for name in SETS
+                     if name not in ("landscape", "verify"))
 
 
 def compare(path_a, path_b) -> int:
@@ -191,8 +202,9 @@ def main(argv) -> int:
     for name in names or DEFAULT_SETS:
         tally, parts = Counter(), {}
         for index, (part, fp) in enumerate(SETS[name]()):
-            grads = fp["grad_evals"]
-            tally.update(runs=1, grads=grads, values=fp["objective_evals"])
+            grads = fp.get("grad_evals", 0)
+            tally.update(runs=1, grads=grads,
+                         values=fp.get("objective_evals", 0))
             tally[fp["status"]] += 1
             if part:
                 parts[part] = parts.get(part, 0) + grads

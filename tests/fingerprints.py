@@ -3,19 +3,32 @@
 A fingerprint file holds one JSON line per run: its set, its index in the
 set, its status, `grad_evals`, `objective_evals` and `rounds`, and the
 sha256 of the final point's bytes (`FactorPoint.flat`) and of its trace
-as `tuckersearch decompose` writes it.  The digests repeat only for one
-BLAS build and thread count, so compare files written with the same.
+as `tuckersearch decompose` writes it.  A verify report's line holds
+instead its set, index, suite seed and check, its pass status, `trials`
+and the sha256 of its JSON (`report_fields`).  The digests repeat only
+for one BLAS build and thread count, so compare files written with the
+same.
 `census.py --fingerprint OUT` writes a file and `census.py --compare A B`
 compares two; this module has no side effects, so tests import it.
 """
 import hashlib
 import json
 
-COUNTS = ("grad_evals", "objective_evals", "rounds")
+COUNTS = ("grad_evals", "objective_evals", "rounds", "trials")
 
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def report_fields(seed: int, report: dict) -> dict:
+    """A verify report's fields in a fingerprint file, from the report's
+    `to_json_dict` and the suite seed that made it."""
+    return {"seed": seed, "check": report["lemma"],
+            "status": "passed" if report["passed"] else "failed",
+            "trials": report["trials"],
+            "report_sha256": digest(json.dumps(report,
+                                               sort_keys=True).encode())}
 
 
 def write(path, runs) -> None:

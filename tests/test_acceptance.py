@@ -11,8 +11,7 @@ import time
 import numpy as np
 
 from tuckersearch.cli import main
-from tuckersearch.escape import (delta_grid, sample_missing_directions,
-                                 sign_flip_search)
+from tuckersearch.escape import sample_missing_directions, sign_flip_search
 from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     grad, grad_loss, grad_phi, hvp, objective,
                                     reg, reg_phi)
@@ -161,13 +160,11 @@ def test_criterion_06_origin_saddle_escape():
         v = (1.0 / v.norm()) * v
         hcurv = max(hcurv, abs(v.inner(hvp(p, v, T))))
     splits = subspace_split(p, sigma)
-    grid = delta_grid(sigma, 3)
     lam = default_lambda(r)
     wins = 0
     for _ in range(100):
-        deltas = sample_missing_directions(splits, (2, 2, 2), rng, 1)
-        res = sign_flip_search(p, T, deltas, grid, lam)[0]
-        wins += res.improvement > 0.0
+        _, deltas = sample_missing_directions(splits, [(2, 2, 2)], rng, 1)
+        wins += sign_flip_search(p, T, deltas, lam).improvements[0] > 0.0
     _verdict("origin flat saddle escape",
              gn <= 1e-10 and hcurv <= 1e-8 and wins >= 30,
              f"grad {gn:.1e}, curvature {hcurv:.1e}, {wins}/100 improved")

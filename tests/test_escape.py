@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tuckersearch.escape import (NoMissingDirection, _expansion, delta_grid,
-                                 sample_missing_directions, sign_flip_search,
-                                 sign_step_values)
+import tuckersearch.escape as escape_module
+from tuckersearch.escape import (_GRIDS, _expansion, sample_missing_directions,
+                                 sign_flip_search)
 from tuckersearch.objective import eval_along, objective
 from tuckersearch.search import SAMPLED_BLOCKS
 from tuckersearch.subspace import subspace_split
 from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
                                       norm_f, random_point, trilinear)
+
+from escape_tools import mode_split, sign_patterns, sign_step_values
 
 
 def outer3(a, b, c):
@@ -20,16 +22,21 @@ def outer3(a, b, c):
 
 
 def sampled(splits, ijk, rng, size=1):
-    """The sampler's draws, each as the FactorPoint of its flat vector."""
-    ms = splits.modes[0]
-    template = FactorPoint.zeros(ms.v1.shape[0], ms.u1.shape[0])
-    return [template._like(flat) for flat in
-            sample_missing_directions(splits, ijk, rng, size)]
+    """The sampler's draws of the label ijk, each as the FactorPoint of its
+    flat vector; none where the label has no directions."""
+    template = FactorPoint.zeros(splits.V.shape[1], splits.U.shape[1])
+    _, flats = sample_missing_directions(splits, (ijk,), rng, size)
+    return [template._like(flat) for stack in flats for flat in stack]
 
 
 def stack(*deltas):
     """The flat vectors of the FactorPoints deltas, one per row."""
     return np.stack([q.flat for q in deltas])
+
+
+def search(p, T, *deltas, lam=None, at=None):
+    """The sign search of the FactorPoints deltas as one stack."""
+    return sign_flip_search(p, T, stack(*deltas)[None], lam, at=at)
 
 
 def _generic_setup(seed=229, r=2, d=4, sigma=0.1):
@@ -62,7 +69,7 @@ def test_sampled_vectors_live_in_their_subspaces():
             delta, ambient, coeff = draw_with_vectors(splits, ijk, rng)
             assert norm_f(delta.S) == pytest.approx(1.0, abs=1e-12)
             for m, (idx, M) in enumerate(zip(ijk, delta.factors)):
-                ms = splits.modes[m]
+                ms = mode_split(splits, m)
                 Sm = np.moveaxis(delta.S, m, 0).reshape(p.r, -1)
                 if idx == 1:
                     assert not M.any()
@@ -73,7 +80,7 @@ def test_sampled_vectors_live_in_their_subspaces():
                     t = np.kron(*(coeff[k] for k in range(3) if k != m))
                     y = large_part(ms).T @ (Sm @ t)
                     c = float(y @ ambient[m])
-                    assert c >= splits.sigma
+                    assert c >= 0.1    # the split's threshold
                     np.testing.assert_allclose(y, c * ambient[m],
                                                atol=1e-12)
                 else:
@@ -83,36 +90,54 @@ def test_sampled_vectors_live_in_their_subspaces():
                     assert np.linalg.norm(M @ ms.u1) <= 1e-10
 
 
-def test_sampler_raises_when_no_rows_left():
-    # factors already use their only coefficient row: nothing to add
+def test_sampler_leaves_out_labels_without_rows():
+    # factors already use their only coefficient row: no label has a
+    # complement direction in mode 1, and (1, 2, 2), whose mode 1 admits
+    # index 1, has none in mode 2; nothing is drawn
     e = np.eye(2)
     p = FactorPoint(np.ones((1, 1, 1)), e[:1], e[:1], e[:1])
     splits = subspace_split(p, sigma=0.5)
-    with pytest.raises(NoMissingDirection, match="mode 1"):
-        sample_missing_directions(splits, (2, 2, 2),
-                                  np.random.default_rng(0), 1)
-    # mode 1 admits index 1, mode 2 fails: nothing is drawn
     rng = np.random.default_rng(0)
     state = copy.deepcopy(rng.bit_generator.state)
-    with pytest.raises(NoMissingDirection, match="mode 2"):
-        sample_missing_directions(splits, (1, 2, 2), rng, 1)
+    drawn, flats = sample_missing_directions(splits, SAMPLED_BLOCKS, rng, 1)
+    assert drawn == () and flats.shape == (0, 1, p.flat.size)
     assert rng.bit_generator.state == state
 
 
-def test_sampler_raises_when_large_part_empty():
+def test_sampler_leaves_out_labels_without_large_part():
+    # the zero point's factors have no singular value above sigma: every
+    # label with an index 1 is left out, and (2, 2, 2) draws as alone
     p = FactorPoint.zeros(2, 3)
     splits = subspace_split(p, sigma=0.1)
-    with pytest.raises(NoMissingDirection, match="no singular values"):
-        sample_missing_directions(splits, (1, 2, 2),
-                                  np.random.default_rng(0), 1)
+    drawn, flats = sample_missing_directions(
+        splits, SAMPLED_BLOCKS, np.random.default_rng(0), 2)
+    _, alone = sample_missing_directions(
+        splits, ((2, 2, 2),), np.random.default_rng(0), 2)
+    assert drawn == ((2, 2, 2),)
+    assert flats.tobytes() == alone.tobytes()
 
 
 def test_sampler_rejects_bad_labels():
     p, T, splits, rng = _generic_setup()
     with pytest.raises(ValueError):
-        sample_missing_directions(splits, (0, 1, 2), rng, 1)
+        sample_missing_directions(splits, [(0, 1, 2)], rng, 1)
     with pytest.raises(ValueError):
-        sample_missing_directions(splits, (2, 2), rng, 1)
+        sample_missing_directions(splits, [(2, 2)], rng, 1)
+
+
+@pytest.mark.parametrize("labels", [
+    (2, 2, 2),              # a bare label, not a sequence of labels
+    [(2, 2, 2), (2, 2)],    # a label of the wrong length
+    [(2, 2.0, 2)],          # a label with an entry that is no integer
+])
+def test_sampler_takes_only_a_sequence_of_labels(labels):
+    # anything but a sequence of labels, each three integers, is refused
+    # with the label's ValueError before anything is drawn
+    p, T, splits, rng = _generic_setup()
+    state = copy.deepcopy(rng.bit_generator.state)
+    with pytest.raises(ValueError, match="three integers"):
+        sample_missing_directions(splits, labels, rng, 1)
+    assert rng.bit_generator.state == state
 
 
 def test_sampler_rejects_one_missing_labels():
@@ -123,17 +148,17 @@ def test_sampler_rejects_one_missing_labels():
     state = copy.deepcopy(rng.bit_generator.state)
     for ijk in ((1, 1, 2), (1, 2, 1), (2, 1, 1)):
         with pytest.raises(ValueError, match="two 2s"):
-            sample_missing_directions(splits, ijk, rng, 1)
+            sample_missing_directions(splits, [ijk], rng, 1)
     assert rng.bit_generator.state == state
 
 
 def test_sampler_is_deterministic_given_seed():
     p, T, splits, _ = _generic_setup()
-    v1 = sample_missing_directions(splits, (2, 2, 1),
-                                   np.random.default_rng(42), 3)
-    v2 = sample_missing_directions(splits, (2, 2, 1),
-                                   np.random.default_rng(42), 3)
-    assert v1.shape == (3, 2**3 + 3 * 2 * 4)
+    _, v1 = sample_missing_directions(splits, [(2, 2, 1)],
+                                      np.random.default_rng(42), 3)
+    _, v2 = sample_missing_directions(splits, [(2, 2, 1)],
+                                      np.random.default_rng(42), 3)
+    assert v1.shape == (1, 3, 2**3 + 3 * 2 * 4)
     assert np.array_equal(v1, v2)
 
 
@@ -141,9 +166,9 @@ def test_sampler_is_deterministic_given_seed():
     (2, 4, (2.0, 0.01)), (3, 5, (2.0, 1.5, 0.01)), (3, 6, (2.0, 0.01, 0.0)),
     (4, 6, (0.0, 0.0, 0.0, 0.0)), (2, 2, (2.0, 1.0))])
 def test_sampler_of_several_labels_is_the_one_label_loop(r, d, spectrum):
-    # several labels draw as one-label calls in order would, from one
-    # state, bit for bit, and leave the generator where the loop does; a
-    # label with an empty subspace is left out and draws nothing
+    # several labels draw as calls of one label each in order would, from
+    # one state, bit for bit, and leave the generator where the loop does;
+    # a label with an empty subspace is left out and draws nothing
     rng = np.random.default_rng(10 * r + d)
     mats = []
     for _ in range(3):
@@ -156,11 +181,9 @@ def test_sampler_of_several_labels_is_the_one_label_loop(r, d, spectrum):
     for size in (1, 4):
         loop, want = np.random.default_rng(size), []
         for ijk in order:
-            try:
-                want.append((ijk, sample_missing_directions(splits, ijk, loop,
-                                                            size)))
-            except NoMissingDirection:
-                pass
+            drawn, flats = sample_missing_directions(splits, [ijk], loop,
+                                                     size)
+            want.extend(zip(drawn, flats))
         one = np.random.default_rng(size)
         drawn, flats = sample_missing_directions(splits, order, one, size)
         assert drawn == tuple(ijk for ijk, _ in want)
@@ -197,7 +220,8 @@ def reference_vectors(splits, ijk, rng):
         return basis @ (g / np.linalg.norm(g))
 
     ambient, coeff = [], []
-    for ms, idx in zip(splits.modes, ijk):
+    for m, idx in enumerate(ijk):
+        ms = mode_split(splits, m)
         if idx == 1:
             a = unit_in_span(ms.u1)
             u = np.linalg.pinv(large_part(ms).T) @ a
@@ -241,7 +265,7 @@ def test_split_pseudoinverse_matches_numpy_pinv(seed):
         mats.append((V * spectrum) @ U.T)
     p = FactorPoint(rng.standard_normal((r, r, r)), *mats)
     splits = subspace_split(p, 0.1)
-    assert all(0 < ms.rank1 < r for ms in splits.modes)
+    assert all(0 < k < r for k in splits.ranks)
     for ijk in SAMPLED_BLOCKS:
         if 1 in ijk:
             draw_with_vectors(splits, ijk, rng)
@@ -286,41 +310,23 @@ def test_build_direction_rejects_full_block():
     p, T, splits, rng = _generic_setup()
     state = copy.deepcopy(rng.bit_generator.state)
     with pytest.raises(ValueError):
-        sample_missing_directions(splits, (1, 1, 1), rng, 1)
+        sample_missing_directions(splits, [(1, 1, 1)], rng, 1)
     assert rng.bit_generator.state == state
 
 
 def test_delta_grid_shape_and_centers():
-    g = delta_grid(0.05, 2)
-    assert g.shape == (13,)
-    assert g[6] == pytest.approx(0.05**0.25, rel=1e-12)
-    assert g[0] == pytest.approx(0.05**0.25 / 100.0, rel=1e-12)
-    assert g[-1] == pytest.approx(0.05**0.25 * 100.0, rel=1e-12)
-    ratios = g[1:] / g[:-1]
-    np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
-    g3 = delta_grid(0.05, 3)
-    assert g3[6] == pytest.approx(0.05**0.125, rel=1e-12)
-    with pytest.raises(ValueError):
-        delta_grid(0.0, 2)
-    with pytest.raises(ValueError):
-        delta_grid(0.1, 4)
-    # one missing mode is not an escape label
-    with pytest.raises(ValueError):
-        delta_grid(0.1, 1)
-
-
-def test_delta_grid_is_computed_once_and_read_only():
-    # a run asks for the same two grids in every escape round; each is
-    # made once, its values those of np.geomspace, and no caller can
-    # change it for the others
+    # 13 log-spaced steps over [center / 100, center * 100], the center
+    # SIGMA^(1/4) for two missing modes and SIGMA^(1/8) for three, and no
+    # grid for one
+    assert set(_GRIDS) == {2, 3}
     for n_missing, center in ((2, 0.05**0.25), (3, 0.05**0.125)):
-        g = delta_grid(0.05, n_missing)
-        assert delta_grid(0.05, n_missing) is g
-        assert np.array_equal(g, np.geomspace(center / 100.0,
-                                              center * 100.0, 13))
-        assert not g.flags.writeable
-        with pytest.raises(ValueError):
-            g[0] = 1.0
+        g = _GRIDS[n_missing]
+        assert g.shape == (13,)
+        assert g[6] == pytest.approx(center, rel=1e-12)
+        assert g[0] == pytest.approx(center / 100.0, rel=1e-12)
+        assert g[-1] == pytest.approx(center * 100.0, rel=1e-12)
+        ratios = g[1:] / g[:-1]
+        np.testing.assert_allclose(ratios, ratios[0], rtol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +334,10 @@ def test_delta_grid_is_computed_once_and_read_only():
 
 
 def test_sign_search_at_origin_matches_closed_form():
+    # at the origin f along t d is |T|^2 - 2 t^4 b + t^8 q, and a sampled
+    # (2,2,2) direction keeps the point balanced (phi = 0), so q = |X_d|^2
+    # = 1: the search takes t = |b|^(1/4), the core flipped where b < 0,
+    # and gains b^2
     rng = np.random.default_rng(241)
     d = 4
     T = rng.standard_normal((d, d, d))
@@ -335,15 +345,15 @@ def test_sign_search_at_origin_matches_closed_form():
     p = FactorPoint.zeros(2, d)
     splits = subspace_split(p, sigma=0.05)
     direction, (a, b, c), _ = draw_with_vectors(splits, (2, 2, 2), rng)
-    grid = delta_grid(splits.sigma, 3)
-    res = sign_flip_search(p, T, stack(direction), grid)[0]
-    tval = abs(trilinear(T, a, b, c))
-    expect = max(2.0 * s**4 * tval - s**8 for s in grid)
-    assert res.improvement == pytest.approx(expect, rel=1e-9, abs=1e-12)
+    found = search(p, T, direction)
+    tval = trilinear(T, a, b, c)
+    assert found.improvements[0] == pytest.approx(tval**2, rel=1e-9)
+    assert found.steps[0] == pytest.approx(abs(tval) ** 0.25, rel=1e-9)
+    assert _pattern(found, 0, direction) == (np.sign(tval), 1, 1, 1)
     assert objective(p, T).f == pytest.approx(1.0, rel=1e-12)
-    assert 1.0 - res.improvement == pytest.approx(
-        objective(res.apply(p), T).f, rel=1e-12)
-    assert res.improvement > 0
+    assert 1.0 - found.improvements[0] == pytest.approx(
+        objective(found.apply(0), T).f, rel=1e-12)
+    assert found.evals.tolist() == [2]
 
 
 def test_sign_search_never_returns_a_worse_point():
@@ -353,11 +363,11 @@ def test_sign_search_never_returns_a_worse_point():
     p = FactorPoint.zeros(1, 3)
     delta = FactorPoint(np.ones((1, 1, 1)), e[2][None, :], e[2][None, :],
                         e[2][None, :])
-    res = sign_flip_search(p, T, stack(delta), [10.0, 20.0])[0]
-    assert res.step == 0.0
-    assert res.improvement == 0.0
-    assert res.apply(p) is not None
-    assert objective(res.apply(p), T).f == objective(p, T).f
+    found = search(p, T, delta)
+    assert found.steps[0] == 0.0
+    assert found.improvements[0] == 0.0
+    assert found.deltas[0].tobytes() == delta.flat.tobytes()
+    assert objective(found.apply(0), T).f == objective(p, T).f
 
 
 def test_sign_search_explores_flips():
@@ -368,61 +378,68 @@ def test_sign_search_explores_flips():
     p = FactorPoint.zeros(2, d)
     splits = subspace_split(p, sigma=0.05)
     [direction] = sampled(splits, (2, 2, 2), rng)
-    grid = delta_grid(splits.sigma, 3)
-    res = sign_flip_search(p, T, stack(direction), grid)[0]
-    assert res.improvement > 0
-    assert _pattern(res, direction) is not None
+    found = search(p, T, direction)
+    assert found.improvements[0] > 0
+    assert _pattern(found, 0, direction) is not None
     # flipping all active signs is the same as negating the step, so the
-    # search must do at least as well as either orientation of the raw delta
+    # search must do at least as well as either orientation of the raw
+    # delta on the grid
+    grid = _GRIDS[3]
     raw = min(r.f for _, r in eval_along(p, direction, T,
                                          list(grid) + [-s for s in grid]))
-    assert objective(p, T).f - res.improvement <= raw + 1e-12
+    assert objective(p, T).f - found.improvements[0] <= raw + 1e-12
 
 
 def test_sign_search_rejects_zero_direction(monkeypatch):
-    import tuckersearch.escape as escape_module
     calls = []
     monkeypatch.setattr(escape_module, "objective",
                         lambda *args: calls.append(args))
     p = FactorPoint.zeros(1, 2)
-    with pytest.raises(ValueError, match="identically zero"):
-        sign_flip_search(p, np.zeros((2, 2, 2)), stack(p), [0.1])
+    with pytest.raises(ValueError, match="core and two or three"):
+        search(p, np.zeros((2, 2, 2)), p)
     assert calls == []
+
+
+@pytest.mark.parametrize("moved", [(0,), (0, 1), (0, 3), (1, 2, 3)])
+def test_sign_search_rejects_stacks_that_move_too_few_blocks(moved):
+    # a stack must move the core and two or three factors, the blocks of a
+    # sampled label, whose count fixes its step grid: one that moves only
+    # the core, the core and one factor, or no core is refused, before f
+    # at p is taken, away from the zero point and at it
+    p, T, splits, rng = _generic_setup()
+    direction = FactorPoint(*(blk if b in moved else 0.0 * blk for b, blk in
+                              enumerate(random_point(p.r, p.d, rng).blocks())))
+    for at in (p, FactorPoint.zeros(p.r, p.d)):
+        with pytest.raises(ValueError, match="core and two or three"):
+            search(at, T, direction, direction, at=objective(at, T))
 
 
 def test_sign_search_counts_its_evaluations():
     p, T, splits, rng = _generic_setup()
-    deltas = sample_missing_directions(splits, (1, 2, 2), rng, 1)
-    grid = delta_grid(0.1, 2)
-    res = sign_flip_search(p, T, deltas, grid)[0]
+    _, deltas = sample_missing_directions(splits, [(1, 2, 2)], rng, 1)
+    found = sign_flip_search(p, T, deltas)
     # the baseline at p, then every sign of core, B and C at every step
-    assert res.evals == 1 + len(grid) * 2 ** 3
-    empty = sign_flip_search(p, T, deltas, [])[0]
-    assert (empty.evals, empty.step, empty.improvement) == (1, 0.0, 0.0)
+    assert found.evals.tolist() == [1 + len(_GRIDS[2]) * 2 ** 3]
+    assert sign_flip_search(p, T, deltas, at=objective(p, T)).evals.tolist() \
+        == [len(_GRIDS[2]) * 2 ** 3]
 
 
 def _loop_patterns(direction):
     """The sign patterns in the per-candidate loop's order: the k-th
     nonzero block of the direction flipped when bit k is set."""
-    blocks = direction.blocks()
-    active = [i for i, blk in enumerate(blocks) if np.any(blk != 0.0)]
-    out = []
-    for bits in range(2 ** len(active)):
-        signs = [1] * 4
-        for pos, i in enumerate(active):
-            if bits >> pos & 1:
-                signs[i] = -1
-        out.append(signs)
-    return out
+    return sign_patterns([i for i, blk in enumerate(direction.blocks())
+                          if np.any(blk != 0.0)])
 
 
-def _pattern(res, direction):
-    """The sign pattern a search result applied to direction, one sign per
-    block (S, A, B, C), or None where it took no step."""
-    if res.step == 0.0:
+def _pattern(found, k, direction):
+    """The sign pattern the search results `found` applied to direction k,
+    the FactorPoint direction, one sign per block (S, A, B, C), or None
+    where it took no step."""
+    if found.steps[k] == 0.0:
         return None
     return tuple(-1 if blk.any() and np.array_equal(got, -blk) else 1
-                 for got, blk in zip(res.delta.blocks(), direction.blocks()))
+                 for got, blk in zip(direction._like(found.deltas[k]).blocks(),
+                                     direction.blocks()))
 
 
 def _reference_sign_search(p, T, direction, grid, lam=None):
@@ -467,21 +484,18 @@ def _escape_instance(r, d, norm, seed):
     return p, T, subspace_split(p, sigma), sigma, rng
 
 
-def _escape_directions(p, T, splits, sigma, rng):
+def _escape_directions(p, T, splits, rng):
     """(label, direction, grid) for one draw of every sampled block and one
     direction moving all four blocks, skipping the blocks the instance does
-    not admit."""
+    not admit; the grid is the one the sign search takes for the blocks
+    the direction moves."""
     out = []
     for ijk in SAMPLED_BLOCKS:
-        n_missing = sum(1 for x in ijk if x == 2)
-        try:
-            [direction] = sampled(splits, ijk, rng)
-        except NoMissingDirection:
-            continue
-        out.append((f"missing{n_missing}", direction,
-                    delta_grid(sigma, n_missing)))
+        n_missing = ijk.count(2)
+        for direction in sampled(splits, ijk, rng):
+            out.append((f"missing{n_missing}", direction, _GRIDS[n_missing]))
     full = random_point(p.r, p.d, rng, scale=float(np.abs(p.flat).max()))
-    out.append(("all_blocks", full, delta_grid(sigma, 3)))
+    out.append(("all_blocks", full, _GRIDS[3]))
     return out
 
 
@@ -528,7 +542,7 @@ def test_expansion_matches_explicit_subset_transforms(r, n, origin):
     p = FactorPoint.zeros(r, d) if origin else random_point(r, d, rng)
     deltas = [random_point(r, d, rng) for _ in range(n)]
     D = rng.standard_normal((d, d, d))
-    gram, proj, basis = _expansion(p, np.stack([q.flat for q in deltas]), D)
+    gram, proj, basis = _expansion(p, stack(*deltas)[None], D)
     assert basis.shape == (n, 3, 5, r * r)
     for k, delta in enumerate(deltas):
         X = _subset_transforms(p, delta)
@@ -549,9 +563,9 @@ def test_sign_search_matches_the_per_candidate_loop(r, d):
     kinds = set()
     for norm in (1e-2, 1.0, 1e2):
         for lam in (0.0, None):
-            p, T, splits, sigma, rng = _escape_instance(r, d, norm, 10 * r + d)
+            p, T, splits, _, rng = _escape_instance(r, d, norm, 10 * r + d)
             for label, direction, grid in _escape_directions(p, T, splits,
-                                                             sigma, rng):
+                                                             rng):
                 kinds.add(label)
                 step, pattern, evals, f_after, ref = _reference_sign_search(
                     p, T, direction, grid, lam)
@@ -568,13 +582,13 @@ def test_sign_search_matches_the_per_candidate_loop(r, d):
                     scale = np.maximum(scale, _term_scale(
                         p, T, direction, patterns, grid))
                 assert np.all(np.abs(got - ref) <= 1e-12 * scale), label
-                res = sign_flip_search(p, T, stack(direction), grid, lam)[0]
-                assert res.step == step, label
-                assert _pattern(res, direction) == pattern, label
-                assert res.evals == evals
+                found = search(p, T, direction, lam=lam)
+                assert found.steps[0] == step, label
+                assert _pattern(found, 0, direction) == pattern, label
+                assert found.evals.tolist() == [evals]
                 f0 = objective(p, T, lam).f
-                assert abs(res.improvement - (f0 - f_after)) <= 1e-12 * max(
-                    f_after, f0), label
+                assert abs(found.improvements[0] - (f0 - f_after)) <= \
+                    1e-12 * max(f_after, f0), label
     want = {"all_blocks"}
     if r > 1:
         want |= {"missing2", "missing3"}
@@ -582,10 +596,10 @@ def test_sign_search_matches_the_per_candidate_loop(r, d):
 
 
 def _every_pattern_values(at, deltas, patterns, grid):
-    """sign_step_values with each mode's Gram gap formed for every
+    """`sign_step_values` with each mode's Gram gap formed for every
     (pattern, step) candidate, as one einsum over (mode, entry): the
     reference for the gaps formed once per sign pair (s_m, s_S)."""
-    gram, proj, basis = _expansion(at.point, deltas, at.stages[2])
+    gram, proj, basis = _expansion(at.point, deltas[None], at.stages[2])
     a = (patterns[:, None, :] * grid[:, None]).reshape(-1, 4)
     c = np.empty((len(a), 16))
     c[:, 0] = 1.0
@@ -612,10 +626,9 @@ def test_sign_pair_gaps_equal_every_patterns_gaps_bit_for_bit(r, d):
     # bit when the gaps are formed for the four sign pairs and gathered
     checked = 0
     for norm in (1e-2, 1.0, 1e2):
-        p, T, splits, sigma, rng = _escape_instance(r, d, norm, 3 * r + d)
+        p, T, splits, _, rng = _escape_instance(r, d, norm, 3 * r + d)
         at = objective(p, T)
-        for label, direction, grid in _escape_directions(p, T, splits,
-                                                         sigma, rng):
+        for label, direction, grid in _escape_directions(p, T, splits, rng):
             patterns = np.array(_loop_patterns(direction), dtype=float)
             deltas = stack(direction, -1.5 * direction)
             got = sign_step_values(at, deltas, patterns, grid)
@@ -625,48 +638,60 @@ def test_sign_pair_gaps_equal_every_patterns_gaps_bit_for_bit(r, d):
     assert checked > 0
 
 
-def test_sign_search_skips_overflowing_candidates():
+def test_sign_search_skips_overflowing_candidates(monkeypatch):
+    # candidates whose values overflow, to inf or to NaN, among them the
+    # ones a bare argmin would take: the first smallest finite value wins
     p, T, splits, rng = _generic_setup()
     [direction] = sampled(splits, (2, 2, 2), rng)
-    grid = [1e90, 0.05, 0.1, 0.2, 1e150]
-    with np.errstate(all="ignore"):
-        values = sign_step_values(objective(p, T), stack(direction),
-                                  _loop_patterns(direction), grid)[0]
-        step, pattern, evals, f_after, _ = _reference_sign_search(
-            p, T, direction, grid)
-        res = sign_flip_search(p, T, stack(direction), grid)[0]
-    # a bare argmin would land on the first NaN
-    assert np.isnan(values).any()
+    step_values = escape_module._step_values
+    seen = []
+
+    def overflowing(*args):
+        values = step_values(*args)
+        best = np.unravel_index(np.argmin(values), values.shape)
+        values[best] = np.nan
+        values[..., -1] = np.inf
+        seen.append(values)
+        return values
+
+    monkeypatch.setattr(escape_module, "_step_values", overflowing)
+    found = search(p, T, direction)
+    [values] = seen
+    # a bare argmin would land on the NaN
     assert np.isnan(values.ravel()[np.argmin(values)])
-    assert step in (0.05, 0.1, 0.2)
-    assert res.step == step and _pattern(res, direction) == pattern
-    assert np.isfinite(res.improvement) and res.improvement > 0
-    assert res.improvement == objective(p, T).f - np.nanmin(
-        np.where(np.isinf(values), np.nan, values))
+    finite = np.where(np.isfinite(values), values, np.inf).ravel()
+    k = int(np.argmin(finite))
+    patterns, grid = _loop_patterns(direction), _GRIDS[3]
+    assert found.steps[0] == grid[k % len(grid)]
+    assert _pattern(found, 0, direction) == tuple(patterns[k // len(grid)])
+    assert np.isfinite(found.improvements[0])
+    assert found.improvements[0] == objective(p, T).f - finite[k] > 0
 
 
 def test_sign_search_keeps_the_first_of_exact_ties():
-    # at the origin only the all-blocks term of the expansion survives, so
-    # f depends on the signs through their product alone: eight patterns
+    # at a point with a core and zero factors only the terms of the
+    # expansion that take all three factor deltas survive, and the Gram
+    # gaps do not see a factor's sign, so f depends on the signs through
+    # the core's and the product of the factors' alone: four patterns
     # tie exactly for the best value
     rng = np.random.default_rng(241)
     d = 4
     T = rng.standard_normal((d, d, d))
     T /= norm_f(T)
-    p = FactorPoint.zeros(2, d)
+    p = FactorPoint(rng.standard_normal((2, 2, 2)), *np.zeros((3, 2, d)))
     splits = subspace_split(p, sigma=0.05)
     [direction] = sampled(splits, (2, 2, 2), rng)
-    grid = delta_grid(splits.sigma, 3)
     patterns = _loop_patterns(direction)
     values = sign_step_values(objective(p, T), stack(direction), patterns,
-                              grid)[0]
+                              _GRIDS[3])[0]
     best = values.min()
     rows = [i for i in range(len(patterns)) if values[i].min() == best]
-    assert len(rows) == 8
-    res = sign_flip_search(p, T, stack(direction), grid)[0]
-    assert _pattern(res, direction) == tuple(patterns[rows[0]])
-    step, pattern, _, _, _ = _reference_sign_search(p, T, direction, grid)
-    assert (res.step, _pattern(res, direction)) == (step, pattern)
+    assert len(rows) == 4
+    found = search(p, T, direction)
+    assert _pattern(found, 0, direction) == tuple(patterns[rows[0]])
+    step, pattern, _, _, _ = _reference_sign_search(p, T, direction,
+                                                    _GRIDS[3])
+    assert (found.steps[0], _pattern(found, 0, direction)) == (step, pattern)
 
 
 @pytest.mark.parametrize("r,d", [(2, 5), (3, 7)])
@@ -680,7 +705,7 @@ def test_stacked_sign_search_matches_one_direction_at_a_time(r, d):
     for ijk in ((2, 2, 2), (1, 2, 2)):
         directions = [sampled(splits, ijk, rng)[0] for _ in range(4)]
         stacks[ijk] = directions
-        grid = delta_grid(sigma, sum(x == 2 for x in ijk))
+        grid = _GRIDS[ijk.count(2)]
         patterns = _loop_patterns(directions[0])
         stacked = sign_step_values(objective(p, T), stack(*directions),
                                    patterns, grid)
@@ -697,58 +722,55 @@ def test_stacked_sign_search_matches_one_direction_at_a_time(r, d):
                 f = objective(p + float(grid[col]) * signed, T).f
                 assert abs(stacked[k, row, col] - f) <= 1e-10 * max(
                     scale[row, col], f), (ijk, k, row, col)
-        results = sign_flip_search(p, T, stack(*directions), grid)
-        singles = [sign_flip_search(p, T, stack(q), grid)[0]
-                   for q in directions]
-        assert [(res.step, res.delta.flat.tobytes()) for res in results] == \
-            [(res.step, res.delta.flat.tobytes()) for res in singles]
-        assert any(res.improvement > 0 for res in results)
+        results = search(p, T, *directions)
+        singles = [search(p, T, q) for q in directions]
+        assert [(x.steps[0], x.deltas[0].tobytes()) for x in singles] == \
+            list(zip(results.steps, map(bytes, results.deltas)))
+        assert (results.improvements > 0).any()
         # f at p is computed, and counted, once for the whole stack
-        assert sum(res.evals for res in results) == 1 + stacked.size
+        assert results.evals.sum() == 1 + stacked.size
     with pytest.raises(ValueError, match="nonzero blocks"):
-        sign_flip_search(p, T, stack(stacks[2, 2, 2][0], stacks[1, 2, 2][0]),
-                         delta_grid(sigma, 3))
+        search(p, T, stacks[2, 2, 2][0], stacks[1, 2, 2][0])
     with pytest.raises(ValueError):
-        sign_flip_search(p, T, np.empty((0, p.flat.size)),
-                         delta_grid(sigma, 3))
+        sign_flip_search(p, T, np.empty((1, 0, p.flat.size)))
 
 
 @pytest.mark.parametrize("r,d", [(2, 5), (3, 7)])
 def test_sign_search_of_several_stacks_is_one_search_per_stack(r, d):
-    # stacks of several labels, with their own grids, scored by one call
-    # give every field of a call per stack, bit for bit, and the one-label
-    # results; f at p is computed, and counted, once for the whole call
+    # stacks of several labels, each on the grid of its count of blocks,
+    # scored by one call give every field of a call per stack, bit for
+    # bit; f at p is computed, and counted, once for the whole call
     p, T, splits, sigma, rng = _escape_instance(r, d, 1.0, 11 * r + d)
     drawn, flats = sample_missing_directions(splits, SAMPLED_BLOCKS, rng, 3)
     assert len(drawn) == 4
-    grids = [delta_grid(sigma, ijk.count(2)) for ijk in drawn]
-    found = sign_flip_search(p, T, flats, grids)
-    assert len(found) == 12
-    singles = [res for stack, grid in zip(flats, grids)
-               for res in sign_flip_search(p, T, stack, grid)]
-    assert [_result_fields(x) for x in found] == \
-        [_result_fields(x) for x in singles]
-    assert [x.evals for x in found] == \
-        [x.evals - (k % 3 == 0 and k > 0) for k, x in enumerate(singles)]
-    assert found.evals.sum() == sum(x.evals for x in singles) - 3
-    # the winner's point is the one its result applies
+    found = sign_flip_search(p, T, flats)
+    assert len(found.steps) == 12
+    singles = [sign_flip_search(p, T, x[None]) for x in flats]
+    for name in ("steps", "deltas", "improvements"):
+        assert getattr(found, name).tobytes() == b"".join(
+            getattr(x, name).tobytes() for x in singles), name
+    assert found.evals.tolist() == [
+        n - (k % 3 == 0 and k > 0) for k, n in
+        enumerate(np.concatenate([x.evals for x in singles]).tolist())]
+    assert found.evals.sum() == sum(x.evals.sum() for x in singles) - 3
+    # the winner's point is the one its stack's search applies
     k = found.best()
-    assert found.improvements[k] == max(x.improvement for x in singles) > 0
+    assert found.improvements[k] == max(x.improvements.max()
+                                        for x in singles) > 0
     assert found.apply(k).flat.tobytes() == \
-        singles[k].apply(p).flat.tobytes()
-    # a stack whose directions move different blocks is refused, and so
-    # is a count of grids that is neither one nor one per stack
+        singles[k // 3].apply(k % 3).flat.tobytes()
+    # a stack whose directions move different blocks is refused
     mixed = flats.copy()
     mixed[1, 0] = flats[3, 0]
     with pytest.raises(ValueError, match="nonzero blocks"):
-        sign_flip_search(p, T, mixed, grids)
-    with pytest.raises(ValueError):
-        sign_flip_search(p, T, flats, grids[:2])
+        sign_flip_search(p, T, mixed)
 
 
-def _result_fields(res):
-    """Every field of a SignSearchResult but evals, the delta as bytes."""
-    return res.delta.flat.tobytes(), res.step, res.improvement
+def _result_fields(found):
+    """The steps, signed deltas and improvements of the results, as
+    bytes."""
+    return (found.steps.tobytes(), found.deltas.tobytes(),
+            found.improvements.tobytes())
 
 
 @settings(max_examples=25, deadline=None)
@@ -759,7 +781,6 @@ def test_sign_search_from_a_report_matches_a_fresh_baseline(
     # f and the residual at p taken from p's report give every field of
     # the results bit for bit, and only the baseline's count goes; a
     # report of another point is ignored
-    import tuckersearch.escape as escape_module
     r, d = shape
     p, T, splits, sigma, rng = _escape_instance(r, d, norm, seed)
     rep = objective(p, T, lam)
@@ -770,23 +791,19 @@ def test_sign_search_from_a_report_matches_a_fresh_baseline(
         baselines.append(1)
         return objective(*args, **kwargs)
 
-    for _, direction, grid in _escape_directions(p, T, splits, sigma, rng):
-        fresh = sign_flip_search(p, T, stack(direction, direction), grid,
-                                 lam)
+    for _, direction, _ in _escape_directions(p, T, splits, rng):
+        fresh = search(p, T, direction, direction, lam=lam)
         escape_module.objective, saved = counting, escape_module.objective
         try:
-            cached = sign_flip_search(p, T, stack(direction, direction),
-                                      grid, lam, at=rep)
+            cached = search(p, T, direction, direction, lam=lam, at=rep)
             assert baselines == []
-            ignored = sign_flip_search(p, T, stack(direction, direction),
-                                       grid, lam, at=other)
+            ignored = search(p, T, direction, direction, lam=lam, at=other)
             assert baselines == [1]
             baselines.clear()
         finally:
             escape_module.objective = saved
-        assert [_result_fields(x) for x in cached] == \
-            [_result_fields(x) for x in fresh]
-        assert [x.evals for x in cached] == \
-            [fresh[0].evals - 1, fresh[1].evals]
-        assert [(_result_fields(x), x.evals) for x in ignored] == \
-            [(_result_fields(x), x.evals) for x in fresh]
+        assert _result_fields(cached) == _result_fields(fresh)
+        assert cached.evals.tolist() == [fresh.evals[0] - 1, fresh.evals[1]]
+        assert _result_fields(ignored) == _result_fields(fresh)
+        assert ignored.evals.tolist() == fresh.evals.tolist()
+

@@ -1,3 +1,5 @@
+import json
+
 import fingerprints
 
 
@@ -36,3 +38,40 @@ def test_compare_of_equal_files_is_empty(tmp_path):
     assert len(a) == 3
     assert fingerprints.compare(a, fingerprints.read(tmp_path / "b.jsonl")) \
         == []
+
+
+def test_a_verify_report_line_holds_its_status_trials_and_digest(tmp_path):
+    # one line per (seed, check): the JSON of a report is digested with
+    # sorted keys, so equal reports give equal lines, and a changed
+    # detail, trial count or verdict shows in the comparison
+    report = {"lemma": "origin-flat-saddle", "trials": 102, "failures": 0,
+              "worst_margin": -0.7, "tolerance": 1e-8, "passed": True,
+              "details": {"improved_fraction": 1.0, "grad_norm": 0.0}}
+    line = fingerprints.report_fields(3, report)
+    assert line == {
+        "seed": 3, "check": "origin-flat-saddle", "status": "passed",
+        "trials": 102,
+        "report_sha256": fingerprints.digest(json.dumps(
+            report, sort_keys=True).encode())}
+    reordered = dict(reversed(report.items()))
+    assert fingerprints.report_fields(3, reordered) == line
+    moved = dict(report, details={"improved_fraction": 0.99,
+                                  "grad_norm": 0.0})
+    failed = dict(report, trials=101, failures=1, passed=False)
+    a = [dict(line, set="verify", index=0), dict(line, set="verify", index=1)]
+    b = [dict(line, set="verify", index=0),
+         dict(fingerprints.report_fields(3, moved), set="verify", index=1),
+         dict(fingerprints.report_fields(3, failed), set="verify", index=2)]
+    fingerprints.write(tmp_path / "a.jsonl", a)
+    fingerprints.write(tmp_path / "b.jsonl", b)
+    assert fingerprints.compare(fingerprints.read(tmp_path / "a.jsonl"),
+                                fingerprints.read(tmp_path / "b.jsonl")) == [
+        "verify 1: report_sha256",
+        "verify 2: only in B",
+    ]
+    a.append(dict(line, set="verify", index=2))
+    fingerprints.write(tmp_path / "a.jsonl", a)
+    assert fingerprints.compare(
+        fingerprints.read(tmp_path / "a.jsonl"),
+        fingerprints.read(tmp_path / "b.jsonl"))[1] == \
+        "verify 2: report_sha256, status passed -> failed, trials -1"

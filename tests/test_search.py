@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import tuckersearch.search as search_module
-from tuckersearch.escape import (delta_grid, sample_missing_directions,
-                                 sign_flip_search)
+from tuckersearch.escape import (_GRIDS, SignSearchResults,
+                                 sample_missing_directions, sign_flip_search)
 from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     eval_along, grad, grad_loss, hvp,
                                     objective, reg_phi, save_point)
@@ -23,6 +23,7 @@ from tuckersearch.subspace import subspace_split
 from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
                                       norm_f, random_point)
 
+from escape_tools import sign_patterns, sign_step_values
 from instances import desk_instance, exact_instance, noisy_desk_instance
 
 
@@ -824,38 +825,35 @@ def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
 
 
 def _predicted(p, deltas, worse):
-    """Scores in place of the sign search or the zero-point rule: every
-    direction steps by 1 to `worse` past p, with all signs +1 and a
-    predicted gain of 1e-9."""
-    from tuckersearch.escape import SignSearchResults
+    """Scores in place of the sign search: every direction steps by 1 to
+    `worse` past p, with a predicted gain of 1e-9."""
     n = deltas.size // p.flat.size
     return SignSearchResults(
-        point=p, deltas=np.tile(worse.flat, (n, 1)),
-        won=np.ones(n, dtype=bool), improvements=np.full(n, 1e-9),
-        evals=np.zeros(n, dtype=int), candidate=np.zeros(n, dtype=int),
-        tables=((np.ones((1, 4)), np.ones(1)),))
+        point=p, steps=np.ones(n), deltas=np.tile(worse.flat, (n, 1)),
+        improvements=np.full(n, 1e-9), evals=np.zeros(n, dtype=int))
 
 
 def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
-    # the zero-point rule predicts a gain of 1e-9 for a step that raises f:
-    # the run keeps its point and ends the round as if nothing had gained
-    # enough.  At the origin, where the descent stops after one gradient,
-    # that leaves the curvature probe, whose two products find H flat:
-    # status no_direction after 5 evaluations, with no second gradient
+    # the sign search at the zero point predicts a gain of 1e-9 for a step
+    # that raises f: the run keeps its point and ends the round as if
+    # nothing had gained enough.  At the origin, where the descent stops
+    # after one gradient, that leaves the curvature probe, whose two
+    # products find H flat: status no_direction after 5 evaluations, with
+    # no second gradient
     rng = np.random.default_rng(5)
     worse = random_point(2, 4, rng, scale=2.0)
     evaluated, scored = [], []
 
-    def predicting(at, deltas):
+    def predicting(p, T, deltas, lam=None, at=None):
         scored.append(at.point.norm())
-        return _predicted(at.point, deltas, worse)
+        return _predicted(p, deltas, worse)
 
     def recording(p, *args, **kwargs):
         rep = objective(p, *args, **kwargs)
         evaluated.append(rep.f)
         return rep
 
-    monkeypatch.setattr(search_module, "zero_point_search", predicting)
+    monkeypatch.setattr(search_module, "sign_flip_search", predicting)
     monkeypatch.setattr(search_module, "objective", recording)
     T = exact_instance(1, 4, 0)
     res = run(T, SearchConfig(r=2, seed=0))
@@ -886,7 +884,7 @@ def test_escape_round_refuses_a_sign_search_step_that_raises_f(
     rep = objective(_low_rank_point(2, 4, 1, rng), T, lam)
     searched = []
 
-    def predicting(p, T, deltas, grid, lam=None, at=None):
+    def predicting(p, T, deltas, lam=None, at=None):
         searched.append(at is rep)
         return _predicted(p, deltas, worse)
 
@@ -1539,17 +1537,18 @@ def test_accepted_sampled_step_matches_prediction():
     rng = np.random.default_rng(9)
     found = 0
     f0 = objective(p, T, lam).f
-    for delta in sample_missing_directions(splits, (2, 2, 2), rng, 20):
-        res = sign_flip_search(p, T, delta[None], delta_grid(0.05, 3),
-                               lam)[0]
-        if res.improvement <= 0.0:
+    _, deltas = sample_missing_directions(splits, [(2, 2, 2)], rng, 20)
+    res = sign_flip_search(p, T, deltas, lam)
+    for k, gain in enumerate(res.improvements):
+        if gain <= 0.0:
             continue
         found += 1
-        _, report = eval_along(p, res.delta, T, [res.step], lam)[0]
+        _, report = eval_along(p, p._like(res.deltas[k]), T,
+                               [res.steps[k]], lam)[0]
         predicted = report.f
-        assert abs((f0 - predicted) - res.improvement) <= 1e-10
-        realized = objective(res.apply(p), T, lam).f
-        assert abs(realized - (f0 - res.improvement)) <= 1e-10
+        assert abs((f0 - predicted) - gain) <= 1e-10
+        realized = objective(res.apply(k), T, lam).f
+        assert abs(realized - (f0 - gain)) <= 1e-10
     assert found >= 5
 
 
@@ -1681,10 +1680,10 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
         calls.extend([1] * values.size)
         return values
 
-    def closed_form(at, deltas):
+    def closed_form(at, flats):
         zero_rounds.append(1)
-        calls.extend([1] * (deltas.size // at.point.flat.size))
-        return zero_point(at, deltas)
+        calls.extend([1] * (flats.size // at.point.flat.size))
+        return zero_point(at, flats)
 
     def noting(splits, ijk, *args, **kwargs):
         drawn, flats = sample_missing(splits, ijk, *args, **kwargs)
@@ -1706,8 +1705,8 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
     monkeypatch.setattr(escape_module, "_step_values", scored)
     # at the zero point the round scores each draw in closed form, one
     # objective value per draw
-    zero_point = search_module.zero_point_search
-    monkeypatch.setattr(search_module, "zero_point_search", closed_form)
+    zero_point = escape_module._zero_point_search
+    monkeypatch.setattr(escape_module, "_zero_point_search", closed_form)
     sample_missing = search_module.sample_missing_directions
     monkeypatch.setattr(search_module, "sample_missing_directions", noting)
     # a gradient costs 1, a Hessian-vector product 2, a rebalance move 1
@@ -1764,13 +1763,13 @@ def test_escape_round_scores_each_block_label_in_one_sign_search(
         rounds[-1]["draws"] += 1
         return sample_missing_directions(*args, **kwargs)
 
-    def searching(p, T, deltas, grid, lam=None, at=None):
+    def searching(p, T, deltas, lam=None, at=None):
         # the blocks a direction moves name its kind: a sampled one moves
         # the core and the factors of its index-2 modes
         rounds[-1]["searches"].append(
             [[tuple(blk.any() for blk in p._like(row.copy()).blocks())
               for row in stack] for stack in deltas])
-        return sign_flip_search(p, T, deltas, grid, lam, at=at)
+        return sign_flip_search(p, T, deltas, lam, at=at)
 
     monkeypatch.setattr(search_module, "subspace_split", splitting)
     monkeypatch.setattr(search_module, "sample_missing_directions", drawing)
@@ -1795,30 +1794,28 @@ def test_escape_round_scores_each_block_label_in_one_sign_search(
 
 
 def _per_label_round(rep, T, lam, rng, samples):
-    """The escape round as a loop over SAMPLED_BLOCKS: one-label draws and
-    one sign search per label, the first of the largest gains, then the
-    winner's evaluation; returns (kind, report, step, gain, objective
-    values) or None."""
-    from tuckersearch.escape import NoMissingDirection
+    """The escape round as a loop over SAMPLED_BLOCKS: the draws of one
+    label and its sign search per label, the first of the largest gains,
+    then the winner's evaluation; returns (kind, report, step, gain,
+    objective values) or None."""
     splits = subspace_split(rep.point, search_module.SIGMA)
     cands, evals = [], 0
     for ijk in SAMPLED_BLOCKS:
-        try:
-            drawn = sample_missing_directions(splits, ijk, rng, samples)
-        except NoMissingDirection:
+        drawn, flats = sample_missing_directions(splits, [ijk], rng, samples)
+        if not drawn:
             continue
-        grid = delta_grid(search_module.SIGMA, ijk.count(2))
-        for res in sign_flip_search(rep.point, T, drawn, grid, lam, at=rep):
-            cands.append(("sampled({},{},{})".format(*ijk), res))
-            evals += res.evals
-    kind, best = max(cands, key=lambda c: c[1].improvement,
-                     default=(None, None))
-    if best is None or best.improvement < search_module.MIN_IMPROVEMENT:
+        found = sign_flip_search(rep.point, T, flats, lam, at=rep)
+        cands.extend(("sampled({},{},{})".format(*ijk), found, k)
+                     for k in range(samples))
+        evals += int(found.evals.sum())
+    kind, best, k = max(cands, key=lambda c: c[1].improvements[c[2]],
+                        default=(None, None, None))
+    if best is None or best.improvements[k] < search_module.MIN_IMPROVEMENT:
         return None
-    cand = objective(best.apply(rep.point), T, lam)
+    cand = objective(best.apply(k), T, lam)
     if search_module._rises(rep.f, cand.f):
         return None
-    return kind, cand, best.step, best.improvement, evals + 1
+    return kind, cand, float(best.steps[k]), best.improvements[k], evals + 1
 
 
 def _low_rank_point(r, d, rank, rng):
@@ -1835,14 +1832,15 @@ def _low_rank_point(r, d, rank, rng):
 
 def _zero_point_round(rep, T, lam, rng, samples):
     """The escape round at the zero point from arithmetic of its own: the
-    (2,2,2) draws of a one-label sampler call, and along each draw d, with
-    X = S_d(A_d, B_d, C_d), f(t d) = |T|^2 - 2 u b + u^2 q in u = t^4,
-    b = <T, X> and q = |X|^2 + lam phi(d)^2.  The first draw of the
+    draws of a sampler call of the label (2,2,2) alone, and along each
+    draw d, with X = S_d(A_d, B_d, C_d), f(t d) = |T|^2 - 2 u b + u^2 q in
+    u = t^4, b = <T, X> and q = |X|^2 + lam phi(d)^2.  The first draw of the
     largest b^2 / q steps to t = (|b| / q)^(1/4), its core flipped where
     b < 0; returns (kind, report, step, gain, objective values)."""
     splits = subspace_split(rep.point, search_module.SIGMA)
     best = None
-    for flat in sample_missing_directions(splits, (2, 2, 2), rng, samples):
+    _, flats = sample_missing_directions(splits, [(2, 2, 2)], rng, samples)
+    for flat in flats[0]:
         d = rep.point._like(flat)
         X = multilinear_transform(d.S, d.A, d.B, d.C)
         b = float(np.sum(T * X))
@@ -1857,8 +1855,8 @@ def _zero_point_round(rep, T, lam, rng, samples):
 
 @pytest.mark.parametrize("r,d", [(2, 4), (3, 8), (4, 9)])
 def test_one_pass_escape_round_matches_the_per_label_loop(r, d):
-    # the round draws, scores and picks as a loop over the labels with the
-    # one-label sampler and sign search would, from the same sampler
+    # the round draws, scores and picks as a loop over the labels with a
+    # sampler call and a sign search per label would, from the same sampler
     # state: the same kind, step, gain, point bytes and objective values,
     # at a full-rank point (no label draws) and at a rank-deficient one
     # (all four draw).  At the zero start (only (2,2,2) draws) it takes
@@ -1904,6 +1902,35 @@ def test_one_pass_escape_round_matches_the_per_label_loop(r, d):
     assert taken == {"zero", "deficient"}
 
 
+def test_the_zero_point_has_one_escape_rule(monkeypatch):
+    # verify's check of the origin and the first round of a zero-start run
+    # both score their draws by the closed form, and no step grid is
+    # scored at p = 0; the run's later rounds score grids away from it
+    import tuckersearch.escape as escape_module
+    from tuckersearch.verify import gallery_origin
+    zero_point = escape_module._zero_point_search
+    step_values = escape_module._step_values
+    calls = []
+
+    def closed_form(at, flats):
+        calls.append(("closed form", bool(at.point.flat.any())))
+        return zero_point(at, flats)
+
+    def grid(at, *args):
+        calls.append(("grid", bool(at.point.flat.any())))
+        return step_values(at, *args)
+
+    monkeypatch.setattr(escape_module, "_zero_point_search", closed_form)
+    monkeypatch.setattr(escape_module, "_step_values", grid)
+    assert gallery_origin(np.random.default_rng(0)).passed
+    assert calls == [("closed form", False)]
+    calls.clear()
+    res = run(exact_instance(2, 4, 0), SearchConfig(r=2, seed=0))
+    assert res.status == "converged"
+    assert calls[0] == ("closed form", False)
+    assert ("grid", True) in calls and ("grid", False) not in calls
+
+
 @pytest.mark.parametrize("r,d", [(1, 3), (2, 4), (2, 8), (3, 6), (4, 9)])
 def test_zero_point_round_takes_the_exact_step_along_its_draws(r, d):
     # at the zero point f along a draw t d is quadratic in u = t^4, so the
@@ -1914,7 +1941,8 @@ def test_zero_point_round_takes_the_exact_step_along_its_draws(r, d):
     # only what its one sampler call draws
     lam = default_lambda(r)
     p = FactorPoint.zeros(r, d)
-    grid = delta_grid(search_module.SIGMA, 3)
+    grid = _GRIDS[3]
+    patterns = sign_patterns(range(4))
     for T in (exact_instance(r, d, 3), noisy_desk_instance(r, d, 3, 5e-2)):
         rep = objective(p, T, lam)
         for seed in range(3):
@@ -1933,8 +1961,8 @@ def test_zero_point_round_takes_the_exact_step_along_its_draws(r, d):
                 subspace_split(p, search_module.SIGMA), SAMPLED_BLOCKS,
                 alone, 6)
             assert rng.bit_generator.state == alone.bit_generator.state
-            found = sign_flip_search(p, T, drawn, grid, lam, at=rep)
-            assert want[3] >= found.improvements.max() > 0.0
+            values = sign_step_values(rep, drawn[0], patterns, grid)
+            assert want[3] >= rep.f - values.min() > 0.0
 
 
 def test_run_raises_on_non_finite_objective():
