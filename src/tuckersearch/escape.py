@@ -25,35 +25,36 @@ the leading improvement term dominates; so a direction's grid is fixed by
 the blocks it moves, the core and two or three factors.
 
 The sign search scores a direction without evaluating f at each
-candidate.  A candidate moves block b of (S, A, B, C) by a_b = t s_b, and
-S(A, B, C) is multilinear, so its residual is D + sum_U c_U X_U over the
-nonempty subsets U of the blocks, with c_U the product of a_b over U and
-X_U the transform that takes the direction's block for b in U.  The Gram
-matrix <X_U, X_V>, the products <D, X_U> and the pieces of the Gram gaps
-(quadratic in a_m and a_S) are r x r or r^3 sized.  They are formed for
-a whole stack of directions at once, the directions on a leading axis,
-and every (sign pattern, step) candidate is then a few small array
-products.
+candidate.  A candidate moves block b of (S, A, B, C) by t s_b, and
+S(A, B, C) is multilinear, so f along it is a polynomial of degree 8 in
+t: the fit term sums t^(|U| + |V|) times the Gram entries <X_U, X_V> and
+t^|U| times the products <D, X_U> of the subset transforms X_U, each
+signed by the product of the signs over U and V; each Gram gap is
+quadratic in t, so phi has degree 4 and R = phi^2 degree 8.  Its
+coefficients for all 16 sign patterns are fixed linear maps of these
+r x r or r^3 sized products, which are formed for a whole stack of
+directions at once, the directions on a leading axis; every (sign
+pattern, step) candidate is then one small matrix product.
 
 The zero point needs no sign search.  There every block of the point is
 zero, so only the label (2,2,2) draws, every X_U but X_{SABC} = X_d
-vanishes, and each Gram gap is a_m^2 and a_S^2 times the direction's own.
-With a_b = t s_b, u = t^4 and s the product of the four signs,
+vanishes, and each Gram gap is t^2 times the direction's own.  With
+u = t^4 and s the product of the four signs,
 
     f = |T|^2 - 2 s u <T, X_d> + u^2 (|X_d|^2 + lam phi(d)^2),
 
 a quadratic in u in which a flipped block flips only the middle term, so
 at the zero point the sign search takes each direction's exact best step
-in closed form from one expansion of the draws, and scores no grid.
+in closed form from the draws' own transforms and Gram gaps, and scores
+no grid.
 
 An escape round of the driver is one pass over its block labels: one
 sampler call draws every label's samples, in the stream order of a loop
 over the labels, and one sign search scores them all, from one expansion
-of every draw and one scoring of each step grid's labels together.
+of every draw and one evaluation of every draw's polynomial.
 """
 from __future__ import annotations
 
-import functools
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -284,81 +285,66 @@ def _expansion(p: FactorPoint, stacks: np.ndarray, D: np.ndarray):
     return gram[:, 1:, 1:], proj[:, 1:], basis
 
 
-def _tables(patterns: np.ndarray, grid: np.ndarray):
-    """The candidate tables of the sign patterns (one row of signs per
-    pattern) on the step grid, candidates pattern-major: c, whose columns
-    1 to 15 are each candidate's c_U (every scoring takes them as that
-    view, so its products see one layout); coef, the (1, a_m, a_m^2, a_S,
-    a_S^2) of the four sign pairs (s_m, s_S) at each step; and rows,
-    where mode m's row of a pattern's pair is 4 m + 2 [s_m < 0] +
-    [s_S < 0]."""
-    a = (patterns[:, None, :] * grid[:, None]).reshape(-1, 4)
-    # c_U for U = 8 uS + 4 uA + 2 uB + uC: each block, from C to S, doubles
-    # the subsets with a new leading bit
-    c = np.empty((len(a), 16))
-    c[:, 0] = 1.0
-    for k, col in enumerate(a.T[::-1]):
-        c[:, 2**k:2**(k + 1)] = c[:, :2**k] * col[:, None]
-    pair = (np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-            [:, None, :] * grid[:, None]).reshape(-1, 2)
-    coef = np.empty((len(pair), 5))
-    coef[:, 0] = 1.0
-    coef[:, 1] = pair[:, 0]
-    coef[:, 2] = pair[:, 0] ** 2
-    coef[:, 3] = pair[:, 1]
-    coef[:, 4] = pair[:, 1] ** 2
-    neg = patterns < 0
-    return c, coef, np.arange(0, 12, 4) + 2 * neg[:, 1:] + neg[:, :1]
+# the sign patterns, one sign per block (S, A, B, C): bit b of the pattern
+# number flips block b
+_PATTERNS = 1.0 - 2.0 * (np.arange(16)[:, None] >> np.arange(4) & 1)
 
 
-@functools.lru_cache(maxsize=64)
-def _search_tables(actives: tuple[tuple[int, ...], ...]):
-    """For stacks whose nonzero blocks are the `actives`, each of one
-    count: the stacked sign patterns, the k-th active block flipped when
-    bit k of the pattern number is set, and their stacked c (columns 1 to
-    15), coef and rows of `_tables` on the step grid of that count.  They
-    are built once and shared read-only: every escape round scores the
-    same labels."""
-    grid = _GRIDS[len(actives[0]) - 1]
-    patterns = np.ones((len(actives), 2 ** len(actives[0]), 4))
-    bits = (np.arange(patterns.shape[1])[:, None]
-            >> np.arange(len(actives[0])) & 1)
-    for i, active in enumerate(actives):
-        patterns[i][:, list(active)] = 1.0 - 2.0 * bits
-    c, coef, rows = zip(*(_tables(x, grid) for x in patterns))
-    out = patterns, np.stack(c)[:, :, 1:], coef[0], np.stack(rows)
-    for x in out:
-        x.flags.writeable = False
-    return out
+def _polynomial_tables():
+    """The constant tables of `_coefficients`: FIT takes (<D, X_U>,
+    <X_U, X_V>) to the fit term's t^0 ... t^8 for each pattern, PHI each
+    mode's 5 x 5 Gram of its gap basis to phi's t^0 ... t^4, and SQUARE
+    the outer product of phi's coefficients with themselves to R's."""
+    # block b is in subset U = 8 uS + 4 uA + 2 uB + uC where bit 3 - b is
+    # set; signs[s, U] is the product of pattern s's signs over U
+    members = np.arange(16)[:, None] >> np.arange(3, -1, -1) & 1
+    signs = np.where(members, _PATTERNS[:, None], 1.0).prod(axis=2)[:, 1:]
+    size = members.sum(axis=1)[1:]
+    degree = np.eye(9)
+    fit = np.concatenate((
+        2.0 * np.einsum("su,uk->usk", signs, degree[size]),
+        np.einsum("su,sv,uvk->uvsk", signs, signs,
+                  degree[np.add.outer(size, size)]).reshape(225, 16, 9)))
+    # the gap of mode m is sum_j e_j B_j with e = (1, a_m, a_m^2, a_S,
+    # a_S^2) and a_b = t s_b, so e_j is a sign times t^power[j]
+    gap_signs = np.stack(np.broadcast_arrays(
+        1.0, _PATTERNS[:, 1:], 1.0, _PATTERNS[:, :1], 1.0), axis=2)
+    power = np.array([0, 1, 2, 1, 2])
+    phi = np.einsum("smj,smi,jik->mjisk", gap_signs, gap_signs,
+                    degree[np.add.outer(power, power), :5])
+    return (fit.reshape(240, 144), phi.reshape(75, 80),
+            degree[np.add.outer(np.arange(5), np.arange(5))].reshape(25, 9))
 
 
-def _step_values(at: ObjectiveReport, gram, proj, basis, c, coef,
-                 rows) -> np.ndarray:
-    """f at every candidate of L stacks of m directions that share a step
-    grid and a count of sign patterns, as an (L, m, patterns, steps)
-    array.  gram, proj and basis are the directions' `_expansion`, with
-    (L, m) leading axes, and c (L, candidates, 15), coef and rows
-    (L, patterns, 3) each stack's `_tables`.
+_FIT, _PHI, _SQUARE = _polynomial_tables()
 
-    With a_b = t s_b the residual is D + sum_U c_U X_U, so
-    L = L(p) + 2 sum_U c_U <D, X_U> + sum_UV c_U c_V <X_U, X_V>, and each
-    Gram gap is quadratic in (a_m, a_S).  A stack's products take its
-    tables as a stack of one would, so its values are those of a call on
-    it alone, bit for bit."""
-    L = (at.L + 2.0 * (c[:, None] @ proj[..., None])[..., 0]
-         + np.einsum("lnku,lku->lnk", c[:, None] @ gram, c))
-    # the Gram gap of mode m takes only (a_m, a_S), so it is formed for the
-    # four sign pairs (s_m, s_S) = (+, +), (+, -), (-, +), (-, -) at each
-    # step, and each pattern gathers its pair's squared norm per mode
-    gaps = coef @ basis
-    sq = np.einsum("lkmnj,lkmnj->lkmn", gaps, gaps).reshape(
-        gaps.shape[:2] + (12, -1))
-    # summing the modes in order keeps phi bit-equal to one einsum over
-    # (m, j) of every pattern's gaps
-    phi = sq[np.arange(len(rows))[:, None, None, None],
-             np.arange(sq.shape[1])[:, None, None], rows[:, None]]
-    phi = phi[:, :, :, 0] + phi[:, :, :, 1] + phi[:, :, :, 2]
-    return (L + at.lam * (phi * phi).reshape(L.shape)).reshape(phi.shape)
+
+def _coefficients(at: ObjectiveReport, gram, proj, basis) -> np.ndarray:
+    """The coefficients of f(p + t s o d) in t^0 ... t^8 for L stacks of m
+    directions d and each sign pattern s of `_PATTERNS`, as an (L, m, 16,
+    9) array, from the directions' `_expansion` (gram, proj and basis, with
+    (L, m) leading axes) and the report `at` of p.  With a_b = t s_b the
+    fit term is L(p) + 2 sum_U c_U <D, X_U> + sum_UV c_U c_V <X_U, X_V>,
+    c_U the product of a_b over U, and the constant tables take it and the
+    gap basis's Grams to the coefficients a stack at a time, so a stack's
+    are those of a call on it alone, bit for bit; t^0 is f at p."""
+    L, m = proj.shape[:2]
+    fit = np.concatenate((proj, gram.reshape(L, m, 225)), axis=2) @ _FIT
+    G = basis @ basis.swapaxes(-1, -2)
+    phi = (G.reshape(L, m, 75) @ _PHI).reshape(L, m * 16, 5)
+    R = (phi[..., None] * phi[..., None, :]).reshape(L, m * 16, 25) @ _SQUARE
+    coef = (fit.reshape(L, m * 16, 9) + at.lam * R).reshape(L, m, 16, 9)
+    coef[..., 0] = at.f
+    return coef
+
+
+def _candidate_values(at: ObjectiveReport, gram, proj, basis,
+                      grids: np.ndarray) -> np.ndarray:
+    """f at every (pattern, step) candidate of L stacks of m directions, as
+    an (L, m, 16, steps) array: each direction's `_coefficients` on the
+    steps of its stack's row of the (L, steps) `grids`."""
+    return _coefficients(at, gram, proj, basis) @ (
+        grids[:, None, None] ** np.arange(9)[:, None])
 
 
 def sign_flip_search(p: FactorPoint, T: np.ndarray, flats: np.ndarray,
@@ -372,21 +358,24 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, flats: np.ndarray,
 
     The directions of a stack must share their nonzero blocks, the core
     and two or three factors (a ValueError otherwise), so that they share
-    the sign patterns and the grid.  One `_expansion` expands f along all
-    the directions, instead of evaluating f at each candidate, and the
-    stacks of one count of blocks are scored by one `_step_values` call.
-    f and the residual at p come from `at` when it is a report of p (taken
-    with the same T and lam), and otherwise from one `objective` call.  A
-    direction's candidates are ranked in the order of a loop over the
-    patterns (the k-th active block flipped when bit k of the pattern
-    number is set), then over the grid: the first smallest value wins,
-    NaN never, and it must be strictly below f at p.  At the zero point
+    the step grid.  One `_expansion` expands f along all the directions,
+    instead of evaluating f at each candidate, and each direction's
+    degree-8 polynomial in the step (`_coefficients`) is evaluated on its
+    stack's grid.  f and the residual at p come from `at` when it is a
+    report of p (taken with the same T and lam), and otherwise from one
+    `objective` call.  A direction's candidates are ranked in the order of
+    a loop over the 16 sign patterns (bit b of the pattern number flips
+    block b of (S, A, B, C)), then over the grid: the first smallest value
+    wins, NaN never, and it must be strictly below f at p.  A pattern that
+    flips a block the direction leaves at zero scores exactly as its twin
+    that does not, which comes first, so it never wins.  At the zero point
     each direction takes its exact best step in closed form instead (see
     `_zero_point_search`).  Never returns a step that makes f worse: if
     nothing improves, the result has step 0, improvement 0 and the
     unsigned direction.  `evals` counts the objective values computed for
-    each direction, and where the call made the `objective` call at p the
-    first direction also counts it, so the evals add up to the call's.
+    each direction, its 13 2^k distinct candidates for k moved blocks, and
+    where the call made the `objective` call at p the first direction also
+    counts it, so the evals add up to the call's.
     """
     L, m, size = flats.shape
     if not L * m:
@@ -399,16 +388,15 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, flats: np.ndarray,
         flats != 0.0, [0, r3, r3 + rd, r3 + 2 * rd], axis=2)
     if (nonzero != nonzero[:, :1]).any():
         raise ValueError("the directions' nonzero blocks differ")
-    actives = [tuple(b for b, x in enumerate(row) if x)
-               for row in nonzero[:, 0].tolist()]
-    if not all(active[:1] == (0,) and len(active) > 2 for active in actives):
+    counts = nonzero[:, 0].sum(axis=1)
+    if not (nonzero[:, 0, 0].all() and (counts > 2).all()):
         raise ValueError("a direction must move the core and two or three "
                          "factors")
     baseline = at is None or at.point is not p
     if baseline:
         at = objective(p, T, lam)
     if p.flat.any():
-        steps, signs, improvements, evals = _grid_search(at, flats, actives)
+        steps, signs, improvements, evals = _grid_search(at, flats, counts)
     else:
         steps, signs, improvements, evals = _zero_point_search(at, flats)
     evals[0] += baseline
@@ -417,44 +405,27 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, flats: np.ndarray,
         deltas=np.repeat(signs, sizes, axis=1) * flats.reshape(-1, size))
 
 
-def _grid_search(at: ObjectiveReport, flats: np.ndarray, actives: list):
+def _grid_search(at: ObjectiveReport, flats: np.ndarray, counts):
     """The sign search of `sign_flip_search` on the step grids, away from
-    the zero point: per direction, in order, its step, its signs (one per
-    block S, A, B, C), its improvement and its count of values."""
+    the zero point, of stacks that move counts[l] blocks: per direction,
+    in order, its step, its signs (one per block S, A, B, C), its
+    improvement and its count of values."""
     L, m, _ = flats.shape
-    f0 = at.f
     gram, proj, basis = (x.reshape((L, m) + x.shape[1:]) for x in
                          _expansion(at.point, flats, at.stages[2]))
-    # each direction's best value, its step and signs, and its count
-    f_best = np.empty((L, m))
-    steps = np.empty((L, m))
-    signs = np.empty((L, m, 4))
-    evals = np.empty((L, m), dtype=int)
-    groups = {}
-    for i, active in enumerate(actives):
-        groups.setdefault(len(active), []).append(i)
-    for count, ids in groups.items():
-        grid = _GRIDS[count - 1]
-        patterns, c, coef, rows = _search_tables(
-            tuple(actives[i] for i in ids))
-        # a run of stacks is taken as a view
-        at_ids = (slice(ids[0], ids[-1] + 1)
-                  if ids[-1] - ids[0] == len(ids) - 1 else ids)
-        values = _step_values(at, gram[at_ids], proj[at_ids],
-                              basis[at_ids], c, coef, rows)
-        evals[at_ids] = values[0, 0].size
-        # NaN never wins, as it never compares smaller
-        ranked = np.where(np.isnan(values), np.inf, values).reshape(
-            len(ids), m, -1)
-        candidate = ranked.argmin(axis=2)
-        f_best[at_ids] = ranked.min(axis=2)
-        steps[at_ids] = grid[candidate % len(grid)]
-        signs[at_ids] = patterns[np.arange(len(ids))[:, None],
-                                 candidate // len(grid)]
-    won = f_best < f0
+    grids = np.array([_GRIDS[k - 1] for k in counts.tolist()])
+    values = _candidate_values(at, gram, proj, basis, grids)
+    # NaN never wins, as it never compares smaller
+    ranked = np.where(np.isnan(values), np.inf, values).reshape(L, m, -1)
+    candidate = ranked.argmin(axis=2)
+    f_best = ranked.min(axis=2)
+    steps = np.take_along_axis(grids, candidate % grids.shape[1], axis=1)
+    signs = _PATTERNS[candidate // grids.shape[1]]
+    won = f_best < at.f
     return (np.where(won, steps, 0.0).ravel(),
             np.where(won[..., None], signs, 1.0).reshape(-1, 4),
-            (f0 - np.where(won, f_best, f0)).ravel(), evals.ravel())
+            (at.f - np.where(won, f_best, at.f)).ravel(),
+            np.repeat(grids.shape[1] << counts, m))
 
 
 def _zero_point_search(at: ObjectiveReport, flats: np.ndarray):
@@ -473,20 +444,25 @@ def _zero_point_search(at: ObjectiveReport, flats: np.ndarray):
     quadratic in its mode's block and the core's.  Flipping the sign of any
     block flips the sign of b alone, so the best step takes the core
     flipped where b < 0, u* = |b| / q and t = u*^(1/4), and gains b^2 / q.
-    b, |X_d|^2 and phi(d) are read off one `_expansion` of the directions,
-    taken as one stack: b is minus the product of the residual -T with X_U
-    for U = {S, A, B, C}, |X_d|^2 is that U's Gram entry, and phi(d) is
-    the squared norm of the Gram gaps' a_m^2 and a_S^2 pieces, the only
-    ones at p = 0.  A direction that gains nothing takes step 0."""
-    gram, proj, basis = _expansion(
-        at.point, flats.reshape(1, -1, flats.shape[-1]), at.stages[2])
-    b = -proj[:, -1]
-    gaps = basis[:, :, 2] + basis[:, :, 4]
-    phi = np.einsum("nmj,nmj->n", gaps, gaps)
-    q = gram[:, -1, -1] + at.lam * phi * phi
+    X_d and the Gram gaps of d are formed for all the directions at once,
+    one batched product per mode, and b is minus the product of the
+    residual -T with X_d.  A direction that gains nothing takes step 0."""
+    r, d, n = at.point.r, at.point.d, flats.shape[0] * flats.shape[1]
+    S = flats[..., :r**3].reshape(n, r, r, r)
+    M = flats[..., r**3:].reshape(n, 3, r, d)
+    # X_d by modes 3, 2 and 1, as `tensor_core._transform` takes them
+    X = (S.reshape(n, r * r, r) @ M[:, 2]).reshape(n, r, r, d)
+    X = M[:, 1, None].swapaxes(2, 3) @ X
+    X = (M[:, 0].swapaxes(1, 2) @ X.reshape(n, r, d * d)).reshape(n, -1)
+    b = -(X @ at.stages[2].ravel())
+    F = np.stack((S, S.transpose(0, 2, 1, 3), S.transpose(0, 3, 1, 2)),
+                 axis=1).reshape(n, 3, r, r * r)
+    gaps = M @ M.swapaxes(2, 3) - F @ F.swapaxes(2, 3)
+    phi = np.einsum("nmij,nmij->n", gaps, gaps)
+    q = np.einsum("nx,nx->n", X, X) + at.lam * phi * phi
     gains = b * b / q
     won = gains > 0.0
-    signs = np.ones((len(b), 4))
-    signs[:, 0] = np.where(won & (b < 0.0), -1.0, 1.0)
+    # pattern 1 flips the core alone
+    signs = _PATTERNS[np.where(won & (b < 0.0), 1, 0)]
     return (np.where(won, (np.abs(b) / q) ** 0.25, 0.0), signs,
-            np.where(won, gains, 0.0), np.ones(len(b), dtype=int))
+            np.where(won, gains, 0.0), np.ones(n, dtype=int))

@@ -7,9 +7,11 @@ Run from the repository root as
 
 It prints one line per set (runs, gradient evaluations, objective values,
 statuses) and the total, and the start set also by init.  With set names
-it runs only those.  `--fingerprint OUT` also writes every run's counts
-and digests to OUT, and `--compare A B` lists the runs that differ
-between two such files, exiting 1 if any does (see fingerprints.py).
+it runs only those.  `--fingerprint OUT` also writes every run's counts,
+final f and digests to OUT, and `--compare A B` lists the runs that
+differ between two such files, exiting 1 if any does, and ends with a
+tally of the kinds of change and the largest relative change of each
+set's final f (see fingerprints.py).
 The counts repeat exactly for a given BLAS build and thread count; BLAS
 is pinned to one thread unless the environment says otherwise, as the
 README's tables were measured.  The sets:
@@ -68,11 +70,12 @@ START_INITS = ("zero", "hosvd", "random:1e-3", "random:0.5", "random:10")
 LANDSCAPE_INITS = START_INITS + ("random:100",)
 
 
-def _fingerprint(status, grad_evals, objective_evals, rounds, point, trace):
-    """A run's fields in a fingerprint file, from its final point and the
-    bytes of its trace."""
+def _fingerprint(status, grad_evals, objective_evals, rounds, f, point,
+                 trace):
+    """A run's fields in a fingerprint file, from its final f and point
+    and the bytes of its trace."""
     return {"status": status, "grad_evals": grad_evals,
-            "objective_evals": objective_evals, "rounds": rounds,
+            "objective_evals": objective_evals, "rounds": rounds, "f": f,
             "point_sha256": fingerprints.digest(point.flat.tobytes()),
             "trace_sha256": fingerprints.digest(trace)}
 
@@ -83,7 +86,7 @@ def _solve(T, **config):
         res.trace.to_jsonl(f"{work}/trace.jsonl")
         trace = Path(f"{work}/trace.jsonl").read_bytes()
     return _fingerprint(res.status, res.grad_evals, res.objective_evals,
-                        res.rounds, res.point, trace)
+                        res.rounds, res.f, res.point, trace)
 
 
 def desk():
@@ -140,7 +143,7 @@ def grid():
                     doc = json.load(fh)
                 yield "", _fingerprint(
                     doc["status"].replace("-", "_"), doc["grad_evals"],
-                    doc["objective_evals"], doc["rounds"],
+                    doc["objective_evals"], doc["rounds"], doc["f"],
                     load_point(prefix + ".factors.json"),
                     Path(prefix + ".trace.jsonl").read_bytes())
 
@@ -180,6 +183,8 @@ def compare(path_a, path_b) -> int:
     for line in lines:
         print(line)
     print(f"{len(lines)} of {len(a.keys() | b.keys())} runs differ")
+    for line in fingerprints.tally(a, b):
+        print(line)
     return int(bool(lines))
 
 

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from tuckersearch.escape import _expansion, _step_values, _tables
+from tuckersearch.escape import _candidate_values, _expansion
 
 
 def mode_split(splits, m):
@@ -39,14 +39,17 @@ def sign_step_values(at, deltas, patterns, grid) -> np.ndarray:
     (len(deltas), len(patterns), len(grid)) array.  `deltas` is the stack
     of the directions' flat vectors, one per row.
 
-    The values come from one `_expansion` of all the deltas and one
-    `_step_values` call, the scoring a sign search makes.  The sum adds
-    terms as large as L(p) and the c_U X_U, so a value is accurate to a
-    few ulps of the largest of these, not of itself: an exact fit can read
-    0.0 or a rounding-sized value of either sign.
+    The values are each delta's degree-8 polynomial in t
+    (`escape._coefficients`, from one `_expansion` of all the deltas)
+    evaluated on the grid, as the sign search scores a stack of them, and
+    each sign row picks its pattern's values.  The polynomial adds terms
+    as large as L(p) and the c_U X_U, so a value is accurate to a few ulps
+    of the largest of these, not of itself: an exact fit can read 0.0 or a
+    rounding-sized value of either sign.
     """
-    c, coef, rows = _tables(np.asarray(patterns, dtype=float),
-                            np.asarray(grid, dtype=float))
+    # pattern k flips block b where bit b of k is set
+    rows = [sum(1 << b for b, s in enumerate(signs) if s < 0)
+            for signs in patterns]
     gram, proj, basis = _expansion(at.point, deltas[None], at.stages[2])
-    return _step_values(at, gram[None], proj[None], basis[None],
-                        c[None, :, 1:], coef, rows[None])[0]
+    return _candidate_values(at, gram[None], proj[None], basis[None],
+                             np.asarray(grid, dtype=float)[None])[0][:, rows]

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tuckersearch.escape as escape_module
-from tuckersearch.escape import (_GRIDS, _expansion, sample_missing_directions,
-                                 sign_flip_search)
+from tuckersearch.escape import (_GRIDS, _PATTERNS, _coefficients, _expansion,
+                                 sample_missing_directions, sign_flip_search)
 from tuckersearch.objective import eval_along, objective
 from tuckersearch.search import SAMPLED_BLOCKS
 from tuckersearch.subspace import subspace_split
@@ -595,47 +595,66 @@ def test_sign_search_matches_the_per_candidate_loop(r, d):
     assert want <= kinds
 
 
-def _every_pattern_values(at, deltas, patterns, grid):
-    """`sign_step_values` with each mode's Gram gap formed for every
-    (pattern, step) candidate, as one einsum over (mode, entry): the
-    reference for the gaps formed once per sign pair (s_m, s_S)."""
-    gram, proj, basis = _expansion(at.point, deltas[None], at.stages[2])
-    a = (patterns[:, None, :] * grid[:, None]).reshape(-1, 4)
-    c = np.empty((len(a), 16))
-    c[:, 0] = 1.0
-    for k, col in enumerate(a.T[::-1]):
-        c[:, 2**k:2**(k + 1)] = c[:, :2**k] * col[:, None]
-    c = c[:, 1:]
-    L = (at.L + 2.0 * (c @ proj[:, :, None])[:, :, 0]
-         + np.einsum("knu,nu->kn", c @ gram, c))
-    coef = np.empty((3, len(a), 5))
-    coef[:, :, 0] = 1.0
-    coef[:, :, 1] = a[:, 1:].T
-    coef[:, :, 2] = coef[:, :, 1] ** 2
-    coef[:, :, 3] = a[:, 0]
-    coef[:, :, 4] = a[:, 0] ** 2
-    gaps = coef @ basis
-    phi = np.einsum("kmnj,kmnj->kn", gaps, gaps)
-    return (L + at.lam * (phi * phi)).reshape(len(deltas), len(patterns),
-                                              len(grid))
-
-
-@pytest.mark.parametrize("r,d", [(1, 1), (2, 4), (3, 16), (4, 24)])
-def test_sign_pair_gaps_equal_every_patterns_gaps_bit_for_bit(r, d):
-    # each Gram gap takes only (a_m, a_S), so the values may not move by a
-    # bit when the gaps are formed for the four sign pairs and gathered
+@pytest.mark.parametrize("r,d", [(1, 2), (2, 4), (3, 5)])
+def test_coefficients_match_the_objective_along_each_signed_line(r, d):
+    # f(p + t s o q) is a polynomial of degree 8 in t for every sign
+    # pattern s: its coefficients, from the expansion and the constant
+    # tables, give f at steps of both signs, with and without the balance
+    # term, at a generic point, the zero point and one with a zero factor
+    rng = np.random.default_rng(31 * r + d)
+    generic = random_point(r, d, rng)
+    points = (generic, FactorPoint.zeros(r, d),
+              FactorPoint(generic.S, generic.A, 0.0 * generic.B, generic.C))
+    T = rng.standard_normal((d, d, d))
     checked = 0
-    for norm in (1e-2, 1.0, 1e2):
-        p, T, splits, _, rng = _escape_instance(r, d, norm, 3 * r + d)
+    for p in points:
+        for lam in (0.0, None):
+            at = objective(p, T, lam)
+            deltas = [random_point(r, d, rng) for _ in range(2)]
+            gram, proj, basis = _expansion(p, stack(*deltas)[None],
+                                           at.stages[2])
+            coef = _coefficients(at, gram[None], proj[None], basis[None])[0]
+            assert coef.shape == (2, 16, 9)
+            for q, rows in zip(deltas, coef):
+                for signs, row in zip(_PATTERNS, rows):
+                    signed = FactorPoint(*(s * blk for s, blk in
+                                           zip(signs, q.blocks())))
+                    for t in (0.0, 0.4, -1.3, 2.2):
+                        want = objective(p + t * signed, T, lam).f
+                        got = row @ t ** np.arange(9)
+                        assert abs(got - want) <= 1e-12 * abs(want)
+                        checked += 1
+    assert checked == 3 * 2 * 2 * 16 * 4
+
+
+def test_a_pattern_flipping_an_unmoved_block_never_beats_its_twin():
+    # a (1, 2, 2) draw leaves factor A at zero: flipping A changes no
+    # coefficient, so each pattern that flips it scores exactly as its
+    # twin that does not, which comes first, and the search never takes it
+    flips_a = [k for k in range(16) if k & 2]
+    taken = 0
+    for seed in range(4):
+        p, T, splits, _, rng = _escape_instance(3, 7, 1.0, 50 + seed)
         at = objective(p, T)
-        for label, direction, grid in _escape_directions(p, T, splits, rng):
-            patterns = np.array(_loop_patterns(direction), dtype=float)
-            deltas = stack(direction, -1.5 * direction)
-            got = sign_step_values(at, deltas, patterns, grid)
-            want = _every_pattern_values(at, deltas, patterns, grid)
-            assert got.tobytes() == want.tobytes(), label
-            checked += got.size
-    assert checked > 0
+        drawn, flats = sample_missing_directions(splits, [(1, 2, 2)], rng, 6)
+        assert drawn == ((1, 2, 2),)
+        gram, proj, basis = (x[None] for x in _expansion(p, flats,
+                                                         at.stages[2]))
+        coef = _coefficients(at, gram, proj, basis)
+        assert np.array_equal(coef[..., flips_a, :],
+                              coef[..., [k - 2 for k in flips_a], :])
+        values = escape_module._candidate_values(
+            at, gram, proj, basis, _GRIDS[2][None])
+        assert np.array_equal(values[..., flips_a, :],
+                              values[..., [k - 2 for k in flips_a], :])
+        found = sign_flip_search(p, T, flats, at=at)
+        moved = found.steps > 0.0
+        taken += moved.sum()
+        template = FactorPoint.zeros(3, 7)
+        for k in np.flatnonzero(moved):
+            A = template._like(found.deltas[k]).A
+            assert not np.signbit(A).any()
+    assert taken > 0
 
 
 def test_sign_search_skips_overflowing_candidates(monkeypatch):
@@ -643,18 +662,18 @@ def test_sign_search_skips_overflowing_candidates(monkeypatch):
     # ones a bare argmin would take: the first smallest finite value wins
     p, T, splits, rng = _generic_setup()
     [direction] = sampled(splits, (2, 2, 2), rng)
-    step_values = escape_module._step_values
+    candidate_values = escape_module._candidate_values
     seen = []
 
     def overflowing(*args):
-        values = step_values(*args)
+        values = candidate_values(*args)
         best = np.unravel_index(np.argmin(values), values.shape)
         values[best] = np.nan
         values[..., -1] = np.inf
         seen.append(values)
         return values
 
-    monkeypatch.setattr(escape_module, "_step_values", overflowing)
+    monkeypatch.setattr(escape_module, "_candidate_values", overflowing)
     found = search(p, T, direction)
     [values] = seen
     # a bare argmin would land on the NaN

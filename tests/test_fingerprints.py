@@ -75,3 +75,51 @@ def test_a_verify_report_line_holds_its_status_trials_and_digest(tmp_path):
         fingerprints.read(tmp_path / "a.jsonl"),
         fingerprints.read(tmp_path / "b.jsonl"))[1] == \
         "verify 2: report_sha256, status passed -> failed, trials -1"
+
+
+def test_compare_ends_with_a_tally_of_the_kinds_of_change():
+    # a status change, a count change with a new point, a change of the
+    # trace bytes alone, and final f moved by 1e-3 and 2e-5 relative in
+    # two sets
+    a = [_run("desk", 0, f=2.0), _run("desk", 1, f=1.0),
+         _run("desk", 2, f=4.0), _run("noisy-desk", 0, f=1.0),
+         _run("noisy-desk", 1, f=0.5)]
+    b = [_run("desk", 0, f=2.0), _run("desk", 1, status="budget", f=1.0),
+         _run("desk", 2, f=4.004, grad_evals=12, point_sha256="q"),
+         _run("noisy-desk", 0, f=1.0, trace_sha256="u"),
+         _run("noisy-desk", 1, f=0.50001, point_sha256="q")]
+    a, b = ({(r["set"], r["index"]): r for r in x} for x in (a, b))
+    assert fingerprints.compare(a, b) == [
+        "desk 1: status converged -> budget",
+        "desk 2: f, grad_evals +2, point_sha256",
+        "noisy-desk 0: trace_sha256",
+        "noisy-desk 1: f, point_sha256",
+    ]
+    assert fingerprints.tally(a, b) == [
+        "1 changed status, 1 changed counts, 2 changed final point, "
+        "1 differ only in trace bytes",
+        "largest relative change of final f: desk 1.0e-03 (run 2), "
+        "noisy-desk 2.0e-05 (run 1)",
+    ]
+    assert fingerprints.tally(a, a) == [
+        "0 changed status, 0 changed counts, 0 changed final point, "
+        "0 differ only in trace bytes",
+        "largest relative change of final f: desk 0.0e+00 (run 0), "
+        "noisy-desk 0.0e+00 (run 0)",
+    ]
+
+
+def test_a_file_without_final_f_still_compares(tmp_path):
+    # a file written before runs recorded f compares with one that does:
+    # f is compared only where both hold it, and the tally has no f line
+    old = [_run("desk", 0), _run("desk", 1)]
+    new = [_run("desk", 0, f=0.25), _run("desk", 1, f=0.5, rounds=2)]
+    fingerprints.write(tmp_path / "old.jsonl", old)
+    fingerprints.write(tmp_path / "new.jsonl", new)
+    a = fingerprints.read(tmp_path / "old.jsonl")
+    b = fingerprints.read(tmp_path / "new.jsonl")
+    assert fingerprints.compare(a, b) == ["desk 1: rounds +1"]
+    assert fingerprints.compare(b, a) == ["desk 1: rounds -1"]
+    assert fingerprints.tally(a, b) == [
+        "0 changed status, 1 changed counts, 0 changed final point, "
+        "0 differ only in trace bytes"]

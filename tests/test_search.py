@@ -1511,11 +1511,11 @@ def test_trace_lines_exclude_wall_time(tmp_path):
 
 
 def test_trace_lines_match_the_asdict_serialization(tmp_path):
-    # the noisy desk target with the longest trace, 109 records (no exact
-    # desk target reaches 100); the shared encoder writes what a fresh
+    # a noisy desk target with a long trace, 124 records (no exact desk
+    # target reaches 100); the shared encoder writes what a fresh
     # json.dumps per record wrote, null fields (the init record's gradient
     # norm, every gradient step's curvature) included
-    res = run(noisy_desk_instance(4, 24, 2, 5e-2), SearchConfig(r=4, seed=2))
+    res = run(noisy_desk_instance(3, 16, 2, 5e-2), SearchConfig(r=3, seed=2))
     path = tmp_path / "trace.jsonl"
     res.trace.to_jsonl(path)
     reference = []
@@ -1662,6 +1662,8 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
     grad_calls = []
     baselines = []
     zero_rounds = []
+    # the labels of the round's sampler call
+    drawn_last = []
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -1676,8 +1678,15 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
         return counting(p, *args, **kwargs)
 
     def scored(*args, **kwargs):
-        values = step_values(*args, **kwargs)
-        calls.extend([1] * values.size)
+        values = candidate_values(*args, **kwargs)
+        # every stack is scored over all 16 sign patterns, but a pattern
+        # that flips a block its label leaves at zero repeats its twin: a
+        # draw moves the core and its label's index-2 factors, and each of
+        # its distinct candidates counts as one value
+        L, m, _, steps = values.shape
+        assert L == len(drawn_last)
+        calls.extend([1] * sum(m * steps * 2 ** (1 + ijk.count(2))
+                               for ijk in drawn_last))
         return values
 
     def closed_form(at, flats):
@@ -1688,6 +1697,7 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
     def noting(splits, ijk, *args, **kwargs):
         drawn, flats = sample_missing(splits, ijk, *args, **kwargs)
         labels.extend(drawn)
+        drawn_last[:] = drawn
         return drawn, flats
 
     def charging(fn, cost):
@@ -1698,11 +1708,11 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
 
     monkeypatch.setattr(search_module, "objective", recording)
     monkeypatch.setattr(escape_module, "objective", baseline)
-    # the sign search scores its candidates from one expansion of f, each
-    # step grid's labels in one scoring call; each value a scoring call
-    # returns is an objective value and counts as one
-    step_values = escape_module._step_values
-    monkeypatch.setattr(escape_module, "_step_values", scored)
+    # the sign search scores its candidates from one expansion of f, every
+    # label of a round in one scoring call; each distinct candidate value
+    # a scoring call returns is an objective value and counts as one
+    candidate_values = escape_module._candidate_values
+    monkeypatch.setattr(escape_module, "_candidate_values", scored)
     # at the zero point the round scores each draw in closed form, one
     # objective value per draw
     zero_point = escape_module._zero_point_search
@@ -1909,7 +1919,7 @@ def test_the_zero_point_has_one_escape_rule(monkeypatch):
     import tuckersearch.escape as escape_module
     from tuckersearch.verify import gallery_origin
     zero_point = escape_module._zero_point_search
-    step_values = escape_module._step_values
+    candidate_values = escape_module._candidate_values
     calls = []
 
     def closed_form(at, flats):
@@ -1918,10 +1928,10 @@ def test_the_zero_point_has_one_escape_rule(monkeypatch):
 
     def grid(at, *args):
         calls.append(("grid", bool(at.point.flat.any())))
-        return step_values(at, *args)
+        return candidate_values(at, *args)
 
     monkeypatch.setattr(escape_module, "_zero_point_search", closed_form)
-    monkeypatch.setattr(escape_module, "_step_values", grid)
+    monkeypatch.setattr(escape_module, "_candidate_values", grid)
     assert gallery_origin(np.random.default_rng(0)).passed
     assert calls == [("closed form", False)]
     calls.clear()
