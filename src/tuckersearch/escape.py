@@ -4,12 +4,14 @@ Near a stationary point the loss can hide improvement in directions the
 factors do not yet span.  Indexing each mode by 1 (inside the large part of
 the factor's singular split) or 2 (in the complement), a block label
 ijk in {1, 2}^3 names where a candidate rank-one update lives.  For each
-label with at least two 2s the sampler draws
+label with at least two 2s the sampler draws, through the split's maps,
 
-    a, b, c: unit ambient vectors, uniform in the chosen U subspaces,
-    u, v, w: unit coefficient vectors; uniform in the V complement for
-             index 2, or the normalized preimage of the ambient draw under
-             the large part's transpose for index 1, from the split's SVD,
+    a, b, c: unit ambient vectors, uniform in the ambient complement, for
+             index 2;
+    u, v, w: unit coefficient vectors; uniform in the coefficient
+             complement for index 2, or for index 1 the normalized
+             preimage, under the large part's transpose, of a direction
+             uniform in its ambient span,
 
 and the direction updates the core by u x v x w plus each index-2 factor by
 the outer product of its coefficient and ambient vectors.  Because every
@@ -81,14 +83,15 @@ def _unit(X: np.ndarray) -> np.ndarray:
     return X / np.sqrt(np.add.reduce(X * X, axis=-1, keepdims=True))
 
 
-# the block labels in {1, 2}^3 with at least two 2s
-_LABELS = frozenset(((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2)))
+# the block labels, the labels in {1, 2}^3 with at least two 2s: a label
+# with a single 2 gains at second order, where the curvature probe looks
+SAMPLED_BLOCKS = ((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2))
 
 
 def _label(ijk) -> tuple[int, int, int]:
     if not (isinstance(ijk, Sequence) and len(ijk) == 3
             and all(isinstance(x, numbers.Integral) for x in ijk)
-            and tuple(ijk) in _LABELS):
+            and tuple(ijk) in SAMPLED_BLOCKS):
         raise ValueError(f"block label must be three integers in {{1,2}} "
                          f"with at least two 2s, got {ijk!r}")
     return tuple(map(int, ijk))
@@ -98,7 +101,7 @@ def _missing(splits: SubspaceSplit, ijk) -> bool:
     """Whether the label ijk has an empty sampling subspace: index 1 of a
     mode without a large part, or index 2 of one with no unused
     coefficient rows or ambient directions."""
-    r, d = splits.V.shape[1], splits.U.shape[1]
+    r, d = splits.coef.shape[-1], splits.amb.shape[-1]
     return any(k == 0 if idx == 1 else k in (r, d)
                for k, idx in zip(splits.ranks, ijk))
 
@@ -110,13 +113,14 @@ def sample_missing_directions(splits: SubspaceSplit, labels,
     the tuple of the labels drawn, in order, and the (len(drawn), size,
     r^3 + 3 r d) stack of their flat vectors, in draw order.
 
-    Each draw takes, mode by mode, a unit vector per orthonormal basis
-    the mode uses (u1 for index 1; u2, then v2 for index 2): a standard
-    normal vector of the basis's width over its norm.  All of them come
-    from one rng.standard_normal((size, k)) call, split by column.  For
-    index 1 the unit vector w gives the ambient draw a = w u1^T and the
-    coefficient is its preimage under the large part's transpose,
-    unit((w / s1) v1^T), for which m1^T u = c a with c >= min(s1) > sigma.
+    One rng.standard_normal((len(drawn), size, 3, d + r)) call gives each
+    draw, mode by mode, a normal ambient vector g (d wide) and then a
+    normal coefficient vector h (r wide).  Mode m's coefficient vector is
+    unit(coef[m, i - 1] h) for index i: uniform in the complement for
+    index 2, and for index 1 the preimage of unit(u1 v1^T h), uniform in
+    the large part's ambient span, for which m1^T u = c a with c >=
+    min(s1) > sigma.  An index-2 mode's ambient vector is unit(amb[m] g);
+    an index-1 mode's g is drawn and left unused.
 
     The core moves by u x v x w.  Each index-2 factor moves by the outer
     product of its coefficient and ambient vectors.
@@ -124,59 +128,27 @@ def sample_missing_directions(splits: SubspaceSplit, labels,
     Each label must be a sequence of three integers in {1, 2} with at
     least two 2s (a ValueError, before drawing anything, otherwise).  A
     label with an empty subspace, e.g. a complement direction of a factor
-    that already uses all r of its rows, is left out.  The labels drawn
-    take their draws, label by label, from one rng.standard_normal call
-    of their joint length.  Each step of the construction takes the
-    labels that share it together, in stacks with the labels on a leading
-    axis, and the arithmetic of each label's slice of a stack does not
-    depend on the others.
+    that already uses all r of its rows, is left out and draws nothing,
+    so several labels draw as calls of one label each would, in order.
     """
     drawn = tuple(label for label in map(_label, labels)
                   if not _missing(splits, label))
     n, L = int(size), len(drawn)
-    r, d = splits.V.shape[1], splits.U.shape[1]
-    # the slots (label, mode) of each index, grouped with the mode's rank
-    # k; a slot's pieces are columns of its label's draw, mode by mode: w
-    # (k wide) for index 1, u (d - k) then v (r - k) for index 2
-    slots, widths = {}, []
-    for i, ijk in enumerate(drawn):
-        col = 0
-        for m, (k, idx) in enumerate(zip(splits.ranks, ijk)):
-            slots.setdefault((idx, k), []).append((i, m, col))
-            col += k if idx == 1 else d + r - 2 * k
-        widths.append(col)
-    Z = rng.standard_normal(n * sum(widths))
-    draws, end = [], 0
-    for k in widths:
-        draws.append(Z[end:end + n * k].reshape(n, k))
-        end += n * k
-
-    def units(group, shift, width):
-        # the pieces `width` wide at `shift` past each slot's column,
-        # normalized, as a (len(group), n, width) stack
-        out = np.concatenate([draws[i][:, c + shift:c + shift + width]
-                              for i, _, c in group])
-        return _unit(out.reshape(len(group), n, width))
-
+    r, d = splits.coef.shape[-1], splits.amb.shape[-1]
+    # axes: mode, label, draw, column
+    Z = rng.standard_normal((L, n, 3, d + r)).transpose(2, 0, 1, 3)
+    index = np.array(drawn, dtype=int).reshape(L, 3).T - 1
+    coeff = _unit(Z[..., d:] @ splits.coef[np.arange(3)[:, None], index])
     flats = np.zeros((L, n, r**3 + 3 * r * d))
-    mats = flats[..., r**3:].reshape(L, n, 3, r, d)
-    coeff = np.empty((3, L, n, r))
-    # each group's products take every slot's bases from the stacks, each
-    # as a construction of its label alone would: v1^T, v2^T as transposed
-    # views of V's columns, and u2^T as rows of U^T
-    for (idx, k), group in slots.items():
-        i, m = np.array([g[:2] for g in group]).T
-        V = splits.V[m].transpose(0, 2, 1)
-        if idx == 1:
-            w = units(group, 0, k) / splits.s[m, None, :k]
-            coeff[m, i] = _unit(w @ V[:, :k])
-        else:
-            a = units(group, 0, d - k) @ splits.U.transpose(0, 2, 1)[m][:, k:]
-            coeff[m, i] = b = units(group, d - k, r - k) @ V[:, k:]
-            mats[i, :, m] = b[..., None] * a[:, :, None]
     flats[..., :r**3] = np.einsum(
         "nx,ny,nz->nxyz", *coeff.reshape(3, L * n, r)).reshape(
             L, n, r**3)
+    # only the index-2 modes normalize their ambient draw: an index-1
+    # mode's complement can be {0}, whose draw would normalize to NaN
+    two = index == 1
+    a = _unit(Z[..., :d][two] @ splits.amb[np.nonzero(two)[0]])
+    mats = flats[..., r**3:].reshape(L, n, 3, r, d).transpose(2, 0, 1, 3, 4)
+    mats[two] = coeff[two][..., None] * a[..., None, :]
     return drawn, flats
 
 

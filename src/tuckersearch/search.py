@@ -10,11 +10,12 @@ curvature probe certifies stationary (no_direction).
   1. The descent line-searches L-BFGS directions, built from the last
      LBFGS_MEMORY (s, y) pairs between gradient points, halving the step
      up to 40 times and then while the trial still moves the point, as
-     every line search does.  It stops when the
-     gradient norm is at most TAU1, at a stall: f has fallen by no
-     more than STALL_TOL f over the last STALL_WINDOW accepted steps at
-     a gradient norm of at most STALL_GRAD, or when its line search
-     finds no step.  A stop probes nothing yet.
+     every line search does.  It stops when the gradient norm is at
+     most TAU1 sqrt(f) (relative to f, so that a flat exact target
+     descends on below f = 1e-12), at a stall: f has fallen by no more
+     than STALL_TOL f over the last STALL_WINDOW accepted steps at a
+     gradient norm of at most STALL_GRAD, or when its line search finds
+     no step.  A stop probes nothing yet.
      While the descent crawls, with f fallen by no more than SLOW_TOL f
      over the last STALL_WINDOW accepted steps and at least one pair in
      the memory (a slow window), it scores the escape round of stage 2
@@ -78,9 +79,10 @@ its L-BFGS direction, and each step source (a line search, a rebalance
 move, the escape round and a curvature step) start from that report, so
 they form neither again and a sign search adds no baseline value to the
 count; a step source returns the report of the point it steps to.  No
-point takes a second gradient or a second escape round: after a slow
-window's escape round finds nothing, the descent steps on from the
-gradient it has, and after a stop's finds nothing, the search either
+point takes a second gradient.  After a slow window's escape round finds
+nothing, the descent steps on from the gradient it has; where that line
+search fails, the stop scores a second escape round at the same point,
+with fresh draws.  After a stop's round finds nothing, the search either
 steps along negative curvature to a new point or ends.  No curvature
 probe starts that the budget cannot pay for, so a run never spends past
 its budget; a probe the budget cuts short ends the run with status
@@ -116,15 +118,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .escape import SIGMA, sample_missing_directions, sign_flip_search
+from .escape import (SAMPLED_BLOCKS, SIGMA, sample_missing_directions,
+                     sign_flip_search)
 from .objective import (ObjectiveReport, _core_grams, _phi,
                         default_lambda, grad, hvp, objective)
 from .subspace import subspace_split
 from .tensor_core import FactorPoint, _transform, hosvd, random_point
 
-# the escape's block labels, two or three modes missing: a label with a
-# single 2 gains at second order, where the curvature probe looks
-SAMPLED_BLOCKS = ((1, 2, 2), (2, 1, 2), (2, 2, 1), (2, 2, 2))
 # a descent whose f falls by no more than STALL_TOL * f over STALL_WINDOW
 # accepted steps stops as on a small gradient and hands its point to the
 # escape round, if its gradient norm is at most STALL_GRAD; one whose f
@@ -141,15 +141,18 @@ LBFGS_MEMORY = 5
 GN_DAMPING = 4e-2
 LANCZOS_STEPS = 12
 # fixed thresholds in place of the paper's cascade (the escape's split
-# takes escape.SIGMA): the gradient and curvature tolerances of a
-# stationary point, and the least gain an escape step must make
+# takes escape.SIGMA): the gradient tolerance of a stationary point,
+# relative to sqrt(f) (a descent stops at a gradient norm of at most
+# TAU1 sqrt(f)), its curvature tolerance, and the least gain an escape
+# step must make
 TAU1 = 1e-6
 TAU2 = 1e-4
 MIN_IMPROVEMENT = 1e-10
-# the least epsilon a run accepts: TAU1 stops a descent near f = 1e-12 of
-# the unit-norm problem, so at 1e-12 exact targets can end in a misleading
-# no_direction at f = 1.0e-12 to 2.4e-12, as 11 of 72 of six shapes did,
-# while all 72 converge at 1e-11
+# the least epsilon a run accepts, of the unit-norm problem.  A fixed
+# stop at a gradient norm of TAU1 ended 5 of 72 exact targets of six
+# shapes in a misleading no_direction at f = 1.0e-12 to 1.8e-12 at
+# epsilon = 1e-12; under the relative stop all 72 converge there, as at
+# 1e-11 and 1e-10, and the floor keeps its margin at 1e-11
 EPSILON_FLOOR = 1e-11
 
 
@@ -668,8 +671,8 @@ def _find_sosp(rep: ObjectiveReport, budget: Evaluator,
             # and little progress earns an escape round
             fall = (recent[0] - recent[-1] if len(recent) > STALL_WINDOW
                     else math.inf)
-            stop = gn <= TAU1 or (fall <= STALL_TOL * recent[-1]
-                                  and gn <= STALL_GRAD)
+            stop = gn <= TAU1 * math.sqrt(rep.f) or (
+                fall <= STALL_TOL * recent[-1] and gn <= STALL_GRAD)
             if (not stop and pairs and quiet <= 0
                     and fall <= SLOW_TOL * recent[-1]):
                 taken = _escape_round(rep, budget, sampler, samples)

@@ -1,18 +1,22 @@
 """Singular-value splits of factor matrices.
 
-Each r x d factor matrix M is split at a threshold sigma into a large part
-M1 = v1 diag(s1) u1^T (singular values s1 strictly above sigma) and a small
-part M - M1.  The split keeps s1 and four orthonormal bases:
+Each r x d factor matrix M = v diag(s) u^T is split at a threshold sigma
+into a large part M1 = v1 diag(s1) u1^T (singular values s1 strictly above
+sigma) and a small part M - M1.  The split keeps no bases, only three maps
+per factor, each a product of paired singular vectors:
 
-    v1, v2: left singular directions in R^r (coefficient space),
-    u1, u2: right singular directions in R^d (ambient space),
+    v1 diag(1/s1) v1^T   (r x r) the preimage map of the large part: for
+                         any x, u = v1 diag(1/s1) v1^T x has M1^T u =
+                         u1 v1^T x, with a multiplier of at least min(s1);
+    I - v1 v1^T          (r x r) the projector onto the coefficient
+                         directions the factor does not use;
+    I - u1 u1^T          (d x d) the projector onto the ambient directions
+                         it does not use.
 
-where u2 and v2 are the full orthogonal complements of u1 and v1, including
-any nullspace, so [u1 u2] and [v1 v2] are always square orthogonal.  The
-pseudoinverse of M1 is u1 diag(1/s1) v1^T, so the escape needs no SVD of
-its own.
-
-The escape stage draws its sampled directions from these bases.
+A standard normal vector pushed through a projector and normalized is
+uniform on the unit sphere of its range, so the escape stage draws its
+sampled directions through these maps.  Negating a singular pair leaves
+every map unchanged, bit for bit, so the split fixes no signs.
 """
 from __future__ import annotations
 
@@ -20,49 +24,43 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import FactorPoint, _column_signs
+from .tensor_core import FactorPoint
 
 
 @dataclass(frozen=True)
 class SubspaceSplit:
     """Splits of the three factors at one threshold sigma, stacked by mode:
-    mode m's bases [v1 v2] and [u1 u2] are the columns of V[m] (r x r) and
-    U[m] (d x d), its singular values s[m], and ranks[m] of them lie above
-    sigma, so its large part is V[m, :, :k] diag(s[m, :k]) U[m, :, :k]^T
-    with k = ranks[m]."""
-    V: np.ndarray
-    s: np.ndarray
-    U: np.ndarray
+    ranks[m] singular values of mode m lie above sigma, coef[m, 0] is its
+    preimage map and coef[m, 1] its coefficient complement (r x r), and
+    amb[m] its ambient complement (d x d)."""
+    coef: np.ndarray
+    amb: np.ndarray
     ranks: tuple[int, int, int]
 
 
 def subspace_split(p: FactorPoint, sigma: float) -> SubspaceSplit:
     """Split each of (A, B, C) at threshold sigma, ties (values equal to
-    sigma) to the small part, with one SVD of the three; the bases of each
-    singular pair are signed as `hosvd` signs them."""
+    sigma) to the small part, with one reduced SVD of the three."""
     F = p.factors
     k, r, d = F.shape
     if not F.any():
-        # every factor of a zero-start point is zero: every direction is
-        # singular with value 0, and the identities are the bases the SVD
-        # gives it, so they are taken without one
-        return SubspaceSplit(V=np.broadcast_to(np.eye(r), (k, r, r)),
-                             s=np.zeros((k, min(r, d))),
-                             U=np.broadcast_to(np.eye(d), (k, d, d)),
-                             ranks=(0,) * k)
+        # every factor of a zero-start point is zero: no value lies above
+        # sigma, so the maps are 0 and the identities, taken without an SVD
+        coef, amb = np.zeros((k, 2, r, r)), np.empty((k, d, d))
+        coef[:, 1], amb[:] = np.eye(r), np.eye(d)
+        return SubspaceSplit(coef=coef, amb=amb, ranks=(0,) * k)
     # one SVD of the stack runs LAPACK on each matrix as a call of its own
-    # would; a zero matrix among nonzero ones gets the identities, as above
-    V, s, Ut = np.linalg.svd(F, full_matrices=True)
-    U = Ut.transpose(0, 2, 1)
-    # paired singular directions flip together, by the sign of their V
-    # column, so they still factor M; trailing complement-only columns
-    # take their own signs
-    sv, su = _column_signs(V), _column_signs(U)
-    su[:, :s.shape[1]] = sv[:, :s.shape[1]]
-    V *= sv[:, None, :]
-    U *= su[:, None, :]
-    return SubspaceSplit(V=V, s=s, U=U,
-                         ranks=tuple((s > sigma).sum(axis=1).tolist()))
+    # would; the columns of the small part are zeroed, so each map sums
+    # over the large part's singular pairs alone
+    V, s, Ut = np.linalg.svd(F, full_matrices=False)
+    large = s > sigma
+    v1, u1t = V * large[:, None, :], Ut * large[:, :, None]
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=large)
+    coef = np.stack(((v1 * inverse[:, None, :]) @ v1.transpose(0, 2, 1),
+                     np.eye(r) - v1 @ v1.transpose(0, 2, 1)), axis=1)
+    return SubspaceSplit(coef=coef,
+                         amb=np.eye(d) - u1t.transpose(0, 2, 1) @ u1t,
+                         ranks=tuple(large.sum(axis=1).tolist()))
 
 
 def projection_distance_bound(M: np.ndarray, M1: np.ndarray,

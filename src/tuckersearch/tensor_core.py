@@ -90,15 +90,14 @@ def trilinear(X: np.ndarray, u: np.ndarray, v: np.ndarray,
 
 
 def _column_signs(U: np.ndarray) -> np.ndarray:
-    """+1.0 or -1.0 for each column of each matrix of the (k, rows, cols)
-    stack U, so that multiplying the column by it makes its first entry
-    of magnitude > 1e-12 positive (+1.0 for a column with no such entry).
-    Multiplying by +-1.0 is exact, so the signed columns are bit for bit
-    the negated or unchanged ones."""
+    """+1.0 or -1.0 for each column of the matrix U, so that multiplying
+    the column by it makes its first entry of magnitude > 1e-12 positive
+    (+1.0 for a column with no such entry).  Multiplying by +-1.0 is
+    exact, so the signed columns are bit for bit the negated or unchanged
+    ones."""
     big = np.abs(U) > 1e-12
-    first = U[np.arange(len(U))[:, None], big.argmax(axis=1),
-              np.arange(U.shape[2])]
-    return np.where(big.any(axis=1) & (first < 0.0), -1.0, 1.0)
+    first = U[big.argmax(axis=0), np.arange(U.shape[1])]
+    return np.where(big.any(axis=0) & (first < 0.0), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ def hosvd(T: np.ndarray, r: int) -> FactorPoint:
     factors = []
     for mode in (1, 2, 3):
         U = np.linalg.svd(flatten(T, mode), full_matrices=False)[0][:, :r]
-        U = U * _column_signs(U[None])[0]
+        U = U * _column_signs(U)
         factors.append(U.T)
     A, B, C = factors
     S = multilinear_transform(T, A.T, B.T, C.T)

@@ -1,4 +1,4 @@
-"""Named views of a subspace split and the escape's scoring of chosen
+"""A reference split of a factor and the escape's scoring of chosen
 candidates, shared by the escape, subspace and search tests."""
 from types import SimpleNamespace
 
@@ -7,15 +7,19 @@ import numpy as np
 from tuckersearch.escape import _candidate_values, _expansion
 
 
-def mode_split(splits, m):
-    """Mode m's split of the SubspaceSplit `splits` by its named parts: the
-    singular values s1 above the threshold, their count rank1, the
+def mode_split(p, m, sigma):
+    """Mode m's split of the point p at threshold sigma, from a full SVD
+    of its own, by its named parts: the singular values s1 above the
+    threshold (ties to the small part), their count rank1, the
     coefficient bases v1, v2 (in R^r) and the ambient bases u1, u2 (in
-    R^d), views into the stacks; the large part is v1 diag(s1) u1^T."""
-    k = splits.ranks[m]
-    V, U = splits.V[m], splits.U[m]
-    return SimpleNamespace(rank1=k, s1=splits.s[m, :k], v1=V[:, :k],
-                           v2=V[:, k:], u1=U[:, :k], u2=U[:, k:])
+    R^d), v2 and u2 the full complements of v1 and u1; the large part is
+    m1 = v1 diag(s1) u1^T."""
+    M = p.factors[m]
+    V, s, Ut = np.linalg.svd(M, full_matrices=True)
+    k = int(np.sum(s > sigma))
+    return SimpleNamespace(rank1=k, s1=s[:k], v1=V[:, :k], v2=V[:, k:],
+                           u1=Ut[:k].T, u2=Ut[k:].T,
+                           m1=(V[:, :k] * s[:k]) @ Ut[:k])
 
 
 def sign_patterns(active):

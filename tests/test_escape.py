@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ def outer3(a, b, c):
 def sampled(splits, ijk, rng, size=1):
     """The sampler's draws of the label ijk, each as the FactorPoint of its
     flat vector; none where the label has no directions."""
-    template = FactorPoint.zeros(splits.V.shape[1], splits.U.shape[1])
+    template = FactorPoint.zeros(splits.coef.shape[-1],
+                                 splits.amb.shape[-1])
     _, flats = sample_missing_directions(splits, (ijk,), rng, size)
     return [template._like(flat) for stack in flats for flat in stack]
 
@@ -66,10 +68,10 @@ def test_sampled_vectors_live_in_their_subspaces():
     p, T, splits, rng = _generic_setup()
     for ijk in SAMPLED_BLOCKS:
         for _ in range(3):
-            delta, ambient, coeff = draw_with_vectors(splits, ijk, rng)
+            delta, ambient, coeff = draw_with_vectors(p, 0.1, ijk, rng)
             assert norm_f(delta.S) == pytest.approx(1.0, abs=1e-12)
             for m, (idx, M) in enumerate(zip(ijk, delta.factors)):
-                ms = mode_split(splits, m)
+                ms = mode_split(p, m, 0.1)
                 Sm = np.moveaxis(delta.S, m, 0).reshape(p.r, -1)
                 if idx == 1:
                     assert not M.any()
@@ -78,7 +80,7 @@ def test_sampled_vectors_live_in_their_subspaces():
                     # the core's unfolding is u t^T, with t the other two
                     # coefficient vectors' Kronecker product
                     t = np.kron(*(coeff[k] for k in range(3) if k != m))
-                    y = large_part(ms).T @ (Sm @ t)
+                    y = ms.m1.T @ (Sm @ t)
                     c = float(y @ ambient[m])
                     assert c >= 0.1    # the split's threshold
                     np.testing.assert_allclose(y, c * ambient[m],
@@ -206,53 +208,126 @@ def test_sampler_draws_are_centered():
         assert norm_f(sum(q.factors[m] for q in deltas) / n) <= 0.05
 
 
-def large_part(ms):
-    """The split's large part, v1 diag(s1) u1^T."""
-    return (ms.v1 * ms.s1) @ ms.u1.T
+def test_sampled_pieces_are_uniform_on_their_subspaces():
+    # a normal vector pushed through a projector P and normalized is
+    # uniform on the unit sphere of P's range, so the mean outer product
+    # of each piece tends to P / rank(P): the ambient and coefficient
+    # vectors of an index-2 mode on the reference's complements, and for
+    # an index-1 mode the direction of m1^T u on the ambient span of m1
+    n = 20_000
+    p, T, splits, sigma, rng = _escape_instance(4, 7, 1.0, 233)
+    assert splits.ranks == (2, 2, 2)
+    [flats] = sample_missing_directions(splits, [(1, 2, 2)], rng, n)[1]
+    S = flats[:, :p.r**3].reshape(n, p.r, p.r**2)
+    mats = flats[:, p.r**3:].reshape(n, 3, p.r, p.d)
+    for m in (1, 2):
+        ms = mode_split(p, m, sigma)
+        # a factor block is b a^T with unit a and b, so M^T M = a a^T and
+        # M M^T = b b^T
+        M = mats[:, m]
+        for mean, P in ((M.transpose(0, 2, 1) @ M, ms.u2 @ ms.u2.T),
+                        (M @ M.transpose(0, 2, 1), ms.v2 @ ms.v2.T)):
+            np.testing.assert_allclose(np.trace(mean, axis1=1, axis2=2),
+                                       1.0, rtol=1e-12)
+            np.testing.assert_allclose(mean.mean(axis=0), P / np.trace(P),
+                                       atol=0.02)
+    # the core's first unfolding is u t^T with unit t, so S_(1) S_(1)^T =
+    # u u^T, and Y = m1^T u u^T m1 over its trace is y y^T for the unit y
+    # along m1^T u
+    ms = mode_split(p, 0, sigma)
+    Y = ms.m1.T @ (S @ S.transpose(0, 2, 1)) @ ms.m1
+    Y /= np.trace(Y, axis1=1, axis2=2)[:, None, None]
+    np.testing.assert_allclose(Y.mean(axis=0), ms.u1 @ ms.u1.T / ms.rank1,
+                               atol=0.02)
 
 
-def reference_vectors(splits, ijk, rng):
-    """The ambient and coefficient unit vectors of one draw, each from its
-    own normal draw, with the index-1 coefficient the normalized
-    np.linalg.pinv preimage of its ambient vector under m1^T."""
-    def unit_in_span(basis):
-        g = rng.standard_normal(basis.shape[1])
-        return basis @ (g / np.linalg.norm(g))
+def test_sampler_leaves_a_full_rank_index_one_mode_untouched():
+    # at d = r a full-rank factor uses every ambient direction, so its
+    # ambient complement is {0}: the diagonal factor's map is exactly 0,
+    # whose draw would normalize to NaN.  An index-1 mode never
+    # normalizes its ambient draw: no warning, and its factor block is
+    # exactly 0.0
+    rng = np.random.default_rng(0)
+    V, U, W = (np.linalg.qr(rng.standard_normal((3, 3)))[0]
+               for _ in range(3))
+    p = FactorPoint(rng.standard_normal((3, 3, 3)), np.diag([2.0, 1.5, 1.0]),
+                    (V * [2.0, 0.01, 0.01]) @ U.T,
+                    (V * [2.0, 0.01, 0.01]) @ W.T)
+    splits = subspace_split(p, 0.1)
+    assert splits.ranks == (3, 1, 1)
+    assert not splits.amb[0].any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        drawn, flats = sample_missing_directions(splits, SAMPLED_BLOCKS,
+                                                 rng, 50)
+    assert drawn == ((1, 2, 2),)
+    A = flats[..., p.r**3:p.r**3 + p.r * p.d]
+    assert np.isfinite(flats).all()
+    assert not A.any() and not np.signbit(A).any()
 
+
+@pytest.mark.parametrize("r,d", [(1, 1), (2, 4), (3, 7)])
+def test_sampler_at_the_origin_draws_unit_gaussian_pieces(r, d):
+    # every map is an identity at the zero point, so a draw is its normal
+    # pieces normalized, mode by mode the ambient vector (d wide) and then
+    # the coefficient vector (r wide), bit for bit
+    splits = subspace_split(FactorPoint.zeros(r, d), 0.05)
+    n = 5
+    drawn, flats = sample_missing_directions(
+        splits, SAMPLED_BLOCKS, np.random.default_rng(r + d), n)
+    assert drawn == ((2, 2, 2),)
+    g = np.random.default_rng(r + d).standard_normal((n, 3, d + r))
+    a = g[..., :d] / np.linalg.norm(g[..., :d], axis=-1, keepdims=True)
+    b = g[..., d:] / np.linalg.norm(g[..., d:], axis=-1, keepdims=True)
+    want = np.concatenate((
+        np.einsum("nx,ny,nz->nxyz", *b.transpose(1, 0, 2)).reshape(n, -1),
+        (b[..., :, None] * a[..., None, :]).reshape(n, -1)), axis=1)
+    assert flats[0].tobytes() == want.tobytes()
+
+
+def reference_vectors(p, sigma, ijk, rng):
+    """The ambient and coefficient unit vectors of one draw, from the
+    reference split of each mode and, mode by mode, a normal ambient
+    vector g then a normal coefficient vector h: an index-2 mode's are g
+    and h projected onto u2 and v2 and normalized, and an index-1 mode's
+    ambient vector is u1 v1^T h normalized, with the coefficient its
+    normalized np.linalg.pinv preimage under m1^T."""
     ambient, coeff = [], []
     for m, idx in enumerate(ijk):
-        ms = mode_split(splits, m)
+        ms = mode_split(p, m, sigma)
+        g, h = rng.standard_normal(p.d), rng.standard_normal(p.r)
         if idx == 1:
-            a = unit_in_span(ms.u1)
-            u = np.linalg.pinv(large_part(ms).T) @ a
-            u = u / np.linalg.norm(u)
+            a = ms.u1 @ (ms.v1.T @ h)
+            a = a / np.linalg.norm(a)
+            u = np.linalg.pinv(ms.m1.T) @ a
         else:
-            a = unit_in_span(ms.u2)
-            u = unit_in_span(ms.v2)
+            a = ms.u2 @ (ms.u2.T @ g)
+            a = a / np.linalg.norm(a)
+            u = ms.v2 @ (ms.v2.T @ h)
         ambient.append(a)
-        coeff.append(u)
+        coeff.append(u / np.linalg.norm(u))
     return ambient, coeff
 
 
-def draw_with_vectors(splits, ijk, rng):
-    """One sampled direction and the reference's unit vectors of it, read
-    from a copy of rng; the direction built from them block by block must
-    match the sampler's within 1e-12 of its largest entry."""
-    ambient, coeff = reference_vectors(splits, ijk, copy.deepcopy(rng))
-    r, d = coeff[0].size, ambient[0].size
-    mats = [np.outer(u, a) if idx == 2 else np.zeros((r, d))
+def draw_with_vectors(p, sigma, ijk, rng):
+    """One sampled direction at the split of p at sigma and the
+    reference's unit vectors of it, read from a copy of rng; the direction
+    built from them block by block must match the sampler's within 1e-12
+    of its largest entry."""
+    ambient, coeff = reference_vectors(p, sigma, ijk, copy.deepcopy(rng))
+    mats = [np.outer(u, a) if idx == 2 else np.zeros((p.r, p.d))
             for idx, u, a in zip(ijk, coeff, ambient)]
     want = FactorPoint(outer3(*coeff), *mats)
-    [direction] = sampled(splits, ijk, rng)
+    [direction] = sampled(subspace_split(p, sigma), ijk, rng)
     _assert_close(direction.flat, want.flat)
     return direction, ambient, coeff
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_split_pseudoinverse_matches_numpy_pinv(seed):
-    # the sampler's index-1 preimage takes the pseudoinverse of each large
-    # part m1 = v1 diag(s1) u1^T from the split's own SVD; np.linalg.pinv
-    # of m1 is the reference inside draw_with_vectors
+    # the sampler's index-1 preimage takes each large part m1 = v1
+    # diag(s1) u1^T through the split's preimage map; np.linalg.pinv of
+    # m1 is the reference inside draw_with_vectors
     rng = np.random.default_rng(seed)
     r = int(rng.integers(2, 5))
     d = r + int(rng.integers(1, 5))
@@ -264,11 +339,10 @@ def test_split_pseudoinverse_matches_numpy_pinv(seed):
         spectrum[rng.integers(1, r):] = 0.01
         mats.append((V * spectrum) @ U.T)
     p = FactorPoint(rng.standard_normal((r, r, r)), *mats)
-    splits = subspace_split(p, 0.1)
-    assert all(0 < k < r for k in splits.ranks)
+    assert all(0 < k < r for k in subspace_split(p, 0.1).ranks)
     for ijk in SAMPLED_BLOCKS:
         if 1 in ijk:
-            draw_with_vectors(splits, ijk, rng)
+            draw_with_vectors(p, 0.1, ijk, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +353,7 @@ def test_build_direction_blocks_and_scaling():
     # each index-2 factor moves by the unscaled outer product of its unit
     # coefficient and ambient vectors, an index-1 factor not at all
     p, T, splits, rng = _generic_setup()
-    direction, (a, _, c), (u, v, w) = draw_with_vectors(splits, (2, 1, 2),
+    direction, (a, _, c), (u, v, w) = draw_with_vectors(p, 0.1, (2, 1, 2),
                                                         rng)
     d = direction
     np.testing.assert_allclose(d.S, outer3(u, v, w), atol=1e-12)
@@ -287,7 +361,7 @@ def test_build_direction_blocks_and_scaling():
     assert np.linalg.norm(d.B) == 0.0
     np.testing.assert_allclose(d.C, np.outer(w, c), atol=1e-12)
 
-    direction, (a, b, c), (u, v, w) = draw_with_vectors(splits, (2, 2, 2),
+    direction, (a, b, c), (u, v, w) = draw_with_vectors(p, 0.1, (2, 2, 2),
                                                         rng)
     np.testing.assert_allclose(direction.A, np.outer(u, a), atol=1e-12)
     np.testing.assert_allclose(direction.B, np.outer(v, b), atol=1e-12)
@@ -298,7 +372,7 @@ def test_two_missing_core_times_factor_deltas_identity():
     # the core delta applied to (factor delta, B, factor delta) collapses
     # to a x (B^T v) x c, the rank-one update the label adds at third order
     p, T, splits, rng = _generic_setup(239)
-    direction, (a, _, c), (_, v, _) = draw_with_vectors(splits, (2, 1, 2),
+    direction, (a, _, c), (_, v, _) = draw_with_vectors(p, 0.1, (2, 1, 2),
                                                         rng)
     got = multilinear_transform(direction.S, direction.A, p.B, direction.C)
     want = outer3(a, p.B.T @ v, c)
@@ -343,8 +417,7 @@ def test_sign_search_at_origin_matches_closed_form():
     T = rng.standard_normal((d, d, d))
     T /= norm_f(T)
     p = FactorPoint.zeros(2, d)
-    splits = subspace_split(p, sigma=0.05)
-    direction, (a, b, c), _ = draw_with_vectors(splits, (2, 2, 2), rng)
+    direction, (a, b, c), _ = draw_with_vectors(p, 0.05, (2, 2, 2), rng)
     found = search(p, T, direction)
     tval = trilinear(T, a, b, c)
     assert found.improvements[0] == pytest.approx(tval**2, rel=1e-9)

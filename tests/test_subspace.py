@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,17 +9,25 @@ from tuckersearch.tensor_core import FactorPoint
 from escape_tools import mode_split
 
 
-def split(M, sigma):
-    """The split of M at threshold sigma: mode 1's of a point whose three
-    factors are M."""
+def point(M):
+    """A point whose three factors are M."""
     r = M.shape[0]
-    return mode_split(subspace_split(
-        FactorPoint(np.zeros((r, r, r)), M, M, M), sigma), 0)
+    return FactorPoint(np.zeros((r, r, r)), M, M, M)
 
 
-def large_part(ms):
-    """The split's large part, v1 diag(s1) u1^T."""
-    return (ms.v1 * ms.s1) @ ms.u1.T
+def split(M, sigma):
+    """Mode 1's part of the split of point(M) at threshold sigma: its rank
+    and its maps, the preimage map, the coefficient complement and the
+    ambient complement."""
+    splits = subspace_split(point(M), sigma)
+    return (splits.ranks[0], splits.coef[0, 0], splits.coef[0, 1],
+            splits.amb[0])
+
+
+def assert_projector(P):
+    """P is symmetric and idempotent, to rounding."""
+    np.testing.assert_allclose(P, P.T, atol=1e-12)
+    np.testing.assert_allclose(P @ P, P, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -26,111 +36,113 @@ def large_part(ms):
 
 def test_split_diagonal_example():
     M = np.array([[3.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
-    ms = split(M, 1.0)
-    assert ms.rank1 == 1
-    np.testing.assert_allclose(ms.s1, [3.0], atol=1e-12)
-    np.testing.assert_allclose(large_part(ms), [[3, 0, 0], [0, 0, 0]],
-                               atol=1e-12)
-    np.testing.assert_allclose(ms.u1[:, 0], [1, 0, 0], atol=1e-12)
-    assert ms.u2.shape == (3, 2)
-    assert ms.v1.shape == (2, 1)
-    assert ms.v2.shape == (2, 1)
-    # the small part M - m1 is the second singular pair, 0.5 v2 u2[:, 0]^T
-    np.testing.assert_allclose(0.5 * ms.v2 @ ms.u2[:, :1].T,
-                               M - large_part(ms), atol=1e-12)
+    k, pre, cv, amb = split(M, 1.0)
+    assert k == 1
+    np.testing.assert_allclose(pre, np.diag([1 / 3, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(cv, np.diag([0.0, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(amb, np.diag([0.0, 1.0, 1.0]), atol=1e-12)
+    # the small part M - m1, the second singular pair, lives on both
+    # complements
+    small = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
+    np.testing.assert_allclose(cv @ small @ amb, small, atol=1e-12)
 
 
 def test_split_tie_goes_to_small_part():
-    M = np.diag([2.0, 1.0])
-    ms = split(M, 1.0)
-    assert ms.rank1 == 1
-    np.testing.assert_allclose(M - large_part(ms), np.diag([0.0, 1.0]),
-                               atol=1e-12)
+    k, pre, cv, amb = split(np.diag([2.0, 1.0]), 1.0)
+    assert k == 1
+    np.testing.assert_allclose(pre, np.diag([0.5, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(cv, np.diag([0.0, 1.0]), atol=1e-12)
+    np.testing.assert_allclose(amb, np.diag([0.0, 1.0]), atol=1e-12)
 
 
-def test_split_reconstructs_and_bases_are_orthonormal():
+def test_split_maps_match_the_reference_and_complements_are_projectors():
     rng = np.random.default_rng(151)
     for _ in range(20):
         r, d = int(rng.integers(1, 4)), int(rng.integers(1, 6))
         M = rng.standard_normal((r, d))
         sigma = float(rng.uniform(0, 1.5))
-        ms = split(M, sigma)
-        # v1 diag(s1) u1^T is the rank-k truncation of M, with k the
-        # number of singular values above sigma
-        V, s, Ut = np.linalg.svd(M)
-        k = int(np.sum(s > sigma))
-        m1 = large_part(ms)
-        np.testing.assert_allclose(ms.s1, s[:k], rtol=1e-12)
-        np.testing.assert_allclose(m1, (V[:, :k] * s[:k]) @ Ut[:k],
-                                   atol=1e-12)
-        # m1 lives on the large bases and M - m1 on their complements
-        small = M - m1
-        for X in (ms.v2.T @ m1, m1 @ ms.u2, ms.v1.T @ small,
-                  small @ ms.u1):
+        k, pre, cv, amb = split(M, sigma)
+        ms = mode_split(point(M), 0, sigma)
+        assert k == ms.rank1
+        # the complements are symmetric idempotent: the projectors onto
+        # the reference's v2 and u2, which m1 does not touch and which
+        # hold the small part M - m1
+        assert_projector(cv)
+        assert_projector(amb)
+        np.testing.assert_allclose(cv, ms.v2 @ ms.v2.T, atol=1e-12)
+        np.testing.assert_allclose(amb, ms.u2 @ ms.u2.T, atol=1e-12)
+        small = M - ms.m1
+        for X in (cv @ ms.m1, ms.m1 @ amb, cv @ small - small,
+                  small @ amb - small):
             np.testing.assert_allclose(X, 0.0, atol=1e-12)
-        for basis, dim in ((np.hstack([ms.u1, ms.u2]), d),
-                           (np.hstack([ms.v1, ms.v2]), r)):
-            assert basis.shape == (dim, dim)
-            np.testing.assert_allclose(basis.T @ basis, np.eye(dim),
+        # the preimage map is the reference's v1 diag(1/s1) v1^T: m1^T
+        # takes its image of any x to u1 v1^T x, shrunk by at least sigma
+        np.testing.assert_allclose(pre, (ms.v1 / ms.s1) @ ms.v1.T,
+                                   atol=1e-12)
+        for x in rng.standard_normal((5, r)):
+            u = pre @ x
+            np.testing.assert_allclose(ms.m1.T @ u, ms.u1 @ (ms.v1.T @ x),
                                        atol=1e-12)
-        # the large part keeps only singular values above the threshold
-        kept = np.linalg.svd(m1, compute_uv=False)
-        assert np.all(kept[:ms.rank1] > sigma)
-        assert np.all(np.linalg.svd(small, compute_uv=False) <= sigma + 1e-12)
+            assert np.linalg.norm(ms.m1.T @ u) >= sigma * np.linalg.norm(u)
 
 
 def test_split_zero_threshold_keeps_all_nonzero_directions():
-    M = np.array([[1.0, 0.0], [0.0, 0.0]])
-    ms = split(M, 0.0)
-    assert ms.rank1 == 1
-    np.testing.assert_array_equal(ms.s1, [1.0])
-    np.testing.assert_array_equal(large_part(ms), M)
-    # the zero singular direction still lands in the complement bases
-    assert ms.u2.shape == (2, 1)
-    assert ms.v2.shape == (2, 1)
+    k, pre, cv, amb = split(np.array([[1.0, 0.0], [0.0, 0.0]]), 0.0)
+    assert k == 1
+    np.testing.assert_allclose(pre, np.diag([1.0, 0.0]), atol=1e-15)
+    # the zero singular direction still lands in the complements
+    np.testing.assert_allclose(cv, np.diag([0.0, 1.0]), atol=1e-15)
+    np.testing.assert_allclose(amb, np.diag([0.0, 1.0]), atol=1e-15)
 
 
 def test_split_is_deterministic():
-    rng = np.random.default_rng(157)
-    M = rng.standard_normal((3, 5))
-    a, b = split(M, 0.3), split(M, 0.3)
-    np.testing.assert_array_equal(a.u1, b.u1)
-    np.testing.assert_array_equal(a.v2, b.v2)
+    p = point(np.random.default_rng(157).standard_normal((3, 5)))
+    a, b = subspace_split(p, 0.3), subspace_split(p, 0.3)
+    assert a.coef.tobytes() == b.coef.tobytes()
+    assert a.amb.tobytes() == b.amb.tobytes()
 
 
-def _first_entries(basis):
-    """Each column's first entry of magnitude > 1e-12."""
-    return [col[np.abs(col) > 1e-12][0] for col in basis.T]
-
-
-def test_split_bases_have_positive_first_entries():
-    # each v column's first entry above 1e-12 is positive, and its paired
-    # u column flips with it; u columns past min(r, d) pair with nothing
-    # and take their own sign
+def test_split_maps_ignore_the_signs_of_singular_pairs(monkeypatch):
+    # negating any set of singular pairs, a column of V with the matching
+    # row of U^T, leaves every map unchanged, bit for bit: the split needs
+    # no sign convention
     rng = np.random.default_rng(163)
+    svd = np.linalg.svd
     for r, d in ((2, 5), (3, 3), (3, 2)):
-        M = rng.standard_normal((r, d))
-        ms = split(M, 0.5)
-        V, U = np.hstack([ms.v1, ms.v2]), np.hstack([ms.u1, ms.u2])
-        assert all(x > 0 for x in _first_entries(V))
-        assert all(x > 0 for x in _first_entries(U[:, min(r, d):]))
-        s = np.linalg.svd(M, compute_uv=False)
-        k = min(r, d)
-        np.testing.assert_allclose((V[:, :k] * s) @ U[:, :k].T, M,
-                                   atol=1e-12)
+        p = FactorPoint(np.zeros((r, r, r)),
+                        *rng.standard_normal((3, r, d)))
+        want = subspace_split(p, 0.5)
+        for signs in itertools.product((1.0, -1.0), repeat=min(r, d)):
+            def negated(F, *args, signs=np.array(signs), **kwargs):
+                V, s, Ut = svd(F, *args, **kwargs)
+                return V * signs, s, Ut * signs[:, None]
+
+            monkeypatch.setattr(np.linalg, "svd", negated)
+            got = subspace_split(p, 0.5)
+            monkeypatch.setattr(np.linalg, "svd", svd)
+            assert got.ranks == want.ranks
+            assert got.coef.tobytes() == want.coef.tobytes()
+            assert got.amb.tobytes() == want.amb.tobytes()
 
 
 @pytest.mark.parametrize("r,d", [(1, 1), (1, 3), (2, 8), (3, 5), (4, 24)])
 def test_split_of_a_zero_factor_takes_the_bases_the_svd_gives(r, d):
-    # the zero start's factors skip the SVD; its bases are the identities,
-    # exactly what the SVD returns for a zero matrix
-    V, _, Ut = np.linalg.svd(np.zeros((r, d)), full_matrices=True)
-    ms = split(np.zeros((r, d)), 0.05)
-    assert ms.rank1 == 0 and ms.v1.shape == (r, 0) and ms.u1.shape == (d, 0)
-    assert np.array_equal(ms.v2, V) and np.array_equal(ms.u2, Ut.T)
-    assert not np.signbit(ms.v2).any() and not np.signbit(ms.u2).any()
-    assert ms.s1.shape == (0,)
-    assert np.array_equal(large_part(ms), np.zeros((r, d)))
+    # the zero start's factors skip the SVD; their maps are the ones
+    # built from the bases the SVD gives a zero factor among nonzero
+    # ones: no preimage map, and identities for both complements
+    zero = subspace_split(FactorPoint.zeros(r, d), 0.05)
+    rng = np.random.default_rng(10 * r + d)
+    mixed = subspace_split(FactorPoint(
+        np.zeros((r, r, r)), np.zeros((r, d)),
+        *rng.standard_normal((2, r, d))), 0.05)
+    assert zero.ranks == (0, 0, 0) and mixed.ranks[0] == 0
+    for m in range(3):
+        assert np.array_equal(zero.coef[m, 0], np.zeros((r, r)))
+        assert np.array_equal(zero.coef[m, 1], np.eye(r))
+        assert np.array_equal(zero.amb[m], np.eye(d))
+        assert zero.coef[m].tobytes() == mixed.coef[0].tobytes()
+        assert zero.amb[m].tobytes() == mixed.amb[0].tobytes()
+    assert not np.signbit(zero.coef).any() and not np.signbit(zero.amb).any()
 
 
 # ---------------------------------------------------------------------------
