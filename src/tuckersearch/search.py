@@ -31,10 +31,10 @@ curvature probe certifies stationary (no_direction).
      (see `escape`), that search takes each draw's exact best step in
      closed form.  Only when no escape step is taken does a Lanczos
      probe of at most LANCZOS_STEPS Hessian-vector products look for
-     negative curvature there, from the same report: a direction is
-     line-searched both ways and the better step is taken; none
-     certifies the point stationary.  The step either takes starts a new
-     descent (a round), memory cleared.
+     negative curvature there, from the same report: a direction,
+     signed against the gradient, is line-searched once; none certifies
+     the point stationary.  The step either takes starts a new descent
+     (a round), memory cleared.
 
 A gradient line search fails only where no representable step lowers f
 (the halving floor), so it is a stop like the others.  The escape is
@@ -78,8 +78,10 @@ state of the point.  The gradient at the point, the preconditioner of
 its L-BFGS direction, and each step source (a line search, a rebalance
 move, the escape round and a curvature step) start from that report, so
 they form neither again and a sign search adds no baseline value to the
-count; a step source returns the report of the point it steps to.  No
-point takes a second gradient.  After a slow window's escape round finds
+count.  Every step source returns its step as (kind, report, size,
+gain), the fields of its trace record, with the report of the point it
+steps to, or None where it finds no step.  No point takes a second
+gradient.  After a slow window's escape round finds
 nothing, the descent steps on from the gradient it has; where that line
 search fails, the stop scores a second escape round at the same point,
 with fresh draws.  After a stop's round finds nothing, the search either
@@ -140,6 +142,8 @@ SLOW_TOL = 1e-2
 LBFGS_MEMORY = 5
 GN_DAMPING = 4e-2
 LANCZOS_STEPS = 12
+# draws per sampled block label in an escape round
+SAMPLES_PER_BLOCK = 6
 # fixed thresholds in place of the paper's cascade (the escape's split
 # takes escape.SIGMA): the gradient tolerance of a stationary point,
 # relative to sqrt(f) (a descent stops at a gradient norm of at most
@@ -202,11 +206,6 @@ class SearchConfig:
             raise ValueError(f"epsilon must be in [{EPSILON_FLOOR:g}, 1), "
                              f"got {self.epsilon}")
         _parse_init(self.init)
-
-
-def samples_per_block(epsilon: float) -> int:
-    """Draws per sampled block label: min(ceil(8 ln(1/epsilon)), 6)."""
-    return min(math.ceil(8.0 * math.log(1.0 / epsilon)), 6)
 
 
 def _parse_init(spec: str):
@@ -360,7 +359,7 @@ def _apply_balance(p: FactorPoint, eta: float, w: np.ndarray, V: np.ndarray,
 
 def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
     """One line-searched orbit move from the point of the report rep;
-    returns (report, eta) or None.
+    returns the step ("rebalance", report, eta, gain) or None.
 
     An orbit move leaves S(A, B, C), and so L, unchanged: each trial is
     scored as rep.L + lam R from its own Gram gaps, and only the accepted
@@ -376,9 +375,9 @@ def _rebalance_once(rep: ObjectiveReport, ev: Evaluator):
         phi, shrink, core = _apply_balance(p, eta, w, V, rep.grams)
         fc = rep.L + ev.lam * (phi * phi)
         if math.isfinite(fc) and fc < f0 - 1e-12 * (1.0 + abs(f0)):
-            cand = p._like(np.concatenate((core.ravel(),
-                                           (shrink @ p.factors).ravel())))
-            return ev.objective(cand), eta
+            cand = ev.objective(p._like(np.concatenate(
+                (core.ravel(), (shrink @ p.factors).ravel()))))
+            return "rebalance", cand, eta, f0 - cand.f
         eta *= 0.5
     return None
 
@@ -538,24 +537,23 @@ def _lbfgs_direction(rep: ObjectiveReport, g: FactorPoint, pairs):
 
 
 def _line_search(rep: ObjectiveReport, direction: FactorPoint,
-                 ev: Evaluator, init_step=1.0, slope: float | None = None):
+                 ev: Evaluator, kind: str, init_step=1.0,
+                 slope: float | None = None):
     """Halve the step from init_step until sufficient decrease from the
-    point of the report rep; returns (report, step) or None.  With a slope
-    (for gradient steps) the Armijo rule applies; otherwise any strict
-    decrease wins.  After 40 trials the halving goes on only while a trial
-    still moves the point, step |d| > 1e-16 max(|p|, 1): a start far out,
-    where f is huge, can need more halvings than that to come back to
-    scale."""
+    point of the report rep; returns the step (kind, report, step, gain),
+    kind the caller's, or None.  With a slope (for gradient steps) the
+    Armijo rule applies; otherwise any strict decrease wins.  After 40
+    trials the halving goes on only while a trial still moves the point,
+    step |d| > 1e-16 max(|p|, 1): a start far out, where f is huge, can
+    need more halvings than that to come back to scale."""
     p, f = rep.point, rep.f
     step, trials, floor, size = init_step, 0, None, None
     while True:
         cand = ev.objective(p._like(p.flat + step * direction.flat))
-        if math.isfinite(cand.f):
-            if slope is not None:
-                if cand.f <= f - 1e-4 * step * slope:
-                    return cand, step
-            elif cand.f < f - 1e-12 * (1.0 + abs(f)):
-                return cand, step
+        if math.isfinite(cand.f) and (
+                cand.f <= f - 1e-4 * step * slope if slope is not None
+                else cand.f < f - 1e-12 * (1.0 + abs(f))):
+            return kind, cand, step, f - cand.f
         step *= 0.5
         trials += 1
         if trials >= 40:
@@ -568,38 +566,41 @@ def _line_search(rep: ObjectiveReport, direction: FactorPoint,
                 return None
 
 
-def _curvature_step(rep: ObjectiveReport, rng: np.random.Generator,
-                    ev: Evaluator):
-    """Probe the curvature at the point of the report rep and line-search a
-    negative-curvature direction both ways; returns (hit, rho), hit the
-    better (report, step) or None, rho the probe's smallest Ritz
-    value, infinite when the budget cut the probe short.  None with a
-    finite rho makes the point stationary: either no curvature lies below
-    -TAU2/2, or none that a step can realize at this floating-point
-    scale."""
-    direction, rho = _negative_curvature(rep.point, rng, ev)
-    if direction is None:
+def _curvature_step(rep: ObjectiveReport, g: FactorPoint,
+                    rng: np.random.Generator, ev: Evaluator):
+    """Probe the curvature at the point of the report rep, whose gradient
+    is g, and line-search the negative-curvature direction v it finds
+    once, from a first trial step of max(2 |rho|, 1e-3); returns (step,
+    rho), step ("negative-curvature", report, size, gain) or None, rho
+    the probe's smallest Ritz value, infinite when the budget cut the
+    probe short.  None with a finite rho makes the point stationary:
+    either no curvature lies below -TAU2/2, or none that a step can
+    realize at this floating-point scale.
+
+    v is negated where g.v > 0, so that neither the first- nor the
+    second-order term of f along it rises (Moré and Sorensen, Math.
+    Programming 16, 1979)."""
+    v, rho = _negative_curvature(rep.point, rng, ev)
+    if v is None:
         return None, rho
-    hit = None
-    scale = max(2.0 * abs(rho), 1e-3)
-    for signed in (direction, -1.0 * direction):
-        cand = _line_search(rep, signed, ev, init_step=scale)
-        if cand is not None and (hit is None or cand[0].f < hit[0].f):
-            hit = cand
-    return hit, rho
+    if g.inner(v) > 0.0:
+        v = -v
+    return _line_search(rep, v, ev, "negative-curvature",
+                        init_step=max(2.0 * abs(rho), 1e-3)), rho
 
 
 def _escape_round(rep: ObjectiveReport, ev: Evaluator,
-                  rng: np.random.Generator, samples: int):
+                  rng: np.random.Generator):
     """Score the labels of SAMPLED_BLOCKS at the point of the report rep
-    in one pass: one split, samples draws of every label that has
-    directions there, in one sampler call, and one sign search of all the
-    draws (at the zero point their exact steps in closed form).  Returns
-    the step taken as (kind, report, step, predicted gain), or None where
-    no candidate gains MIN_IMPROVEMENT or the evaluated f rises (see the
-    module docstring)."""
+    in one pass: one split, SAMPLES_PER_BLOCK draws of every label that
+    has directions there, in one sampler call, and one sign search of all
+    the draws (at the zero point their exact steps in closed form).
+    Returns the step taken as (kind, report, step, predicted gain), or
+    None where no candidate gains MIN_IMPROVEMENT or the evaluated f rises
+    (see the module docstring)."""
     labels, drawn = sample_missing_directions(
-        subspace_split(rep.point, SIGMA), SAMPLED_BLOCKS, rng, samples)
+        subspace_split(rep.point, SIGMA), SAMPLED_BLOCKS, rng,
+        SAMPLES_PER_BLOCK)
     if not labels:
         return None
     found = ev.sign_search(rep, drawn)
@@ -612,13 +613,13 @@ def _escape_round(rep: ObjectiveReport, ev: Evaluator,
     _require_finite(cand.f, "objective")
     if _rises(rep.f, cand.f):
         return None
-    return ("sampled({},{},{})".format(*labels[k // samples]), cand,
-            float(found.steps[k]), gain)
+    return ("sampled({},{},{})".format(*labels[k // SAMPLES_PER_BLOCK]),
+            cand, float(found.steps[k]), gain)
 
 
 def _find_sosp(rep: ObjectiveReport, budget: Evaluator,
                rng: np.random.Generator, trace: SearchTrace, epsilon: float,
-               sampler: np.random.Generator, samples: int):
+               sampler: np.random.Generator):
     """The search from the point of the finite objective report rep,
     recording each accepted step in trace, until one of the three exits in
     the module docstring: f <= epsilon, the budget runs out, or a stop's
@@ -628,10 +629,11 @@ def _find_sosp(rep: ObjectiveReport, budget: Evaluator,
     (`budget` keeps its name: the benchmark's tracer reads
     `budget.exhausted` to classify the end.)
 
-    Each descent step line-searches the L-BFGS direction from a first
-    trial step of 1.  Without a pair, or where that direction does not
-    descend, the memory is cleared and the step goes along -g from twice
-    the last such step."""
+    Each iteration takes one step (kind, report, size, gain) from a step
+    source and records it as it comes.  Each descent step line-searches
+    the L-BFGS direction from a first trial step of 1.  Without a pair, or
+    where that direction does not descend, the memory is cleared and the
+    step goes along -g from twice the last such step."""
     step_hint = 1.0
     last_grad = None  # (report, gradient) where the last gradient was taken
     pairs = deque(maxlen=LBFGS_MEMORY)  # (s, y, s.y), oldest first
@@ -645,21 +647,21 @@ def _find_sosp(rep: ObjectiveReport, budget: Evaluator,
     while True:
         if rep.f <= epsilon or budget.exhausted:
             return rep, FindSospInfo(False, rounds)
-        kind, hit, taken = "rebalance", None, None
-        # rho: the smallest Ritz value of a stop's probe
-        stop, rho = False, None
+        # gn: the gradient norm, None where no gradient is taken; rho: the
+        # smallest Ritz value of a stop's probe; the descent starts afresh
+        # after a stop's step and after a slow window's escape step
+        step, gn, rho, stop, afresh = None, None, None, False, False
         # orbit moves only pay off once the regularizer carries a real
         # share of the objective; while the loss dominates, plain descent
         # handles both components
         if rep.f > 0.0 and budget.lam * rep.R >= 0.25 * rep.f:
-            hit = _rebalance_once(rep, budget)
-            if hit is None and budget.exhausted:
+            step = _rebalance_once(rep, budget)
+            if step is None and budget.exhausted:
                 return rep, FindSospInfo(False, rounds)
-        if hit is None:
+        if step is None:
             g = budget.grad(rep)
             gn = g.norm()
             _require_finite(gn, "gradient")
-            kind = "gradient"
             if last_grad is not None:
                 s = rep.point.flat - last_grad[0].point.flat
                 y = g.flat - last_grad[1].flat
@@ -675,54 +677,46 @@ def _find_sosp(rep: ObjectiveReport, budget: Evaluator,
                 fall <= STALL_TOL * recent[-1] and gn <= STALL_GRAD)
             if (not stop and pairs and quiet <= 0
                     and fall <= SLOW_TOL * recent[-1]):
-                taken = _escape_round(rep, budget, sampler, samples)
-                if taken is None:
+                step = _escape_round(rep, budget, sampler)
+                afresh = step is not None
+                if not afresh:
                     wait *= 2
                     quiet = wait
-            if not stop and taken is None:
+            if not (stop or afresh):
                 direction = _lbfgs_direction(rep, g, pairs)
                 if direction is not None:
-                    hit = _line_search(rep, direction, budget,
-                                       slope=-g.inner(direction))
+                    step = _line_search(rep, direction, budget, "gradient",
+                                        slope=-g.inner(direction))
                 else:
                     pairs.clear()
-                    hit = _line_search(rep, -1.0 * g, budget,
-                                       init_step=2.0 * step_hint,
-                                       slope=gn * gn)
-                    if hit is not None:
-                        step_hint = hit[1]
+                    step = _line_search(rep, -1.0 * g, budget, "gradient",
+                                        init_step=2.0 * step_hint,
+                                        slope=gn * gn)
+                    if step is not None:
+                        step_hint = step[2]
                 # no representable step along it lowers f: a stop
-                stop = hit is None
+                stop = step is None
         if stop:
             if budget.exhausted:
                 return rep, FindSospInfo(False, rounds)
-            taken = _escape_round(rep, budget, sampler, samples)
-            if taken is None:
+            step = _escape_round(rep, budget, sampler)
+            if step is None:
                 # only now probe the curvature, from the same report
-                hit, rho = _curvature_step(rep, rng, budget)
-                kind = "negative-curvature"
-                if hit is None:
+                step, rho = _curvature_step(rep, g, rng, budget)
+                if step is None:
                     # a failed line search's gradient above STALL_GRAD
                     # certifies nothing
                     return rep, FindSospInfo(
                         math.isfinite(rho) and gn <= STALL_GRAD, rounds)
-        if taken is not None:
-            kind, rep, step, gain = taken
-        else:
-            gain = rep.f - hit[0].f
-            rep, step = hit
-        if stop or taken is not None:
-            # the descent starts afresh from an escape step or a stop's
-            # step; the latter starts a new round
+        kind, rep, size, gain = step
+        if stop or afresh:
             step_hint, last_grad, wait, quiet = 1.0, None, STALL_WINDOW, 0
             pairs.clear()
             recent.clear()
             rounds += stop and rep.f > epsilon
         recent.append(rep.f)
         quiet -= 1
-        trace.append(rep, kind, step, gain,
-                     grad_norm=None if kind == "rebalance" else gn,
-                     min_curvature=rho)
+        trace.append(rep, kind, size, gain, grad_norm=gn, min_curvature=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -789,7 +783,7 @@ def run(T: np.ndarray, config: SearchConfig) -> RunResult:
     _require_finite(rep.f, "objective")
     trace.append(rep, "init", 0.0, 0.0)
     rep, info = _find_sosp(rep, ev, rng_sosp, trace, config.epsilon,
-                           rng_sampler, samples_per_block(config.epsilon))
+                           rng_sampler)
     if rep.f <= config.epsilon:
         status = "converged"
     else:

@@ -14,11 +14,11 @@ from tuckersearch.escape import (_GRIDS, SignSearchResults,
 from tuckersearch.objective import (balanced_random_point, default_lambda,
                                     eval_along, grad, grad_loss, hvp,
                                     objective, reg_phi, save_point)
-from tuckersearch.search import (LANCZOS_STEPS, SAMPLED_BLOCKS, STALL_GRAD,
-                                 STALL_TOL, STALL_WINDOW, TAU1, TAU2,
-                                 Evaluator, NonFiniteError, SearchConfig,
-                                 SearchTrace, _negative_curvature, run,
-                                 samples_per_block)
+from tuckersearch.search import (LANCZOS_STEPS, SAMPLED_BLOCKS,
+                                 SAMPLES_PER_BLOCK, STALL_GRAD, STALL_TOL,
+                                 STALL_WINDOW, TAU1, TAU2, Evaluator,
+                                 NonFiniteError, SearchConfig, SearchTrace,
+                                 TraceRecord, _negative_curvature, run)
 from tuckersearch.subspace import subspace_split
 from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
                                       norm_f, random_point)
@@ -40,7 +40,7 @@ def find_sosp(p0, T, lam=None, budget=10_000, seed=0, epsilon=-math.inf):
                           for s in np.random.SeedSequence(seed).spawn(2))
     rep, info = search_module._find_sosp(ev.objective(p0), ev, probe_rng,
                                          SearchTrace(seed=seed), epsilon,
-                                         sampler, samples_per_block(1e-4))
+                                         sampler)
     return rep, info, ev
 
 
@@ -169,9 +169,54 @@ def test_find_sosp_escapes_constructed_strict_saddle(monkeypatch):
     at, start, (hit, rho) = probes[0]
     assert (at, start) == (saddle, 1)
     assert hit is not None and rho <= -TAU2 / 2.0
-    assert hit[0].f < f0
+    assert hit[0] == "negative-curvature" and hit[1].f < f0
     assert rep.f <= 1e-4 < f0
     assert not info.converged
+
+
+def test_curvature_step_searches_one_direction_signed_against_the_gradient(
+        monkeypatch):
+    # near the strict saddle the gradient is not orthogonal to the probe's
+    # direction v: the step line-searches v once, negated where g.v > 0,
+    # from a first trial step of max(2 |rho|, 1e-3)
+    p, T = make_flat_saddle(0.3)
+    p = p + 1e-3 * random_point(3, 3, np.random.default_rng(1))
+    directions, searches = [], []
+    negative_curvature = search_module._negative_curvature
+    line_search = search_module._line_search
+
+    def probing(*args):
+        out = negative_curvature(*args)
+        directions.append(out)
+        return out
+
+    def searching(rep, direction, ev, kind, **kwargs):
+        searches.append((direction, kind, kwargs))
+        return line_search(rep, direction, ev, kind, **kwargs)
+
+    monkeypatch.setattr(search_module, "_negative_curvature", probing)
+    monkeypatch.setattr(search_module, "_line_search", searching)
+    negated = set()
+    for seed in range(4):
+        directions.clear()
+        searches.clear()
+        ev = Evaluator(T, default_lambda(3), 10**6)
+        rep = ev.objective(p)
+        g = grad(rep)
+        step, rho = search_module._curvature_step(
+            rep, g, np.random.default_rng(seed), ev)
+        [(v, theta)] = directions
+        [(d, kind, kwargs)] = searches
+        assert v is not None and rho == theta <= -TAU2 / 2.0
+        assert kind == "negative-curvature"
+        assert kwargs == {"init_step": max(2.0 * abs(rho), 1e-3)}
+        assert g.inner(v) != 0.0 and g.inner(d) <= 0.0
+        negated.add(g.inner(v) > 0.0)
+        want = -v if g.inner(v) > 0.0 else v
+        assert d.flat.tobytes() == want.flat.tobytes()
+        assert step[0] == "negative-curvature" and step[1].f < rep.f
+    # both branches of the sign rule ran
+    assert negated == {False, True}
 
 
 def test_find_sosp_curvature_probe_cut_short_is_not_converged(
@@ -208,12 +253,12 @@ def record_gradient_line_searches(monkeypatch):
     calls = []
     line_search = search_module._line_search
 
-    def recording(rep, direction, ev, init_step=1.0, slope=None):
-        hit = line_search(rep, direction, ev, init_step=init_step,
+    def recording(rep, direction, ev, kind, init_step=1.0, slope=None):
+        hit = line_search(rep, direction, ev, kind, init_step=init_step,
                           slope=slope)
         if slope is not None:
             calls.append((rep.point, direction, init_step, slope,
-                          None if hit is None else hit[1]))
+                          None if hit is None else hit[2]))
         return hit
 
     monkeypatch.setattr(search_module, "_line_search", recording)
@@ -450,7 +495,8 @@ def test_rebalance_evaluates_only_the_accepted_move(monkeypatch):
     T = exact_instance(2, 5, 0)
     ev = Evaluator(T, default_lambda(2), 100)
     rep = ev.objective(random_point(2, 5, np.random.default_rng(1)))
-    cand_rep, eta = search_module._rebalance_once(rep, ev)
+    kind, cand_rep, eta, gain = search_module._rebalance_once(rep, ev)
+    assert kind == "rebalance" and gain == rep.f - cand_rep.f
     assert len(trials) == 2
     assert ev.used == 1 and ev.objective_evals == 2
     assert cand_rep.f == objective(cand_rep.point, T, ev.lam).f < rep.f
@@ -893,7 +939,7 @@ def test_escape_round_refuses_a_sign_search_step_that_raises_f(
 
     monkeypatch.setattr(search_module, "sign_flip_search", predicting)
     ev = Evaluator(T, lam, 1)
-    taken = search_module._escape_round(rep, ev, np.random.default_rng(0), 6)
+    taken = search_module._escape_round(rep, ev, np.random.default_rng(0))
     assert taken is None and searched == [True]
     assert ev.objective_evals == 1 and ev.used == 0
     assert objective(rep.point + worse, T, lam).f > rep.f
@@ -1282,7 +1328,7 @@ def test_failed_line_search_above_stall_grad_ends_budget(monkeypatch):
     monkeypatch.setattr(search_module, "_escape_round", lambda *args: None)
     probed = []
 
-    def flat_probe(rep, rng, ev):
+    def flat_probe(rep, g, rng, ev):
         # the two products of a probe that sees a flat Hessian, or an
         # infinite value where the budget cannot pay for them
         probed.append(rep.point)
@@ -1395,7 +1441,7 @@ def rare_exit_run(case, monkeypatch):
 
 
 @pytest.mark.parametrize("case, status, counts, steps", [
-    ("failed line search, then probe step", "converged", (20, 7, 2),
+    ("failed line search, then probe step", "converged", (20, 6, 2),
      ["init", "negative-curvature*"] + ["gradient"] * 3),
     ("probe cut short with budget left", "budget", (12, 3122, 2),
      ["init", "sampled(2,2,2)"]),
@@ -1420,6 +1466,61 @@ def test_rare_exits_keep_their_records_and_counts(monkeypatch, case, status,
     assert (res.grad_evals, res.objective_evals, res.rounds) == counts
     assert [rec.step_kind + "*" * (rec.min_curvature is not None)
             for rec in res.trace.records] == steps
+
+
+def test_trace_records_what_each_step_source_returns(monkeypatch):
+    # every step source returns its step as (kind, report, size, gain),
+    # and the search records it as handed: the record's kind, step size,
+    # improvement and f are the step's, and its grad_norm is None only
+    # for a rebalance, the one step taken without a gradient.  The rare
+    # exits reach every kind; a step source called inside another (the
+    # curvature step's line search) is counted once, by the outer one
+    returned, recorded = [], []
+    depth = [0]
+
+    def spying(name):
+        fn = getattr(search_module, name)
+
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                out = fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+            step = out[0] if name == "_curvature_step" else out
+            if step is not None and depth[0] == 0:
+                returned.append(step)
+            return out
+        monkeypatch.setattr(search_module, name, wrapped)
+
+    append = SearchTrace.append
+
+    def appending(self, *args, **kwargs):
+        rec = append(self, *args, **kwargs)
+        recorded.append((rec.step_kind, rec.step_size, rec.improvement,
+                         rec.f, rec.grad_norm))
+        return rec
+
+    monkeypatch.setattr(SearchTrace, "append", appending)
+    for name in ("_rebalance_once", "_line_search", "_escape_round",
+                 "_curvature_step"):
+        spying(name)
+    kinds = set()
+    for case in ("failed line search, then probe step",
+                 "failed line search, then escaped", "rebalance"):
+        returned.clear()
+        recorded.clear()
+        with monkeypatch.context() as patched:
+            rare_exit_run(case, patched)
+        assert recorded[0][0] == "init"
+        assert len(recorded) == len(returned) + 1
+        for (kind, size, gain, f, gn), step in zip(recorded[1:], returned):
+            assert (kind, size, gain, f) == (step[0], float(step[2]),
+                                             float(step[3]), step[1].f)
+            assert (gn is None) == (kind == "rebalance")
+            kinds.add(kind.split("(")[0])
+    assert kinds == {"gradient", "rebalance", "negative-curvature",
+                     "sampled"}
 
 
 def test_scale_table_gradient_evaluation_count():
@@ -1494,7 +1595,7 @@ def test_line_search_halves_past_40_only_while_the_point_moves():
     ev = Evaluator(T, default_lambda(2), 10)
     rep = ev.objective(p)
     up = grad(rep)
-    assert search_module._line_search(rep, up, ev) is None
+    assert search_module._line_search(rep, up, ev, "gradient") is None
     floor = 1e-16 * max(p.norm(), 1.0)
     trials = 40 + sum(1 for k in range(40, 2000)
                       if 0.5 ** k * up.norm() > floor)
@@ -1539,15 +1640,30 @@ def test_trace_lines_exclude_wall_time(tmp_path):
 
 
 def test_trace_lines_match_the_asdict_serialization(tmp_path):
-    # a noisy desk target with a long trace, 153 records (no exact desk
-    # target reaches 100); the shared encoder writes what a fresh
-    # json.dumps per record wrote, null fields (the init record's gradient
-    # norm, every gradient step's curvature) included
-    res = run(noisy_desk_instance(3, 16, 1, 5e-2), SearchConfig(r=3, seed=2))
+    # a trace of 120 records built directly, so its length does not
+    # depend on the search: every step kind, null fields (the init and
+    # rebalance records' gradient norm, every step's curvature but a
+    # negative-curvature one) and floats from 1e-300 to 1e300 of both
+    # signs.  The shared encoder writes what a fresh json.dumps per record
+    # wrote
+    rng = np.random.default_rng(0)
+    kinds = sorted(STEP_KINDS - {"init"})
+
+    def value():
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+
+    trace = SearchTrace(seed=3)
+    for i in range(120):
+        kind = "init" if i == 0 else kinds[i % len(kinds)]
+        trace.records.append(TraceRecord(
+            iteration=i, f=value(), L=value(), R=value(),
+            grad_norm=None if kind in ("init", "rebalance") else value(),
+            min_curvature=value() if kind == "negative-curvature" else None,
+            step_kind=kind, step_size=value(), improvement=value(), seed=3))
     path = tmp_path / "trace.jsonl"
-    res.trace.to_jsonl(path)
+    trace.to_jsonl(path)
     reference = []
-    for rec in res.trace.records:
+    for rec in trace.records:
         fields = dataclasses.asdict(rec)
         reference.append(json.dumps(fields, sort_keys=True) + "\n")
     assert len(reference) > 100
@@ -1828,7 +1944,6 @@ def test_escape_round_scores_each_block_label_in_one_sign_search(
     monkeypatch.setattr(search_module, "subspace_split", splitting)
     monkeypatch.setattr(search_module, "sample_missing_directions", drawing)
     monkeypatch.setattr(search_module, "sign_flip_search", searching)
-    samples = samples_per_block(SearchConfig(r=2).epsilon)
     stacked = 0
     for rank in (1, 2):
         rounds.clear()
@@ -1840,7 +1955,8 @@ def test_escape_round_scores_each_block_label_in_one_sign_search(
                 kinds = [stack[0] for stack in stacks]
                 assert len(set(kinds)) == len(kinds) <= len(SAMPLED_BLOCKS)
                 for stack in stacks:
-                    assert len(stack) == samples and len(set(stack)) == 1
+                    assert len(stack) == SAMPLES_PER_BLOCK
+                    assert len(set(stack)) == 1
                     assert stack[0][0] and sum(stack[0][1:]) >= 2
                 stacked = max(stacked, len(stacks))
     # some round scored several labels together
@@ -1933,10 +2049,11 @@ def test_one_pass_escape_round_matches_the_per_label_loop(r, d):
                                    "deficient": 4}[name]
             ev = Evaluator(T, lam, 1)
             got = search_module._escape_round(
-                rep, ev, np.random.default_rng(seed), 6)
+                rep, ev, np.random.default_rng(seed))
             reference = (_zero_point_round if name == "zero"
                          else _per_label_round)
-            want = reference(rep, T, lam, np.random.default_rng(seed), 6)
+            want = reference(rep, T, lam, np.random.default_rng(seed),
+                             SAMPLES_PER_BLOCK)
             if want is None:
                 assert got is None, name
                 continue
@@ -2003,9 +2120,10 @@ def test_zero_point_round_takes_the_exact_step_along_its_draws(r, d):
             ev = Evaluator(T, lam, 1)
             rng = np.random.default_rng(seed)
             kind, cand, step, gain = search_module._escape_round(rep, ev,
-                                                                 rng, 6)
+                                                                 rng)
             want = _zero_point_round(rep, T, lam,
-                                     np.random.default_rng(seed), 6)
+                                     np.random.default_rng(seed),
+                                     SAMPLES_PER_BLOCK)
             assert kind == want[0] and ev.objective_evals == want[4] == 7
             assert gain == pytest.approx(want[3], rel=1e-10)
             assert rep.f - cand.f == pytest.approx(want[3], rel=1e-10)
@@ -2013,7 +2131,7 @@ def test_zero_point_round_takes_the_exact_step_along_its_draws(r, d):
             alone = np.random.default_rng(seed)
             _, drawn = sample_missing_directions(
                 subspace_split(p, search_module.SIGMA), SAMPLED_BLOCKS,
-                alone, 6)
+                alone, SAMPLES_PER_BLOCK)
             assert rng.bit_generator.state == alone.bit_generator.state
             values = sign_step_values(rep, drawn[0], patterns, grid)
             assert want[3] >= rep.f - values.min() > 0.0
@@ -2064,13 +2182,22 @@ def test_config_checks_itself_and_is_immutable():
     assert cfg.budget == 50_000
 
 
-def test_config_sample_count_resolution():
-    assert samples_per_block(SearchConfig(r=2).epsilon) == 6
-    assert samples_per_block(1e-4) == 6
-    # below the cap of 6 the count is ceil(8 log(1/epsilon))
-    assert samples_per_block(0.9) == 1
-    assert samples_per_block(0.5) == 6
-    assert samples_per_block(0.7) == 3
+def test_config_sample_count_resolution(monkeypatch):
+    # every escape round draws SAMPLES_PER_BLOCK = 6 samples per label,
+    # whatever the run's epsilon
+    counts = []
+    sample_missing = search_module.sample_missing_directions
+
+    def drawing(splits, labels, rng, samples):
+        counts.append(samples)
+        return sample_missing(splits, labels, rng, samples)
+
+    monkeypatch.setattr(search_module, "sample_missing_directions", drawing)
+    assert SAMPLES_PER_BLOCK == 6
+    for epsilon in (SearchConfig(r=2).epsilon, 0.5, 0.9):
+        counts.clear()
+        run(exact_instance(1, 4, 0), SearchConfig(r=2, epsilon=epsilon))
+        assert counts and set(counts) == {6}, epsilon
 
 
 def test_budget_counts_hvp_double():
