@@ -156,14 +156,12 @@ def sample_missing_directions(splits: SubspaceSplit, labels,
 class SignSearchResults:
     """The sign searches of L stacks of m directions, kept as arrays over
     the directions in order: each one's step (0 where it takes none), its
-    flat vector signed as the step takes it, its improvement and the
-    objective values computed for it.  `best` and `apply` pick the winner
-    and build only its point."""
+    flat vector signed as the step takes it and its improvement.  `best`
+    and `apply` pick the winner and build only its point."""
     point: FactorPoint
     steps: np.ndarray
     deltas: np.ndarray
     improvements: np.ndarray
-    evals: np.ndarray
 
     def best(self) -> int:
         """The first direction of the largest improvement."""
@@ -331,23 +329,21 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, flats: np.ndarray,
     The directions of a stack must share their nonzero blocks, the core
     and two or three factors (a ValueError otherwise), so that they share
     the step grid.  One `_expansion` expands f along all the directions,
-    instead of evaluating f at each candidate, and each direction's
-    degree-8 polynomial in the step (`_coefficients`) is evaluated on its
-    stack's grid.  f and the residual at p come from `at` when it is a
-    report of p (taken with the same T and lam), and otherwise from one
-    `objective` call.  A direction's candidates are ranked in the order of
-    a loop over the 16 sign patterns (bit b of the pattern number flips
-    block b of (S, A, B, C)), then over the grid: the first smallest value
-    wins, NaN never, and it must be strictly below f at p.  A pattern that
-    flips a block the direction leaves at zero scores exactly as its twin
-    that does not, which comes first, so it never wins.  At the zero point
+    and each direction's degree-8 polynomial in the step (`_coefficients`)
+    is evaluated on its stack's grid: a candidate's value is the
+    polynomial's, and no `objective` call is made for it.  f and the
+    residual at p come from `at` when it is a report of p (taken with the
+    same T and lam), and otherwise from the call's only `objective` call.
+    A direction's candidates are ranked in the order of a loop over the
+    16 sign patterns (bit b of the pattern number flips block b of (S, A,
+    B, C)), then over the grid: the first smallest value wins, NaN never,
+    and it must be strictly below f at p.  A pattern that flips a block
+    the direction leaves at zero scores exactly as its twin that does
+    not, which comes first, so it never wins.  At the zero point
     each direction takes its exact best step in closed form instead (see
     `_zero_point_search`).  Never returns a step that makes f worse: if
     nothing improves, the result has step 0, improvement 0 and the
-    unsigned direction.  `evals` counts the objective values computed for
-    each direction, its 13 2^k distinct candidates for k moved blocks, and
-    where the call made the `objective` call at p the first direction also
-    counts it, so the evals add up to the call's.
+    unsigned direction.
     """
     L, m, size = flats.shape
     if not L * m:
@@ -364,24 +360,23 @@ def sign_flip_search(p: FactorPoint, T: np.ndarray, flats: np.ndarray,
     if not (nonzero[:, 0, 0].all() and (counts > 2).all()):
         raise ValueError("a direction must move the core and two or three "
                          "factors")
-    baseline = at is None or at.point is not p
-    if baseline:
+    if at is None or at.point is not p:
         at = objective(p, T, lam)
     if p.flat.any():
-        steps, signs, improvements, evals = _grid_search(at, flats, counts)
+        steps, signs, improvements = _grid_search(at, flats, counts)
     else:
-        steps, signs, improvements, evals = _zero_point_search(at, flats)
-    evals[0] += baseline
+        steps, signs, improvements = _zero_point_search(at, flats)
     return SignSearchResults(
-        point=p, steps=steps, improvements=improvements, evals=evals,
+        point=p, steps=steps, improvements=improvements,
         deltas=np.repeat(signs, sizes, axis=1) * flats.reshape(-1, size))
 
 
 def _grid_search(at: ObjectiveReport, flats: np.ndarray, counts):
     """The sign search of `sign_flip_search` on the step grids, away from
     the zero point, of stacks that move counts[l] blocks: per direction,
-    in order, its step, its signs (one per block S, A, B, C), its
-    improvement and its count of values."""
+    in order, its step, its signs (one per block S, A, B, C) and its
+    improvement, each candidate's value taken from the direction's
+    polynomial in the step."""
     L, m, _ = flats.shape
     gram, proj, basis = (x.reshape((L, m) + x.shape[1:]) for x in
                          _expansion(at.point, flats, at.stages[2]))
@@ -396,15 +391,14 @@ def _grid_search(at: ObjectiveReport, flats: np.ndarray, counts):
     won = f_best < at.f
     return (np.where(won, steps, 0.0).ravel(),
             np.where(won[..., None], signs, 1.0).reshape(-1, 4),
-            (at.f - np.where(won, f_best, at.f)).ravel(),
-            np.repeat(grids.shape[1] << counts, m))
+            (at.f - np.where(won, f_best, at.f)).ravel())
 
 
 def _zero_point_search(at: ObjectiveReport, flats: np.ndarray):
     """The exact best step along each direction of the (L, m, size) stack
     `flats` from the zero point of the report `at`, in closed form, as
-    `_grid_search` returns its results: each direction with one objective
-    value.
+    `_grid_search` returns its results: no grid is scored and no
+    `objective` call is made.
 
     At p = 0 every block of the point is zero, so along t d, with
     X_d = S_d(A_d, B_d, C_d) and u = t^4,
@@ -437,4 +431,4 @@ def _zero_point_search(at: ObjectiveReport, flats: np.ndarray):
     # pattern 1 flips the core alone
     signs = _PATTERNS[np.where(won & (b < 0.0), 1, 0)]
     return (np.where(won, (np.abs(b) / q) ** 0.25, 0.0), signs,
-            np.where(won, gains, 0.0), np.ones(n, dtype=int))
+            np.where(won, gains, 0.0))

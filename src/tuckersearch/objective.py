@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import FactorPoint, _transform
+from .tensor_core import FactorPoint, _sizes, _transform
 
 
 def default_lambda(r: int) -> float:
@@ -248,9 +248,9 @@ def point_to_dict(p: FactorPoint) -> dict:
 
 def point_from_dict(doc: dict) -> FactorPoint:
     try:
-        r, d = int(doc["r"]), int(doc["d"])
         core = doc["S"]
-        dims = [int(x) for x in core["dims"]]
+        r, d, *dims = _sizes([doc["r"], doc["d"], *core["dims"]],
+                             "r, d and the core dims")
         data = np.asarray(core["data"], dtype=float)
         mats = [np.asarray(doc[k], dtype=float) for k in ("A", "B", "C")]
     except (KeyError, TypeError) as exc:

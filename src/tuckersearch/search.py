@@ -58,7 +58,8 @@ section:
 
   GN_DAMPING = 4e-2   the lowest total over five check sets;
   SLOW_TOL = 1e-2     fewer gradient evaluations up to it, no more wall
-                      time, and more objective values beyond it;
+                      time, and more objective values (as the sign
+                      search's candidates were then counted) beyond it;
   STALL_WINDOW = 5    shorter windows leave noisy runs further above
                       their floor;
   STALL_GRAD = 1e-2   keeps a crawl far from any stationary point, as at
@@ -68,17 +69,21 @@ section:
 Budget accounting: one `Evaluator` holds the target, lambda and the
 counters, and each of its methods charges its own cost: a gradient 1, a
 Hessian-vector product 2 (a gradient difference), the Gram gaps of a
-rebalance move 1 (the content of the regularizer gradient).  Objective
-values, the sign search's included, are counted but not charged; at the
-zero point the sign search counts one value per draw; a rebalance trial,
-scored from its Gram gaps alone, is not counted.  Each
+rebalance move 1 (the content of the regularizer gradient).  It is also
+the only counter of objective values, which are counted but not charged:
+its `objective` counts 1 and its Hessian-vector product 2, for the two
+`objective` calls of the gradient difference, so `objective_evals` is
+the number of `objective` calls a run makes.  The sign search's
+candidates are values of f's polynomial along each draw, or at the zero
+point its closed form, and a rebalance trial is scored from its Gram
+gaps alone; none is an `objective` call.  Each
 point is evaluated once: its `ObjectiveReport` keeps the point, the fit
 stages, the factor Grams and the Gram gaps, and it is the search's only
 state of the point.  The gradient at the point, the preconditioner of
 its L-BFGS direction, and each step source (a line search, a rebalance
 move, the escape round and a curvature step) start from that report, so
-they form neither again and a sign search adds no baseline value to the
-count.  Every step source returns its step as (kind, report, size,
+they form neither again and a sign search makes no `objective` call of
+its own.  Every step source returns its step as (kind, report, size,
 gain), the fields of its trace record, with the report of the point it
 steps to, or None where it finds no step.  No point takes a second
 gradient.  After a slow window's escape round finds
@@ -321,18 +326,12 @@ class Evaluator:
 
     def hvp(self, p: FactorPoint, v: FactorPoint) -> FactorPoint:
         self.used += 2
+        self.objective_evals += 2
         return hvp(p, v, self.T, self.lam)
 
     def gram_gaps(self, rep: ObjectiveReport) -> np.ndarray:
         self.used += 1
         return rep.gaps
-
-    def sign_search(self, rep: ObjectiveReport, deltas: np.ndarray):
-        """The sign search of the stacks deltas at the point of the report
-        rep."""
-        found = sign_flip_search(rep.point, self.T, deltas, self.lam, at=rep)
-        self.objective_evals += int(found.evals.sum())
-        return found
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +602,7 @@ def _escape_round(rep: ObjectiveReport, ev: Evaluator,
         SAMPLES_PER_BLOCK)
     if not labels:
         return None
-    found = ev.sign_search(rep, drawn)
+    found = sign_flip_search(rep.point, ev.T, drawn, ev.lam, at=rep)
     # the first of equal gains, label by label and draw by draw
     k = found.best()
     gain = float(found.improvements[k])

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -241,16 +242,20 @@ def hosvd(T: np.ndarray, r: int) -> FactorPoint:
 # binary: b"TKR1" + three little-endian u64 dims + row-major f64 entries
 
 
+def _sizes(values, what: str) -> tuple[int, ...]:
+    """The ints of `values`, each a positive integer or a float equal to
+    one; anything else, a bool (a JSON true would pass int(x) == x as 1)
+    or a string included, is a ValueError naming `what`."""
+    if not all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+               and x >= 1 and x % 1 == 0 for x in values):
+        raise ValueError(f"{what} must be positive integers, got {values}")
+    return tuple(map(int, values))
+
+
 def _validate_payload(dims, data) -> np.ndarray:
-    try:
-        # a JSON true would pass int(d) == d as 1
-        ok = len(dims) == 3 and all(
-            not isinstance(d, bool) and int(d) == d and d >= 1 for d in dims)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
+    if not (isinstance(dims, (list, tuple)) and len(dims) == 3):
         raise ValueError(f"dims must be three positive integers, got {dims}")
-    dims = tuple(int(d) for d in dims)
+    dims = _sizes(dims, "dims")
     n = dims[0] * dims[1] * dims[2]
     try:
         arr = np.asarray(data, dtype=float).ravel()

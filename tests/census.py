@@ -5,13 +5,14 @@ Run from the repository root as
     PYTHONPATH=src python tests/census.py [SET ...] [--fingerprint OUT]
     PYTHONPATH=src python tests/census.py --compare A B
 
-It prints one line per set (runs, gradient evaluations, objective values,
-statuses) and the total, and the start set also by init.  With set names
-it runs only those.  `--fingerprint OUT` also writes every run's counts,
-final f and digests to OUT, and `--compare A B` lists the runs that
-differ between two such files, exiting 1 if any does, and ends with a
-tally of the kinds of change and the largest relative change of each
-set's final f (see fingerprints.py).
+It prints one line per set (runs, gradient evaluations, `objective`
+calls, statuses) and the total, and the start set also by init.  With
+set names it runs only those.  `--fingerprint OUT` also writes every
+run's counts, final f and digests to OUT, and `--compare A B` lists the
+runs that differ between two such files, exiting 1 if any does, and
+ends with a tally of the kinds of change, the runs that changed each
+count and the largest relative change of each set's final f (see
+fingerprints.py).
 The counts repeat exactly for a given BLAS build and thread count; BLAS
 is pinned to one thread unless the environment says otherwise, as the
 README's tables were measured.  The sets:
@@ -209,16 +210,16 @@ def main(argv) -> int:
         for index, (part, fp) in enumerate(SETS[name]()):
             grads = fp.get("grad_evals", 0)
             tally.update(runs=1, grads=grads,
-                         values=fp.get("objective_evals", 0))
+                         calls=fp.get("objective_evals", 0))
             tally[fp["status"]] += 1
             if part:
                 parts[part] = parts.get(part, 0) + grads
             runs.append(dict(fp, set=name, index=index))
         statuses = ", ".join(f"{k} {v}" for k, v in sorted(tally.items())
-                             if k not in ("runs", "grads", "values"))
+                             if k not in ("runs", "grads", "calls"))
         print(f"{name:13s} {tally['runs']:3d} runs  {tally['grads']:6,d} "
-              f"gradient evaluations  {tally['values']:9,d} objective "
-              f"values  {statuses}")
+              f"gradient evaluations  {tally['calls']:9,d} objective "
+              f"calls  {statuses}")
         for part, grads in parts.items():
             print(f"  {part:11s} {grads:6,d}")
         total.update(runs=tally["runs"], grads=tally["grads"])

@@ -81,15 +81,16 @@ def compare(a: dict, b: dict) -> list[str]:
 
 def tally(a: dict, b: dict) -> list[str]:
     """The summary of a comparison of the runs in both a and b: how many
-    changed status, counts or final point, and how many differ only in
-    their trace bytes; then, per set whose runs record `f` in both, the
-    largest relative change of the final f and the run it came from."""
+    changed status or final point, and how many differ only in their
+    trace bytes; how many changed each field of COUNTS; then, per set
+    whose runs record `f` in both, the largest relative change of the
+    final f and the run it came from."""
     kinds, worst = Counter(), {}
     for key in sorted(a.keys() & b.keys()):
         old, new = a[key], b[key]
         fields = set(_differing(old, new))
         kinds["status"] += "status" in fields
-        kinds["counts"] += bool(fields & set(COUNTS))
+        kinds.update(fields & set(COUNTS))
         kinds["point"] += "point_sha256" in fields
         kinds["trace"] += fields == {"trace_sha256"}
         if "f" in old and "f" in new:
@@ -98,9 +99,9 @@ def tally(a: dict, b: dict) -> list[str]:
                       else float("inf") if gap else 0.0)
             if key[0] not in worst or change > worst[key[0]][0]:
                 worst[key[0]] = (change, key[1])
-    lines = [f"{kinds['status']} changed status, {kinds['counts']} changed "
-             f"counts, {kinds['point']} changed final point, "
-             f"{kinds['trace']} differ only in trace bytes"]
+    lines = [f"{kinds['status']} changed status, {kinds['point']} changed "
+             f"final point, {kinds['trace']} differ only in trace bytes",
+             "counts: " + ", ".join(f"{f} {kinds[f]}" for f in COUNTS)]
     if worst:
         lines.append("largest relative change of final f: " + ", ".join(
             f"{name} {change:.1e} (run {index})"

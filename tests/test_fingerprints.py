@@ -78,32 +78,36 @@ def test_a_verify_report_line_holds_its_status_trials_and_digest(tmp_path):
 
 
 def test_compare_ends_with_a_tally_of_the_kinds_of_change():
-    # a status change, a count change with a new point, a change of the
-    # trace bytes alone, and final f moved by 1e-3 and 2e-5 relative in
-    # two sets
+    # a status change, two count changes with a new point, a change of
+    # the trace bytes alone, and final f moved by 1e-3 and 2e-5 relative
+    # in two sets; the counts are tallied field by field
     a = [_run("desk", 0, f=2.0), _run("desk", 1, f=1.0),
          _run("desk", 2, f=4.0), _run("noisy-desk", 0, f=1.0),
          _run("noisy-desk", 1, f=0.5)]
     b = [_run("desk", 0, f=2.0), _run("desk", 1, status="budget", f=1.0),
-         _run("desk", 2, f=4.004, grad_evals=12, point_sha256="q"),
+         _run("desk", 2, f=4.004, grad_evals=12, objective_evals=50,
+              point_sha256="q"),
          _run("noisy-desk", 0, f=1.0, trace_sha256="u"),
-         _run("noisy-desk", 1, f=0.50001, point_sha256="q")]
+         _run("noisy-desk", 1, f=0.50001, objective_evals=39,
+              point_sha256="q")]
     a, b = ({(r["set"], r["index"]): r for r in x} for x in (a, b))
     assert fingerprints.compare(a, b) == [
         "desk 1: status converged -> budget",
-        "desk 2: f, grad_evals +2, point_sha256",
+        "desk 2: f, grad_evals +2, objective_evals +10, point_sha256",
         "noisy-desk 0: trace_sha256",
-        "noisy-desk 1: f, point_sha256",
+        "noisy-desk 1: f, objective_evals -1, point_sha256",
     ]
     assert fingerprints.tally(a, b) == [
-        "1 changed status, 1 changed counts, 2 changed final point, "
+        "1 changed status, 2 changed final point, "
         "1 differ only in trace bytes",
+        "counts: grad_evals 1, objective_evals 2, rounds 0, trials 0",
         "largest relative change of final f: desk 1.0e-03 (run 2), "
         "noisy-desk 2.0e-05 (run 1)",
     ]
     assert fingerprints.tally(a, a) == [
-        "0 changed status, 0 changed counts, 0 changed final point, "
+        "0 changed status, 0 changed final point, "
         "0 differ only in trace bytes",
+        "counts: grad_evals 0, objective_evals 0, rounds 0, trials 0",
         "largest relative change of final f: desk 0.0e+00 (run 0), "
         "noisy-desk 0.0e+00 (run 0)",
     ]
@@ -121,5 +125,6 @@ def test_a_file_without_final_f_still_compares(tmp_path):
     assert fingerprints.compare(a, b) == ["desk 1: rounds +1"]
     assert fingerprints.compare(b, a) == ["desk 1: rounds -1"]
     assert fingerprints.tally(a, b) == [
-        "0 changed status, 1 changed counts, 0 changed final point, "
-        "0 differ only in trace bytes"]
+        "0 changed status, 0 changed final point, "
+        "0 differ only in trace bytes",
+        "counts: grad_evals 0, objective_evals 0, rounds 1, trials 0"]

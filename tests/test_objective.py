@@ -490,3 +490,16 @@ def test_point_dict_rejects_malformed_documents():
     del bad["C"]
     with pytest.raises(ValueError):
         point_from_dict(bad)
+    # a size that is not an integer, or is a bool or a string, is refused
+    # as tensor dims are, not truncated to one that matches the data
+    for bad in ({"r": "2"}, {"d": 3.5}, {"d": "3"},
+                {"S": dict(doc["S"], dims=[2.0, 2.5, 2])}):
+        with pytest.raises(ValueError, match="positive integers"):
+            point_from_dict(dict(doc, **bad))
+    one = point_to_dict(random_point(1, 3, rng))
+    for bad in ({"r": 1.9}, {"r": True}, {"d": True},
+                {"S": dict(one["S"], dims=[1.7, True, 1])}):
+        with pytest.raises(ValueError, match="positive integers"):
+            point_from_dict(dict(one, **bad))
+    # an integral float is an integer
+    assert point_from_dict(dict(doc, r=2.0)).r == 2

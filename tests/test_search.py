@@ -1,6 +1,7 @@
 """Tests for the local search driver: stationary-point finding, negative
 curvature, and the full run loop."""
 import dataclasses
+import importlib
 import json
 import math
 from collections import deque
@@ -8,6 +9,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+import tuckersearch.escape as escape_module
 import tuckersearch.search as search_module
 from tuckersearch.escape import (_GRIDS, SignSearchResults,
                                  sample_missing_directions, sign_flip_search)
@@ -26,6 +28,9 @@ from tuckersearch.tensor_core import (FactorPoint, multilinear_transform,
 from escape_tools import sign_patterns, sign_step_values
 from instances import desk_instance, exact_instance, noisy_desk_instance
 
+# the package's `objective` names the function, which hides the module
+objective_module = importlib.import_module("tuckersearch.objective")
+
 
 # ---------------------------------------------------------------------------
 # stationary-point finding
@@ -42,6 +47,22 @@ def find_sosp(p0, T, lam=None, budget=10_000, seed=0, epsilon=-math.inf):
                                          SearchTrace(seed=seed), epsilon,
                                          sampler)
     return rep, info, ev
+
+
+def count_objective_calls(monkeypatch):
+    """Count every `objective` call through each binding a run reaches it
+    by: the search's own, `hvp`'s gradient difference in the objective
+    module, and a sign search's baseline in the escape module; returns the
+    list that grows by one per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return objective(*args, **kwargs)
+
+    for module in (search_module, objective_module, escape_module):
+        monkeypatch.setattr(module, "objective", counting)
+    return calls
 
 
 def record_calls(monkeypatch, name):
@@ -828,8 +849,9 @@ def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
     # only save work: with each gradient taken from a fresh evaluation of
     # its point and every `at` dropped, the desk grid, exact and with
     # noise 5e-2, writes the same factor and trace bytes after the same
-    # gradient evaluations, and each sign search then evaluates its own
-    # baseline
+    # gradient evaluations and objective count, and each sign search then
+    # evaluates its own baseline, an `objective` call of the escape module
+    # that the Evaluator does not count
     targets = []
 
     def outputs():
@@ -848,7 +870,7 @@ def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
                                 res.objective_evals))
         return out
 
-    searches = []
+    searches, baselines = [], []
 
     def fresh_grad(rep):
         # the search evaluates on T / |T|
@@ -861,16 +883,20 @@ def test_reports_handed_on_leave_the_desk_grid_byte_equal(monkeypatch,
             return fn(*args, **kwargs)
         return wrapped
 
+    def baseline(*args, **kwargs):
+        baselines.append(1)
+        return objective(*args, **kwargs)
+
     handed = outputs()
     monkeypatch.setattr(search_module, "grad", fresh_grad)
     monkeypatch.setattr(search_module, "sign_flip_search",
                         dropping(sign_flip_search, searches))
+    monkeypatch.setattr(escape_module, "objective", baseline)
     fresh = outputs()
-    assert [x[:4] for x in handed] == [x[:4] for x in fresh]
+    assert handed == fresh
     assert {x[3] for x in handed} == {"converged", "no_direction"}
     assert searches and all(searches)
-    assert (sum(x[4] for x in fresh) - sum(x[4] for x in handed)
-            == len(searches))
+    assert len(baselines) == len(searches)
 
 
 def _predicted(p, deltas, worse):
@@ -879,7 +905,7 @@ def _predicted(p, deltas, worse):
     n = deltas.size // p.flat.size
     return SignSearchResults(
         point=p, steps=np.ones(n), deltas=np.tile(worse.flat, (n, 1)),
-        improvements=np.full(n, 1e-9), evals=np.zeros(n, dtype=int))
+        improvements=np.full(n, 1e-9))
 
 
 def test_run_refuses_an_escape_step_that_raises_f(monkeypatch):
@@ -1440,17 +1466,22 @@ def rare_exit_run(case, monkeypatch):
     return run(T, SearchConfig(r=2, seed=0, budget=2, init="random:10"))
 
 
-@pytest.mark.parametrize("case, status, counts, steps", [
-    ("failed line search, then probe step", "converged", (20, 6, 2),
+# each rare exit's case, status, (grad_evals, objective_evals, rounds) and
+# step kinds
+RARE_EXITS = [
+    ("failed line search, then probe step", "converged", (20, 22, 2),
      ["init", "negative-curvature*"] + ["gradient"] * 3),
-    ("probe cut short with budget left", "budget", (12, 3122, 2),
+    ("probe cut short with budget left", "budget", (12, 12, 2),
      ["init", "sampled(2,2,2)"]),
-    ("failed line search, then escaped", "converged", (6, 3129, 2),
+    ("failed line search, then escaped", "converged", (6, 9, 2),
      ["init", "sampled(2,2,1)"] + ["gradient"] * 5),
-    ("certified, then no_direction", "no_direction", (25, 1, 1), ["init"]),
+    ("certified, then no_direction", "no_direction", (25, 25, 1), ["init"]),
     ("rebalance", "budget", (2, 29, 1), ["init", "gradient", "rebalance"]),
     ("failed rebalance", "budget", (2, 28, 1), ["init", "gradient"]),
-])
+]
+
+
+@pytest.mark.parametrize("case, status, counts, steps", RARE_EXITS)
 def test_rare_exits_keep_their_records_and_counts(monkeypatch, case, status,
                                                   counts, steps):
     # the exits of the search loop that no census run reaches.  A failed
@@ -1460,12 +1491,50 @@ def test_rare_exits_keep_their_records_and_counts(monkeypatch, case, status,
     # line search failing, a probe that the budget cuts short with an
     # evaluation left follows an escape step and a failed escape round.  A
     # rebalance, taken or failed, spends the last evaluation.  A step
-    # marked * carries a min_curvature
+    # marked * carries a min_curvature.  The objective count is the run's
+    # `objective` calls
+    calls = count_objective_calls(monkeypatch)
     res = rare_exit_run(case, monkeypatch)
     assert res.status == status
     assert (res.grad_evals, res.objective_evals, res.rounds) == counts
+    assert res.objective_evals == len(calls)
     assert [rec.step_kind + "*" * (rec.min_curvature is not None)
             for rec in res.trace.records] == steps
+
+
+def test_objective_count_is_the_runs_objective_calls(monkeypatch):
+    # objective_evals is the number of `objective` calls a run makes,
+    # through the search's binding and `hvp`'s, and not a tally of the
+    # sign search's candidates: on the rare exits and the noisy desk
+    # target, which between them take an escape step at the zero point
+    # and away from it, a rebalance and a curvature probe
+    reached = set()
+    for case in [case for case, *_ in RARE_EXITS] + ["noisy desk"]:
+        with monkeypatch.context() as patched:
+            calls = count_objective_calls(patched)
+            rounds = record_calls(patched, "_escape_round")
+            products = []
+
+            def counting_hvp(*args, fn=search_module.hvp):
+                products.append(1)
+                return fn(*args)
+
+            patched.setattr(search_module, "hvp", counting_hvp)
+            if case == "noisy desk":
+                res = run(noisy_desk_instance(2, 8, 0, 5e-2),
+                          SearchConfig(r=2, seed=0))
+            else:
+                res = rare_exit_run(case, patched)
+            assert res.objective_evals == len(calls), case
+        reached.update("escape" if np.frombuffer(point).any()
+                       else "zero-point escape"
+                       for point, _, step in rounds if step is not None)
+        if "rebalance" in {rec.step_kind for rec in res.trace.records}:
+            reached.add("rebalance")
+        if products:
+            reached.add("curvature probe")
+    assert reached == {"zero-point escape", "escape", "rebalance",
+                       "curvature probe"}
 
 
 def test_trace_records_what_each_step_source_returns(monkeypatch):
@@ -1814,50 +1883,30 @@ def test_run_validates_inputs():
 
 
 def test_run_counts_every_objective_evaluation(monkeypatch):
-    import tuckersearch.escape as escape_module
-    import tuckersearch.search as search_module
-    calls = []
+    calls = count_objective_calls(monkeypatch)
     search_points = []
     labels = []
     grad_calls = []
     baselines = []
     zero_rounds = []
-    # the labels of the round's sampler call
-    drawn_last = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return objective(*args, **kwargs)
+    counted = search_module.objective
+    counted_baseline = escape_module.objective
 
     def baseline(*args, **kwargs):
         baselines.append(1)
-        return counting(*args, **kwargs)
+        return counted_baseline(*args, **kwargs)
 
     def recording(p, *args, **kwargs):
         search_points.append(p.flat.tobytes())
-        return counting(p, *args, **kwargs)
-
-    def scored(*args, **kwargs):
-        values = candidate_values(*args, **kwargs)
-        # every stack is scored over all 16 sign patterns, but a pattern
-        # that flips a block its label leaves at zero repeats its twin: a
-        # draw moves the core and its label's index-2 factors, and each of
-        # its distinct candidates counts as one value
-        L, m, _, steps = values.shape
-        assert L == len(drawn_last)
-        calls.extend([1] * sum(m * steps * 2 ** (1 + ijk.count(2))
-                               for ijk in drawn_last))
-        return values
+        return counted(p, *args, **kwargs)
 
     def closed_form(at, flats):
         zero_rounds.append(1)
-        calls.extend([1] * (flats.size // at.point.flat.size))
         return zero_point(at, flats)
 
     def noting(splits, ijk, *args, **kwargs):
         drawn, flats = sample_missing(splits, ijk, *args, **kwargs)
         labels.extend(drawn)
-        drawn_last[:] = drawn
         return drawn, flats
 
     def charging(fn, cost):
@@ -1868,13 +1917,7 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
 
     monkeypatch.setattr(search_module, "objective", recording)
     monkeypatch.setattr(escape_module, "objective", baseline)
-    # the sign search scores its candidates from one expansion of f, every
-    # label of a round in one scoring call; each distinct candidate value
-    # a scoring call returns is an objective value and counts as one
-    candidate_values = escape_module._candidate_values
-    monkeypatch.setattr(escape_module, "_candidate_values", scored)
-    # at the zero point the round scores each draw in closed form, one
-    # objective value per draw
+    # at the zero point the round scores each draw in closed form
     zero_point = escape_module._zero_point_search
     monkeypatch.setattr(escape_module, "_zero_point_search", closed_form)
     sample_missing = search_module.sample_missing_directions
@@ -1902,6 +1945,8 @@ def test_run_counts_every_objective_evaluation(monkeypatch):
         # every run starts at the zero point and scores its first round
         # there
         assert zero_rounds == [1]
+        # the sign search's candidates are values of f's polynomial, not
+        # `objective` calls: the count is the calls, hvp's included
         assert res.objective_evals == len(calls)
         # every sign search takes f at the round's point from its report,
         # so none evaluates a baseline of its own
@@ -1966,10 +2011,10 @@ def test_escape_round_scores_each_block_label_in_one_sign_search(
 def _per_label_round(rep, T, lam, rng, samples):
     """The escape round as a loop over SAMPLED_BLOCKS: the draws of one
     label and its sign search per label, the first of the largest gains,
-    then the winner's evaluation; returns (kind, report, step, gain,
-    objective values) or None."""
+    then the winner's evaluation; returns (kind, report, step, gain) or
+    None."""
     splits = subspace_split(rep.point, search_module.SIGMA)
-    cands, evals = [], 0
+    cands = []
     for ijk in SAMPLED_BLOCKS:
         drawn, flats = sample_missing_directions(splits, [ijk], rng, samples)
         if not drawn:
@@ -1977,7 +2022,6 @@ def _per_label_round(rep, T, lam, rng, samples):
         found = sign_flip_search(rep.point, T, flats, lam, at=rep)
         cands.extend(("sampled({},{},{})".format(*ijk), found, k)
                      for k in range(samples))
-        evals += int(found.evals.sum())
     kind, best, k = max(cands, key=lambda c: c[1].improvements[c[2]],
                         default=(None, None, None))
     if best is None or best.improvements[k] < search_module.MIN_IMPROVEMENT:
@@ -1985,7 +2029,7 @@ def _per_label_round(rep, T, lam, rng, samples):
     cand = objective(best.apply(k), T, lam)
     if search_module._rises(rep.f, cand.f):
         return None
-    return kind, cand, float(best.steps[k]), best.improvements[k], evals + 1
+    return kind, cand, float(best.steps[k]), best.improvements[k]
 
 
 def _low_rank_point(r, d, rank, rng):
@@ -2006,7 +2050,7 @@ def _zero_point_round(rep, T, lam, rng, samples):
     draw d, with X = S_d(A_d, B_d, C_d), f(t d) = |T|^2 - 2 u b + u^2 q in
     u = t^4, b = <T, X> and q = |X|^2 + lam phi(d)^2.  The first draw of the
     largest b^2 / q steps to t = (|b| / q)^(1/4), its core flipped where
-    b < 0; returns (kind, report, step, gain, objective values)."""
+    b < 0; returns (kind, report, step, gain)."""
     splits = subspace_split(rep.point, search_module.SIGMA)
     best = None
     _, flats = sample_missing_directions(splits, [(2, 2, 2)], rng, samples)
@@ -2019,19 +2063,19 @@ def _zero_point_round(rep, T, lam, rng, samples):
             best = b * b / q, (abs(b) / q) ** 0.25, d, b
     gain, step, d, b = best
     signed = FactorPoint(math.copysign(1.0, b) * d.S, d.A, d.B, d.C)
-    return ("sampled(2,2,2)", objective(step * signed, T, lam), step, gain,
-            samples + 1)
+    return "sampled(2,2,2)", objective(step * signed, T, lam), step, gain
 
 
 @pytest.mark.parametrize("r,d", [(2, 4), (3, 8), (4, 9)])
 def test_one_pass_escape_round_matches_the_per_label_loop(r, d):
     # the round draws, scores and picks as a loop over the labels with a
     # sampler call and a sign search per label would, from the same sampler
-    # state: the same kind, step, gain, point bytes and objective values,
-    # at a full-rank point (no label draws) and at a rank-deficient one
-    # (all four draw).  At the zero start (only (2,2,2) draws) it takes
-    # the exact step along each draw, which `_zero_point_round` forms
-    # from its own arithmetic, so the two agree to rounding
+    # state: the same kind, step, gain and point bytes, after one
+    # `objective` call, the winner's, at a full-rank point (no label
+    # draws) and at a rank-deficient one (all four draw).  At the zero
+    # start (only (2,2,2) draws) it takes the exact step along each draw,
+    # which `_zero_point_round` forms from its own arithmetic, so the two
+    # agree to rounding
     T = exact_instance(r, d, 7)
     lam = default_lambda(r)
     taken = set()
@@ -2059,7 +2103,7 @@ def test_one_pass_escape_round_matches_the_per_label_loop(r, d):
                 continue
             taken.add(name)
             kind, cand, step, gain = got
-            assert ev.objective_evals == want[4] and ev.used == 0
+            assert ev.objective_evals == 1 and ev.used == 0
             if name == "zero":
                 assert kind == want[0]
                 assert step == pytest.approx(want[2], rel=1e-12)
@@ -2077,7 +2121,6 @@ def test_the_zero_point_has_one_escape_rule(monkeypatch):
     # verify's check of the origin and the first round of a zero-start run
     # both score their draws by the closed form, and no step grid is
     # scored at p = 0; the run's later rounds score grids away from it
-    import tuckersearch.escape as escape_module
     from tuckersearch.verify import gallery_origin
     zero_point = escape_module._zero_point_search
     candidate_values = escape_module._candidate_values
@@ -2124,7 +2167,7 @@ def test_zero_point_round_takes_the_exact_step_along_its_draws(r, d):
             want = _zero_point_round(rep, T, lam,
                                      np.random.default_rng(seed),
                                      SAMPLES_PER_BLOCK)
-            assert kind == want[0] and ev.objective_evals == want[4] == 7
+            assert kind == want[0] and ev.objective_evals == 1
             assert gain == pytest.approx(want[3], rel=1e-10)
             assert rep.f - cand.f == pytest.approx(want[3], rel=1e-10)
             assert step == pytest.approx(want[2], rel=1e-10)
@@ -2210,7 +2253,9 @@ def test_budget_counts_hvp_double():
     assert not ev.exhausted
     assert ev.affords(2) and not ev.affords(3)
     rep = ev.objective(p)
-    assert ev.used == 3 and ev.objective_evals == 1
+    # the product's gradient difference made two `objective` calls, which
+    # count as objective values but are charged only through its 2
+    assert ev.used == 3 and ev.objective_evals == 3
     # the gaps come from the report, but a rebalance move still pays for
     # the regularizer gradient they stand for
     assert ev.gram_gaps(rep) is rep.gaps
